@@ -1,11 +1,11 @@
-//! Wall-clock benchmark for the PR-5 hot paths: parallel bulk
-//! `Create()` and the O(1) sharded buffer pool.
+//! Wall-clock benchmark for the hot paths: parallel bulk `Create()`
+//! and the buffer pool.
 //!
 //! Unlike the paper-figure binaries (which count page accesses, the
 //! machine-independent currency), this harness measures *time* — the
-//! thing the parallel clustering and the pool rewrite actually improve.
+//! thing the parallel clustering and the O(1) pool actually improve.
 //! It emits a machine-readable JSON report (`BENCH_PR5.json` by
-//! default) with before/after numbers:
+//! default):
 //!
 //! * **clustering** — `cluster-nodes-into-pages()` on a synthetic grid
 //!   well past the paper's 1079 nodes (default 50 176 nodes), swept
@@ -15,9 +15,10 @@
 //!   byte-identity check across all of them;
 //! * **create** — full `Static-Create()` (clustering + bulk load) at
 //!   1 thread vs all cores;
-//! * **pool** — the new sharded pool vs an inline replica of the old
-//!   `Vec<Frame>` linear-scan pool, on hit-heavy, miss-heavy and
-//!   4-thread concurrent workloads.
+//! * **pool** — `BufferPool` ops/sec at capacity {1, 64, 256, 4096} on
+//!   a hit-heavy (working set half the pool) and a miss-heavy (working
+//!   set 16x the pool) uniform workload, plus 4 threads hitting a
+//!   4096-frame pool. The regime table in EXPERIMENTS.md is this grid.
 //!
 //! ```text
 //! perf_hotpaths [--grid N] [--block N] [--out FILE]
@@ -32,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use ccam_core::am::{AccessMethod, CcamBuilder};
@@ -211,40 +212,22 @@ fn main() {
     drop(am1);
     drop(am_n);
 
-    // ---- Phase 3: buffer pool, old linear replica vs new ------------
-    // Two regimes, both reported honestly: at a small capacity the old
-    // pool's linear scan is cache-resident and hard to beat; the O(1)
-    // structure is for large pools, where the old scan cost grows with
-    // every frame while the new path stays flat.
+    // ---- Phase 3: buffer pool over the capacity grid ----------------
+    // From the paper's 1-page route-evaluation buffer to a pool of
+    // thousands of frames; every cell is the same code path.
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
-    // (capacity, hit-heavy working set, miss-heavy working set)
-    let regimes = [(256usize, 128usize, 4096usize), (4096, 2048, 65536)];
     let mut pool_rows = Vec::new();
-    for &(cap, hot, cold) in &regimes {
-        let hit_heavy = bench_pool_pair(block, cap, hot, ops);
+    for cap in [1usize, 64, 256, 4096] {
+        let hit_heavy = bench_pool(block, cap, (cap / 2).max(1), ops);
+        let miss_heavy = bench_pool(block, cap, cap * 16, ops / 4);
         println!(
-            "pool cap={cap:<5} hit-heavy    old {:>10.0} ops/s   new {:>10.0} ops/s   ({:.2}x)",
-            hit_heavy.0,
-            hit_heavy.1,
-            hit_heavy.1 / hit_heavy.0
-        );
-        let miss_heavy = bench_pool_pair(block, cap, cold, ops / 4);
-        println!(
-            "pool cap={cap:<5} miss-heavy   old {:>10.0} ops/s   new {:>10.0} ops/s   ({:.2}x)",
-            miss_heavy.0,
-            miss_heavy.1,
-            miss_heavy.1 / miss_heavy.0
+            "pool cap={cap:<5} hit-heavy {hit_heavy:>10.0} ops/s   miss-heavy {miss_heavy:>10.0} ops/s"
         );
         pool_rows.push((cap, hit_heavy, miss_heavy));
     }
-    let conc_cap = regimes[regimes.len() - 1].0;
+    let conc_cap = 4096;
     let conc = bench_pool_concurrent(block, conc_cap, ops / 2);
-    println!(
-        "pool cap={conc_cap:<5} 4-thread     old {:>10.0} ops/s   new {:>10.0} ops/s   ({:.2}x)\n",
-        conc.0,
-        conc.1,
-        conc.1 / conc.0
-    );
+    println!("pool cap={conc_cap:<5} 4-thread  {conc:>10.0} ops/s\n");
 
     // ---- Report -----------------------------------------------------
     let mut j = String::new();
@@ -301,26 +284,19 @@ fn main() {
          \"speedup\": {:.3}, \"layout_identical\": {same_layout}}},",
         create_1t / create_nt
     );
-    let pool_obj = |(old, new): (f64, f64)| {
-        format!(
-            "{{\"old_ops_per_sec\": {old:.0}, \"new_ops_per_sec\": {new:.0}, \"speedup\": {:.3}}}",
-            new / old
-        )
-    };
     let _ = write!(j, "  \"pool\": {{\n    \"regimes\": [\n");
     for (k, &(cap, hit, miss)) in pool_rows.iter().enumerate() {
         let _ = writeln!(
             j,
-            "      {{\"capacity\": {cap}, \"hit_heavy\": {}, \"miss_heavy\": {}}}{}",
-            pool_obj(hit),
-            pool_obj(miss),
+            "      {{\"capacity\": {cap}, \"hit_heavy_ops_per_sec\": {hit:.0}, \
+             \"miss_heavy_ops_per_sec\": {miss:.0}}}{}",
             if k + 1 < pool_rows.len() { "," } else { "" }
         );
     }
     let _ = write!(
         j,
-        "    ],\n    \"concurrent_4_threads\": {{\"capacity\": {conc_cap}, \"result\": {}}}\n  }}\n}}\n",
-        pool_obj(conc)
+        "    ],\n    \"concurrent_4_threads\": {{\"capacity\": {conc_cap}, \
+         \"ops_per_sec\": {conc:.0}}}\n  }}\n}}\n"
     );
     std::fs::write(&out, &j).expect("write report");
     println!("wrote {out}");
@@ -376,67 +352,6 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The pre-PR-5 buffer pool, replicated inline for an honest
-/// before/after: a flat `Vec` of frames, page lookup *and* LRU victim
-/// selection both by linear scan over every frame, recency via a
-/// monotone `last_used` tick. Single-threaded by construction (the old
-/// pool serialized everything behind one mutex).
-struct OldPool {
-    store: MemPageStore,
-    frames: Vec<OldFrame>,
-    cap: usize,
-    tick: u64,
-}
-
-struct OldFrame {
-    id: PageId,
-    data: Box<[u8]>,
-    dirty: bool,
-    last_used: u64,
-}
-
-impl OldPool {
-    fn new(store: MemPageStore, cap: usize) -> Self {
-        OldPool {
-            store,
-            frames: Vec::new(),
-            cap,
-            tick: 0,
-        }
-    }
-
-    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.tick += 1;
-        // Linear lookup — the O(frames) access path this PR removes.
-        if let Some(i) = self.frames.iter().position(|fr| fr.id == id) {
-            self.frames[i].last_used = self.tick;
-            return f(&self.frames[i].data);
-        }
-        if self.frames.len() >= self.cap {
-            // Linear LRU victim scan.
-            let (v, _) = self
-                .frames
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, fr)| fr.last_used)
-                .expect("non-empty");
-            let victim = self.frames.swap_remove(v);
-            if victim.dirty {
-                self.store.write(victim.id, &victim.data).expect("write");
-            }
-        }
-        let mut data = vec![0u8; self.store.page_size()].into_boxed_slice();
-        self.store.read(id, &mut data).expect("read");
-        self.frames.push(OldFrame {
-            id,
-            data,
-            dirty: false,
-            last_used: self.tick,
-        });
-        f(&self.frames.last().expect("just pushed").data)
-    }
-}
-
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
     *s ^= *s >> 7;
@@ -449,98 +364,62 @@ fn alloc_pages(store: &mut MemPageStore, n: usize) -> Vec<PageId> {
     (0..n).map(|_| store.allocate().expect("alloc")).collect()
 }
 
-/// Single-threaded ops/sec over a uniform working set of `set` pages:
-/// `(old, new)`.
-fn bench_pool_pair(block: usize, cap: usize, set: usize, ops: u64) -> (f64, f64) {
-    let mut store = MemPageStore::new(block).expect("store");
-    let ids = alloc_pages(&mut store, set);
-    let mut old = OldPool::new(store, cap);
-    let mut seed = 0x5EED_u64;
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..ops {
-        let id = ids[(xorshift(&mut seed) % set as u64) as usize];
-        acc = acc.wrapping_add(old.with_page(id, |b| b[0] as u64));
-    }
-    let old_rate = ops as f64 / t0.elapsed().as_secs_f64();
-    std::hint::black_box(acc);
+/// Median of three timed passes (each over a fresh pool).
+fn median_of_3(mut pass: impl FnMut() -> f64) -> f64 {
+    let mut rates = [pass(), pass(), pass()];
+    rates.sort_by(f64::total_cmp);
+    rates[1]
+}
 
-    let mut store = MemPageStore::new(block).expect("store");
-    let ids = alloc_pages(&mut store, set);
-    let pool = BufferPool::new(store, cap);
-    let mut seed = 0x5EED_u64;
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..ops {
-        let id = ids[(xorshift(&mut seed) % set as u64) as usize];
-        acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
-    }
-    let new_rate = ops as f64 / t0.elapsed().as_secs_f64();
-    std::hint::black_box(acc);
-    (old_rate, new_rate)
+/// Single-threaded ops/sec over a uniform working set of `set` pages.
+fn bench_pool(block: usize, cap: usize, set: usize, ops: u64) -> f64 {
+    median_of_3(|| {
+        let mut store = MemPageStore::new(block).expect("store");
+        let ids = alloc_pages(&mut store, set);
+        let pool = BufferPool::new(store, cap);
+        let mut seed = 0x5EED_u64;
+        let t0 = Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..ops {
+            let id = ids[(xorshift(&mut seed) % set as u64) as usize];
+            acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
+        }
+        std::hint::black_box(acc);
+        ops as f64 / t0.elapsed().as_secs_f64()
+    })
 }
 
 /// 4 threads, each hammering its own quarter of a pool-resident working
-/// set (pure hit path): `(old-behind-a-mutex, new-sharded)` ops/sec.
-/// This is the reader-concurrency case the sharded page table exists
-/// for — the old design serializes every access on one lock.
-fn bench_pool_concurrent(block: usize, cap: usize, ops_per_thread: u64) -> (f64, f64) {
+/// set (pure hit path): total ops/sec.
+fn bench_pool_concurrent(block: usize, cap: usize, ops_per_thread: u64) -> f64 {
     const THREADS: usize = 4;
     let per = cap / THREADS;
-
-    let mut store = MemPageStore::new(block).expect("store");
-    let ids = alloc_pages(&mut store, cap);
-    let old = Arc::new(Mutex::new(OldPool::new(store, cap)));
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let old = Arc::clone(&old);
-            let barrier = Arc::clone(&barrier);
-            let mine: Vec<PageId> = ids[t * per..(t + 1) * per].to_vec();
-            std::thread::spawn(move || {
-                let mut seed = 0xBEEF_u64 + t as u64;
-                barrier.wait();
-                let mut acc = 0u64;
-                for _ in 0..ops_per_thread {
-                    let id = mine[(xorshift(&mut seed) % per as u64) as usize];
-                    acc =
-                        acc.wrapping_add(old.lock().expect("lock").with_page(id, |b| b[0] as u64));
-                }
-                std::hint::black_box(acc);
+    median_of_3(|| {
+        let mut store = MemPageStore::new(block).expect("store");
+        let ids = alloc_pages(&mut store, cap);
+        let pool = Arc::new(BufferPool::new(store, cap));
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let t0 = Instant::now();
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                let barrier = Arc::clone(&barrier);
+                let mine: Vec<PageId> = ids[t * per..(t + 1) * per].to_vec();
+                std::thread::spawn(move || {
+                    let mut seed = 0xBEEF_u64 + t as u64;
+                    barrier.wait();
+                    let mut acc = 0u64;
+                    for _ in 0..ops_per_thread {
+                        let id = mine[(xorshift(&mut seed) % per as u64) as usize];
+                        acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
+                    }
+                    std::hint::black_box(acc);
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("join");
-    }
-    let old_rate = (THREADS as u64 * ops_per_thread) as f64 / t0.elapsed().as_secs_f64();
-
-    let mut store = MemPageStore::new(block).expect("store");
-    let ids = alloc_pages(&mut store, cap);
-    let pool = Arc::new(BufferPool::new(store, cap));
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let pool = Arc::clone(&pool);
-            let barrier = Arc::clone(&barrier);
-            let mine: Vec<PageId> = ids[t * per..(t + 1) * per].to_vec();
-            std::thread::spawn(move || {
-                let mut seed = 0xBEEF_u64 + t as u64;
-                barrier.wait();
-                let mut acc = 0u64;
-                for _ in 0..ops_per_thread {
-                    let id = mine[(xorshift(&mut seed) % per as u64) as usize];
-                    acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
-                }
-                std::hint::black_box(acc);
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("join");
-    }
-    let new_rate = (THREADS as u64 * ops_per_thread) as f64 / t0.elapsed().as_secs_f64();
-    (old_rate, new_rate)
+            .collect();
+        for h in handles {
+            h.join().expect("join");
+        }
+        (THREADS as u64 * ops_per_thread) as f64 / t0.elapsed().as_secs_f64()
+    })
 }

@@ -9,60 +9,51 @@
 //! buffered data-page containing the node is likely to contain the
 //! specified successor node if CRR is high", §2.3).
 //!
-//! # Two strategies, picked by capacity at construction
+//! # One organization, every capacity
 //!
-//! [`BufferPool::new`] chooses between two internal organizations with
-//! identical semantics (exact LRU, same counting rules, same fault
-//! behaviour — one property test pins both to one model):
+//! The same structure serves the paper's "one buffer with the size of
+//! one data page" (route evaluation, §4.3) and pools of thousands of
+//! frames; every hot path is O(1) and nothing depends on the capacity,
+//! at construction or after [`BufferPool::set_capacity`]:
 //!
-//! * **Linear** (capacity ≤ [`LINEAR_CAPACITY_MAX`]): one mutex around a
-//!   flat frame vector; page lookup is a linear scan, recency is a
-//!   monotone tick, eviction scans for the minimum tick. At small
-//!   capacities the scan is cache-resident and beats the sharded
-//!   structure's hash + two-lock hit path by a wide margin (the
-//!   BENCH_PR5 capacity-256 hit-heavy regime measured the sharded pool
-//!   at 0.15x of a linear scan).
-//! * **Sharded** (larger capacities): the O(1) structure below — the
-//!   linear scan's cost grows with every frame, so past a few hundred
-//!   frames the hash lookup and intrusive LRU list win, and concurrent
-//!   readers of different pages stop serialising on one mutex.
+//! * One `Mutex<State>` guards the store, the page table and the recency
+//!   list. The page table is a dense `Vec<u32>` (`PageId` → slab slot):
+//!   stores hand out sequential page ids, so a lookup is one indexed
+//!   load (measured 5–15% faster than a `HashMap`; EXPERIMENTS.md).
+//! * Recency is an intrusive doubly-linked LRU list over a slab: a hit
+//!   relinks one node at the MRU head, an eviction takes the LRU-most
+//!   *unpinned* entry from the tail — exact LRU.
+//! * Each frame's bytes sit behind their own `RwLock`. The `with_page` /
+//!   `with_page_mut` closures run holding only that lock and a *pin* on
+//!   the frame (pinned frames are never evicted), so closures may nest
+//!   page accesses and readers of different pages overlap; only the
+//!   lookup and the unpin serialise on the state mutex.
+//! * A miss reads the page *before* evicting anything, then evicts, then
+//!   installs. If every frame is pinned the evictor waits on a condvar,
+//!   which releases the state lock — so afterwards it re-checks
+//!   residency and re-reads the page before installing.
 //!
-//! # Sharded structure (all hot paths O(1))
-//!
-//! * The page table is *sharded*: `SHARD_COUNT` independent
-//!   `Mutex<HashMap<PageId, Arc<Frame>>>` maps, so concurrent readers of
-//!   different pages never serialise on one pool-wide mutex. Each frame's
-//!   bytes sit behind their own `RwLock`, and the `with_page` /
-//!   `with_page_mut` closures run holding only that frame lock.
-//! * Recency is an intrusive doubly-linked LRU list over a slab of
-//!   entries (`meta`): a hit unlinks and relinks one node at the MRU
-//!   head, an eviction pops the LRU tail — no tick counters, no
-//!   `min_by_key` scan over the frame vector.
-//! * Misses and structural operations (shrink, clear, free, flush)
-//!   serialise on a `fault` mutex. That keeps the miss path simple and
-//!   is the right trade for this workload: the paper's experiments are
-//!   miss-*counting*, not miss-*throughput*, and hits stay concurrent.
-//!
-//! Lock order (outermost first): `fault` → shard map → `meta` → frame
-//! buffer → `store`. Shard and `meta` are the only nested pair on the hit
-//! path; everything else takes one lock at a time.
+//! Lock order (outermost first): `state` → frame buffer → profile
+//! events. Under `state` the pool takes buffer locks of *unpinned*
+//! frames only, with one exception: write-back (`flush_all`, `clear`,
+//! drop) read-locks every dirty frame, so it must not race a mutating
+//! closure that itself re-enters the pool.
 //!
 //! # Prefetch (opt-in, off by default)
 //!
 //! [`BufferPool::set_prefetcher`] installs a connectivity-aware hook: on
-//! every miss the hook maps the faulted page to candidate pages (e.g. the
+//! every miss it maps the faulted page to candidate pages (e.g. the
 //! pages of its successors' clusters) and the pool reads them into *free*
-//! frames only — a prefetch never evicts a resident page. Prefetched
-//! reads are counted honestly: each bumps `physical_reads` and
-//! `prefetch_issued` and emits a [`PageAccessKind::Prefetch`] event, so
-//! the paper-metric page-access counts are unchanged exactly when the
-//! hook is off (the default).
+//! frames only — a prefetch never evicts — at the LRU tail, so real
+//! misses reclaim them first. Prefetched reads are counted honestly
+//! (`physical_reads`, `prefetch_issued`, a [`PageAccessKind::Prefetch`]
+//! event each), so the paper-metric page-access counts are unchanged
+//! exactly when the hook is off (the default).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::error::{StorageError, StorageResult};
 use crate::metrics::PageAccessKind;
@@ -70,50 +61,28 @@ use crate::page::PageId;
 use crate::stats::IoStats;
 use crate::store::PageStore;
 
-/// Number of page-table shards (power of two; page ids are sequential,
-/// so a mask distributes them evenly).
-const SHARD_COUNT: usize = 16;
-
-/// Null index in the intrusive LRU list.
-const NIL: usize = usize::MAX;
+/// Slab slot of the LRU list's sentinel: `entries[0].next` is the MRU
+/// end, `entries[0].prev` the LRU end, and an empty list links it to
+/// itself. No frame ever lives there, so the page table also uses 0 for
+/// "not resident".
+const SENTINEL: usize = 0;
 
 /// A connectivity-aware prefetch hook: maps a faulted page to candidate
 /// pages worth reading into free frames.
 pub type Prefetcher = Arc<dyn Fn(PageId) -> Vec<PageId> + Send + Sync>;
 
-/// Per-shard counter snapshot (see [`BufferPool::shard_counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Requests satisfied from this shard's resident frames.
-    pub hits: u64,
-    /// Requests that faulted a page mapped to this shard.
-    pub misses: u64,
-    /// Frames evicted from this shard.
-    pub evictions: u64,
-}
-
-struct FrameBuf {
-    data: Box<[u8]>,
-    dirty: bool,
-}
-
 struct Frame {
     id: PageId,
-    /// Index of this frame's entry in the `meta` slab. Stable for the
-    /// frame's lifetime; readers re-validate it under the `meta` lock
-    /// (slot slabs recycle indices), so a stale load is harmless.
-    slot: AtomicUsize,
-    buf: RwLock<FrameBuf>,
+    /// Set by `with_page_mut` under the buffer's write lock, read and
+    /// cleared by write-back under its read lock — the lock orders every
+    /// access, so `Relaxed` suffices.
+    dirty: AtomicBool,
+    buf: RwLock<Box<[u8]>>,
 }
 
-struct Shard {
-    map: Mutex<HashMap<PageId, Arc<Frame>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// One slab entry: a resident frame plus its intrusive LRU links.
+/// One slab entry: a resident frame plus its intrusive LRU links. The
+/// default entry is the empty list's sentinel (no frame, self-linked).
+#[derive(Default)]
 struct Entry {
     frame: Option<Arc<Frame>>,
     prev: usize,
@@ -121,45 +90,53 @@ struct Entry {
     /// Closures currently running over this frame's buffer; pinned
     /// frames are never chosen for eviction.
     pins: u32,
-    /// Set while an eviction is unlinking this entry: blocks new pins so
-    /// the evictor can write back and drop the frame race-free.
-    evicting: bool,
 }
 
-/// LRU list + slab, guarded by one mutex. Every operation is O(1).
-struct Meta {
+/// Circular doubly-linked LRU list over a slab. Every operation is O(1).
+struct LruList {
     entries: Vec<Entry>,
     free: Vec<usize>,
-    /// MRU end of the list.
-    head: usize,
-    /// LRU end of the list.
-    tail: usize,
-    /// Resident frames (linked entries).
+    /// Resident frames (linked entries, the sentinel excluded).
     len: usize,
-    capacity: usize,
 }
 
-impl Meta {
-    fn new(capacity: usize) -> Meta {
-        Meta {
-            entries: Vec::new(),
+impl LruList {
+    fn new() -> LruList {
+        LruList {
+            entries: vec![Entry::default()],
             free: Vec::new(),
-            head: NIL,
-            tail: NIL,
             len: 0,
-            capacity,
         }
     }
 
-    fn alloc_slot(&mut self, frame: Arc<Frame>, pins: u32) -> usize {
+    fn link_after(&mut self, prev: usize, slot: usize) {
+        let next = self.entries[prev].next;
+        self.entries[slot].prev = prev;
+        self.entries[slot].next = next;
+        self.entries[prev].next = slot;
+        self.entries[next].prev = slot;
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = (self.entries[slot].prev, self.entries[slot].next);
+        self.entries[prev].next = next;
+        self.entries[next].prev = prev;
+    }
+
+    fn move_to_head(&mut self, slot: usize) {
+        if self.entries[SENTINEL].next != slot {
+            self.unlink(slot);
+            self.link_after(SENTINEL, slot);
+        }
+    }
+
+    /// Stores `frame` (unpinned) in a free slot linked after `prev`.
+    fn insert_after(&mut self, prev: usize, frame: Arc<Frame>) -> usize {
         let entry = Entry {
             frame: Some(frame),
-            prev: NIL,
-            next: NIL,
-            pins,
-            evicting: false,
+            ..Entry::default()
         };
-        match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(slot) => {
                 self.entries[slot] = entry;
                 slot
@@ -168,121 +145,149 @@ impl Meta {
                 self.entries.push(entry);
                 self.entries.len() - 1
             }
-        }
+        };
+        self.link_after(prev, slot);
+        self.len += 1;
+        slot
     }
 
-    fn free_slot(&mut self, slot: usize) {
-        let e = &mut self.entries[slot];
-        e.frame = None;
-        e.pins = 0;
-        e.evicting = false;
+    /// Unlinks `slot`, frees it and hands back its frame.
+    fn remove(&mut self, slot: usize) -> Option<Arc<Frame>> {
+        self.unlink(slot);
+        self.len -= 1;
         self.free.push(slot);
-    }
-
-    fn detach(&mut self, slot: usize) {
-        let (prev, next) = (self.entries[slot].prev, self.entries[slot].next);
-        if prev != NIL {
-            self.entries[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.entries[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.entries[slot].prev = NIL;
-        self.entries[slot].next = NIL;
-    }
-
-    fn push_head(&mut self, slot: usize) {
-        self.entries[slot].prev = NIL;
-        self.entries[slot].next = self.head;
-        if self.head != NIL {
-            self.entries[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    fn push_tail(&mut self, slot: usize) {
-        self.entries[slot].next = NIL;
-        self.entries[slot].prev = self.tail;
-        if self.tail != NIL {
-            self.entries[self.tail].next = slot;
-        }
-        self.tail = slot;
-        if self.head == NIL {
-            self.head = slot;
-        }
-    }
-
-    fn move_to_head(&mut self, slot: usize) {
-        if self.head != slot {
-            self.detach(slot);
-            self.push_head(slot);
-        }
+        self.entries[slot].frame.take()
     }
 
     /// The LRU-most unpinned entry, or `None` when every resident frame
     /// is pinned. O(1) unless concurrent closures have pinned the tail.
     fn pick_victim(&self) -> Option<usize> {
-        let mut slot = self.tail;
-        while slot != NIL {
-            if self.entries[slot].pins == 0 {
-                return Some(slot);
-            }
+        let mut slot = self.entries[SENTINEL].prev;
+        while slot != SENTINEL && self.entries[slot].pins > 0 {
             slot = self.entries[slot].prev;
         }
-        None
+        (slot != SENTINEL).then_some(slot)
+    }
+
+    /// Resident frames, most recently used first.
+    fn frames(&self) -> impl Iterator<Item = &Arc<Frame>> {
+        let mut slot = SENTINEL;
+        std::iter::from_fn(move || {
+            slot = self.entries[slot].next;
+            self.entries[slot].frame.as_ref()
+        })
     }
 }
 
-/// The sharded organization: O(1) hit and eviction paths, concurrent
-/// hits on different pages. See the module docs for when [`BufferPool`]
-/// picks it.
-struct ShardedPool<S: PageStore> {
-    shards: Box<[Shard]>,
-    meta: Mutex<Meta>,
-    /// Signalled on unpin, for evictors that found every frame pinned.
-    meta_cv: Condvar,
-    /// Serialises misses and structural operations (shrink/clear/free/
-    /// flush). Hits never touch it.
-    fault: Mutex<()>,
-    store: Mutex<S>,
-    stats: Arc<IoStats>,
-    page_size: usize,
-    prefetcher: Mutex<Option<Prefetcher>>,
+/// Everything the state mutex guards.
+struct State<S: PageStore> {
+    store: S,
+    /// `PageId` → slab slot ([`SENTINEL`] when not resident), grown on
+    /// demand to the largest page id ever buffered.
+    table: Vec<u32>,
+    lru: LruList,
+    capacity: usize,
+    /// Evictors parked on the condvar; the unpin path skips the notify
+    /// syscall when nobody waits (the common case).
+    waiters: usize,
+    prefetcher: Option<Prefetcher>,
 }
 
-impl<S: PageStore> ShardedPool<S> {
-    fn new(store: S, capacity: usize) -> Self {
-        let page_size = store.page_size();
-        let shards = (0..SHARD_COUNT)
-            .map(|_| Shard {
-                map: Mutex::new(HashMap::new()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        ShardedPool {
-            shards,
-            meta: Mutex::new(Meta::new(capacity)),
-            meta_cv: Condvar::new(),
-            fault: Mutex::new(()),
-            store: Mutex::new(store),
-            stats: IoStats::new_shared(),
-            page_size,
-            prefetcher: Mutex::new(None),
+impl<S: PageStore> State<S> {
+    fn slot_of(&self, id: PageId) -> Option<usize> {
+        match self.table.get(id.0 as usize) {
+            Some(&slot) if slot as usize != SENTINEL => Some(slot as usize),
+            _ => None,
         }
     }
 
-    fn shard(&self, id: PageId) -> &Shard {
-        &self.shards[id.0 as usize & (SHARD_COUNT - 1)]
+    fn frame(&self, slot: usize) -> Arc<Frame> {
+        let frame = self.lru.entries[slot].frame.as_ref();
+        Arc::clone(frame.expect("linked slot holds a frame"))
+    }
+
+    /// Links a freshly read, clean page into the pool (unpinned) after
+    /// slot `prev` — the sentinel for the MRU head, the sentinel's `prev`
+    /// for the LRU tail. Caller has ensured a free frame exists.
+    fn install(&mut self, id: PageId, data: Box<[u8]>, prev: usize) -> usize {
+        let frame = Arc::new(Frame {
+            id,
+            dirty: AtomicBool::new(false),
+            buf: RwLock::new(data),
+        });
+        let slot = self.lru.insert_after(prev, frame);
+        let idx = id.0 as usize;
+        if idx >= self.table.len() {
+            self.table.resize(idx + 1, SENTINEL as u32);
+        }
+        self.table[idx] = slot as u32;
+        slot
+    }
+
+    /// Drops the frame in `slot` (no write-back).
+    fn remove(&mut self, slot: usize) {
+        if let Some(frame) = self.lru.remove(slot) {
+            self.table[frame.id.0 as usize] = SENTINEL as u32;
+        }
+    }
+}
+
+/// A pinned frame: while it lives the frame cannot be evicted. Dropping
+/// it unpins — also when the caller's closure unwinds, so a panicking
+/// reader never leaves a frame unevictable.
+struct Pin<'a, S: PageStore> {
+    pool: &'a BufferPool<S>,
+    slot: usize,
+    frame: Arc<Frame>,
+}
+
+impl<S: PageStore> Drop for Pin<'_, S> {
+    fn drop(&mut self) {
+        let mut s = self.pool.state.lock();
+        // `free`/`discard_frames` may have dropped the frame (and the
+        // slot may have been recycled) while the closure ran.
+        let mine = |f: &Arc<Frame>| Arc::ptr_eq(f, &self.frame);
+        if let Some(e) = s.lru.entries.get_mut(self.slot) {
+            if e.frame.as_ref().is_some_and(mine) {
+                e.pins -= 1;
+            }
+        }
+        let wake = s.waiters > 0;
+        drop(s);
+        if wake {
+            self.pool.cv.notify_all();
+        }
+    }
+}
+
+/// An exact-LRU buffer pool over a [`PageStore`] with counted page
+/// accesses; see the module docs for the structure and lock order.
+pub struct BufferPool<S: PageStore> {
+    state: Mutex<State<S>>,
+    /// Signalled on unpin, for evictors that found every frame pinned.
+    cv: Condvar,
+    stats: Arc<IoStats>,
+    page_size: usize,
+}
+
+impl<S: PageStore> BufferPool<S> {
+    /// Wraps `store` with a pool of `capacity` frames (≥ 1).
+    pub fn new(store: S, capacity: usize) -> Self {
+        assert!(capacity >= 1, "buffer pool needs at least one frame");
+        let page_size = store.page_size();
+        BufferPool {
+            state: Mutex::new(State {
+                store,
+                table: Vec::new(),
+                lru: LruList::new(),
+                capacity,
+                waiters: 0,
+                prefetcher: None,
+            }),
+            cv: Condvar::new(),
+            stats: IoStats::new_shared(),
+            page_size,
+        }
     }
 
     /// Shared I/O counters (bumped by this pool).
@@ -290,636 +295,130 @@ impl<S: PageStore> ShardedPool<S> {
         Arc::clone(&self.stats)
     }
 
-    /// Per-shard hit/miss/eviction counters, indexed by shard.
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        self.shards
-            .iter()
-            .map(|s| ShardCounters {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-            })
-            .collect()
+    /// Page size of the underlying store.
+    pub fn page_size(&self) -> usize {
+        self.page_size
     }
 
     /// Installs (or with `None` removes) the connectivity-aware prefetch
     /// hook. Off by default; see the module docs for the counting rules.
     pub fn set_prefetcher(&self, hook: Option<Prefetcher>) {
-        *self.prefetcher.lock() = hook;
+        self.state.lock().prefetcher = hook;
     }
 
     /// Changes the frame budget, evicting (and writing back) surplus
-    /// frames immediately. Experiments use this to switch between the
-    /// paper's "one buffer with the size of one data page" (route
-    /// evaluation, §4.3) and larger update buffers.
-    ///
-    /// Error-atomic on the capacity: the new (smaller) budget is adopted
-    /// only once every surplus frame has actually been evicted, so a
-    /// failed write-back mid-shrink leaves the pool with its old
-    /// capacity and the resident count within it.
+    /// frames immediately. Error-atomic: the new budget is adopted only
+    /// once every surplus frame is actually evicted, so a failed
+    /// write-back mid-shrink leaves the old capacity in force.
     pub fn set_capacity(&self, capacity: usize) -> StorageResult<()> {
         assert!(capacity >= 1);
-        let _fault = self.fault.lock();
-        self.shrink_to(capacity)?;
-        self.meta.lock().capacity = capacity;
+        let mut s = self.state.lock();
+        self.evict_to(&mut s, capacity)?;
+        s.capacity = capacity;
         Ok(())
     }
 
     /// Current frame budget.
     pub fn capacity(&self) -> usize {
-        self.meta.lock().capacity
+        self.state.lock().capacity
     }
 
-    /// Allocates a fresh page in the store (counted in the stats but not
-    /// faulted into the pool — callers typically write it next, which
-    /// faults it in as one access).
+    /// Allocates a fresh page in the store (counted, but not faulted in:
+    /// callers typically write it next, which is one access).
     pub fn allocate(&self) -> StorageResult<PageId> {
-        let id = self.store.lock().allocate()?;
+        let id = self.state.lock().store.allocate()?;
         self.stats.record_alloc();
         Ok(id)
     }
 
     /// Frees `id`, dropping any buffered copy.
     pub fn free(&self, id: PageId) -> StorageResult<()> {
-        let _fault = self.fault.lock();
+        let mut s = self.state.lock();
         // Free in the store first: if it fails, the buffered copy (and
         // any dirty contents) must survive untouched.
-        self.store.lock().free(id)?;
-        let removed = self.shard(id).map.lock().remove(&id);
-        if let Some(frame) = removed {
-            let mut m = self.meta.lock();
-            let slot = frame.slot.load(Ordering::Relaxed);
-            m.detach(slot);
-            m.len -= 1;
-            m.free_slot(slot);
+        s.store.free(id)?;
+        if let Some(slot) = s.slot_of(id) {
+            s.remove(slot);
         }
         self.stats.record_free();
         Ok(())
     }
 
-    /// Finds `id` resident and pins it MRU, or returns `None` (the
-    /// caller then takes the miss path). The only lock nesting on the
-    /// hit path: shard map → `meta`.
-    fn pin_resident(&self, id: PageId) -> Option<Arc<Frame>> {
-        let map = self.shard(id).map.lock();
-        let frame = Arc::clone(map.get(&id)?);
-        let mut m = self.meta.lock();
-        let slot = frame.slot.load(Ordering::Relaxed);
-        let valid = m.entries.get(slot).is_some_and(|e| {
-            !e.evicting && e.frame.as_ref().is_some_and(|f| Arc::ptr_eq(f, &frame))
-        });
-        if !valid {
-            // Racing eviction or half-installed frame: miss path re-checks
-            // under the fault lock.
-            return None;
-        }
-        m.entries[slot].pins += 1;
-        m.move_to_head(slot);
-        Some(frame)
-    }
-
-    fn unpin(&self, frame: &Arc<Frame>) {
-        let mut m = self.meta.lock();
-        let slot = frame.slot.load(Ordering::Relaxed);
-        if let Some(e) = m.entries.get_mut(slot) {
-            if e.frame.as_ref().is_some_and(|f| Arc::ptr_eq(f, frame)) {
-                e.pins = e.pins.saturating_sub(1);
-            }
-        }
-        drop(m);
-        self.meta_cv.notify_all();
-    }
-
-    fn count_hit(&self, id: PageId) {
-        self.stats.record_hit();
-        self.shard(id).hits.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_page_event(id, PageAccessKind::Hit);
-    }
-
     /// Runs `f` over the (read-only) contents of page `id`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
-        let frame = match self.pin_resident(id) {
-            Some(frame) => {
-                self.count_hit(id);
-                frame
-            }
-            None => self.fault_in(id)?,
-        };
-        let r = f(&frame.buf.read().data);
-        self.unpin(&frame);
-        Ok(r)
+        let pin = self.acquire(id)?;
+        let buf = pin.frame.buf.read();
+        Ok(f(&buf))
     }
 
     /// Runs `f` over the mutable contents of page `id`, marking it dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> StorageResult<R> {
-        let frame = match self.pin_resident(id) {
-            Some(frame) => {
-                self.count_hit(id);
-                frame
-            }
-            None => self.fault_in(id)?,
-        };
-        let r = {
-            let mut buf = frame.buf.write();
-            buf.dirty = true;
-            f(&mut buf.data)
-        };
-        self.unpin(&frame);
-        Ok(r)
+        let pin = self.acquire(id)?;
+        let mut buf = pin.frame.buf.write();
+        pin.frame.dirty.store(true, Ordering::Relaxed);
+        Ok(f(&mut buf))
     }
 
-    /// Miss path: fetches `id` from the store, evicting if needed, and
-    /// returns the frame pinned at the MRU head.
-    fn fault_in(&self, id: PageId) -> StorageResult<Arc<Frame>> {
-        let _fault = self.fault.lock();
-        // Another thread may have faulted the page in while this one
-        // waited on the fault lock.
-        if let Some(frame) = self.pin_resident(id) {
-            self.count_hit(id);
-            return Ok(frame);
-        }
-        if !self.store.lock().is_live(id) {
-            return Err(StorageError::InvalidPage(id));
-        }
-        // The fill happens into a fresh buffer *before* a frame is
-        // created: a failed read — I/O error or checksum mismatch — must
-        // never leave a frame cached as if it held valid page contents.
-        // And it happens *before* any eviction: a failed replacement read
-        // must not cost current residents their frames (the LRU victim —
-        // dirty write-back included — is only paid for once the new page
-        // is actually in hand).
-        let mut data = vec![0u8; self.page_size].into_boxed_slice();
-        if let Err(e) = self.store.lock().read(id, &mut data) {
-            if matches!(e, StorageError::ChecksumMismatch { .. }) {
-                self.stats.record_checksum_failure();
-                crate::trace_event!("buffer", "checksum failure on page {}", id.0);
-            }
-            return Err(e);
-        }
-        let room = self.meta.lock().capacity - 1;
-        self.shrink_to(room)?;
-        self.stats.record_read();
-        self.shard(id).misses.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_page_event(id, PageAccessKind::Miss);
-        let frame = self.install(id, data, 1, true);
-        self.prefetch_after_miss(id);
-        Ok(frame)
-    }
-
-    /// Links a freshly read page into the pool: `pins` initial pins,
-    /// MRU head or LRU tail placement. Caller holds the fault lock and
-    /// has ensured a free frame exists.
-    fn install(&self, id: PageId, data: Box<[u8]>, pins: u32, mru: bool) -> Arc<Frame> {
-        let frame = Arc::new(Frame {
-            id,
-            slot: AtomicUsize::new(NIL),
-            buf: RwLock::new(FrameBuf { data, dirty: false }),
-        });
-        let mut map = self.shard(id).map.lock();
-        let mut m = self.meta.lock();
-        let slot = m.alloc_slot(Arc::clone(&frame), pins);
-        frame.slot.store(slot, Ordering::Relaxed);
-        if mru {
-            m.push_head(slot);
-        } else {
-            m.push_tail(slot);
-        }
-        m.len += 1;
-        drop(m);
-        map.insert(id, Arc::clone(&frame));
-        frame
-    }
-
-    /// Evicts LRU-most unpinned frames until at most `target` remain.
-    /// Caller holds the fault lock. Waits on the condvar if every
-    /// resident frame is pinned by an in-flight closure.
-    fn shrink_to(&self, target: usize) -> StorageResult<()> {
-        loop {
-            let victim = {
-                let mut m = self.meta.lock();
-                if m.len <= target {
-                    return Ok(());
-                }
-                match m.pick_victim() {
-                    Some(slot) => {
-                        let frame =
-                            Arc::clone(m.entries[slot].frame.as_ref().expect("victim occupied"));
-                        m.entries[slot].evicting = true;
-                        m.detach(slot);
-                        m.len -= 1;
-                        Some((slot, frame))
-                    }
-                    None => {
-                        self.meta_cv.wait(&mut m);
-                        None
-                    }
-                }
-            };
-            if let Some((slot, frame)) = victim {
-                self.evict_frame(slot, frame)?;
-            }
-        }
-    }
-
-    /// Writes back (if dirty) and drops an unlinked victim frame. On a
-    /// failed write-back the victim is reinstated at the LRU tail and
-    /// the error propagates — the pool never loses dirty bytes.
-    fn evict_frame(&self, slot: usize, frame: Arc<Frame>) -> StorageResult<()> {
-        let dirty_copy = {
-            let buf = frame.buf.read();
-            buf.dirty.then(|| buf.data.clone())
-        };
-        if let Some(data) = dirty_copy {
-            if let Err(e) = self.store.lock().write(frame.id, &data) {
-                let mut m = self.meta.lock();
-                m.entries[slot].evicting = false;
-                m.push_tail(slot);
-                m.len += 1;
-                return Err(e);
-            }
-            frame.buf.write().dirty = false;
-            self.stats.record_write();
-            self.stats
-                .record_page_event(frame.id, PageAccessKind::Write);
-        }
-        crate::trace_event!("buffer", "evict page {}", frame.id.0);
-        self.shard(frame.id).map.lock().remove(&frame.id);
-        self.shard(frame.id)
-            .evictions
-            .fetch_add(1, Ordering::Relaxed);
-        self.stats.record_eviction();
-        let mut m = self.meta.lock();
-        m.free_slot(slot);
-        Ok(())
-    }
-
-    /// Best-effort prefetch after a miss on `id`: reads hook-suggested
-    /// pages into *free* frames (never evicting), inserted at the LRU
-    /// tail so real misses reclaim them first. Caller holds the fault
-    /// lock. Each successful read is counted (physical read + prefetch).
-    fn prefetch_after_miss(&self, id: PageId) {
-        let Some(hook) = self.prefetcher.lock().clone() else {
-            return;
-        };
-        for pid in hook(id) {
-            {
-                let m = self.meta.lock();
-                if m.len >= m.capacity {
-                    break;
-                }
-            }
-            if pid == id || self.is_resident(pid) || !self.store.lock().is_live(pid) {
-                continue;
-            }
-            let mut data = vec![0u8; self.page_size].into_boxed_slice();
-            match self.store.lock().read(pid, &mut data) {
-                Ok(()) => {}
-                Err(e) => {
-                    if matches!(e, StorageError::ChecksumMismatch { .. }) {
-                        self.stats.record_checksum_failure();
-                    }
-                    continue;
-                }
-            }
-            self.stats.record_read();
-            self.stats.record_prefetch();
-            self.stats.record_page_event(pid, PageAccessKind::Prefetch);
-            crate::trace_event!("buffer", "prefetch page {}", pid.0);
-            self.install(pid, data, 0, false);
-        }
-    }
-
-    /// True when `id` is resident (a `Get-A-successor` probe: "the
-    /// buffered data-page should be searched first").
-    pub fn is_resident(&self, id: PageId) -> bool {
-        self.shard(id).map.lock().contains_key(&id)
-    }
-
-    /// Ids of currently resident pages, most recently used first. Used by
-    /// `Get-successors()` to "check all pages brought into main memory
-    /// buffers ... without additional Find() operations" (§2.3).
-    pub fn resident_pages(&self) -> Vec<PageId> {
-        let m = self.meta.lock();
-        let mut ids = Vec::with_capacity(m.len);
-        let mut slot = m.head;
-        while slot != NIL {
-            if let Some(frame) = m.entries[slot].frame.as_ref() {
-                ids.push(frame.id);
-            }
-            slot = m.entries[slot].next;
-        }
-        ids
-    }
-
-    /// Every resident frame, in ascending page order (for deterministic
-    /// write-back). Caller holds the fault lock.
-    fn resident_frames_sorted(&self) -> Vec<Arc<Frame>> {
-        let m = self.meta.lock();
-        let mut frames: Vec<Arc<Frame>> = Vec::with_capacity(m.len);
-        let mut slot = m.head;
-        while slot != NIL {
-            if let Some(frame) = m.entries[slot].frame.as_ref() {
-                frames.push(Arc::clone(frame));
-            }
-            slot = m.entries[slot].next;
-        }
-        drop(m);
-        frames.sort_unstable_by_key(|f| f.id);
-        frames
-    }
-
-    /// Writes back every dirty frame in ascending page-id order (frames
-    /// stay resident and are marked clean). Stops at the first error —
-    /// a `WalStore` beneath only commits on `sync()`, so a partial
-    /// write-back is never made durable. Caller holds the fault lock.
-    fn write_back_dirty(&self) -> StorageResult<()> {
-        for frame in self.resident_frames_sorted() {
-            let dirty_copy = {
-                let buf = frame.buf.read();
-                buf.dirty.then(|| buf.data.clone())
-            };
-            if let Some(data) = dirty_copy {
-                self.store.lock().write(frame.id, &data)?;
-                frame.buf.write().dirty = false;
-                self.stats.record_write();
-                self.stats
-                    .record_page_event(frame.id, PageAccessKind::Write);
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes back every dirty frame (frames stay resident), then syncs
-    /// the store — the commit point when the store is a `WalStore`.
-    ///
-    /// Dirty frames are written in ascending page order, not recency
-    /// order, so the write-back sequence (and hence any write-ahead log
-    /// batch built from it) is deterministic regardless of eviction
-    /// history.
-    pub fn flush_all(&self) -> StorageResult<()> {
-        let _fault = self.fault.lock();
-        self.write_back_dirty()?;
-        self.store.lock().sync()?;
-        self.stats.record_sync();
-        Ok(())
-    }
-
-    /// Writes back and evicts every frame — the harness calls this before
-    /// each measured operation so the operation starts cold, matching the
-    /// paper's per-operation "average number of data page accesses".
-    pub fn clear(&self) -> StorageResult<()> {
-        let _fault = self.fault.lock();
-        // Write-back first (ascending page order, for deterministic WAL
-        // batches), then drop every frame.
-        self.write_back_dirty()?;
-        self.shrink_to(0)?;
-        self.store.lock().sync()?;
-        self.stats.record_sync();
-        Ok(())
-    }
-
-    /// Read-only access to the underlying store (page geometry, live-page
-    /// enumeration for CRR scans).
-    pub fn with_store<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.store.lock())
-    }
-
-    /// Mutable access to the underlying store — the escape hatch abort
-    /// and checkpoint paths use to drive a transactional store
-    /// ([`PageStore::rollback`], [`PageStore::checkpoint`]) without going
-    /// through the frame cache.
-    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.store.lock())
-    }
-
-    /// Drops every frame *without* writing dirty contents back — the
-    /// abort path: in-flight (uncommitted) page mutations live only in
-    /// dirty frames, so discarding them and rolling back the store
-    /// returns the file to its last committed state.
-    pub fn discard_frames(&self) {
-        let _fault = self.fault.lock();
-        for shard in self.shards.iter() {
-            shard.map.lock().clear();
-        }
-        let mut m = self.meta.lock();
-        m.entries.clear();
-        m.free.clear();
-        m.head = NIL;
-        m.tail = NIL;
-        m.len = 0;
-    }
-
-    /// Reads page `id`'s *current* contents into `buf` without counting
-    /// an access or creating a frame: a resident frame (dirty or not) is
-    /// served from memory, anything else straight from the store.
-    ///
-    /// This is what in-memory bookkeeping scans (the free-space map) use:
-    /// they model state a real system would keep resident, so they must
-    /// neither perturb the counted I/O statistics nor — crucially —
-    /// force a `flush_all`, which on a `WalStore` is a *commit point* and
-    /// would commit a half-finished multi-page operation.
-    pub fn read_uncounted(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        let resident = self.shard(id).map.lock().get(&id).cloned();
-        if let Some(frame) = resident {
-            buf.copy_from_slice(&frame.buf.read().data);
-            return Ok(());
-        }
-        self.store.lock().read(id, buf)
-    }
-
-    /// Verifies shard-map ↔ LRU-list agreement, the capacity bound and
-    /// slot back-pointers; returns a description of the first violation.
-    /// A debugging and property-testing aid — the pool maintains these
-    /// invariants through every allocate/free/fault/clear/shrink
-    /// sequence.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        let _fault = self.fault.lock();
-        let m = self.meta.lock();
-        if m.len > m.capacity {
-            return Err(format!(
-                "{} resident frames exceed capacity {}",
-                m.len, m.capacity
-            ));
-        }
-        // Walk the list, checking links and slot back-pointers.
-        let mut listed = HashMap::new();
-        let mut slot = m.head;
-        let mut prev = NIL;
-        while slot != NIL {
-            let e = &m.entries[slot];
-            if e.prev != prev {
-                return Err(format!("slot {slot} prev link broken"));
-            }
-            let frame = match e.frame.as_ref() {
-                Some(f) => f,
-                None => return Err(format!("linked slot {slot} has no frame")),
-            };
-            if frame.slot.load(Ordering::Relaxed) != slot {
-                return Err(format!(
-                    "frame for page {} has stale slot back-pointer",
-                    frame.id.0
-                ));
-            }
-            if e.evicting {
-                return Err(format!("linked slot {slot} marked evicting"));
-            }
-            if listed.insert(frame.id, slot).is_some() {
-                return Err(format!("page {} linked twice", frame.id.0));
-            }
-            prev = slot;
-            slot = e.next;
-        }
-        if prev != m.tail {
-            return Err("tail does not terminate the list".into());
-        }
-        if listed.len() != m.len {
-            return Err(format!(
-                "list has {} entries but len says {}",
-                listed.len(),
-                m.len
-            ));
-        }
-        // Shard maps must agree with the list exactly.
-        let mut mapped = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let map = shard.map.lock();
-            mapped += map.len();
-            for (&id, frame) in map.iter() {
-                if frame.id != id {
-                    return Err(format!("shard {i} maps page {} to a wrong frame", id.0));
-                }
-                if id.0 as usize & (SHARD_COUNT - 1) != i {
-                    return Err(format!("page {} hashed to the wrong shard {i}", id.0));
-                }
-                if !listed.contains_key(&id) {
-                    return Err(format!("shard {i} holds unlisted page {}", id.0));
-                }
-            }
-        }
-        if mapped != m.len {
-            return Err(format!(
-                "shard maps hold {mapped} frames but the list holds {}",
-                m.len
-            ));
-        }
-        // Slab accounting: every entry is either linked or free.
-        if m.len + m.free.len() != m.entries.len() {
-            return Err(format!(
-                "slab leak: {} linked + {} free != {} entries",
-                m.len,
-                m.free.len(),
-                m.entries.len()
-            ));
-        }
-        let store = self.store.lock();
-        for &id in listed.keys() {
-            if !store.is_live(id) {
-                return Err(format!("resident page {} is dead in the store", id.0));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Dirty frames are written back when the pool drops, so a file-backed
-/// database closed without an explicit flush still persists its data
-/// (errors at drop time are necessarily swallowed — call
-/// [`BufferPool::flush_all`] to observe them).
-impl<S: PageStore> Drop for ShardedPool<S> {
-    fn drop(&mut self) {
-        let _ = self.write_back_dirty();
-        let _ = self.store.lock().sync();
-    }
-}
-
-/// The linear organization: one mutex around a flat frame vector, page
-/// lookup by scan, recency by monotone tick, eviction by minimum-tick
-/// scan. The shape of the pre-PR-5 pool — cache-resident and very fast
-/// at small capacities — made thread-safe: closures still run *outside*
-/// the state lock (pinned frames are never evicted), so nested page
-/// accesses and concurrent readers remain correct, they just serialise
-/// on the lookup.
-struct LinearFrame {
-    frame: Arc<Frame>,
-    last_used: u64,
-    pins: u32,
-}
-
-struct LinearState<S: PageStore> {
-    frames: Vec<LinearFrame>,
-    /// Monotone access clock; ticks give a total order of last use, so
-    /// minimum-tick eviction is *exact* LRU.
-    tick: u64,
-    capacity: usize,
-    store: S,
-    counters: ShardCounters,
-}
-
-struct LinearPool<S: PageStore> {
-    state: Mutex<LinearState<S>>,
-    /// Signalled on unpin, for evictors that found every frame pinned.
-    cv: Condvar,
-    /// Evictors currently parked on `cv`; the release path skips the
-    /// notify syscall entirely when nobody waits (the common case on the
-    /// hit path this strategy exists to keep cheap).
-    waiters: AtomicUsize,
-    stats: Arc<IoStats>,
-    page_size: usize,
-    prefetcher: Mutex<Option<Prefetcher>>,
-}
-
-impl<S: PageStore> LinearPool<S> {
-    fn new(store: S, capacity: usize) -> Self {
-        let page_size = store.page_size();
-        LinearPool {
-            state: Mutex::new(LinearState {
-                frames: Vec::with_capacity(capacity.min(1024)),
-                tick: 0,
-                capacity,
-                store,
-                counters: ShardCounters::default(),
-            }),
-            cv: Condvar::new(),
-            waiters: AtomicUsize::new(0),
-            stats: IoStats::new_shared(),
-            page_size,
-            prefetcher: Mutex::new(None),
-        }
-    }
-
-    fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Pins page `id` (faulting it in on a miss) and returns its frame.
-    /// The miss path — store read, eviction, install — runs under the
-    /// one state lock, with one exception: `evict_to` waits on the
-    /// condvar (releasing the lock) when every frame is pinned. When
-    /// that happens the install step re-checks residency (a concurrent
-    /// miss on the same page may have installed it — pin that frame
-    /// rather than admit a divergent duplicate) and re-reads the page
-    /// (the pre-wait read is stale if the page was modified and written
-    /// back while we slept).
-    fn acquire(&self, id: PageId) -> StorageResult<Arc<Frame>> {
+    /// Pins page `id` at the MRU head, faulting it in on a miss.
+    fn acquire(&self, id: PageId) -> StorageResult<Pin<'_, S>> {
         let mut s = self.state.lock();
-        s.tick += 1;
-        let tick = s.tick;
-        if let Some(lf) = s.frames.iter_mut().find(|lf| lf.frame.id == id) {
-            lf.last_used = tick;
-            lf.pins += 1;
-            let frame = Arc::clone(&lf.frame);
-            s.counters.hits += 1;
-            drop(s);
-            self.stats.record_hit();
-            self.stats.record_page_event(id, PageAccessKind::Hit);
-            return Ok(frame);
+        if let Some(pin) = self.pin_resident(&mut s, id) {
+            return Ok(pin);
         }
+        // Read *before* a frame exists and *before* any eviction: a
+        // failed read must neither leave a frame cached as if it held
+        // valid contents nor cost a resident its frame (the LRU victim,
+        // dirty write-back included, is only paid for once the new page
+        // is actually in hand).
+        let mut data = self.read_page(&s, id)?;
+        let room = s.capacity - 1;
+        if self.evict_to(&mut s, room)? {
+            // The wait released the state lock: a concurrent miss may
+            // have installed this page (pin that frame — a second copy
+            // would diverge and lose whichever writes back last), and
+            // the speculative read is stale if the page was modified
+            // and written back meanwhile. The lock is now held through
+            // install, so the re-read is current.
+            if let Some(pin) = self.pin_resident(&mut s, id) {
+                return Ok(pin);
+            }
+            data = self.read_page(&s, id)?;
+        }
+        self.stats.record_read();
+        self.stats.record_page_event(id, PageAccessKind::Miss);
+        let slot = s.install(id, data, SENTINEL);
+        // The pin is taken only after the hook ran (prefetch never
+        // evicts, so the unpinned frame is safe): a panicking hook
+        // leaves the faulted page resident and no pin behind.
+        self.prefetch_after_miss(&mut s, id);
+        Ok(self.pin(&mut s, slot))
+    }
+
+    /// Hit path: finds `id` resident, pins it at the MRU head and counts
+    /// the hit.
+    fn pin_resident(&self, s: &mut State<S>, id: PageId) -> Option<Pin<'_, S>> {
+        let slot = s.slot_of(id)?;
+        s.lru.move_to_head(slot);
+        self.stats.record_hit();
+        self.stats.record_page_event(id, PageAccessKind::Hit);
+        Some(self.pin(s, slot))
+    }
+
+    fn pin(&self, s: &mut State<S>, slot: usize) -> Pin<'_, S> {
+        s.lru.entries[slot].pins += 1;
+        let frame = s.frame(slot);
+        Pin {
+            pool: self,
+            slot,
+            frame,
+        }
+    }
+
+    /// Reads live page `id` from the store into a fresh buffer.
+    fn read_page(&self, s: &State<S>, id: PageId) -> StorageResult<Box<[u8]>> {
         if !s.store.is_live(id) {
             return Err(StorageError::InvalidPage(id));
         }
-        // Fill before evicting, exactly like the sharded miss path: a
-        // failed read must neither cache a frame nor cost a resident its
-        // slot.
         let mut data = vec![0u8; self.page_size].into_boxed_slice();
         if let Err(e) = s.store.read(id, &mut data) {
             if matches!(e, StorageError::ChecksumMismatch { .. }) {
@@ -928,248 +427,105 @@ impl<S: PageStore> LinearPool<S> {
             }
             return Err(e);
         }
-        let room = s.capacity - 1;
-        if self.evict_to(&mut s, room)? {
-            // The condvar wait released the state lock, so the world
-            // may have moved: a concurrent miss on this same page may
-            // have installed it (pin that frame — a second copy would
-            // diverge and lose whichever writes back last), and our
-            // speculative read may be stale if the page was modified
-            // and written back while we slept. The lock is now held
-            // continuously through install, so the re-read is current.
-            s.tick += 1;
-            let retick = s.tick;
-            if let Some(lf) = s.frames.iter_mut().find(|lf| lf.frame.id == id) {
-                lf.last_used = retick;
-                lf.pins += 1;
-                let frame = Arc::clone(&lf.frame);
-                s.counters.hits += 1;
-                drop(s);
-                self.stats.record_hit();
-                self.stats.record_page_event(id, PageAccessKind::Hit);
-                return Ok(frame);
-            }
-            if !s.store.is_live(id) {
-                return Err(StorageError::InvalidPage(id));
-            }
-            if let Err(e) = s.store.read(id, &mut data) {
-                if matches!(e, StorageError::ChecksumMismatch { .. }) {
-                    self.stats.record_checksum_failure();
-                    crate::trace_event!("buffer", "checksum failure on page {}", id.0);
-                }
-                return Err(e);
-            }
+        Ok(data)
+    }
+
+    /// Writes `frame` back to the store if dirty and marks it clean.
+    fn write_back(&self, store: &mut S, frame: &Frame) -> StorageResult<()> {
+        // The read lock excludes `with_page_mut`, so the bytes written
+        // and the cleared flag describe the same version of the page.
+        let buf = frame.buf.read();
+        if frame.dirty.load(Ordering::Relaxed) {
+            store.write(frame.id, &buf)?;
+            frame.dirty.store(false, Ordering::Relaxed);
+            self.stats.record_write();
+            self.stats
+                .record_page_event(frame.id, PageAccessKind::Write);
         }
-        s.counters.misses += 1;
-        self.stats.record_read();
-        self.stats.record_page_event(id, PageAccessKind::Miss);
-        let frame = Arc::new(Frame {
-            id,
-            slot: AtomicUsize::new(NIL),
-            buf: RwLock::new(FrameBuf { data, dirty: false }),
-        });
-        s.frames.push(LinearFrame {
-            frame: Arc::clone(&frame),
-            last_used: tick,
-            pins: 1,
-        });
-        self.prefetch_after_miss(&mut s, id);
-        Ok(frame)
+        Ok(())
     }
 
-    fn release(&self, frame: &Arc<Frame>) {
-        let mut s = self.state.lock();
-        if let Some(lf) = s.frames.iter_mut().find(|lf| Arc::ptr_eq(&lf.frame, frame)) {
-            lf.pins = lf.pins.saturating_sub(1);
-        }
-        drop(s);
-        if self.waiters.load(Ordering::Relaxed) > 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
-        let frame = self.acquire(id)?;
-        let r = f(&frame.buf.read().data);
-        self.release(&frame);
-        Ok(r)
-    }
-
-    fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> StorageResult<R> {
-        let frame = self.acquire(id)?;
-        let r = {
-            let mut buf = frame.buf.write();
-            buf.dirty = true;
-            f(&mut buf.data)
-        };
-        self.release(&frame);
-        Ok(r)
-    }
-
-    /// Evicts minimum-tick unpinned frames (writing dirty ones back)
-    /// until at most `target` remain. Waits on the condvar when every
-    /// frame is pinned. A failed write-back reinstates the victim (its
-    /// tick keeps its recency) and propagates the error. Returns
-    /// whether the condvar wait ran — i.e. whether the state lock was
-    /// released at any point, obliging the caller to revalidate what it
-    /// observed before the call.
-    fn evict_to(
-        &self,
-        s: &mut parking_lot::MutexGuard<'_, LinearState<S>>,
-        target: usize,
-    ) -> StorageResult<bool> {
+    /// Evicts LRU-most unpinned frames (writing dirty ones back) until
+    /// at most `target` remain. A failed write-back leaves the victim
+    /// where it was and propagates — the pool never loses dirty bytes.
+    /// Waits on the condvar when every frame is pinned and returns
+    /// whether it did, i.e. whether the state lock was ever released and
+    /// the caller must revalidate what it observed before the call.
+    fn evict_to(&self, s: &mut MutexGuard<'_, State<S>>, target: usize) -> StorageResult<bool> {
         let mut waited = false;
-        loop {
-            if s.frames.len() <= target {
-                return Ok(waited);
-            }
-            let victim = s
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(_, lf)| lf.pins == 0)
-                .min_by_key(|(_, lf)| lf.last_used)
-                .map(|(i, _)| i);
-            let Some(i) = victim else {
-                self.waiters.fetch_add(1, Ordering::Relaxed);
+        while s.lru.len > target {
+            let Some(slot) = s.lru.pick_victim() else {
+                s.waiters += 1;
                 self.cv.wait(s);
-                self.waiters.fetch_sub(1, Ordering::Relaxed);
+                s.waiters -= 1;
                 waited = true;
                 continue;
             };
-            let lf = s.frames.swap_remove(i);
-            let dirty_copy = {
-                let buf = lf.frame.buf.read();
-                buf.dirty.then(|| buf.data.clone())
-            };
-            if let Some(data) = dirty_copy {
-                if let Err(e) = s.store.write(lf.frame.id, &data) {
-                    s.frames.push(lf);
-                    return Err(e);
-                }
-                lf.frame.buf.write().dirty = false;
-                self.stats.record_write();
-                self.stats
-                    .record_page_event(lf.frame.id, PageAccessKind::Write);
-            }
-            crate::trace_event!("buffer", "evict page {}", lf.frame.id.0);
-            s.counters.evictions += 1;
+            let frame = s.frame(slot);
+            self.write_back(&mut s.store, &frame)?;
+            crate::trace_event!("buffer", "evict page {}", frame.id.0);
+            s.remove(slot);
             self.stats.record_eviction();
         }
+        Ok(waited)
     }
 
-    /// Best-effort prefetch after a miss on `id` into *free* frames only,
-    /// counted exactly like the sharded pool's. Prefetched frames enter
-    /// with tick 0 — older than every real access, so real misses
-    /// reclaim them first.
-    fn prefetch_after_miss(&self, s: &mut parking_lot::MutexGuard<'_, LinearState<S>>, id: PageId) {
-        let Some(hook) = self.prefetcher.lock().clone() else {
+    /// Best-effort prefetch after a miss on `id`: reads hook-suggested
+    /// pages into *free* frames at the LRU tail, counting each read.
+    fn prefetch_after_miss(&self, s: &mut State<S>, id: PageId) {
+        let Some(hook) = s.prefetcher.clone() else {
             return;
         };
         for pid in hook(id) {
-            if s.frames.len() >= s.capacity {
+            if s.lru.len >= s.capacity {
                 break;
             }
-            if pid == id || s.frames.iter().any(|lf| lf.frame.id == pid) || !s.store.is_live(pid) {
+            if s.slot_of(pid).is_some() {
                 continue;
             }
-            let mut data = vec![0u8; self.page_size].into_boxed_slice();
-            match s.store.read(pid, &mut data) {
-                Ok(()) => {}
-                Err(e) => {
-                    if matches!(e, StorageError::ChecksumMismatch { .. }) {
-                        self.stats.record_checksum_failure();
-                    }
-                    continue;
-                }
-            }
+            let Ok(data) = self.read_page(s, pid) else {
+                continue;
+            };
             self.stats.record_read();
             self.stats.record_prefetch();
             self.stats.record_page_event(pid, PageAccessKind::Prefetch);
             crate::trace_event!("buffer", "prefetch page {}", pid.0);
-            s.frames.push(LinearFrame {
-                frame: Arc::new(Frame {
-                    id: pid,
-                    slot: AtomicUsize::new(NIL),
-                    buf: RwLock::new(FrameBuf { data, dirty: false }),
-                }),
-                last_used: 0,
-                pins: 0,
-            });
+            let lru_tail = s.lru.entries[SENTINEL].prev;
+            s.install(pid, data, lru_tail);
         }
     }
 
-    fn allocate(&self) -> StorageResult<PageId> {
-        let id = self.state.lock().store.allocate()?;
-        self.stats.record_alloc();
-        Ok(id)
+    /// True when `id` is resident (a `Get-A-successor` probe: "the
+    /// buffered data-page should be searched first").
+    pub fn is_resident(&self, id: PageId) -> bool {
+        self.state.lock().slot_of(id).is_some()
     }
 
-    fn free(&self, id: PageId) -> StorageResult<()> {
-        let mut s = self.state.lock();
-        // Free in the store first: a failed free keeps the buffered copy.
-        s.store.free(id)?;
-        s.frames.retain(|lf| lf.frame.id != id);
-        self.stats.record_free();
-        Ok(())
+    /// Ids of currently resident pages, most recently used first. Used by
+    /// `Get-successors()` to "check all pages brought into main memory
+    /// buffers ... without additional Find() operations" (§2.3).
+    pub fn resident_pages(&self) -> Vec<PageId> {
+        self.state.lock().lru.frames().map(|f| f.id).collect()
     }
 
-    fn set_capacity(&self, capacity: usize) -> StorageResult<()> {
-        assert!(capacity >= 1);
-        let mut s = self.state.lock();
-        // Error-atomic: adopt the new budget only once the surplus is
-        // actually evicted.
-        self.evict_to(&mut s, capacity)?;
-        s.capacity = capacity;
-        Ok(())
-    }
-
-    fn capacity(&self) -> usize {
-        self.state.lock().capacity
-    }
-
-    fn is_resident(&self, id: PageId) -> bool {
-        self.state.lock().frames.iter().any(|lf| lf.frame.id == id)
-    }
-
-    fn resident_pages(&self) -> Vec<PageId> {
-        let s = self.state.lock();
-        let mut order: Vec<(u64, PageId)> = s
-            .frames
-            .iter()
-            .map(|lf| (lf.last_used, lf.frame.id))
-            .collect();
-        // MRU-first; the stable sort keeps tick-0 prefetched frames in
-        // insertion order, matching the sharded pool's tail placement.
-        order.sort_by_key(|&(tick, _)| std::cmp::Reverse(tick));
-        order.into_iter().map(|(_, id)| id).collect()
-    }
-
-    /// Writes back every dirty frame in ascending page order (frames stay
-    /// resident and are marked clean), stopping at the first error.
-    fn write_back_dirty(
-        &self,
-        s: &mut parking_lot::MutexGuard<'_, LinearState<S>>,
-    ) -> StorageResult<()> {
-        let mut frames: Vec<Arc<Frame>> = s.frames.iter().map(|lf| Arc::clone(&lf.frame)).collect();
+    /// Writes back every dirty frame (frames stay resident and are
+    /// marked clean) in ascending page order, not recency order, so the
+    /// write-back sequence — and any write-ahead log batch built from
+    /// it — is deterministic regardless of eviction history. Stops at
+    /// the first error: a `WalStore` beneath only commits on `sync()`,
+    /// so a partial write-back is never made durable.
+    fn write_back_dirty(&self, s: &mut State<S>) -> StorageResult<()> {
+        let mut frames: Vec<Arc<Frame>> = s.lru.frames().cloned().collect();
         frames.sort_unstable_by_key(|f| f.id);
         for frame in frames {
-            let dirty_copy = {
-                let buf = frame.buf.read();
-                buf.dirty.then(|| buf.data.clone())
-            };
-            if let Some(data) = dirty_copy {
-                s.store.write(frame.id, &data)?;
-                frame.buf.write().dirty = false;
-                self.stats.record_write();
-                self.stats
-                    .record_page_event(frame.id, PageAccessKind::Write);
-            }
+            self.write_back(&mut s.store, &frame)?;
         }
         Ok(())
     }
 
-    fn flush_all(&self) -> StorageResult<()> {
+    /// Writes back every dirty frame (frames stay resident), then syncs
+    /// the store — the commit point when the store is a `WalStore`.
+    pub fn flush_all(&self) -> StorageResult<()> {
         let mut s = self.state.lock();
         self.write_back_dirty(&mut s)?;
         s.store.sync()?;
@@ -1177,7 +533,10 @@ impl<S: PageStore> LinearPool<S> {
         Ok(())
     }
 
-    fn clear(&self) -> StorageResult<()> {
+    /// Writes back and evicts every frame — the harness calls this before
+    /// each measured operation so the operation starts cold, matching the
+    /// paper's per-operation "average number of data page accesses".
+    pub fn clear(&self) -> StorageResult<()> {
         let mut s = self.state.lock();
         self.write_back_dirty(&mut s)?;
         self.evict_to(&mut s, 0)?;
@@ -1186,247 +545,45 @@ impl<S: PageStore> LinearPool<S> {
         Ok(())
     }
 
-    fn with_store<R>(&self, f: impl FnOnce(&S) -> R) -> R {
+    /// Read-only access to the underlying store (page geometry, live-page
+    /// enumeration for CRR scans). `f` runs under the pool's state lock
+    /// and must not call back into the pool.
+    pub fn with_store<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         f(&self.state.lock().store)
     }
 
-    fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+    /// Mutable access to the underlying store — how abort and checkpoint
+    /// paths drive a transactional store ([`PageStore::rollback`],
+    /// [`PageStore::checkpoint`]). Same rule as [`Self::with_store`].
+    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.state.lock().store)
     }
 
-    fn discard_frames(&self) {
-        self.state.lock().frames.clear();
-    }
-
-    fn read_uncounted(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        let s = self.state.lock();
-        if let Some(lf) = s.frames.iter().find(|lf| lf.frame.id == id) {
-            buf.copy_from_slice(&lf.frame.buf.read().data);
-            return Ok(());
-        }
-        s.store.read(id, buf)
-    }
-
-    fn shard_counters(&self) -> Vec<ShardCounters> {
-        vec![self.state.lock().counters]
-    }
-
-    fn set_prefetcher(&self, hook: Option<Prefetcher>) {
-        *self.prefetcher.lock() = hook;
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        let s = self.state.lock();
-        if s.frames.len() > s.capacity {
-            return Err(format!(
-                "{} resident frames exceed capacity {}",
-                s.frames.len(),
-                s.capacity
-            ));
-        }
-        let mut seen = HashMap::new();
-        for lf in &s.frames {
-            if seen.insert(lf.frame.id, ()).is_some() {
-                return Err(format!("page {} resident twice", lf.frame.id.0));
-            }
-            if !s.store.is_live(lf.frame.id) {
-                return Err(format!(
-                    "resident page {} is dead in the store",
-                    lf.frame.id.0
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<S: PageStore> Drop for LinearPool<S> {
-    fn drop(&mut self) {
-        let mut s = self.state.lock();
-        let _ = self.write_back_dirty(&mut s);
-        let _ = s.store.sync();
-    }
-}
-
-/// Which internal organization a [`BufferPool`] uses; see the module
-/// docs for the trade-off. Fixed at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolStrategy {
-    /// One mutex, flat frame vector, tick-based exact LRU. Fastest at
-    /// small capacities (the scan stays cache-resident).
-    Linear,
-    /// Sharded page table + intrusive LRU list: O(1) hits and evictions,
-    /// concurrent hits on different pages.
-    Sharded,
-}
-
-/// Largest capacity at which [`BufferPool::new`] picks
-/// [`PoolStrategy::Linear`]. Chosen from the BENCH_PR5 regimes: at 256
-/// frames the linear scan was ~6x faster hit-heavy, at 4096 the sharded
-/// structure was 1.4–4.4x faster.
-pub const LINEAR_CAPACITY_MAX: usize = 256;
-
-enum Inner<S: PageStore> {
-    Linear(LinearPool<S>),
-    Sharded(ShardedPool<S>),
-}
-
-/// An LRU buffer pool over a [`PageStore`] with counted page accesses.
-///
-/// Internally one of two organizations with identical semantics (see the
-/// module docs); [`BufferPool::new`] picks by capacity,
-/// [`BufferPool::with_strategy`] forces one (property tests pin both to
-/// the same LRU model).
-pub struct BufferPool<S: PageStore> {
-    inner: Inner<S>,
-}
-
-macro_rules! dispatch {
-    ($self:ident, $p:ident => $e:expr) => {
-        match &$self.inner {
-            Inner::Linear($p) => $e,
-            Inner::Sharded($p) => $e,
-        }
-    };
-}
-
-impl<S: PageStore> BufferPool<S> {
-    /// Wraps `store` with a pool of `capacity` frames (≥ 1), choosing
-    /// the strategy by capacity: linear at or below
-    /// [`LINEAR_CAPACITY_MAX`], sharded above.
-    pub fn new(store: S, capacity: usize) -> Self {
-        let strategy = if capacity <= LINEAR_CAPACITY_MAX {
-            PoolStrategy::Linear
-        } else {
-            PoolStrategy::Sharded
-        };
-        Self::with_strategy(store, capacity, strategy)
-    }
-
-    /// Wraps `store` with a pool of `capacity` frames using an explicit
-    /// strategy, regardless of capacity.
-    pub fn with_strategy(store: S, capacity: usize, strategy: PoolStrategy) -> Self {
-        assert!(capacity >= 1, "buffer pool needs at least one frame");
-        let inner = match strategy {
-            PoolStrategy::Linear => Inner::Linear(LinearPool::new(store, capacity)),
-            PoolStrategy::Sharded => Inner::Sharded(ShardedPool::new(store, capacity)),
-        };
-        BufferPool { inner }
-    }
-
-    /// The organization this pool was constructed with.
-    pub fn strategy(&self) -> PoolStrategy {
-        match &self.inner {
-            Inner::Linear(_) => PoolStrategy::Linear,
-            Inner::Sharded(_) => PoolStrategy::Sharded,
-        }
-    }
-
-    /// Shared I/O counters (bumped by this pool).
-    pub fn stats(&self) -> Arc<IoStats> {
-        dispatch!(self, p => p.stats())
-    }
-
-    /// Page size of the underlying store.
-    pub fn page_size(&self) -> usize {
-        dispatch!(self, p => p.page_size)
-    }
-
-    /// Number of page-table shards (1 for the linear strategy).
-    pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            Inner::Linear(_) => 1,
-            Inner::Sharded(p) => p.shards.len(),
-        }
-    }
-
-    /// Per-shard hit/miss/eviction counters, indexed by shard (a single
-    /// entry for the linear strategy).
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        dispatch!(self, p => p.shard_counters())
-    }
-
-    /// Installs (or with `None` removes) the connectivity-aware prefetch
-    /// hook. Off by default; see the module docs for the counting rules.
-    pub fn set_prefetcher(&self, hook: Option<Prefetcher>) {
-        dispatch!(self, p => p.set_prefetcher(hook))
-    }
-
-    /// Changes the frame budget, evicting (and writing back) surplus
-    /// frames immediately; error-atomic on the capacity. The strategy
-    /// does not change — it is fixed at construction.
-    pub fn set_capacity(&self, capacity: usize) -> StorageResult<()> {
-        dispatch!(self, p => p.set_capacity(capacity))
-    }
-
-    /// Current frame budget.
-    pub fn capacity(&self) -> usize {
-        dispatch!(self, p => p.capacity())
-    }
-
-    /// Allocates a fresh page in the store (counted in the stats but not
-    /// faulted into the pool).
-    pub fn allocate(&self) -> StorageResult<PageId> {
-        dispatch!(self, p => p.allocate())
-    }
-
-    /// Frees `id`, dropping any buffered copy.
-    pub fn free(&self, id: PageId) -> StorageResult<()> {
-        dispatch!(self, p => p.free(id))
-    }
-
-    /// Runs `f` over the (read-only) contents of page `id`.
-    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
-        dispatch!(self, p => p.with_page(id, f))
-    }
-
-    /// Runs `f` over the mutable contents of page `id`, marking it dirty.
-    pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> StorageResult<R> {
-        dispatch!(self, p => p.with_page_mut(id, f))
-    }
-
-    /// True when `id` is resident.
-    pub fn is_resident(&self, id: PageId) -> bool {
-        dispatch!(self, p => p.is_resident(id))
-    }
-
-    /// Ids of currently resident pages, most recently used first.
-    pub fn resident_pages(&self) -> Vec<PageId> {
-        dispatch!(self, p => p.resident_pages())
-    }
-
-    /// Writes back every dirty frame (frames stay resident), then syncs
-    /// the store — the commit point when the store is a `WalStore`.
-    pub fn flush_all(&self) -> StorageResult<()> {
-        dispatch!(self, p => p.flush_all())
-    }
-
-    /// Writes back and evicts every frame.
-    pub fn clear(&self) -> StorageResult<()> {
-        dispatch!(self, p => p.clear())
-    }
-
-    /// Read-only access to the underlying store.
-    pub fn with_store<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        dispatch!(self, p => p.with_store(f))
-    }
-
-    /// Mutable access to the underlying store — the escape hatch abort
-    /// and checkpoint paths use to drive a transactional store.
-    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        dispatch!(self, p => p.with_store_mut(f))
-    }
-
     /// Drops every frame *without* writing dirty contents back — the
-    /// abort path.
+    /// abort path: uncommitted mutations live only in dirty frames, so
+    /// this plus a store rollback restores the last committed state.
     pub fn discard_frames(&self) {
-        dispatch!(self, p => p.discard_frames())
+        let mut s = self.state.lock();
+        s.table.clear();
+        s.lru = LruList::new();
     }
 
     /// Reads page `id`'s *current* contents into `buf` without counting
-    /// an access or creating a frame.
+    /// an access or creating a frame: a resident frame (dirty or not) is
+    /// served from memory, anything else straight from the store.
+    /// In-memory bookkeeping scans (the free-space map) use this: they
+    /// must neither perturb the counted I/O statistics nor force a
+    /// `flush_all`, which on a `WalStore` is a *commit point* and would
+    /// commit a half-finished multi-page operation.
     pub fn read_uncounted(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        dispatch!(self, p => p.read_uncounted(id, buf))
+        let s = self.state.lock();
+        let Some(slot) = s.slot_of(id) else {
+            return s.store.read(id, buf);
+        };
+        let frame = s.frame(slot);
+        drop(s);
+        buf.copy_from_slice(&frame.buf.read());
+        Ok(())
     }
 
     /// Flushes dirty frames and syncs the store (alias of
@@ -1435,10 +592,61 @@ impl<S: PageStore> BufferPool<S> {
         self.flush_all()
     }
 
-    /// Verifies the pool's internal invariants; returns a description of
-    /// the first violation. A debugging and property-testing aid.
+    /// Verifies page-table ↔ LRU-list agreement, the capacity bound and
+    /// slab accounting; returns a description of the first violation.
+    /// A debugging and property-testing aid.
     pub fn check_invariants(&self) -> Result<(), String> {
-        dispatch!(self, p => p.check_invariants())
+        let s = self.state.lock();
+        let lru = &s.lru;
+        let ensure = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
+        // Walk the ring from the sentinel back to it.
+        let (mut listed, mut prev) = (0usize, SENTINEL);
+        loop {
+            let slot = lru.entries[prev].next;
+            let e = &lru.entries[slot];
+            ensure(e.prev == prev, format!("slot {slot} prev link broken"))?;
+            if slot == SENTINEL {
+                break;
+            }
+            let id = e.frame.as_ref().map(|f| f.id);
+            let id = id.ok_or_else(|| format!("linked slot {slot} has no frame"))?;
+            let mapped = s.slot_of(id) == Some(slot);
+            ensure(mapped, format!("page {} not mapped to its slot", id.0))?;
+            let live = s.store.is_live(id);
+            ensure(live, format!("resident page {} is dead in the store", id.0))?;
+            listed += 1;
+            ensure(listed <= lru.len, "list outgrew its len".into())?;
+            prev = slot;
+        }
+        // Each listed page maps back to its own slot, so equal counts
+        // mean the table holds nothing else; every slab entry is the
+        // sentinel, linked or free.
+        let mapped = s.table.iter().filter(|&&x| x as usize != SENTINEL).count();
+        let slab = 1 + lru.len + lru.free.len();
+        ensure(
+            listed == lru.len
+                && mapped == lru.len
+                && lru.len <= s.capacity
+                && slab == lru.entries.len(),
+            format!(
+                "{listed} listed, {mapped} mapped, len {}, capacity {}, slab {slab}/{}",
+                lru.len,
+                s.capacity,
+                lru.entries.len()
+            ),
+        )
+    }
+}
+
+/// Dirty frames are written back when the pool drops, so a file-backed
+/// database closed without an explicit flush still persists its data
+/// (errors at drop time are necessarily swallowed — call
+/// [`BufferPool::flush_all`] to observe them).
+impl<S: PageStore> Drop for BufferPool<S> {
+    fn drop(&mut self) {
+        let mut s = self.state.lock();
+        let _ = self.write_back_dirty(&mut s);
+        let _ = s.store.sync();
     }
 }
 
@@ -1446,111 +654,66 @@ impl<S: PageStore> BufferPool<S> {
 mod tests {
     use super::*;
     use crate::store::MemPageStore;
+    use crate::testing::{CorruptStore, CountingStore, FlakyStore};
 
-    /// The sharded strategy, forced: these tests predate the strategy
-    /// split and pin the sharded structure's behaviour at small
-    /// capacities (where `new` would now pick linear).
     fn pool(cap: usize) -> BufferPool<MemPageStore> {
-        BufferPool::with_strategy(MemPageStore::new(128).unwrap(), cap, PoolStrategy::Sharded)
+        BufferPool::new(MemPageStore::new(128).unwrap(), cap)
     }
 
-    fn linear_pool(cap: usize) -> BufferPool<MemPageStore> {
-        BufferPool::with_strategy(MemPageStore::new(128).unwrap(), cap, PoolStrategy::Linear)
+    fn pages<S: PageStore, const N: usize>(p: &BufferPool<S>) -> [PageId; N] {
+        std::array::from_fn(|_| p.allocate().unwrap())
+    }
+
+    fn touch<S: PageStore>(p: &BufferPool<S>, id: PageId) {
+        p.with_page(id, |_| ()).unwrap();
+    }
+
+    fn fill<S: PageStore>(p: &BufferPool<S>, id: PageId, byte: u8) {
+        p.with_page_mut(id, |buf| buf.fill(byte)).unwrap();
+    }
+
+    fn holds<S: PageStore>(p: &BufferPool<S>, id: PageId, byte: u8) -> bool {
+        p.with_page(id, |buf| buf.iter().all(|&x| x == byte))
+            .unwrap()
     }
 
     #[test]
-    fn read_after_write_through_pool() {
-        let p = pool(4);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(0x5a)).unwrap();
-        let all = p
-            .with_page(a, |buf| buf.iter().all(|&x| x == 0x5a))
-            .unwrap();
-        assert!(all);
-    }
-
-    #[test]
-    fn hits_and_misses_counted() {
+    fn hits_misses_and_evictions_counted() {
         let p = pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.with_page(a, |_| ()).unwrap(); // miss
-        p.with_page(a, |_| ()).unwrap(); // hit
-        p.with_page(b, |_| ()).unwrap(); // miss
+        let [a, b, c, d] = pages(&p);
+        touch(&p, a); // miss
+        touch(&p, a); // hit
+        touch(&p, b); // miss
         let s = p.stats().snapshot();
-        assert_eq!(s.physical_reads, 2);
-        assert_eq!(s.buffer_hits, 1);
-    }
-
-    #[test]
-    fn lru_evicts_least_recent() {
-        let p = pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
-        p.with_page(a, |_| ()).unwrap();
-        p.with_page(b, |_| ()).unwrap();
-        p.with_page(a, |_| ()).unwrap(); // a is now MRU
-        p.with_page(c, |_| ()).unwrap(); // evicts b
-        assert!(p.is_resident(a));
-        assert!(!p.is_resident(b));
-        assert!(p.is_resident(c));
+        assert_eq!((s.physical_reads, s.buffer_hits, s.evictions), (2, 1, 0));
+        assert_eq!(s.prefetch_issued, 0, "prefetch is off by default");
+        touch(&p, c);
+        touch(&p, d);
+        // 4 faults through 2 frames: 2 evictions.
+        assert_eq!(p.stats().snapshot().evictions, 2);
     }
 
     #[test]
     fn dirty_pages_written_back_on_eviction() {
         let p = pool(1);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(7)).unwrap();
-        p.with_page(b, |_| ()).unwrap(); // evicts dirty a
+        let [a, b] = pages(&p);
+        fill(&p, a, 7);
+        touch(&p, b); // evicts dirty a
         assert_eq!(p.stats().snapshot().physical_writes, 1);
         // Re-reading a shows the persisted bytes.
-        let ok = p.with_page(a, |buf| buf.iter().all(|&x| x == 7)).unwrap();
-        assert!(ok);
+        assert!(holds(&p, a, 7));
     }
 
     #[test]
     fn clear_makes_next_access_cold() {
         let p = pool(4);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(9)).unwrap();
+        let [a] = pages(&p);
+        fill(&p, a, 9);
         p.clear().unwrap();
         assert!(!p.is_resident(a));
         let before = p.stats().snapshot();
-        p.with_page(a, |_| ()).unwrap();
-        let delta = p.stats().snapshot().since(&before);
-        assert_eq!(delta.physical_reads, 1);
-    }
-
-    #[test]
-    fn resident_pages_ordered_mru_first() {
-        let p = pool(3);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
-        p.with_page(a, |_| ()).unwrap();
-        p.with_page(b, |_| ()).unwrap();
-        p.with_page(c, |_| ()).unwrap();
-        p.with_page(a, |_| ()).unwrap();
-        assert_eq!(p.resident_pages(), vec![a, c, b]);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts() {
-        let p = pool(3);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
-        for &id in &ids {
-            p.with_page_mut(id, |buf| buf.fill(1)).unwrap();
-        }
-        p.set_capacity(1).unwrap();
-        assert_eq!(p.resident_pages().len(), 1);
-        // Dirty evictees must have been written back.
-        assert!(p.stats().snapshot().physical_writes >= 2);
-        for &id in &ids {
-            let ok = p.with_page(id, |buf| buf.iter().all(|&x| x == 1)).unwrap();
-            assert!(ok);
-        }
+        touch(&p, a);
+        assert_eq!(p.stats().snapshot().since(&before).physical_reads, 1);
     }
 
     /// Two threads missing on the same page while every frame is pinned
@@ -1559,14 +722,10 @@ mod tests {
     /// instead of admitting a stale duplicate frame — either failure
     /// loses one of the increments below.
     #[test]
-    fn linear_concurrent_misses_on_same_page_lose_no_updates() {
+    fn concurrent_misses_on_same_page_lose_no_updates() {
         use std::sync::mpsc;
-        use std::time::Duration;
-        let p = linear_pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let t = p.allocate().unwrap();
-        p.clear().unwrap();
+        let p = pool(2);
+        let [a, b, t] = pages(&p);
         let (pinned_tx, pinned_rx) = mpsc::channel();
         let (rel_a_tx, rel_a_rx) = mpsc::channel::<()>();
         let (rel_b_tx, rel_b_rx) = mpsc::channel::<()>();
@@ -1594,7 +753,7 @@ mod tests {
             let missers: Vec<_> = (0..2)
                 .map(|_| sc.spawn(move || p.with_page_mut(t, |buf| buf[0] += 1).unwrap()))
                 .collect();
-            std::thread::sleep(Duration::from_millis(100));
+            std::thread::sleep(std::time::Duration::from_millis(100));
             rel_a_tx.send(()).unwrap();
             for m in missers {
                 m.join().unwrap();
@@ -1602,47 +761,28 @@ mod tests {
             rel_b_tx.send(()).unwrap();
         });
         assert_eq!(p.resident_pages().iter().filter(|&&id| id == t).count(), 1);
-        let v = p.with_page(t, |buf| buf[0]).unwrap();
-        assert_eq!(v, 2);
-    }
-
-    #[test]
-    fn freeing_resident_page_drops_frame() {
-        let p = pool(2);
-        let a = p.allocate().unwrap();
-        p.with_page(a, |_| ()).unwrap();
-        p.free(a).unwrap();
-        assert!(!p.is_resident(a));
-        assert!(p.with_page(a, |_| ()).is_err());
+        assert_eq!(p.with_page(t, |buf| buf[0]).unwrap(), 2);
     }
 
     #[test]
     fn drop_flushes_dirty_frames() {
         // A shared store observed after the pool drops: dirty frames must
         // have been written back by Drop.
-        use crate::testing::CountingStore;
         let (store, counters) = CountingStore::new(MemPageStore::new(128).unwrap());
         let p = BufferPool::new(store, 2);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(3)).unwrap();
-        assert_eq!(
-            counters.writes.load(std::sync::atomic::Ordering::Relaxed),
-            0
-        );
+        let [a] = pages(&p);
+        fill(&p, a, 3);
+        assert_eq!(counters.writes.load(Ordering::Relaxed), 0);
         drop(p);
-        assert_eq!(
-            counters.writes.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(counters.writes.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn failed_fill_is_never_left_cached_as_valid() {
-        use crate::testing::FlakyStore;
         let (store, switch) = FlakyStore::new(MemPageStore::new(128).unwrap());
         let p = BufferPool::new(store, 4);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(0x42)).unwrap();
+        let [a] = pages(&p);
+        fill(&p, a, 0x42);
         p.clear().unwrap();
         // The fill read fails: no frame may be created for the page.
         switch.arm_after(0);
@@ -1654,86 +794,52 @@ mod tests {
         p.clear().unwrap();
         assert_eq!(p.stats().snapshot().since(&before).physical_writes, 0);
         // And a healthy retry reads the real contents, not zeroes.
-        let ok = p
-            .with_page(a, |buf| buf.iter().all(|&x| x == 0x42))
-            .unwrap();
-        assert!(ok);
-    }
-
-    #[test]
-    fn checksum_mismatch_on_fill_is_counted_and_not_cached() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
-        let p = BufferPool::new(store, 4);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(9)).unwrap();
-        p.clear().unwrap();
-        ctl.mark_corrupt(a);
-        assert!(matches!(
-            p.with_page(a, |_| ()),
-            Err(StorageError::ChecksumMismatch { .. })
-        ));
-        assert!(!p.is_resident(a));
-        assert_eq!(p.stats().snapshot().checksum_failures, 1);
+        assert!(holds(&p, a, 0x42));
     }
 
     #[test]
     fn failed_store_free_keeps_the_buffered_copy() {
-        use crate::testing::FlakyStore;
         let (store, switch) = FlakyStore::new(MemPageStore::new(128).unwrap());
         let p = BufferPool::new(store, 4);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(6)).unwrap();
+        let [a] = pages(&p);
+        fill(&p, a, 6);
         switch.arm_after(0);
         assert!(p.free(a).is_err());
         switch.disarm();
         // The dirty frame survived the failed free and still flushes.
         assert!(p.is_resident(a));
-        let ok = p.with_page(a, |buf| buf.iter().all(|&x| x == 6)).unwrap();
-        assert!(ok);
+        assert!(holds(&p, a, 6));
         p.free(a).unwrap();
         assert!(!p.is_resident(a));
+        assert!(p.with_page(a, |_| ()).is_err());
     }
 
-    /// Regression: `fault_in` used to evict the LRU victim (dirty
+    /// Regression: the miss path used to evict the LRU victim (dirty
     /// write-back included) *before* attempting the replacement read, so
     /// a failed read still cost residents their frames. The read must
     /// come first.
     #[test]
     fn failed_fill_leaves_prior_residents_buffered() {
-        use crate::testing::CorruptStore;
         let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
+        let [a, b, c] = pages(&p);
         // Fill the pool: a and b resident, a dirty.
-        p.with_page_mut(a, |buf| buf.fill(1)).unwrap();
-        p.with_page(b, |_| ()).unwrap();
+        fill(&p, a, 1);
+        touch(&p, b);
         let writes_before = p.stats().snapshot().physical_writes;
         // A checksum-failing fault-in of c must not evict anyone.
         ctl.mark_corrupt(c);
-        assert!(matches!(
-            p.with_page(c, |_| ()),
-            Err(StorageError::ChecksumMismatch { .. })
-        ));
-        assert!(
-            p.is_resident(a),
-            "resident a lost its frame to a failed read"
-        );
-        assert!(
-            p.is_resident(b),
-            "resident b lost its frame to a failed read"
-        );
-        assert_eq!(
-            p.stats().snapshot().physical_writes,
-            writes_before,
-            "no dirty write-back may be paid for a read that failed"
-        );
+        let r = p.with_page(c, |_| ());
+        assert!(matches!(r, Err(StorageError::ChecksumMismatch { .. })));
+        assert!(p.is_resident(a) && p.is_resident(b), "failed read evicted");
+        assert!(!p.is_resident(c), "failed fill left a frame cached");
+        assert_eq!(p.stats().snapshot().checksum_failures, 1);
+        let writes = p.stats().snapshot().physical_writes;
+        assert_eq!(writes, writes_before, "write-back paid for a failed read");
         p.check_invariants().unwrap();
         // Once the page heals, the fault-in proceeds and evicts normally.
         ctl.clear_corrupt(c);
-        p.with_page(c, |_| ()).unwrap();
+        touch(&p, c);
         assert!(p.is_resident(c));
         p.check_invariants().unwrap();
     }
@@ -1744,73 +850,56 @@ mod tests {
     /// error.
     #[test]
     fn failed_shrink_restores_capacity() {
-        use crate::testing::CorruptStore;
         let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 3);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
+        let ids: [PageId; 3] = pages(&p);
         for &id in &ids {
-            p.with_page_mut(id, |buf| buf.fill(2)).unwrap();
+            fill(&p, id, 2);
         }
-        // Every store op fails: the first dirty write-back aborts the
-        // shrink.
+        // Every store op fails: the first write-back aborts the shrink.
         ctl.set_fault_rate(1024, 1);
         assert!(p.set_capacity(1).is_err());
         ctl.set_fault_rate(0, 1);
         assert_eq!(p.capacity(), 3, "failed shrink must keep the old capacity");
-        assert!(
-            p.resident_pages().len() <= p.capacity(),
-            "pool claims fewer frames than it holds"
-        );
+        assert_eq!(p.resident_pages().len(), 3, "failed shrink lost a frame");
         p.check_invariants().unwrap();
         // The shrink succeeds once the store recovers, with no data loss.
         p.set_capacity(1).unwrap();
-        assert_eq!(p.capacity(), 1);
+        assert_eq!((p.capacity(), p.resident_pages().len()), (1, 1));
+        assert!(p.stats().snapshot().physical_writes >= 2);
         p.check_invariants().unwrap();
-        for &id in &ids {
-            let ok = p.with_page(id, |buf| buf.iter().all(|&x| x == 2)).unwrap();
-            assert!(ok);
-        }
+        assert!(ids.iter().all(|&id| holds(&p, id, 2)));
     }
 
     #[test]
     fn page_events_attributed_to_open_span() {
-        use crate::metrics::PageAccessKind;
+        use PageAccessKind::{Hit, Miss, Write};
         let p = pool(1);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(1)).unwrap();
+        let [a, b] = pages(&p);
+        fill(&p, a, 1);
         let stats = p.stats();
         stats.set_profiling(true);
         {
             let _span = p.stats().span("op");
-            p.with_page(b, |_| ()).unwrap(); // evicts dirty a (write), misses b
-            p.with_page(b, |_| ()).unwrap(); // hit
+            touch(&p, b); // evicts dirty a (write), misses b
+            touch(&p, b); // hit
         }
         let profiles = stats.take_profiles();
         assert_eq!(profiles.len(), 1);
-        let kinds: Vec<PageAccessKind> = profiles[0].events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                PageAccessKind::Write,
-                PageAccessKind::Miss,
-                PageAccessKind::Hit
-            ]
-        );
-        assert_eq!(profiles[0].events[0].page, a);
-        assert_eq!(profiles[0].events[1].page, b);
+        let events = profiles[0].events.iter().map(|e| (e.kind, e.page));
+        let expected = vec![(Write, a), (Miss, b), (Hit, b)];
+        assert_eq!(events.collect::<Vec<_>>(), expected);
         assert_eq!(profiles[0].data_page_accesses(), 1);
     }
 
     #[test]
     fn read_uncounted_sees_dirty_frames_without_stats_or_frames() {
         let p = pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(7)).unwrap(); // dirty, resident
-        p.with_page_mut(b, |buf| buf.fill(8)).unwrap();
+        let [a, b] = pages(&p);
+        fill(&p, a, 7);
+        fill(&p, b, 8);
         p.clear().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(9)).unwrap(); // dirty again
+        fill(&p, a, 9); // dirty, resident
         let before = p.stats().snapshot();
         let mut buf = vec![0u8; 128];
         // Resident dirty frame: latest bytes, no count.
@@ -1821,216 +910,89 @@ mod tests {
         assert!(buf.iter().all(|&x| x == 8));
         assert!(!p.is_resident(b));
         let delta = p.stats().snapshot().since(&before);
-        assert_eq!(delta.physical_reads, 0);
-        assert_eq!(delta.buffer_hits, 0);
+        assert_eq!((delta.physical_reads, delta.buffer_hits), (0, 0));
     }
 
     #[test]
     fn discard_frames_drops_dirty_state() {
         let p = pool(2);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(1)).unwrap();
+        let [a] = pages(&p);
+        fill(&p, a, 1);
         p.flush_all().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(2)).unwrap(); // uncommitted
+        fill(&p, a, 2); // uncommitted
         p.discard_frames();
         assert!(!p.is_resident(a));
         p.check_invariants().unwrap();
         // The committed bytes survive; the discarded mutation is gone.
-        let ok = p.with_page(a, |buf| buf.iter().all(|&x| x == 1)).unwrap();
-        assert!(ok);
+        assert!(holds(&p, a, 1));
     }
 
     #[test]
     fn access_to_never_allocated_page_errors() {
-        let p = pool(2);
-        assert!(matches!(
-            p.with_page(PageId(42), |_| ()),
-            Err(StorageError::InvalidPage(_))
-        ));
+        let r = pool(2).with_page(PageId(42), |_| ());
+        assert!(matches!(r, Err(StorageError::InvalidPage(_))));
     }
 
-    #[test]
-    fn evictions_counted() {
-        let p = pool(2);
-        let ids: Vec<_> = (0..4).map(|_| p.allocate().unwrap()).collect();
-        for &id in &ids {
-            p.with_page(id, |_| ()).unwrap();
-        }
-        // 4 faults through 2 frames: 2 evictions.
-        assert_eq!(p.stats().snapshot().evictions, 2);
-        let by_shard: u64 = p.shard_counters().iter().map(|s| s.evictions).sum();
-        assert_eq!(by_shard, 2);
-    }
-
-    #[test]
-    fn shard_counters_sum_to_global_counters() {
-        let p = pool(3);
-        let ids: Vec<_> = (0..6).map(|_| p.allocate().unwrap()).collect();
-        for &id in &ids {
-            p.with_page(id, |_| ()).unwrap(); // 6 misses
-        }
-        for &id in ids.iter().rev().take(3) {
-            p.with_page(id, |_| ()).unwrap(); // 3 hits on the resident tail
-        }
-        let s = p.stats().snapshot();
-        let shards = p.shard_counters();
-        assert_eq!(shards.len(), p.shard_count());
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), s.buffer_hits);
-        assert_eq!(
-            shards.iter().map(|s| s.misses).sum::<u64>(),
-            s.physical_reads
-        );
-        assert_eq!(shards.iter().map(|s| s.evictions).sum::<u64>(), s.evictions);
-    }
-
-    /// The LRU list stays exact through a long mixed workload (the
-    /// intrusive-list rewrite must preserve recency semantics bit for
-    /// bit).
+    /// The LRU list stays exact through a long mixed workload:
+    /// `resident_pages` equals a most-recent-first model after every
+    /// access.
     #[test]
     fn lru_order_exact_through_mixed_workload() {
-        // Both strategies must preserve recency semantics bit for bit.
-        for p in [pool(4), linear_pool(4)] {
-            let ids: Vec<_> = (0..8).map(|_| p.allocate().unwrap()).collect();
-            // Model: most-recent-first vector.
-            let mut model: Vec<PageId> = Vec::new();
-            let accesses = [0usize, 1, 2, 3, 0, 4, 2, 5, 6, 1, 7, 3, 3, 0, 6, 2];
-            for &i in &accesses {
-                let id = ids[i];
-                p.with_page(id, |_| ()).unwrap();
-                model.retain(|&x| x != id);
-                model.insert(0, id);
-                model.truncate(4);
-                assert_eq!(p.resident_pages(), model, "after access to {}", id.0);
-                p.check_invariants().unwrap();
-            }
+        let p = pool(4);
+        let ids: [PageId; 8] = pages(&p);
+        let mut model: Vec<PageId> = Vec::new();
+        for i in [0usize, 1, 2, 3, 0, 4, 2, 5, 6, 1, 7, 3, 3, 0, 6, 2] {
+            let id = ids[i];
+            touch(&p, id);
+            model.retain(|&x| x != id);
+            model.insert(0, id);
+            model.truncate(4);
+            assert_eq!(p.resident_pages(), model, "after access to {}", id.0);
+            p.check_invariants().unwrap();
         }
     }
 
+    /// Regression for the pool that fixed its organization at
+    /// construction: built at one frame and grown to a thousand, it must
+    /// be exact LRU at the new size.
     #[test]
-    fn strategy_picked_by_capacity() {
-        let auto_small = BufferPool::new(MemPageStore::new(128).unwrap(), LINEAR_CAPACITY_MAX);
-        assert_eq!(auto_small.strategy(), PoolStrategy::Linear);
-        let auto_large = BufferPool::new(MemPageStore::new(128).unwrap(), LINEAR_CAPACITY_MAX + 1);
-        assert_eq!(auto_large.strategy(), PoolStrategy::Sharded);
-        assert_eq!(auto_small.shard_count(), 1);
-        assert_eq!(auto_large.shard_count(), SHARD_COUNT);
-    }
-
-    #[test]
-    fn linear_read_after_write_and_eviction_write_back() {
-        let p = linear_pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(7)).unwrap();
-        // Touch b and c: a (LRU-most, dirty) is evicted and written back.
-        p.with_page(b, |_| ()).unwrap();
-        p.with_page(c, |_| ()).unwrap();
-        assert!(!p.is_resident(a));
-        let ok = p.with_page(a, |buf| buf.iter().all(|&x| x == 7)).unwrap();
-        assert!(ok, "dirty page lost its bytes across eviction");
-        let s = p.stats().snapshot();
-        assert!(s.physical_writes >= 1);
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn linear_counters_sum_like_sharded() {
-        let p = linear_pool(3);
-        let ids: Vec<_> = (0..6).map(|_| p.allocate().unwrap()).collect();
+    fn grown_pool_stays_exact_lru() {
+        let p = pool(1);
+        p.set_capacity(1000).unwrap();
+        let ids: [PageId; 1000] = pages(&p);
         for &id in &ids {
-            p.with_page(id, |_| ()).unwrap(); // 6 misses
+            touch(&p, id);
         }
-        for &id in ids.iter().rev().take(3) {
-            p.with_page(id, |_| ()).unwrap(); // 3 hits on the resident tail
+        let mut model: Vec<PageId> = ids.iter().rev().copied().collect();
+        assert_eq!(p.resident_pages(), model);
+        // Re-touch in a permuted order (7 is coprime to 1000).
+        for k in 0..1000 {
+            let id = ids[(k * 7 + 3) % 1000];
+            touch(&p, id);
+            model.retain(|&x| x != id);
+            model.insert(0, id);
         }
+        assert_eq!(p.resident_pages(), model);
+        p.check_invariants().unwrap();
         let s = p.stats().snapshot();
-        let shards = p.shard_counters();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].hits, s.buffer_hits);
-        assert_eq!(shards[0].misses, s.physical_reads);
-        assert_eq!(shards[0].evictions, s.evictions);
+        assert_eq!((s.physical_reads, s.buffer_hits), (1000, 1000));
+        assert_eq!(s.evictions, 0);
     }
 
     #[test]
-    fn linear_failed_fill_is_never_left_cached_as_valid() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 7);
-        let p = BufferPool::with_strategy(store, 2, PoolStrategy::Linear);
-        let a = p.allocate().unwrap();
-        ctl.mark_corrupt(a);
-        assert!(p.with_page(a, |_| ()).is_err());
-        assert!(!p.is_resident(a), "failed fill must not cache a frame");
-        ctl.clear_corrupt(a);
-        p.with_page(a, |_| ()).unwrap();
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn linear_failed_shrink_restores_capacity() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 7);
-        let p = BufferPool::with_strategy(store, 2, PoolStrategy::Linear);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(1)).unwrap();
-        p.with_page_mut(b, |buf| buf.fill(2)).unwrap();
-        // Every write-back fails: the shrink must fail and leave the old
-        // capacity (and both dirty frames) in place.
-        ctl.set_fault_rate(1024, u64::MAX);
-        assert!(p.set_capacity(1).is_err());
-        assert_eq!(p.capacity(), 2);
-        ctl.set_fault_rate(0, 1);
-        p.set_capacity(1).unwrap();
-        assert_eq!(p.capacity(), 1);
-        assert_eq!(p.resident_pages().len(), 1);
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn linear_read_uncounted_sees_dirty_frames_without_stats() {
-        let p = linear_pool(2);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(9)).unwrap();
-        let before = p.stats().snapshot();
-        let mut buf = vec![0u8; 128];
-        p.read_uncounted(a, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 9));
-        let after = p.stats().snapshot();
-        assert_eq!(before.physical_reads, after.physical_reads);
-        assert_eq!(before.buffer_hits, after.buffer_hits);
-    }
-
-    #[test]
-    fn linear_discard_frames_drops_dirty_state() {
-        let p = linear_pool(2);
-        let a = p.allocate().unwrap();
-        p.with_page_mut(a, |buf| buf.fill(3)).unwrap();
-        p.discard_frames();
-        // The dirty bytes never reached the store.
-        let clean = p.with_page(a, |buf| buf.iter().all(|&x| x == 0)).unwrap();
-        assert!(clean, "discarded dirty frame leaked to the store");
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn linear_concurrent_hits_agree() {
-        let p = std::sync::Arc::new(linear_pool(8));
-        let ids: Vec<_> = (0..8).map(|_| p.allocate().unwrap()).collect();
+    fn concurrent_hits_agree() {
+        let p = pool(8);
+        let ids: [PageId; 8] = pages(&p);
         for (i, &id) in ids.iter().enumerate() {
-            p.with_page_mut(id, |buf| buf.fill(i as u8)).unwrap();
+            fill(&p, id, i as u8);
         }
         std::thread::scope(|sc| {
             for t in 0..4usize {
-                let p = std::sync::Arc::clone(&p);
-                let ids = ids.clone();
+                let p = &p;
                 sc.spawn(move || {
                     for round in 0..200 {
                         let i = (t * 3 + round) % ids.len();
-                        let ok = p
-                            .with_page(ids[i], |buf| buf.iter().all(|&x| x == i as u8))
-                            .unwrap();
-                        assert!(ok);
+                        assert!(holds(p, ids[i], i as u8));
                     }
                 });
             }
@@ -2038,35 +1000,43 @@ mod tests {
         p.check_invariants().unwrap();
     }
 
+    /// Concurrent readers of distinct pages make progress (closures run
+    /// outside the state lock).
     #[test]
-    fn prefetch_off_by_default_counts_nothing() {
-        let p = pool(4);
-        let a = p.allocate().unwrap();
-        let _b = p.allocate().unwrap();
-        p.with_page(a, |_| ()).unwrap();
+    fn concurrent_readers_on_distinct_pages() {
+        let p = pool(8);
+        let ids: [PageId; 4] = pages(&p);
+        for (i, &id) in ids.iter().enumerate() {
+            fill(&p, id, i as u8 + 1);
+        }
+        let barrier = std::sync::Barrier::new(ids.len());
+        std::thread::scope(|sc| {
+            for (i, &id) in ids.iter().enumerate() {
+                let (p, barrier) = (&p, &barrier);
+                sc.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..500 {
+                        assert!(holds(p, id, i as u8 + 1));
+                    }
+                });
+            }
+        });
+        p.check_invariants().unwrap();
+        // 4 cold misses, then pure hits.
         let s = p.stats().snapshot();
-        assert_eq!(s.prefetch_issued, 0);
-        assert_eq!(s.physical_reads, 1);
+        assert_eq!((s.physical_reads, s.buffer_hits), (4, 4 * 500));
     }
 
     #[test]
     fn prefetch_fills_free_frames_and_counts_honestly() {
         let p = pool(4);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
-        p.with_page_mut(b, |buf| buf.fill(0xbb)).unwrap();
-        p.with_page_mut(c, |buf| buf.fill(0xcc)).unwrap();
+        let [a, b, c] = pages(&p);
+        fill(&p, b, 0xbb);
+        fill(&p, c, 0xcc);
         p.clear().unwrap();
         let before = p.stats().snapshot();
-        p.set_prefetcher(Some(Arc::new(move |faulted: PageId| {
-            if faulted == a {
-                vec![b, c]
-            } else {
-                vec![]
-            }
-        })));
-        p.with_page(a, |_| ()).unwrap();
+        p.set_prefetcher(Some(Arc::new(move |_| vec![b, c])));
+        touch(&p, a); // the only miss: b and c arrive by prefetch
         let d = p.stats().snapshot().since(&before);
         assert_eq!(d.prefetch_issued, 2);
         assert_eq!(d.physical_reads, 3, "prefetch reads are counted reads");
@@ -2074,34 +1044,21 @@ mod tests {
         p.check_invariants().unwrap();
         // The prefetched pages now hit without further physical reads.
         let mid = p.stats().snapshot();
-        let ok = p
-            .with_page(b, |buf| buf.iter().all(|&x| x == 0xbb))
-            .unwrap();
-        assert!(ok);
-        let ok = p
-            .with_page(c, |buf| buf.iter().all(|&x| x == 0xcc))
-            .unwrap();
-        assert!(ok);
+        assert!(holds(&p, b, 0xbb) && holds(&p, c, 0xcc));
         let d2 = p.stats().snapshot().since(&mid);
-        assert_eq!(d2.physical_reads, 0);
-        assert_eq!(d2.buffer_hits, 2);
+        assert_eq!((d2.physical_reads, d2.buffer_hits), (0, 2));
     }
 
     #[test]
     fn prefetch_never_evicts_residents() {
         let p = pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
-        p.with_page(a, |_| ()).unwrap(); // a resident
+        let [a, b, c] = pages(&p);
+        touch(&p, a); // a resident
         p.set_prefetcher(Some(Arc::new(move |_| vec![c])));
-        p.with_page(b, |_| ()).unwrap(); // fills the last free frame
+        touch(&p, b); // fills the last free frame
         assert!(p.is_resident(a), "prefetch must not evict residents");
         assert!(p.is_resident(b));
-        assert!(
-            !p.is_resident(c),
-            "no free frame was left, so nothing may be prefetched"
-        );
+        assert!(!p.is_resident(c), "no free frame was left to prefetch into");
         assert_eq!(p.stats().snapshot().prefetch_issued, 0);
         p.check_invariants().unwrap();
     }
@@ -2111,62 +1068,29 @@ mod tests {
     #[test]
     fn prefetched_frames_are_first_eviction_victims() {
         let p = pool(2);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap();
-        p.set_prefetcher(Some(Arc::new(
-            move |faulted: PageId| {
-                if faulted == a {
-                    vec![b]
-                } else {
-                    vec![]
-                }
-            },
-        )));
-        p.with_page(a, |_| ()).unwrap(); // a demand, b prefetched
+        let [a, b, c] = pages(&p);
+        p.set_prefetcher(Some(Arc::new(move |_| vec![b])));
+        touch(&p, a); // a demand, b prefetched
         assert_eq!(p.resident_pages(), vec![a, b]);
         p.set_prefetcher(None);
-        p.with_page(c, |_| ()).unwrap(); // evicts the prefetched b, not a
-        assert!(p.is_resident(a));
-        assert!(!p.is_resident(b));
-        assert!(p.is_resident(c));
+        touch(&p, c); // evicts the prefetched b, not a
+        assert!(p.is_resident(a) && !p.is_resident(b) && p.is_resident(c));
     }
 
-    /// Concurrent readers of distinct pages make progress through the
-    /// sharded table (closures run outside any pool-wide lock).
+    /// A panicking hook (the fault seam `ccam-server`'s panic-isolation
+    /// test uses) leaves the faulted page resident and unpinned: the
+    /// one-frame pool can still evict it afterwards.
     #[test]
-    fn concurrent_readers_on_distinct_pages() {
-        use std::sync::Barrier;
-        let p = Arc::new(pool(8));
-        let ids: Vec<_> = (0..4).map(|_| p.allocate().unwrap()).collect();
-        for (i, &id) in ids.iter().enumerate() {
-            p.with_page_mut(id, |buf| buf.fill(i as u8 + 1)).unwrap();
-        }
-        let barrier = Arc::new(Barrier::new(ids.len()));
-        let handles: Vec<_> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let p = Arc::clone(&p);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for _ in 0..500 {
-                        let ok = p
-                            .with_page(id, |buf| buf.iter().all(|&x| x == i as u8 + 1))
-                            .unwrap();
-                        assert!(ok);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+    fn panicking_prefetch_hook_leaves_no_pin_behind() {
+        let p = pool(1);
+        let [a, b] = pages(&p);
+        p.set_prefetcher(Some(Arc::new(|_| panic!("injected"))));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| touch(&p, a)));
+        assert!(r.is_err());
+        assert!(p.is_resident(a));
+        p.set_prefetcher(None);
+        touch(&p, b); // would wait forever on a leaked pin
+        assert_eq!(p.resident_pages(), vec![b]);
         p.check_invariants().unwrap();
-        // 4 cold misses, then pure hits.
-        let s = p.stats().snapshot();
-        assert_eq!(s.physical_reads, 4);
-        assert_eq!(s.buffer_hits, 4 * 500);
     }
 }

@@ -46,7 +46,7 @@ pub mod store;
 pub mod testing;
 pub mod wal;
 
-pub use buffer::{BufferPool, PoolStrategy, Prefetcher, ShardCounters, LINEAR_CAPACITY_MAX};
+pub use buffer::{BufferPool, Prefetcher};
 pub use durable::{ReplFeed, ReplImage, ReplImageState, RetentionSlot, WalRetention, WalStore};
 pub use error::{StorageError, StorageResult};
 pub use integrity::{committed_images, scrub, scrub_file, PageStatus, ScrubReport};

@@ -8,14 +8,8 @@
 
 use std::collections::HashMap;
 
-use ccam_storage::{BufferPool, MemPageStore, PageId, PoolStrategy, SlottedPage, StorageError};
+use ccam_storage::{BufferPool, MemPageStore, PageId, SlottedPage, StorageError};
 use proptest::prelude::*;
-
-/// Both pool organizations must satisfy every pool property — the
-/// strategy is an internal performance choice, never a semantic one.
-fn pool_strategy() -> impl Strategy<Value = PoolStrategy> {
-    prop_oneof![Just(PoolStrategy::Linear), Just(PoolStrategy::Sharded)]
-}
 
 #[derive(Debug, Clone)]
 enum PageOp {
@@ -80,6 +74,9 @@ fn lru_op() -> impl Strategy<Value = LruOp> {
         2 => any::<usize>().prop_map(LruOp::Free),
         1 => Just(LruOp::Clear),
         2 => (1usize..6).prop_map(LruOp::SetCapacity),
+        // Far past the handful of live pages: growing must change nothing
+        // but the budget.
+        1 => (200usize..400).prop_map(LruOp::SetCapacity),
     ]
 }
 
@@ -171,10 +168,9 @@ proptest! {
     #[test]
     fn buffer_pool_is_transparent(
         cap in 1usize..6,
-        strategy in pool_strategy(),
         ops in prop::collection::vec((0u32..12, any::<u8>()), 1..120),
     ) {
-        let pool = BufferPool::with_strategy(MemPageStore::new(64).unwrap(), cap, strategy);
+        let pool = BufferPool::new(MemPageStore::new(64).unwrap(), cap);
         let mut ids: Vec<PageId> = Vec::new();
         let mut shadow: Vec<u8> = Vec::new();
         for (page_sel, value) in ops {
@@ -327,13 +323,12 @@ proptest! {
     #[test]
     fn buffer_pool_invariants_hold_under_faults(
         cap in 1usize..5,
-        strategy in pool_strategy(),
         ops in prop::collection::vec(pool_op(), 1..100),
     ) {
         use ccam_storage::testing::CorruptStore;
 
         let (store, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 7);
-        let pool = BufferPool::with_strategy(store, cap, strategy);
+        let pool = BufferPool::new(store, cap);
         let mut live: Vec<PageId> = Vec::new();
 
         for op in ops {
@@ -395,16 +390,13 @@ proptest! {
     /// (hit or miss) moves the page to MRU, misses evict the LRU-most
     /// resident, `free` drops the page, `clear` empties the pool and
     /// `set_capacity` sheds LRU-most first. [`BufferPool::resident_pages`]
-    /// reports MRU-first, so it must equal the model list verbatim —
-    /// this pins the O(1) intrusive-list implementation to the semantics
-    /// of the old linear-scan pool.
+    /// reports MRU-first, so it must equal the model list verbatim.
     #[test]
     fn buffer_pool_matches_lru_model(
         cap in 1usize..6,
-        strategy in pool_strategy(),
         ops in prop::collection::vec(lru_op(), 1..150),
     ) {
-        let pool = BufferPool::with_strategy(MemPageStore::new(64).unwrap(), cap, strategy);
+        let pool = BufferPool::new(MemPageStore::new(64).unwrap(), cap);
         let mut live: Vec<PageId> = Vec::new();
         let mut model: Vec<PageId> = Vec::new(); // MRU-first
         let mut cap = cap;

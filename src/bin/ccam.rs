@@ -180,13 +180,6 @@ fn dump_db_metrics(
             r.set_gauge("wal.next_lsn", info.next_lsn as f64);
             r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
         }
-        // Per-shard buffer-pool counters (hit/miss/eviction skew shows
-        // whether the page-id distribution balances the shards).
-        for (i, c) in am.file().pool().shard_counters().iter().enumerate() {
-            r.inc_by(&format!("pool.shard{i}.hits"), c.hits);
-            r.inc_by(&format!("pool.shard{i}.misses"), c.misses);
-            r.inc_by(&format!("pool.shard{i}.evictions"), c.evictions);
-        }
     }
     dump_metrics(opts, Some(&am.stats()))
 }
