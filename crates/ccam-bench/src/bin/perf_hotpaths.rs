@@ -19,6 +19,10 @@
 //!   a hit-heavy (working set half the pool) and a miss-heavy (working
 //!   set 16x the pool) uniform workload, plus 4 threads hitting a
 //!   4096-frame pool. The regime table in EXPERIMENTS.md is this grid.
+//! * **hop** — ns per `Get-A-successor()` along fixed random walks on
+//!   the paper map at the same four capacities. A hop is one probe of the
+//!   most recently used frame, then `Find()`: the number must not grow
+//!   with the frames the pool holds.
 //!
 //! ```text
 //! perf_hotpaths [--grid N] [--block N] [--out FILE]
@@ -36,8 +40,10 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use ccam_bench::harness::benchmark_network;
 use ccam_core::am::{AccessMethod, CcamBuilder};
 use ccam_graph::generators::grid_network;
+use ccam_graph::walks::random_walk_routes;
 use ccam_partition::{
     cluster_nodes_into_pages_with, ClusterOptions, PartGraph, PartitionStrategy, Partitioner,
 };
@@ -217,7 +223,7 @@ fn main() {
     // thousands of frames; every cell is the same code path.
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
     let mut pool_rows = Vec::new();
-    for cap in [1usize, 64, 256, 4096] {
+    for cap in CAPACITIES {
         let hit_heavy = bench_pool(block, cap, (cap / 2).max(1), ops);
         let miss_heavy = bench_pool(block, cap, cap * 16, ops / 4);
         println!(
@@ -228,6 +234,31 @@ fn main() {
     let conc_cap = 4096;
     let conc = bench_pool_concurrent(block, conc_cap, ops / 2);
     println!("pool cap={conc_cap:<5} 4-thread  {conc:>10.0} ops/s\n");
+
+    // ---- Phase 4: one Get-A-successor() hop over the same grid ------
+    let map = benchmark_network();
+    let walks = random_walk_routes(&map, HOP_WALKS, HOPS_PER_WALK + 1, 1995);
+    let am = CcamBuilder::new(block).build_static(&map).expect("create");
+    let laps = if quick { 10 } else { 100 };
+    let mut hop_rows = Vec::new();
+    for cap in CAPACITIES {
+        am.file().pool().set_capacity(cap).expect("capacity");
+        let ns = median_of_3(|| {
+            let t0 = Instant::now();
+            for _ in 0..laps {
+                for walk in &walks {
+                    for (from, to) in walk.edges() {
+                        std::hint::black_box(am.get_a_successor(from, to).expect("hop"));
+                    }
+                }
+            }
+            t0.elapsed().as_nanos() as f64 / (laps * HOP_WALKS * HOPS_PER_WALK) as f64
+        });
+        let resident = am.file().pool().resident_pages().len();
+        println!("hop  cap={cap:<5} {ns:>8.0} ns/hop   ({resident} frames resident)");
+        hop_rows.push((cap, ns, resident));
+    }
+    println!();
 
     // ---- Report -----------------------------------------------------
     let mut j = String::new();
@@ -296,8 +327,23 @@ fn main() {
     let _ = write!(
         j,
         "    ],\n    \"concurrent_4_threads\": {{\"capacity\": {conc_cap}, \
-         \"ops_per_sec\": {conc:.0}}}\n  }}\n}}\n"
+         \"ops_per_sec\": {conc:.0}}}\n  }},\n"
     );
+    let _ = write!(
+        j,
+        "  \"hop\": {{\n    \"map_nodes\": {}, \"walks\": {HOP_WALKS}, \
+         \"hops_per_walk\": {HOPS_PER_WALK},\n    \"regimes\": [\n",
+        map.len()
+    );
+    for (k, &(cap, ns, resident)) in hop_rows.iter().enumerate() {
+        let _ = writeln!(
+            j,
+            "      {{\"capacity\": {cap}, \"resident_frames\": {resident}, \
+             \"ns_per_hop\": {ns:.0}}}{}",
+            if k + 1 < hop_rows.len() { "," } else { "" }
+        );
+    }
+    let _ = write!(j, "    ]\n  }}\n}}\n");
     std::fs::write(&out, &j).expect("write report");
     println!("wrote {out}");
 
@@ -341,6 +387,14 @@ fn main() {
     }
 }
 
+/// Pool capacities of the pool and hop sections: the paper's one-page
+/// buffer up to thousands of frames.
+const CAPACITIES: [usize; 4] = [1, 64, 256, 4096];
+
+/// The hop section's fixed walks: 200 walks of 32 hops over the paper map.
+const HOP_WALKS: usize = 200;
+const HOPS_PER_WALK: usize = 32;
+
 /// Pulls `"key": <number>` out of a report written by this binary.
 fn extract_number(json: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
@@ -364,7 +418,7 @@ fn alloc_pages(store: &mut MemPageStore, n: usize) -> Vec<PageId> {
     (0..n).map(|_| store.allocate().expect("alloc")).collect()
 }
 
-/// Median of three timed passes (each over a fresh pool).
+/// Median of three timed passes.
 fn median_of_3(mut pass: impl FnMut() -> f64) -> f64 {
     let mut rates = [pass(), pass(), pass()];
     rates.sort_by(f64::total_cmp);

@@ -68,18 +68,20 @@ pub trait AccessMethod<S: PageStore = MemPageStore> {
     /// `Get-A-successor()`: retrieve the successor `to` of a node already
     /// in the buffer. "The buffered data-page should be searched first.
     /// If the desired successor node is not in the buffer, then a Find()
-    /// operation is needed" (§2.3).
+    /// operation is needed" (§2.3). One O(1) probe of the most recently
+    /// used frame — `from`'s page when the caller has just read it — then
+    /// `Find()`; see [`NetworkFile::find_buffered_first`].
     fn get_a_successor(&self, _from: NodeId, to: NodeId) -> StorageResult<Option<NodeData>> {
         let _span = self.stats().span("get_a_successor");
-        if let Some((_, rec)) = self.file().find_in_buffer(to)? {
-            return Ok(Some(rec));
-        }
-        self.find(to)
+        Ok(self.file().find_buffered_first(to)?.map(|(_, rec)| rec))
     }
 
     /// `Get-successors()`: retrieve the records of all successors of
-    /// `id`. Successors co-located with `id` (or on any page already
-    /// buffered) cost no additional I/O (§2.3).
+    /// `id`. Each successor is looked up by the `Get-A-successor()` rule:
+    /// one co-located with the record read just before it (`id`'s own, or
+    /// the previous successor's) is found on the most recently used frame
+    /// without an index access; any other is a `Find()`, which costs no
+    /// I/O when its page is buffered (§2.3).
     fn get_successors(&self, id: NodeId) -> StorageResult<Vec<NodeData>> {
         let _span = self.stats().span("get_successors");
         let Some((_, rec)) = self.file().find(id)? else {
@@ -87,12 +89,7 @@ pub trait AccessMethod<S: PageStore = MemPageStore> {
         };
         let mut out = Vec::with_capacity(rec.successors.len());
         for e in &rec.successors {
-            // Buffered pages first; Find() only on a miss.
-            let succ = match self.file().find_in_buffer(e.to)? {
-                Some((_, s)) => Some(s),
-                None => self.find(e.to)?,
-            };
-            if let Some(s) = succ {
+            if let Some((_, s)) = self.file().find_buffered_first(e.to)? {
                 out.push(s);
             }
         }

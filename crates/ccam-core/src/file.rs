@@ -12,6 +12,15 @@
 //! index's own pool ("we assume that the index pages are buffered in main
 //! memory", §3.2). Diagnostic whole-file scans (CRR measurement, page
 //! maps) read the store directly and are *not* counted.
+//!
+//! Per lookup that means: [`NetworkFile::find`] counts one access to the
+//! page the index names — a buffer hit or a physical read.
+//! [`NetworkFile::find_buffered_first`] first searches the pool's most
+//! recently used frame, which counts one buffer hit (and, with profiling
+//! on, one `PageAccessKind::Hit` event) whether or not the record is
+//! there; nothing else is counted unless it then falls back to `find`.
+//! Records are searched and decoded in the frame's bytes; no read path
+//! copies a page.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +30,8 @@ use ccam_graph::record::{decode_record, encode_record, encoded_len, peek_id};
 use ccam_graph::{NodeData, NodeId};
 use ccam_index::BPlusTree;
 use ccam_storage::{
-    BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, StorageError, StorageResult,
+    BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, SlottedView, StorageError,
+    StorageResult,
 };
 
 /// Default buffer capacity for update operations — the paper "assume\[s\]
@@ -129,30 +139,24 @@ impl<S: PageStore> NetworkFile<S> {
     pub fn rebuild_index(&mut self) -> StorageResult<()> {
         self.index = BPlusTree::new_mem(1024)?;
         self.clear_quarantined();
-        let (scan, unreadable) = self.pool.with_store(|store| {
-            let mut scan = Vec::new();
+        let index = &mut self.index;
+        let unreadable = self.pool.with_store(|store| {
             let mut unreadable = Vec::new();
             let mut buf = vec![0u8; store.page_size()];
             for page in store.live_pages() {
                 match store.read(page, &mut buf) {
+                    // Only the ids are needed: nothing is decoded.
                     Ok(()) => {
-                        let mut scratch = buf.clone();
-                        let sp = SlottedPage::attach(&mut scratch);
-                        let records: Vec<NodeData> =
-                            sp.iter().map(|(_, rec)| decode_record(rec)).collect();
-                        scan.push((page, records));
+                        for (_, rec) in SlottedView::attach(&buf).iter() {
+                            index.insert(peek_id(rec).0, page.index() as u64)?;
+                        }
                     }
                     Err(StorageError::ChecksumMismatch { .. }) => unreadable.push(page),
                     Err(e) => return Err(e),
                 }
             }
-            Ok((scan, unreadable))
+            Ok(unreadable)
         })?;
-        for (page, records) in scan {
-            for rec in records {
-                self.index_insert(rec.id, page)?;
-            }
-        }
         for page in unreadable {
             self.quarantine(page);
         }
@@ -453,53 +457,43 @@ impl<S: PageStore> NetworkFile<S> {
     /// Reads `id`'s record from `page` (counted fetch; in-page scan is
     /// free). `None` when the record is not on that page.
     pub fn read_from_page(&self, page: PageId, id: NodeId) -> StorageResult<Option<NodeData>> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            let sp = SlottedPage::attach(&mut scratch);
-            let found = sp
-                .iter()
-                .find(|(_, rec)| peek_id(rec) == id)
-                .map(|(_, rec)| decode_record(rec));
-            found
-        })
+        self.pool.with_page(page, |buf| record_on(buf, id))
     }
 
-    /// Scans the pages currently resident in the buffer for `id` —
-    /// the `Get-A-successor()` fast path ("the buffered data-page should
-    /// be searched first", §2.3). Costs no physical I/O.
-    pub fn find_in_buffer(&self, id: NodeId) -> StorageResult<Option<(PageId, NodeData)>> {
-        for page in self.pool.resident_pages() {
-            if let Some(rec) = self.read_from_page(page, id)? {
-                return Ok(Some((page, rec)));
-            }
+    /// The lookup of `Get-A-successor()`: "the buffered data-page should
+    /// be searched first. If the desired successor node is not in the
+    /// buffer, then a Find() operation is needed" (§2.3). The buffered
+    /// data page is the pool's most recently used frame — the page the
+    /// previous hop read, and under the paper's one-page buffer the only
+    /// one. It is searched in place: one counted buffer hit, no index
+    /// access, never a physical read, and the recency order of the pool
+    /// is left as it was. When `id` is not on it this *is* [`Self::find`]:
+    /// the index names the page and only that page is touched.
+    pub fn find_buffered_first(&self, id: NodeId) -> StorageResult<Option<(PageId, NodeData)>> {
+        let buffered = self
+            .pool
+            .with_mru_page(|page, buf| record_on(buf, id).map(|rec| (page, rec)));
+        match buffered.flatten() {
+            Some(hit) => Ok(Some(hit)),
+            None => self.find(id),
         }
-        Ok(None)
     }
 
     /// All records on `page` (counted fetch).
     pub fn read_page_records(&self, page: PageId) -> StorageResult<Vec<NodeData>> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            let sp = SlottedPage::attach(&mut scratch);
-            let records: Vec<NodeData> = sp.iter().map(|(_, rec)| decode_record(rec)).collect();
-            records
-        })
+        self.pool.with_page(page, records_on)
     }
 
     /// Free bytes on `page` after compaction (counted fetch).
     pub fn page_free_space(&self, page: PageId) -> StorageResult<usize> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            SlottedPage::attach(&mut scratch).free_space()
-        })
+        self.pool
+            .with_page(page, |buf| SlottedView::attach(buf).free_space())
     }
 
     /// Live record bytes on `page` (counted fetch).
     pub fn page_used_bytes(&self, page: PageId) -> StorageResult<usize> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            SlottedPage::attach(&mut scratch).used_bytes()
-        })
+        self.pool
+            .with_page(page, |buf| SlottedView::attach(buf).used_bytes())
     }
 
     // -- counted record mutation --------------------------------------------
@@ -646,9 +640,7 @@ impl<S: PageStore> NetworkFile<S> {
                 continue;
             }
             self.pool.read_uncounted(page, &mut buf)?;
-            let mut scratch = buf.clone();
-            let free = SlottedPage::attach(&mut scratch).free_space();
-            out.push((page, free));
+            out.push((page, SlottedView::attach(&buf).free_space()));
         }
         Ok(out)
     }
@@ -663,10 +655,7 @@ impl<S: PageStore> NetworkFile<S> {
         let mut buf = vec![0u8; self.page_size];
         for page in self.pool.with_store(|s| s.live_pages()) {
             self.pool.read_uncounted(page, &mut buf)?;
-            let mut scratch = buf.clone();
-            let sp = SlottedPage::attach(&mut scratch);
-            let records: Vec<NodeData> = sp.iter().map(|(_, rec)| decode_record(rec)).collect();
-            out.push((page, records));
+            out.push((page, records_on(&buf)));
         }
         Ok(out)
     }
@@ -688,6 +677,23 @@ impl<S: PageStore> NetworkFile<S> {
     pub fn clustering_budget(&self) -> usize {
         self.page_size - ccam_storage::slotted::HEADER_LEN
     }
+}
+
+/// `id`'s record on the slotted page `buf`, decoded where it lies (the
+/// in-page scan is free in the paper's metric).
+fn record_on(buf: &[u8], id: NodeId) -> Option<NodeData> {
+    SlottedView::attach(buf)
+        .iter()
+        .find(|(_, rec)| peek_id(rec) == id)
+        .map(|(_, rec)| decode_record(rec))
+}
+
+/// Every live record on the slotted page `buf`, in slot order.
+fn records_on(buf: &[u8]) -> Vec<NodeData> {
+    SlottedView::attach(buf)
+        .iter()
+        .map(|(_, rec)| decode_record(rec))
+        .collect()
 }
 
 /// Byte size `node`'s record will occupy.
@@ -827,20 +833,40 @@ mod tests {
         assert_eq!(d.physical_reads, 1, "second find must be a buffer hit");
     }
 
+    /// The MRU frame answers without the index; anything else is
+    /// `Find()` on exactly the page the index names.
     #[test]
-    fn find_in_buffer_costs_nothing() {
+    fn buffered_first_probes_the_mru_frame_then_finds() {
         let mut f = NetworkFile::new(512).unwrap();
         let p = f.allocate_page().unwrap();
         f.insert_into(p, &node(1, 0)).unwrap();
         f.insert_into(p, &node(2, 0)).unwrap();
+        let q = f.allocate_page().unwrap();
+        f.insert_into(q, &node(3, 0)).unwrap();
         f.pool().clear().unwrap();
-        f.find(NodeId(1)).unwrap(); // faults the page in
+        // Empty pool: nothing to probe, one physical read.
         let before = f.stats().snapshot();
-        let hit = f.find_in_buffer(NodeId(2)).unwrap();
-        assert!(hit.is_some());
-        assert_eq!(f.stats().snapshot().since(&before).physical_reads, 0);
-        // And a node on no resident page is simply not found this way.
-        assert!(f.find_in_buffer(NodeId(99)).unwrap().is_none());
+        assert_eq!(f.find_buffered_first(NodeId(1)).unwrap().unwrap().0, p);
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!((d.physical_reads, d.buffer_hits), (1, 0));
+        // On the MRU page: one hit, no index access, no read.
+        let (before, index_before) = (f.stats().snapshot(), f.index_stats().snapshot());
+        assert_eq!(f.find_buffered_first(NodeId(2)).unwrap().unwrap().0, p);
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!((d.physical_reads, d.buffer_hits), (0, 1));
+        let index = f.index_stats().snapshot().since(&index_before);
+        assert_eq!(index.buffer_hits + index.physical_reads, 0);
+        // Elsewhere: the probe's hit, then Find's read of that one page.
+        let before = f.stats().snapshot();
+        assert_eq!(f.find_buffered_first(NodeId(3)).unwrap().unwrap().0, q);
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!((d.physical_reads, d.buffer_hits), (1, 1));
+        // Resident but not MRU: the probe's hit plus Find's hit.
+        let before = f.stats().snapshot();
+        assert_eq!(f.find_buffered_first(NodeId(1)).unwrap().unwrap().0, p);
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!((d.physical_reads, d.buffer_hits), (0, 2));
+        assert!(f.find_buffered_first(NodeId(99)).unwrap().is_none());
     }
 
     #[test]

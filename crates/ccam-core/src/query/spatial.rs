@@ -115,13 +115,9 @@ impl SpatialIndex {
         let ids = self.window_ids(file, x0, y0, x1, y1)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            // Buffered pages first — window members cluster spatially,
-            // and on CCAM also by connectivity.
-            let rec = match file.find_in_buffer(id)? {
-                Some((_, r)) => Some(r),
-                None => file.find(id)?.map(|(_, r)| r),
-            };
-            if let Some(r) = rec {
+            // The page of the previous member first — window members
+            // cluster spatially, and on CCAM also by connectivity.
+            if let Some((_, r)) = file.find_buffered_first(id)? {
                 out.push(r);
             }
         }

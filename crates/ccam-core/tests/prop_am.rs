@@ -236,3 +236,131 @@ mod workload_props {
         }
     }
 }
+
+/// `Get-A-successor()` is one probe of the most recently used frame, then
+/// `Find()`: it answers what `Find()` answers, never reads more pages,
+/// costs at most two buffer hits whatever the pool holds, and leaves the
+/// recency order of the pool exact.
+mod successor_lookup {
+    use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
+    use ccam_core::query::route::evaluate_route;
+    use ccam_graph::generators::grid_network;
+    use ccam_graph::walks::random_walk_routes;
+    use ccam_graph::{Network, NodeId};
+    use ccam_storage::PageId;
+    use proptest::prelude::*;
+
+    fn build(net: &Network) -> Ccam {
+        CcamBuilder::new(512).build_static(net).unwrap()
+    }
+
+    /// A hop onto a non-resident page of a full pool evicts the least
+    /// recently used page — not `from`'s — and reorders nobody else.
+    #[test]
+    fn hop_to_a_cold_page_evicts_the_lru_page_and_keeps_the_order() {
+        const FRAMES: usize = 4;
+        let net = grid_network(10, 10, 1.0);
+        let am = build(&net);
+        let file = am.file();
+        let page_of = |id: NodeId| file.page_of(id).unwrap().unwrap();
+        let (from, to, _) = net
+            .edges()
+            .find(|&(a, b, _)| page_of(a) != page_of(b))
+            .expect("some edge crosses pages");
+        // One node on each of FRAMES - 1 other pages.
+        let mut seen = vec![page_of(from), page_of(to)];
+        let mut warm: Vec<NodeId> = Vec::new();
+        for id in net.node_ids() {
+            if warm.len() < FRAMES - 1 && !seen.contains(&page_of(id)) {
+                seen.push(page_of(id));
+                warm.push(id);
+            }
+        }
+        file.pool().set_capacity(FRAMES).unwrap();
+        file.pool().clear().unwrap();
+        for &id in &warm {
+            am.find(id).unwrap().unwrap();
+        }
+        am.find(from).unwrap().unwrap();
+        let before = file.pool().resident_pages();
+        assert_eq!(before.len(), FRAMES, "pool is full");
+        assert_eq!(before[0], page_of(from));
+
+        let reads = file.stats().snapshot();
+        assert_eq!(am.get_a_successor(from, to).unwrap().unwrap().id, to);
+        assert_eq!(file.stats().snapshot().since(&reads).physical_reads, 1);
+
+        let mut expected: Vec<PageId> = vec![page_of(to)];
+        expected.extend(&before[..FRAMES - 1]);
+        assert_eq!(file.pool().resident_pages(), expected);
+    }
+
+    /// The cost of a hop does not grow with the number of resident
+    /// frames: a scan of the buffer counted one hit per frame it walked.
+    #[test]
+    fn a_hop_over_a_large_warm_pool_costs_at_most_two_hits() {
+        const FRAMES: usize = 200;
+        const HOPS: usize = 32;
+        let net = grid_network(36, 36, 1.0);
+        let am = build(&net);
+        let file = am.file();
+        assert!(file.num_pages() > FRAMES, "database larger than its pool");
+        file.pool().set_capacity(FRAMES).unwrap();
+        for id in net.node_ids() {
+            am.find(id).unwrap().unwrap();
+        }
+        assert_eq!(file.pool().resident_pages().len(), FRAMES, "warm pool");
+        for route in random_walk_routes(&net, 8, HOPS + 1, 7) {
+            let before = file.stats().snapshot();
+            assert!(evaluate_route(&am, &route).unwrap().complete);
+            let d = file.stats().snapshot().since(&before);
+            // Find(n1) is one access; every hop after it at most two.
+            assert!(
+                d.buffer_hits + d.physical_reads <= 1 + 2 * HOPS as u64,
+                "{} hits + {} reads over {HOPS} hops",
+                d.buffer_hits,
+                d.physical_reads
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Two identical files driven in lockstep, one by
+        /// `Get-A-successor()` and one by `Find()`: same answers, never
+        /// more physical reads, and the pools stay in the same state —
+        /// same residents in the same recency order — after every step.
+        #[test]
+        fn get_a_successor_is_find_with_a_cheaper_first_look(
+            frames in 1usize..12,
+            history in prop::collection::vec((0u32..9, 0u32..8), 1..60),
+        ) {
+            let net = grid_network(8, 8, 1.0);
+            let (probing, finding) = (build(&net), build(&net));
+            for am in [&probing, &finding] {
+                am.file().pool().set_capacity(frames).unwrap();
+                am.file().pool().clear().unwrap();
+            }
+            let ids = net.node_ids();
+            let mut from = ids[0];
+            for (x, y) in history {
+                // x == 8 lies outside the grid: a node that does not exist.
+                let to = ccam_graph::generators::zorder_id(x, y);
+                let (a, b) = (probing.stats().snapshot(), finding.stats().snapshot());
+                let got = probing.get_a_successor(from, to).unwrap();
+                let want = finding.find(to).unwrap();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got.is_some(), ids.contains(&to));
+                let got_reads = probing.stats().snapshot().since(&a).physical_reads;
+                let want_reads = finding.stats().snapshot().since(&b).physical_reads;
+                prop_assert!(got_reads <= want_reads, "{got_reads} > {want_reads} reads");
+                prop_assert_eq!(
+                    probing.file().pool().resident_pages(),
+                    finding.file().pool().resident_pages()
+                );
+                from = to;
+            }
+        }
+    }
+}

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use ccam_storage::{BufferPool, IoStats, MemPageStore, PageId, PageStore, StorageResult};
 
-use node::{read_node, write_node, Node};
+use node::{probe_node, read_node, write_node, Node, Probe};
 
 /// Result of a recursive insert: the replaced value (if the key existed)
 /// plus the separator/new-page pair when the child split.
@@ -127,20 +127,14 @@ impl<S: PageStore> BPlusTree<S> {
         self.pool.with_store(|s| s.live_pages().len())
     }
 
-    /// Looks up `key`.
+    /// Looks up `key`, searching each node on the path in its page
+    /// bytes (nothing is decoded or allocated).
     pub fn get(&self, key: u64) -> StorageResult<Option<u64>> {
         let mut page = self.root;
         loop {
-            match read_node(&self.pool, page)? {
-                Node::Internal { keys, children } => {
-                    page = children[child_index(&keys, key)];
-                }
-                Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by_key(&key, |e| e.0)
-                        .ok()
-                        .map(|i| entries[i].1));
-                }
+            match self.pool.with_page(page, |buf| probe_node(buf, key))? {
+                Probe::Descend(child) => page = child,
+                Probe::Leaf(val) => return Ok(val),
             }
         }
     }

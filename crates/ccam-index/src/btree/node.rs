@@ -31,6 +31,51 @@ pub fn capacities(page_size: usize) -> (usize, usize) {
     )
 }
 
+/// One step of a point lookup, answered from a node's page bytes.
+pub enum Probe {
+    /// Internal node: the child whose subtree covers the key.
+    Descend(PageId),
+    /// Leaf: the key's value, if present.
+    Leaf(Option<u64>),
+}
+
+/// Searches the node encoded in `buf` for `key` in place — a binary
+/// search over the fixed-stride entries, decoding only the keys it
+/// compares. Agrees with [`read_node`] followed by a search of the
+/// decoded vectors (a zeroed page is an empty leaf).
+pub fn probe_node(buf: &[u8], key: u64) -> Probe {
+    let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
+    let internal = buf[0] == TAG_INTERNAL;
+    let stride = if internal { INTERNAL_ENTRY } else { LEAF_ENTRY };
+    let entries = &buf[HEADER..HEADER + count * stride];
+    let key_at = |i: usize| u64::from_le_bytes(entries[i * stride..][..8].try_into().unwrap());
+    // First entry whose key exceeds `key`: entries before it are <= key.
+    let (mut lo, mut hi) = (0, count);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if key_at(mid) <= key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    if internal {
+        // Separator i is the smallest key of child i + 1, so the child is
+        // the one after the last separator <= key (child0 sits in the
+        // header).
+        let child = match lo.checked_sub(1) {
+            Some(i) => &entries[i * stride + 8..][..4],
+            None => &buf[3..7],
+        };
+        Probe::Descend(PageId(u32::from_le_bytes(child.try_into().unwrap())))
+    } else {
+        let hit = lo.checked_sub(1).filter(|&i| key_at(i) == key);
+        Probe::Leaf(
+            hit.map(|i| u64::from_le_bytes(entries[i * stride + 8..][..8].try_into().unwrap())),
+        )
+    }
+}
+
 /// Decodes the node stored in `page`.
 pub fn read_node<S: PageStore>(pool: &BufferPool<S>, page: PageId) -> StorageResult<Node> {
     pool.with_page(page, |buf| {
@@ -148,6 +193,37 @@ mod tests {
                 assert!(entries.is_empty());
             }
             _ => panic!("expected leaf"),
+        }
+    }
+
+    /// The in-place search answers what searching the decoded node would,
+    /// at every position relative to the stored keys.
+    #[test]
+    fn probe_agrees_with_the_decoded_node() {
+        let p = pool();
+        let probe = |page, key| p.with_page(page, |buf| probe_node(buf, key)).unwrap();
+        let empty = p.allocate().unwrap();
+        assert!(matches!(probe(empty, 7), Probe::Leaf(None)), "zeroed page");
+        let leaf = p.allocate().unwrap();
+        let entries: Vec<(u64, u64)> = (1..=9).map(|k| (k * 10, k * 100)).collect();
+        let next = PageId(9);
+        write_node(&p, leaf, &Node::Leaf { next, entries }).unwrap();
+        let internal = p.allocate().unwrap();
+        let keys: Vec<u64> = (1..=9).map(|k| k * 10).collect();
+        let children: Vec<PageId> = (0..=9).map(PageId).collect();
+        write_node(&p, internal, &Node::Internal { keys, children }).unwrap();
+        for key in 0..=100u64 {
+            let want = (key % 10 == 0 && (10..=90).contains(&key)).then_some(key * 10);
+            assert!(
+                matches!(probe(leaf, key), Probe::Leaf(v) if v == want),
+                "leaf {key}"
+            );
+            // Separator i is the smallest key of child i + 1.
+            let child = PageId((key / 10).min(9) as u32);
+            assert!(
+                matches!(probe(internal, key), Probe::Descend(c) if c == child),
+                "internal {key}"
+            );
         }
     }
 

@@ -8,6 +8,20 @@
 //! the behaviour the `Get-A-successor()` description relies on ("the
 //! buffered data-page containing the node is likely to contain the
 //! specified successor node if CRR is high", §2.3).
+//! [`BufferPool::with_mru_page`] is that description's "buffered
+//! data-page": the frame the previous access left at the MRU head, handed
+//! out in O(1) without naming a page.
+//!
+//! # What is counted
+//!
+//! Every closure run over a frame is one counted access: a hit
+//! (`buffer_hits`, and with profiling on one [`PageAccessKind::Hit`]
+//! event) when the page was resident, a miss (`physical_reads`, one
+//! [`PageAccessKind::Miss`] event) when it had to be read.
+//! [`BufferPool::with_mru_page`] pins and reads a frame, so it counts one
+//! hit like any other; it can never miss. Nothing that only inspects the
+//! pool ([`BufferPool::resident_pages`], [`BufferPool::read_uncounted`])
+//! is counted.
 //!
 //! # One organization, every capacity
 //!
@@ -394,14 +408,38 @@ impl<S: PageStore> BufferPool<S> {
         Ok(self.pin(&mut s, slot))
     }
 
-    /// Hit path: finds `id` resident, pins it at the MRU head and counts
-    /// the hit.
+    /// Runs `f` over the most recently used resident page and its id —
+    /// the frame the previous access left at the LRU head. `None`, with
+    /// `f` not run, when nothing is resident. O(1) and order-preserving:
+    /// no page-table lookup, and the head stays the head, so the recency
+    /// of every other frame is untouched. Counts one buffer hit.
+    pub fn with_mru_page<R>(&self, f: impl FnOnce(PageId, &[u8]) -> R) -> Option<R> {
+        let pin = {
+            let mut s = self.state.lock();
+            let slot = s.lru.entries[SENTINEL].next;
+            if slot == SENTINEL {
+                return None;
+            }
+            self.pin_hit(&mut s, slot)
+        };
+        let buf = pin.frame.buf.read();
+        Some(f(pin.frame.id, &buf))
+    }
+
+    /// Hit path: finds `id` resident and pins it at the MRU head.
     fn pin_resident(&self, s: &mut State<S>, id: PageId) -> Option<Pin<'_, S>> {
         let slot = s.slot_of(id)?;
         s.lru.move_to_head(slot);
+        Some(self.pin_hit(s, slot))
+    }
+
+    /// Pins the resident frame in `slot` and counts the hit.
+    fn pin_hit(&self, s: &mut State<S>, slot: usize) -> Pin<'_, S> {
+        let pin = self.pin(s, slot);
         self.stats.record_hit();
-        self.stats.record_page_event(id, PageAccessKind::Hit);
-        Some(self.pin(s, slot))
+        self.stats
+            .record_page_event(pin.frame.id, PageAccessKind::Hit);
+        pin
     }
 
     fn pin(&self, s: &mut State<S>, slot: usize) -> Pin<'_, S> {
@@ -495,15 +533,9 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
-    /// True when `id` is resident (a `Get-A-successor` probe: "the
-    /// buffered data-page should be searched first").
-    pub fn is_resident(&self, id: PageId) -> bool {
-        self.state.lock().slot_of(id).is_some()
-    }
-
-    /// Ids of currently resident pages, most recently used first. Used by
-    /// `Get-successors()` to "check all pages brought into main memory
-    /// buffers ... without additional Find() operations" (§2.3).
+    /// Ids of currently resident pages, most recently used first
+    /// (uncounted; diagnostics and tests — the O(frames) walk is not on
+    /// any operation's path).
     pub fn resident_pages(&self) -> Vec<PageId> {
         self.state.lock().lru.frames().map(|f| f.id).collect()
     }
@@ -672,6 +704,10 @@ mod tests {
         p.with_page_mut(id, |buf| buf.fill(byte)).unwrap();
     }
 
+    fn resident<S: PageStore>(p: &BufferPool<S>, id: PageId) -> bool {
+        p.resident_pages().contains(&id)
+    }
+
     fn holds<S: PageStore>(p: &BufferPool<S>, id: PageId, byte: u8) -> bool {
         p.with_page(id, |buf| buf.iter().all(|&x| x == byte))
             .unwrap()
@@ -710,7 +746,7 @@ mod tests {
         let [a] = pages(&p);
         fill(&p, a, 9);
         p.clear().unwrap();
-        assert!(!p.is_resident(a));
+        assert!(!resident(&p, a));
         let before = p.stats().snapshot();
         touch(&p, a);
         assert_eq!(p.stats().snapshot().since(&before).physical_reads, 1);
@@ -787,7 +823,7 @@ mod tests {
         // The fill read fails: no frame may be created for the page.
         switch.arm_after(0);
         assert!(p.with_page(a, |_| ()).is_err());
-        assert!(!p.is_resident(a), "failed fill left a frame cached");
+        assert!(!resident(&p, a), "failed fill left a frame cached");
         // Nothing dirty was fabricated either: clearing writes nothing.
         switch.disarm();
         let before = p.stats().snapshot();
@@ -807,10 +843,10 @@ mod tests {
         assert!(p.free(a).is_err());
         switch.disarm();
         // The dirty frame survived the failed free and still flushes.
-        assert!(p.is_resident(a));
+        assert!(resident(&p, a));
         assert!(holds(&p, a, 6));
         p.free(a).unwrap();
-        assert!(!p.is_resident(a));
+        assert!(!resident(&p, a));
         assert!(p.with_page(a, |_| ()).is_err());
     }
 
@@ -831,8 +867,8 @@ mod tests {
         ctl.mark_corrupt(c);
         let r = p.with_page(c, |_| ());
         assert!(matches!(r, Err(StorageError::ChecksumMismatch { .. })));
-        assert!(p.is_resident(a) && p.is_resident(b), "failed read evicted");
-        assert!(!p.is_resident(c), "failed fill left a frame cached");
+        assert!(resident(&p, a) && resident(&p, b), "failed read evicted");
+        assert!(!resident(&p, c), "failed fill left a frame cached");
         assert_eq!(p.stats().snapshot().checksum_failures, 1);
         let writes = p.stats().snapshot().physical_writes;
         assert_eq!(writes, writes_before, "write-back paid for a failed read");
@@ -840,7 +876,7 @@ mod tests {
         // Once the page heals, the fault-in proceeds and evicts normally.
         ctl.clear_corrupt(c);
         touch(&p, c);
-        assert!(p.is_resident(c));
+        assert!(resident(&p, c));
         p.check_invariants().unwrap();
     }
 
@@ -883,11 +919,12 @@ mod tests {
             let _span = p.stats().span("op");
             touch(&p, b); // evicts dirty a (write), misses b
             touch(&p, b); // hit
+            p.with_mru_page(|_, _| ()); // a hit like any other
         }
         let profiles = stats.take_profiles();
         assert_eq!(profiles.len(), 1);
         let events = profiles[0].events.iter().map(|e| (e.kind, e.page));
-        let expected = vec![(Write, a), (Miss, b), (Hit, b)];
+        let expected = vec![(Write, a), (Miss, b), (Hit, b), (Hit, b)];
         assert_eq!(events.collect::<Vec<_>>(), expected);
         assert_eq!(profiles[0].data_page_accesses(), 1);
     }
@@ -908,7 +945,7 @@ mod tests {
         // Non-resident page: store bytes, no frame created.
         p.read_uncounted(b, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 8));
-        assert!(!p.is_resident(b));
+        assert!(!resident(&p, b));
         let delta = p.stats().snapshot().since(&before);
         assert_eq!((delta.physical_reads, delta.buffer_hits), (0, 0));
     }
@@ -921,7 +958,7 @@ mod tests {
         p.flush_all().unwrap();
         fill(&p, a, 2); // uncommitted
         p.discard_frames();
-        assert!(!p.is_resident(a));
+        assert!(!resident(&p, a));
         p.check_invariants().unwrap();
         // The committed bytes survive; the discarded mutation is gone.
         assert!(holds(&p, a, 1));
@@ -950,6 +987,29 @@ mod tests {
             assert_eq!(p.resident_pages(), model, "after access to {}", id.0);
             p.check_invariants().unwrap();
         }
+    }
+
+    /// The MRU accessor hands out the list head without reordering
+    /// anything, counts one hit per call, and never reads the store.
+    #[test]
+    fn mru_page_is_the_head_and_leaves_order_alone() {
+        let p = pool(3);
+        assert_eq!(p.with_mru_page(|id, _| id), None, "empty pool");
+        assert_eq!(p.stats().snapshot().buffer_hits, 0);
+        let [a, b, c] = pages(&p);
+        fill(&p, a, 1);
+        fill(&p, b, 2);
+        fill(&p, c, 3);
+        touch(&p, b);
+        let order = p.resident_pages();
+        assert_eq!(order, vec![b, c, a]);
+        let before = p.stats().snapshot();
+        let seen = p.with_mru_page(|id, buf| (id, buf[0]));
+        assert_eq!(seen, Some((b, 2)));
+        assert_eq!(p.resident_pages(), order);
+        let d = p.stats().snapshot().since(&before);
+        assert_eq!((d.buffer_hits, d.physical_reads), (1, 0));
+        p.check_invariants().unwrap();
     }
 
     /// Regression for the pool that fixed its organization at
@@ -1040,7 +1100,7 @@ mod tests {
         let d = p.stats().snapshot().since(&before);
         assert_eq!(d.prefetch_issued, 2);
         assert_eq!(d.physical_reads, 3, "prefetch reads are counted reads");
-        assert!(p.is_resident(b) && p.is_resident(c));
+        assert!(resident(&p, b) && resident(&p, c));
         p.check_invariants().unwrap();
         // The prefetched pages now hit without further physical reads.
         let mid = p.stats().snapshot();
@@ -1056,9 +1116,9 @@ mod tests {
         touch(&p, a); // a resident
         p.set_prefetcher(Some(Arc::new(move |_| vec![c])));
         touch(&p, b); // fills the last free frame
-        assert!(p.is_resident(a), "prefetch must not evict residents");
-        assert!(p.is_resident(b));
-        assert!(!p.is_resident(c), "no free frame was left to prefetch into");
+        assert!(resident(&p, a), "prefetch must not evict residents");
+        assert!(resident(&p, b));
+        assert!(!resident(&p, c), "no free frame was left to prefetch into");
         assert_eq!(p.stats().snapshot().prefetch_issued, 0);
         p.check_invariants().unwrap();
     }
@@ -1074,7 +1134,7 @@ mod tests {
         assert_eq!(p.resident_pages(), vec![a, b]);
         p.set_prefetcher(None);
         touch(&p, c); // evicts the prefetched b, not a
-        assert!(p.is_resident(a) && !p.is_resident(b) && p.is_resident(c));
+        assert!(resident(&p, a) && !resident(&p, b) && resident(&p, c));
     }
 
     /// A panicking hook (the fault seam `ccam-server`'s panic-isolation
@@ -1087,7 +1147,7 @@ mod tests {
         p.set_prefetcher(Some(Arc::new(|_| panic!("injected"))));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| touch(&p, a)));
         assert!(r.is_err());
-        assert!(p.is_resident(a));
+        assert!(resident(&p, a));
         p.set_prefetcher(None);
         touch(&p, b); // would wait forever on a leaked pin
         assert_eq!(p.resident_pages(), vec![b]);

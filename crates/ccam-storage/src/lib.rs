@@ -54,7 +54,7 @@ pub use metrics::{Histogram, MetricsRegistry, OpProfile, PageAccessKind, PageEve
 pub use page::{PageId, BLOCK_1K, BLOCK_2K, BLOCK_4K, BLOCK_512, MIN_PAGE_SIZE};
 pub use recovery::{apply_image, apply_segment, RecoveryReport, SegmentApply};
 pub use retry::{RetryPolicy, RetryStore};
-pub use slotted::{SlotId, SlottedPage};
+pub use slotted::{SlotId, SlottedPage, SlottedView};
 pub use snapshot::{PageImage, PageVersions, SnapshotStore};
 pub use stats::{IoSnapshot, IoStats, OpSpan};
 pub use store::{FilePageStore, MemPageStore, PageStore, WalInfo};

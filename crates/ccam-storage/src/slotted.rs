@@ -51,7 +51,8 @@ fn put_u16(buf: &mut [u8], off: usize, v: u16) {
 /// A mutable view of one page interpreted with the slotted layout.
 ///
 /// `SlottedPage` borrows the raw page bytes (typically handed out by the
-/// buffer manager) — it owns no storage itself.
+/// buffer manager) — it owns no storage itself. Everything that only
+/// reads goes through its [`SlottedView`].
 pub struct SlottedPage<'a> {
     buf: &'a mut [u8],
 }
@@ -80,32 +81,27 @@ impl<'a> SlottedPage<'a> {
         SlottedPage { buf }
     }
 
+    /// The read-only view of this page.
+    pub fn view(&self) -> SlottedView<'_> {
+        SlottedView { buf: self.buf }
+    }
+
     /// Total number of slots, live or dead.
     pub fn slot_count(&self) -> u16 {
-        get_u16(self.buf, SLOT_COUNT_OFF)
+        self.view().slot_count()
     }
 
     /// Number of live records.
     pub fn live_count(&self) -> u16 {
-        get_u16(self.buf, LIVE_COUNT_OFF)
+        self.view().live_count()
     }
 
     fn cell_start(&self) -> usize {
-        get_u16(self.buf, CELL_START_OFF) as usize
+        self.view().cell_start()
     }
 
     fn slot(&self, id: SlotId) -> Option<(u16, u16)> {
-        if id >= self.slot_count() {
-            return None;
-        }
-        let off = HEADER_LEN + id as usize * SLOT_LEN;
-        let rec_off = get_u16(self.buf, off);
-        let rec_len = get_u16(self.buf, off + 2);
-        if rec_off == DEAD {
-            None
-        } else {
-            Some((rec_off, rec_len))
-        }
+        self.view().slot(id)
     }
 
     fn set_slot(&mut self, id: SlotId, rec_off: u16, rec_len: u16) {
@@ -117,8 +113,7 @@ impl<'a> SlottedPage<'a> {
     /// Returns the bytes of the record in `slot`, or `None` for dead /
     /// out-of-range slots.
     pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
-        let (off, len) = self.slot(slot)?;
-        Some(&self.buf[off as usize..off as usize + len as usize])
+        self.view().get(slot)
     }
 
     /// Bytes of payload + directory a record of `len` bytes needs when it
@@ -128,42 +123,19 @@ impl<'a> SlottedPage<'a> {
         len + SLOT_LEN
     }
 
-    /// Contiguous free bytes between the slot directory and the cells.
     fn contiguous_free(&self) -> usize {
-        let dir_end = HEADER_LEN + self.slot_count() as usize * SLOT_LEN;
-        self.cell_start().saturating_sub(dir_end)
+        self.view().contiguous_free()
     }
 
-    /// Free bytes available after compaction (dead-record space included).
-    /// This is the number the access methods use when deciding whether a
-    /// node record fits a page.
+    /// Free bytes available after compaction; see
+    /// [`SlottedView::free_space`].
     pub fn free_space(&self) -> usize {
-        let mut live_bytes = 0usize;
-        let mut live_slots = 0usize;
-        for s in 0..self.slot_count() {
-            if let Some((_, len)) = self.slot(s) {
-                live_bytes += len as usize;
-                live_slots += 1;
-            }
-        }
-        // After compaction the directory can be shrunk to live slots only if
-        // trailing slots are dead; we report conservatively with the current
-        // directory length, except that a fully dead directory compacts away.
-        let dir = if live_slots == 0 {
-            HEADER_LEN
-        } else {
-            HEADER_LEN + self.slot_count() as usize * SLOT_LEN
-        };
-        self.buf.len().saturating_sub(dir + live_bytes)
+        self.view().free_space()
     }
 
-    /// Sum of live record payload bytes (used-space accounting for the
-    /// half-full invariant of CCAM pages).
+    /// Sum of live record payload bytes; see [`SlottedView::used_bytes`].
     pub fn used_bytes(&self) -> usize {
-        (0..self.slot_count())
-            .filter_map(|s| self.slot(s))
-            .map(|(_, len)| len as usize)
-            .sum()
+        self.view().used_bytes()
     }
 
     /// Maximum record size a freshly initialised page of `page_size` bytes
@@ -286,7 +258,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Iterates `(slot, record bytes)` over live records.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
+        self.view().iter()
     }
 
     /// Rewrites all live records contiguously at the end of the page,
@@ -302,6 +274,100 @@ impl<'a> SlottedPage<'a> {
             self.set_slot(slot, cell_start as u16, rec.len() as u16);
         }
         put_u16(self.buf, CELL_START_OFF, cell_start as u16);
+    }
+}
+
+/// A read-only view of one slotted page: the accessor for code that only
+/// *reads* a page, which can run directly over the `&[u8]` a buffer-pool
+/// closure or a store read hands out — no copy, no `&mut`.
+#[derive(Clone, Copy)]
+pub struct SlottedView<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> SlottedView<'a> {
+    /// Interprets already-formatted bytes as a slotted page.
+    pub fn attach(buf: &'a [u8]) -> Self {
+        debug_assert!(buf.len() >= HEADER_LEN + SLOT_LEN);
+        SlottedView { buf }
+    }
+
+    /// Total number of slots, live or dead.
+    pub fn slot_count(&self) -> u16 {
+        get_u16(self.buf, SLOT_COUNT_OFF)
+    }
+
+    /// Number of live records.
+    pub fn live_count(&self) -> u16 {
+        get_u16(self.buf, LIVE_COUNT_OFF)
+    }
+
+    fn cell_start(&self) -> usize {
+        get_u16(self.buf, CELL_START_OFF) as usize
+    }
+
+    fn slot(&self, id: SlotId) -> Option<(u16, u16)> {
+        if id >= self.slot_count() {
+            return None;
+        }
+        let off = HEADER_LEN + id as usize * SLOT_LEN;
+        let rec_off = get_u16(self.buf, off);
+        let rec_len = get_u16(self.buf, off + 2);
+        if rec_off == DEAD {
+            None
+        } else {
+            Some((rec_off, rec_len))
+        }
+    }
+
+    /// Returns the bytes of the record in `slot`, or `None` for dead /
+    /// out-of-range slots.
+    pub fn get(&self, slot: SlotId) -> Option<&'a [u8]> {
+        let (off, len) = self.slot(slot)?;
+        Some(&self.buf[off as usize..off as usize + len as usize])
+    }
+
+    /// Contiguous free bytes between the slot directory and the cells.
+    fn contiguous_free(&self) -> usize {
+        let dir_end = HEADER_LEN + self.slot_count() as usize * SLOT_LEN;
+        self.cell_start().saturating_sub(dir_end)
+    }
+
+    /// Free bytes available after compaction (dead-record space included).
+    /// This is the number the access methods use when deciding whether a
+    /// node record fits a page.
+    pub fn free_space(&self) -> usize {
+        let mut live_bytes = 0usize;
+        let mut live_slots = 0usize;
+        for s in 0..self.slot_count() {
+            if let Some((_, len)) = self.slot(s) {
+                live_bytes += len as usize;
+                live_slots += 1;
+            }
+        }
+        // After compaction the directory can be shrunk to live slots only if
+        // trailing slots are dead; we report conservatively with the current
+        // directory length, except that a fully dead directory compacts away.
+        let dir = if live_slots == 0 {
+            HEADER_LEN
+        } else {
+            HEADER_LEN + self.slot_count() as usize * SLOT_LEN
+        };
+        self.buf.len().saturating_sub(dir + live_bytes)
+    }
+
+    /// Sum of live record payload bytes (used-space accounting for the
+    /// half-full invariant of CCAM pages).
+    pub fn used_bytes(&self) -> usize {
+        (0..self.slot_count())
+            .filter_map(|s| self.slot(s))
+            .map(|(_, len)| len as usize)
+            .sum()
+    }
+
+    /// Iterates `(slot, record bytes)` over live records.
+    pub fn iter(self) -> impl Iterator<Item = (SlotId, &'a [u8])> {
+        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
 }
 
@@ -465,5 +531,13 @@ mod tests {
         }
         let p = SlottedPage::attach(&mut buf);
         assert_eq!(p.get(0).unwrap(), b"persisted");
+        // The read-only view needs no `&mut` and reports the same page.
+        let free = p.free_space();
+        let v = SlottedView::attach(&buf);
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![(0, &b"persisted"[..])]);
+        assert_eq!(
+            (v.live_count(), v.used_bytes(), v.free_space()),
+            (1, 9, free)
+        );
     }
 }
