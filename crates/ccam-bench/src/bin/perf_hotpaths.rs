@@ -23,6 +23,10 @@
 //!   the paper map at the same four capacities. A hop is one probe of the
 //!   most recently used frame, then `Find()`: the number must not grow
 //!   with the frames the pool holds.
+//! * **commit** — µs per `EpochWriteGuard::commit` (capture and publish
+//!   a snapshot view) after a one-record upsert, on grids of N and 16 N
+//!   nodes over a `WalStore` with page versioning on. A commit costs what
+//!   it changed: the two numbers must stay close.
 //!
 //! ```text
 //! perf_hotpaths [--grid N] [--block N] [--out FILE]
@@ -33,7 +37,10 @@
 //! `--check-baseline FILE` compares the fresh clustering throughput
 //! against a previously committed report and exits non-zero when it
 //! regressed more than 2x (the CI guard against accidental
-//! de-parallelization or an O(n²) slip).
+//! de-parallelization or an O(n²) slip), or when a commit on the 16 N
+//! grid takes more than 3x what it takes on the N grid — a ratio of two
+//! numbers from this run, so it holds on any machine (a view rebuilt by
+//! scanning the database gave ≈ 20).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -42,12 +49,13 @@ use std::time::Instant;
 
 use ccam_bench::harness::benchmark_network;
 use ccam_core::am::{AccessMethod, CcamBuilder};
+use ccam_core::epoch::EpochCell;
 use ccam_graph::generators::grid_network;
 use ccam_graph::walks::random_walk_routes;
 use ccam_partition::{
     cluster_nodes_into_pages_with, ClusterOptions, PartGraph, PartitionStrategy, Partitioner,
 };
-use ccam_storage::{BufferPool, MemPageStore, PageId, PageStore};
+use ccam_storage::{BufferPool, MemPageStore, PageId, PageStore, WalStore};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -260,6 +268,17 @@ fn main() {
     }
     println!();
 
+    // ---- Phase 5: publishing a one-record upsert, N vs 16 N nodes ---
+    let side: u32 = if quick { 32 } else { 64 };
+    let upserts = if quick { 50 } else { 200 };
+    let commit_rows = [side, 4 * side].map(|side| {
+        let (nodes, us) = bench_commit(block, side, upserts);
+        println!("commit  {nodes:>6} nodes  {us:>8.1} us/commit");
+        (nodes, us)
+    });
+    let commit_ratio = commit_rows[1].1 / commit_rows[0].1;
+    println!("commit  16 N / N = {commit_ratio:.2}\n");
+
     // ---- Report -----------------------------------------------------
     let mut j = String::new();
     let _ = write!(
@@ -343,7 +362,15 @@ fn main() {
             if k + 1 < hop_rows.len() { "," } else { "" }
         );
     }
-    let _ = write!(j, "    ]\n  }}\n}}\n");
+    let _ = write!(j, "    ]\n  }},\n");
+    let _ = write!(
+        j,
+        "  \"commit\": {{\n    \"upserts\": {upserts},\n    \"grids\": [\n      \
+         {{\"nodes\": {}, \"us_per_commit\": {:.1}}},\n      \
+         {{\"nodes\": {}, \"us_per_commit\": {:.1}}}\n    ],\n    \
+         \"ratio_16n_over_n\": {commit_ratio:.2}\n  }}\n}}\n",
+        commit_rows[0].0, commit_rows[0].1, commit_rows[1].0, commit_rows[1].1
+    );
     std::fs::write(&out, &j).expect("write report");
     println!("wrote {out}");
 
@@ -378,6 +405,15 @@ fn main() {
                  ({ratio:.2}x, threshold 2x)"
             );
         }
+        if commit_ratio > COMMIT_RATIO_LIMIT {
+            eprintln!(
+                "FAIL: a commit on {} nodes costs {commit_ratio:.2}x one on {} nodes \
+                 (limit {COMMIT_RATIO_LIMIT}x): publishing a view scales with the database again",
+                commit_rows[1].0, commit_rows[0].0
+            );
+            std::process::exit(1);
+        }
+        println!("commit check ok: 16 N / N = {commit_ratio:.2} (limit {COMMIT_RATIO_LIMIT}x)");
     }
     for (sname, _, ident) in &sweeps {
         if !ident {
@@ -386,6 +422,10 @@ fn main() {
         }
     }
 }
+
+/// Largest accepted ratio between a commit on the 16 N grid and one on
+/// the N grid.
+const COMMIT_RATIO_LIMIT: f64 = 3.0;
 
 /// Pool capacities of the pool and hop sections: the paper's one-page
 /// buffer up to thousands of frames.
@@ -423,6 +463,47 @@ fn median_of_3(mut pass: impl FnMut() -> f64) -> f64 {
     let mut rates = [pass(), pass(), pass()];
     rates.sort_by(f64::total_cmp);
     rates[1]
+}
+
+/// Node count and µs per `EpochWriteGuard::commit` after a one-record
+/// upsert (the server's: delete and re-insert with a new payload) on a
+/// `side` x `side` grid, served as `ccam serve` serves it: a `WalStore`
+/// with page versioning on, every operation its own transaction. Only
+/// the commit is timed — the capture and publication of the view.
+fn bench_commit(block: usize, side: u32, upserts: u32) -> (usize, f64) {
+    let net = grid_network(side, side, 1.0);
+    let wal = std::env::temp_dir().join(format!(
+        "ccam-perf-commit-{}-{side}.wal",
+        std::process::id()
+    ));
+    let store = WalStore::create(MemPageStore::new(block).expect("store"), &wal).expect("wal");
+    let mut db = CcamBuilder::new(block)
+        .strategy(PartitionStrategy::Multilevel)
+        .build_static_on(store, &net)
+        .expect("create");
+    db.file_mut().set_auto_commit(true);
+    assert!(db.enable_snapshots().expect("enable snapshots"));
+    let cell = EpochCell::new(db).expect("first view");
+    let ids = net.node_ids();
+    let mut seed = 0xC0_u64 + u64::from(side);
+    let us = median_of_3(|| {
+        let mut spent = std::time::Duration::ZERO;
+        for k in 0..upserts {
+            let id = ids[(xorshift(&mut seed) % ids.len() as u64) as usize];
+            let mut w = cell.write().expect("write guard");
+            let del = w.delete_node(id).expect("delete").expect("node exists");
+            let mut data = del.data;
+            data.payload = vec![k as u8; 8];
+            w.insert_node(&data, &del.incoming).expect("insert");
+            let t0 = Instant::now();
+            w.commit().expect("commit");
+            spent += t0.elapsed();
+        }
+        spent.as_secs_f64() * 1e6 / f64::from(upserts)
+    });
+    drop(cell);
+    std::fs::remove_file(&wal).ok();
+    (net.len(), us)
 }
 
 /// Single-threaded ops/sec over a uniform working set of `set` pages.

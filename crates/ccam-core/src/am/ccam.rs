@@ -21,7 +21,7 @@ use ccam_partition::{
     cluster_nodes_into_pages_with, refine_m_way, ClusterOptions, PartGraph, PartitionStrategy,
     Partitioner,
 };
-use ccam_storage::{PageId, StorageError, StorageResult};
+use ccam_storage::{LogRecord, PageId, StorageError, StorageResult};
 
 use crate::am::common::{
     self, insert_with_overflow_split, merge_on_underflow, patch_neighbors_on_delete,
@@ -620,8 +620,11 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
     /// backing store ([`ccam_storage::apply_segment`]) and re-coheres the
     /// in-memory layers on top of the changed pages — cached frames are
     /// discarded (their contents may predate the segment) and the node
-    /// index is rebuilt. Batches at or below `applied_lsn` are skipped,
-    /// so re-applying an overlapping segment after a crash is harmless.
+    /// index is brought up to date for the pages the segment names
+    /// ([`NetworkFile::reindex_pages`]), so applying costs what was
+    /// shipped, not what the follower holds. Batches at or below
+    /// `applied_lsn` are skipped, so re-applying an overlapping segment
+    /// after a crash is harmless.
     ///
     /// The caller publishes the new state to readers afterwards (via
     /// `EpochCell` commit); until then snapshot readers keep their pinned
@@ -631,12 +634,20 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
         records: &[ccam_storage::StampedRecord],
         applied_lsn: u64,
     ) -> StorageResult<ccam_storage::SegmentApply> {
-        self.file.pool().discard_frames();
-        let apply = self
-            .file
-            .pool()
-            .with_store_mut(|s| ccam_storage::apply_segment(s, records, applied_lsn))?;
-        self.file.rebuild_index()?;
+        let mut pages: Vec<PageId> = records
+            .iter()
+            .filter_map(|r| match r.record {
+                LogRecord::PageImage { page, .. }
+                | LogRecord::Alloc { page }
+                | LogRecord::Free { page } => Some(page),
+                LogRecord::Commit | LogRecord::Checkpoint => None,
+            })
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let apply = self.file.reindex_pages(&pages, |s| {
+            ccam_storage::apply_segment(s, records, applied_lsn)
+        })?;
         self.update_counts.clear();
         Ok(apply)
     }
@@ -677,13 +688,16 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
 
 /// Snapshot capture for the serving layer: the view is a read-only CCAM
 /// over one pinned committed generation ([`ccam_storage::SnapshotStore`]).
-/// All [`AccessMethod`] read operations run unmodified against it; its
-/// quarantine set is rebuilt from the generation's own unreadable pages,
-/// so degraded reads keep working over snapshots.
+/// All [`AccessMethod`] read operations run unmodified against it. The
+/// view is built from the writer's state, not by scanning the
+/// generation: its index is a copy-on-write fork of the writer's and its
+/// quarantine set is the generation's own list of unreadable pages
+/// ([`NetworkFile::snapshot_view`]), so degraded reads keep working over
+/// snapshots and a capture costs what the commit changed.
 impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
     type View = Ccam<ccam_storage::SnapshotStore>;
 
-    fn capture(&self) -> StorageResult<Self::View> {
+    fn capture(&self, prev: Option<&Self::View>) -> StorageResult<Self::View> {
         // Flush + sync first: over a `WalStore` this is the commit point
         // that publishes the batch as a new generation; over plain
         // stores it writes dirty frames back so the copy below sees the
@@ -693,8 +707,9 @@ impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
             Some(versions) => ccam_storage::SnapshotStore::pin(&versions),
             None => {
                 // No native versioning: freeze a one-shot deep copy of
-                // the committed pages (tolerating unreadable ones, which
-                // the view quarantines like the device path would).
+                // the committed pages — O(data), every capture —
+                // tolerating unreadable ones, which the view quarantines
+                // like the device path would.
                 let page_size = self.file.page_size();
                 let live = self
                     .file
@@ -718,24 +733,13 @@ impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
                 ccam_storage::SnapshotStore::pin(&versions)
             }
         };
-        let mut file = NetworkFile::open(store)?;
-        // `open`'s tolerant scan quarantines unreadable pages but cannot
-        // index the records on them. The writer's index still knows which
-        // ids live there: graft those entries so a lookup on the view
-        // routes to the quarantined page — and takes the degraded path —
-        // instead of reporting a confident miss.
-        let quarantined: std::collections::BTreeSet<PageId> =
-            file.quarantined_pages().into_iter().collect();
-        if !quarantined.is_empty() {
-            for (id, page) in self.file.index_range(0, u64::MAX)? {
-                let page = PageId(page as u32);
-                if quarantined.contains(&page) {
-                    file.adopt_index_entry(NodeId(id), page)?;
-                }
-            }
-        }
+        // The view that is being replaced was sized by whoever serves
+        // it; its successor keeps that size.
+        let frames = prev.map_or(crate::file::DEFAULT_BUFFER_FRAMES, |view| {
+            view.file.pool().capacity()
+        });
         Ok(Ccam {
-            file,
+            file: self.file.snapshot_view(store, frames)?,
             partitioner: self.partitioner,
             policy: self.policy,
             // The view is read-only: clustering weights and lazy-policy

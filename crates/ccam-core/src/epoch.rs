@@ -36,9 +36,10 @@
 //! (`ccam_storage::snapshot`): the view reads those frozen images and
 //! the pin is released when the last `Snapshot` holding the view drops,
 //! letting superseded page images be collected. For plain stores,
-//! capture freezes a one-shot deep copy. Either way a published view is
-//! immutable: snapshots taken before a commit keep reading their own
-//! generation for as long as they live.
+//! capture freezes a one-shot deep copy. Either way the view's index is
+//! a copy-on-write fork of the writer's, so nothing is scanned to build
+//! it, and a published view is immutable: snapshots taken before a
+//! commit keep reading their own generation for as long as they live.
 //!
 //! # Commit / abort / panic state machine
 //!
@@ -81,8 +82,11 @@ pub trait Snapshotable {
     /// The immutable read-only view readers share.
     type View: Send + Sync + 'static;
 
-    /// Builds a view of the current committed state.
-    fn capture(&self) -> StorageResult<Self::View>;
+    /// Builds a view of the current committed state. `prev` is the view
+    /// the new one will replace (`None` for the first), so a capture can
+    /// carry over what the old view was given after it was built — e.g.
+    /// the size its buffer pool was set to.
+    fn capture(&self, prev: Option<&Self::View>) -> StorageResult<Self::View>;
 
     /// Restores the committed state after a panic left the value
     /// possibly torn (used by [`EpochCell::recover`]). The default
@@ -118,7 +122,7 @@ impl<T: Snapshotable> EpochCell<T> {
     /// Wraps `value` at epoch 0, capturing and publishing its initial
     /// committed view.
     pub fn new(value: T) -> StorageResult<Self> {
-        let view = Arc::new(value.capture()?);
+        let view = Arc::new(value.capture(None)?);
         let io = value.stats_handle();
         Ok(EpochCell {
             writer: Mutex::new(value),
@@ -169,7 +173,7 @@ impl<T: Snapshotable> EpochCell<T> {
     pub fn recover(&self) -> StorageResult<u64> {
         let mut writer = self.writer.lock();
         writer.restore_committed()?;
-        let view = Arc::new(writer.capture()?);
+        let view = Arc::new(writer.capture(Some(&self.current()))?);
         let epoch = self.publish(view);
         self.poisoned.store(false, Ordering::Release);
         Ok(epoch)
@@ -210,6 +214,13 @@ impl<T: Snapshotable> EpochCell<T> {
     /// Consumes the cell, returning the inner (writer) value.
     pub fn into_inner(self) -> T {
         self.writer.into_inner()
+    }
+
+    /// The published view. Only the holder of the writer lock replaces
+    /// it, so to that holder it is also the view the next commit
+    /// supersedes.
+    fn current(&self) -> Arc<T::View> {
+        Arc::clone(&self.published.read().view)
     }
 
     fn publish(&self, view: Arc<T::View>) -> u64 {
@@ -272,7 +283,8 @@ impl<T: Snapshotable> EpochWriteGuard<'_, T> {
     /// does not move, and the cell is *not* poisoned (the writer state
     /// is still its committed self; the caller may retry).
     pub fn commit(mut self) -> StorageResult<u64> {
-        let view = Arc::new(self.guard.as_ref().expect("guard live").capture()?);
+        let prev = self.cell.current();
+        let view = Arc::new(self.capture(Some(&prev))?);
         let epoch = self.cell.publish(view);
         self.committed = true;
         Ok(epoch)
@@ -314,7 +326,7 @@ mod tests {
 
     impl Snapshotable for Pair {
         type View = Pair;
-        fn capture(&self) -> StorageResult<Self::View> {
+        fn capture(&self, _prev: Option<&Self::View>) -> StorageResult<Self::View> {
             Ok(self.clone())
         }
         fn restore_committed(&mut self) -> StorageResult<()> {

@@ -30,8 +30,8 @@ use ccam_graph::record::{decode_record, encode_record, encoded_len, peek_id};
 use ccam_graph::{NodeData, NodeId};
 use ccam_index::BPlusTree;
 use ccam_storage::{
-    BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, SlottedView, StorageError,
-    StorageResult,
+    BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, SlottedView, SnapshotStore,
+    StorageError, StorageResult,
 };
 
 /// Default buffer capacity for update operations — the paper "assume\[s\]
@@ -75,7 +75,9 @@ impl<T> Degraded<T> {
 /// see [`NetworkFile::save_to`] / [`NetworkFile::open`]. The secondary
 /// index always lives in memory ("we assume that the index pages are
 /// buffered in main memory", §3.2); `open` rebuilds it by scanning the
-/// data pages.
+/// data pages, and every update maintains it in place from then on
+/// (§2.3). A published read-only view does not scan: it forks the
+/// writer's index ([`NetworkFile::snapshot_view`]).
 pub struct NetworkFile<S: PageStore = MemPageStore> {
     pool: BufferPool<S>,
     index: BPlusTree<MemPageStore>,
@@ -161,6 +163,118 @@ impl<S: PageStore> NetworkFile<S> {
             self.quarantine(page);
         }
         Ok(())
+    }
+
+    /// A read-only file over `store` — one committed generation of this
+    /// file's data pages, taken while no update is in flight — without
+    /// the scan [`NetworkFile::open`] pays: the view's secondary index is
+    /// a copy-on-write fork of this file's ([`BPlusTree::fork`]), its
+    /// quarantine set is the generation's own list of unreadable pages,
+    /// and its data pool starts empty with `frames` frames. Costs what
+    /// the index changed by since the previous fork, not what the file
+    /// holds. Index entries for ids on unreadable pages come along with
+    /// the rest, so a lookup routes to the quarantined page and takes the
+    /// degraded path instead of reporting a confident miss.
+    pub(crate) fn snapshot_view(
+        &self,
+        store: SnapshotStore,
+        frames: usize,
+    ) -> StorageResult<NetworkFile<SnapshotStore>> {
+        let quarantined = store.unreadable_pages().into_iter().collect();
+        Ok(NetworkFile {
+            pool: BufferPool::new(store, frames),
+            index: self.index.fork()?,
+            page_size: self.page_size,
+            auto_commit: false,
+            quarantined: Mutex::new(quarantined),
+            txn_commits: AtomicU64::new(0),
+            txn_aborts: AtomicU64::new(0),
+        })
+    }
+
+    /// Runs `change` on the store and brings the secondary index and the
+    /// quarantine set up to date for `pages` alone — `change` may
+    /// rewrite, allocate or free those data pages and must leave every
+    /// other page as it was (a replication follower applying a shipped
+    /// log segment, which names the pages it touches). The ids on each
+    /// page's old image are read before `change`, the ids on its new
+    /// image after; only entries that differ are rewritten, so the index
+    /// pages of untouched ids stay shared with earlier forks. Cost is
+    /// proportional to `pages`, not to the file.
+    ///
+    /// Falls back to [`Self::rebuild_index`] when an old image cannot be
+    /// read (its ids cannot be named) or when `change` fails part-way.
+    pub fn reindex_pages<T>(
+        &mut self,
+        pages: &[PageId],
+        change: impl FnOnce(&mut S) -> StorageResult<T>,
+    ) -> StorageResult<T> {
+        // Cached frames may predate the change.
+        self.pool.discard_frames();
+        let mut buf = vec![0u8; self.page_size];
+        let mut before: HashMap<u64, PageId> = HashMap::new();
+        let mut all_read = true;
+        for &page in pages {
+            match self.read_live_image(page, &mut buf) {
+                Ok(true) => before.extend(
+                    SlottedView::attach(&buf)
+                        .iter()
+                        .map(|(_, rec)| (peek_id(rec).0, page)),
+                ),
+                Ok(false) => {}
+                Err(StorageError::ChecksumMismatch { .. }) => all_read = false,
+                Err(e) => return Err(e),
+            }
+        }
+        let out = match self.pool.with_store_mut(change) {
+            Ok(out) if all_read => out,
+            Ok(out) => {
+                self.rebuild_index()?;
+                return Ok(out);
+            }
+            Err(e) => {
+                // The index must describe whatever the store now holds.
+                let _ = self.rebuild_index();
+                return Err(e);
+            }
+        };
+        for &page in pages {
+            self.quarantined
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(&page);
+            match self.read_live_image(page, &mut buf) {
+                Ok(true) => {
+                    for (_, rec) in SlottedView::attach(&buf).iter() {
+                        let id = peek_id(rec);
+                        if before.remove(&id.0) != Some(page) {
+                            self.index_insert(id, page)?;
+                        }
+                    }
+                }
+                Ok(false) => {}
+                Err(StorageError::ChecksumMismatch { .. }) => self.quarantine(page),
+                Err(e) => return Err(e),
+            }
+        }
+        // What is left was on an old image and is on no new one.
+        for (id, page) in before {
+            if self.page_of(NodeId(id))? == Some(page) {
+                self.index_remove(NodeId(id))?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Reads `page` from the store (no frame, uncounted) into `buf`;
+    /// `false` when the page is not live.
+    fn read_live_image(&self, page: PageId, buf: &mut [u8]) -> StorageResult<bool> {
+        self.pool.with_store(|store| {
+            if !store.is_live(page) {
+                return Ok(false);
+            }
+            store.read(page, buf).map(|()| true)
+        })
     }
 
     /// Persists every live data page into a fresh page file at `path`
@@ -405,15 +519,6 @@ impl<S: PageStore> NetworkFile<S> {
         self.index.range(lo, hi)
     }
 
-    /// Re-inserts an index entry for a record that could not be scanned
-    /// because its page is quarantined. A snapshot capture grafts the
-    /// writer's index knowledge into the freshly opened view so lookups
-    /// still route to the unreadable page — and take the degraded path —
-    /// instead of reporting a confident miss.
-    pub fn adopt_index_entry(&mut self, id: NodeId, page: PageId) -> StorageResult<()> {
-        self.index_insert(id, page)
-    }
-
     /// I/O counters of the secondary index's own buffer pool (separate
     /// from the data-page counts the paper reports; see
     /// [`Self::set_index_buffer_capacity`]).
@@ -431,6 +536,14 @@ impl<S: PageStore> NetworkFile<S> {
     /// Number of index pages.
     pub fn index_pages(&self) -> usize {
         self.index.num_pages()
+    }
+
+    /// Number of index pages this file shares, image for image, with
+    /// `other`'s index — all but the pages rewritten since one was
+    /// forked from the other ([`Self::snapshot_view`]). Diagnostics and
+    /// tests.
+    pub fn index_pages_shared_with<T: PageStore>(&self, other: &NetworkFile<T>) -> usize {
+        self.index.pages_shared_with(&other.index)
     }
 
     fn index_insert(&mut self, id: NodeId, page: PageId) -> StorageResult<()> {

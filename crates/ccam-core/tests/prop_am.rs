@@ -7,6 +7,7 @@ use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::reorg::ReorgPolicy;
 use ccam_graph::generators::grid_network;
 use ccam_graph::{EdgeTo, Network, NodeData, NodeId};
+use ccam_storage::PageStore;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -33,8 +34,8 @@ fn op() -> impl Strategy<Value = Op> {
 
 /// Applies one op to both the AM and the model network; returns false if
 /// the op was a no-op (e.g. nothing to delete).
-fn apply(
-    am: &mut dyn AccessMethod,
+fn apply<S: PageStore>(
+    am: &mut dyn AccessMethod<S>,
     model: &mut Network,
     graveyard: &mut Vec<(NodeData, Vec<(NodeId, u32)>)>,
     op: &Op,
@@ -114,7 +115,7 @@ fn apply(
 }
 
 /// Full equivalence check between AM contents and the model.
-fn check_equiv(am: &dyn AccessMethod, model: &Network) {
+fn check_equiv<S: PageStore>(am: &dyn AccessMethod<S>, model: &Network) {
     assert_eq!(am.file().len(), model.len(), "record count");
     for id in model.node_ids() {
         let rec = am
@@ -362,5 +363,372 @@ mod successor_lookup {
                 from = to;
             }
         }
+    }
+}
+
+/// A published view is built from the writer's index (forked
+/// copy-on-write) and the pinned generation's own page lists, without
+/// reading a data page. It must be indistinguishable from the view a
+/// full tolerant scan of the same generation builds — `NetworkFile::open`
+/// over a second pin — after every commit of every history, on a primary
+/// and on a replication follower; and building it must cost what the
+/// commit changed, not what the file holds.
+mod view_is_a_full_rebuild {
+    use super::{apply, check_equiv, op, Op};
+    use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
+    use ccam_core::epoch::{EpochCell, Snapshot, Snapshotable};
+    use ccam_core::file::{clustering_weight, NetworkFile, DEFAULT_BUFFER_FRAMES};
+    use ccam_core::reorg::ReorgPolicy;
+    use ccam_graph::generators::grid_network;
+    use ccam_graph::{Network, NodeData, NodeId};
+    use ccam_storage::{
+        MemPageStore, PageStore, PageVersions, ReplFeed, SnapshotStore, StampedRecord, WalStore,
+    };
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    type Store = WalStore<MemPageStore>;
+    type Db = Ccam<Store>;
+    type View = Ccam<SnapshotStore>;
+
+    const POLICIES: [ReorgPolicy; 4] = [
+        ReorgPolicy::FirstOrder,
+        ReorgPolicy::SecondOrder,
+        ReorgPolicy::HigherOrder,
+        ReorgPolicy::Lazy { every: 3 },
+    ];
+
+    /// A fresh WAL-backed store; every call gets a log file of its own.
+    fn wal_store(page_size: usize) -> (Store, std::path::PathBuf) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "ccam-prop-view-{}-{}.wal",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let store = WalStore::create(MemPageStore::new(page_size).unwrap(), &path).unwrap();
+        (store, path)
+    }
+
+    /// Serves `db` as `ccam serve` does: every operation its own
+    /// transaction, page versioning on, first view published.
+    fn serve(mut db: Db) -> (EpochCell<Db>, Arc<PageVersions>) {
+        db.file_mut().set_auto_commit(true);
+        assert!(db.enable_snapshots().unwrap(), "WAL stores version pages");
+        let versions = db.file().pool().with_store(|s| s.page_versions());
+        (EpochCell::new(db).unwrap(), versions.unwrap())
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A node or edge update of the model test above.
+        Update(Op),
+        /// The server's `Upsert` of the i-th node, its payload grown by
+        /// n bytes — records outgrow their pages and split them.
+        Grow(usize, usize),
+        /// Recluster the whole file.
+        ReorganizeFull,
+        /// Half an update of the i-th node, rolled back.
+        Abort(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            4 => op().prop_map(Step::Update),
+            4 => (any::<usize>(), 16usize..64).prop_map(|(i, n)| Step::Grow(i, n)),
+            1 => Just(Step::ReorganizeFull),
+            1 => any::<usize>().prop_map(Step::Abort),
+        ]
+    }
+
+    /// Applies one step to the writer and the model.
+    fn run_step(
+        db: &mut Db,
+        model: &mut Network,
+        graveyard: &mut Vec<(NodeData, Vec<(NodeId, u32)>)>,
+        step: &Step,
+    ) {
+        let ids = model.node_ids();
+        match step {
+            Step::Update(op) => {
+                apply(db, model, graveyard, op);
+            }
+            Step::Grow(i, n) if !ids.is_empty() => {
+                apply(db, model, graveyard, &Op::DeleteNode(*i));
+                let payload = &mut graveyard.last_mut().unwrap().0.payload;
+                if payload.len() + n > 200 {
+                    payload.truncate(4);
+                }
+                payload.extend(std::iter::repeat_n(*n as u8, *n));
+                apply(db, model, graveyard, &Op::ReinsertNode(graveyard.len() - 1));
+            }
+            Step::ReorganizeFull => {
+                db.reorganize_full().unwrap();
+            }
+            Step::Abort(i) if !ids.is_empty() => {
+                db.file_mut().set_auto_commit(false);
+                db.delete_node(ids[i % ids.len()]).unwrap();
+                db.restore_committed().unwrap();
+                db.file_mut().set_auto_commit(true);
+            }
+            Step::Grow(..) | Step::Abort(_) => {}
+        }
+    }
+
+    /// The oracle: `view` against `NetworkFile::open` of a second pin of
+    /// the generation it was captured from.
+    fn assert_full_rebuild(view: &View, versions: &Arc<PageVersions>, probe: &[NodeId]) {
+        let pin = SnapshotStore::pin(versions);
+        let generation = view.file().pool().with_store(SnapshotStore::generation);
+        assert_eq!(
+            pin.generation(),
+            generation,
+            "view is of the committed generation"
+        );
+        let scanned = NetworkFile::open(pin).unwrap();
+        let file = view.file();
+        assert_eq!(
+            file.index_range(0, u64::MAX).unwrap(),
+            scanned.index_range(0, u64::MAX).unwrap(),
+            "index entries"
+        );
+        assert_eq!(file.len(), scanned.len(), "index length");
+        assert_eq!(file.quarantined_pages(), scanned.quarantined_pages());
+        for &id in probe {
+            assert_eq!(file.find(id).unwrap(), scanned.find(id).unwrap(), "{id:?}");
+        }
+    }
+
+    /// Snapshots held across later commits, each with the model as it
+    /// stood when the snapshot was published.
+    #[derive(Default)]
+    struct Held(Vec<(Snapshot<View>, Network)>);
+
+    impl Held {
+        fn hold(&mut self, view: Snapshot<View>, model: &Network) {
+            self.0.push((view, model.clone()));
+        }
+
+        /// Checks and releases the oldest while more than `keep` are held.
+        fn release_down_to(&mut self, keep: usize) {
+            while self.0.len() > keep {
+                let (view, model) = self.0.remove(0);
+                check_equiv(&*view, &model);
+            }
+        }
+    }
+
+    /// Every id the history has ever seen: present ones must be found,
+    /// deleted ones must be missed, by both views alike.
+    fn probe_ids(model: &Network, graveyard: &[(NodeData, Vec<(NodeId, u32)>)]) -> Vec<NodeId> {
+        let dead = graveyard.iter().map(|(node, _)| node.id);
+        model.node_ids().into_iter().chain(dead).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn after_every_commit_of_a_history(
+            steps in prop::collection::vec(step(), 1..24),
+            policy_sel in 0usize..4,
+        ) {
+            let mut model = grid_network(6, 6, 0.7);
+            let (store, wal) = wal_store(512);
+            let db = CcamBuilder::new(512)
+                .policy(POLICIES[policy_sel])
+                .build_static_on(store, &model)
+                .unwrap();
+            let (cell, versions) = serve(db);
+            assert_full_rebuild(&cell.read().unwrap(), &versions, &model.node_ids());
+            let mut graveyard = Vec::new();
+            let mut held = Held::default();
+            for (n, step) in steps.iter().enumerate() {
+                let mut w = cell.write().unwrap();
+                run_step(&mut w, &mut model, &mut graveyard, step);
+                w.commit().unwrap();
+                let view = cell.read().unwrap();
+                assert_full_rebuild(&view, &versions, &probe_ids(&model, &graveyard));
+                check_equiv(&*view, &model);
+                if n % 3 == 0 {
+                    held.hold(view, &model);
+                }
+                held.release_down_to(2);
+            }
+            held.release_down_to(0);
+            drop(cell);
+            std::fs::remove_file(wal).ok();
+        }
+
+        /// The same on a follower that is shipped the primary's log one
+        /// segment per step — now and then torn in two, so that a batch
+        /// is held back and arrives with the next shipment.
+        #[test]
+        fn after_every_segment_a_follower_applies(
+            steps in prop::collection::vec((step(), any::<bool>()), 1..20),
+            policy_sel in 0usize..4,
+        ) {
+            let mut model = grid_network(6, 6, 0.7);
+            let (store, primary_wal) = wal_store(512);
+            // Subscribed before the build, so no checkpoint drops the tail.
+            let slot = store.wal_retention().subscribe(0);
+            let mut primary = CcamBuilder::new(512)
+                .policy(POLICIES[policy_sel])
+                .build_static_on(store, &model)
+                .unwrap();
+            primary.file_mut().set_auto_commit(true);
+            primary.file().commit().unwrap();
+            let (store, follower_wal) = wal_store(512);
+            let follower = CcamBuilder::new(512).build_empty_on(store).unwrap();
+            let (cell, versions) = serve(follower);
+
+            let ship = |primary: &Db, after: u64| -> Vec<StampedRecord> {
+                let feed = primary.file().pool().with_store_mut(|s| s.repl_records_after(after));
+                match feed.unwrap() {
+                    ReplFeed::Records { records, .. } => records,
+                    other => panic!("tail not retained: {other:?}"),
+                }
+            };
+            let mut applied = 0u64;
+            let mut graveyard = Vec::new();
+            let mut held = Held::default();
+            for (n, (step, torn)) in steps.iter().enumerate() {
+                // The first shipment carries the build itself.
+                if n > 0 {
+                    run_step(&mut primary, &mut model, &mut graveyard, step);
+                }
+                // A torn shipment stops short of its last batch's commit
+                // record; the next one starts over from what was applied.
+                for torn in [*torn, false] {
+                    let mut records = ship(&primary, applied);
+                    if torn {
+                        records.truncate(records.len() / 2);
+                    }
+                    let mut w = cell.write().unwrap();
+                    let apply = w.apply_replicated(&records, applied).unwrap();
+                    applied = apply.applied_lsn;
+                    w.commit().unwrap();
+                    assert_full_rebuild(
+                        &cell.read().unwrap(),
+                        &versions,
+                        &probe_ids(&model, &graveyard),
+                    );
+                }
+                slot.advance(applied);
+                let view = cell.read().unwrap();
+                check_equiv(&*view, &model);
+                if n % 3 == 0 {
+                    held.hold(view, &model);
+                }
+                held.release_down_to(2);
+            }
+            held.release_down_to(0);
+            drop(cell);
+            std::fs::remove_file(primary_wal).ok();
+            std::fs::remove_file(follower_wal).ok();
+        }
+    }
+
+    /// `net` packed into pages in id order, no clustering: the tests
+    /// below need a large file, not a well-clustered one.
+    fn packed(net: &Network, page_size: usize) -> (Db, std::path::PathBuf) {
+        let (store, wal) = wal_store(page_size);
+        let mut db = CcamBuilder::new(page_size).build_empty_on(store).unwrap();
+        let budget = db.file().clustering_budget();
+        let mut groups: Vec<Vec<&NodeData>> = vec![Vec::new()];
+        let mut used = 0;
+        for node in net.nodes() {
+            let weight = clustering_weight(node);
+            if used + weight > budget {
+                groups.push(Vec::new());
+                used = 0;
+            }
+            used += weight;
+            groups.last_mut().unwrap().push(node);
+        }
+        db.file_mut().bulk_load(groups).unwrap();
+        (db, wal)
+    }
+
+    /// The server's `Upsert`.
+    fn upsert(db: &mut Db, id: NodeId, payload: Vec<u8>) {
+        let del = db.delete_node(id).unwrap().expect("node exists");
+        let data = NodeData {
+            payload,
+            ..del.data
+        };
+        db.insert_node(&data, &del.incoming).unwrap();
+    }
+
+    /// Publishing a one-record upsert on a 20 736-node file reads no
+    /// page of the generation it pins and copies a handful of index
+    /// pages, the rest being shared with the view it replaces — so does
+    /// publishing the first view, which a scan used to build.
+    #[test]
+    fn a_commit_reads_no_data_page_and_copies_a_root_to_leaf_path() {
+        let net = grid_network(144, 144, 1.0);
+        let (db, wal) = packed(&net, 1024);
+        let (cell, versions) = serve(db);
+        assert_eq!(
+            versions.reads(),
+            0,
+            "the first capture scanned the generation"
+        );
+
+        let before = cell.read().unwrap();
+        let pages = before.file().index_pages();
+        assert!(pages > 300, "{pages} index pages");
+        let id = net.node_ids()[net.len() / 2];
+        let mut w = cell.write().unwrap();
+        upsert(&mut w, id, vec![7; 40]);
+        w.commit().unwrap();
+        assert_eq!(versions.reads(), 0, "the capture scanned the generation");
+
+        let after = cell.read().unwrap();
+        // Reorganization around the upsert moves a few records; each
+        // changed entry rewrites at most a root-to-leaf path of the
+        // three-level tree, the upserted id's delete and insert two more.
+        let entries = |view: &View| view.file().index_range(0, u64::MAX).unwrap();
+        let (was, is) = (entries(&before), entries(&after));
+        let moved = was.iter().zip(&is).filter(|(a, b)| a != b).count();
+        assert!(moved < 64, "{moved} records changed page");
+        let copied =
+            after.file().index_pages() - after.file().index_pages_shared_with(before.file());
+        assert!(
+            (1..=3 * (moved + 2)).contains(&copied),
+            "{copied} of {pages} index pages copied for {moved} moved records"
+        );
+        assert_eq!(after.find(id).unwrap().unwrap().payload, vec![7; 40]);
+        assert_ne!(before.find(id).unwrap().unwrap().payload, vec![7; 40]);
+
+        // A commit of nothing shares every index page.
+        cell.write().unwrap().commit().unwrap();
+        let idle = cell.read().unwrap();
+        let shared = idle.file().index_pages_shared_with(after.file());
+        assert_eq!(shared, idle.file().index_pages());
+        assert_eq!(versions.reads(), 2, "two finds, two page images");
+        drop((before, after, idle, cell));
+        std::fs::remove_file(wal).ok();
+    }
+
+    /// A view's data pool is as large as that of the view it replaces;
+    /// the first gets the default.
+    #[test]
+    fn a_view_inherits_the_capacity_of_its_predecessor() {
+        let net = grid_network(8, 8, 1.0);
+        let (db, wal) = packed(&net, 512);
+        let (cell, _versions) = serve(db);
+        let capacity = |cell: &EpochCell<Db>| cell.read().unwrap().file().pool().capacity();
+        assert_eq!(capacity(&cell), DEFAULT_BUFFER_FRAMES);
+        cell.read().unwrap().file().pool().set_capacity(7).unwrap();
+        let mut w = cell.write().unwrap();
+        upsert(&mut w, net.node_ids()[3], vec![1; 9]);
+        w.commit().unwrap();
+        assert_eq!(capacity(&cell), 7);
+        cell.recover().unwrap();
+        assert_eq!(capacity(&cell), 7);
+        drop(cell);
+        std::fs::remove_file(wal).ok();
     }
 }

@@ -26,7 +26,7 @@
 
 mod node;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ccam_storage::{BufferPool, IoStats, MemPageStore, PageId, PageStore, StorageResult};
 
@@ -60,6 +60,12 @@ pub struct BPlusTree<S: PageStore> {
     len: usize,
     leaf_cap: usize,
     internal_cap: usize,
+    /// Pages written since the last [`BPlusTree::fork`] — the only ones
+    /// that can be dirty in the pool, so the only ones a fork writes
+    /// back. Recording stops at [`INDEX_POOL_FRAMES`] entries: a list
+    /// that long saves nothing over looking at every frame, and a tree
+    /// nobody forks must not grow one without bound.
+    written: Mutex<Vec<PageId>>,
 }
 
 impl BPlusTree<MemPageStore> {
@@ -67,6 +73,45 @@ impl BPlusTree<MemPageStore> {
     /// `page_size` bytes.
     pub fn new_mem(page_size: usize) -> StorageResult<Self> {
         Self::create(MemPageStore::new(page_size)?)
+    }
+
+    /// A second tree holding exactly this one's entries, for the cost of
+    /// what changed since the last fork and not of what the tree holds:
+    /// the nodes written since the last fork are written back, then the
+    /// store is cloned, which shares every page image copy-on-write
+    /// ([`MemPageStore`]'s `Clone`). The two trees are independent
+    /// afterwards; a node either side rewrites is copied then, once, and
+    /// the image the other side still reads is freed with the last tree
+    /// that holds it. The fork's pool starts empty with this pool's
+    /// capacity.
+    pub fn fork(&self) -> StorageResult<Self> {
+        let mut written = self.written.lock().unwrap_or_else(|e| e.into_inner());
+        if written.len() < INDEX_POOL_FRAMES {
+            self.pool.flush_pages(&written)?;
+        } else {
+            self.pool.flush_all()?;
+        }
+        written.clear();
+        let store = self.pool.with_store(MemPageStore::clone);
+        Ok(BPlusTree {
+            pool: BufferPool::new(store, self.pool.capacity()),
+            root: self.root,
+            len: self.len,
+            leaf_cap: self.leaf_cap,
+            internal_cap: self.internal_cap,
+            written: Mutex::default(),
+        })
+    }
+
+    /// Number of pages this tree still shares with `other` (same image,
+    /// not merely equal bytes) — everything a fork has not copied.
+    /// Counts written-back pages only. Diagnostics and tests.
+    pub fn pages_shared_with(&self, other: &Self) -> usize {
+        self.pool.with_store(|mine| {
+            other
+                .pool
+                .with_store(|theirs| mine.pages_shared_with(theirs))
+        })
     }
 }
 
@@ -81,15 +126,15 @@ impl<S: PageStore> BPlusTree<S> {
             leaf_cap >= 3 && internal_cap >= 3,
             "page size {page_size} too small for a useful B+-tree"
         );
-        let tree = BPlusTree {
+        let mut tree = BPlusTree {
             pool,
             root,
             len: 0,
             leaf_cap,
             internal_cap,
+            written: Mutex::default(),
         };
-        write_node(
-            &tree.pool,
+        tree.write_node(
             root,
             &Node::Leaf {
                 next: PageId::INVALID,
@@ -97,6 +142,16 @@ impl<S: PageStore> BPlusTree<S> {
             },
         )?;
         Ok(tree)
+    }
+
+    /// Every node write of the tree: encodes `node` onto `page` and
+    /// notes the page for the next fork.
+    fn write_node(&mut self, page: PageId, node: &Node) -> StorageResult<()> {
+        let written = self.written.get_mut().unwrap_or_else(|e| e.into_inner());
+        if written.len() < INDEX_POOL_FRAMES {
+            written.push(page);
+        }
+        write_node(&self.pool, page, node)
     }
 
     /// Number of entries.
@@ -146,8 +201,7 @@ impl<S: PageStore> BPlusTree<S> {
         if let Some((sep, right)) = split {
             let new_root = self.pool.allocate()?;
             let old_root = self.root;
-            write_node(
-                &self.pool,
+            self.write_node(
                 new_root,
                 &Node::Internal {
                     keys: vec![sep],
@@ -169,13 +223,13 @@ impl<S: PageStore> BPlusTree<S> {
                     Ok(i) => {
                         let old = entries[i].1;
                         entries[i].1 = val;
-                        write_node(&self.pool, page, &Node::Leaf { next, entries })?;
+                        self.write_node(page, &Node::Leaf { next, entries })?;
                         Ok((Some(old), None))
                     }
                     Err(i) => {
                         entries.insert(i, (key, val));
                         if entries.len() <= self.leaf_cap {
-                            write_node(&self.pool, page, &Node::Leaf { next, entries })?;
+                            self.write_node(page, &Node::Leaf { next, entries })?;
                             return Ok((None, None));
                         }
                         // Split: right half moves to a new leaf.
@@ -183,16 +237,14 @@ impl<S: PageStore> BPlusTree<S> {
                         let right_entries = entries.split_off(mid);
                         let sep = right_entries[0].0;
                         let right_page = self.pool.allocate()?;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             right_page,
                             &Node::Leaf {
                                 next,
                                 entries: right_entries,
                             },
                         )?;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             page,
                             &Node::Leaf {
                                 next: right_page,
@@ -213,7 +265,7 @@ impl<S: PageStore> BPlusTree<S> {
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
                     if keys.len() <= self.internal_cap {
-                        write_node(&self.pool, page, &Node::Internal { keys, children })?;
+                        self.write_node(page, &Node::Internal { keys, children })?;
                         return Ok((old, None));
                     }
                     // Split the internal node; the middle key moves up.
@@ -223,15 +275,14 @@ impl<S: PageStore> BPlusTree<S> {
                     keys.pop(); // remove up_key from the left node
                     let right_children = children.split_off(mid + 1);
                     let right_page = self.pool.allocate()?;
-                    write_node(
-                        &self.pool,
+                    self.write_node(
                         right_page,
                         &Node::Internal {
                             keys: right_keys,
                             children: right_children,
                         },
                     )?;
-                    write_node(&self.pool, page, &Node::Internal { keys, children })?;
+                    self.write_node(page, &Node::Internal { keys, children })?;
                     Ok((old, Some((up_key, right_page))))
                 } else {
                     Ok((old, None))
@@ -266,7 +317,7 @@ impl<S: PageStore> BPlusTree<S> {
             Node::Leaf { next, mut entries } => match entries.binary_search_by_key(&key, |e| e.0) {
                 Ok(i) => {
                     let (_, v) = entries.remove(i);
-                    write_node(&self.pool, page, &Node::Leaf { next, entries })?;
+                    self.write_node(page, &Node::Leaf { next, entries })?;
                     Ok(Some(v))
                 }
                 Err(_) => Ok(None),
@@ -333,16 +384,14 @@ impl<S: PageStore> BPlusTree<S> {
                         let moved = lent.pop().expect("left sibling non-empty");
                         cent.insert(0, moved);
                         keys[sep_idx] = cent[0].0;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             left.unwrap(),
                             &Node::Leaf {
                                 next: lnext,
                                 entries: lent,
                             },
                         )?;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             child,
                             &Node::Leaf {
                                 next: cnext,
@@ -366,16 +415,14 @@ impl<S: PageStore> BPlusTree<S> {
                         ckeys.insert(0, keys[sep_idx]);
                         cch.insert(0, moved_child);
                         keys[sep_idx] = moved_key;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             left.unwrap(),
                             &Node::Internal {
                                 keys: lkeys,
                                 children: lch,
                             },
                         )?;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             child,
                             &Node::Internal {
                                 keys: ckeys,
@@ -401,16 +448,14 @@ impl<S: PageStore> BPlusTree<S> {
                         let moved = rent.remove(0);
                         cent.push(moved);
                         keys[sep_idx] = rent[0].0;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             child,
                             &Node::Leaf {
                                 next: cnext,
                                 entries: cent,
                             },
                         )?;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             right.unwrap(),
                             &Node::Leaf {
                                 next: rnext,
@@ -433,16 +478,14 @@ impl<S: PageStore> BPlusTree<S> {
                         ckeys.push(keys[sep_idx]);
                         cch.push(moved_child);
                         keys[sep_idx] = moved_key;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             child,
                             &Node::Internal {
                                 keys: ckeys,
                                 children: cch,
                             },
                         )?;
-                        write_node(
-                            &self.pool,
+                        self.write_node(
                             right.unwrap(),
                             &Node::Internal {
                                 keys: rkeys,
@@ -476,8 +519,7 @@ impl<S: PageStore> BPlusTree<S> {
                     },
                 ) => {
                     lent.extend(rent);
-                    write_node(
-                        &self.pool,
+                    self.write_node(
                         lp,
                         &Node::Leaf {
                             next: rnext,
@@ -498,8 +540,7 @@ impl<S: PageStore> BPlusTree<S> {
                     lkeys.push(keys[li]);
                     lkeys.extend(rkeys);
                     lch.extend(rch);
-                    write_node(
-                        &self.pool,
+                    self.write_node(
                         lp,
                         &Node::Internal {
                             keys: lkeys,
@@ -513,7 +554,7 @@ impl<S: PageStore> BPlusTree<S> {
             children.remove(ri);
             self.pool.free(rp)?;
         }
-        write_node(&self.pool, page, &Node::Internal { keys, children })?;
+        self.write_node(page, &Node::Internal { keys, children })?;
         Ok(())
     }
 

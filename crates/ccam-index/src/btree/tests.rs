@@ -204,3 +204,75 @@ fn larger_pages_make_shallower_trees() {
     small.check_invariants().unwrap();
     big.check_invariants().unwrap();
 }
+
+#[test]
+fn fork_is_independent_and_copies_only_what_changes() {
+    let mut t = tree();
+    for k in 0..2000u64 {
+        t.insert(k * 2, k).unwrap();
+    }
+    let before = t.fork().unwrap();
+    let pages = t.num_pages();
+    assert_eq!(before.pages_shared_with(&t), pages, "a fork copies nothing");
+    assert_eq!(before.len(), t.len());
+
+    // An update in place rewrites one leaf; a fresh key that splits a
+    // leaf rewrites that leaf and its parent and adds one page.
+    t.insert(1000, 7).unwrap();
+    let one = t.fork().unwrap();
+    assert_eq!(one.pages_shared_with(&before), pages - 1);
+    let depth = t.depth().unwrap();
+    for k in 0..8u64 {
+        t.insert(2001 + 2 * k, k).unwrap();
+    }
+    t.remove(10).unwrap();
+    let after = t.fork().unwrap();
+    let grown = after.num_pages() - pages;
+    assert!(
+        grown >= 1,
+        "eight neighbouring keys must split a 7-entry leaf"
+    );
+    let copied = pages - after.pages_shared_with(&one);
+    assert!(
+        copied <= 2 * depth + grown,
+        "copied {copied} of {pages} pages"
+    );
+
+    // Every fork still answers from the moment it was taken.
+    assert_eq!(before.get(1000).unwrap(), Some(500));
+    assert_eq!(one.get(1000).unwrap(), Some(7));
+    assert_eq!(one.get(10).unwrap(), Some(5));
+    assert_eq!(after.get(10).unwrap(), None);
+    assert_eq!(before.get(2001).unwrap(), None);
+    assert_eq!(after.get(2001).unwrap(), Some(0));
+    for f in [&before, &one, &after] {
+        f.check_invariants().unwrap();
+    }
+    assert_eq!(after.entries().unwrap(), t.entries().unwrap());
+
+    // A fork is a tree in its own right: writing to it leaves the
+    // original alone.
+    let mut forked = after;
+    forked.insert(3, 33).unwrap();
+    assert_eq!(forked.get(3).unwrap(), Some(33));
+    assert_eq!(t.get(3).unwrap(), None);
+    t.check_invariants().unwrap();
+}
+
+#[test]
+fn fork_after_more_writes_than_it_records_loses_nothing() {
+    let mut t = BPlusTree::new_mem(1024).unwrap();
+    let base = t.fork().unwrap();
+    // Far more node writes than the written-page list holds.
+    for k in 0..20_000u64 {
+        t.insert(k, k + 1).unwrap();
+    }
+    let f = t.fork().unwrap();
+    assert_eq!(base.len(), 0);
+    assert_eq!(f.len(), 20_000);
+    assert_eq!(f.entries().unwrap(), t.entries().unwrap());
+    f.check_invariants().unwrap();
+    t.insert(5, 0).unwrap();
+    assert_eq!(t.fork().unwrap().get(5).unwrap(), Some(0));
+    assert_eq!(f.get(5).unwrap(), Some(6));
+}

@@ -4,10 +4,18 @@
 //! page set (the "mirror") plus, per page, a chain of superseded images
 //! that are still reachable from pinned generations. A writer publishes
 //! one new generation per committed batch ([`PageVersions::publish`]);
-//! readers pin the current generation ([`PageVersions::pin`]) and
+//! readers pin the current generation ([`SnapshotStore::pin`]) and
 //! resolve every page read against exactly that generation, no matter
 //! what the writer does afterwards. Old images are garbage-collected as
 //! soon as no pin can reach them.
+//!
+//! Beside the images the set keeps two ascending page-id lists for the
+//! committed generation — the live pages and the live pages whose image
+//! is [`PageImage::Unreadable`] — and brings them up to date inside
+//! `publish`, from the batch alone. A pin takes both by reference count,
+//! so pinning costs the same whatever the database holds, and a publish
+//! builds a new list only when its batch allocated or freed a page (or
+//! changed which pages are unreadable).
 //!
 //! [`SnapshotStore`] wraps a pinned generation as a read-only
 //! [`PageStore`], so the whole read stack (buffer pool, network file,
@@ -58,12 +66,44 @@ struct VersionState {
     versions: HashMap<u32, Vec<OldVersion>>,
     /// Pinned generation -> pin count.
     pins: BTreeMap<u64, usize>,
+    /// The keys of `mirror`, ascending; shared with every pin of the
+    /// committed generation.
+    live: Arc<[u32]>,
+    /// The keys of `mirror` whose image is unreadable, ascending.
+    unreadable: Arc<[u32]>,
+}
+
+/// `list` (ascending page ids) with every page of `touched` (ascending,
+/// distinct) put in or taken out as `member` says, or `None` when that
+/// changes nothing. One merge pass: O(list + touched).
+fn reconciled(list: &[u32], touched: &[u32], member: impl Fn(u32) -> bool) -> Option<Arc<[u32]>> {
+    if touched
+        .iter()
+        .all(|&p| list.binary_search(&p).is_ok() == member(p))
+    {
+        return None;
+    }
+    let mut out = Vec::with_capacity(list.len() + touched.len());
+    let mut kept = list.iter().copied().peekable();
+    for &page in touched {
+        while let Some(p) = kept.next_if(|&p| p < page) {
+            out.push(p);
+        }
+        kept.next_if_eq(&page);
+        if member(page) {
+            out.push(page);
+        }
+    }
+    out.extend(kept);
+    Some(out.into())
 }
 
 /// Multi-version committed page images (see module docs).
 pub struct PageVersions {
     page_size: usize,
     committed_gen: AtomicU64,
+    /// Page images resolved for snapshot readers so far (a statistic).
+    reads: AtomicU64,
     state: Mutex<VersionState>,
 }
 
@@ -88,19 +128,6 @@ pub enum PageChange {
 }
 
 impl PageVersions {
-    /// An empty version set at generation 0 (no live pages).
-    pub fn new(page_size: usize) -> Arc<PageVersions> {
-        Arc::new(PageVersions {
-            page_size,
-            committed_gen: AtomicU64::new(0),
-            state: Mutex::new(VersionState {
-                mirror: HashMap::new(),
-                versions: HashMap::new(),
-                pins: BTreeMap::new(),
-            }),
-        })
-    }
-
     /// Builds a version set whose generation-0 mirror is `images`
     /// (page index -> committed image). Used both to seed a `WalStore`'s
     /// mirror from a tolerant scan and to freeze a one-shot deep copy of
@@ -109,14 +136,29 @@ impl PageVersions {
         page_size: usize,
         images: impl IntoIterator<Item = (u32, PageImage)>,
     ) -> Arc<PageVersions> {
-        let v = PageVersions::new(page_size);
-        {
-            let mut s = v.state.lock();
-            for (page, image) in images {
-                s.mirror.insert(page, Arc::new(image));
-            }
-        }
-        v
+        let mirror: HashMap<u32, Arc<PageImage>> = images
+            .into_iter()
+            .map(|(page, image)| (page, Arc::new(image)))
+            .collect();
+        let mut live: Vec<u32> = mirror.keys().copied().collect();
+        live.sort_unstable();
+        let unreadable: Vec<u32> = live
+            .iter()
+            .copied()
+            .filter(|p| matches!(*mirror[p], PageImage::Unreadable))
+            .collect();
+        Arc::new(PageVersions {
+            page_size,
+            committed_gen: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+            state: Mutex::new(VersionState {
+                mirror,
+                versions: HashMap::new(),
+                pins: BTreeMap::new(),
+                live: live.into(),
+                unreadable: unreadable.into(),
+            }),
+        })
     }
 
     /// Page size of every image.
@@ -129,16 +171,11 @@ impl PageVersions {
         self.committed_gen.load(Ordering::Acquire)
     }
 
-    /// Pins the current committed generation. Reads through the guard
-    /// resolve against exactly this generation until it drops.
-    pub fn pin(self: &Arc<Self>) -> PinGuard {
-        let mut s = self.state.lock();
-        let gen = self.committed_gen.load(Ordering::Acquire);
-        *s.pins.entry(gen).or_insert(0) += 1;
-        PinGuard {
-            versions: Arc::clone(self),
-            gen,
-        }
+    /// Number of page images resolved for snapshot readers over this
+    /// set's lifetime (test/metrics hook: a capture that scans nothing
+    /// leaves it where it was).
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
     }
 
     /// Atomically publishes one committed batch as the next generation:
@@ -148,7 +185,9 @@ impl PageVersions {
     pub fn publish(&self, changes: impl IntoIterator<Item = (u32, PageChange)>) -> u64 {
         let mut s = self.state.lock();
         let gen = self.committed_gen.load(Ordering::Acquire);
+        let mut touched = Vec::new();
         for (page, change) in changes {
+            touched.push(page);
             let old = s.mirror.get(&page).cloned();
             s.versions.entry(page).or_default().push(OldVersion {
                 valid_through: gen,
@@ -166,6 +205,21 @@ impl PageVersions {
                 }
             }
         }
+        touched.sort_unstable();
+        touched.dedup();
+        let mirror = &s.mirror;
+        let live = reconciled(&s.live, &touched, |p| mirror.contains_key(&p));
+        let unreadable = reconciled(&s.unreadable, &touched, |p| {
+            mirror
+                .get(&p)
+                .is_some_and(|i| matches!(**i, PageImage::Unreadable))
+        });
+        if let Some(live) = live {
+            s.live = live;
+        }
+        if let Some(unreadable) = unreadable {
+            s.unreadable = unreadable;
+        }
         let new_gen = gen + 1;
         self.committed_gen.store(new_gen, Ordering::Release);
         Self::collect(&mut s, new_gen);
@@ -175,6 +229,7 @@ impl PageVersions {
     /// Resolves the image of `page` at generation `gen`, or `None` when
     /// the page was not live then.
     fn image_at(&self, gen: u64, page: u32) -> Option<Arc<PageImage>> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
         let s = self.state.lock();
         if let Some(chain) = s.versions.get(&page) {
             // Chains ascend in valid_through; the first entry covering
@@ -186,18 +241,6 @@ impl PageVersions {
             }
         }
         s.mirror.get(&page).cloned()
-    }
-
-    /// The live page ids at generation `gen`, ascending.
-    fn live_at(&self, gen: u64) -> Vec<u32> {
-        let s = self.state.lock();
-        let mut out: Vec<u32> = s.mirror.keys().chain(s.versions.keys()).copied().collect();
-        out.sort_unstable();
-        out.dedup();
-        drop(s);
-        out.into_iter()
-            .filter(|&p| self.image_at(gen, p).is_some())
-            .collect()
     }
 
     fn unpin(&self, gen: u64) {
@@ -238,62 +281,59 @@ impl PageVersions {
     }
 }
 
-/// Pins one generation of a [`PageVersions`]; dropping unpins it and
-/// lets unreachable images be collected.
-pub struct PinGuard {
-    versions: Arc<PageVersions>,
-    gen: u64,
-}
-
-impl PinGuard {
-    /// The pinned generation.
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        self.versions.unpin(self.gen);
-    }
-}
-
 /// A read-only [`PageStore`] over one pinned generation. Every read
 /// resolves in memory against the committed images; mutations and
 /// `sync` fail with [`StorageError::ReadOnlySnapshot`].
 pub struct SnapshotStore {
     versions: Arc<PageVersions>,
-    pin: PinGuard,
-    /// Live pages at the pinned generation, computed once at pin time
-    /// (the set is immutable while the pin is held).
-    live: Vec<u32>,
-    num_pages: u32,
+    /// The pinned generation; unpinned on drop, which lets images no
+    /// other pin can reach be collected.
+    gen: u64,
+    /// Live pages at the pinned generation, ascending (the set is
+    /// immutable while the pin is held).
+    live: Arc<[u32]>,
+    /// The live pages whose image is [`PageImage::Unreadable`].
+    unreadable: Arc<[u32]>,
 }
 
 impl SnapshotStore {
-    /// Pins the current committed generation of `versions`.
+    /// Pins the current committed generation of `versions`: a pin count
+    /// and two reference counts go up, no page is looked at.
     pub fn pin(versions: &Arc<PageVersions>) -> SnapshotStore {
-        let pin = versions.pin();
-        let live = versions.live_at(pin.generation());
-        let num_pages = live.last().map(|p| p + 1).unwrap_or(0);
+        let mut s = versions.state.lock();
+        let gen = versions.committed_gen.load(Ordering::Acquire);
+        *s.pins.entry(gen).or_insert(0) += 1;
         SnapshotStore {
             versions: Arc::clone(versions),
-            pin,
-            live,
-            num_pages,
+            gen,
+            live: Arc::clone(&s.live),
+            unreadable: Arc::clone(&s.unreadable),
         }
     }
 
     /// The generation this store reads.
     pub fn generation(&self) -> u64 {
-        self.pin.generation()
+        self.gen
+    }
+
+    /// The live pages every read of which fails with
+    /// [`StorageError::ChecksumMismatch`], ascending — what a tolerant
+    /// scan of this generation would quarantine.
+    pub fn unreadable_pages(&self) -> Vec<PageId> {
+        self.unreadable.iter().map(|&p| PageId(p)).collect()
+    }
+}
+
+impl Drop for SnapshotStore {
+    fn drop(&mut self) {
+        self.versions.unpin(self.gen);
     }
 }
 
 impl std::fmt::Debug for SnapshotStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotStore")
-            .field("generation", &self.pin.generation())
+            .field("generation", &self.gen)
             .field("live", &self.live.len())
             .finish_non_exhaustive()
     }
@@ -309,7 +349,7 @@ impl PageStore for SnapshotStore {
     }
 
     fn num_pages(&self) -> u32 {
-        self.num_pages
+        self.live.last().map_or(0, |p| p + 1)
     }
 
     fn allocate(&mut self) -> StorageResult<PageId> {
@@ -317,7 +357,7 @@ impl PageStore for SnapshotStore {
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        match self.versions.image_at(self.pin.generation(), id.index()) {
+        match self.versions.image_at(self.gen, id.index()) {
             Some(image) => match &*image {
                 PageImage::Bytes(bytes) => {
                     if buf.len() != bytes.len() {
@@ -455,6 +495,85 @@ mod tests {
             Err(StorageError::ReadOnlySnapshot)
         ));
         assert!(snap.sync().is_ok());
+    }
+
+    /// The answer the incremental lists replace: every page any image is
+    /// known for, filtered by a lookup of its image at `gen`.
+    fn scanned_at(v: &PageVersions, gen: u64, unreadable_only: bool) -> Vec<u32> {
+        let s = v.state.lock();
+        let mut pages: Vec<u32> = s.mirror.keys().chain(s.versions.keys()).copied().collect();
+        drop(s);
+        pages.sort_unstable();
+        pages.dedup();
+        pages.retain(|&p| match v.image_at(gen, p).as_deref() {
+            Some(PageImage::Unreadable) => true,
+            Some(PageImage::Bytes(_)) => !unreadable_only,
+            None => false,
+        });
+        pages
+    }
+
+    #[test]
+    fn pinned_lists_equal_a_scan_of_every_pinned_generation() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let seeded = (0..6u32).filter_map(|p| match rng.random_range(0..10) {
+                0..=2 => None,
+                3..=4 => Some((p, PageImage::Unreadable)),
+                _ => Some((p, PageImage::Bytes(bytes(p as u8, 4)))),
+            });
+            let v = PageVersions::from_images(4, seeded.collect::<Vec<_>>());
+            let mut pins = vec![SnapshotStore::pin(&v)];
+            for step in 0..40u8 {
+                // Batches repeat pages and free dead ones on purpose.
+                let batch: Vec<(u32, PageChange)> = (0..rng.random_range(0..4))
+                    .map(|_| {
+                        let change = match rng.random_range(0..6) {
+                            0 | 1 => PageChange::Freed,
+                            2 => PageChange::Unreadable,
+                            _ => PageChange::Written(bytes(step, 4)),
+                        };
+                        (rng.random_range(0..10u32), change)
+                    })
+                    .collect();
+                v.publish(batch);
+                if rng.random_bool(0.5) {
+                    pins.push(SnapshotStore::pin(&v));
+                }
+                if !pins.is_empty() && rng.random_bool(0.3) {
+                    let at = rng.random_range(0..pins.len());
+                    pins.swap_remove(at);
+                }
+                for pin in &pins {
+                    let gen = pin.generation();
+                    let live: Vec<u32> = pin.live_pages().iter().map(|p| p.0).collect();
+                    assert_eq!(live, scanned_at(&v, gen, false), "seed {seed} gen {gen}");
+                    let bad: Vec<u32> = pin.unreadable_pages().iter().map(|p| p.0).collect();
+                    assert_eq!(bad, scanned_at(&v, gen, true), "seed {seed} gen {gen}");
+                    assert_eq!(pin.num_pages(), live.last().map_or(0, |p| p + 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pin_shares_the_lists_and_reads_no_image() {
+        let images = (0..100u32).map(|p| (p, PageImage::Bytes(bytes(1, 4))));
+        let v = PageVersions::from_images(4, images);
+        let a = SnapshotStore::pin(&v);
+        // A batch that neither allocates nor frees leaves the lists be.
+        v.publish([(7, PageChange::Written(bytes(2, 4)))]);
+        let b = SnapshotStore::pin(&v);
+        assert!(Arc::ptr_eq(&a.live, &b.live));
+        assert!(Arc::ptr_eq(&a.unreadable, &b.unreadable));
+        v.publish([(100, PageChange::Written(bytes(3, 4)))]);
+        let c = SnapshotStore::pin(&v);
+        assert!(!Arc::ptr_eq(&b.live, &c.live));
+        assert!(Arc::ptr_eq(&b.unreadable, &c.unreadable));
+        assert_eq!(v.reads(), 0);
+        assert_eq!(read_page(&c, 100).unwrap(), vec![3; 4]);
+        assert_eq!(v.reads(), 1);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{validate_page_size, PageId};
@@ -261,10 +262,26 @@ impl<P: PageStore + ?Sized> PageStore for Box<P> {
 // In-memory store
 // ---------------------------------------------------------------------------
 
+/// Slots per chunk of a [`MemPageStore`]'s page table.
+const CHUNK: usize = 64;
+
+/// One entry of the page table: the page's image, `None` when freed.
+type Slot = Option<Arc<[u8]>>;
+
 /// RAM-backed [`PageStore`].
+///
+/// [`Clone`] is a copy-on-write fork. The page table is kept in chunks
+/// of [`CHUNK`] slots and both the chunks and the page images sit behind
+/// `Arc`, so a clone copies one reference per *chunk* — no image, and a
+/// sixty-fourth of the table — and shares everything with the original.
+/// Whichever side then writes a page first copies that page's chunk of
+/// references and gives itself a fresh image; the other side keeps the
+/// old one, which is freed when its last holder drops it. A store that
+/// was never cloned overwrites its pages in place.
+#[derive(Clone)]
 pub struct MemPageStore {
     page_size: usize,
-    pages: Vec<Option<Box<[u8]>>>,
+    chunks: Vec<Arc<Vec<Slot>>>,
     free: Vec<u32>,
 }
 
@@ -274,9 +291,51 @@ impl MemPageStore {
         validate_page_size(page_size)?;
         Ok(MemPageStore {
             page_size,
-            pages: Vec::new(),
+            chunks: Vec::new(),
             free: Vec::new(),
         })
+    }
+
+    fn zeroed(&self) -> Slot {
+        Some(Arc::from(vec![0u8; self.page_size]))
+    }
+
+    fn slot(&self, id: PageId) -> Option<&Slot> {
+        let i = id.0 as usize;
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    /// The slot of `id` for writing; un-shares its chunk first.
+    fn slot_mut(&mut self, id: PageId) -> Option<&mut Slot> {
+        let i = id.0 as usize;
+        Arc::make_mut(self.chunks.get_mut(i / CHUNK)?).get_mut(i % CHUNK)
+    }
+
+    /// Every slot of the page table, in page-id order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// Appends a slot to the page table.
+    fn push(&mut self, slot: Slot) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => Arc::make_mut(chunk).push(slot),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(slot);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+    }
+
+    /// Number of live pages whose image this store shares (same
+    /// allocation, not merely equal bytes) with the same page of
+    /// `other` — what a fork has not had to copy. Diagnostics and tests.
+    pub fn pages_shared_with(&self, other: &MemPageStore) -> usize {
+        self.slots()
+            .zip(other.slots())
+            .filter(|pair| matches!(pair, (Some(a), Some(b)) if Arc::ptr_eq(a, b)))
+            .count()
     }
 }
 
@@ -286,25 +345,25 @@ impl PageStore for MemPageStore {
     }
 
     fn num_pages(&self) -> u32 {
-        self.pages.len() as u32
+        let full = self.chunks.len().saturating_sub(1) * CHUNK;
+        (full + self.chunks.last().map_or(0, |c| c.len())) as u32
     }
 
     fn allocate(&mut self) -> StorageResult<PageId> {
+        let zeroed = self.zeroed();
         if let Some(idx) = self.free.pop() {
-            self.pages[idx as usize] = Some(vec![0u8; self.page_size].into_boxed_slice());
+            *self.slot_mut(PageId(idx)).expect("freelist names a slot") = zeroed;
             return Ok(PageId(idx));
         }
-        let idx = self.pages.len() as u32;
-        self.pages
-            .push(Some(vec![0u8; self.page_size].into_boxed_slice()));
+        let idx = self.num_pages();
+        self.push(zeroed);
         Ok(PageId(idx))
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         let page = self
-            .pages
-            .get(id.0 as usize)
+            .slot(id)
             .and_then(|p| p.as_ref())
             .ok_or(StorageError::InvalidPage(id))?;
         buf.copy_from_slice(page);
@@ -314,32 +373,28 @@ impl PageStore for MemPageStore {
     fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         let page = self
-            .pages
-            .get_mut(id.0 as usize)
+            .slot_mut(id)
             .and_then(|p| p.as_mut())
             .ok_or(StorageError::InvalidPage(id))?;
-        page.copy_from_slice(buf);
+        match Arc::get_mut(page) {
+            Some(bytes) => bytes.copy_from_slice(buf),
+            // Shared with a fork: leave it its image, take a fresh one.
+            None => *page = Arc::from(buf),
+        }
         Ok(())
     }
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {
-        let slot = self
-            .pages
-            .get_mut(id.0 as usize)
-            .ok_or(StorageError::InvalidPage(id))?;
-        if slot.is_none() {
-            return Err(StorageError::InvalidPage(id));
+        match self.slot_mut(id) {
+            Some(slot @ Some(_)) => *slot = None,
+            _ => return Err(StorageError::InvalidPage(id)),
         }
-        *slot = None;
         self.free.push(id.0);
         Ok(())
     }
 
     fn is_live(&self, id: PageId) -> bool {
-        self.pages
-            .get(id.0 as usize)
-            .map(|p| p.is_some())
-            .unwrap_or(false)
+        self.slot(id).is_some_and(Option::is_some)
     }
 
     fn sync(&mut self) -> StorageResult<()> {
@@ -347,7 +402,7 @@ impl PageStore for MemPageStore {
     }
 
     fn live_pages(&self) -> Vec<PageId> {
-        (0..self.pages.len() as u32)
+        (0..self.num_pages())
             .map(PageId)
             .filter(|&id| self.is_live(id))
             .collect()
@@ -357,15 +412,15 @@ impl PageStore for MemPageStore {
         if self.is_live(id) {
             return Ok(());
         }
-        while self.pages.len() <= id.0 as usize {
-            let n = self.pages.len() as u32;
+        while self.num_pages() <= id.0 {
+            let n = self.num_pages();
             if n != id.0 {
                 self.free.push(n);
             }
-            self.pages.push(None);
+            self.push(None);
         }
         self.free.retain(|&f| f != id.0);
-        self.pages[id.0 as usize] = Some(vec![0u8; self.page_size].into_boxed_slice());
+        *self.slot_mut(id).expect("table reaches id") = self.zeroed();
         Ok(())
     }
 }
@@ -735,6 +790,41 @@ mod tests {
     fn mem_store_basic_lifecycle() {
         let mut s = MemPageStore::new(256).unwrap();
         exercise(&mut s);
+    }
+
+    #[test]
+    fn mem_store_clone_forks_copy_on_write() {
+        let mut a = MemPageStore::new(64).unwrap();
+        let (p, q) = (a.allocate().unwrap(), a.allocate().unwrap());
+        a.write(p, &[1u8; 64]).unwrap();
+        a.write(q, &[2u8; 64]).unwrap();
+        let b = a.clone();
+        assert_eq!(a.pages_shared_with(&b), 2);
+
+        // The first write after the fork copies that page and no other;
+        // the fork keeps the image it was given.
+        a.write(p, &[3u8; 64]).unwrap();
+        assert_eq!(a.pages_shared_with(&b), 1);
+        let mut buf = [0u8; 64];
+        b.read(p, &mut buf).unwrap();
+        assert_eq!(buf, [1u8; 64]);
+        a.read(p, &mut buf).unwrap();
+        assert_eq!(buf, [3u8; 64]);
+
+        // Frees and allocations on one side never reach the other.
+        a.free(q).unwrap();
+        assert!(b.is_live(q));
+        assert_eq!(a.allocate().unwrap(), q);
+        b.read(q, &mut buf).unwrap();
+        assert_eq!(buf, [2u8; 64]);
+        assert_eq!(a.pages_shared_with(&b), 0);
+
+        // Once the fork is gone the page is overwritten in place again.
+        drop(b);
+        let image = |s: &MemPageStore| s.slot(p).unwrap().as_ref().map(Arc::as_ptr);
+        let before = image(&a);
+        a.write(p, &[4u8; 64]).unwrap();
+        assert_eq!(image(&a), before);
     }
 
     #[test]
