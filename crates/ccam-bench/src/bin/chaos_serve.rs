@@ -11,9 +11,9 @@
 //! and accounted for:
 //!
 //! * **Storage chaos** — the database is built on `RetryStore` (jittered
-//!   backoff) over `ChaosStore` (seeded transient I/O glitches, latency
+//!   backoff) over `FaultStore` (seeded transient I/O glitches, latency
 //!   stalls, per-page corruption, ENOSPC pulses) over `MemPageStore`.
-//!   The store is armed only after a clean build. Mid-run, one data
+//!   The faults are armed only after a clean build. Mid-run, one data
 //!   page is corrupted and the damage *republished* through the writer
 //!   path — served reads come from pinned snapshots, so store faults
 //!   only reach clients via a commit — forcing degraded reads until a
@@ -52,7 +52,7 @@ use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, Client};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{Server, ServerConfig};
-use ccam_storage::{ChaosConfig, ChaosStore, MemPageStore, PageStore, RetryPolicy, RetryStore};
+use ccam_storage::{FaultStore, MemPageStore, PageStore, RetryPolicy, RetryStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -335,12 +335,9 @@ fn main() {
     // Production-shaped stack: retries (jittered, really sleeping)
     // absorb short glitch bursts; only over-budget faults reach the
     // access method — where the server degrades or answers Internal.
-    let (chaos, controller) = ChaosStore::new(
+    let (chaos, controller) = FaultStore::with_seed(
         MemPageStore::new(1024).unwrap_or_else(|e| die(&format!("store: {e}"))),
-        ChaosConfig {
-            seed: cfg.seed,
-            ..ChaosConfig::default()
-        },
+        cfg.seed,
     );
     let retry = RetryStore::with_sleeper(
         chaos,
@@ -388,7 +385,9 @@ fn main() {
     );
 
     // Open the chaos valve only now: the build above ran clean.
-    controller.arm();
+    // Moderate chaos: ~1% glitches in bursts of 2, ~1% stalls of 2 ms.
+    controller.set_fault_rate(12, 2);
+    controller.set_latency(8, 2_000);
 
     let wall = Instant::now();
     let run_deadline = wall + Duration::from_secs(cfg.seconds);
@@ -435,16 +434,16 @@ fn main() {
             // unreadable in the new generation; no eviction race with
             // the workers is possible because they never touch the
             // store, only the snapshot.
-            controller.corruption.mark_corrupt(target_page);
+            controller.mark_corrupt(target_page);
             if !republish(db) {
                 eprintln!("chaos_serve: could not republish corrupted view");
             }
             std::thread::sleep(phase);
             // Phase 2 — ENOSPC pulse: the snapshot read path owes
             // nothing to writability.
-            controller.disk.fill_after(0, false);
+            controller.fill_after(0, false);
             std::thread::sleep(phase);
-            controller.disk.drain();
+            controller.drain();
             // Phase 3 — writer panic mid-transaction: the cell is
             // poisoned, the whole window answers typed Internal
             // errors (charged as injected), and recover() reopens
@@ -466,7 +465,7 @@ fn main() {
             }
             assert_eq!(db.epoch(), epoch_before, "benign abort bumped the epoch");
             // Heal: clear the corruption and republish a clean view.
-            controller.corruption.clear_corrupt(target_page);
+            controller.clear_corrupt(target_page);
             if let Ok(w) = db.write() {
                 w.file().clear_quarantined();
                 w.file().pool().clear().ok();
@@ -486,7 +485,8 @@ fn main() {
     });
     let elapsed = wall.elapsed().as_secs_f64();
 
-    controller.disarm();
+    controller.set_fault_rate(0, 1);
+    controller.set_latency(0, 0);
     let injected = controller.injected_faults();
     let metrics = Arc::clone(handle.metrics());
     let graceful_drain = handle.shutdown().is_ok();

@@ -47,7 +47,7 @@ use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, MultiClient};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{ReplRole, Server, ServerConfig, ServerHandle};
-use ccam_storage::{FilePageStore, PageStore, WalStore};
+use ccam_storage::{FilePageStore, PageStore, WalControl, WalStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -382,9 +382,7 @@ fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
 fn primary_next_lsn(primary: &ServerHandle<Db>) -> u64 {
     primary
         .db()
-        .with_writer(|am| am.file().pool().with_store(|s| s.wal_info()))
-        .ok()
-        .flatten()
+        .with_writer(|am| am.file().pool().with_store(|s| s.info()))
         .map_or(0, |i| i.next_lsn)
 }
 
@@ -713,10 +711,10 @@ fn main() {
                 .db()
                 .write()
                 .ok()
-                .and_then(|w| {
+                .map(|w| {
                     w.file().pool().with_store_mut(|st| {
                         let _ = st.checkpoint();
-                        st.wal_info()
+                        st.info()
                     })
                 })
                 .is_some_and(|i| i.tail_start_lsn > 2);

@@ -678,11 +678,8 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
     /// the committed pages instead — still correct, just O(data)).
     pub fn enable_snapshots(&mut self) -> StorageResult<bool> {
         self.file.commit()?;
-        Ok(self
-            .file
-            .pool()
-            .with_store_mut(|s| s.enable_snapshots())?
-            .is_some())
+        let enabled = self.file.pool().with_wal(|log| log.enable_snapshots());
+        Ok(enabled.transpose()?.is_some())
     }
 }
 
@@ -703,7 +700,12 @@ impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
         // stores it writes dirty frames back so the copy below sees the
         // committed bytes.
         self.file.commit()?;
-        let store = match self.file.pool().with_store(|s| s.page_versions()) {
+        let store = match self
+            .file
+            .pool()
+            .with_wal(|log| log.page_versions())
+            .flatten()
+        {
             Some(versions) => ccam_storage::SnapshotStore::pin(&versions),
             None => {
                 // No native versioning: freeze a one-shot deep copy of

@@ -375,11 +375,11 @@ impl<S: PageStore> NetworkFile<S> {
     /// `sync()` instead, which lands the same all-or-nothing guarantee:
     /// the file holds either none or all of the operation's writes.
     pub fn abort(&mut self) -> StorageResult<bool> {
-        if !self.pool.with_store(|s| s.supports_rollback()) {
+        let Some(rolled_back) = self.pool.with_wal(|log| log.rollback().is_ok()) else {
             return Ok(false);
-        }
+        };
         self.pool.discard_frames();
-        if self.pool.with_store_mut(|s| s.rollback()).is_err() {
+        if !rolled_back {
             // Past the commit point: finish applying the logged batch.
             self.pool.with_store_mut(|s| s.sync())?;
         }

@@ -382,7 +382,7 @@ mod view_is_a_full_rebuild {
     use ccam_graph::generators::grid_network;
     use ccam_graph::{Network, NodeData, NodeId};
     use ccam_storage::{
-        MemPageStore, PageStore, PageVersions, ReplFeed, SnapshotStore, StampedRecord, WalStore,
+        MemPageStore, PageVersions, ReplFeed, SnapshotStore, StampedRecord, WalControl, WalStore,
     };
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};

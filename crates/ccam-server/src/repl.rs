@@ -493,7 +493,7 @@ fn run_streamer<S: PageStore + 'static>(
     // truncate past what it still needs (up to the hard cap).
     let retention = shared
         .db
-        .with_writer(|am| am.file().pool().with_store(|s| s.wal_retention()))
+        .with_writer(|am| am.file().pool().with_wal(|log| log.wal_retention()))
         .map_err(storage_io)?;
     let slot = retention.as_ref().map(|r| r.subscribe(last_applied));
     if let Some(r) = &retention {
@@ -515,7 +515,7 @@ fn run_streamer<S: PageStore + 'static>(
         // Cheap peek first: only walk the log when LSNs advanced.
         let info = match shared
             .db
-            .with_writer(|am| am.file().pool().with_store(|s| s.wal_info()))
+            .with_writer(|am| am.file().pool().with_wal(|log| log.info()))
         {
             Ok(i) => i,
             Err(_) => {
@@ -530,12 +530,9 @@ fn run_streamer<S: PageStore + 'static>(
         if info.next_lsn > sent_through + 1 || sent_through + 1 < info.tail_start_lsn {
             let feed = shared
                 .db
-                .with_writer(|am| {
-                    am.file()
-                        .pool()
-                        .with_store_mut(|s| s.repl_feed(sent_through))
-                })
+                .with_writer(|am| am.file().pool().with_wal(|log| log.repl_feed(sent_through)))
                 .map_err(storage_io)?
+                .ok_or_else(|| bad("store has no WAL; cannot replicate"))?
                 .map_err(storage_io)?;
             match feed {
                 ReplFeed::Records { records, next_lsn } => {
@@ -561,9 +558,6 @@ fn run_streamer<S: PageStore + 'static>(
                     sent_through = img.applied_lsn;
                     m.inc_by("serve.repl.image_handoffs_sent", 1);
                     last_send = Instant::now();
-                }
-                ReplFeed::Unsupported => {
-                    break Err(bad("store does not support replication"));
                 }
             }
         } else if last_send.elapsed() >= HEARTBEAT_INTERVAL {
@@ -625,13 +619,13 @@ fn wait_for_image<S: PageStore + 'static>(shared: &Arc<Shared<S>>) -> io::Result
         }
         let state = shared
             .db
-            .with_writer(|am| am.file().pool().with_store_mut(|s| s.repl_image()))
+            .with_writer(|am| am.file().pool().with_wal(|log| log.repl_image()))
             .map_err(storage_io)?
+            .ok_or_else(|| bad("store has no WAL; cannot hand off an image"))?
             .map_err(storage_io)?;
         match state {
             ReplImageState::Ready(img) => return Ok(img),
             ReplImageState::Busy => std::thread::sleep(Duration::from_millis(5)),
-            ReplImageState::Unsupported => return Err(bad("store does not support image handoff")),
         }
     }
 }

@@ -15,7 +15,7 @@ use ccam_graph::Network;
 use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status};
 use ccam_server::{Server, ServerConfig, ServerHandle};
-use ccam_storage::{CorruptStore, MemPageStore, PageId};
+use ccam_storage::{FaultStore, MemPageStore, PageId};
 
 fn test_net() -> Network {
     road_map(&RoadMapConfig {
@@ -289,7 +289,7 @@ fn poisoned_cell_fails_batches_until_recovered() {
 #[test]
 fn corrupted_pages_degrade_reads_and_heal() {
     let net = test_net();
-    let (store, corruption) = CorruptStore::new(MemPageStore::new(1024).unwrap(), 77);
+    let (store, corruption) = FaultStore::with_seed(MemPageStore::new(1024).unwrap(), 77);
     let am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
     let target = net.node_ids()[10];
     let page = am

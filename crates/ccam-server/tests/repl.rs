@@ -14,7 +14,7 @@ use ccam_graph::Network;
 use ccam_server::client::{Backoff, Client, MultiClient};
 use ccam_server::protocol::{OpCode, Request, Response, Status};
 use ccam_server::{ReplRole, Server, ServerConfig, ServerHandle};
-use ccam_storage::{MemPageStore, PageStore, WalStore};
+use ccam_storage::{MemPageStore, PageStore, WalControl, WalStore};
 
 type WalMem = WalStore<MemPageStore>;
 
@@ -119,9 +119,8 @@ fn start_follower(tag: &str, primary_repl: &str) -> ServerHandle<WalMem> {
 fn primary_next_lsn(handle: &ServerHandle<WalMem>) -> u64 {
     handle
         .db()
-        .with_writer(|am| am.file().pool().with_store(|s| s.wal_info()))
+        .with_writer(|am| am.file().pool().with_store(|s| s.info()))
         .unwrap()
-        .expect("primary has a WAL")
         .next_lsn
 }
 

@@ -73,7 +73,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::metrics::PageAccessKind;
 use crate::page::PageId;
 use crate::stats::IoStats;
-use crate::store::PageStore;
+use crate::store::{PageStore, WalControl};
 
 /// Slab slot of the LRU list's sentinel: `entries[0].next` is the MRU
 /// end, `entries[0].prev` the LRU end, and an empty list links it to
@@ -599,11 +599,18 @@ impl<S: PageStore> BufferPool<S> {
         f(&self.state.lock().store)
     }
 
-    /// Mutable access to the underlying store — how abort and checkpoint
-    /// paths drive a transactional store ([`PageStore::rollback`],
-    /// [`PageStore::checkpoint`]). Same rule as [`Self::with_store`].
+    /// Mutable access to the underlying store. Same rule as
+    /// [`Self::with_store`].
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.state.lock().store)
+    }
+
+    /// Runs `f` on the write-ahead log of the store stack
+    /// ([`PageStore::wal`]) — how abort, checkpoint, snapshot and
+    /// replication paths drive it — or returns `None` when the stack
+    /// has no log. Same rule as [`Self::with_store`].
+    pub fn with_wal<R>(&self, f: impl FnOnce(&mut dyn WalControl) -> R) -> Option<R> {
+        self.state.lock().store.wal().map(f)
     }
 
     /// Drops every frame *without* writing dirty contents back — the
@@ -701,7 +708,7 @@ impl<S: PageStore> Drop for BufferPool<S> {
 mod tests {
     use super::*;
     use crate::store::MemPageStore;
-    use crate::testing::{CorruptStore, CountingStore, FlakyStore};
+    use crate::testing::FaultStore;
 
     fn pool(cap: usize) -> BufferPool<MemPageStore> {
         BufferPool::new(MemPageStore::new(128).unwrap(), cap)
@@ -819,7 +826,7 @@ mod tests {
     fn drop_flushes_dirty_frames() {
         // A shared store observed after the pool drops: dirty frames must
         // have been written back by Drop.
-        let (store, counters) = CountingStore::new(MemPageStore::new(128).unwrap());
+        let (store, counters) = FaultStore::new(MemPageStore::new(128).unwrap());
         let p = BufferPool::new(store, 2);
         let [a] = pages(&p);
         fill(&p, a, 3);
@@ -830,7 +837,7 @@ mod tests {
 
     #[test]
     fn failed_fill_is_never_left_cached_as_valid() {
-        let (store, switch) = FlakyStore::new(MemPageStore::new(128).unwrap());
+        let (store, switch) = FaultStore::new(MemPageStore::new(128).unwrap());
         let p = BufferPool::new(store, 4);
         let [a] = pages(&p);
         fill(&p, a, 0x42);
@@ -850,7 +857,7 @@ mod tests {
 
     #[test]
     fn failed_store_free_keeps_the_buffered_copy() {
-        let (store, switch) = FlakyStore::new(MemPageStore::new(128).unwrap());
+        let (store, switch) = FaultStore::new(MemPageStore::new(128).unwrap());
         let p = BufferPool::new(store, 4);
         let [a] = pages(&p);
         fill(&p, a, 6);
@@ -871,7 +878,7 @@ mod tests {
     /// come first.
     #[test]
     fn failed_fill_leaves_prior_residents_buffered() {
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
+        let (store, ctl) = FaultStore::with_seed(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 2);
         let [a, b, c] = pages(&p);
         // Fill the pool: a and b resident, a dirty.
@@ -901,7 +908,7 @@ mod tests {
     /// error.
     #[test]
     fn failed_shrink_restores_capacity() {
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
+        let (store, ctl) = FaultStore::with_seed(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 3);
         let ids: [PageId; 3] = pages(&p);
         for &id in &ids {

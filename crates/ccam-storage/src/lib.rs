@@ -8,8 +8,10 @@
 //! * [`slotted`] — slotted pages holding variable-length records (node
 //!   records "do not have fixed formats, since the size of the
 //!   successor-list and predecessor-list varies across nodes", paper §2.1),
-//! * [`store`] — the [`PageStore`] abstraction with an in-memory and a
-//!   file-backed implementation,
+//! * [`store`] — the [`PageStore`] abstraction (ten page-I/O methods and
+//!   one accessor, [`PageStore::wal`], through which a stack's log
+//!   answers as a [`WalControl`]) with an in-memory and a file-backed
+//!   implementation,
 //! * [`buffer`] — an LRU buffer manager that counts data-page accesses,
 //! * [`stats`] — shared I/O counters used by every experiment (the paper
 //!   reports "the number of data pages accessed", §4), plus opt-in
@@ -25,7 +27,12 @@
 //!   attempts and deterministic exponential backoff,
 //! * [`integrity`] — [`scrub`](integrity::scrub) verifies every page's
 //!   CRC32 (v2 page files), repairs damage from committed WAL images and
-//!   reports what must be quarantined.
+//!   reports what must be quarantined,
+//! * [`testing`] — [`FaultStore`], the one fault injector every harness
+//!   stacks (operation counts, stalls, an error switch, page rot, seeded
+//!   glitches, `ENOSPC`, power cuts with torn writes — one
+//!   [`FaultController`], one documented evaluation order), and the
+//!   [`SweepRng`] workload generator.
 //!
 //! The access methods in `ccam-core` never touch a [`PageStore`] directly;
 //! all page traffic flows through a [`BufferPool`] so that the experiments
@@ -57,10 +64,6 @@ pub use retry::{RetryPolicy, RetryStore};
 pub use slotted::{SlotId, SlottedPage, SlottedView};
 pub use snapshot::{PageImage, PageVersions, SnapshotStore};
 pub use stats::{IoSnapshot, IoStats, OpSpan};
-pub use store::{FilePageStore, MemPageStore, PageStore, WalInfo};
-pub use testing::{
-    ChaosConfig, ChaosController, ChaosStore, CorruptStore, CorruptionController, CountingStore,
-    CrashController, CrashStore, DiskFullController, FlakyStore, FullDiskStore, SweepRng,
-    TornWrite,
-};
+pub use store::{FilePageStore, MemPageStore, PageStore, WalControl, WalInfo};
+pub use testing::{FaultController, FaultStore, SweepRng, TornWrite};
 pub use wal::{wal_sidecar, LogRecord, StampedRecord, Wal};

@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::stats::IoStats;
-use crate::store::PageStore;
+use crate::store::{PageStore, WalControl};
 
 /// Retry budget and backoff schedule for a [`RetryStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,27 +179,33 @@ impl<S: PageStore> RetryStore<S> {
         self.inner
     }
 
+    /// After failed attempt number `attempt`: gives `err` back when it is
+    /// final (budget spent, or not transient), otherwise backs off and
+    /// counts the retry.
+    fn back_off(&self, err: StorageError, attempt: &mut u32) -> StorageResult<()> {
+        if matches!(err, StorageError::ChecksumMismatch { .. }) {
+            self.stats.record_checksum_failure();
+        }
+        if *attempt >= self.policy.max_attempts || !RetryPolicy::is_transient(&err) {
+            return Err(err);
+        }
+        crate::trace_event!(
+            "retry",
+            "transient fault ({err}), attempt {attempt}/{}",
+            self.policy.max_attempts
+        );
+        (self.sleeper)(self.delay(*attempt));
+        self.stats.record_retry();
+        *attempt += 1;
+        Ok(())
+    }
+
     fn run<T>(&self, mut op: impl FnMut(&S) -> StorageResult<T>) -> StorageResult<T> {
         let mut attempt = 1;
         loop {
             match op(&self.inner) {
                 Ok(v) => return Ok(v),
-                Err(err) => {
-                    if matches!(err, StorageError::ChecksumMismatch { .. }) {
-                        self.stats.record_checksum_failure();
-                    }
-                    if attempt >= self.policy.max_attempts || !RetryPolicy::is_transient(&err) {
-                        return Err(err);
-                    }
-                    crate::trace_event!(
-                        "retry",
-                        "transient fault ({err}), attempt {attempt}/{}",
-                        self.policy.max_attempts
-                    );
-                    (self.sleeper)(self.delay(attempt));
-                    self.stats.record_retry();
-                    attempt += 1;
-                }
+                Err(err) => self.back_off(err, &mut attempt)?,
             }
         }
     }
@@ -209,22 +215,7 @@ impl<S: PageStore> RetryStore<S> {
         loop {
             match op(&mut self.inner) {
                 Ok(v) => return Ok(v),
-                Err(err) => {
-                    if matches!(err, StorageError::ChecksumMismatch { .. }) {
-                        self.stats.record_checksum_failure();
-                    }
-                    if attempt >= self.policy.max_attempts || !RetryPolicy::is_transient(&err) {
-                        return Err(err);
-                    }
-                    crate::trace_event!(
-                        "retry",
-                        "transient fault ({err}), attempt {attempt}/{}",
-                        self.policy.max_attempts
-                    );
-                    (self.sleeper)(self.delay(attempt));
-                    self.stats.record_retry();
-                    attempt += 1;
-                }
+                Err(err) => self.back_off(err, &mut attempt)?,
             }
         }
     }
@@ -271,39 +262,12 @@ impl<S: PageStore> PageStore for RetryStore<S> {
         self.run_mut(|s| s.ensure_allocated(id))
     }
 
-    // Transactional hooks pass straight through (rollback/checkpoint are
+    // The log's controls pass straight through (rollback/checkpoint are
     // not retried: a failed rollback means the inner store is poisoned,
     // not glitched). NoSpace is likewise never transient — `is_transient`
     // only matches Io and ChecksumMismatch.
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
+    fn wal(&mut self) -> Option<&mut dyn WalControl> {
+        self.inner.wal()
     }
 }
 
@@ -311,7 +275,7 @@ impl<S: PageStore> PageStore for RetryStore<S> {
 mod tests {
     use super::*;
     use crate::store::MemPageStore;
-    use crate::testing::FlakyStore;
+    use crate::testing::FaultStore;
     use parking_lot::Mutex;
 
     #[test]
@@ -331,10 +295,10 @@ mod tests {
 
     #[test]
     fn transient_faults_are_absorbed_and_counted() {
-        // FlakyStore keeps failing while armed, so disarm from the
+        // The error switch keeps failing while armed, so disarm from the
         // sleeper after the second failure — models a two-op glitch
         // absorbed within a four-attempt budget.
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let sw = std::sync::Arc::clone(&switch);
         let fails = std::sync::atomic::AtomicU64::new(0);
         let mut s = RetryStore::with_sleeper(
@@ -362,7 +326,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_surfaces_the_error() {
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let mut s = RetryStore::new(flaky, RetryPolicy::default());
         let p = s.allocate().unwrap();
         switch.arm_after(0); // fail forever
@@ -388,7 +352,7 @@ mod tests {
     fn recorded_delays(policy: RetryPolicy) -> Vec<u64> {
         let delays: std::sync::Arc<Mutex<Vec<u64>>> = std::sync::Arc::new(Mutex::new(Vec::new()));
         let d = std::sync::Arc::clone(&delays);
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let mut s = RetryStore::with_sleeper(flaky, policy, move |t| d.lock().push(t));
         let p = s.allocate().unwrap();
         switch.arm_after(0);
@@ -440,7 +404,7 @@ mod tests {
     fn sleeper_sees_the_exact_backoff_sequence() {
         let delays: std::sync::Arc<Mutex<Vec<u64>>> = std::sync::Arc::new(Mutex::new(Vec::new()));
         let d = std::sync::Arc::clone(&delays);
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let mut s = RetryStore::with_sleeper(
             flaky,
             RetryPolicy {

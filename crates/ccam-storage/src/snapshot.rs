@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
-use crate::store::PageStore;
+use crate::store::{PageStore, WalControl};
 
 /// One committed image of a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -403,6 +403,10 @@ impl PageStore for SnapshotStore {
 
     fn ensure_allocated(&mut self, _id: PageId) -> StorageResult<()> {
         Err(read_only())
+    }
+
+    fn wal(&mut self) -> Option<&mut dyn WalControl> {
+        None
     }
 }
 

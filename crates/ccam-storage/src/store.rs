@@ -15,12 +15,12 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::durable::{ReplFeed, ReplImageState, WalRetention};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{validate_page_size, PageId};
+use crate::snapshot::PageVersions;
 
-/// Write-ahead-log counters reported by stores that layer a WAL (see
-/// `WalStore`); plain stores report `None` from
-/// [`PageStore::wal_info`].
+/// Write-ahead-log counters, reported by [`WalControl::info`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalInfo {
     /// Live log bytes right now (header + surviving records).
@@ -45,6 +45,11 @@ pub struct WalInfo {
 ///
 /// Pages are addressed by dense [`PageId`]s. `free` recycles ids through a
 /// freelist; the store never shrinks.
+///
+/// The trait is ten page-I/O methods plus one accessor, [`PageStore::wal`],
+/// and none of them has a default body: a wrapper forwards `wal` or it
+/// does not compile, so stacking a store over a write-ahead log can
+/// never silently switch off rollback, snapshots or replication.
 ///
 /// `Send` is a supertrait so that an access method generic over any
 /// `PageStore` (including `Box<dyn PageStore>`) can be handed to worker
@@ -91,84 +96,60 @@ pub trait PageStore: Send {
     /// created free.
     fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()>;
 
-    // -- transactional hooks (defaulted no-ops for plain stores) ---------
-    //
-    // These let callers holding a `Box<dyn PageStore>` (the CLI) and the
-    // buffer pool drive commit/abort and checkpointing without knowing
-    // whether a WAL sits underneath.
+    /// The write-ahead log under this store, when there is one: the
+    /// `WalStore` in the stack answers with itself, plain stores
+    /// ([`MemPageStore`], [`FilePageStore`], `SnapshotStore`) answer
+    /// `None`, and every wrapper forwards to the store it wraps. This is
+    /// how callers holding a `Box<dyn PageStore>` (the CLI) or a pool
+    /// over any stack drive commit/abort, checkpointing, snapshots and
+    /// replication without knowing what sits underneath.
+    ///
+    /// `&mut` only: every caller reaches the log through
+    /// `BufferPool::with_wal`, which takes the same lock a read-only
+    /// accessor would.
+    fn wal(&mut self) -> Option<&mut dyn WalControl>;
+}
 
-    /// True when this store buffers mutations until `sync` and can
-    /// discard an uncommitted batch via [`PageStore::rollback`]. Plain
-    /// stores apply writes in place and return false.
-    fn supports_rollback(&self) -> bool {
-        false
-    }
-
+/// What a write-ahead log adds to a page store, reached through
+/// [`PageStore::wal`]. Implemented once, by `WalStore`.
+pub trait WalControl {
     /// Discards every mutation since the last `sync` (the uncommitted
-    /// batch). A no-op for stores without transactional buffering.
-    fn rollback(&mut self) -> StorageResult<()> {
-        Ok(())
-    }
+    /// batch); fails when that batch already reached the log.
+    fn rollback(&mut self) -> StorageResult<()>;
 
-    /// Forces a WAL checkpoint: once every committed batch is durable in
-    /// the data file, the log is truncated. A no-op without a WAL.
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        Ok(())
-    }
+    /// Forces a checkpoint: once every committed batch is durable in
+    /// the data file, the log is truncated.
+    fn checkpoint(&mut self) -> StorageResult<()>;
 
-    /// Caps the live WAL at roughly `limit` bytes: the store checkpoints
+    /// Caps the live log at roughly `limit` bytes: the store checkpoints
     /// automatically once the log grows past it (`None` restores
-    /// checkpoint-on-every-commit). A no-op without a WAL.
-    fn set_max_wal_bytes(&mut self, _limit: Option<u64>) {}
+    /// checkpoint-on-every-commit).
+    fn set_max_wal_bytes(&mut self, limit: Option<u64>);
 
-    /// WAL counters, when a WAL is present.
-    fn wal_info(&self) -> Option<WalInfo> {
-        None
-    }
+    /// The log's counters.
+    fn info(&self) -> WalInfo;
 
-    /// The store's multi-version committed page images, when it keeps
-    /// them (see `WalStore::enable_snapshots`). Readers pin a generation
-    /// of this to get stall-free snapshot reads; stores without native
-    /// versioning return `None` and snapshots fall back to a one-shot
-    /// deep copy.
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        None
-    }
+    /// The multi-version committed page images, once
+    /// [`WalControl::enable_snapshots`] has turned them on. Readers pin
+    /// a generation of this to get stall-free snapshot reads; without it
+    /// (or without a log) snapshots fall back to a one-shot deep copy.
+    fn page_versions(&self) -> Option<Arc<PageVersions>>;
 
-    /// Asks the store to start keeping multi-version committed images
-    /// (see `WalStore::enable_snapshots`). Returns `None` when the store
-    /// has no native versioning — callers then fall back to deep-copy
-    /// snapshots. Must be called at a commit boundary.
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        Ok(None)
-    }
+    /// Starts keeping multi-version committed images (idempotent). Must
+    /// be called at a commit boundary.
+    fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>>;
 
-    // -- replication hooks (defaulted no-ops for plain stores) -----------
-    //
-    // Log-shipping replication streams the WAL tail to followers; these
-    // let the serving layer drive it through `Box<dyn PageStore>`.
-
-    /// The registry of log-tail subscribers gating checkpoint truncation
-    /// (see `WalRetention`). `None` without a WAL.
-    fn wal_retention(&self) -> Option<std::sync::Arc<crate::WalRetention>> {
-        None
-    }
+    /// The registry of log-tail subscribers gating checkpoint
+    /// truncation (see [`WalRetention`]).
+    fn wal_retention(&self) -> Arc<WalRetention>;
 
     /// Committed log records stamped past `after`, for shipping to a
-    /// replication subscriber. [`crate::ReplFeed::Unsupported`] without
-    /// a WAL.
-    fn repl_feed(&mut self, _after: u64) -> StorageResult<crate::ReplFeed> {
-        Ok(crate::ReplFeed::Unsupported)
-    }
+    /// replication subscriber.
+    fn repl_feed(&mut self, after: u64) -> StorageResult<ReplFeed>;
 
     /// Full committed-state snapshot for re-seeding a subscriber that
     /// fell behind the retained log tail.
-    /// [`crate::ReplImageState::Unsupported`] without a WAL.
-    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
-        Ok(crate::ReplImageState::Unsupported)
-    }
+    fn repl_image(&mut self) -> StorageResult<ReplImageState>;
 }
 
 /// Boxed stores delegate, so `Box<dyn PageStore>` is itself a
@@ -215,46 +196,8 @@ impl<P: PageStore + ?Sized> PageStore for Box<P> {
         (**self).ensure_allocated(id)
     }
 
-    fn supports_rollback(&self) -> bool {
-        (**self).supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        (**self).rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        (**self).checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        (**self).set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<WalInfo> {
-        (**self).wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        (**self).page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        (**self).enable_snapshots()
-    }
-
-    fn wal_retention(&self) -> Option<std::sync::Arc<crate::WalRetention>> {
-        (**self).wal_retention()
-    }
-
-    fn repl_feed(&mut self, after: u64) -> StorageResult<crate::ReplFeed> {
-        (**self).repl_feed(after)
-    }
-
-    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
-        (**self).repl_image()
+    fn wal(&mut self) -> Option<&mut dyn WalControl> {
+        (**self).wal()
     }
 }
 
@@ -422,6 +365,10 @@ impl PageStore for MemPageStore {
         self.free.retain(|&f| f != id.0);
         *self.slot_mut(id).expect("table reaches id") = self.zeroed();
         Ok(())
+    }
+
+    fn wal(&mut self) -> Option<&mut dyn WalControl> {
+        None
     }
 }
 
@@ -743,11 +690,19 @@ impl PageStore for FilePageStore {
         self.write_meta()?;
         Ok(())
     }
+
+    fn wal(&mut self) -> Option<&mut dyn WalControl> {
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::WalStore;
+    use crate::retry::{RetryPolicy, RetryStore};
+    use crate::testing::FaultStore;
+    use crate::wal::LogRecord;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -1040,6 +995,103 @@ mod tests {
         ));
         drop(s);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Through `wrap(log)`, every capability of the log is the inner
+    /// store's own: nothing a wrapper sits on is switched off by it.
+    fn log_is_reachable_through<W: PageStore>(
+        tag: &str,
+        wrap: impl FnOnce(WalStore<MemPageStore>) -> W,
+    ) {
+        fn log<W: PageStore>(s: &mut W) -> &mut dyn WalControl {
+            s.wal().expect("the log is reachable through the wrapper")
+        }
+        let path = temp_path(tag);
+        let mut inner = WalStore::create(MemPageStore::new(64).unwrap(), &path).unwrap();
+        let versions = inner.enable_snapshots().unwrap();
+        let retention = inner.wal_retention();
+        let mut s = wrap(inner);
+
+        // A subscriber's slot holds the tail although, with no byte cap,
+        // every commit checkpoints.
+        let registry = log(&mut s).wal_retention();
+        assert!(Arc::ptr_eq(&registry, &retention));
+        let slot = registry.subscribe(0);
+        let a = s.allocate().unwrap();
+        s.write(a, &[1u8; 64]).unwrap();
+        s.sync().unwrap();
+        let held = log(&mut s).info();
+        assert_eq!(held.tail_start_lsn, 1, "{tag}: subscribed tail truncated");
+
+        // The committed records and the committed image are shippable.
+        let ReplFeed::Records { records, next_lsn } = log(&mut s).repl_feed(0).unwrap() else {
+            panic!("{tag}: tail should be retained");
+        };
+        assert_eq!(next_lsn, held.next_lsn);
+        assert!(records.iter().any(|r| matches!(
+            &r.record,
+            LogRecord::PageImage { page, data } if *page == a && data[..] == [1u8; 64]
+        )));
+        let ReplImageState::Ready(image) = log(&mut s).repl_image().unwrap() else {
+            panic!("{tag}: commit boundary should produce an image");
+        };
+        assert_eq!(image.pages, vec![(a, vec![1u8; 64])]);
+
+        // With the slot released a checkpoint truncates.
+        drop(slot);
+        log(&mut s).checkpoint().unwrap();
+        let truncated = log(&mut s).info();
+        assert!(truncated.live_bytes < held.live_bytes);
+        assert_eq!(truncated.checkpoints, held.checkpoints + 1);
+
+        // Rollback discards an uncommitted write.
+        s.write(a, &[2u8; 64]).unwrap();
+        log(&mut s).rollback().unwrap();
+        let mut buf = [0u8; 64];
+        s.read(a, &mut buf).unwrap();
+        assert_eq!(buf, [1u8; 64]);
+
+        // Under a byte cap a commit keeps its batch in the log.
+        log(&mut s).set_max_wal_bytes(Some(1 << 20));
+        s.write(a, &[3u8; 64]).unwrap();
+        s.sync().unwrap();
+        let capped = log(&mut s).info();
+        assert!(
+            capped.live_bytes > truncated.live_bytes,
+            "{tag}: cap not set"
+        );
+
+        // Snapshot readers pin the inner store's own page versions.
+        assert!(Arc::ptr_eq(
+            &log(&mut s).enable_snapshots().unwrap(),
+            &versions
+        ));
+        assert!(Arc::ptr_eq(
+            &log(&mut s).page_versions().unwrap(),
+            &versions
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_wrapper_reaches_the_log_beneath_it() {
+        let plain = || MemPageStore::new(64).unwrap();
+        let policy = RetryPolicy::default();
+
+        log_is_reachable_through("box.wal", |log| Box::new(log) as Box<dyn PageStore>);
+        assert!((Box::new(plain()) as Box<dyn PageStore>).wal().is_none());
+
+        log_is_reachable_through("retry.wal", |log| RetryStore::new(log, policy));
+        assert!(RetryStore::new(plain(), policy).wal().is_none());
+
+        log_is_reachable_through("fault.wal", |log| FaultStore::new(log).0);
+        assert!(FaultStore::new(plain()).0.wal().is_none());
+
+        log_is_reachable_through("stack.wal", |log| {
+            RetryStore::new(FaultStore::new(Box::new(log)).0, policy)
+        });
+        let stack = FaultStore::new(Box::new(plain())).0;
+        assert!(RetryStore::new(stack, policy).wal().is_none());
     }
 
     #[test]

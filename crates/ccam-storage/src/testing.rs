@@ -1,101 +1,412 @@
-//! Test-support stores: failure injection, crash simulation, and
-//! operation tracing.
+//! Test support: one fault-injecting store and a seeded workload
+//! generator.
 //!
 //! A disk-based access method must surface I/O failures as errors, never
-//! panics or silent corruption. [`FlakyStore`] wraps any [`PageStore`]
-//! and starts failing after a configurable number of operations, letting
-//! higher layers' tests walk the entire error path; [`CrashStore`]
-//! simulates a power cut — optionally with a torn page write — at a
-//! scheduled mutation index, after which every operation fails, for
-//! crash-recovery tests; [`FullDiskStore`] simulates the device running
-//! out of space (`ENOSPC`, optionally as a short write) at a scheduled
-//! mutation index, for graceful-abort tests; [`CountingStore`] records
-//! per-operation counts for tests asserting raw store traffic;
-//! [`ChaosStore`] composes glitches, page corruption, `ENOSPC` and
-//! seeded latency stalls behind one controller for chaos harnesses.
+//! panics or silent corruption. [`FaultStore`] wraps any [`PageStore`]
+//! and, under one shared [`FaultController`], counts raw store traffic
+//! and injects every fault class the harnesses use. Each class is armed
+//! and cleared on its own; all are off in a fresh store, so a database
+//! is built cleanly and the faults are switched on afterwards.
+//!
+//! | class | arm / clear | effect |
+//! |---|---|---|
+//! | latency stall | [`set_latency`](FaultController::set_latency) | a seeded fraction of reads and writes sleep first |
+//! | error switch | [`arm_after`](FaultController::arm_after) / [`disarm`](FaultController::disarm) | after `k` more operations every operation fails with an I/O error — a fault the caller may retry through |
+//! | page rot | [`mark_corrupt`](FaultController::mark_corrupt) / [`clear_corrupt`](FaultController::clear_corrupt) | reads of the page fail their checksum until a full-page write restamps it |
+//! | transient glitch | [`set_fault_rate`](FaultController::set_fault_rate) | a seeded fraction of operations fail `burst` consecutive times, then pass |
+//! | `ENOSPC` | [`fill_after`](FaultController::fill_after) / [`drain`](FaultController::drain) | after `k` more mutations the device is full: mutations fail with [`StorageError::NoSpace`], optionally landing a half-page short write; reads and `free` are never blocked |
+//! | power cut | [`crash_after`](FaultController::crash_after) / [`revive`](FaultController::revive) | after `k` more mutations the store dies, optionally tearing the write it dies on; every operation fails until revived |
+//!
+//! # Evaluation order
+//!
+//! An operation is counted, then meets the armed classes in the order
+//! of the table — stall; error switch; on a read the rot check, then
+//! (on every operation) the glitch draw; `ENOSPC`; power cut — and the
+//! first class to fail it ends the walk: a later countdown does not
+//! tick and a later stream does not draw. This is the order the stack
+//! "latency over glitches-and-rot over `ENOSPC` over power cut" gives,
+//! and the stall and glitch draws come from two xorshift streams
+//! derived from the one constructor seed, so a seed replays its
+//! schedule exactly. Nothing reads a clock or OS randomness.
+//!
+//! [`PageStore::wal`] forwards to the wrapped store unconditionally:
+//! the log's own controls are not fault-injected, not even once the
+//! power is cut (every harness stacks its power cut *under* the log).
 //!
 //! [`SweepRng`] is the deterministic generator crash-sweep harnesses
 //! derive their workloads from: same seed, same workload, same crash
 //! schedule — a failing sweep round replays exactly.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
-use crate::store::PageStore;
+use crate::store::{PageStore, WalControl};
 
-/// Shared switch controlling when a [`FlakyStore`] starts failing.
-#[derive(Debug)]
-pub struct FailureSwitch {
-    /// Operations remaining before failures begin (u64::MAX = never).
-    remaining: AtomicU64,
+/// How the final page write behaves when a [`FaultStore`] dies on it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub enum TornWrite {
+    /// The write never reaches the page (clean power cut between writes).
+    #[default]
+    None,
+    /// Only the first half of the buffer lands; the rest of the page
+    /// keeps its old contents (torn sector write).
+    Partial,
+    /// The page is zero-filled (drive wrote garbage/zeros on power loss).
+    Zeroed,
 }
 
-impl FailureSwitch {
-    /// A switch that never fires.
-    pub fn disarmed() -> Arc<FailureSwitch> {
-        Arc::new(FailureSwitch {
-            remaining: AtomicU64::new(u64::MAX),
+/// The operation classes the fault walk distinguishes.
+#[derive(Clone, Copy)]
+enum Op {
+    Read(PageId),
+    Write,
+    Free,
+    /// `allocate`, `sync`, `ensure_allocated`.
+    Other,
+}
+
+/// Ticks a countdown of operations still allowed (`None` = disarmed).
+/// True when none was left: once at zero a countdown stays there, so it
+/// keeps answering true until re-armed.
+fn expired(remaining: &mut Option<u64>) -> bool {
+    let left = *remaining;
+    *remaining = left.map(|n| n.saturating_sub(1));
+    left == Some(0)
+}
+
+/// One draw from an xorshift64* stream.
+fn draw(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+fn io_error(what: &'static str) -> StorageError {
+    StorageError::Io(std::io::Error::other(what))
+}
+
+/// What a test has armed and what has been injected, behind the
+/// controller's one lock: an operation's walk through the classes is
+/// atomic even when reads race.
+#[derive(Debug, Default)]
+struct Plan {
+    /// Stall stream; offset from the glitch stream under one seed.
+    latency_rng: u64,
+    /// Per-1024 chance that a read or write stalls (0 = off).
+    latency_rate: u64,
+    latency_us: u64,
+    stalls: u64,
+    /// Operations remaining before the error switch fires.
+    switch: Option<u64>,
+    /// Pages that fail checksum verification on read.
+    corrupt: BTreeSet<u32>,
+    glitch_rng: u64,
+    /// Per-1024 chance that an operation starts a glitch (0 = off).
+    fault_rate: u64,
+    /// Consecutive failures per glitch (≥ 1 once armed).
+    burst: u64,
+    /// Failures still owed from the glitch in progress.
+    pending: u64,
+    glitches: u64,
+    /// Mutations remaining before the device fills.
+    fill: Option<u64>,
+    full: bool,
+    short_write: bool,
+    no_space: u64,
+    /// Mutations remaining before the power cut.
+    crash: Option<u64>,
+    dead: bool,
+    torn: TornWrite,
+}
+
+/// Shared controller of a [`FaultStore`]: raw per-operation counts and
+/// the arming of every fault class (see the module docs for the classes
+/// and the order they are evaluated in).
+#[derive(Debug, Default)]
+pub struct FaultController {
+    /// Raw page reads (below the buffer pool, unlike [`crate::IoStats`]
+    /// which counts pool traffic).
+    pub reads: AtomicU64,
+    /// Raw page writes.
+    pub writes: AtomicU64,
+    /// Page allocations (`allocate` and `ensure_allocated`).
+    pub allocs: AtomicU64,
+    /// Page frees.
+    pub frees: AtomicU64,
+    /// Sync (commit-point) calls.
+    pub syncs: AtomicU64,
+    plan: Mutex<Plan>,
+}
+
+impl FaultController {
+    fn new(seed: u64) -> Arc<FaultController> {
+        let plan = Plan {
+            // xorshift needs a nonzero state.
+            latency_rng: seed.wrapping_add(0x9E37_79B9) | 1,
+            glitch_rng: seed | 1,
+            ..Plan::default()
+        };
+        Arc::new(FaultController {
+            plan: Mutex::new(plan),
+            ..FaultController::default()
         })
     }
 
-    /// Arms the switch: the next `ops` operations succeed, everything
-    /// after fails.
+    /// Arms latency stalls: roughly `per_1024` out of every 1024 reads
+    /// and writes sleep `micros` microseconds first (a real
+    /// `thread::sleep`; *which* operations stall is seeded). Zero
+    /// disarms.
+    pub fn set_latency(&self, per_1024: u64, micros: u64) {
+        let mut plan = self.plan.lock();
+        plan.latency_rate = per_1024;
+        plan.latency_us = micros;
+    }
+
+    /// Arms the error switch: the next `ops` operations succeed,
+    /// everything after fails with an I/O error.
     pub fn arm_after(&self, ops: u64) {
-        self.remaining.store(ops, Ordering::SeqCst);
+        self.plan.lock().switch = Some(ops);
     }
 
-    /// Disarms the switch (operations succeed again).
+    /// Disarms the error switch (operations succeed again).
     pub fn disarm(&self) {
-        self.remaining.store(u64::MAX, Ordering::SeqCst);
+        self.plan.lock().switch = None;
     }
 
-    fn tick(&self) -> StorageResult<()> {
-        let prev = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v == u64::MAX {
-                    None // disarmed: don't decrement
-                } else {
-                    Some(v.saturating_sub(1))
-                }
-            });
-        match prev {
-            Err(_) => Ok(()), // disarmed
-            Ok(0) => Err(StorageError::Io(std::io::Error::other(
-                "injected I/O failure",
-            ))),
-            Ok(_) => Ok(()),
+    /// Marks `id` as bit-rotted: reads fail with the
+    /// [`StorageError::ChecksumMismatch`] a checksummed file store would
+    /// produce, until a full-page write restamps the page.
+    pub fn mark_corrupt(&self, id: PageId) {
+        self.plan.lock().corrupt.insert(id.0);
+    }
+
+    /// Heals `id` without a write.
+    pub fn clear_corrupt(&self, id: PageId) {
+        self.plan.lock().corrupt.remove(&id.0);
+    }
+
+    /// Pages currently marked corrupt, ascending.
+    pub fn corrupt_pages(&self) -> Vec<PageId> {
+        self.plan
+            .lock()
+            .corrupt
+            .iter()
+            .map(|&p| PageId(p))
+            .collect()
+    }
+
+    /// Arms transient glitches: roughly `per_1024` out of every 1024
+    /// operations start a glitch of `burst` consecutive failures
+    /// (`burst` ≥ 1), so a `RetryStore` with `max_attempts > burst`
+    /// absorbs every glitch while a bare store surfaces it. Zero
+    /// disarms.
+    pub fn set_fault_rate(&self, per_1024: u64, burst: u64) {
+        let mut plan = self.plan.lock();
+        plan.burst = burst.max(1);
+        plan.fault_rate = per_1024;
+        if per_1024 == 0 {
+            plan.pending = 0;
         }
     }
-}
 
-/// A [`PageStore`] wrapper that injects I/O errors once its
-/// [`FailureSwitch`] fires.
-pub struct FlakyStore<S: PageStore> {
-    inner: S,
-    switch: Arc<FailureSwitch>,
-}
+    /// Schedules the fill: `ops` more mutations (allocate / write / sync
+    /// / ensure) succeed, then the device is full. With `short_write`, a
+    /// page write that hits the limit lands a half-page prefix before
+    /// failing, the way `write(2)` reports a filling device.
+    pub fn fill_after(&self, ops: u64, short_write: bool) {
+        let mut plan = self.plan.lock();
+        plan.short_write = short_write;
+        plan.full = false;
+        plan.fill = Some(ops);
+    }
 
-impl<S: PageStore> FlakyStore<S> {
-    /// Wraps `inner`; returns the store and its failure switch.
-    pub fn new(inner: S) -> (Self, Arc<FailureSwitch>) {
-        let switch = FailureSwitch::disarmed();
-        (
-            FlakyStore {
-                inner,
-                switch: Arc::clone(&switch),
-            },
-            switch,
-        )
+    /// Frees up space: mutations succeed again.
+    pub fn drain(&self) {
+        let mut plan = self.plan.lock();
+        plan.full = false;
+        plan.fill = None;
+    }
+
+    /// True once the scheduled fill has fired.
+    pub fn is_full(&self) -> bool {
+        self.plan.lock().full
+    }
+
+    /// Schedules the crash: `ops` more mutations (allocate / write /
+    /// free / sync / ensure) succeed, then the store dies. `torn` picks
+    /// what happens if the dying operation is a page write.
+    pub fn crash_after(&self, ops: u64, torn: TornWrite) {
+        let mut plan = self.plan.lock();
+        plan.torn = torn;
+        plan.dead = false;
+        plan.crash = Some(ops);
+    }
+
+    /// Cancels any scheduled crash and clears the dead state ("plugs the
+    /// machine back in") — used between crash rounds in sweeps.
+    pub fn revive(&self) {
+        let mut plan = self.plan.lock();
+        plan.dead = false;
+        plan.crash = None;
+    }
+
+    /// True once the scheduled crash has fired.
+    pub fn is_dead(&self) -> bool {
+        self.plan.lock().dead
+    }
+
+    /// Latency stalls injected so far.
+    pub fn injected_stalls(&self) -> u64 {
+        self.plan.lock().stalls
+    }
+
+    /// Transient glitch failures injected so far.
+    pub fn injected_glitches(&self) -> u64 {
+        self.plan.lock().glitches
+    }
+
+    /// `NoSpace` errors injected so far.
+    pub fn injected_no_space(&self) -> u64 {
+        self.plan.lock().no_space
+    }
+
+    /// Stalls + glitches + `NoSpace` errors — what a chaos harness
+    /// subtracts from its error budget: an injected fault surfacing as a
+    /// typed error is the system working, not an SLO violation.
+    pub fn injected_faults(&self) -> u64 {
+        let plan = self.plan.lock();
+        plan.stalls + plan.glitches + plan.no_space
+    }
+
+    /// Walks `op` through the armed fault classes in the documented
+    /// order. `Err` carries the injected error and what the page write
+    /// that a scheduled fault strikes lands before failing.
+    fn admit(&self, op: Op) -> Result<(), (StorageError, TornWrite)> {
+        let clean = |err| Err((err, TornWrite::None));
+        let mut plan = self.plan.lock();
+        if matches!(op, Op::Read(_) | Op::Write)
+            && plan.latency_rate > 0
+            && draw(&mut plan.latency_rng) % 1024 < plan.latency_rate
+        {
+            plan.stalls += 1;
+            let stall = std::time::Duration::from_micros(plan.latency_us);
+            // Sleep unlocked: a stall must not hold up the controller.
+            drop(plan);
+            std::thread::sleep(stall);
+            plan = self.plan.lock();
+        }
+        if expired(&mut plan.switch) {
+            return clean(io_error("injected I/O failure"));
+        }
+        if let Op::Read(id) = op {
+            if plan.corrupt.contains(&id.0) {
+                // Deterministic fabricated checksums: what a real v2
+                // file would report, minus the actual bit pattern.
+                let stored = 0xBAD0_0000 | id.0;
+                return clean(StorageError::ChecksumMismatch {
+                    page: id,
+                    stored,
+                    computed: stored ^ 1,
+                });
+            }
+        }
+        if plan.pending > 0 {
+            plan.pending -= 1;
+            plan.glitches += 1;
+            return clean(io_error("injected transient fault (burst)"));
+        }
+        if plan.fault_rate > 0 && draw(&mut plan.glitch_rng) % 1024 < plan.fault_rate {
+            plan.pending = plan.burst.saturating_sub(1);
+            plan.glitches += 1;
+            return clean(io_error("injected transient fault"));
+        }
+        // Freeing *releases* space — it must keep working on a full
+        // device (rollback relies on it to return pass-through
+        // allocations) — and a full disk still serves what it holds.
+        if matches!(op, Op::Write | Op::Other) {
+            let filling = !plan.full && expired(&mut plan.fill);
+            if plan.full || filling {
+                plan.full = true;
+                plan.no_space += 1;
+                let lands = if filling && plan.short_write {
+                    TornWrite::Partial
+                } else {
+                    TornWrite::None
+                };
+                return Err((StorageError::NoSpace, lands));
+            }
+        }
+        if plan.dead {
+            return clean(io_error("simulated power failure"));
+        }
+        if !matches!(op, Op::Read(_)) && expired(&mut plan.crash) {
+            plan.dead = true;
+            return Err((io_error("simulated power failure"), plan.torn));
+        }
+        Ok(())
+    }
+
+    fn pass(&self, op: Op) -> StorageResult<()> {
+        self.admit(op).map_err(|(err, _)| err)
+    }
+
+    /// A full-page write (or a free) restamps the page, healing the rot
+    /// — the same semantics a checksummed file store has.
+    fn heal(&self, id: PageId) {
+        self.plan.lock().corrupt.remove(&id.0);
     }
 }
 
-impl<S: PageStore> PageStore for FlakyStore<S> {
+/// A [`PageStore`] wrapper that counts raw store operations and injects
+/// faults as its [`FaultController`] directs (see the module docs).
+///
+/// Stacks under a [`crate::RetryStore`] the way production does, so
+/// short glitch bursts are absorbed by the retry budget and only
+/// over-budget faults surface to the access method; persistent rot
+/// surfaces as [`StorageError::ChecksumMismatch`] for the scrub /
+/// quarantine machinery above. Crash-recovery tests wrap a
+/// `FilePageStore` in one under a `WalStore`, kill it mid-operation,
+/// then reopen the file and assert the log replay restores every
+/// invariant.
+pub struct FaultStore<S: PageStore> {
+    inner: S,
+    controller: Arc<FaultController>,
+}
+
+impl<S: PageStore> FaultStore<S> {
+    /// Wraps `inner`; returns the store, every fault class disarmed, and
+    /// its controller.
+    pub fn new(inner: S) -> (Self, Arc<FaultController>) {
+        Self::with_seed(inner, 0)
+    }
+
+    /// Like [`FaultStore::new`], with the glitch and stall schedules
+    /// seeded by `seed`.
+    pub fn with_seed(inner: S, seed: u64) -> (Self, Arc<FaultController>) {
+        let controller = FaultController::new(seed);
+        let store = FaultStore {
+            inner,
+            controller: Arc::clone(&controller),
+        };
+        (store, controller)
+    }
+
+    /// Consumes the wrapper, returning the inner store (reopening after
+    /// the "reboot").
+    pub fn into_inner(self) -> S {
+        self.inner
+    }
+}
+
+impl<S: PageStore> PageStore for FaultStore<S> {
     fn page_size(&self) -> usize {
         self.inner.page_size()
     }
@@ -105,23 +416,46 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn allocate(&mut self) -> StorageResult<PageId> {
-        self.switch.tick()?;
+        self.controller.allocs.fetch_add(1, Ordering::Relaxed);
+        self.controller.pass(Op::Other)?;
         self.inner.allocate()
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.switch.tick()?;
+        self.controller.reads.fetch_add(1, Ordering::Relaxed);
+        self.controller.pass(Op::Read(id))?;
         self.inner.read(id, buf)
     }
 
     fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.switch.tick()?;
-        self.inner.write(id, buf)
+        self.controller.writes.fetch_add(1, Ordering::Relaxed);
+        if let Err((err, lands)) = self.controller.admit(Op::Write) {
+            match lands {
+                TornWrite::None => {}
+                TornWrite::Partial => {
+                    let mut page = vec![0u8; buf.len()];
+                    if self.inner.read(id, &mut page).is_ok() {
+                        page[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
+                        let _ = self.inner.write(id, &page);
+                    }
+                }
+                TornWrite::Zeroed => {
+                    let _ = self.inner.write(id, &vec![0u8; buf.len()]);
+                }
+            }
+            return Err(err);
+        }
+        self.inner.write(id, buf)?;
+        self.controller.heal(id);
+        Ok(())
     }
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.switch.tick()?;
-        self.inner.free(id)
+        self.controller.frees.fetch_add(1, Ordering::Relaxed);
+        self.controller.pass(Op::Free)?;
+        self.inner.free(id)?;
+        self.controller.heal(id);
+        Ok(())
     }
 
     fn is_live(&self, id: PageId) -> bool {
@@ -129,7 +463,8 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn sync(&mut self) -> StorageResult<()> {
-        self.switch.tick()?;
+        self.controller.syncs.fetch_add(1, Ordering::Relaxed);
+        self.controller.pass(Op::Other)?;
         self.inner.sync()
     }
 
@@ -138,38 +473,13 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.switch.tick()?;
+        self.controller.allocs.fetch_add(1, Ordering::Relaxed);
+        self.controller.pass(Op::Other)?;
         self.inner.ensure_allocated(id)
     }
 
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
+    fn wal(&mut self) -> Option<&mut dyn WalControl> {
+        self.inner.wal()
     }
 }
 
@@ -212,1075 +522,6 @@ impl SweepRng {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Crash simulation
-// ---------------------------------------------------------------------------
-
-/// How the final page write behaves when a [`CrashStore`] dies on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornWrite {
-    /// The write never reaches the page (clean power cut between writes).
-    None,
-    /// Only the first half of the buffer lands; the rest of the page
-    /// keeps its old contents (torn sector write).
-    Partial,
-    /// The page is zero-filled (drive wrote garbage/zeros on power loss).
-    Zeroed,
-}
-
-const TORN_NONE: u8 = 0;
-const TORN_PARTIAL: u8 = 1;
-const TORN_ZEROED: u8 = 2;
-
-/// Shared controller scheduling when a [`CrashStore`] "loses power".
-///
-/// Arm it with [`CrashController::crash_after`]: the next `ops`
-/// *mutations* (allocate / write / free / sync / ensure) succeed, then
-/// the store dies — optionally tearing the page write it dies on — and
-/// every subsequent operation fails until [`CrashController::revive`].
-#[derive(Debug)]
-pub struct CrashController {
-    /// Mutations remaining before the crash (u64::MAX = disarmed).
-    remaining: AtomicU64,
-    dead: AtomicBool,
-    torn: AtomicU8,
-}
-
-impl CrashController {
-    /// A controller that never fires.
-    pub fn disarmed() -> Arc<CrashController> {
-        Arc::new(CrashController {
-            remaining: AtomicU64::new(u64::MAX),
-            dead: AtomicBool::new(false),
-            torn: AtomicU8::new(TORN_NONE),
-        })
-    }
-
-    /// Schedules the crash: `ops` more mutations succeed, then the store
-    /// dies. `torn` picks what happens if the dying operation is a page
-    /// write.
-    pub fn crash_after(&self, ops: u64, torn: TornWrite) {
-        self.torn.store(
-            match torn {
-                TornWrite::None => TORN_NONE,
-                TornWrite::Partial => TORN_PARTIAL,
-                TornWrite::Zeroed => TORN_ZEROED,
-            },
-            Ordering::SeqCst,
-        );
-        self.dead.store(false, Ordering::SeqCst);
-        self.remaining.store(ops, Ordering::SeqCst);
-    }
-
-    /// Cancels any scheduled crash and clears the dead state ("plugs the
-    /// machine back in") — used between crash rounds in sweeps.
-    pub fn revive(&self) {
-        self.remaining.store(u64::MAX, Ordering::SeqCst);
-        self.dead.store(false, Ordering::SeqCst);
-    }
-
-    /// True once the scheduled crash has fired.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
-    fn power_failure() -> StorageError {
-        StorageError::Io(std::io::Error::other("simulated power failure"))
-    }
-
-    /// Ticks one mutation. `Ok(false)` = proceed normally, `Ok(true)` =
-    /// this is the dying operation (caller applies torn behaviour, then
-    /// fails), `Err` = already dead.
-    fn tick(&self) -> StorageResult<bool> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(Self::power_failure());
-        }
-        let prev = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v == u64::MAX {
-                    None
-                } else {
-                    Some(v.saturating_sub(1))
-                }
-            });
-        match prev {
-            Err(_) => Ok(false), // disarmed
-            Ok(0) => {
-                self.dead.store(true, Ordering::SeqCst);
-                Ok(true)
-            }
-            Ok(_) => Ok(false),
-        }
-    }
-}
-
-/// A [`PageStore`] wrapper simulating a power cut at a scheduled
-/// mutation index (see [`CrashController`]).
-///
-/// Unlike [`FlakyStore`] — which models a transient fault the caller may
-/// retry through — a `CrashStore` stays dead, and the write it dies on
-/// can be *torn*: half-applied or zero-filled, the way a real disk page
-/// ends up when power fails mid-sector. Crash-recovery tests wrap a
-/// `FilePageStore` in one, kill it mid-operation, then reopen the file
-/// and assert the WAL replay restores every invariant.
-pub struct CrashStore<S: PageStore> {
-    inner: S,
-    controller: Arc<CrashController>,
-}
-
-impl<S: PageStore> CrashStore<S> {
-    /// Wraps `inner`; returns the store and its crash controller.
-    pub fn new(inner: S) -> (Self, Arc<CrashController>) {
-        let controller = CrashController::disarmed();
-        (
-            CrashStore {
-                inner,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-
-    /// Consumes the wrapper, returning the inner store (reopening after
-    /// the "reboot").
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for CrashStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        if self.controller.is_dead() {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        if self.controller.tick()? {
-            // The dying write: tear it according to the schedule.
-            match self.controller.torn.load(Ordering::SeqCst) {
-                TORN_PARTIAL => {
-                    let mut torn = vec![0u8; buf.len()];
-                    if self.inner.read(id, &mut torn).is_ok() {
-                        torn[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
-                        let _ = self.inner.write(id, &torn);
-                    }
-                }
-                TORN_ZEROED => {
-                    let _ = self.inner.write(id, &vec![0u8; buf.len()]);
-                }
-                _ => {}
-            }
-            return Err(CrashController::power_failure());
-        }
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        if self.controller.is_dead() {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        if self.controller.is_dead() {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Seeded corruption injection
-// ---------------------------------------------------------------------------
-
-/// Shared controller for a [`CorruptStore`]: a seeded, deterministic
-/// fault schedule plus a set of "rotted" pages.
-///
-/// Two fault classes are modelled:
-///
-/// * **Transient glitches** — with [`CorruptionController::set_fault_rate`]
-///   armed, each store operation draws from a seeded xorshift stream;
-///   a hit fails `burst` consecutive attempts with an I/O error and then
-///   passes, so a `RetryStore` with `max_attempts > burst` absorbs every
-///   glitch while a bare store surfaces it.
-/// * **Persistent page corruption** —
-///   [`CorruptionController::mark_corrupt`] makes every read of that page
-///   fail with [`StorageError::ChecksumMismatch`] (the error a
-///   checksummed file store would produce), until a full-page write
-///   "restamps" it or [`CorruptionController::clear_corrupt`] heals it.
-///
-/// Everything is derived from the constructor seed; no wall clock or OS
-/// randomness is consulted, so a failing schedule replays exactly.
-pub struct CorruptionController {
-    /// xorshift64* state.
-    rng: Mutex<u64>,
-    /// Per-1024 chance that an operation starts a glitch (0 = off).
-    fault_rate: AtomicU64,
-    /// Consecutive failures per glitch.
-    burst: AtomicU64,
-    /// Failures still owed from the glitch in progress.
-    pending: AtomicU64,
-    /// Pages that fail checksum verification on read.
-    corrupt: Mutex<BTreeSet<u32>>,
-    /// Transient faults injected so far.
-    injected: AtomicU64,
-}
-
-impl std::fmt::Debug for CorruptionController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CorruptionController")
-            .field("fault_rate", &self.fault_rate.load(Ordering::SeqCst))
-            .field("burst", &self.burst.load(Ordering::SeqCst))
-            .field("corrupt", &self.corrupt_pages())
-            .field("injected", &self.injected.load(Ordering::SeqCst))
-            .finish_non_exhaustive()
-    }
-}
-
-impl CorruptionController {
-    fn new(seed: u64) -> Arc<CorruptionController> {
-        Arc::new(CorruptionController {
-            // xorshift needs a nonzero state.
-            rng: Mutex::new(seed | 1),
-            fault_rate: AtomicU64::new(0),
-            burst: AtomicU64::new(1),
-            pending: AtomicU64::new(0),
-            corrupt: Mutex::new(BTreeSet::new()),
-            injected: AtomicU64::new(0),
-        })
-    }
-
-    /// Arms transient glitches: roughly `per_1024` out of every 1024
-    /// operations start a glitch of `burst` consecutive failures
-    /// (`burst` ≥ 1). Zero disarms.
-    pub fn set_fault_rate(&self, per_1024: u64, burst: u64) {
-        self.burst.store(burst.max(1), Ordering::SeqCst);
-        self.fault_rate.store(per_1024, Ordering::SeqCst);
-        if per_1024 == 0 {
-            self.pending.store(0, Ordering::SeqCst);
-        }
-    }
-
-    /// Marks `id` as bit-rotted: reads fail with a checksum mismatch.
-    pub fn mark_corrupt(&self, id: PageId) {
-        self.corrupt.lock().insert(id.0);
-    }
-
-    /// Heals `id` without a write.
-    pub fn clear_corrupt(&self, id: PageId) {
-        self.corrupt.lock().remove(&id.0);
-    }
-
-    /// Pages currently marked corrupt, ascending.
-    pub fn corrupt_pages(&self) -> Vec<PageId> {
-        self.corrupt.lock().iter().map(|&p| PageId(p)).collect()
-    }
-
-    /// Transient faults injected so far.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected.load(Ordering::SeqCst)
-    }
-
-    fn next_rng(&self) -> u64 {
-        let mut state = self.rng.lock();
-        let mut x = *state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        *state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// One operation's transient-fault draw.
-    fn glitch(&self) -> StorageResult<()> {
-        if self
-            .pending
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-            .is_ok()
-        {
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            return Err(StorageError::Io(std::io::Error::other(
-                "injected transient fault (burst)",
-            )));
-        }
-        let rate = self.fault_rate.load(Ordering::SeqCst);
-        if rate > 0 && self.next_rng() % 1024 < rate {
-            self.pending
-                .store(self.burst.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            return Err(StorageError::Io(std::io::Error::other(
-                "injected transient fault",
-            )));
-        }
-        Ok(())
-    }
-
-    fn checksum_error(id: PageId) -> StorageError {
-        // Deterministic fabricated checksums: what a real v2 file would
-        // report, minus the actual bit pattern.
-        let stored = 0xBAD0_0000 | id.0;
-        StorageError::ChecksumMismatch {
-            page: id,
-            stored,
-            computed: stored ^ 1,
-        }
-    }
-}
-
-/// A [`PageStore`] wrapper injecting seeded transient faults and
-/// persistent per-page corruption (see [`CorruptionController`]).
-///
-/// Stacks under a [`crate::RetryStore`] in fault-sweep tests: transient
-/// glitches are absorbed by the retry budget, persistent corruption
-/// surfaces as [`StorageError::ChecksumMismatch`] for the scrub /
-/// quarantine machinery above.
-pub struct CorruptStore<S: PageStore> {
-    inner: S,
-    controller: Arc<CorruptionController>,
-}
-
-impl<S: PageStore> CorruptStore<S> {
-    /// Wraps `inner` with a fault schedule seeded by `seed`; returns the
-    /// store and its controller.
-    pub fn new(inner: S, seed: u64) -> (Self, Arc<CorruptionController>) {
-        let controller = CorruptionController::new(seed);
-        (
-            CorruptStore {
-                inner,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-
-    /// Consumes the wrapper, returning the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for CorruptStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.controller.glitch()?;
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        if self.controller.corrupt.lock().contains(&id.0) {
-            return Err(CorruptionController::checksum_error(id));
-        }
-        self.controller.glitch()?;
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.write(id, buf)?;
-        // A full-page write restamps the page, healing the rot — the
-        // same semantics a checksummed file store has.
-        self.controller.corrupt.lock().remove(&id.0);
-        Ok(())
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.free(id)?;
-        self.controller.corrupt.lock().remove(&id.0);
-        Ok(())
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full-disk (ENOSPC) simulation
-// ---------------------------------------------------------------------------
-
-/// Shared controller scheduling when a [`FullDiskStore`] runs out of
-/// space.
-///
-/// Arm it with [`DiskFullController::fill_after`]: the next `ops`
-/// *mutations* (allocate / write / free / sync / ensure) succeed, then
-/// the device is "full" — the failing operation and every later mutation
-/// surface [`StorageError::NoSpace`] until [`DiskFullController::drain`].
-/// Reads keep working throughout: a full disk still serves what it holds.
-#[derive(Debug)]
-pub struct DiskFullController {
-    /// Mutations remaining before the disk fills (u64::MAX = disarmed).
-    remaining: AtomicU64,
-    full: AtomicBool,
-    /// When set, the write the disk fills on lands a half-page prefix on
-    /// the inner store before failing (a short write, the way `write(2)`
-    /// reports a filling device), instead of failing cleanly.
-    short_write: AtomicBool,
-    /// NoSpace errors surfaced so far.
-    injected: AtomicU64,
-}
-
-impl DiskFullController {
-    /// A controller that never fires.
-    pub fn disarmed() -> Arc<DiskFullController> {
-        Arc::new(DiskFullController {
-            remaining: AtomicU64::new(u64::MAX),
-            full: AtomicBool::new(false),
-            short_write: AtomicBool::new(false),
-            injected: AtomicU64::new(0),
-        })
-    }
-
-    /// Schedules the fill: `ops` more mutations succeed, then the device
-    /// is full. With `short_write`, a page write that hits the limit
-    /// half-lands before failing.
-    pub fn fill_after(&self, ops: u64, short_write: bool) {
-        self.short_write.store(short_write, Ordering::SeqCst);
-        self.full.store(false, Ordering::SeqCst);
-        self.remaining.store(ops, Ordering::SeqCst);
-    }
-
-    /// Frees up space: mutations succeed again.
-    pub fn drain(&self) {
-        self.remaining.store(u64::MAX, Ordering::SeqCst);
-        self.full.store(false, Ordering::SeqCst);
-    }
-
-    /// True once the scheduled fill has fired.
-    pub fn is_full(&self) -> bool {
-        self.full.load(Ordering::SeqCst)
-    }
-
-    /// NoSpace errors injected so far.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected.load(Ordering::SeqCst)
-    }
-
-    fn no_space(&self) -> StorageError {
-        self.injected.fetch_add(1, Ordering::SeqCst);
-        StorageError::NoSpace
-    }
-
-    /// Ticks one mutation. `Ok(false)` = proceed, `Ok(true)` = this is
-    /// the filling operation (caller applies short-write behaviour, then
-    /// fails), `Err(NoSpace)` = already full.
-    fn tick(&self) -> StorageResult<bool> {
-        if self.full.load(Ordering::SeqCst) {
-            return Err(self.no_space());
-        }
-        let prev = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v == u64::MAX {
-                    None
-                } else {
-                    Some(v.saturating_sub(1))
-                }
-            });
-        match prev {
-            Err(_) => Ok(false), // disarmed
-            Ok(0) => {
-                self.full.store(true, Ordering::SeqCst);
-                Ok(true)
-            }
-            Ok(_) => Ok(false),
-        }
-    }
-}
-
-/// A [`PageStore`] wrapper simulating a device that fills up at a
-/// scheduled mutation index (see [`DiskFullController`]).
-///
-/// Unlike [`CrashStore`], the process survives: mutations fail with the
-/// typed [`StorageError::NoSpace`], reads keep succeeding, and draining
-/// the controller models an operator freeing space. Graceful-abort tests
-/// wrap a store in one and assert the in-flight operation aborts without
-/// corrupting committed state.
-pub struct FullDiskStore<S: PageStore> {
-    inner: S,
-    controller: Arc<DiskFullController>,
-}
-
-impl<S: PageStore> FullDiskStore<S> {
-    /// Wraps `inner`; returns the store and its controller.
-    pub fn new(inner: S) -> (Self, Arc<DiskFullController>) {
-        let controller = DiskFullController::disarmed();
-        (
-            FullDiskStore {
-                inner,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-
-    /// Consumes the wrapper, returning the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for FullDiskStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        if self.controller.tick()? {
-            return Err(self.controller.no_space());
-        }
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.inner.read(id, buf) // full disks still read
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        if self.controller.tick()? {
-            if self.controller.short_write.load(Ordering::SeqCst) {
-                // Short write: a half-page prefix lands before ENOSPC.
-                let mut partial = vec![0u8; buf.len()];
-                if self.inner.read(id, &mut partial).is_ok() {
-                    partial[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
-                    let _ = self.inner.write(id, &partial);
-                }
-            }
-            return Err(self.controller.no_space());
-        }
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        // Freeing *releases* space — it must keep working on a full
-        // device (and rollback relies on it to return pass-through
-        // allocations), so it neither ticks nor blocks.
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(self.controller.no_space());
-        }
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(self.controller.no_space());
-        }
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        // Rollback frees space; never blocked by the full state.
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Composed chaos injection
-// ---------------------------------------------------------------------------
-
-/// Fault rates for a [`ChaosStore`], all derived from one seed.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Seed for every stream (glitch schedule, latency schedule).
-    pub seed: u64,
-    /// Per-1024 chance an operation starts a transient-I/O glitch.
-    pub glitch_per_1024: u64,
-    /// Consecutive failures per glitch (≥ 1).
-    pub glitch_burst: u64,
-    /// Per-1024 chance a read/write stalls for `latency_us`.
-    pub latency_per_1024: u64,
-    /// Stall duration in microseconds (real `thread::sleep`).
-    pub latency_us: u64,
-}
-
-impl Default for ChaosConfig {
-    /// Moderate chaos: ~1% glitches in bursts of 2, ~1% stalls of 2 ms.
-    fn default() -> Self {
-        ChaosConfig {
-            seed: 42,
-            glitch_per_1024: 12,
-            glitch_burst: 2,
-            latency_per_1024: 8,
-            latency_us: 2_000,
-        }
-    }
-}
-
-/// Controller for a [`ChaosStore`]: arms/disarms every composed fault
-/// class at once and exposes the per-class controllers for targeted
-/// injection (page corruption, disk-full pulses).
-pub struct ChaosController {
-    /// Transient glitches and persistent page corruption.
-    pub corruption: Arc<CorruptionController>,
-    /// ENOSPC scheduling for mutations.
-    pub disk: Arc<DiskFullController>,
-    config: ChaosConfig,
-    latency_armed: AtomicBool,
-    latency_rng: Mutex<u64>,
-    latency_injected: AtomicU64,
-}
-
-impl std::fmt::Debug for ChaosController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosController")
-            .field("corruption", &self.corruption)
-            .field("latency_armed", &self.latency_armed.load(Ordering::SeqCst))
-            .field(
-                "latency_injected",
-                &self.latency_injected.load(Ordering::SeqCst),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-impl ChaosController {
-    /// Arms glitches and latency stalls at the configured rates.
-    /// (Disk-full pulses and page corruption are targeted, not ambient:
-    /// schedule them through [`ChaosController::disk`] and
-    /// [`CorruptionController::mark_corrupt`].)
-    pub fn arm(&self) {
-        self.corruption
-            .set_fault_rate(self.config.glitch_per_1024, self.config.glitch_burst);
-        self.latency_armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Disarms glitches and latency stalls (targeted faults persist
-    /// until individually cleared).
-    pub fn disarm(&self) {
-        self.corruption.set_fault_rate(0, 1);
-        self.latency_armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Total faults injected across classes (glitches + ENOSPC +
-    /// stalls) — the chaos harness subtracts these from its error
-    /// budget: an injected fault surfacing as a typed error is the
-    /// system working, not an SLO violation.
-    pub fn injected_faults(&self) -> u64 {
-        self.corruption.injected_faults()
-            + self.disk.injected_faults()
-            + self.latency_injected.load(Ordering::SeqCst)
-    }
-
-    /// Latency stalls injected so far.
-    pub fn injected_stalls(&self) -> u64 {
-        self.latency_injected.load(Ordering::SeqCst)
-    }
-
-    /// One operation's latency draw: seeded, so *which* operations stall
-    /// is deterministic (the stall itself is a real sleep).
-    fn maybe_stall(&self) {
-        if !self.latency_armed.load(Ordering::SeqCst) || self.config.latency_per_1024 == 0 {
-            return;
-        }
-        let draw = {
-            let mut state = self.latency_rng.lock();
-            let mut x = *state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            *state = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D) % 1024
-        };
-        if draw < self.config.latency_per_1024 {
-            self.latency_injected.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(self.config.latency_us));
-        }
-    }
-}
-
-/// The kitchen-sink fault injector for chaos harnesses: composes
-/// [`CorruptStore`] (seeded transient glitches + persistent per-page
-/// corruption) over [`FullDiskStore`] (scheduled `ENOSPC`) and adds
-/// seeded latency stalls on reads and writes.
-///
-/// Built disarmed — wrap a store, build the database cleanly, then
-/// [`ChaosController::arm`] before opening the traffic valve. Stacks
-/// under a [`crate::RetryStore`] the way production does, so short
-/// glitch bursts are absorbed by the retry budget and only over-budget
-/// faults surface to the access method.
-pub struct ChaosStore<S: PageStore> {
-    inner: CorruptStore<FullDiskStore<S>>,
-    controller: Arc<ChaosController>,
-}
-
-impl<S: PageStore> ChaosStore<S> {
-    /// Wraps `inner` with `config`'s fault schedule; returns the store
-    /// (disarmed) and its controller.
-    pub fn new(inner: S, config: ChaosConfig) -> (Self, Arc<ChaosController>) {
-        let (full, disk) = FullDiskStore::new(inner);
-        let (corrupt, corruption) = CorruptStore::new(full, config.seed);
-        let controller = Arc::new(ChaosController {
-            corruption,
-            disk,
-            config,
-            latency_armed: AtomicBool::new(false),
-            // xorshift needs a nonzero state; offset so the latency
-            // stream differs from the glitch stream under one seed.
-            latency_rng: Mutex::new(config.seed.wrapping_add(0x9E37_79B9) | 1),
-            latency_injected: AtomicU64::new(0),
-        });
-        (
-            ChaosStore {
-                inner: corrupt,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-}
-
-impl<S: PageStore> PageStore for ChaosStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.controller.maybe_stall();
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.controller.maybe_stall();
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-/// Raw per-operation counters of a [`CountingStore`].
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    /// Raw page reads.
-    pub reads: AtomicU64,
-    /// Raw page writes.
-    pub writes: AtomicU64,
-    /// Page allocations.
-    pub allocs: AtomicU64,
-    /// Page frees.
-    pub frees: AtomicU64,
-    /// Sync (commit-point) calls — makes commit frequency observable in
-    /// experiments comparing WAL and non-WAL configurations.
-    pub syncs: AtomicU64,
-}
-
-/// A [`PageStore`] wrapper that counts raw store operations (below the
-/// buffer pool, unlike [`crate::IoStats`] which counts pool traffic).
-pub struct CountingStore<S: PageStore> {
-    inner: S,
-    counters: Arc<StoreCounters>,
-}
-
-impl<S: PageStore> CountingStore<S> {
-    /// Wraps `inner`; returns the store and its counters.
-    pub fn new(inner: S) -> (Self, Arc<StoreCounters>) {
-        let counters = Arc::new(StoreCounters::default());
-        (
-            CountingStore {
-                inner,
-                counters: Arc::clone(&counters),
-            },
-            counters,
-        )
-    }
-}
-
-impl<S: PageStore> PageStore for CountingStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.counters.allocs.fetch_add(1, Ordering::Relaxed);
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.counters.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.counters.frees.fetch_add(1, Ordering::Relaxed);
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.counters.allocs.fetch_add(1, Ordering::Relaxed);
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1289,7 +530,7 @@ mod tests {
 
     #[test]
     fn disarmed_flaky_store_is_transparent() {
-        let (mut s, _switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, _switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let p = s.allocate().unwrap();
         s.write(p, &[1u8; 64]).unwrap();
         let mut buf = [0u8; 64];
@@ -1299,7 +540,7 @@ mod tests {
 
     #[test]
     fn armed_switch_fails_after_budget() {
-        let (mut s, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let p = s.allocate().unwrap();
         switch.arm_after(2);
         let mut buf = [0u8; 64];
@@ -1313,7 +554,7 @@ mod tests {
 
     #[test]
     fn buffer_pool_propagates_injected_errors() {
-        let (s, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (s, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         let pool = BufferPool::new(s, 2);
         let p = pool.allocate().unwrap();
         pool.with_page_mut(p, |b| b.fill(7)).unwrap();
@@ -1327,7 +568,7 @@ mod tests {
 
     #[test]
     fn counting_store_counts() {
-        let (s, counters) = CountingStore::new(MemPageStore::new(64).unwrap());
+        let (s, counters) = FaultStore::new(MemPageStore::new(64).unwrap());
         let pool = BufferPool::new(s, 1);
         let a = pool.allocate().unwrap();
         let b = pool.allocate().unwrap();
@@ -1342,7 +583,7 @@ mod tests {
 
     #[test]
     fn counting_store_counts_syncs_directly() {
-        let (mut s, counters) = CountingStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, counters) = FaultStore::new(MemPageStore::new(64).unwrap());
         s.sync().unwrap();
         s.sync().unwrap();
         assert_eq!(counters.syncs.load(Ordering::Relaxed), 2);
@@ -1350,7 +591,7 @@ mod tests {
 
     #[test]
     fn flaky_store_injects_failures_on_sync() {
-        let (mut s, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
         s.sync().unwrap();
         switch.arm_after(0);
         assert!(matches!(s.sync(), Err(StorageError::Io(_))));
@@ -1360,7 +601,7 @@ mod tests {
 
     #[test]
     fn corrupt_store_marked_pages_fail_checksum_until_rewritten() {
-        let (mut s, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 42);
+        let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), 42);
         let a = s.allocate().unwrap();
         let b = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
@@ -1384,7 +625,7 @@ mod tests {
     fn corrupt_store_glitches_are_seeded_and_bursty() {
         // Same seed ⇒ same fault schedule.
         let run = |seed: u64| {
-            let (mut s, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), seed);
+            let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), seed);
             let p = s.allocate().unwrap();
             s.write(p, &[9u8; 64]).unwrap();
             ctl.set_fault_rate(512, 2); // ~half the ops glitch, 2 fails each
@@ -1405,16 +646,7 @@ mod tests {
 
     #[test]
     fn chaos_store_is_quiet_until_armed_and_composes_fault_classes() {
-        let (mut s, ctl) = ChaosStore::new(
-            MemPageStore::new(64).unwrap(),
-            ChaosConfig {
-                seed: 7,
-                glitch_per_1024: 1024, // every op glitches once armed
-                glitch_burst: 1,
-                latency_per_1024: 0, // keep the test sleep-free
-                latency_us: 0,
-            },
-        );
+        let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), 7);
         // Disarmed: clean build phase.
         let p = s.allocate().unwrap();
         s.write(p, &[3u8; 64]).unwrap();
@@ -1423,15 +655,15 @@ mod tests {
         assert_eq!(ctl.injected_faults(), 0);
 
         // Armed: glitches fire (rate 1024/1024 = always).
-        ctl.arm();
+        ctl.set_fault_rate(1024, 1);
         assert!(matches!(s.read(p, &mut buf), Err(StorageError::Io(_))));
         assert!(ctl.injected_faults() > 0);
-        ctl.disarm();
+        ctl.set_fault_rate(0, 1);
         s.read(p, &mut buf).unwrap();
         assert_eq!(buf, [3u8; 64]);
 
         // Targeted corruption survives disarm and heals on write.
-        ctl.corruption.mark_corrupt(p);
+        ctl.mark_corrupt(p);
         assert!(matches!(
             s.read(p, &mut buf),
             Err(StorageError::ChecksumMismatch { .. })
@@ -1441,31 +673,22 @@ mod tests {
 
         // Disk-full pulses surface the typed NoSpace on mutations while
         // reads keep working; draining recovers.
-        ctl.disk.fill_after(0, false);
+        ctl.fill_after(0, false);
         assert!(matches!(s.write(p, &[5u8; 64]), Err(StorageError::NoSpace)));
         s.read(p, &mut buf).unwrap();
-        ctl.disk.drain();
+        ctl.drain();
         s.write(p, &[6u8; 64]).unwrap();
     }
 
     #[test]
     fn chaos_latency_schedule_is_seed_deterministic() {
         let run = |seed: u64| {
-            let (s, ctl) = ChaosStore::new(
-                MemPageStore::new(64).unwrap(),
-                ChaosConfig {
-                    seed,
-                    glitch_per_1024: 0,
-                    glitch_burst: 1,
-                    latency_per_1024: 256, // ~25% of reads stall…
-                    latency_us: 0,         // …for zero time: schedule only
-                },
-            );
+            let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), seed);
             // Build before arming.
-            let mut s = s;
             let p = s.allocate().unwrap();
             s.write(p, &[1u8; 64]).unwrap();
-            ctl.arm();
+            // ~25% of reads stall, for zero time: schedule only.
+            ctl.set_latency(256, 0);
             let mut buf = [0u8; 64];
             for _ in 0..64 {
                 s.read(p, &mut buf).unwrap();
@@ -1479,7 +702,7 @@ mod tests {
     #[test]
     fn retry_store_absorbs_corrupt_store_bursts() {
         use crate::retry::{RetryPolicy, RetryStore};
-        let (s, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 99);
+        let (s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), 99);
         let mut s = RetryStore::new(
             s,
             RetryPolicy {
@@ -1522,7 +745,7 @@ mod tests {
 
     #[test]
     fn full_disk_store_fails_mutations_with_no_space_until_drained() {
-        let (mut s, ctl) = FullDiskStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         ctl.fill_after(1, false);
@@ -1544,7 +767,7 @@ mod tests {
 
     #[test]
     fn full_disk_short_write_lands_a_prefix() {
-        let (mut s, ctl) = FullDiskStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
         let a = s.allocate().unwrap();
         s.write(a, &[0xaa; 64]).unwrap();
         ctl.fill_after(0, true);
@@ -1560,32 +783,8 @@ mod tests {
     }
 
     #[test]
-    fn wrappers_forward_wal_hooks() {
-        use crate::durable::WalStore;
-        let mut p = std::env::temp_dir();
-        p.push(format!("ccam-testing-hooks-{}.wal", std::process::id()));
-        let wal = WalStore::create(MemPageStore::new(64).unwrap(), &p).unwrap();
-        // A fault wrapper above a WalStore still reports and controls it.
-        let (mut s, _ctl) = FullDiskStore::new(wal);
-        assert!(s.supports_rollback());
-        assert!(s.wal_info().is_some());
-        s.set_max_wal_bytes(Some(1 << 20));
-        let a = s.allocate().unwrap();
-        s.write(a, &[1u8; 64]).unwrap();
-        s.sync().unwrap();
-        assert!(s.wal_info().unwrap().live_bytes > 24);
-        s.checkpoint().unwrap();
-        assert!(s.wal_info().unwrap().checkpoints >= 1);
-        // A plain store reports no WAL and refuses nothing.
-        let (plain, _c) = CountingStore::new(MemPageStore::new(64).unwrap());
-        assert!(!plain.supports_rollback());
-        assert!(plain.wal_info().is_none());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
     fn crash_store_dies_at_scheduled_op_and_stays_dead() {
-        let (mut s, ctl) = CrashStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         ctl.crash_after(1, TornWrite::None);
@@ -1605,7 +804,7 @@ mod tests {
     #[test]
     fn crash_store_tears_the_dying_write() {
         // Partial: first half new, second half old.
-        let (mut s, ctl) = CrashStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
         let a = s.allocate().unwrap();
         s.write(a, &[0xaa; 64]).unwrap();
         ctl.crash_after(0, TornWrite::Partial);
@@ -1617,7 +816,7 @@ mod tests {
         assert!(buf[32..].iter().all(|&x| x == 0xaa));
 
         // Zeroed: the page comes back blank.
-        let (mut s, ctl) = CrashStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
         let a = s.allocate().unwrap();
         s.write(a, &[0xaa; 64]).unwrap();
         ctl.crash_after(0, TornWrite::Zeroed);
@@ -1625,5 +824,120 @@ mod tests {
         ctl.revive();
         s.read(a, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0));
+    }
+
+    /// Drives a fixed, seeded mix of 4 096 single store operations over
+    /// four live pages and returns the indices of those that glitched
+    /// and of those that stalled.
+    fn drive(s: &mut FaultStore<MemPageStore>, ctl: &FaultController) -> (Vec<u32>, Vec<u32>) {
+        let mut mix = SweepRng::new(1);
+        let mut buf = [0u8; 64];
+        let mut spare = None;
+        let (mut glitched, mut stalled) = (Vec::new(), Vec::new());
+        for i in 0..4096u32 {
+            let (glitches, stalls) = (ctl.injected_glitches(), ctl.injected_stalls());
+            let p = PageId(mix.gen_range(4) as u32);
+            let _ = match mix.gen_range(8) {
+                0..=3 => s.read(p, &mut buf),
+                4 | 5 => s.write(p, &buf),
+                6 => s.sync(),
+                _ => match spare.take() {
+                    Some(q) => s.free(q),
+                    None => s.allocate().map(|q| spare = Some(q)),
+                },
+            };
+            if ctl.injected_glitches() != glitches {
+                glitched.push(i);
+            }
+            if ctl.injected_stalls() != stalls {
+                stalled.push(i);
+            }
+        }
+        (glitched, stalled)
+    }
+
+    /// The oracle of the port from six stacked wrappers to this one
+    /// store. The literals were recorded, with [`drive`], on the tree
+    /// this store replaced: glitches from the glitch-and-rot wrapper at
+    /// `set_fault_rate(12, 2)`, glitches and stalls from the composed
+    /// chaos wrapper at its default rates (the same 12/2, stalls 8 per
+    /// 1024) — the two agreed on the glitches for every seed.
+    #[test]
+    fn seeds_replay_the_schedules_recorded_before_the_port() {
+        // (seed, first index of each two-failure burst, stalled indices)
+        #[rustfmt::skip]
+        const RECORDED: [(u64, &[u32], &[u32]); 4] = [
+            (5, &[229, 255, 326, 355, 557, 689, 727, 740, 783, 947, 1092, 1205, 1269, 1493, 1534, 1586, 1613, 1650, 1664, 1766, 1819, 1906, 1942, 2017, 2184, 2263, 2526, 2709, 2728, 2757, 2819, 2867, 2929, 2961, 3023, 3045, 3201, 3373, 3396, 3489, 3571, 3640, 3720, 3808, 3816, 3867, 3934], &[423, 530, 606, 970, 1001, 1100, 1223, 1298, 1428, 1682, 1728, 1787, 1924, 1981, 1988, 2076, 2492, 2524, 2696, 3017, 3279, 3462, 3526, 3588, 3775, 3833]),
+            (7, &[91, 207, 213, 216, 515, 540, 675, 696, 712, 797, 823, 887, 987, 1059, 1130, 1382, 1399, 1483, 1488, 1733, 1800, 1814, 1842, 1959, 2005, 2051, 2089, 2156, 2565, 2739, 2824, 2860, 3007, 3091, 3211, 3292, 3423, 3482, 3497, 3529, 3784, 3886, 3891, 4019], &[838, 931, 958, 1330, 1487, 1547, 1763, 1769, 2247, 2282, 2404, 2679, 3232, 3242, 3342, 3680, 3851, 3856]),
+            (42, &[4, 8, 42, 112, 251, 271, 274, 331, 368, 374, 385, 463, 518, 521, 543, 755, 778, 824, 869, 1000, 1078, 1271, 1282, 1408, 1414, 1444, 1575, 1764, 1806, 2049, 2230, 2264, 2381, 2536, 2610, 2663, 2684, 2695, 2782, 2837, 2906, 2950, 3034, 3110, 3190, 3280, 3408, 3497, 3556, 3664, 3832, 3921, 3963, 4054], &[26, 298, 722, 1148, 1238, 1604, 1794, 2146, 2457, 2634, 2717, 2720, 2830, 2891, 2998, 3092, 3149, 3619, 3625, 3709, 3988]),
+            (77, &[51, 102, 108, 112, 203, 549, 593, 736, 742, 862, 906, 996, 1049, 1185, 1261, 1372, 1513, 1573, 1682, 1685, 1839, 1856, 1987, 2003, 2048, 2095, 2194, 2239, 2256, 2363, 2379, 2528, 2533, 2546, 2641, 2699, 2718, 2726, 2975, 3084, 3129, 3139, 3270, 3334, 3369, 3582, 3628, 3651, 3731, 3743, 3761, 3801, 3865, 4036], &[88, 112, 149, 204, 220, 245, 766, 854, 905, 1035, 1514, 1532, 1966, 2047, 2084, 2289, 2364, 2466, 2527, 2647, 2830, 2919, 3413, 3619]),
+        ];
+        for (seed, bursts, stalls) in RECORDED {
+            let glitches: Vec<u32> = bursts.iter().flat_map(|&i| [i, i + 1]).collect();
+            for latency_per_1024 in [0, 8] {
+                let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), seed);
+                for _ in 0..4 {
+                    let p = s.allocate().unwrap();
+                    s.write(p, &[1u8; 64]).unwrap();
+                }
+                ctl.set_fault_rate(12, 2);
+                ctl.set_latency(latency_per_1024, 0);
+                let (glitched, stalled) = drive(&mut s, &ctl);
+                assert_eq!(glitched, glitches, "seed {seed}");
+                let expected: &[u32] = if latency_per_1024 == 0 { &[] } else { stalls };
+                assert_eq!(stalled, expected, "seed {seed}");
+            }
+        }
+    }
+
+    /// Two classes armed at once meet an operation in the documented
+    /// order, and the first to fail it keeps the later ones from ticking
+    /// or drawing.
+    #[test]
+    fn armed_classes_are_evaluated_in_the_documented_order() {
+        let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), 3);
+        let p = s.allocate().unwrap();
+        let q = s.allocate().unwrap();
+        let mut buf = [0u8; 64];
+
+        // Rot before the glitch draw: a rotted read fails its checksum
+        // and draws nothing; a healthy read glitches.
+        ctl.mark_corrupt(p);
+        ctl.set_fault_rate(1024, 1);
+        assert!(matches!(
+            s.read(p, &mut buf),
+            Err(StorageError::ChecksumMismatch { .. })
+        ));
+        assert_eq!(ctl.injected_glitches(), 0);
+        assert!(matches!(s.read(q, &mut buf), Err(StorageError::Io(_))));
+        assert_eq!(ctl.injected_glitches(), 1);
+
+        // The error switch before both.
+        ctl.arm_after(0);
+        assert!(matches!(s.read(p, &mut buf), Err(StorageError::Io(_))));
+        assert_eq!(ctl.injected_glitches(), 1);
+        ctl.disarm();
+
+        // The glitch draw before ENOSPC: the fill countdown has not
+        // ticked when the glitch fails the write.
+        ctl.fill_after(0, false);
+        assert!(matches!(s.write(q, &buf), Err(StorageError::Io(_))));
+        assert!(!ctl.is_full());
+        ctl.set_fault_rate(0, 1);
+
+        // ENOSPC before the power cut: a full device answers NoSpace and
+        // the crash countdown does not tick; `free`, which a full device
+        // never blocks, is the mutation the store then dies on.
+        ctl.crash_after(0, TornWrite::None);
+        assert!(matches!(s.write(q, &buf), Err(StorageError::NoSpace)));
+        assert!(ctl.is_full() && !ctl.is_dead());
+        assert_eq!(ctl.injected_no_space(), 1);
+        assert!(matches!(s.free(q), Err(StorageError::Io(_))));
+        assert!(ctl.is_dead());
+        // Dead, even a rotted read reports its rot first.
+        assert!(matches!(
+            s.read(p, &mut buf),
+            Err(StorageError::ChecksumMismatch { .. })
+        ));
     }
 }

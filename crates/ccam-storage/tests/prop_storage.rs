@@ -214,14 +214,14 @@ proptest! {
         ops in prop::collection::vec(wal_op(), 1..60),
         crash_countdown in 1u64..50,
     ) {
-        use ccam_storage::testing::{CrashStore, TornWrite};
+        use ccam_storage::testing::{FaultStore, TornWrite};
         use ccam_storage::{recovery, PageStore, Wal, WalStore};
 
         const PS: usize = 64;
         let wal_path = unique_wal_path();
         std::fs::remove_file(&wal_path).ok();
 
-        let (cstore, ctl) = CrashStore::new(MemPageStore::new(PS).unwrap());
+        let (cstore, ctl) = FaultStore::new(MemPageStore::new(PS).unwrap());
         let mut ws = WalStore::create(cstore, &wal_path).unwrap();
         ctl.crash_after(crash_countdown, TornWrite::Partial);
 
@@ -315,7 +315,7 @@ proptest! {
 
     /// The buffer pool's frame table and page map stay in agreement under
     /// any interleaving of allocate/free/read/write/clear/set_capacity —
-    /// including mid-operation failures injected by a [`CorruptStore`]
+    /// including mid-operation failures injected by a [`FaultStore`]
     /// (checksum-corrupt pages and transient fault bursts). After every
     /// step [`BufferPool::check_invariants`] must hold and residency must
     /// respect the capacity; once the store is healed the pool must be
@@ -325,9 +325,9 @@ proptest! {
         cap in 1usize..5,
         ops in prop::collection::vec(pool_op(), 1..100),
     ) {
-        use ccam_storage::testing::CorruptStore;
+        use ccam_storage::testing::FaultStore;
 
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 7);
+        let (store, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), 7);
         let pool = BufferPool::new(store, cap);
         let mut live: Vec<PageId> = Vec::new();
 

@@ -73,7 +73,8 @@ use ccam::graph::{load_network, save_network, Network, NodeId};
 use ccam::partition::PartitionStrategy;
 use ccam::storage::stats::IoStats;
 use ccam::storage::{
-    wal_sidecar, FilePageStore, MetricsRegistry, PageStore, RetryPolicy, RetryStore, Wal, WalStore,
+    wal_sidecar, FilePageStore, MetricsRegistry, PageStore, RetryPolicy, RetryStore, Wal,
+    WalControl, WalStore,
 };
 
 fn main() -> ExitCode {
@@ -168,7 +169,7 @@ fn dump_db_metrics(
         let r = &sink.registry;
         r.inc_by("reorg_txn_commits", am.file().txn_commits());
         r.inc_by("reorg_txn_aborts", am.file().txn_aborts());
-        if let Some(info) = am.file().pool().with_store(|s| s.wal_info()) {
+        if let Some(info) = am.file().pool().with_wal(|log| log.info()) {
             r.inc_by("wal_checkpoints", info.checkpoints);
             r.inc_by("wal_commits", info.commits);
             r.inc_by("wal_bytes_appended", info.bytes_appended);
@@ -457,6 +458,8 @@ impl FlagMap for HashMap<String, String> {
 ///
 /// `--retry` wraps the page file in a [`RetryStore`] (innermost, below
 /// the WAL overlay, so retries shield both recovery and normal I/O).
+/// Whatever the stack, the commands reach its log through the one
+/// accessor every store forwards, [`PageStore::wal`].
 /// Checksum-failed pages are quarantined with a warning — queries then
 /// skip them and answer degraded — unless `--verify-checksums` made
 /// corruption fatal.
@@ -610,32 +613,28 @@ fn checkpoint_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
             report.torn_bytes
         );
     }
-    let before = ws.wal().len();
+    let before = ws.log().len();
     ws.checkpoint().map_err(|e| e.to_string())?;
-    let after = ws.wal().len();
+    let after = ws.log().len();
     println!("checkpointed {db}: log {before} -> {after} bytes");
-    let info = ws.wal_info();
-    if let Some(info) = &info {
-        // A retained floor below next_lsn means a subscribed follower
-        // or pinned snapshot generation still needs those log bytes —
-        // the checkpoint kept them instead of truncating.
-        if info.retained_lsn + 1 < info.next_lsn {
-            println!(
-                "retained from lsn {} (next {}): follower or pinned generation holds the log",
-                info.retained_lsn, info.next_lsn
-            );
-        }
+    let info = ws.info();
+    // A retained floor below next_lsn means a subscribed follower or
+    // pinned snapshot generation still needs those log bytes — the
+    // checkpoint kept them instead of truncating.
+    if info.retained_lsn + 1 < info.next_lsn {
+        println!(
+            "retained from lsn {} (next {}): follower or pinned generation holds the log",
+            info.retained_lsn, info.next_lsn
+        );
     }
     if let Some(sink) = &opts.metrics {
         let r = &sink.registry;
         r.inc_by("recovery.replayed_batches", report.replayed_batches);
         r.inc_by("wal_checkpoints", 1);
         r.set_gauge("wal_live_bytes", after as f64);
-        if let Some(info) = &info {
-            r.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
-            r.set_gauge("wal.next_lsn", info.next_lsn as f64);
-            r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
-        }
+        r.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
+        r.set_gauge("wal.next_lsn", info.next_lsn as f64);
+        r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
         dump_metrics(opts, None)?;
     }
     Ok(())
@@ -1114,7 +1113,7 @@ fn serve(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     }
     // WAL position gauges: what a checkpoint could reclaim and what
     // replication retention still pins.
-    if let Ok(Some(info)) = db.with_writer(|am| am.file().pool().with_store(|s| s.wal_info())) {
+    if let Ok(Some(info)) = db.with_writer(|am| am.file().pool().with_wal(|log| log.info())) {
         metrics.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
         metrics.set_gauge("wal.next_lsn", info.next_lsn as f64);
         metrics.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);

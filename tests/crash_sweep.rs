@@ -9,7 +9,7 @@
 //! inner sync) gets its own crash. Each crash index is exercised with
 //! clean power-cuts and with torn page writes, and a separate sweep
 //! injects `ENOSPC` / short writes through
-//! [`ccam::storage::FullDiskStore`] instead of killing the process.
+//! [`ccam::storage::FaultStore`] instead of killing the process.
 //!
 //! After every simulated failure the round asserts:
 //!
@@ -37,8 +37,8 @@ use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, NodeId};
 use ccam::storage::recovery::live_snapshot;
 use ccam::storage::{
-    wal_sidecar, CrashStore, FilePageStore, FullDiskStore, MemPageStore, PageId, PageStore,
-    StorageError, SweepRng, TornWrite, WalStore,
+    wal_sidecar, FaultStore, FilePageStore, MemPageStore, PageId, PageStore, StorageError,
+    SweepRng, TornWrite, WalControl, WalStore,
 };
 
 const BLOCK: usize = 512;
@@ -252,7 +252,7 @@ fn crash_round(
 ) -> bool {
     let (db, wal) = golden.clone_to(name);
     let store = FilePageStore::open(&db).unwrap();
-    let (cstore, ctl) = CrashStore::new(store);
+    let (cstore, ctl) = FaultStore::new(store);
     let (ws, report) = WalStore::open(cstore, &wal).unwrap();
     assert!(report.was_clean(), "golden copy must open clean");
     let mut am = CcamBuilder::new(BLOCK).policy(policy).open_on(ws).unwrap();
@@ -316,7 +316,7 @@ fn enospc_round(
 ) -> bool {
     let (db, wal) = golden.clone_to(name);
     let store = FilePageStore::open(&db).unwrap();
-    let (fstore, ctl) = FullDiskStore::new(store);
+    let (fstore, ctl) = FaultStore::new(store);
     let (ws, _) = WalStore::open(fstore, &wal).unwrap();
     let mut am = CcamBuilder::new(BLOCK).policy(policy).open_on(ws).unwrap();
     am.file_mut().set_auto_commit(true);
@@ -502,13 +502,13 @@ fn bounded_wal_holds_cap_across_10k_updates() {
             s.write(p, &[(i % 251) as u8; 64]).unwrap();
         }
         s.sync().unwrap();
-        let len = s.wal().len();
+        let len = s.log().len();
         assert!(
             len <= CAP + one_txn,
             "update {i}: wal grew to {len} (cap {CAP})"
         );
     }
-    let info = s.wal_info().unwrap();
+    let info = s.info();
     assert!(info.checkpoints > 10, "cap never cycled: {info:?}");
     assert!(info.commits >= 10_000);
     std::fs::remove_file(&wal_path).ok();
@@ -558,7 +558,7 @@ mod prop_recovery {
             drop(am);
 
             let store = FilePageStore::open(&db).unwrap();
-            let (cstore, ctl) = CrashStore::new(store);
+            let (cstore, ctl) = FaultStore::new(store);
             let (ws, _) = WalStore::open(cstore, &wal).unwrap();
             let mut am = CcamBuilder::new(BLOCK).policy(policy).open_on(ws).unwrap();
             am.file_mut().set_auto_commit(true);
@@ -603,7 +603,7 @@ mod prop_recovery {
 /// is still reported full.
 #[test]
 fn enospc_rollback_returns_passthrough_allocations() {
-    let (fstore, ctl) = FullDiskStore::new(MemPageStore::new(64).unwrap());
+    let (fstore, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
     let wal_path = temp_path("enospc-alloc.wal");
     std::fs::remove_file(&wal_path).ok();
     let mut s = WalStore::create(fstore, &wal_path).unwrap();

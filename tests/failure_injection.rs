@@ -6,12 +6,12 @@ use ccam::core::am::{AccessMethod, CcamBuilder};
 use ccam::core::query::route::evaluate_path;
 use ccam::core::query::search::dijkstra;
 use ccam::graph::generators::grid_network;
-use ccam::storage::{FlakyStore, MemPageStore};
+use ccam::storage::{FaultStore, MemPageStore};
 
 #[test]
 fn create_fails_cleanly_when_io_dies_immediately() {
     let net = grid_network(6, 6, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap());
     switch.arm_after(0);
     let r = CcamBuilder::new(512).build_static_on(store, &net);
     assert!(r.is_err(), "create over dead storage must fail, not panic");
@@ -20,7 +20,7 @@ fn create_fails_cleanly_when_io_dies_immediately() {
 #[test]
 fn reads_fail_then_recover() {
     let net = grid_network(8, 8, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap());
     let am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
     let id = net.node_ids()[30];
 
@@ -42,7 +42,7 @@ fn reads_fail_then_recover() {
 #[test]
 fn queries_propagate_errors() {
     let net = grid_network(7, 7, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap());
     let am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
     let ids = net.node_ids();
 
@@ -67,7 +67,7 @@ fn data_survives_a_mid_update_failure_window() {
     // buffer pool held the dirty pages, nothing was half-written to the
     // store at a torn boundary).
     let net = grid_network(8, 8, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap());
     let mut am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
     let ids = net.node_ids();
 

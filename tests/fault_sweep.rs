@@ -1,6 +1,6 @@
 //! Seeded randomized fault sweep: a mixed operation workload runs over a
 //! store that injects transient glitches and persistent page corruption
-//! (`CorruptStore`), shielded by a `RetryStore`. The invariant is the
+//! (`FaultStore`), shielded by a `RetryStore`. The invariant is the
 //! robustness contract of the storage stack:
 //!
 //! * with the retry budget above the glitch burst length, every
@@ -18,7 +18,7 @@
 use ccam::core::am::{AccessMethod, CcamBuilder};
 use ccam::core::check;
 use ccam::graph::generators::grid_network;
-use ccam::storage::{CorruptStore, MemPageStore, RetryPolicy, RetryStore, StorageError};
+use ccam::storage::{FaultStore, MemPageStore, RetryPolicy, RetryStore, StorageError};
 use proptest::prelude::*;
 
 /// Local default kept modest (each case builds a CCAM file); CI elevates
@@ -37,7 +37,7 @@ proptest! {
         seed in any::<u64>(),
         ops in prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 8..24),
     ) {
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(512).unwrap(), seed);
+        let (store, ctl) = FaultStore::with_seed(MemPageStore::new(512).unwrap(), seed);
         let store = RetryStore::new(
             store,
             // Budget comfortably above the burst length of 2, so even a

@@ -36,7 +36,7 @@ use ccam::core::query::route::evaluate_route;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::Network;
-use ccam::storage::{FullDiskStore, MemPageStore, PageStore, WalStore};
+use ccam::storage::{FaultStore, MemPageStore, PageStore, WalStore};
 
 const WRITE_TRANSACTIONS: u64 = 60;
 const REORG_EVERY: u64 = 10;
@@ -251,7 +251,7 @@ fn pinned_snapshots_match_the_committed_generation_ledger() {
     let _ = std::fs::remove_file(&wal_path);
     let mem = MemPageStore::new(1024).unwrap();
     let wal = WalStore::create(mem, &wal_path).unwrap();
-    let (store, disk) = FullDiskStore::new(wal);
+    let (store, disk) = FaultStore::new(wal);
     let mut am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
     am.file_mut().set_auto_commit(true);
     am.enable_snapshots().unwrap();

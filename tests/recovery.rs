@@ -1,7 +1,7 @@
 //! Crash recovery: kill the store at arbitrary points during updates and
 //! assert that reopening through the WAL restores a consistent database.
 //!
-//! The harness is `WalStore<CrashStore<FilePageStore>>`: the crash
+//! The harness is `WalStore<FaultStore<FilePageStore>>`: the crash
 //! controller schedules a "power failure" after the k-th physical
 //! mutation, optionally tearing the page write it dies on. A sweep over
 //! crash indices covers every phase of the commit protocol —
@@ -21,7 +21,7 @@ use ccam::core::am::{AccessMethod, CcamBuilder, DeletedNode};
 use ccam::core::check;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, NodeId};
-use ccam::storage::{wal_sidecar, CrashStore, FilePageStore, TornWrite, WalStore};
+use ccam::storage::{wal_sidecar, FaultStore, FilePageStore, TornWrite, WalStore};
 
 const BLOCK: usize = 512;
 
@@ -71,7 +71,7 @@ fn crash_round(net: &Network, k: u64, mode: TornWrite, name: &str) -> bool {
     std::fs::remove_file(&wal).ok();
 
     let store = FilePageStore::create(&path, BLOCK).unwrap();
-    let (cstore, ctl) = CrashStore::new(store);
+    let (cstore, ctl) = FaultStore::new(store);
     let ws = WalStore::create(cstore, &wal).unwrap();
     let mut am = CcamBuilder::new(BLOCK).build_static_on(ws, net).unwrap();
     am.file().commit().unwrap();
@@ -197,7 +197,7 @@ fn crash_mid_reorganization_recovers() {
         std::fs::remove_file(&wal).ok();
 
         let store = FilePageStore::create(&path, BLOCK).unwrap();
-        let (cstore, ctl) = CrashStore::new(store);
+        let (cstore, ctl) = FaultStore::new(store);
         let ws = WalStore::create(cstore, &wal).unwrap();
         let mut am = CcamBuilder::new(BLOCK).build_static_on(ws, &net).unwrap();
         am.file().commit().unwrap();
