@@ -661,13 +661,16 @@ fn main() {
         std::thread::sleep(phase / 2);
         harness.parity_check(&primary, &follower, catchup_bound, "link faults");
 
-        // Phase 3 — primary crash + WAL recovery restart. No
-        // checkpoint before teardown: the reopen must replay the WAL.
+        // Phase 3 — primary crash + WAL recovery restart. The database
+        // is leaked, not dropped: closing it would checkpoint, and the
+        // reopen must replay the WAL.
         flags.primary_down.store(true, Ordering::Release);
         let down_at = Instant::now();
+        let killed = Arc::clone(primary.db());
         if primary.shutdown().is_err() {
             harness.violation("primary teardown did not drain".to_string());
         }
+        std::mem::forget(killed);
         proxy.cut();
         std::thread::sleep(phase);
         let (p2, replayed) = start_primary(&p_db, &p_wal, None);

@@ -424,7 +424,7 @@ mod view_is_a_full_rebuild {
     enum Step {
         /// A node or edge update of the model test above.
         Update(Op),
-        /// The server's `Upsert` of the i-th node, its payload grown by
+        /// The i-th node deleted and put back with its payload grown by
         /// n bytes — records outgrow their pages and split them.
         Grow(usize, usize),
         /// Recluster the whole file.
@@ -651,7 +651,8 @@ mod view_is_a_full_rebuild {
         (db, wal)
     }
 
-    /// The server's `Upsert`.
+    /// A payload replaced the structural way, `Delete()` then
+    /// `Insert()`: the record is re-placed and its index entry rewritten.
     fn upsert(db: &mut Db, id: NodeId, payload: Vec<u8>) {
         let del = db.delete_node(id).unwrap().expect("node exists");
         let data = NodeData {
@@ -730,5 +731,202 @@ mod view_is_a_full_rebuild {
         assert_eq!(capacity(&cell), 7);
         drop(cell);
         std::fs::remove_file(wal).ok();
+    }
+}
+
+/// The server's `Upsert` rewrites one record where it lies: `find`, new
+/// payload, `am::common::write_back`. No edge changes, so it must leave
+/// the file holding what `Delete()` then `Insert()` of the same record
+/// leave — the structural way, which re-places the record and patches
+/// every neighbour twice — while touching one page.
+mod upsert_in_place {
+    use super::{apply, check_equiv, op, Op};
+    use ccam_core::am::common::write_back;
+    use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
+    use ccam_core::check;
+    use ccam_core::reorg::ReorgPolicy;
+    use ccam_graph::generators::grid_network;
+    use ccam_graph::{NodeData, NodeId};
+    use proptest::prelude::*;
+
+    /// The server's `Upsert`; false when `id` is absent.
+    fn in_place(db: &mut Ccam, id: NodeId, payload: &[u8]) -> bool {
+        let Some((page, mut rec)) = db.file().find(id).unwrap() else {
+            return false;
+        };
+        rec.payload = payload.to_vec();
+        write_back(db.file_mut(), page, &rec).unwrap();
+        true
+    }
+
+    /// The same by `Delete()` then `Insert()`.
+    fn structurally(db: &mut Ccam, id: NodeId, payload: &[u8]) -> bool {
+        let Some(del) = db.delete_node(id).unwrap() else {
+            return false;
+        };
+        let data = NodeData {
+            payload: payload.to_vec(),
+            ..del.data
+        };
+        db.insert_node(&data, &del.incoming).unwrap();
+        true
+    }
+
+    /// Page writes that reach the store when `f`'s changes are flushed.
+    fn page_writes(db: &mut Ccam, f: impl FnOnce(&mut Ccam)) -> u64 {
+        db.file().commit().unwrap();
+        let before = db.stats().snapshot();
+        f(db);
+        db.file().commit().unwrap();
+        db.stats().snapshot().since(&before).physical_writes
+    }
+
+    /// A record with its edge lists in id order: `Delete()` and
+    /// `Insert()` re-append a neighbour's entry, `write_back` does not.
+    fn logical(mut rec: NodeData) -> NodeData {
+        rec.successors.sort_by_key(|e| e.to);
+        rec.predecessors.sort_unstable();
+        rec
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A node or edge update of the model test above.
+        Update(Op),
+        /// A new payload of `n` bytes for the i-th node: up to a fifth
+        /// of a page, so records outgrow their pages now and then.
+        Upsert(usize, usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            1 => op().prop_map(Step::Update),
+            2 => (any::<usize>(), 0usize..100).prop_map(|(i, n)| Step::Upsert(i, n)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Two files in lockstep through a seeded history, payloads
+        /// replaced in place on one and structurally on the other: after
+        /// every step each holds its model's records and edge lists and
+        /// passes the audit (index agreement included), and the two hold
+        /// the same records.
+        #[test]
+        fn leaves_what_delete_then_insert_leaves(
+            steps in prop::collection::vec(step(), 1..40),
+            policy_sel in 0usize..4,
+        ) {
+            let policy = [
+                ReorgPolicy::FirstOrder,
+                ReorgPolicy::SecondOrder,
+                ReorgPolicy::HigherOrder,
+                ReorgPolicy::Lazy { every: 3 },
+            ][policy_sel];
+            let net = grid_network(6, 6, 0.7);
+            let build = || CcamBuilder::new(512).policy(policy).build_static(&net).unwrap();
+            let (mut here, mut here_model, mut here_dead) = (build(), net.clone(), Vec::new());
+            let (mut there, mut there_model, mut there_dead) = (build(), net.clone(), Vec::new());
+            for (n, step) in steps.iter().enumerate() {
+                match step {
+                    // The i-th edge is the i-th of a model's list order,
+                    // which the structural side permutes: name the edge.
+                    Step::Update(Op::DeleteEdge(i)) if here_model.num_edges() > 0 => {
+                        let edges: Vec<_> = here_model.edges().collect();
+                        let (from, to, _) = edges[i % edges.len()];
+                        let same = there_model
+                            .edges()
+                            .position(|(f, t, _)| (f, t) == (from, to))
+                            .unwrap();
+                        apply(&mut here, &mut here_model, &mut here_dead, &Op::DeleteEdge(*i));
+                        apply(&mut there, &mut there_model, &mut there_dead, &Op::DeleteEdge(same));
+                    }
+                    Step::Update(op) => {
+                        apply(&mut here, &mut here_model, &mut here_dead, op);
+                        apply(&mut there, &mut there_model, &mut there_dead, op);
+                    }
+                    Step::Upsert(i, len) if !here_model.is_empty() => {
+                        let ids = here_model.node_ids();
+                        let id = ids[i % ids.len()];
+                        let payload = vec![n as u8; *len];
+                        prop_assert!(in_place(&mut here, id, &payload));
+                        here_model.node_mut(id).unwrap().payload.clone_from(&payload);
+                        // `apply` mirrors the delete and the re-insert
+                        // in the model, list order and all.
+                        apply(&mut there, &mut there_model, &mut there_dead, &Op::DeleteNode(*i));
+                        there_dead.last_mut().unwrap().0.payload = payload;
+                        let last = there_dead.len() - 1;
+                        apply(&mut there, &mut there_model, &mut there_dead, &Op::ReinsertNode(last));
+                    }
+                    Step::Upsert(..) => {}
+                }
+                for (db, model) in [(&here, &here_model), (&there, &there_model)] {
+                    check_equiv(db, model);
+                    let audit = check::verify(db.file()).unwrap();
+                    prop_assert!(audit.is_clean(), "{:?}", audit.issues);
+                }
+                prop_assert_eq!(here_model.node_ids(), there_model.node_ids());
+                for id in here_model.node_ids() {
+                    prop_assert_eq!(
+                        logical(here.find(id).unwrap().unwrap()),
+                        logical(there.find(id).unwrap().unwrap())
+                    );
+                }
+            }
+        }
+    }
+
+    /// A payload of the same size stays on its page and costs that one
+    /// page write; the structural way rewrites the neighbours' pages too.
+    #[test]
+    fn same_size_payload_is_one_page_write_on_the_same_page() {
+        let net = grid_network(12, 12, 1.0);
+        let mut db = CcamBuilder::new(512).build_static(&net).unwrap();
+        let mut twin = CcamBuilder::new(512).build_static(&net).unwrap();
+        let id = net.node_ids()[net.len() / 2];
+        let page = db.file().page_of(id).unwrap();
+        let payload = vec![0xAB; net.node(id).unwrap().payload.len()];
+
+        let writes = page_writes(&mut db, |db| assert!(in_place(db, id, &payload)));
+        assert_eq!(writes, 1);
+        assert_eq!(db.file().page_of(id).unwrap(), page);
+        assert_eq!(db.find(id).unwrap().unwrap().payload, payload);
+
+        let twin_writes = page_writes(&mut twin, |db| assert!(structurally(db, id, &payload)));
+        assert!(twin_writes > 1, "{twin_writes} page writes");
+        assert_eq!(db.find(id).unwrap(), twin.find(id).unwrap());
+    }
+
+    /// A payload grown past what its page can hold moves the record,
+    /// and the index follows it.
+    #[test]
+    fn a_payload_grown_past_its_page_relocates_and_find_follows() {
+        let net = grid_network(12, 12, 1.0);
+        let mut db = CcamBuilder::new(512).build_static(&net).unwrap();
+        let id = net.node_ids()[net.len() / 2];
+        let page = db.file().page_of(id).unwrap().unwrap();
+        let room = db.file().page_free_space(page).unwrap();
+        let payload = vec![7u8; net.node(id).unwrap().payload.len() + room + 1];
+
+        assert!(in_place(&mut db, id, &payload));
+        let moved_to = db.file().page_of(id).unwrap().unwrap();
+        assert_ne!(moved_to, page, "the record cannot have stayed");
+        assert_eq!(db.find(id).unwrap().unwrap().payload, payload);
+        let mut want = net.node(id).unwrap().clone();
+        want.payload = payload;
+        assert_eq!(db.find(id).unwrap().unwrap(), want);
+        assert!(check::verify(db.file()).unwrap().is_clean());
+    }
+
+    /// An id the file does not hold changes nothing.
+    #[test]
+    fn an_unknown_id_dirties_nothing() {
+        let net = grid_network(6, 6, 1.0);
+        let mut db = CcamBuilder::new(512).build_static(&net).unwrap();
+        let writes = page_writes(&mut db, |db| {
+            assert!(!in_place(db, NodeId(u64::MAX), &[1, 2, 3]));
+        });
+        assert_eq!(writes, 0);
     }
 }

@@ -93,6 +93,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ccam_core::am::common::write_back;
 use ccam_core::epoch::{EpochCell, Snapshot, Snapshotable};
 use ccam_core::query::route::evaluate_path_bounded;
 use ccam_core::query::route_unit_aggregate_bounded;
@@ -1037,46 +1038,33 @@ fn execute_one<S: PageStore>(
     }
 }
 
-/// Replaces an existing node's payload as one committed transaction:
-/// delete + re-insert with the same edges run as a single WAL batch
-/// (auto-commit is suspended for the pair), then the new state is
-/// published through the epoch. Returns the new epoch, or `None` when
-/// the node does not exist. Any failure restores the committed state
-/// before propagating — the writer value never stays torn.
+/// Replaces an existing node's payload as one committed transaction
+/// that costs what it changes: the record is found, rewritten where it
+/// lies ([`write_back`] — in place, or moved with its index entry when
+/// the grown record no longer fits its page), committed, and the new
+/// state published through the epoch. No edge changes, so no neighbour
+/// record is touched and nothing is reorganized. Returns the new epoch,
+/// or `None` when the node does not exist. A failure after the first
+/// write restores the committed state before propagating — the writer
+/// value never stays torn.
 fn upsert_node<S: PageStore>(
     shared: &Shared<S>,
     id: NodeId,
     payload: &[u8],
 ) -> Result<Option<u64>, StorageError> {
     let mut w = shared.db.write()?;
-    let was_auto = w.file().auto_commit();
-    w.file_mut().set_auto_commit(false);
-    let outcome = (|| -> Result<bool, StorageError> {
-        let Some(del) = w.delete_node(id)? else {
-            return Ok(false);
-        };
-        let mut data = del.data;
-        data.payload = payload.to_vec();
-        w.insert_node(&data, &del.incoming)?;
-        Ok(true)
-    })();
-    w.file_mut().set_auto_commit(was_auto);
-    match outcome {
-        Ok(true) => match w.file().commit() {
-            Ok(()) => Ok(Some(w.commit()?)),
-            Err(e) => {
-                let _ = w.restore_committed();
-                Err(e)
-            }
-        },
-        // Not found: the lookup mutated nothing, so there is nothing to
-        // roll back and no epoch to publish.
-        Ok(false) => Ok(None),
-        Err(e) => {
-            let _ = w.restore_committed();
-            Err(e)
-        }
+    // Not found: the lookup mutated nothing, so there is nothing to
+    // roll back and no epoch to publish.
+    let Some((page, mut rec)) = w.file().find(id)? else {
+        return Ok(None);
+    };
+    rec.payload = payload.to_vec();
+    let written = write_back(w.file_mut(), page, &rec).and_then(|()| w.file().commit());
+    if let Err(e) = written {
+        let _ = w.restore_committed();
+        return Err(e);
     }
+    Ok(Some(w.commit()?))
 }
 
 /// Copies the database's cumulative I/O counters into gauges (gauges,

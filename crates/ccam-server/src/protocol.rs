@@ -163,7 +163,8 @@ pub enum OpCode {
     /// Server metrics snapshot as JSON.
     Stats = 5,
     /// Replace (or report missing) one node's payload — the protocol's
-    /// write path, accepted only by the primary.
+    /// write path, accepted only by the primary. The record is rewritten
+    /// where it lies: no edge changes, so no other record does.
     Upsert = 6,
 }
 
@@ -206,9 +207,10 @@ pub enum Request {
     RangeAggregate(Vec<(NodeId, NodeId)>),
     /// Snapshot the server's metrics registry as JSON.
     Stats,
-    /// Replace the payload of an existing node (its position and edges
-    /// are preserved). Answered `NotFound` when the node is absent and
-    /// `NotPrimary` by a replica.
+    /// Replace the payload of an existing node. Its edges are preserved
+    /// and so is its page, unless the grown record no longer fits there.
+    /// Answered `NotFound` when the node is absent and `NotPrimary` by a
+    /// replica.
     Upsert {
         /// The node to update.
         id: NodeId,

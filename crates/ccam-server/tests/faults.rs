@@ -15,7 +15,7 @@ use ccam_graph::Network;
 use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status};
 use ccam_server::{Server, ServerConfig, ServerHandle};
-use ccam_storage::{FaultStore, MemPageStore, PageId};
+use ccam_storage::{FaultStore, MemPageStore, PageId, WalStore};
 
 fn test_net() -> Network {
     road_map(&RoadMapConfig {
@@ -358,4 +358,52 @@ fn corrupted_pages_degrade_reads_and_heal() {
         other => panic!("healed read must be exact, got {other:?}"),
     }
     handle.shutdown().unwrap();
+}
+
+/// A store fault in the middle of an `Upsert` — the record already
+/// rewritten in the writer's pool, the device full when the commit
+/// flushes it — answers `Internal` for that request and leaves no trace:
+/// no epoch, the writer back on its committed state, the old payload
+/// served; the same upsert succeeds once there is space.
+#[test]
+fn a_store_fault_mid_upsert_restores_the_committed_state() {
+    let net = test_net();
+    let log = std::env::temp_dir().join(format!("ccam-faults-{}-upsert.wal", std::process::id()));
+    // The fault store over the log: `ENOSPC` bites before the batch is
+    // logged, so the failed transaction rolls back.
+    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &log).unwrap();
+    let (store, ctl) = FaultStore::new(wal);
+    let mut am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
+    am.file_mut().set_auto_commit(true);
+    assert!(am.enable_snapshots().unwrap());
+    let db = Arc::new(EpochCell::new(am).unwrap());
+    let handle = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+
+    let id = net.node_ids()[4];
+    let old = net.node(id).unwrap().clone();
+    let upsert = Request::Upsert {
+        id,
+        payload: vec![9; old.payload.len()],
+    };
+    let epoch = db.epoch();
+    ctl.fill_after(0, false);
+    let resps = client.call(std::slice::from_ref(&upsert)).unwrap();
+    assert_eq!(resps[0], Response::Error(Status::Internal, OpCode::Upsert));
+    let resps = client.call(&[Request::Find(id)]).unwrap();
+    assert_eq!(resps[0], Response::Record(old.clone()));
+    assert!(handle.metrics().counter("serve.internal_errors.no_space") >= 1);
+    assert_eq!(db.epoch(), epoch);
+    let writers = db.with_writer(|am| am.find(id)).unwrap().unwrap();
+    assert_eq!(writers, Some(old), "the rewritten frame was not discarded");
+
+    ctl.drain();
+    let resps = client.call(&[upsert]).unwrap();
+    assert_eq!(resps[0], Response::Upserted { epoch: epoch + 1 });
+    match &client.call(&[Request::Find(id)]).unwrap()[0] {
+        Response::Record(node) => assert_eq!(node.payload, vec![9; node.payload.len()]),
+        other => panic!("expected the new record, got {other:?}"),
+    }
+    handle.shutdown().unwrap();
+    std::fs::remove_file(&log).ok();
 }

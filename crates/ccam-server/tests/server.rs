@@ -8,10 +8,13 @@ use std::sync::Arc;
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
-use ccam_graph::{Network, NodeId};
+use ccam_graph::{Network, NodeData, NodeId};
 use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status, PROTOCOL_VERSION};
 use ccam_server::{Server, ServerConfig, ServerHandle};
+use ccam_storage::{MemPageStore, SweepRng, WalInfo, WalStore, DEFAULT_MAX_WAL_BYTES};
+
+const PAGE: usize = 1024;
 
 fn build_db() -> (Ccam, Network) {
     let net = road_map(&RoadMapConfig {
@@ -24,7 +27,7 @@ fn build_db() -> (Ccam, Network) {
         jitter: 24,
         seed: 5,
     });
-    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let am = CcamBuilder::new(PAGE).build_static(&net).unwrap();
     (am, net)
 }
 
@@ -330,4 +333,174 @@ fn requests_after_shutdown_get_shutting_down_or_closed_connection() {
     // unanswered. Either way: no hang, no partial garbage.
     let err = client.call(&[Request::Stats]);
     assert!(err.is_err());
+}
+
+type WalMem = WalStore<MemPageStore>;
+
+/// A primary as `ccam serve` runs one: a log under the store, every
+/// operation its own transaction, page versioning on. The log file is
+/// removed when the returned guard drops.
+fn start_wal_server(tag: &str) -> (ServerHandle<WalMem>, Network, TempLog) {
+    let log =
+        TempLog(std::env::temp_dir().join(format!("ccam-server-{}-{tag}.wal", std::process::id())));
+    let (_, net) = build_db();
+    let store = WalStore::create(MemPageStore::new(PAGE).unwrap(), &log.0).unwrap();
+    let mut am = CcamBuilder::new(PAGE).build_static_on(store, &net).unwrap();
+    am.file_mut().set_auto_commit(true);
+    assert!(am.enable_snapshots().unwrap());
+    let db = Arc::new(EpochCell::new(am).unwrap());
+    (
+        Server::start(db, ServerConfig::default()).unwrap(),
+        net,
+        log,
+    )
+}
+
+struct TempLog(std::path::PathBuf);
+
+impl Drop for TempLog {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+fn wal_info(handle: &ServerHandle<WalMem>) -> WalInfo {
+    handle
+        .db()
+        .with_writer(|am| am.file().pool().with_wal(|log| log.info()))
+        .unwrap()
+        .expect("the server's store has a log")
+}
+
+fn upsert(client: &mut Client, id: NodeId, payload: &[u8]) -> Response {
+    let payload = payload.to_vec();
+    client
+        .call(&[Request::Upsert { id, payload }])
+        .unwrap()
+        .remove(0)
+}
+
+fn find(client: &mut Client, id: NodeId) -> NodeData {
+    match client.call(&[Request::Find(id)]).unwrap().remove(0) {
+        Response::Record(node) => node,
+        other => panic!("expected a record for {id:?}, got {other:?}"),
+    }
+}
+
+/// A record with its edge lists in id order: `Delete()` and `Insert()`
+/// re-append a neighbour's entry, an in-place rewrite does not.
+fn logical(mut rec: NodeData) -> NodeData {
+    rec.successors.sort_by_key(|e| e.to);
+    rec.predecessors.sort_unstable();
+    rec
+}
+
+/// `Upsert` over the wire against a twin file driven by `Delete()` then
+/// `Insert()`: after every step the node and its neighbours read the
+/// same on both, each upsert is one epoch, one log `fdatasync` and —
+/// while the record still fits its page — one page image on that page;
+/// an unknown id is `NotFound` and leaves no trace.
+#[test]
+fn upsert_rewrites_one_record_and_matches_delete_then_insert() {
+    let (handle, net, _log) = start_wal_server("equiv");
+    let (mut twin, _) = build_db();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let ids = net.node_ids();
+    let page_of = |id| {
+        let page = handle.db().with_writer(|am| am.file().page_of(id));
+        page.unwrap().unwrap().unwrap()
+    };
+
+    let mut rng = SweepRng::new(22);
+    for step in 0..120u64 {
+        let id = ids[rng.gen_range(ids.len() as u64) as usize];
+        let old = find(&mut client, id);
+        // Mostly same-size payloads; one in four grows or shrinks.
+        let len = if rng.gen_bool(1, 4) {
+            rng.gen_range(300) as usize
+        } else {
+            old.payload.len()
+        };
+        let payload = vec![step as u8; len];
+        let (before, epoch, page) = (wal_info(&handle), handle.db().epoch(), page_of(id));
+
+        let resp = upsert(&mut client, id, &payload);
+        assert_eq!(resp, Response::Upserted { epoch: epoch + 1 });
+        let after = wal_info(&handle);
+        assert_eq!(after.commits, before.commits + 1);
+        assert_eq!(
+            after.syncs - before.syncs,
+            1 + after.checkpoints - before.checkpoints,
+            "log fdatasyncs of one upsert"
+        );
+        if len <= old.payload.len() {
+            assert_eq!(page_of(id), page, "a record that fits stays put");
+            let logged = after.bytes_appended - before.bytes_appended;
+            assert!(logged < 2 * PAGE as u64, "{logged} bytes for one page");
+        }
+
+        let del = twin.delete_node(id).unwrap().unwrap();
+        let data = NodeData {
+            payload,
+            ..del.data
+        };
+        twin.insert_node(&data, &del.incoming).unwrap();
+        for near in std::iter::once(id).chain(data.neighbors()) {
+            assert_eq!(
+                logical(find(&mut client, near)),
+                logical(twin.find(near).unwrap().unwrap()),
+                "step {step}: {near:?} near {id:?}"
+            );
+        }
+    }
+    let audit = handle
+        .db()
+        .with_writer(|am| ccam_core::check::verify(am.file()))
+        .unwrap()
+        .unwrap();
+    assert!(audit.is_clean(), "{:?}", audit.issues);
+
+    let (before, epoch) = (wal_info(&handle), handle.db().epoch());
+    let resp = upsert(&mut client, NodeId(u64::MAX), &[1, 2, 3]);
+    assert_eq!(resp, Response::Error(Status::NotFound, OpCode::Upsert));
+    assert_eq!(handle.db().epoch(), epoch);
+    assert_eq!(wal_info(&handle), before);
+    handle.shutdown().unwrap();
+}
+
+/// Published snapshots read their page images from memory, not the log:
+/// a reader pinned at the first generation neither keeps 2 000 later
+/// commits in the log nor loses its own view of the data.
+#[test]
+fn the_log_under_a_serving_cell_stays_within_its_cap() {
+    let (handle, net, _log) = start_wal_server("bounded");
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let ids = net.node_ids();
+    let pinned = handle.db().read().unwrap();
+    let first = pinned.find(ids[0]).unwrap().unwrap();
+
+    let before = wal_info(&handle);
+    let one_batch = (PAGE + 64) as u64;
+    for i in 0..2_000usize {
+        let resp = upsert(&mut client, ids[i % ids.len()], &[i as u8; 8]);
+        assert!(matches!(resp, Response::Upserted { .. }), "{resp:?}");
+        if i % 100 == 0 {
+            let live = wal_info(&handle).live_bytes;
+            assert!(live <= DEFAULT_MAX_WAL_BYTES + one_batch, "{live} live");
+        }
+    }
+    let after = wal_info(&handle);
+    assert!(after.live_bytes <= DEFAULT_MAX_WAL_BYTES + one_batch);
+    assert!(after.bytes_appended - before.bytes_appended > DEFAULT_MAX_WAL_BYTES);
+    assert!(after.checkpoints > before.checkpoints, "the cap never cut");
+    assert_eq!(
+        after.retained_lsn,
+        after.next_lsn - 1,
+        "nothing holds the tail"
+    );
+
+    assert_eq!(pinned.find(ids[0]).unwrap().unwrap(), first);
+    assert_ne!(find(&mut client, ids[0]).payload, first.payload);
+    drop(pinned);
+    handle.shutdown().unwrap();
 }

@@ -700,7 +700,13 @@ impl<S: PageStore> Drop for BufferPool<S> {
     fn drop(&mut self) {
         let mut s = self.state.lock();
         let _ = self.write_back_dirty(&mut s);
-        let _ = s.store.sync();
+        // A clean close leaves an empty log behind: the next open has
+        // nothing to replay.
+        if s.store.sync().is_ok() {
+            if let Some(log) = s.store.wal() {
+                let _ = log.checkpoint();
+            }
+        }
     }
 }
 

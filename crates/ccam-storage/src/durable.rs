@@ -3,20 +3,37 @@
 //! `WalStore` makes any inner store crash-atomic at `sync()` granularity.
 //! Page writes and frees are buffered in an in-memory overlay (a no-steal
 //! policy: nothing uncommitted reaches the data pages); [`PageStore::sync`]
-//! is the commit point:
+//! is the commit point. It serializes the whole overlay into one log
+//! batch ([`Wal::append_batch`] — group commit, one write), and only then
+//! applies the page images and frees to the inner store.
 //!
-//! 1. the whole overlay is serialized into one log batch and fsynced
-//!    ([`Wal::append_batch`] — group commit, one write + one fsync),
-//! 2. only then are the page images and frees applied to the inner store,
-//! 3. the inner store is synced, and
-//! 4. the log is checkpointed (truncated) — the batch is fully durable in
-//!    the data file, so the log needs none of it.
+//! ## What each sync is for
 //!
-//! A crash before step 1 completes loses the batch entirely (the data
-//! file never saw it); a crash any time after leaves a committed batch in
-//! the log that redo replay ([`crate::recovery`]) completes on reopen.
+//! * **The log `fdatasync`, once per commit, is the commit point.** A
+//!   crash before it completes loses the batch entirely (the data file
+//!   never saw it); a crash any time after leaves a committed batch in
+//!   the log that redo replay ([`crate::recovery`]) completes on reopen.
+//! * **The data-file sync exists for the log's sake, not the commit's.**
+//!   The applied images need not be durable while the log still holds
+//!   them — replay rewrites every one. They must be durable *before the
+//!   log bytes covering them are truncated*, so the inner store is synced
+//!   at checkpoint time: data sync, **then** truncate, never the reverse.
+//! * **A batch that changes the allocation map syncs the data file at
+//!   commit.** A file store's `open` walks the freelist links and reads
+//!   the page count before replay gets a chance to repair them, so a
+//!   batch with an allocation or a free is not left to the next
+//!   checkpoint.
+//!
+//! A checkpoint happens when a commit pushes the log past its byte cap
+//! ([`DEFAULT_MAX_WAL_BYTES`] unless [`WalStore::set_max_wal_bytes`]
+//! says otherwise), on [`WalStore::checkpoint`], and on clean close (the
+//! buffer pool's drop) — so a cleanly closed database reopens with an
+//! empty log, and a killed one replays at most a cap's worth of page
+//! images. A `sync()` with nothing pending makes no system call.
+//!
 //! Either way the data file reopens in a state that is *some* prefix of
-//! committed batches — never a torn middle.
+//! committed batches — never a torn middle: batches retained in the log
+//! are already applied, and redoing them is idempotent.
 //!
 //! Allocations are the one operation that passes straight through: the
 //! inner store assigns the id (keeping id assignment identical with and
@@ -34,7 +51,7 @@
 //! committed by a later, unrelated flush (e.g. the buffer pool's
 //! write-back on drop).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 
 use std::sync::Arc;
@@ -48,11 +65,11 @@ use crate::snapshot::{PageChange, PageImage, PageVersions};
 use crate::store::{PageStore, WalControl, WalInfo};
 use crate::wal::{LogRecord, StampedRecord, Wal};
 
-/// Default hard ceiling on retained-log growth when no byte cap is
-/// configured: past this, checkpoints truncate even over the objections
-/// of a stalled subscriber (which must then catch up via an image
-/// handoff instead of the log tail).
-const DEFAULT_RETENTION_HARD_CAP: u64 = 64 << 20;
+/// Live-log bytes past which a commit checkpoints, unless
+/// [`WalStore::set_max_wal_bytes`] names another cap: a crash-open
+/// replays at most about a thousand 1 KiB page images. A stalled
+/// subscriber holds the tail back up to four caps, not for ever.
+pub const DEFAULT_MAX_WAL_BYTES: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Log retention: who still needs which WAL bytes
@@ -193,12 +210,12 @@ pub struct WalStore<S: PageStore> {
     logged: bool,
     /// An I/O error left the wrapper mid-batch; mutations are refused.
     poisoned: bool,
-    /// Live-log byte cap. `None` checkpoints after every commit (the
-    /// tightest log, one truncation per batch); `Some(limit)` retains
-    /// committed batches and checkpoints only once the log outgrows
-    /// `limit`, amortizing the truncate+header rewrite over many commits.
-    /// Retained batches are already applied to the data file, so replay
-    /// on reopen merely redoes them (redo is idempotent).
+    /// Live-log byte cap (`None` = [`DEFAULT_MAX_WAL_BYTES`]): committed
+    /// batches are retained until a commit leaves the log above the cap,
+    /// and that commit checkpoints — one data sync and one truncation
+    /// for all of them. `Some(0)` checkpoints at every commit. Retained
+    /// batches are already applied to the data file, so replay on reopen
+    /// merely redoes them (redo is idempotent).
     max_wal_bytes: Option<u64>,
     /// Multi-version committed page images, kept once
     /// [`WalStore::enable_snapshots`] seeds the mirror. Each successful
@@ -207,10 +224,6 @@ pub struct WalStore<S: PageStore> {
     versions: Option<Arc<PageVersions>>,
     /// Log-tail subscribers gating checkpoint truncation.
     retention: Arc<WalRetention>,
-    /// `(generation, commit LSN)` for recent committed generations, so a
-    /// pinned old generation maps to the LSN floor it implies. Pruned to
-    /// the min pinned generation each commit.
-    gen_lsns: VecDeque<(u64, u64)>,
 }
 
 impl<S: PageStore> WalStore<S> {
@@ -244,7 +257,6 @@ impl<S: PageStore> WalStore<S> {
             max_wal_bytes: None,
             versions: None,
             retention: WalRetention::new(),
-            gen_lsns: VecDeque::new(),
         }
     }
 
@@ -334,16 +346,16 @@ impl<S: PageStore> WalStore<S> {
         self.wal.commit_count()
     }
 
-    /// Caps the live log at roughly `limit` bytes (see the
-    /// `max_wal_bytes` field docs). `None` restores
-    /// checkpoint-on-every-commit.
+    /// Caps the live log at roughly `limit` bytes: the commit that
+    /// leaves it larger checkpoints. `None` restores
+    /// [`DEFAULT_MAX_WAL_BYTES`]; `Some(0)` checkpoints at every commit.
     pub fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
         self.max_wal_bytes = limit;
     }
 
-    /// The configured live-log byte cap.
-    pub fn max_wal_bytes(&self) -> Option<u64> {
-        self.max_wal_bytes
+    /// The live-log byte cap in force.
+    pub fn max_wal_bytes(&self) -> u64 {
+        self.max_wal_bytes.unwrap_or(DEFAULT_MAX_WAL_BYTES)
     }
 
     /// The log's counters, [`WalControl::info`] in an `Option`. The
@@ -362,40 +374,19 @@ impl<S: PageStore> WalStore<S> {
     }
 
     /// The LSN floor below which the log must not be truncated: the
-    /// minimum across subscriber slots and any pinned stale generation.
-    /// `None` when nothing constrains truncation.
-    ///
-    /// A pin at the *current* committed generation normally needs
-    /// nothing from the log (its state is fully in the data file) — but
-    /// while a freshly logged batch is still unpublished
-    /// (`publish_pending`), that same pin is about to become one
-    /// generation stale, so it pins the batch being committed.
-    fn truncation_floor(&self, publish_pending: bool) -> Option<u64> {
-        let mut floor = self.retention.min_lsn();
-        if let Some(v) = &self.versions {
-            if let Some(mp) = v.min_pinned_gen() {
-                let stale = mp < v.committed_gen() || publish_pending;
-                if stale {
-                    // The pinned generation implies the LSN of the commit
-                    // that produced it; a pin predating our tracking
-                    // window conservatively retains everything.
-                    let lsn = self
-                        .gen_lsns
-                        .iter()
-                        .find(|&&(g, _)| g == mp)
-                        .map_or(0, |&(_, l)| l);
-                    floor = Some(floor.map_or(lsn, |f| f.min(lsn)));
-                }
-            }
-        }
-        floor
+    /// smallest position a subscriber has acknowledged, `None` without
+    /// subscribers. Nothing else reads the log on anyone's behalf — a
+    /// pinned snapshot generation has its page images in
+    /// [`PageVersions`].
+    fn truncation_floor(&self) -> Option<u64> {
+        self.retention.min_lsn()
     }
 
-    /// True when truncating the whole record area strands no subscriber
-    /// or pinned generation: the floor has applied everything up to the
-    /// last stamped LSN.
-    fn checkpoint_allowed(&self, publish_pending: bool) -> bool {
-        match self.truncation_floor(publish_pending) {
+    /// True when truncating the whole record area strands no
+    /// subscriber: the floor has applied everything up to the last
+    /// stamped LSN.
+    fn checkpoint_allowed(&self) -> bool {
+        match self.truncation_floor() {
             None => true,
             Some(f) => f.saturating_add(1) >= self.wal.next_lsn(),
         }
@@ -405,26 +396,29 @@ impl<S: PageStore> WalStore<S> {
     /// subscriber's floor, bounding log growth under a stalled follower
     /// (which then re-seeds via [`WalStore::handoff_image`]).
     fn retention_hard_cap(&self) -> u64 {
-        self.max_wal_bytes
-            .map_or(DEFAULT_RETENTION_HARD_CAP, |l| l.saturating_mul(4))
+        self.max_wal_bytes().saturating_mul(4)
     }
 
-    /// Forces a checkpoint now: syncs the inner store and truncates the
-    /// log. Every committed batch is applied to the data file at `sync()`
-    /// time regardless of the byte cap, so the log never holds anything
-    /// the data file lacks — except mid-apply after a failure, when the
-    /// wrapper is poisoned and this refuses (retry `sync()` first).
+    /// Forces a checkpoint now: syncs the inner store, then truncates
+    /// the log. Every committed batch is applied to the data file at
+    /// `sync()` time, so the log never holds anything the data file
+    /// lacks — except mid-apply after a failure, when the wrapper is
+    /// poisoned and this refuses (retry `sync()` first).
     ///
     /// Truncation is skipped (the inner sync still happens) while a
-    /// subscriber or pinned old generation still needs the tail —
-    /// compare [`WalInfo::retained_lsn`] against [`WalInfo::next_lsn`]
-    /// to see whether bytes were reclaimable.
+    /// subscriber still needs the tail — compare
+    /// [`WalInfo::retained_lsn`] against [`WalInfo::next_lsn`] to see
+    /// whether bytes were reclaimable.
     pub fn checkpoint(&mut self) -> StorageResult<()> {
         if self.logged || self.poisoned {
             return Err(StorageError::Poisoned);
         }
+        if self.wal.is_empty() {
+            // Whatever the log held was synced before it was cut.
+            return Ok(());
+        }
         self.inner.sync()?;
-        if self.checkpoint_allowed(false) {
+        if self.checkpoint_allowed() {
             self.wal.checkpoint()?;
         }
         Ok(())
@@ -519,9 +513,9 @@ impl<S: PageStore> WalStore<S> {
         records
     }
 
-    /// Applies the logged batch to the inner store and checkpoints.
-    /// Idempotent, so it doubles as the retry path after a mid-apply
-    /// failure.
+    /// Applies the logged batch to the inner store, and checkpoints if
+    /// the log has outgrown its cap. Idempotent, so it doubles as the
+    /// retry path after a mid-apply failure.
     fn apply_logged(&mut self) -> StorageResult<()> {
         for (&id, data) in &self.pending_writes {
             self.inner.write(PageId(id), data)?;
@@ -532,16 +526,23 @@ impl<S: PageStore> WalStore<S> {
                 self.inner.free(p)?;
             }
         }
-        self.inner.sync()?;
-        let over_cap = match self.max_wal_bytes {
-            None => true, // tightest log: truncate after every batch
-            Some(limit) => self.wal.len() > limit,
-        };
-        // A lagging subscriber (or pinned generation about to go stale)
-        // holds the tail back — up to the hard cap, past which truncation
-        // proceeds and the laggard must re-seed from an image.
-        let forced = self.wal.len() > self.retention_hard_cap();
-        if over_cap && (forced || self.checkpoint_allowed(self.versions.is_some())) {
+        // The allocation map is read at open, before replay could repair
+        // it: a batch that changed it is synced now. Page images wait
+        // for the checkpoint.
+        let mut data_synced = false;
+        if !self.pending_allocs.is_empty() || !self.pending_frees.is_empty() {
+            self.inner.sync()?;
+            data_synced = true;
+        }
+        // A lagging subscriber holds the tail back — up to the hard cap,
+        // past which truncation proceeds and the laggard must re-seed
+        // from an image.
+        let len = self.wal.len();
+        let forced = len > self.retention_hard_cap();
+        if len > self.max_wal_bytes() && (forced || self.checkpoint_allowed()) {
+            if !data_synced {
+                self.inner.sync()?;
+            }
             self.wal.checkpoint()?;
         }
         Ok(())
@@ -616,8 +617,9 @@ impl<S: PageStore> PageStore for WalStore<S> {
         self.inner.is_live(id) && !self.pending_frees.contains(&id.0)
     }
 
-    /// The commit point. Logs the overlay as one durable batch, applies
-    /// it to the inner store, syncs, and checkpoints the log.
+    /// The commit point. Logs the overlay as one durable batch and
+    /// applies it to the inner store; see the module docs for which
+    /// syncs that takes. With nothing pending it does nothing.
     fn sync(&mut self) -> StorageResult<()> {
         if self.poisoned && !self.logged {
             // A mutation failed before anything reached the log: there is
@@ -626,7 +628,7 @@ impl<S: PageStore> PageStore for WalStore<S> {
         }
         if !self.logged {
             if self.pending_ops() == 0 {
-                return self.inner.sync();
+                return Ok(());
             }
             let records = self.batch_records();
             if let Err(e) = self.wal.append_batch(&records) {
@@ -638,20 +640,9 @@ impl<S: PageStore> PageStore for WalStore<S> {
         }
         match self.apply_logged() {
             Ok(()) => {
-                // The batch is durable in the data file: publish it to
+                // The batch is committed and applied: publish it to
                 // snapshot readers before forgetting what it contained.
                 self.publish_versions();
-                if let Some(v) = &self.versions {
-                    // Remember which commit LSN produced this generation
-                    // (the batch's Commit marker was stamped last), and
-                    // prune entries no pin can reference any more.
-                    self.gen_lsns
-                        .push_back((v.committed_gen(), self.wal.next_lsn() - 1));
-                    let keep_from = v.min_pinned_gen().unwrap_or(v.committed_gen());
-                    while self.gen_lsns.front().is_some_and(|&(g, _)| g < keep_from) {
-                        self.gen_lsns.pop_front();
-                    }
-                }
                 self.pending_writes.clear();
                 self.pending_allocs.clear();
                 self.pending_frees.clear();
@@ -724,8 +715,9 @@ impl<S: PageStore> WalControl for WalStore<S> {
             commits: self.wal.commit_count(),
             checkpoints: self.wal.checkpoint_count(),
             bytes_appended: self.wal.bytes_appended(),
+            syncs: self.wal.sync_count(),
             retained_lsn: self
-                .truncation_floor(false)
+                .truncation_floor()
                 .unwrap_or_else(|| self.wal.next_lsn() - 1),
             next_lsn: self.wal.next_lsn(),
             tail_start_lsn: self.wal.tail_start_lsn(),
@@ -757,8 +749,9 @@ impl<S: PageStore> WalControl for WalStore<S> {
 mod tests {
     use super::*;
     use crate::store::{FilePageStore, MemPageStore};
-    use crate::testing::FaultStore;
+    use crate::testing::{FaultController, FaultStore};
     use crate::wal::wal_sidecar;
+    use std::sync::atomic::Ordering;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -786,8 +779,12 @@ mod tests {
         assert_eq!(buf, [5u8; 64]);
         assert_eq!(s.commits(), 1);
         assert_eq!(s.pending_ops(), 0);
-        // Commit checkpoints: the log holds no batch afterwards.
-        assert!(s.log().len() < 100);
+        // The batch stays in the log until a checkpoint cuts it.
+        assert!(!s.log().is_empty());
+        WalStore::checkpoint(&mut s).unwrap();
+        assert!(s.log().is_empty());
+        s.inner().read(p, &mut buf).unwrap();
+        assert_eq!(buf, [5u8; 64]);
         std::fs::remove_file(&wal_path).ok();
     }
 
@@ -868,9 +865,11 @@ mod tests {
         {
             let inner = FilePageStore::open(&db).unwrap();
             let (s, report) = WalStore::open(inner, &wal_path).unwrap();
-            // The tail never reached the log (sync checkpointed it away),
-            // so recovery sees a clean, empty log…
-            assert!(report.was_clean());
+            // Nobody closed the database: the committed batch is still
+            // in the log and is redone; the tail never reached the log,
+            // so there is nothing to discard or reclaim…
+            assert_eq!(report.replayed_batches, 1);
+            assert_eq!(report.discarded_records, 0);
             assert_eq!(report.reclaimed_pages, 0);
             // …p1 keeps its committed image, the overlay write is lost…
             let mut buf = [0u8; 64];
@@ -1059,13 +1058,15 @@ mod tests {
     fn retention_slot_blocks_checkpoint_until_caught_up() {
         let wal_path = temp_path("retention.wal");
         let mut s = WalStore::create(MemPageStore::new(64).unwrap(), &wal_path).unwrap();
+        s.set_max_wal_bytes(Some(50)); // hard cap = 200 bytes
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
 
-        // A subscriber from genesis holds the tail across commits even
-        // with checkpoint-on-every-commit (no byte cap).
+        // A subscriber from genesis holds the tail across a commit that
+        // crosses the cap.
         let slot = s.wal_retention().subscribe(0);
         s.sync().unwrap();
+        assert!((50..=200).contains(&s.log().len()));
         assert!(!s.log().is_empty(), "subscribed tail was truncated");
         let info = s.info();
         assert_eq!(info.retained_lsn, 0);
@@ -1135,28 +1136,204 @@ mod tests {
     }
 
     #[test]
-    fn pinned_old_generation_holds_the_tail() {
+    fn a_pinned_generation_stays_byte_identical_across_a_truncation() {
         use crate::snapshot::SnapshotStore;
 
-        let wal_path = temp_path("pin-retention.wal");
+        let wal_path = temp_path("pin-truncation.wal");
         let mut s = WalStore::create(MemPageStore::new(64).unwrap(), &wal_path).unwrap();
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         s.sync().unwrap();
         let versions = s.enable_snapshots().unwrap();
-
-        // Commit once with snapshots on so the generation↔LSN map has an
-        // entry, then pin that generation and commit past it.
         s.write(a, &[2u8; 64]).unwrap();
         s.sync().unwrap();
         let pin = SnapshotStore::pin(&versions);
+
+        // Commit past the pinned generation, then cut the log under it:
+        // the pin reads its images from `PageVersions`, not the log.
         s.write(a, &[3u8; 64]).unwrap();
         s.sync().unwrap();
-        assert!(!s.log().is_empty(), "pinned old generation was truncated");
-
-        drop(pin);
+        assert_eq!(s.info().retained_lsn, s.info().next_lsn - 1);
         WalStore::checkpoint(&mut s).unwrap();
+        assert!(s.log().is_empty(), "a pinned generation held the tail");
+        s.write(a, &[4u8; 64]).unwrap();
+        s.sync().unwrap();
+
+        let mut buf = [0u8; 64];
+        pin.read(a, &mut buf).unwrap();
+        assert_eq!(buf, [2u8; 64]);
+        drop(pin);
+        std::fs::remove_file(&wal_path).ok();
+    }
+
+    /// Runs `f` and returns what it cost: (`fdatasync`s of the log,
+    /// syncs of the data store under it).
+    fn syncs_spent(
+        s: &mut WalStore<FaultStore<MemPageStore>>,
+        ctl: &FaultController,
+        f: impl FnOnce(&mut WalStore<FaultStore<MemPageStore>>),
+    ) -> (u64, u64) {
+        let before = (s.log().sync_count(), ctl.syncs.load(Ordering::Relaxed));
+        f(s);
+        let after = (s.log().sync_count(), ctl.syncs.load(Ordering::Relaxed));
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// The fsync budget of the module docs, sync by sync.
+    #[test]
+    fn a_commit_pays_for_the_syncs_it_needs() {
+        let wal_path = temp_path("sync-budget.wal");
+        let (store, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
+        let mut s = WalStore::create(store, &wal_path).unwrap();
+        let (mut a, mut b) = (PageId(0), PageId(0));
+
+        // An allocation changes the map the data file is opened by.
+        let alloc = syncs_spent(&mut s, &ctl, |s| {
+            a = s.allocate().unwrap();
+            b = s.allocate().unwrap();
+            s.write(a, &[1u8; 64]).unwrap();
+            s.sync().unwrap();
+        });
+        assert_eq!(alloc, (1, 1), "batch with allocations");
+        // Page images alone wait for the checkpoint.
+        let images = syncs_spent(&mut s, &ctl, |s| {
+            s.write(a, &[2u8; 64]).unwrap();
+            s.write(b, &[3u8; 64]).unwrap();
+            s.sync().unwrap();
+        });
+        assert_eq!(images, (1, 0), "page-image-only batch");
+        let free = syncs_spent(&mut s, &ctl, |s| {
+            s.free(b).unwrap();
+            s.sync().unwrap();
+        });
+        assert_eq!(free, (1, 1), "batch with a free");
+        let nothing = syncs_spent(&mut s, &ctl, |s| s.sync().unwrap());
+        assert_eq!(nothing, (0, 0), "nothing pending");
+        assert_eq!(s.commits(), 3);
+
+        // A checkpoint is one data sync and one log write; on a log
+        // already cut it is nothing.
+        let checkpoint = syncs_spent(&mut s, &ctl, |s| WalStore::checkpoint(s).unwrap());
+        assert_eq!(checkpoint, (1, 1));
         assert!(s.log().is_empty());
+        let again = syncs_spent(&mut s, &ctl, |s| WalStore::checkpoint(s).unwrap());
+        assert_eq!(again, (0, 0));
+        std::fs::remove_file(&wal_path).ok();
+    }
+
+    /// The commit that crosses the cap syncs the data file *before* it
+    /// truncates: fail that sync and the log is still whole.
+    #[test]
+    fn crossing_the_cap_syncs_the_data_file_before_truncating() {
+        let wal_path = temp_path("sync-order.wal");
+        let (store, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
+        let mut s = WalStore::create(store, &wal_path).unwrap();
+        s.set_max_wal_bytes(Some(400));
+        let a = s.allocate().unwrap();
+        s.sync().unwrap();
+        WalStore::checkpoint(&mut s).unwrap();
+
+        let data_syncs = || ctl.syncs.load(Ordering::Relaxed);
+        let (checkpoints, synced) = (s.log().checkpoint_count(), data_syncs());
+        let mut commits = 0u8;
+        let refused = loop {
+            s.write(a, &[commits; 64]).unwrap();
+            // One store operation — the page write — succeeds; the data
+            // sync of a checkpoint, if this commit takes one, fails.
+            ctl.arm_after(1);
+            let outcome = s.sync();
+            ctl.disarm();
+            commits += 1;
+            if outcome.is_err() {
+                break data_syncs();
+            }
+            assert_eq!(data_syncs(), synced, "data sync below the cap");
+        };
+        assert!(commits > 1, "the cap retained no batch");
+        assert_eq!(refused, synced + 1);
+        assert!(s.log().len() > 400);
+        assert_eq!(
+            s.log().checkpoint_count(),
+            checkpoints,
+            "truncated unsynced"
+        );
+        let tail = s.wal.records_after(0).unwrap();
+        assert_eq!(
+            tail.iter()
+                .filter(|r| r.record == LogRecord::Commit)
+                .count(),
+            commits as usize
+        );
+
+        // The batch is committed; the retried sync finishes the job.
+        s.sync().unwrap();
+        assert_eq!(data_syncs(), synced + 2);
+        assert_eq!(s.log().checkpoint_count(), checkpoints + 1);
+        assert!(s.log().is_empty());
+        std::fs::remove_file(&wal_path).ok();
+    }
+
+    /// A power cut loses every page write since the last data sync; the
+    /// log still holds them all, and reopening redoes them.
+    #[test]
+    fn a_kill_without_close_replays_the_tail_to_the_same_bytes() {
+        let wal_path = temp_path("kill.wal");
+        let (store, ctl) = FaultStore::new(MemPageStore::new(64).unwrap());
+        ctl.set_volatile_writes(1024);
+        let mut s = WalStore::create(store, &wal_path).unwrap();
+        let pages: Vec<PageId> = (0..3).map(|_| s.allocate().unwrap()).collect();
+        s.sync().unwrap();
+        for round in 1..=4u8 {
+            for &p in &pages {
+                s.write(p, &[round; 64]).unwrap();
+            }
+            s.sync().unwrap();
+        }
+        // The last batch reaches the log; the power goes on its first
+        // page write.
+        s.write(pages[0], &[9u8; 64]).unwrap();
+        let committed = live_snapshot(&s).unwrap();
+        ctl.crash_after(0, crate::testing::TornWrite::None);
+        assert!(s.sync().is_err());
+
+        let store = s.simulate_crash().into_inner();
+        let lost = live_snapshot(&store).unwrap();
+        assert!(
+            lost.iter().all(|(_, bytes)| bytes.iter().all(|&b| b == 0)),
+            "the cut should have undone every unsynced write"
+        );
+        let (s, report) = WalStore::open(store, &wal_path).unwrap();
+        assert_eq!(report.replayed_batches, 6);
+        assert_eq!(live_snapshot(&s).unwrap(), committed);
+        assert!(s.log().is_empty());
+        std::fs::remove_file(&wal_path).ok();
+    }
+
+    /// Closing the pool over the store is the clean close: it leaves an
+    /// empty log, and the next open has nothing to replay.
+    #[test]
+    fn a_clean_close_leaves_nothing_to_replay() {
+        let db = temp_path("close.db");
+        let wal_path = wal_sidecar(&db);
+        let p;
+        {
+            let inner = FilePageStore::create(&db, 64).unwrap();
+            let pool = crate::BufferPool::new(WalStore::create(inner, &wal_path).unwrap(), 4);
+            p = pool.allocate().unwrap();
+            pool.with_page_mut(p, |b| b.fill(1)).unwrap();
+            pool.flush_all().unwrap();
+            pool.with_page_mut(p, |b| b.fill(2)).unwrap();
+            pool.flush_all().unwrap();
+            assert!(pool.with_store(|s| !s.log().is_empty()));
+        }
+        let inner = FilePageStore::open(&db).unwrap();
+        let (s, report) = WalStore::open(inner, &wal_path).unwrap();
+        assert!(report.was_clean(), "{report:?}");
+        assert!(s.log().is_empty());
+        let mut buf = [0u8; 64];
+        s.read(p, &mut buf).unwrap();
+        assert_eq!(buf, [2u8; 64]);
+        std::fs::remove_file(&db).ok();
         std::fs::remove_file(&wal_path).ok();
     }
 

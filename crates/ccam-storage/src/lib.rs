@@ -54,7 +54,10 @@ pub mod testing;
 pub mod wal;
 
 pub use buffer::{BufferPool, Prefetcher};
-pub use durable::{ReplFeed, ReplImage, ReplImageState, RetentionSlot, WalRetention, WalStore};
+pub use durable::{
+    ReplFeed, ReplImage, ReplImageState, RetentionSlot, WalRetention, WalStore,
+    DEFAULT_MAX_WAL_BYTES,
+};
 pub use error::{StorageError, StorageResult};
 pub use integrity::{committed_images, scrub, scrub_file, PageStatus, ScrubReport};
 pub use metrics::{Histogram, MetricsRegistry, OpProfile, PageAccessKind, PageEvent};

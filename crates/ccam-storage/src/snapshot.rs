@@ -271,14 +271,6 @@ impl PageVersions {
     pub fn retained_versions(&self) -> usize {
         self.state.lock().versions.values().map(Vec::len).sum()
     }
-
-    /// Oldest generation any live pin still references (`None` when
-    /// nothing is pinned). WAL truncation is gated on this: a pinned
-    /// stale generation maps to the log position its readers may still
-    /// need.
-    pub fn min_pinned_gen(&self) -> Option<u64> {
-        self.state.lock().pins.keys().next().copied()
-    }
 }
 
 /// A read-only [`PageStore`] over one pinned generation. Every read

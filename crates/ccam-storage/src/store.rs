@@ -31,9 +31,11 @@ pub struct WalInfo {
     pub checkpoints: u64,
     /// Record bytes appended over the handle's lifetime.
     pub bytes_appended: u64,
+    /// `fdatasync`s of the log file over the handle's lifetime.
+    pub syncs: u64,
     /// The LSN floor truncation is gated on: smallest applied LSN among
-    /// replication subscribers and stale pinned generations, or
-    /// `next_lsn - 1` when nothing holds the tail.
+    /// replication subscribers, or `next_lsn - 1` when none holds the
+    /// tail.
     pub retained_lsn: u64,
     /// Next LSN to be stamped.
     pub next_lsn: u64,
@@ -117,13 +119,13 @@ pub trait WalControl {
     /// batch); fails when that batch already reached the log.
     fn rollback(&mut self) -> StorageResult<()>;
 
-    /// Forces a checkpoint: once every committed batch is durable in
-    /// the data file, the log is truncated.
+    /// Forces a checkpoint: the data file is synced, then the log is
+    /// truncated.
     fn checkpoint(&mut self) -> StorageResult<()>;
 
     /// Caps the live log at roughly `limit` bytes: the store checkpoints
-    /// automatically once the log grows past it (`None` restores
-    /// checkpoint-on-every-commit).
+    /// automatically once the log grows past it (`None` restores the
+    /// default cap, `Some(0)` checkpoints at every commit).
     fn set_max_wal_bytes(&mut self, limit: Option<u64>);
 
     /// The log's counters.
@@ -1012,8 +1014,9 @@ mod tests {
         let retention = inner.wal_retention();
         let mut s = wrap(inner);
 
-        // A subscriber's slot holds the tail although, with no byte cap,
-        // every commit checkpoints.
+        // A subscriber's slot holds the tail across a commit that
+        // crosses the byte cap (and stays under four of them).
+        log(&mut s).set_max_wal_bytes(Some(50));
         let registry = log(&mut s).wal_retention();
         assert!(Arc::ptr_eq(&registry, &retention));
         let slot = registry.subscribe(0);
@@ -1051,15 +1054,22 @@ mod tests {
         s.read(a, &mut buf).unwrap();
         assert_eq!(buf, [1u8; 64]);
 
-        // Under a byte cap a commit keeps its batch in the log.
-        log(&mut s).set_max_wal_bytes(Some(1 << 20));
+        // Under the default cap a commit keeps its batch in the log; at
+        // a cap of nothing it checkpoints.
+        log(&mut s).set_max_wal_bytes(None);
         s.write(a, &[3u8; 64]).unwrap();
         s.sync().unwrap();
-        let capped = log(&mut s).info();
+        let kept = log(&mut s).info();
         assert!(
-            capped.live_bytes > truncated.live_bytes,
-            "{tag}: cap not set"
+            kept.live_bytes > truncated.live_bytes,
+            "{tag}: cap not reset"
         );
+        log(&mut s).set_max_wal_bytes(Some(0));
+        s.write(a, &[4u8; 64]).unwrap();
+        s.sync().unwrap();
+        let cut = log(&mut s).info();
+        assert_eq!(cut.live_bytes, truncated.live_bytes, "{tag}: cap not set");
+        assert_eq!(cut.checkpoints, truncated.checkpoints + 1);
 
         // Snapshot readers pin the inner store's own page versions.
         assert!(Arc::ptr_eq(

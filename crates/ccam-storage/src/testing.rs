@@ -16,6 +16,7 @@
 //! | transient glitch | [`set_fault_rate`](FaultController::set_fault_rate) | a seeded fraction of operations fail `burst` consecutive times, then pass |
 //! | `ENOSPC` | [`fill_after`](FaultController::fill_after) / [`drain`](FaultController::drain) | after `k` more mutations the device is full: mutations fail with [`StorageError::NoSpace`], optionally landing a half-page short write; reads and `free` are never blocked |
 //! | power cut | [`crash_after`](FaultController::crash_after) / [`revive`](FaultController::revive) | after `k` more mutations the store dies, optionally tearing the write it dies on; every operation fails until revived |
+//! | volatile writes | [`set_volatile_writes`](FaultController::set_volatile_writes) | a page write is only as durable as the last `sync`: at the power cut a seeded fraction of the pages written since then fall back to what they held before — what a device cache loses |
 //!
 //! # Evaluation order
 //!
@@ -24,10 +25,13 @@
 //! (on every operation) the glitch draw; `ENOSPC`; power cut — and the
 //! first class to fail it ends the walk: a later countdown does not
 //! tick and a later stream does not draw. This is the order the stack
-//! "latency over glitches-and-rot over `ENOSPC` over power cut" gives,
-//! and the stall and glitch draws come from two xorshift streams
-//! derived from the one constructor seed, so a seed replays its
-//! schedule exactly. Nothing reads a clock or OS randomness.
+//! "latency over glitches-and-rot over `ENOSPC` over power cut" gives.
+//! Volatile writes fail nothing: they decide what the power cut leaves
+//! behind, drawing once per un-synced page when it trips (lost pages
+//! are put back first, then the dying write tears). The stall, glitch
+//! and lost-write draws come from three xorshift streams derived from
+//! the one constructor seed, so a seed replays its schedule exactly.
+//! Nothing reads a clock or OS randomness.
 //!
 //! [`PageStore::wal`] forwards to the wrapped store unconditionally:
 //! the log's own controls are not fault-injected, not even once the
@@ -37,7 +41,7 @@
 //! derive their workloads from: same seed, same workload, same crash
 //! schedule — a failing sweep round replays exactly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -125,6 +129,25 @@ struct Plan {
     crash: Option<u64>,
     dead: bool,
     torn: TornWrite,
+    /// Lost-write stream, drawn from only when the power cut trips.
+    volatile_rng: u64,
+    /// Per-1024 chance that an un-synced page write is lost at the
+    /// power cut (0 = every write is durable at once).
+    volatile_rate: u64,
+    /// What each page written since the last `sync` held before its
+    /// first such write.
+    unsynced: BTreeMap<u32, Box<[u8]>>,
+}
+
+/// An operation the walk failed, and what the device does on the way
+/// down.
+struct Refusal {
+    err: StorageError,
+    /// What the refused page write lands before failing.
+    lands: TornWrite,
+    /// Pages whose un-synced writes the power cut loses, each with the
+    /// image to put back.
+    lost: BTreeMap<u32, Box<[u8]>>,
 }
 
 /// Shared controller of a [`FaultStore`]: raw per-operation counts and
@@ -152,6 +175,7 @@ impl FaultController {
             // xorshift needs a nonzero state.
             latency_rng: seed.wrapping_add(0x9E37_79B9) | 1,
             glitch_rng: seed | 1,
+            volatile_rng: seed.wrapping_add(0x7F4A_7C15) | 1,
             ..Plan::default()
         };
         Arc::new(FaultController {
@@ -263,6 +287,20 @@ impl FaultController {
         self.plan.lock().dead
     }
 
+    /// Arms volatile writes: from now on the store remembers what each
+    /// page held before its first write since the last successful
+    /// `sync`, and when a scheduled crash fires roughly `per_1024` out
+    /// of every 1024 of those pages are put back (1024 = all of them) —
+    /// the rest keep their new contents. Allocations and frees are not
+    /// undone. Zero disarms and forgets.
+    pub fn set_volatile_writes(&self, per_1024: u64) {
+        let mut plan = self.plan.lock();
+        plan.volatile_rate = per_1024;
+        if per_1024 == 0 {
+            plan.unsynced.clear();
+        }
+    }
+
     /// Latency stalls injected so far.
     pub fn injected_stalls(&self) -> u64 {
         self.plan.lock().stalls
@@ -287,10 +325,16 @@ impl FaultController {
     }
 
     /// Walks `op` through the armed fault classes in the documented
-    /// order. `Err` carries the injected error and what the page write
-    /// that a scheduled fault strikes lands before failing.
-    fn admit(&self, op: Op) -> Result<(), (StorageError, TornWrite)> {
-        let clean = |err| Err((err, TornWrite::None));
+    /// order.
+    fn admit(&self, op: Op) -> Result<(), Refusal> {
+        let refuse = |err, lands| {
+            Err(Refusal {
+                err,
+                lands,
+                lost: BTreeMap::new(),
+            })
+        };
+        let clean = |err| refuse(err, TornWrite::None);
         let mut plan = self.plan.lock();
         if matches!(op, Op::Read(_) | Op::Write)
             && plan.latency_rate > 0
@@ -341,7 +385,7 @@ impl FaultController {
                 } else {
                     TornWrite::None
                 };
-                return Err((StorageError::NoSpace, lands));
+                return refuse(StorageError::NoSpace, lands);
             }
         }
         if plan.dead {
@@ -349,13 +393,25 @@ impl FaultController {
         }
         if !matches!(op, Op::Read(_)) && expired(&mut plan.crash) {
             plan.dead = true;
-            return Err((io_error("simulated power failure"), plan.torn));
+            let plan = &mut *plan;
+            let rate = plan.volatile_rate;
+            let rng = &mut plan.volatile_rng;
+            let mut lost = std::mem::take(&mut plan.unsynced);
+            lost.retain(|_, _| draw(rng) % 1024 < rate);
+            return Err(Refusal {
+                err: io_error("simulated power failure"),
+                lands: plan.torn,
+                lost,
+            });
         }
         Ok(())
     }
 
-    fn pass(&self, op: Op) -> StorageResult<()> {
-        self.admit(op).map_err(|(err, _)| err)
+    /// True when the power cut could lose a write to `id` made now and
+    /// nothing is remembered of `id` yet.
+    fn wants_pre_image(&self, id: PageId) -> bool {
+        let plan = self.plan.lock();
+        plan.volatile_rate > 0 && !plan.unsynced.contains_key(&id.0)
     }
 
     /// A full-page write (or a free) restamps the page, healing the rot
@@ -404,6 +460,23 @@ impl<S: PageStore> FaultStore<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
+
+    /// Admits a mutation or fails it — first putting back, on the inner
+    /// store, the un-synced writes a power cut loses. `Err` carries what
+    /// the page write being refused lands before failing.
+    fn admit_mutation(&mut self, op: Op) -> Result<(), (StorageError, TornWrite)> {
+        self.controller.admit(op).map_err(|refusal| {
+            for (id, image) in refusal.lost {
+                // A page freed since it was written has nothing to lose.
+                let _ = self.inner.write(PageId(id), &image);
+            }
+            (refusal.err, refusal.lands)
+        })
+    }
+
+    fn pass_mutation(&mut self, op: Op) -> StorageResult<()> {
+        self.admit_mutation(op).map_err(|(err, _)| err)
+    }
 }
 
 impl<S: PageStore> PageStore for FaultStore<S> {
@@ -417,19 +490,22 @@ impl<S: PageStore> PageStore for FaultStore<S> {
 
     fn allocate(&mut self) -> StorageResult<PageId> {
         self.controller.allocs.fetch_add(1, Ordering::Relaxed);
-        self.controller.pass(Op::Other)?;
+        self.pass_mutation(Op::Other)?;
         self.inner.allocate()
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
         self.controller.reads.fetch_add(1, Ordering::Relaxed);
-        self.controller.pass(Op::Read(id))?;
+        // A read never trips the power cut, so nothing is lost here.
+        self.controller
+            .admit(Op::Read(id))
+            .map_err(|refusal| refusal.err)?;
         self.inner.read(id, buf)
     }
 
     fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
         self.controller.writes.fetch_add(1, Ordering::Relaxed);
-        if let Err((err, lands)) = self.controller.admit(Op::Write) {
+        if let Err((err, lands)) = self.admit_mutation(Op::Write) {
             match lands {
                 TornWrite::None => {}
                 TornWrite::Partial => {
@@ -445,6 +521,13 @@ impl<S: PageStore> PageStore for FaultStore<S> {
             }
             return Err(err);
         }
+        if self.controller.wants_pre_image(id) {
+            let mut held = vec![0u8; buf.len()];
+            if self.inner.read(id, &mut held).is_ok() {
+                let mut plan = self.controller.plan.lock();
+                plan.unsynced.insert(id.0, held.into_boxed_slice());
+            }
+        }
         self.inner.write(id, buf)?;
         self.controller.heal(id);
         Ok(())
@@ -452,7 +535,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {
         self.controller.frees.fetch_add(1, Ordering::Relaxed);
-        self.controller.pass(Op::Free)?;
+        self.pass_mutation(Op::Free)?;
         self.inner.free(id)?;
         self.controller.heal(id);
         Ok(())
@@ -464,8 +547,10 @@ impl<S: PageStore> PageStore for FaultStore<S> {
 
     fn sync(&mut self) -> StorageResult<()> {
         self.controller.syncs.fetch_add(1, Ordering::Relaxed);
-        self.controller.pass(Op::Other)?;
-        self.inner.sync()
+        self.pass_mutation(Op::Other)?;
+        self.inner.sync()?;
+        self.controller.plan.lock().unsynced.clear();
+        Ok(())
     }
 
     fn live_pages(&self) -> Vec<PageId> {
@@ -474,7 +559,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
 
     fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
         self.controller.allocs.fetch_add(1, Ordering::Relaxed);
-        self.controller.pass(Op::Other)?;
+        self.pass_mutation(Op::Other)?;
         self.inner.ensure_allocated(id)
     }
 
@@ -824,6 +909,55 @@ mod tests {
         ctl.revive();
         s.read(a, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn power_cut_undoes_a_seeded_share_of_the_writes_no_sync_covered() {
+        // Pages 0..8 hold 1 and are synced; the first four are rewritten
+        // (2) and synced again, the last four rewritten twice (2, then
+        // 3) with no sync after.
+        let after_cut = |seed: u64, per_1024: u64| {
+            let (mut s, ctl) = FaultStore::with_seed(MemPageStore::new(64).unwrap(), seed);
+            ctl.set_volatile_writes(per_1024);
+            let pages: Vec<PageId> = (0..8).map(|_| s.allocate().unwrap()).collect();
+            for &p in &pages {
+                s.write(p, &[1u8; 64]).unwrap();
+            }
+            s.sync().unwrap();
+            for &p in &pages[..4] {
+                s.write(p, &[2u8; 64]).unwrap();
+            }
+            s.sync().unwrap();
+            for &p in &pages[4..] {
+                s.write(p, &[2u8; 64]).unwrap();
+                s.write(p, &[3u8; 64]).unwrap();
+            }
+            ctl.crash_after(0, TornWrite::None);
+            assert!(s.sync().is_err());
+            ctl.revive();
+            let mut buf = [0u8; 64];
+            pages
+                .iter()
+                .map(|&p| {
+                    s.read(p, &mut buf).unwrap();
+                    buf[0]
+                })
+                .collect::<Vec<u8>>()
+        };
+        // Disarmed, every write is durable at once; fully armed, exactly
+        // the unsynced ones fall back to what the last sync covered.
+        assert_eq!(after_cut(1, 0), [2, 2, 2, 2, 3, 3, 3, 3]);
+        assert_eq!(after_cut(1, 1024), [2, 2, 2, 2, 1, 1, 1, 1]);
+        // In between, the seed picks which.
+        let some = after_cut(1, 512);
+        assert_eq!(some[..4], [2, 2, 2, 2]);
+        assert!(some[4..].iter().all(|&b| b == 1 || b == 3));
+        assert_eq!(some, after_cut(1, 512));
+        let mixed = |seed| {
+            let tail = &after_cut(seed, 512)[4..];
+            tail.contains(&1) && tail.contains(&3)
+        };
+        assert!((1..=8).any(mixed), "no seed of 8 lost some and kept some");
     }
 
     /// Drives a fixed, seeded mix of 4 096 single store operations over

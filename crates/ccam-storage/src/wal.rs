@@ -231,6 +231,7 @@ pub struct Wal {
     commits: u64,
     bytes_appended: u64,
     checkpoints: u64,
+    syncs: u64,
 }
 
 /// What [`Wal::open`] found in an existing log.
@@ -266,9 +267,10 @@ impl Wal {
             commits: 0,
             bytes_appended: 0,
             checkpoints: 0,
+            syncs: 0,
         };
         wal.write_header()?;
-        wal.file.sync_data()?;
+        wal.fsync()?;
         Ok(wal)
     }
 
@@ -294,6 +296,7 @@ impl Wal {
             commits: 0,
             bytes_appended: 0,
             checkpoints: 0,
+            syncs: 0,
         };
         let mut scan = WalScan::default();
 
@@ -308,7 +311,7 @@ impl Wal {
                 wal.file.set_len(0)?;
                 wal.end = HEADER_LEN;
                 wal.write_header()?;
-                wal.file.sync_data()?;
+                wal.fsync()?;
                 return Ok((wal, scan));
             }
         };
@@ -330,10 +333,17 @@ impl Wal {
         scan.truncated_bytes = file_len.saturating_sub(wal.end);
         if file_len > wal.end {
             wal.file.set_len(wal.end)?;
-            wal.file.sync_data()?;
+            wal.fsync()?;
         }
         wal.next_lsn = last_lsn + 1;
         Ok((wal, scan))
+    }
+
+    /// `fdatasync` of the log file, counted in [`Wal::sync_count`].
+    fn fsync(&mut self) -> StorageResult<()> {
+        self.file.sync_data()?;
+        self.syncs += 1;
+        Ok(())
     }
 
     fn write_header(&mut self) -> StorageResult<()> {
@@ -404,7 +414,7 @@ impl Wal {
         self.encode_into(&mut buf, &LogRecord::Commit);
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&buf)?;
-        self.file.sync_data()?;
+        self.fsync()?;
         self.end += buf.len() as u64;
         self.bytes_appended += buf.len() as u64;
         self.commits += 1;
@@ -427,7 +437,7 @@ impl Wal {
         self.encode_into(&mut buf, &LogRecord::Checkpoint);
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&buf)?;
-        self.file.sync_data()?;
+        self.fsync()?;
         self.end += buf.len() as u64;
         self.checkpoints += 1;
         Ok(())
@@ -497,6 +507,13 @@ impl Wal {
     /// Checkpoints taken over this handle's lifetime.
     pub fn checkpoint_count(&self) -> u64 {
         self.checkpoints
+    }
+
+    /// `fdatasync`s of the log file over this handle's lifetime: one per
+    /// [`Wal::append_batch`], one per [`Wal::checkpoint`], plus those of
+    /// creating the file or cutting a torn tail at open.
+    pub fn sync_count(&self) -> u64 {
+        self.syncs
     }
 }
 

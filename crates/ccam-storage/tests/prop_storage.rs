@@ -221,8 +221,11 @@ proptest! {
         let wal_path = unique_wal_path();
         std::fs::remove_file(&wal_path).ok();
 
-        let (cstore, ctl) = FaultStore::new(MemPageStore::new(PS).unwrap());
+        let (cstore, ctl) = FaultStore::with_seed(MemPageStore::new(PS).unwrap(), crash_countdown);
         let mut ws = WalStore::create(cstore, &wal_path).unwrap();
+        // The cut tears the write it strikes and undoes half of those
+        // no data sync covered.
+        ctl.set_volatile_writes(512);
         ctl.crash_after(crash_countdown, TornWrite::Partial);
 
         // Shadow state: `working` tracks every applied op, `committed`

@@ -30,12 +30,13 @@
 //! commits as a single WAL transaction: recovery replays or discards
 //! the whole group, never a partial reorganization.
 //!
-//! The log is bounded: `--max-wal-bytes <n>` keeps the sidecar under
-//! roughly `n` bytes by checkpointing (applying retained batches to the
-//! page file and truncating the log) automatically whenever a commit
-//! pushes it past the cap; without the flag every commit checkpoints
-//! immediately. `ccam checkpoint <db>` forces the same compaction on
-//! demand — after recovery, or before archiving the sidecar.
+//! The log is bounded: a commit costs one `fdatasync`, of the log, and
+//! leaves its batch there; the commit that pushes the sidecar past the
+//! cap checkpoints (syncs the page file, then truncates the log), and
+//! so does every clean exit. `--max-wal-bytes <n>` sets the cap
+//! (default 1 MiB; 0 checkpoints at every commit). `ccam checkpoint
+//! <db>` forces the same compaction on demand — after recovery, or
+//! before archiving the sidecar.
 //!
 //! Fault tolerance: page files carry per-page CRC32 checksums (v2
 //! format), so silent corruption is detected on read. Every
@@ -131,8 +132,8 @@ struct OpenOptions {
     /// statistics and per-operation profiles, dumped as JSON on success.
     metrics: Option<MetricsSink>,
     /// `--max-wal-bytes <n>`: auto-checkpoint the WAL whenever a commit
-    /// pushes the live log past `n` bytes. `None` keeps the default of
-    /// checkpointing after every commit.
+    /// pushes the live log past `n` bytes (0 = at every commit). `None`
+    /// keeps the store's default cap.
     max_wal_bytes: Option<u64>,
 }
 
@@ -175,8 +176,8 @@ fn dump_db_metrics(
             r.inc_by("wal_bytes_appended", info.bytes_appended);
             r.set_gauge("wal_live_bytes", info.live_bytes as f64);
             // Replication visibility: the oldest LSN a checkpoint must
-            // keep (for subscribed followers / pinned generations) and
-            // the log's current bounds.
+            // keep (for subscribed followers) and the log's current
+            // bounds.
             r.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
             r.set_gauge("wal.next_lsn", info.next_lsn as f64);
             r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
@@ -225,11 +226,7 @@ fn extract_open_flags(args: &[String]) -> Result<(Vec<String>, OpenOptions), Str
                 let Some(n) = args.get(i + 1) else {
                     return Err("--max-wal-bytes needs a byte count".into());
                 };
-                let n = parse_u64(n, "--max-wal-bytes")?;
-                if n == 0 {
-                    return Err("--max-wal-bytes: cap must be at least 1".into());
-                }
-                opts.max_wal_bytes = Some(n);
+                opts.max_wal_bytes = Some(parse_u64(n, "--max-wal-bytes")?);
                 i += 2;
             }
             _ => {
@@ -263,7 +260,7 @@ fn usage() -> String {
      [--repl-addr HOST:PORT] (primary: accept follower subscriptions)\n  \
      [--replica-of HOST:PORT] [--repl-seed N] (read-only follower of a primary's repl port)\n\
      database commands also accept: [--retry [N]] [--verify-checksums] [--metrics-json <path>]\n  \
-     [--max-wal-bytes N] (WAL databases: auto-checkpoint past N live log bytes)\n\
+     [--max-wal-bytes N] (WAL databases: checkpoint past N live log bytes; default 1 MiB, 0 = every commit)\n\
      find/succ also accept: [--explain] (print the page-access trace)"
         .to_string()
 }
@@ -618,12 +615,12 @@ fn checkpoint_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     let after = ws.log().len();
     println!("checkpointed {db}: log {before} -> {after} bytes");
     let info = ws.info();
-    // A retained floor below next_lsn means a subscribed follower or
-    // pinned snapshot generation still needs those log bytes — the
-    // checkpoint kept them instead of truncating.
+    // A retained floor below next_lsn means a subscribed follower
+    // still needs those log bytes — the checkpoint kept them instead of
+    // truncating.
     if info.retained_lsn + 1 < info.next_lsn {
         println!(
-            "retained from lsn {} (next {}): follower or pinned generation holds the log",
+            "retained from lsn {} (next {}): a follower holds the log",
             info.retained_lsn, info.next_lsn
         );
     }

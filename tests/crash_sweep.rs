@@ -7,7 +7,11 @@
 //! a round outlives the whole workload — so every instruction boundary
 //! of the commit protocol (pass-through allocation, batch append, apply,
 //! inner sync) gets its own crash. Each crash index is exercised with
-//! clean power-cuts and with torn page writes, and a separate sweep
+//! clean power-cuts and with torn page writes, always with the store's
+//! volatile-write class armed — the cut also undoes a seeded half of the
+//! page writes no data sync covered, so a log truncated ahead of the
+//! data file loses a commit here (`truncating_before_the_data_sync_…`
+//! does it by hand and watches the ledger audit fail). A separate sweep
 //! injects `ENOSPC` / short writes through
 //! [`ccam::storage::FaultStore`] instead of killing the process.
 //!
@@ -30,6 +34,8 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use ccam::core::am::{AccessMethod, Ccam, CcamBuilder, DeletedNode};
 use ccam::core::{check, ReorgPolicy};
@@ -37,8 +43,8 @@ use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, NodeId};
 use ccam::storage::recovery::live_snapshot;
 use ccam::storage::{
-    wal_sidecar, FaultStore, FilePageStore, MemPageStore, PageId, PageStore, StorageError,
-    SweepRng, TornWrite, WalControl, WalStore,
+    wal_sidecar, FaultController, FaultStore, FilePageStore, MemPageStore, PageId, PageStore,
+    StorageError, SweepRng, TornWrite, Wal, WalControl, WalStore,
 };
 
 const BLOCK: usize = 512;
@@ -208,33 +214,64 @@ fn recover(db: &Path, wal: &Path) -> RecoveredState {
     (snapshot, map, report.replayed_batches)
 }
 
-/// Audits a reopened access method against the churn ledger.
-fn assert_ledger<S: PageStore>(am: &Ccam<S>, r: &ChurnResult, ctx: &str) {
+/// Audits a reopened access method against the churn ledger; returns
+/// what it found wrong.
+fn ledger_violations<S: PageStore>(am: &Ccam<S>, r: &ChurnResult) -> Vec<String> {
+    let mut wrong = Vec::new();
     for (&v, &present) in &r.committed {
         if r.inflight.map(|(iv, _, _)| iv) == Some(v) {
             continue; // judged by the in-flight rule
         }
-        assert_eq!(
-            am.find(v).unwrap().is_some(),
-            present,
-            "{ctx}: committed state of victim {v} lost"
-        );
+        if am.find(v).unwrap().is_some() != present {
+            wrong.push(format!("committed state of victim {v} lost"));
+        }
     }
     if let Some((v, pre, post)) = r.inflight {
         let got = am.find(v).unwrap().is_some();
-        assert!(
-            got == pre || got == post,
-            "{ctx}: in-flight victim {v} in impossible state"
-        );
+        if got != pre && got != post {
+            wrong.push(format!("in-flight victim {v} in impossible state"));
+        }
     }
     // WCRR sanity: connectivity ratios remain well-defined ratios.
     let crr = am.crr().unwrap();
-    assert!((0.0..=1.0).contains(&crr), "{ctx}: CRR {crr} out of range");
+    if !(0.0..=1.0).contains(&crr) {
+        wrong.push(format!("CRR {crr} out of range"));
+    }
     let wcrr = am.wcrr(&std::collections::HashMap::new()).unwrap();
-    assert!(
-        (0.0..=1.0).contains(&wcrr),
-        "{ctx}: WCRR {wcrr} out of range"
-    );
+    if !(0.0..=1.0).contains(&wcrr) {
+        wrong.push(format!("WCRR {wcrr} out of range"));
+    }
+    wrong
+}
+
+fn assert_ledger<S: PageStore>(am: &Ccam<S>, r: &ChurnResult, ctx: &str) {
+    let wrong = ledger_violations(am, r);
+    assert!(wrong.is_empty(), "{ctx}: {wrong:?}");
+}
+
+/// A golden copy opened with a small log cap over a fault store whose
+/// power cut, once scheduled, also undoes a seeded half of the page
+/// writes no data sync covered.
+fn open_volatile(
+    db: &Path,
+    wal: &Path,
+    policy: ReorgPolicy,
+    seed: u64,
+) -> (
+    Ccam<WalStore<FaultStore<FilePageStore>>>,
+    Arc<FaultController>,
+) {
+    let store = FilePageStore::open(db).unwrap();
+    let (cstore, ctl) = FaultStore::with_seed(store, seed);
+    ctl.set_volatile_writes(512);
+    let (mut ws, report) = WalStore::open(cstore, wal).unwrap();
+    assert!(report.was_clean(), "golden copy must open clean");
+    // A few batches to the cap: the churn crosses it again and again,
+    // so crash indices fall on both sides of checkpoints.
+    ws.set_max_wal_bytes(Some(8 * BLOCK as u64));
+    let mut am = CcamBuilder::new(BLOCK).policy(policy).open_on(ws).unwrap();
+    am.file_mut().set_auto_commit(true);
+    (am, ctl)
 }
 
 /// One crash round at index `k`: copy the golden files, churn under
@@ -251,12 +288,7 @@ fn crash_round(
     name: &str,
 ) -> bool {
     let (db, wal) = golden.clone_to(name);
-    let store = FilePageStore::open(&db).unwrap();
-    let (cstore, ctl) = FaultStore::new(store);
-    let (ws, report) = WalStore::open(cstore, &wal).unwrap();
-    assert!(report.was_clean(), "golden copy must open clean");
-    let mut am = CcamBuilder::new(BLOCK).policy(policy).open_on(ws).unwrap();
-    am.file_mut().set_auto_commit(true);
+    let (mut am, ctl) = open_volatile(&db, &wal, policy, sweep_seed() ^ k);
 
     ctl.crash_after(k, mode);
     let r = churn(&mut am, net, sweep_seed() ^ k, CHURN_OPS);
@@ -477,6 +509,67 @@ fn exhaustive_enospc_sweep_every_k() {
     }
 }
 
+/// What the volatile-write class is for. A commit of page images does
+/// not sync the data file; the log covers it until a checkpoint syncs,
+/// *then* truncates. Do those two in the wrong order by hand — cut the
+/// log, power off before the data sync — and a committed delete is
+/// gone: the file still audits clean, and the ledger says what is
+/// missing. (Without the class every issued write survives the cut and
+/// this ordering bug is invisible.)
+#[test]
+fn truncating_before_the_data_sync_loses_a_commit_and_the_ledger_shows_it() {
+    let net = net();
+    let golden = Golden::build(&net, "unsynced-truncate");
+    let (db, wal) = golden.clone_to("unsynced-truncate-round");
+    let (mut am, ctl) = open_volatile(&db, &wal, ReorgPolicy::FirstOrder, sweep_seed());
+    // Every write the cut can undo, it does.
+    ctl.set_volatile_writes(1024);
+
+    // Delete nodes until one commit is page images only: no data sync.
+    let data_syncs = || ctl.syncs.load(Ordering::Relaxed);
+    let mut r = ChurnResult {
+        committed: BTreeMap::new(),
+        inflight: None,
+    };
+    let mut stash = BTreeMap::new();
+    for v in net.node_ids() {
+        if !neighbors_live(&net, &stash, v) {
+            continue;
+        }
+        let synced = data_syncs();
+        stash.insert(v, am.delete_node(v).unwrap().unwrap());
+        r.committed.insert(v, false);
+        if data_syncs() == synced {
+            break;
+        }
+    }
+    let unsynced = *r.committed.keys().next_back().unwrap();
+    assert!(am.file().pool().with_store(|s| !s.log().is_empty()));
+
+    // The wrong order: truncate first…
+    let (mut log, _) = Wal::open(&wal, BLOCK).unwrap();
+    log.checkpoint().unwrap();
+    drop(log);
+    // …and the power goes before the data sync.
+    ctl.crash_after(0, TornWrite::None);
+    assert!(am.file().pool().with_store_mut(|s| s.checkpoint()).is_err());
+    assert!(ctl.is_dead());
+    std::mem::forget(am);
+
+    let store = FilePageStore::open(&db).unwrap();
+    let (ws, report) = WalStore::open(store, &wal).unwrap();
+    assert_eq!(report.replayed_batches, 0, "the log was cut");
+    let am2 = CcamBuilder::new(BLOCK).open_on(ws).unwrap();
+    assert!(check::verify(am2.file()).unwrap().is_clean());
+    let wrong = ledger_violations(&am2, &r);
+    assert!(
+        wrong.iter().any(|w| w.contains(&unsynced.to_string())),
+        "the audit missed the lost delete of {unsynced}: {wrong:?}"
+    );
+    std::fs::remove_file(&db).ok();
+    std::fs::remove_file(&wal).ok();
+}
+
 /// Acceptance: across a 10 000-update workload the log never exceeds
 /// the configured cap by more than one transaction's frames, while
 /// every committed byte stays durable in the data file.
@@ -557,11 +650,7 @@ mod prop_recovery {
             am.file().commit().unwrap();
             drop(am);
 
-            let store = FilePageStore::open(&db).unwrap();
-            let (cstore, ctl) = FaultStore::new(store);
-            let (ws, _) = WalStore::open(cstore, &wal).unwrap();
-            let mut am = CcamBuilder::new(BLOCK).policy(policy).open_on(ws).unwrap();
-            am.file_mut().set_auto_commit(true);
+            let (mut am, ctl) = open_volatile(&db, &wal, policy, seed ^ k);
             ctl.crash_after(k, mode);
             let r = churn(&mut am, &net, seed ^ k, CHURN_OPS);
             if ctl.is_dead() {

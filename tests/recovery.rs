@@ -3,10 +3,12 @@
 //!
 //! The harness is `WalStore<FaultStore<FilePageStore>>`: the crash
 //! controller schedules a "power failure" after the k-th physical
-//! mutation, optionally tearing the page write it dies on. A sweep over
-//! crash indices covers every phase of the commit protocol —
-//! pass-through allocation (before logging), the apply phase (after the
-//! batch is durable), and the inner sync — plus the no-crash tail.
+//! mutation, optionally tearing the page write it dies on, and undoing
+//! a seeded half of the page writes no data sync covered (the store's
+//! volatile-write class). A sweep over crash indices covers every phase
+//! of the commit protocol — pass-through allocation (before logging),
+//! the apply phase (after the batch is durable), and the inner sync —
+//! plus the no-crash tail.
 //!
 //! Invariants checked after every simulated crash:
 //!
@@ -71,8 +73,11 @@ fn crash_round(net: &Network, k: u64, mode: TornWrite, name: &str) -> bool {
     std::fs::remove_file(&wal).ok();
 
     let store = FilePageStore::create(&path, BLOCK).unwrap();
-    let (cstore, ctl) = FaultStore::new(store);
-    let ws = WalStore::create(cstore, &wal).unwrap();
+    let (cstore, ctl) = FaultStore::with_seed(store, k);
+    ctl.set_volatile_writes(512);
+    let mut ws = WalStore::create(cstore, &wal).unwrap();
+    // A cap of a few batches, so the churn crosses checkpoints.
+    ws.set_max_wal_bytes(Some(8 * BLOCK as u64));
     let mut am = CcamBuilder::new(BLOCK).build_static_on(ws, net).unwrap();
     am.file().commit().unwrap();
     am.file_mut().set_auto_commit(true);
@@ -197,7 +202,8 @@ fn crash_mid_reorganization_recovers() {
         std::fs::remove_file(&wal).ok();
 
         let store = FilePageStore::create(&path, BLOCK).unwrap();
-        let (cstore, ctl) = FaultStore::new(store);
+        let (cstore, ctl) = FaultStore::with_seed(store, k);
+        ctl.set_volatile_writes(512);
         let ws = WalStore::create(cstore, &wal).unwrap();
         let mut am = CcamBuilder::new(BLOCK).build_static_on(ws, &net).unwrap();
         am.file().commit().unwrap();
