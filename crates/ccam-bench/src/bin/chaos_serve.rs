@@ -510,6 +510,8 @@ fn main() {
     let idle_reaped = metrics.counter("serve.idle_reaped");
     let snapshot_pins = metrics.counter("serve.snapshot_pins");
     let poisoned_internals = metrics.counter("serve.internal_errors.poisoned");
+    let batches_inline = metrics.counter("serve.batches_inline");
+    let batches_queued = metrics.counter("serve.batches_queued");
     let recovered = writer_recovered.load(Ordering::Relaxed);
     // Internal responses are charged against the store's own injected
     // faults and the injected writer-panic (poisoned) window first;
@@ -548,7 +550,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"chaos_serve\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"connections\": {},\n    \"workers\": {},\n    \"queue_depth\": {}\n  }},\n  \"results\": {{\n    \"qps\": {:.1},\n    \"ok\": {},\n    \"overloaded\": {},\n    \"deadline_exceeded\": {},\n    \"degraded\": {},\n    \"internal\": {},\n    \"unexpected\": {},\n    \"reconnects\": {},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \"injected_faults\": {},\n    \"injected_stalls\": {},\n    \"non_injected_errors\": {},\n    \"worker_panics\": {},\n    \"degraded_reads\": {},\n    \"idle_reaped\": {},\n    \"snapshot_pins\": {},\n    \"poisoned_internals\": {},\n    \"writer_recovered\": {},\n    \"half_close_answered\": {},\n    \"half_close_runs\": {},\n    \"staller_reaped\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"chaos_serve\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"connections\": {},\n    \"workers\": {},\n    \"queue_depth\": {}\n  }},\n  \"results\": {{\n    \"qps\": {:.1},\n    \"ok\": {},\n    \"overloaded\": {},\n    \"deadline_exceeded\": {},\n    \"degraded\": {},\n    \"internal\": {},\n    \"unexpected\": {},\n    \"reconnects\": {},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \"injected_faults\": {},\n    \"injected_stalls\": {},\n    \"non_injected_errors\": {},\n    \"worker_panics\": {},\n    \"degraded_reads\": {},\n    \"idle_reaped\": {},\n    \"snapshot_pins\": {},\n    \"batches_inline\": {},\n    \"batches_queued\": {},\n    \"poisoned_internals\": {},\n    \"writer_recovered\": {},\n    \"half_close_answered\": {},\n    \"half_close_runs\": {},\n    \"staller_reaped\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
         cfg.seed,
         cfg.seconds,
         cfg.connections,
@@ -571,6 +573,8 @@ fn main() {
         degraded_reads,
         idle_reaped,
         snapshot_pins,
+        batches_inline,
+        batches_queued,
         poisoned_internals,
         recovered,
         half_close_ok.load(Ordering::Relaxed),

@@ -5,40 +5,55 @@
 //!
 //! The paper evaluates CCAM as an access method; this crate turns the
 //! library into a system: a server speaking the batched binary
-//! [`protocol`] over `std::net`, a fixed pool of worker threads sharing
-//! one [`Ccam`] read path, and a blocking [`client`] used by the load
-//! generator, the CLI and the tests.
+//! [`protocol`] over `std::net`, where at most N batches execute at once
+//! on one shared [`Ccam`] read path, and a blocking [`client`] used by
+//! the load generator, the CLI and the tests.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  acceptor ──► reader (1/conn) ──► per-conn bounded queue ─┐
-//!                  │ full? write Overloaded immediately     │
-//!                  ▼                                        ▼
-//!              conn writer ◄────────────── worker pool (N threads)
-//!                              batch runs on one pinned Snapshot
+//!  acceptor ──► reader (1/conn) ── conn idle and a slot free? ──► run the batch here ─┐
+//!                  │ no                                                              │
+//!                  ▼                                                                 ▼
+//!        per-conn bounded queue ──► run queue ──► worker pool (N threads) ──► conn writer
+//!        (full? Overloaded now)                   (each waits for a slot)
+//!
+//!   N slots: at most N batches execute at once, on readers and workers
+//!   together; each batch runs on one pinned Snapshot.
 //! ```
 //!
-//! * One **reader thread per connection** decodes frames and appends
-//!   batches to that connection's bounded queue ([`ServerConfig::
-//!   queue_depth`] batches). A full queue is answered *immediately*
-//!   with per-request `Overloaded` — the server never buffers without
-//!   bound, and a slow consumer only ever penalizes itself.
-//! * A connection with pending batches is scheduled at most once on the
-//!   global run queue. A worker pops a connection, takes **one** batch,
-//!   pins a [`Snapshot`] via [`EpochCell::read`] and executes the whole
-//!   batch against it — so every response in a frame reflects one
-//!   committed snapshot, and a maintenance commit (or a full
-//!   reorganization) mid-batch neither stalls the batch nor changes
-//!   what it observes. The worker then writes the response frame and
-//!   re-schedules the connection if more batches are pending.
-//!   One-batch-at-a-time per connection keeps accepted batches FIFO per
-//!   connection and shares workers fairly across connections.
+//! * One **reader thread per connection** decodes frames. When its
+//!   connection has no batch queued or running and one of the N
+//!   execution slots ([`ServerConfig::workers`]) is free — with no other
+//!   connection waiting for one — the reader **runs the batch itself**:
+//!   execute, encode, write the response, then read the next frame. An
+//!   uncontended batch costs no thread hand-off.
+//! * Otherwise the batch goes to that connection's bounded queue
+//!   ([`ServerConfig::queue_depth`] batches); the **worker pool** is the
+//!   overflow path. A full queue is answered *immediately* with
+//!   per-request `Overloaded` — the server never buffers without bound,
+//!   and a slow consumer only ever penalizes itself. A connection with
+//!   pending batches is scheduled at most once on the global run queue;
+//!   a worker waits until a connection is queued *and* a slot is free,
+//!   takes **one** batch, runs it, and re-schedules the connection if
+//!   more batches are pending. One batch at a time per connection keeps
+//!   accepted batches FIFO per connection — a reader never runs a frame
+//!   while an earlier one of its connection is queued — and the run
+//!   queue shares slots fairly across connections.
+//! * Either way a batch runs through one function: pin a [`Snapshot`]
+//!   via [`EpochCell::read`] and execute the whole batch against it — so
+//!   every response in a frame reflects one committed snapshot, and a
+//!   maintenance commit (or a full reorganization) mid-batch neither
+//!   stalls the batch nor changes what it observes. `serve.batches_inline`
+//!   and `serve.batches_queued` count the path taken (they sum to
+//!   `serve.batches`); the `serve.executing_peak` gauge is the most
+//!   batches ever seen executing at once, never above N.
 //! * **Graceful shutdown** ([`ServerHandle::shutdown`]) stops accepting,
-//!   half-closes every connection's read side, joins the readers (no
-//!   new work can arrive), then lets the workers drain every queued
-//!   batch before joining them. In-flight requests complete; their
-//!   responses are delivered.
+//!   half-closes every connection's read side, joins the readers — each
+//!   finishes the batch it is running before it sees EOF, and no new
+//!   work can arrive — then lets the workers drain every queued batch
+//!   before joining them. In-flight requests complete; their responses
+//!   are delivered.
 //!
 //! # Fault tolerance
 //!
@@ -49,17 +64,19 @@
 //!   stalls mid-frame (slowloris) is reaped instead of pinning its
 //!   reader thread and connection slot forever; response writes carry
 //!   [`ServerConfig::write_timeout_ms`] and a failed write severs the
-//!   connection rather than blocking a worker.
+//!   connection rather than holding an execution slot.
 //! * **Deadlines** — every accepted frame gets a deadline (the client's
 //!   requested budget, else [`ServerConfig::deadline_ms`]), counted
 //!   from frame acceptance so queueing spends budget too. Expired
 //!   requests answer `DeadlineExceeded` without executing; `Route` and
 //!   `RangeAggregate` poll the deadline *while* walking so a
-//!   pathological request cannot hold a worker unboundedly.
+//!   pathological request cannot hold a slot unboundedly.
 //! * **Panics** — each request executes under `catch_unwind`; a panic
 //!   answers `Internal`, increments `serve.worker_panics`, and the
-//!   batch continues. A worker thread that unwinds anywhere else
-//!   re-enters its loop (self-respawn) so the pool never shrinks.
+//!   batch continues. A panic elsewhere in running a batch (encoding,
+//!   say) is caught around the whole batch, which then answers
+//!   `Internal`; the slot is released by a drop guard, and the reader or
+//!   worker goes on serving.
 //! * **Storage faults** — checksum failures degrade instead of
 //!   erroring: reads route around quarantined pages
 //!   (`Status::Degraded`, partial bodies for `GetSuccessors`); every
@@ -88,7 +105,7 @@ use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,7 +129,10 @@ use protocol::{
 pub struct ServerConfig {
     /// Address to bind, e.g. `127.0.0.1:0` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads executing batches. Clamped to at least 1.
+    /// At most this many batches execute at once. A reader runs its own
+    /// connection's batch when a slot is free; this many worker threads
+    /// run the batches that had to queue, each taking a slot too.
+    /// Clamped to at least 1.
     pub workers: usize,
     /// Max *batches* queued per connection before new frames are
     /// rejected with `Overloaded`. Clamped to at least 1.
@@ -125,8 +145,8 @@ pub struct ServerConfig {
     pub idle_timeout_ms: u64,
     /// Write timeout on each connection's socket, in milliseconds. A
     /// response write that cannot make progress for this long fails the
-    /// write and severs the connection rather than blocking a worker on
-    /// a full peer window. 0 disables.
+    /// write and severs the connection rather than holding an execution
+    /// slot on a full peer window. 0 disables.
     pub write_timeout_ms: u64,
     /// Default per-request deadline in milliseconds, applied when a
     /// request frame carries a 0 deadline field. The clock starts at
@@ -190,7 +210,8 @@ struct Conn {
     id: u64,
     /// Control clone: `shutdown(Read)` unblocks the reader on drain.
     sock: TcpStream,
-    /// Serialized response writes (workers and overload rejections).
+    /// Serialized response writes (batch answers and overload
+    /// rejections).
     writer: Mutex<BufWriter<TcpStream>>,
     /// First storage error on this connection has been logged; later
     /// ones only count in metrics (a corrupted hot page would otherwise
@@ -220,9 +241,37 @@ struct ConnState {
     reader_gone: bool,
 }
 
+/// The scheduler's state, under one lock: who waits for a slot, and how
+/// many slots are taken.
+struct RunQueue {
+    /// Connections with queued batches, each at most once, FIFO.
+    conns: VecDeque<Arc<Conn>>,
+    /// Batches executing now, on readers and workers together; never
+    /// above `Shared::slots`. Workers exit only when it is 0 after the
+    /// readers are gone: a batch a worker has popped is invisible to
+    /// `conns` until it finishes.
+    executing: usize,
+    /// High-water mark of `executing` (`serve.executing_peak`).
+    peak: usize,
+}
+
+impl RunQueue {
+    /// Takes one execution slot if fewer than `slots` are taken.
+    fn take_slot(&mut self, slots: usize) -> bool {
+        if self.executing >= slots {
+            return false;
+        }
+        self.executing += 1;
+        self.peak = self.peak.max(self.executing);
+        true
+    }
+}
+
 struct Shared<S: PageStore + 'static> {
     db: Arc<EpochCell<Ccam<S>>>,
     metrics: Arc<MetricsRegistry>,
+    /// How many batches may execute at once ([`ServerConfig::workers`]).
+    slots: usize,
     queue_depth: usize,
     idle_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
@@ -232,12 +281,8 @@ struct Shared<S: PageStore + 'static> {
     /// Set after every reader has been joined: no batch can arrive
     /// anymore, so workers may exit once the run queue is drained.
     readers_done: AtomicBool,
-    run_queue: Mutex<VecDeque<Arc<Conn>>>,
-    /// Connections a worker has popped but not yet finished/rescheduled
-    /// (their batches are invisible to the run queue); workers only exit
-    /// when this is 0 *and* the run queue is empty. Mutated under the
-    /// `run_queue` lock so the exit check is consistent.
-    inflight: AtomicUsize,
+    run_queue: Mutex<RunQueue>,
+    /// Workers wait here for a queued connection and a free slot.
     work_cv: Condvar,
     /// Live connections only: whoever fully closes a connection (the
     /// reader when idle, else the worker draining its last batch) also
@@ -292,14 +337,18 @@ impl Server {
         let shared = Arc::new(Shared {
             db,
             metrics: Arc::new(MetricsRegistry::new()),
+            slots: config.workers.max(1),
             queue_depth: config.queue_depth.max(1),
             idle_timeout: ms_opt(config.idle_timeout_ms),
             write_timeout: ms_opt(config.write_timeout_ms),
             default_deadline: ms_opt(config.deadline_ms),
             shutting_down: AtomicBool::new(false),
             readers_done: AtomicBool::new(false),
-            run_queue: Mutex::new(VecDeque::new()),
-            inflight: AtomicUsize::new(0),
+            run_queue: Mutex::new(RunQueue {
+                conns: VecDeque::new(),
+                executing: 0,
+                peak: 0,
+            }),
             work_cv: Condvar::new(),
             conns: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
@@ -339,12 +388,12 @@ impl Server {
                 );
             }
         }
-        let workers = (0..config.workers.max(1))
+        let workers = (0..shared.slots)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ccam-worker-{i}"))
-                    .spawn(move || worker_supervisor(&shared))
+                    .spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         let acceptor = {
@@ -426,15 +475,7 @@ impl<S: PageStore + 'static> ServerHandle<S> {
     /// Metrics as JSON, with current I/O-counter gauges folded in —
     /// the same document the `Stats` protocol op returns.
     pub fn metrics_json(&self) -> String {
-        // Counters come off the cell's lock-free stats handle, not a
-        // read guard: metrics must stay observable while a long
-        // reorganization holds the writer lock or the cell is poisoned.
-        if let Some(io) = self.shared.db.io_stats() {
-            fold_io_gauges(&self.shared.metrics, &io.snapshot(), self.shared.db.epoch());
-        }
-        if let Some(repl) = &self.shared.repl {
-            repl::fold_repl_gauges(&self.shared.metrics, repl);
-        }
+        fold_live_gauges(&self.shared);
         self.shared.metrics.to_json()
     }
 
@@ -445,7 +486,7 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         let shared = &self.shared;
         shared.shutting_down.store(true, Ordering::SeqCst);
         // Half-close every connection's read side: readers wake with
-        // EOF once their current frame (if any) is enqueued.
+        // EOF once their current frame (if any) is run or enqueued.
         for conn in shared.conns.lock().iter() {
             let _ = conn.sock.shutdown(Shutdown::Read);
         }
@@ -464,7 +505,8 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         for conn in shared.conns.lock().iter() {
             let _ = conn.sock.shutdown(Shutdown::Read);
         }
-        // Readers joined => every batch that will ever exist is queued.
+        // Readers joined => every batch that will ever exist has run
+        // inline or is queued.
         let readers = std::mem::take(&mut *shared.readers.lock());
         for (_, r) in readers {
             panicked |= r.join().is_err();
@@ -506,7 +548,7 @@ fn acceptor_loop<S: PageStore + 'static>(shared: &Arc<Shared<S>>, listener: &Tcp
         let _ = stream.set_nodelay(true);
         // The reader clone gets the idle timeout (slowloris reaping);
         // the writer clone gets the write timeout (slow-consumer
-        // backpressure fails the write instead of blocking a worker).
+        // backpressure fails the write instead of holding a slot).
         let _ = stream.set_read_timeout(shared.idle_timeout);
         let (Ok(sock), Ok(wsock)) = (stream.try_clone(), stream.try_clone()) else {
             continue;
@@ -605,6 +647,11 @@ fn reader_loop<S: PageStore + 'static>(
             deadline: budget.map(|b| accepted_at + b),
             reqs,
         };
+        if let Some(_slot) = inline_slot(shared, conn) {
+            shared.metrics.inc_by("serve.frames_accepted", 1);
+            run_batch(shared, conn, &batch, "serve.batches_inline");
+            continue;
+        }
         let batch_len = batch.reqs.len();
         let enqueued = {
             let mut st = conn.state.lock();
@@ -616,7 +663,7 @@ fn reader_loop<S: PageStore + 'static>(
                 if !st.scheduled {
                     st.scheduled = true;
                     // Lock order everywhere: conn.state before run_queue.
-                    shared.run_queue.lock().push_back(Arc::clone(conn));
+                    shared.run_queue.lock().conns.push_back(Arc::clone(conn));
                     shared.work_cv.notify_one();
                 }
                 true
@@ -676,25 +723,85 @@ fn write_response<S: PageStore + 'static>(shared: &Shared<S>, conn: &Conn, paylo
     }
 }
 
-/// Runs `worker_loop`, re-entering it if it unwinds. Per-request panics
-/// are already contained in [`execute_batch`]; this outer net catches
-/// unwinds from the surrounding machinery (encoding, scheduling) so a
-/// single panic can never permanently shrink the worker pool — the
-/// same thread resumes pulling work, and `shutdown` joins an `Ok`
-/// handle instead of discovering a corpse.
-fn worker_supervisor<S: PageStore + 'static>(shared: &Arc<Shared<S>>) {
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| worker_loop(shared))) {
-            Ok(()) => return, // clean exit: shutdown drain complete
-            Err(_) => shared.metrics.inc_by("serve.worker_panics", 1),
+/// An execution slot taken by a reader for its own connection's batch;
+/// dropping it — also on unwind — frees the slot and wakes a worker if a
+/// queued connection was waiting for one.
+struct Slot<'a, S: PageStore + 'static> {
+    shared: &'a Shared<S>,
+}
+
+impl<S: PageStore + 'static> Drop for Slot<'_, S> {
+    fn drop(&mut self) {
+        let mut q = self.shared.run_queue.lock();
+        q.executing -= 1;
+        let waiting = !q.conns.is_empty();
+        drop(q);
+        if waiting {
+            self.shared.work_cv.notify_one();
         }
     }
 }
 
+/// A slot for `conn`'s reader to run its next batch itself, or `None`
+/// when the batch must queue: the connection has a batch queued or
+/// running (running this one now would overtake it), another connection
+/// is already waiting on the run queue (a backlog drains first), or all
+/// slots are taken. Only the reader adds to its connection's queue, so
+/// the connection cannot gain a batch between the two checks.
+fn inline_slot<'a, S: PageStore + 'static>(
+    shared: &'a Shared<S>,
+    conn: &Conn,
+) -> Option<Slot<'a, S>> {
+    {
+        let st = conn.state.lock();
+        if st.scheduled || !st.queue.is_empty() {
+            return None;
+        }
+    }
+    let mut q = shared.run_queue.lock();
+    (q.conns.is_empty() && q.take_slot(shared.slots)).then(|| Slot { shared })
+}
+
+/// Runs one accepted batch to completion — execute, encode, write the
+/// response — on whichever thread holds its slot: the connection's
+/// reader (`path` = `serve.batches_inline`) or a worker
+/// (`serve.batches_queued`). Per-request panics are contained inside
+/// [`execute_batch`]; a panic anywhere else in here (encoding, say) is
+/// caught so the calling thread keeps serving, counted under
+/// `serve.worker_panics`, and the batch answers `Internal`.
+fn run_batch<S: PageStore + 'static>(
+    shared: &Shared<S>,
+    conn: &Conn,
+    batch: &Batch,
+    path: &'static str,
+) {
+    shared.metrics.inc_by(path, 1);
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let resps = execute_batch(shared, conn, batch);
+        #[cfg(test)]
+        tests::panic_if_tagged(batch.tag);
+        write_response(shared, conn, &encode_response_batch(batch.tag, &resps));
+    }));
+    if ran.is_err() {
+        shared.metrics.inc_by("serve.worker_panics", 1);
+        let resps = all_internal(batch);
+        write_response(shared, conn, &encode_response_batch(batch.tag, &resps));
+    }
+}
+
+/// `Internal` for every request of `batch`, each echoing its op.
+fn all_internal(batch: &Batch) -> Vec<Response> {
+    batch
+        .reqs
+        .iter()
+        .map(|req| Response::Error(Status::Internal, req.op()))
+        .collect()
+}
+
 /// Drop guard for one popped connection: parks or reschedules it, reaps
-/// it when its reader is gone, and decrements `inflight` — *also* on
-/// unwind, so a panicking batch never strands its connection in the
-/// `scheduled` state or wedges the workers' exit check.
+/// it when its reader is gone, and frees the worker's slot — *also* on
+/// unwind, so nothing can strand the connection in the `scheduled`
+/// state, leak a slot, or wedge the workers' exit check.
 struct FinishConn<'a, S: PageStore + 'static> {
     shared: &'a Shared<S>,
     conn: Option<Arc<Conn>>,
@@ -723,14 +830,14 @@ impl<S: PageStore + 'static> Drop for FinishConn<'_, S> {
             let _ = conn.sock.shutdown(Shutdown::Both);
             remove_conn(shared, &conn);
         }
-        // The inflight decrement shares the run-queue lock with the
-        // workers' exit check, so a batch being rescheduled is never
-        // invisible to that check.
+        // Freeing the slot shares the run-queue lock with the workers'
+        // exit check, so a batch being rescheduled is never invisible to
+        // that check.
         let mut q = shared.run_queue.lock();
         if more {
-            q.push_back(conn);
+            q.conns.push_back(conn);
         }
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        q.executing -= 1;
         drop(q);
         if more {
             shared.work_cv.notify_one();
@@ -740,17 +847,19 @@ impl<S: PageStore + 'static> Drop for FinishConn<'_, S> {
     }
 }
 
-fn worker_loop<S: PageStore + 'static>(shared: &Arc<Shared<S>>) {
+fn worker_loop<S: PageStore + 'static>(shared: &Shared<S>) {
     loop {
         let conn = {
             let mut q = shared.run_queue.lock();
             loop {
-                if let Some(c) = q.pop_front() {
-                    shared.inflight.fetch_add(1, Ordering::SeqCst);
-                    break c;
+                if !q.conns.is_empty() && q.take_slot(shared.slots) {
+                    break q.conns.pop_front().expect("checked non-empty");
                 }
+                // Readers are joined, so no slot is a reader's: 0 means
+                // no worker holds a batch that could still reschedule.
                 if shared.readers_done.load(Ordering::SeqCst)
-                    && shared.inflight.load(Ordering::SeqCst) == 0
+                    && q.executing == 0
+                    && q.conns.is_empty()
                 {
                     // Cascade: wake the other idle workers to exit too.
                     shared.work_cv.notify_all();
@@ -766,11 +875,9 @@ fn worker_loop<S: PageStore + 'static>(shared: &Arc<Shared<S>>) {
         let conn = finish.conn.as_deref().expect("conn set above");
         let batch = conn.state.lock().queue.pop_front();
         if let Some(batch) = batch {
-            let resps = execute_batch(shared, conn, &batch);
-            let payload = encode_response_batch(batch.tag, &resps);
-            write_response(shared, conn, &payload);
+            run_batch(shared, conn, &batch, "serve.batches_queued");
         }
-        drop(finish); // park/reschedule/reap + inflight decrement
+        drop(finish); // park/reschedule/reap + free the slot
     }
 }
 
@@ -804,11 +911,7 @@ fn execute_batch<S: PageStore>(shared: &Shared<S>, conn: &Conn, batch: &Batch) -
                     e.kind()
                 );
             }
-            return batch
-                .reqs
-                .iter()
-                .map(|req| Response::Error(Status::Internal, req.op()))
-                .collect();
+            return all_internal(batch);
         }
     };
     m.inc_by("serve.snapshot_pins", 1);
@@ -1024,17 +1127,29 @@ fn execute_one<S: PageStore>(
             }
         }
         Request::Stats => {
-            // Lock-free stats handle, not the snapshot's own counters:
-            // views are rebuilt per commit (their counters reset), and
-            // the handle stays readable during a long reorganization.
-            if let Some(io) = shared.db.io_stats() {
-                fold_io_gauges(&shared.metrics, &io.snapshot(), shared.db.epoch());
-            }
-            if let Some(repl) = &shared.repl {
-                repl::fold_repl_gauges(&shared.metrics, repl);
-            }
+            fold_live_gauges(shared);
             Response::StatsJson(shared.metrics.to_json())
         }
+    }
+}
+
+/// Folds what is read live rather than counted — I/O counters, the
+/// execution high-water mark, replication state — into the registry as
+/// gauges, for `Stats` and [`ServerHandle::metrics_json`].
+fn fold_live_gauges<S: PageStore>(shared: &Shared<S>) {
+    // Lock-free stats handle, not the snapshot's own counters: views
+    // are rebuilt per commit (their counters reset), and the handle
+    // stays readable while a long reorganization holds the writer lock
+    // or the cell is poisoned.
+    if let Some(io) = shared.db.io_stats() {
+        fold_io_gauges(&shared.metrics, &io.snapshot(), shared.db.epoch());
+    }
+    let peak = shared.run_queue.lock().peak;
+    shared
+        .metrics
+        .set_gauge("serve.executing_peak", peak as f64);
+    if let Some(repl) = &shared.repl {
+        repl::fold_repl_gauges(&shared.metrics, repl);
     }
 }
 
@@ -1080,8 +1195,101 @@ pub fn fold_io_gauges(m: &MetricsRegistry, io: &ccam_storage::IoSnapshot, epoch:
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::protocol::{decode_response_batch, encode_request_batch};
+    use crate::test_common::wait_until;
+    use ccam_core::CcamBuilder;
+    use ccam_graph::roadmap::{road_map, RoadMapConfig};
+    use ccam_storage::MemPageStore;
+
+    /// A frame with this tag panics after it executes and before its
+    /// response is encoded: outside the per-request `catch_unwind`.
+    const PANIC_TAG: u32 = 0xDEAD_0001;
+
+    pub(super) fn panic_if_tagged(tag: u32) {
+        if tag == PANIC_TAG {
+            panic!("injected panic while encoding");
+        }
+    }
+
+    /// A panic outside the per-request net — on a reader running its own
+    /// batch, then on a worker running a queued one — answers the batch
+    /// `Internal`, frees the slot, and leaves both paths serving.
+    #[test]
+    fn a_panic_outside_the_request_net_frees_the_slot() {
+        let net = road_map(&RoadMapConfig {
+            grid_w: 6,
+            grid_h: 6,
+            removed_nodes: 1,
+            target_segments: 50,
+            target_directed: 90,
+            cell: 64,
+            jitter: 24,
+            seed: 5,
+        });
+        let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+        let db = Arc::new(EpochCell::new(am).unwrap());
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle: ServerHandle<MemPageStore> = Server::start(db, config).unwrap();
+        let shared = &*handle.shared;
+        let m = handle.metrics();
+        let a = net.node_ids()[0];
+        let reqs = [Request::Find(a), Request::Stats];
+        let internal = vec![
+            Response::Error(Status::Internal, OpCode::Find),
+            Response::Error(Status::Internal, OpCode::Stats),
+        ];
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        // An unanswered batch fails the test instead of hanging it.
+        client
+            .set_io_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let panicking_call = |client: &mut Client| {
+            let frame = encode_request_batch(PANIC_TAG, 0, &reqs);
+            client.send_raw(&frame).unwrap();
+            let payload = client.recv_raw().unwrap().expect("an answer, not EOF");
+            decode_response_batch(&payload).unwrap()
+        };
+        let served = |client: &mut Client| {
+            let resps = client.call(&[Request::Find(a)]).unwrap();
+            matches!(resps[0], Response::Record(_))
+        };
+
+        assert_eq!(panicking_call(&mut client), (PANIC_TAG, internal.clone()));
+        assert_eq!(m.counter("serve.batches_inline"), 1);
+        // The answer is written before the slot is dropped.
+        wait_until(|| shared.run_queue.lock().executing == 0);
+        assert!(served(&mut client));
+
+        // Hold the only slot here (once the reader has freed it after
+        // its answer), so the next frame must queue; free it once the
+        // frame is accepted and a worker runs it.
+        wait_until(|| shared.run_queue.lock().take_slot(shared.slots));
+        let held = Slot { shared };
+        let accepted = m.counter("serve.frames_accepted");
+        let caller = std::thread::scope(|s| {
+            let caller = s.spawn(|| panicking_call(&mut client));
+            wait_until(|| m.counter("serve.frames_accepted") > accepted);
+            drop(held);
+            caller.join().unwrap()
+        });
+        assert_eq!(caller, (PANIC_TAG, internal));
+        assert_eq!(m.counter("serve.batches_queued"), 1);
+        assert_eq!(m.counter("serve.worker_panics"), 2);
+        wait_until(|| shared.run_queue.lock().executing == 0);
+        assert!(served(&mut client));
+        assert_eq!(m.counter("serve.batches_inline"), 3);
+        handle.shutdown().unwrap();
+    }
 
     /// The wire's `u32` counters must clamp at the boundary, not wrap:
     /// `u32::MAX` passes through exactly, `u32::MAX + 1` (which `as

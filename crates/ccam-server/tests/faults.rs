@@ -1,12 +1,13 @@
 //! Fault-tolerance tests over a real loopback socket: slowloris
-//! reaping, mid-frame disconnects, request deadlines, worker panic
-//! isolation, and degraded reads around corrupted pages.
+//! reaping, mid-frame disconnects, request deadlines, panic isolation on
+//! a reader and on a pool worker, and degraded reads around corrupted
+//! pages.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, CcamBuilder};
@@ -16,6 +17,9 @@ use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status};
 use ccam_server::{Server, ServerConfig, ServerHandle};
 use ccam_storage::{FaultStore, MemPageStore, PageId, WalStore};
+
+mod common;
+use common::{ping_pong, wait_until};
 
 fn test_net() -> Network {
     road_map(&RoadMapConfig {
@@ -35,18 +39,6 @@ fn start_server(config: ServerConfig) -> (ServerHandle<MemPageStore>, Network) {
     let am = CcamBuilder::new(1024).build_static(&net).unwrap();
     let db = Arc::new(EpochCell::new(am).unwrap());
     (Server::start(db, config).unwrap(), net)
-}
-
-/// Polls `cond` until true or the timeout elapses; returns success.
-fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    cond()
 }
 
 /// A slowloris peer — a connection that writes half a frame and then
@@ -90,10 +82,7 @@ fn stalled_half_frame_is_reaped_without_blocking_others() {
 
     // The staller's connection slot is reclaimed; only `good` remains.
     drop(good);
-    assert!(
-        wait_for(Duration::from_secs(10), || handle.active_connections() == 0),
-        "reaped/closed connections leaked"
-    );
+    wait_until(|| handle.active_connections() == 0);
     handle.shutdown().unwrap();
 }
 
@@ -129,39 +118,17 @@ fn mid_frame_disconnect_during_response_write_is_survived() {
     assert_eq!(resps.len(), heavy.len());
     drop(good);
 
-    assert!(
-        wait_for(Duration::from_secs(10), || handle.active_connections() == 0),
-        "dead connections leaked"
-    );
+    // No dead connection is left behind.
+    wait_until(|| handle.active_connections() == 0);
     handle.shutdown().unwrap();
 }
 
 /// A pathological `Route` under a tiny client-supplied deadline answers
-/// `DeadlineExceeded` instead of holding a worker for the whole walk.
+/// `DeadlineExceeded` instead of holding a slot for the whole walk.
 #[test]
 fn pathological_route_respects_client_deadline() {
     let (handle, net) = start_server(ServerConfig::default());
-
-    // Find a bidirectional arc and ping-pong over it: a long route of
-    // real edges, so the evaluation would genuinely run to the end.
-    let (a, b) = net
-        .nodes()
-        .find_map(|n| {
-            n.successors
-                .iter()
-                .map(|e| e.to)
-                .find(|&to| {
-                    net.nodes()
-                        .find(|m| m.id == to)
-                        .is_some_and(|m| m.successors.iter().any(|e| e.to == n.id))
-                })
-                .map(|to| (n.id, to))
-        })
-        .expect("road map has a two-way street");
-    let mut route = Vec::with_capacity(50_000);
-    for i in 0..50_000 {
-        route.push(if i % 2 == 0 { a } else { b });
-    }
+    let route = ping_pong(&net, |_| true);
 
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client.set_deadline_ms(1);
@@ -190,21 +157,25 @@ fn pathological_route_respects_client_deadline() {
 ///
 /// The panic is injected into the *served view's* read path: the pinned
 /// snapshot's buffer pool invokes the prefetch hook on every fault, so
-/// an armed panicking hook plus dropped cached frames makes the next
-/// storage-touching request unwind inside a worker.
-#[test]
-fn worker_panic_is_isolated_and_the_pool_survives() {
+/// an armed hook that panics on one page, plus dropped cached frames,
+/// makes the next request reading that page unwind. With the slot free
+/// the lone connection's reader runs the batch; with `contended`, a
+/// second connection first holds the only slot with a long batch over
+/// other pages, so the panicking batch queues and a pool worker runs it.
+fn request_panic_is_isolated(contended: bool) {
     let net = test_net();
     let am = CcamBuilder::new(1024).build_static(&net).unwrap();
     let db = Arc::new(EpochCell::new(am).unwrap());
+    let workers = if contended { 1 } else { 2 };
     let handle = Server::start(
         Arc::clone(&db),
         ServerConfig {
-            workers: 2,
+            workers,
             ..ServerConfig::default()
         },
     )
     .unwrap();
+    let m = Arc::clone(handle.metrics());
     let a = net.node_ids()[0];
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
@@ -217,16 +188,29 @@ fn worker_panic_is_isolated_and_the_pool_survives() {
     let armed = Arc::new(AtomicBool::new(false));
     let hook_armed = Arc::clone(&armed);
     let view = db.read().unwrap();
+    let page_of = |id| view.file().page_of(id).unwrap();
+    let target = page_of(a).expect("a is stored");
     view.file()
         .pool()
         .set_prefetcher(Some(Arc::new(move |id: PageId| {
-            if hook_armed.load(Ordering::SeqCst) {
+            if id == target && hook_armed.load(Ordering::SeqCst) {
                 panic!("injected storage panic reading {id:?}");
             }
             Vec::new()
         })));
     view.file().pool().clear().unwrap();
     armed.store(true, Ordering::SeqCst);
+
+    let holder = contended.then(|| {
+        let route = ping_pong(&net, |id| page_of(id) != Some(target));
+        let reqs = vec![Request::Route(route); 16];
+        let mut holder = Client::connect(handle.local_addr()).unwrap();
+        let started = m.counter("serve.batches") + 1;
+        let payload = ccam_server::protocol::encode_request_batch(1, 0, &reqs);
+        holder.send_raw(&payload).unwrap();
+        wait_until(|| m.counter("serve.batches") >= started);
+        (holder, reqs.len())
+    });
     let resps = client
         .call(&[Request::Find(a), Request::Stats, Request::Find(a)])
         .unwrap();
@@ -236,13 +220,35 @@ fn worker_panic_is_isolated_and_the_pool_survives() {
     // …and the faulted page was installed before the hook unwound, so
     // the retry within the same batch already answers again.
     assert!(matches!(resps[2], Response::Record(_)));
-    assert!(handle.metrics().counter("serve.worker_panics") >= 1);
+    assert!(m.counter("serve.worker_panics") >= 1);
+    match holder {
+        Some((mut holder, n)) => {
+            assert!(m.counter("serve.batches_queued") >= 1, "ran on a worker");
+            let payload = holder.recv_raw().unwrap().expect("the holder's answer");
+            let (_, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
+            assert_eq!(resps.len(), n);
+            assert!(resps
+                .iter()
+                .all(|r| matches!(r, Response::RouteEval { complete: true, .. })));
+        }
+        None => assert_eq!(m.counter("serve.batches_queued"), 0, "ran on its reader"),
+    }
 
-    // Disarm: the same connection and worker pool keep serving.
+    // Disarm: the same connection and the server keep serving.
     armed.store(false, Ordering::SeqCst);
     let resps = client.call(&[Request::Find(a)]).unwrap();
     assert!(matches!(resps[0], Response::Record(_)));
     handle.shutdown().unwrap();
+}
+
+#[test]
+fn worker_panic_is_isolated_and_the_pool_survives() {
+    request_panic_is_isolated(false);
+}
+
+#[test]
+fn a_request_panic_on_a_pool_worker_is_isolated() {
+    request_panic_is_isolated(true);
 }
 
 /// A maintenance writer that panics mid-transaction poisons the cell:

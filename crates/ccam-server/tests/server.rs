@@ -1,5 +1,6 @@
 //! End-to-end tests over a real loopback socket: batching, error
-//! statuses, overload rejection, snapshot-consistent reads during
+//! statuses, batches run on their reader or queued for the pool under
+//! contention, overload rejection, snapshot-consistent reads during
 //! writer commits, and graceful shutdown draining.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,6 +14,9 @@ use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status, PROTOCOL_VERSION};
 use ccam_server::{Server, ServerConfig, ServerHandle};
 use ccam_storage::{MemPageStore, SweepRng, WalInfo, WalStore, DEFAULT_MAX_WAL_BYTES};
+
+mod common;
+use common::{ping_pong, wait_until};
 
 const PAGE: usize = 1024;
 
@@ -55,12 +59,8 @@ fn closed_connections_are_forgotten() {
             drop(client);
         }
     }
-    // Readers observe the EOFs asynchronously; poll with a deadline.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while handle.active_connections() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(handle.active_connections(), 0, "closed connections leaked");
+    // Readers observe the EOFs asynchronously.
+    wait_until(|| handle.active_connections() == 0);
     handle.shutdown().unwrap();
 }
 
@@ -164,52 +164,209 @@ fn undecodable_frame_gets_bad_request_and_close() {
     handle.shutdown().unwrap();
 }
 
+/// One `GetSuccessors` per node: a batch of a few hundred microseconds.
+fn heavy_batch(net: &Network) -> Vec<Request> {
+    net.node_ids()
+        .into_iter()
+        .map(Request::GetSuccessors)
+        .collect()
+}
+
+/// `routes` long ping-pong routes: a batch that holds its execution slot
+/// for a long while.
+fn slot_holder(net: &Network, routes: usize) -> Vec<Request> {
+    vec![Request::Route(ping_pong(net, |_| true)); routes]
+}
+
+fn send(client: &mut Client, tag: u32, reqs: &[Request]) {
+    let payload = ccam_server::protocol::encode_request_batch(tag, 0, reqs);
+    client.send_raw(&payload).unwrap();
+}
+
+fn recv(client: &mut Client) -> (u32, Vec<Response>) {
+    let payload = client.recv_raw().unwrap().expect("a response frame");
+    ccam_server::protocol::decode_response_batch(&payload).unwrap()
+}
+
+fn is_overloaded(resps: &[Response]) -> bool {
+    resps
+        .iter()
+        .all(|r| matches!(r, Response::Error(Status::Overloaded, _)))
+}
+
+/// Overload needs contention: with one slot and depth-1 queues,
+/// connection A holds the slot with a long batch while connection B
+/// pipelines frames. B's first frame queues behind A; frames that find
+/// B's queue full are rejected immediately with per-request `Overloaded`,
+/// and A's batch still completes.
 #[test]
 fn overload_is_rejected_with_overloaded_not_a_hang() {
-    // One worker, depth-1 queue, and a batch heavy enough to hold the
-    // worker busy: pipelined frames beyond the first two must be
-    // rejected immediately with per-request Overloaded.
     let (handle, net) = start_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_depth: 1,
         ..ServerConfig::default()
     });
-    let ids = net.node_ids();
-    let heavy: Vec<Request> = ids.iter().map(|&id| Request::GetSuccessors(id)).collect();
+    let m = Arc::clone(handle.metrics());
+    let mut a = Client::connect(handle.local_addr()).unwrap();
+    send(&mut a, 0, &slot_holder(&net, 16));
+    wait_until(|| m.counter("serve.batches_inline") == 1);
 
-    // Raw pipelining: fire many frames without reading responses.
-    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let heavy = heavy_batch(&net);
+    let mut b = Client::connect(handle.local_addr()).unwrap();
     let total_frames = 32;
     for tag in 0..total_frames {
-        let payload = ccam_server::protocol::encode_request_batch(tag, 0, &heavy);
-        client.send_raw(&payload).unwrap();
+        send(&mut b, tag, &heavy);
     }
     let mut overloaded = 0usize;
     let mut served = 0usize;
     for _ in 0..total_frames {
-        let payload = client.recv_raw().unwrap().expect("response per frame");
-        let (_tag, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
+        let (_tag, resps) = recv(&mut b);
         assert_eq!(resps.len(), heavy.len());
-        if resps
-            .iter()
-            .all(|r| matches!(r, Response::Error(Status::Overloaded, _)))
-        {
+        if is_overloaded(&resps) {
             overloaded += 1;
         } else {
             served += 1;
         }
     }
-    assert!(served >= 1, "at least the first frame must be served");
+    assert!(served >= 1, "B's first frame queues and is served");
     assert!(
         overloaded >= 1,
-        "with depth 1 and 32 pipelined frames some must be rejected"
+        "with depth 1 behind a busy slot some frames must be rejected"
     );
     assert_eq!(
-        handle.metrics().counter("serve.overloaded"),
+        m.counter("serve.overloaded"),
         (overloaded * heavy.len()) as u64
     );
+    assert!(m.counter("serve.batches_queued") >= 1);
+    let (tag, resps) = recv(&mut a);
+    assert_eq!(tag, 0);
+    assert!(resps
+        .iter()
+        .all(|r| matches!(r, Response::RouteEval { complete: true, .. })));
     handle.shutdown().unwrap();
+}
+
+/// A lone connection never waits for a slot, so its reader runs every
+/// batch itself: closed-loop calls and 32 pipelined frames against one
+/// slot and depth-1 queues alike are answered in tag order, none
+/// `Overloaded`, none queued.
+#[test]
+fn a_lone_connection_runs_every_batch_on_its_reader() {
+    let (handle, net) = start_server(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let m = Arc::clone(handle.metrics());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let ids = net.node_ids();
+    for &id in ids.iter().take(20) {
+        let resps = client.call(&[Request::Find(id)]).unwrap();
+        assert!(matches!(resps[0], Response::Record(_)));
+    }
+    let heavy = heavy_batch(&net);
+    for tag in 0..32 {
+        send(&mut client, tag, &heavy);
+    }
+    for want in 0..32 {
+        let (tag, resps) = recv(&mut client);
+        assert_eq!(tag, want, "answers out of tag order");
+        assert!(!is_overloaded(&resps));
+    }
+    assert_eq!(m.counter("serve.batches"), 52);
+    assert_eq!(m.counter("serve.batches_inline"), 52);
+    assert_eq!(m.counter("serve.batches_queued"), 0);
+    assert_eq!(m.counter("serve.overloaded"), 0);
+    handle.shutdown().unwrap();
+}
+
+/// Per-connection FIFO across the two paths: a connection whose frames
+/// queued while both slots were held keeps sending after they free up.
+/// A worker drains its queue one batch at a time, so a slot stays free —
+/// yet the later frames queue behind the earlier ones instead of running
+/// on the reader, and every answer arrives in tag order.
+#[test]
+fn a_connection_with_queued_batches_keeps_its_order() {
+    let (handle, net) = start_server(ServerConfig {
+        workers: 2,
+        queue_depth: 64,
+        ..ServerConfig::default()
+    });
+    let m = Arc::clone(handle.metrics());
+    let (long, heavy) = (slot_holder(&net, 1), heavy_batch(&net));
+    let mut holders: Vec<Client> = (0..2)
+        .map(|_| Client::connect(handle.local_addr()).unwrap())
+        .collect();
+    for holder in &mut holders {
+        send(holder, 0, &slot_holder(&net, 4));
+    }
+    wait_until(|| m.counter("serve.batches") == 2);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for tag in 0..8 {
+        send(&mut client, tag, &long);
+    }
+    // A holder's reader frees its slot before it sees EOF and forgets
+    // the connection: once only `client` is left, both slots are free.
+    for mut holder in holders {
+        recv(&mut holder);
+    }
+    wait_until(|| handle.active_connections() == 1);
+    wait_until(|| m.counter("serve.batches_queued") >= 1);
+    for tag in 8..16 {
+        send(&mut client, tag, &heavy);
+    }
+    for want in 0..16 {
+        assert_eq!(recv(&mut client).0, want, "answers out of tag order");
+    }
+    assert!(m.counter("serve.batches_queued") >= 8);
+    handle.shutdown().unwrap();
+}
+
+/// Four connections pipelining heavy batches at once — each opening with
+/// a long one — contend for one or two slots: the connections that find
+/// every slot held queue, the high-water mark of batches executing never
+/// exceeds `workers`, the two path counters add up, and every connection
+/// still gets its answers in order.
+#[test]
+fn contended_batches_queue_and_never_exceed_the_slots() {
+    for workers in [1, 2] {
+        let (handle, net) = start_server(ServerConfig {
+            workers,
+            queue_depth: 64,
+            ..ServerConfig::default()
+        });
+        let (long, heavy) = (slot_holder(&net, 8), heavy_batch(&net));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut client = Client::connect(handle.local_addr()).unwrap();
+                    start.wait();
+                    for tag in 0..8 {
+                        send(&mut client, tag, if tag == 0 { &long } else { &heavy });
+                    }
+                    for want in 0..8 {
+                        let (tag, resps) = recv(&mut client);
+                        assert_eq!(tag, want, "answers out of tag order");
+                        assert!(!is_overloaded(&resps));
+                    }
+                });
+            }
+        });
+        handle.metrics_json();
+        let m = handle.metrics();
+        let peak = m.gauge("serve.executing_peak").unwrap();
+        assert!(peak >= 1.0 && peak <= workers as f64, "peak {peak}");
+        let (inline, queued) = (
+            m.counter("serve.batches_inline"),
+            m.counter("serve.batches_queued"),
+        );
+        assert_eq!(inline + queued, m.counter("serve.batches"));
+        assert_eq!(inline + queued, 32);
+        assert!(queued > 0, "{workers} slots, 4 busy connections");
+        handle.shutdown().unwrap();
+    }
 }
 
 #[test]
@@ -280,45 +437,75 @@ fn batches_are_snapshot_consistent_across_commits() {
     handle.shutdown().unwrap();
 }
 
+/// Shutdown answers every accepted frame, whichever path holds it when
+/// shutdown starts. Inline: a lone connection's last frame is a long
+/// batch its reader is still running, and the reader finishes it before
+/// it sees EOF. Queued: a second connection holds the only slot with a
+/// long batch, so all of the client's frames wait in its queue when
+/// shutdown starts; the holder's reader finishes its batch, and the pool
+/// drains the queue after the readers are joined.
 #[test]
 fn graceful_shutdown_drains_pending_batches() {
-    let (handle, net) = start_server(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        queue_depth: 16,
-        ..ServerConfig::default()
-    });
-    let ids = net.node_ids();
-    let heavy: Vec<Request> = ids.iter().map(|&id| Request::GetSuccessors(id)).collect();
+    for queued in [false, true] {
+        let (handle, net) = start_server(ServerConfig {
+            workers: 1,
+            queue_depth: 16,
+            ..ServerConfig::default()
+        });
+        let m = Arc::clone(handle.metrics());
+        let (heavy, long) = (heavy_batch(&net), slot_holder(&net, 16));
+        let mut holder = queued.then(|| {
+            let mut holder = Client::connect(handle.local_addr()).unwrap();
+            send(&mut holder, 0, &long);
+            wait_until(|| m.counter("serve.batches_inline") == 1);
+            holder
+        });
 
-    // Queue several frames, then shut down before reading responses:
-    // every accepted frame must still be answered.
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    let frames = 8u32;
-    for tag in 0..frames {
-        let payload = ccam_server::protocol::encode_request_batch(tag, 0, &heavy);
-        client.send_raw(&payload).unwrap();
-    }
-    // Wait until the reader has *accepted* all frames — shutdown only
-    // guarantees answers for accepted batches, not frames still in the
-    // socket buffer.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while handle.metrics().counter("serve.frames_accepted") < frames as u64 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "frames were never accepted"
+        // Send several frames, then shut down before reading responses:
+        // every accepted frame must still be answered.
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        let frames = 8u32;
+        let frame = |tag: u32| {
+            if !queued && tag + 1 == frames {
+                &long
+            } else {
+                &heavy
+            }
+        };
+        for tag in 0..frames {
+            send(&mut client, tag, frame(tag));
+        }
+        // Wait until the reader has *accepted* all frames — shutdown only
+        // guarantees answers for accepted batches, not frames still in
+        // the socket buffer.
+        let accepted = u64::from(frames + u32::from(queued));
+        wait_until(|| m.counter("serve.frames_accepted") == accepted);
+        assert_eq!(
+            m.counter("serve.batches_queued"),
+            0,
+            "the holder finished early"
         );
-        std::thread::yield_now();
+        let shutdown = std::thread::spawn(move || handle.shutdown());
+        if let Some(holder) = &mut holder {
+            let (tag, resps) = recv(holder);
+            assert_eq!((tag, resps.len()), (0, long.len()));
+        }
+        let mut answered = 0;
+        while let Ok(Some(payload)) = client.recv_raw() {
+            let (tag, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
+            assert_eq!(tag, answered, "answers out of tag order");
+            assert_eq!(resps.len(), frame(tag).len());
+            answered += 1;
+        }
+        shutdown.join().unwrap().unwrap();
+        assert_eq!(answered, frames, "shutdown dropped accepted batches");
+        let paths = (
+            m.counter("serve.batches_inline"),
+            m.counter("serve.batches_queued"),
+        );
+        let frames = u64::from(frames);
+        assert_eq!(paths, if queued { (1, frames) } else { (frames, 0) });
     }
-    let shutdown = std::thread::spawn(move || handle.shutdown());
-    let mut answered = 0;
-    while let Ok(Some(payload)) = client.recv_raw() {
-        let (_tag, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
-        assert_eq!(resps.len(), heavy.len());
-        answered += 1;
-    }
-    shutdown.join().unwrap().unwrap();
-    assert_eq!(answered, frames, "shutdown dropped accepted batches");
 }
 
 #[test]

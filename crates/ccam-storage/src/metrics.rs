@@ -239,9 +239,18 @@ impl MetricsRegistry {
     }
 
     /// Adds `by` to counter `name` (created at zero).
+    ///
+    /// Like [`set_gauge`](Self::set_gauge) and [`observe`](Self::observe),
+    /// this looks the name up by `&str` and allocates its key only on the
+    /// first call: a served batch makes a couple of dozen such calls.
     pub fn inc_by(&self, name: &str, by: u64) {
         let mut c = self.counters.lock();
-        *c.entry(name.to_string()).or_insert(0) += by;
+        match c.get_mut(name) {
+            Some(v) => *v += by,
+            None => {
+                c.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Adds one to counter `name`.
@@ -256,7 +265,13 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauges.lock().insert(name.to_string(), value);
+        let mut g = self.gauges.lock();
+        match g.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                g.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Current value of gauge `name`.
@@ -268,7 +283,10 @@ impl MetricsRegistry {
     /// [`DEFAULT_BUCKETS`]).
     pub fn observe(&self, name: &str, value: u64) {
         let mut h = self.histograms.lock();
-        h.entry(name.to_string()).or_default().observe(value);
+        match h.get_mut(name) {
+            Some(hist) => hist.observe(value),
+            None => h.entry(name.to_string()).or_default().observe(value),
+        }
     }
 
     /// A copy of histogram `name`.
@@ -425,6 +443,28 @@ mod tests {
         assert_eq!(r.counter("a.b"), 3);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.gauge("crr"), Some(0.75));
+    }
+
+    /// The key is allocated on the first call only; later calls through a
+    /// borrowed name find that entry and add to it.
+    #[test]
+    fn repeated_calls_with_a_borrowed_name_share_one_entry() {
+        let r = MetricsRegistry::new();
+        for i in 0..3u64 {
+            let name = format!("serve.{}", "batches");
+            r.inc_by(&name, i + 1);
+            r.observe(&name, i);
+            r.set_gauge(&name, i as f64);
+        }
+        assert_eq!(r.counter("serve.batches"), 6);
+        assert_eq!(r.histogram("serve.batches").map(|h| h.sum()), Some(3));
+        assert_eq!(r.gauge("serve.batches"), Some(2.0));
+        let sizes = (
+            r.counters.lock().len(),
+            r.gauges.lock().len(),
+            r.histograms.lock().len(),
+        );
+        assert_eq!(sizes, (1, 1, 1));
     }
 
     #[test]

@@ -256,6 +256,8 @@ fn usage() -> String {
      ccam replay <db> <trace.txt>\n  \
      ccam profile <db> [--ops N] [--routes N] [--len L] [--seed N] [--updates] [--json]\n  \
      ccam serve <db> [--addr HOST:PORT] [--workers N] [--queue-depth N] [--max-seconds S]\n  \
+     (--workers: at most N batches execute at once; a connection's reader runs its own batch\n  \
+     \x20when a slot is free, N pool threads run the batches that queued)\n  \
      [--deadline-ms MS] [--idle-timeout-ms MS] [--write-timeout-ms MS]\n  \
      [--repl-addr HOST:PORT] (primary: accept follower subscriptions)\n  \
      [--replica-of HOST:PORT] [--repl-seed N] (read-only follower of a primary's repl port)\n\
