@@ -84,18 +84,6 @@ pub fn measure_io<R>(
     (r, d.physical_reads + d.physical_writes)
 }
 
-/// Measures read-only data-page accesses of `op` (search operations:
-/// reads only, no flush needed).
-pub fn measure_reads<R>(
-    am: &dyn AccessMethod,
-    op: impl FnOnce(&dyn AccessMethod) -> R,
-) -> (R, u64) {
-    let before = am.stats().snapshot();
-    let r = op(am);
-    let d = am.stats().snapshot().since(&before);
-    (r, d.physical_reads)
-}
-
 /// Average data-page accesses per route for a route set, evaluated with
 /// the paper's single one-page buffer (§4.3), cold per route.
 pub fn avg_route_io(am: &dyn AccessMethod, routes: &[Route]) -> f64 {

@@ -1,6 +1,7 @@
 //! Experiment harness for the CCAM reproduction.
 //!
-//! One binary per table/figure of the paper's evaluation (§4):
+//! One binary per table/figure of the paper's evaluation (§4), then the
+//! ablations and the harnesses CI runs:
 //!
 //! | binary | artifact |
 //! |--------|----------|
@@ -8,9 +9,21 @@
 //! | `table5_operation_costs`  | Table 5 — I/O cost per network operation, actual vs predicted |
 //! | `fig6_route_eval`         | Figure 6 — route-evaluation I/O vs route length |
 //! | `fig7_reorg_policies`     | Figure 7 — reorganization policies: I/O cost and CRR under insertion |
-//! | `ablation_partitioners`   | extra — CRR per partitioning heuristic (+ m-way refinement) |
+//! | `ablation_partitioners`   | extra — CRR per partitioning heuristic (ratio cut, FM, KL) |
 //! | `ablation_buffer`         | extra — route-evaluation I/O vs buffer size |
+//! | `ablation_policies_extended` | extra — edge-argument policies and lazy thresholds |
+//! | `ablation_index_cost`     | extra — secondary-index page accesses vs index buffer |
+//! | `ablation_workloads`      | extra — random walks vs commuter shortest paths |
+//! | `scaling`                 | extra — CRR and route I/O vs network size |
 //! | `validate_costmodel`      | extra — §3.2 cost-model predictions vs observed I/O per operation class |
+//! | `run_all`                 | every experiment above in one report (`experiments_report.txt`) |
+//! | `sanity`                  | quick CRR of every method at 1 KiB, with timings |
+//! | `perf_hotpaths`           | wall-clock clustering and buffer-pool gate (CI bench-smoke) |
+//! | `build_scale`             | flat vs multilevel clustering at scale (CI build-scale-smoke) |
+//! | `reorg_stall`             | reader p99 while a writer reorganizes (CI bench-smoke) |
+//! | `serve_load`              | closed-loop load generator for `ccam serve` (CI server/repl smoke) |
+//! | `chaos_serve`             | seeded fault-injection harness for the server (CI chaos-smoke) |
+//! | `repl_chaos`              | seeded chaos harness for replication (CI repl-smoke) |
 //!
 //! The library part hosts the shared plumbing: building every access
 //! method over the benchmark road map, per-operation I/O measurement and

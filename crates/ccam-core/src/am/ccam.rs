@@ -18,8 +18,7 @@ use std::collections::HashMap;
 
 use ccam_graph::{Network, NodeData, NodeId};
 use ccam_partition::{
-    cluster_nodes_into_pages_with, refine_m_way, ClusterOptions, PartGraph, PartitionStrategy,
-    Partitioner,
+    cluster_nodes_into_pages_with, ClusterOptions, PartGraph, PartitionStrategy, Partitioner,
 };
 use ccam_storage::{LogRecord, PageId, StorageError, StorageResult};
 
@@ -43,7 +42,6 @@ pub struct CcamBuilder {
     partitioner: Partitioner,
     policy: ReorgPolicy,
     weights: Option<HashMap<(NodeId, NodeId), u64>>,
-    mway_passes: usize,
     threads: usize,
     strategy: PartitionStrategy,
 }
@@ -58,7 +56,6 @@ impl CcamBuilder {
             partitioner: Partitioner::RatioCut,
             policy: ReorgPolicy::SecondOrder,
             weights: None,
-            mway_passes: 0,
             threads: 1,
             strategy: PartitionStrategy::Flat,
         }
@@ -100,14 +97,6 @@ impl CcamBuilder {
     /// maximises WCRR instead of CRR (§4.3).
     pub fn weights(mut self, w: HashMap<(NodeId, NodeId), u64>) -> Self {
         self.weights = Some(w);
-        self
-    }
-
-    /// Enables m-way refinement of the static clustering (the paper's
-    /// "may further improve the result" note, §2.2); `passes` greedy
-    /// rounds.
-    pub fn multiway(mut self, passes: usize) -> Self {
-        self.mway_passes = passes;
         self
     }
 
@@ -189,15 +178,7 @@ impl CcamBuilder {
         let opts = ClusterOptions::new(self.partitioner)
             .threads(self.threads)
             .strategy(self.strategy);
-        let mut groups = cluster_nodes_into_pages_with(&graph, am.file.clustering_budget(), opts);
-        if self.mway_passes > 0 {
-            groups = refine_m_way(
-                &graph,
-                groups,
-                am.file.clustering_budget(),
-                self.mway_passes,
-            );
-        }
+        let groups = cluster_nodes_into_pages_with(&graph, am.file.clustering_budget(), opts);
         am.file.bulk_load(
             groups
                 .into_iter()

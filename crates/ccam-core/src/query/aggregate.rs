@@ -12,6 +12,8 @@
 //! * **Location-allocation evaluation** — score candidate facility
 //!   locations by total shortest-path cost to a set of demand nodes.
 
+use std::collections::HashSet;
+
 use ccam_graph::walks::Route;
 use ccam_graph::NodeId;
 use ccam_storage::{PageStore, StorageResult};
@@ -58,7 +60,8 @@ pub fn route_unit_aggregate_bounded<S: PageStore>(
     cancel: &mut dyn FnMut() -> bool,
 ) -> StorageResult<Option<RouteUnitAggregate>> {
     let mut agg = RouteUnitAggregate::default();
-    let mut seen: Vec<NodeId> = Vec::new();
+    // A hash set: a wire request may carry 65 535 arcs.
+    let mut seen: HashSet<NodeId> = HashSet::new();
     for &(from, to) in arcs {
         if cancel() {
             return Ok(None);
@@ -88,7 +91,7 @@ pub fn route_unit_aggregate_bounded<S: PageStore>(
                 if let Some(node) = node {
                     agg.node_payload_sum += node.payload.iter().map(|&b| b as u64).sum::<u64>();
                     agg.nodes_retrieved += 1;
-                    seen.push(id);
+                    seen.insert(id);
                 }
             }
         }
@@ -169,6 +172,33 @@ mod tests {
         assert_eq!(agg.arcs_missing, 0);
         assert_eq!(agg.total_cost, 3);
         assert_eq!(agg.nodes_retrieved, 4);
+
+        // A wire-sized unit: 11 round trips along a 500-node line, 10 978
+        // arcs over 500 distinct nodes, against sums from the model.
+        let net = grid_network(500, 1, 1.0);
+        let am = CcamBuilder::new(512).build_static(&net).unwrap();
+        let line: Vec<_> = (0..500).map(|x| zorder_id(x, 0)).collect();
+        let there = line.windows(2).map(|w| (w[0], w[1]));
+        let back = line.windows(2).rev().map(|w| (w[1], w[0]));
+        let trip: Vec<_> = there.chain(back).collect();
+        let arcs: Vec<_> = std::iter::repeat_n(trip, 11).flatten().collect();
+        assert!(arcs.len() >= 10_000);
+        let cost = |&(a, b): &(NodeId, NodeId)| {
+            let e = net.node(a).unwrap().successors.iter().find(|e| e.to == b);
+            e.unwrap().cost as u64
+        };
+        let payload: u64 = net
+            .nodes()
+            .flat_map(|n| n.payload.iter().map(|&b| b as u64))
+            .sum();
+        let want = RouteUnitAggregate {
+            arcs_found: arcs.len(),
+            arcs_missing: 0,
+            total_cost: arcs.iter().map(cost).sum(),
+            node_payload_sum: payload,
+            nodes_retrieved: 500,
+        };
+        assert_eq!(route_unit_aggregate(&am, &arcs).unwrap(), want);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   (the `Get-successors()` consumers of §1.2),
 //! * [`aggregate`] — tour evaluation, route-unit aggregates and
 //!   location-allocation evaluation (§5),
-//! * [`spatial`] — point/window queries via R-tree or Z-order range
-//!   decomposition (§2.1's secondary-index alternatives),
+//! * [`spatial`] — window queries as Z-order range scans of the node-id
+//!   B⁺-tree (§2.1's secondary index),
 //! * [`traversal`] — graph traversal, reachability balls and transitive
 //!   closure (the related-work path computations of §1.2).
 

@@ -11,15 +11,11 @@
 //! * [`gridfile`] — the Grid File of Nievergelt et al. \[21\], both a
 //!   spatial index and the clustering engine behind the Grid-File access
 //!   method the paper compares against.
-//! * [`rtree`] — Guttman's R-tree \[11\], the paper's other suggested
-//!   alternative secondary index (§2.1).
 
 pub mod btree;
 pub mod gridfile;
-pub mod rtree;
 pub mod zorder;
 
 pub use btree::BPlusTree;
 pub use gridfile::{BucketId, GridFile};
-pub use rtree::{RTree, Rect};
 pub use zorder::{z_decode, z_encode};

@@ -109,43 +109,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// R-tree model check: under random inserts and removes, window
-    /// queries agree with a brute-force list and invariants hold.
-    #[test]
-    fn rtree_matches_brute_force(
-        fanout in 4usize..10,
-        ops in prop::collection::vec((0u32..64, 0u32..64, any::<bool>()), 1..150),
-        window in (0u32..64, 0u32..64, 0u32..64, 0u32..64),
-    ) {
-        use ccam_index::rtree::{RTree, Rect};
-        let mut tree: RTree<u64> = RTree::new(fanout);
-        let mut model: Vec<(u32, u32, u64)> = Vec::new();
-        let mut next = 0u64;
-        for (x, y, insert) in ops {
-            if insert || model.is_empty() {
-                tree.insert(Rect::point(x, y), next);
-                model.push((x, y, next));
-                next += 1;
-            } else {
-                let (mx, my, mv) = model.swap_remove((x as usize * 31 + y as usize) % model.len());
-                prop_assert!(tree.remove(Rect::point(mx, my), &mv));
-            }
-            tree.check_invariants();
-        }
-        prop_assert_eq!(tree.len(), model.len());
-        let (a, b, c, d) = window;
-        let w = Rect::new(a.min(c), b.min(d), a.max(c), b.max(d));
-        let mut got: Vec<u64> = tree.window_query(w).into_iter().copied().collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = model
-            .iter()
-            .filter(|&&(x, y, _)| x >= w.x0 && x <= w.x1 && y >= w.y0 && y <= w.y1)
-            .map(|&(_, _, v)| v)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
     /// Z-order locality: the codes of the 4 sub-quadrants of any aligned
     /// power-of-two square are contiguous, disjoint blocks.
     #[test]

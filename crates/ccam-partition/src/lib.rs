@@ -18,8 +18,6 @@
 //! * [`coarsen`] — the multilevel coarsen→partition→refine V-cycle
 //!   ([`PartitionStrategy::Multilevel`]) that makes clustering scale to
 //!   million-node networks,
-//! * [`multiway`] — direct m-way partitioning (the paper notes it "may be
-//!   used to further improve the result", §2.2) for the ablation bench,
 //! * [`metrics`] — cut weight, ratio-cut objective and residue ratios.
 //!
 //! Edge weights are integers (`u64`): in CCAM they are access
@@ -31,14 +29,12 @@ pub mod fm;
 pub mod graph;
 pub mod kl;
 pub mod metrics;
-pub mod multiway;
 pub mod ratiocut;
 pub mod recursive;
 
 pub use coarsen::MultilevelOpts;
 pub use graph::{InducedScratch, PartGraph};
 pub use metrics::{cut_weight, ratio_cut_cost, residue_ratio};
-pub use multiway::{m_way_cluster, refine_m_way};
 pub use recursive::{
     cluster_nodes_into_pages, cluster_nodes_into_pages_with, ClusterOptions, PartitionStrategy,
     Partitioner,

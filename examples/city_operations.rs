@@ -6,7 +6,7 @@
 //! page I/O counted:
 //!
 //! 1. *What is inside this map window?* — spatial window query via the
-//!    R-tree secondary index (§2.1's alternative index).
+//!    Z-order secondary index (§2.1).
 //! 2. *What can an ambulance reach within 8 minutes?* — a travel-time
 //!    reachability ball (graph traversal, §1.2).
 //! 3. *Traffic changed — re-optimize storage.* — re-weight the edges
@@ -35,10 +35,11 @@ fn main() {
     );
 
     // 1. Map window: everything in the downtown quarter.
-    let idx = SpatialIndex::build_rtree(am.file()).unwrap();
     am.file().pool().clear().unwrap();
     let before = am.stats().snapshot();
-    let downtown = idx.window_records(am.file(), 800, 800, 1300, 1300).unwrap();
+    let downtown = SpatialIndex::zorder()
+        .window_records(am.file(), 800, 800, 1300, 1300)
+        .unwrap();
     let io = am.stats().snapshot().since(&before).physical_reads;
     println!(
         "downtown window (800..1300)²: {} intersections retrieved with {} page accesses",

@@ -19,7 +19,9 @@
 //!
 //! Databases are real page files ([`ccam::storage::FilePageStore`]); the
 //! secondary index rebuilds on open. Node ids print/parse as the raw
-//! `u64` (the Z-order code on generated road maps).
+//! `u64`, which must be the Z-order code of the node's coordinates:
+//! `window` scans that index as a spatial one, and `build` refuses a
+//! network with any other id.
 //!
 //! `--wal` builds the database with a write-ahead log sidecar
 //! (`<db>.wal`). A WAL-backed database recovers automatically on every
@@ -68,6 +70,7 @@ use ccam::core::query::route::evaluate_path;
 use ccam::core::query::search::a_star;
 use ccam::core::query::spatial::SpatialIndex;
 use ccam::core::validate::{validate, ValidationConfig};
+use ccam::graph::generators::zorder_id;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{load_network, save_network, Network, NodeId};
@@ -349,6 +352,18 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     };
     let wal = flags.contains_key("wal");
     let net = load_network(Path::new(input)).map_err(|e| e.to_string())?;
+    // `window` reads coordinates back out of node ids (§2.2: ids are the
+    // Z-order of the location), so any other id would make it wrong.
+    if let Some(n) = net.nodes().find(|n| n.id != zorder_id(n.x, n.y)) {
+        return Err(format!(
+            "{input}: node {} at ({}, {}) does not have the Z-order id {} of its \
+             coordinates; node ids must be Z-order codes",
+            n.id.0,
+            n.x,
+            n.y,
+            zorder_id(n.x, n.y).0
+        ));
+    }
 
     let out_path = PathBuf::from(out);
     if !wal {
@@ -813,8 +828,7 @@ fn window(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     let am = open_db(db, opts)?;
     let c = |s: &String, w| parse_u64(s, w).map(|v| v as u32);
     let (x0, y0, x1, y1) = (c(x0, "x0")?, c(y0, "y0")?, c(x1, "x1")?, c(y1, "y1")?);
-    let idx = SpatialIndex::build_rtree(am.file()).map_err(|e| e.to_string())?;
-    let recs = idx
+    let recs = SpatialIndex::zorder()
         .window_records(am.file(), x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1))
         .map_err(|e| e.to_string())?;
     for r in &recs {

@@ -4,6 +4,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use ccam::graph::generators::zorder_id;
+use ccam::graph::{load_network, save_network, Network, NodeData, NodeId};
+
 fn ccam(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccam"))
         .args(args)
@@ -74,6 +77,71 @@ fn generate_build_stats_query_pipeline() {
 
     std::fs::remove_file(&net).ok();
     std::fs::remove_file(&db).ok();
+}
+
+#[test]
+fn window_prints_exactly_the_nodes_inside() {
+    let net_path = tmp("win.net");
+    let db = tmp("win.db");
+    let net_s = net_path.to_str().unwrap();
+    let db_s = db.to_str().unwrap();
+    assert!(ccam(&["generate", net_s, "--grid", "8", "--seed", "7"])
+        .status
+        .success());
+    assert!(ccam(&["build", net_s, db_s]).status.success());
+
+    // The middle half of the map in each direction.
+    let net = load_network(&net_path).unwrap();
+    let span = |c: fn(&NodeData) -> u32| {
+        let lo = net.nodes().map(c).min().unwrap();
+        let hi = net.nodes().map(c).max().unwrap();
+        (lo + (hi - lo) / 4, lo + 3 * (hi - lo) / 4)
+    };
+    let (x0, x1) = span(|n| n.x);
+    let (y0, y1) = span(|n| n.y);
+    let mut want: Vec<String> = net
+        .nodes()
+        .filter(|n| n.x >= x0 && n.x <= x1 && n.y >= y0 && n.y <= y1)
+        .map(|n| format!("{} at ({}, {})", n.id.0, n.x, n.y))
+        .collect();
+    assert!(!want.is_empty() && want.len() < net.len());
+
+    let args = [x0, y0, x1, y1].map(|v| v.to_string());
+    let out = ccam(&["window", db_s, &args[0], &args[1], &args[2], &args[3]]);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    let mut got: Vec<String> = text
+        .lines()
+        .filter(|l| l.contains(" at ("))
+        .map(String::from)
+        .collect();
+    got.sort();
+    want.sort();
+    assert_eq!(got, want);
+    assert!(text.contains(&format!("({} nodes in window)", want.len())));
+
+    std::fs::remove_file(&net_path).ok();
+    std::fs::remove_file(&db).ok();
+}
+
+#[test]
+fn build_refuses_ids_that_are_not_z_order_codes() {
+    let net_path = tmp("nonz.net");
+    let db = tmp("nonz.db");
+    let mut net = Network::new();
+    net.add_node(zorder_id(1, 1), 1, 1, vec![0u8; 4]);
+    net.add_node(NodeId(7), 2, 1, vec![0u8; 4]);
+    net.add_edge_bidir(zorder_id(1, 1), NodeId(7), 1);
+    save_network(&net, &net_path).unwrap();
+
+    let out = ccam(&["build", net_path.to_str().unwrap(), db.to_str().unwrap()]);
+    assert!(!out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("node 7 at (2, 1)"), "{err}");
+    assert!(err.contains("Z-order"), "{err}");
+    assert!(!db.exists(), "no database is written");
+
+    std::fs::remove_file(&net_path).ok();
 }
 
 #[test]
