@@ -399,7 +399,8 @@ const TRAILER_LEN: u64 = 8;
 ///   `page_size + 8` bytes at offset `page_size + id * (page_size + 8)`.
 ///   The 8-byte trailer stores `crc32(data || id_le)` (little-endian)
 ///   followed by its bitwise complement. Every [`PageStore::read`]
-///   recomputes the checksum and surfaces
+///   fetches the whole slot in one positioned read, recomputes the
+///   checksum and surfaces
 ///   [`StorageError::ChecksumMismatch`] on disagreement; including the
 ///   page id in the checksummed bytes also catches misdirected writes.
 pub struct FilePageStore {
@@ -590,22 +591,25 @@ impl PageStore for FilePageStore {
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         self.check_live(id)?;
-        self.file.read_exact_at(buf, self.offset(id.0))?;
-        if self.checksums {
-            let mut trailer = [0u8; TRAILER_LEN as usize];
-            self.file
-                .read_exact_at(&mut trailer, self.offset(id.0) + self.page_size as u64)?;
-            let stored = u32::from_le_bytes(trailer[0..4].try_into().unwrap());
-            let complement = u32::from_le_bytes(trailer[4..8].try_into().unwrap());
-            let computed = self.page_checksum(id.0, buf);
-            if stored != computed || complement != !stored {
-                return Err(StorageError::ChecksumMismatch {
-                    page: id,
-                    stored,
-                    computed,
-                });
-            }
+        if !self.checksums {
+            self.file.read_exact_at(buf, self.offset(id.0))?;
+            return Ok(());
         }
+        // One positioned read of the whole slot: page, then trailer.
+        let mut slot = vec![0u8; self.page_size + TRAILER_LEN as usize];
+        self.file.read_exact_at(&mut slot, self.offset(id.0))?;
+        let (data, trailer) = slot.split_at(self.page_size);
+        let stored = u32::from_le_bytes(trailer[0..4].try_into().expect("8-byte trailer"));
+        let complement = u32::from_le_bytes(trailer[4..8].try_into().expect("8-byte trailer"));
+        let computed = self.page_checksum(id.0, data);
+        if stored != computed || complement != !stored {
+            return Err(StorageError::ChecksumMismatch {
+                page: id,
+                stored,
+                computed,
+            });
+        }
+        buf.copy_from_slice(data);
         Ok(())
     }
 
@@ -907,44 +911,98 @@ mod tests {
 
     #[test]
     fn v2_read_detects_single_bit_corruption_anywhere_in_page() {
-        use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-        let path = temp_path("bitflip");
-        let mut s = FilePageStore::create(&path, 64).unwrap();
-        assert!(s.has_checksums());
-        let a = s.allocate().unwrap();
-        s.write(a, &[0x5au8; 64]).unwrap();
-        s.sync().unwrap();
-        let base = s.data_offset(a);
-        let mut buf = vec![0u8; 64];
-        // Flip (and restore) one bit at several byte positions, including
-        // the trailer bytes; every flip must surface as ChecksumMismatch.
-        for byte in [0u64, 1, 31, 63, 64, 67, 68, 71] {
-            let mut f = std::fs::OpenOptions::new()
+        for page_size in [64usize, 1024] {
+            let path = temp_path(&format!("bitflip-{page_size}"));
+            let mut s = FilePageStore::create(&path, page_size).unwrap();
+            assert!(s.has_checksums());
+            s.allocate().unwrap();
+            let a = s.allocate().unwrap();
+            let page: Vec<u8> = (0..page_size).map(|i| (i * 37 + 11) as u8).collect();
+            s.write(a, &page).unwrap();
+            s.sync().unwrap();
+            let base = s.data_offset(a);
+            let f = std::fs::OpenOptions::new()
                 .read(true)
                 .write(true)
                 .open(&path)
                 .unwrap();
-            f.seek(SeekFrom::Start(base + byte)).unwrap();
-            let mut b = [0u8; 1];
-            f.read_exact(&mut b).unwrap();
-            f.seek(SeekFrom::Start(base + byte)).unwrap();
-            f.write_all(&[b[0] ^ 0x01]).unwrap();
-            drop(f);
-            assert!(
-                matches!(
-                    s.read(a, &mut buf),
-                    Err(StorageError::ChecksumMismatch { page, .. }) if page == a
-                ),
-                "flip at byte {byte} went undetected"
-            );
-            // Restore the original byte; the page verifies again.
-            let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(base + byte)).unwrap();
-            f.write_all(&b).unwrap();
-            drop(f);
-            s.read(a, &mut buf).unwrap();
+            let mut slot = vec![0u8; page_size + TRAILER_LEN as usize];
+            f.read_exact_at(&mut slot, base).unwrap();
+            let mut buf = vec![0u8; page_size];
+            // Flip (and restore) bit 0 and bit 7 of every byte of the
+            // slot, data and trailer: each flip lands in another lane of
+            // the checksum kernel and must surface as ChecksumMismatch.
+            for (at, &byte) in slot.iter().enumerate() {
+                for bit in [0x01u8, 0x80] {
+                    f.write_all_at(&[byte ^ bit], base + at as u64).unwrap();
+                    assert!(
+                        matches!(
+                            s.read(a, &mut buf),
+                            Err(StorageError::ChecksumMismatch { page, .. }) if page == a
+                        ),
+                        "page size {page_size}: flip {bit:#04x} at byte {at} went undetected"
+                    );
+                    // Restore the original byte; the page verifies again.
+                    f.write_all_at(&[byte], base + at as u64).unwrap();
+                    s.read(a, &mut buf).unwrap();
+                    assert_eq!(buf, page);
+                }
+            }
+            drop(s);
+            std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn v2_trailer_on_disk_is_the_pinned_checksum() {
+        // Stamped by the bytewise CRC before the slice-by-16 kernel; a
+        // page file written then must verify unchanged.
+        let path = temp_path("trailer-pin");
+        let mut s = FilePageStore::create(&path, 1024).unwrap();
+        let id = PageId(3);
+        s.ensure_allocated(id).unwrap();
+        s.write(id, &[0x5a; 1024]).unwrap();
+        s.sync().unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        let at = (s.data_offset(id) + 1024) as usize;
+        let stored = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
+        let complement = u32::from_le_bytes(raw[at + 4..at + 8].try_into().unwrap());
+        assert_eq!(stored, 0x638E_9EA4);
+        assert_eq!(complement, !0x638E_9EA4);
+        let mut buf = vec![0u8; 1024];
+        FilePageStore::open(&path)
+            .unwrap()
+            .read(id, &mut buf)
+            .unwrap();
+        assert_eq!(buf, [0x5a; 1024]);
         drop(s);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v2_read_of_a_slot_truncated_in_its_trailer_is_an_error() {
+        let path = temp_path("trailer-cut");
+        let mut s = FilePageStore::create(&path, 64).unwrap();
+        s.allocate().unwrap();
+        let last = s.allocate().unwrap();
+        s.write(last, &[7u8; 64]).unwrap();
+        s.sync().unwrap();
+        let trailer = s.data_offset(last) + 64;
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut buf = vec![0u8; 64];
+        // Every cut from "no trailer" to "one byte short".
+        for keep in (0..TRAILER_LEN).rev() {
+            f.set_len(trailer + keep).unwrap();
+            assert!(
+                s.read(last, &mut buf).is_err(),
+                "cut at trailer byte {keep}"
+            );
+            let reopened = FilePageStore::open(&path).unwrap();
+            assert!(
+                reopened.read(last, &mut buf).is_err(),
+                "cut at trailer byte {keep}, reopened"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
