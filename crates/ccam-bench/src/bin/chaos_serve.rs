@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ccam_bench::parse_flag;
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
@@ -88,18 +89,17 @@ fn parse_args() -> Config {
         args.get(*i).unwrap_or_else(|| die("missing value")).clone()
     };
     while i < args.len() {
-        match args[i].as_str() {
-            "--seconds" => cfg.seconds = value(&mut i).parse().unwrap_or(5),
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
-            "--connections" => cfg.connections = value(&mut i).parse().unwrap_or(4),
-            "--batch" => cfg.batch = value(&mut i).parse().unwrap_or(8),
-            "--workers" => cfg.workers = value(&mut i).parse().unwrap_or(2),
-            "--queue-depth" => cfg.queue_depth = value(&mut i).parse().unwrap_or(8),
+        let flag = args[i].as_str();
+        match flag {
+            "--seconds" => cfg.seconds = num(flag, value(&mut i)),
+            "--seed" => cfg.seed = num(flag, value(&mut i)),
+            "--connections" => cfg.connections = num(flag, value(&mut i)),
+            "--batch" => cfg.batch = num(flag, value(&mut i)),
+            "--workers" => cfg.workers = num(flag, value(&mut i)),
+            "--queue-depth" => cfg.queue_depth = num(flag, value(&mut i)),
             "--out" => cfg.out = value(&mut i),
-            "--max-p99-us" => cfg.max_p99_us = value(&mut i).parse().unwrap_or(500_000),
-            "--error-budget-per-1024" => {
-                cfg.error_budget_per_1024 = value(&mut i).parse().unwrap_or(10)
-            }
+            "--max-p99-us" => cfg.max_p99_us = num(flag, value(&mut i)),
+            "--error-budget-per-1024" => cfg.error_budget_per_1024 = num(flag, value(&mut i)),
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -110,6 +110,11 @@ fn parse_args() -> Config {
 fn die(msg: &str) -> ! {
     eprintln!("chaos_serve: {msg}");
     std::process::exit(2);
+}
+
+/// `flag`'s value parsed, or exit 2 naming the flag and the value.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
 }
 
 struct Workload {
@@ -510,8 +515,9 @@ fn main() {
     let idle_reaped = metrics.counter("serve.idle_reaped");
     let snapshot_pins = metrics.counter("serve.snapshot_pins");
     let poisoned_internals = metrics.counter("serve.internal_errors.poisoned");
-    let batches_inline = metrics.counter("serve.batches_inline");
-    let batches_queued = metrics.counter("serve.batches_queued");
+    let slot_waits = metrics.counter("serve.slot_waits");
+    // Folded in by the shutdown above.
+    let executing_peak = metrics.gauge("serve.executing_peak").unwrap_or(0.0);
     let recovered = writer_recovered.load(Ordering::Relaxed);
     // Internal responses are charged against the store's own injected
     // faults and the injected writer-panic (poisoned) window first;
@@ -550,7 +556,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"chaos_serve\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"connections\": {},\n    \"workers\": {},\n    \"queue_depth\": {}\n  }},\n  \"results\": {{\n    \"qps\": {:.1},\n    \"ok\": {},\n    \"overloaded\": {},\n    \"deadline_exceeded\": {},\n    \"degraded\": {},\n    \"internal\": {},\n    \"unexpected\": {},\n    \"reconnects\": {},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \"injected_faults\": {},\n    \"injected_stalls\": {},\n    \"non_injected_errors\": {},\n    \"worker_panics\": {},\n    \"degraded_reads\": {},\n    \"idle_reaped\": {},\n    \"snapshot_pins\": {},\n    \"batches_inline\": {},\n    \"batches_queued\": {},\n    \"poisoned_internals\": {},\n    \"writer_recovered\": {},\n    \"half_close_answered\": {},\n    \"half_close_runs\": {},\n    \"staller_reaped\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"chaos_serve\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"connections\": {},\n    \"workers\": {},\n    \"queue_depth\": {}\n  }},\n  \"results\": {{\n    \"qps\": {:.1},\n    \"ok\": {},\n    \"overloaded\": {},\n    \"deadline_exceeded\": {},\n    \"degraded\": {},\n    \"internal\": {},\n    \"unexpected\": {},\n    \"reconnects\": {},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \"injected_faults\": {},\n    \"injected_stalls\": {},\n    \"non_injected_errors\": {},\n    \"worker_panics\": {},\n    \"degraded_reads\": {},\n    \"idle_reaped\": {},\n    \"snapshot_pins\": {},\n    \"slot_waits\": {},\n    \"executing_peak\": {},\n    \"poisoned_internals\": {},\n    \"writer_recovered\": {},\n    \"half_close_answered\": {},\n    \"half_close_runs\": {},\n    \"staller_reaped\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
         cfg.seed,
         cfg.seconds,
         cfg.connections,
@@ -573,8 +579,8 @@ fn main() {
         degraded_reads,
         idle_reaped,
         snapshot_pins,
-        batches_inline,
-        batches_queued,
+        slot_waits,
+        executing_peak,
         poisoned_internals,
         recovered,
         half_close_ok.load(Ordering::Relaxed),

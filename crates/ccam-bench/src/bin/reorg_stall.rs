@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ccam_bench::parse_flag;
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
@@ -71,13 +72,14 @@ fn parse_args() -> Config {
         args.get(*i).unwrap_or_else(|| die("missing value")).clone()
     };
     while i < args.len() {
-        match args[i].as_str() {
-            "--seconds" => cfg.seconds = value(&mut i).parse().unwrap_or(6),
-            "--readers" => cfg.readers = value(&mut i).parse().unwrap_or(2),
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
+        let flag = args[i].as_str();
+        match flag {
+            "--seconds" => cfg.seconds = num(flag, value(&mut i)),
+            "--readers" => cfg.readers = num(flag, value(&mut i)),
+            "--seed" => cfg.seed = num(flag, value(&mut i)),
             "--out" => cfg.out = value(&mut i),
-            "--max-ratio" => cfg.max_ratio = value(&mut i).parse().unwrap_or(2.0),
-            "--floor-us" => cfg.floor_us = value(&mut i).parse().unwrap_or(300),
+            "--max-ratio" => cfg.max_ratio = num(flag, value(&mut i)),
+            "--floor-us" => cfg.floor_us = num(flag, value(&mut i)),
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -88,6 +90,11 @@ fn parse_args() -> Config {
 fn die(msg: &str) -> ! {
     eprintln!("reorg_stall: {msg}");
     std::process::exit(2);
+}
+
+/// `flag`'s value parsed, or exit 2 naming the flag and the value.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {

@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ccam_bench::parse_flag;
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
@@ -78,15 +79,16 @@ fn parse_args() -> Config {
         args.get(*i).unwrap_or_else(|| die("missing value")).clone()
     };
     while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
-            "--phase-ms" => cfg.phase_ms = value(&mut i).parse().unwrap_or(1_000),
+        let flag = args[i].as_str();
+        match flag {
+            "--seed" => cfg.seed = num(flag, value(&mut i)),
+            "--phase-ms" => cfg.phase_ms = num(flag, value(&mut i)),
             "--out" => cfg.out = value(&mut i),
-            "--max-catchup-ms" => cfg.max_catchup_ms = value(&mut i).parse().unwrap_or(10_000),
+            "--max-catchup-ms" => cfg.max_catchup_ms = num(flag, value(&mut i)),
             "--read-error-budget-per-1024" => {
-                cfg.read_error_budget_per_1024 = value(&mut i).parse().unwrap_or(16)
+                cfg.read_error_budget_per_1024 = num(flag, value(&mut i))
             }
-            "--write-error-budget" => cfg.write_error_budget = value(&mut i).parse().unwrap_or(2),
+            "--write-error-budget" => cfg.write_error_budget = num(flag, value(&mut i)),
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -97,6 +99,11 @@ fn parse_args() -> Config {
 fn die(msg: &str) -> ! {
     eprintln!("repl_chaos: {msg}");
     std::process::exit(2);
+}
+
+/// `flag`'s value parsed, or exit 2 naming the flag and the value.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+use ccam_bench::parse_flag;
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::{load_network, Network, NodeId};
 use ccam_server::client::{Backoff, Client};
@@ -70,13 +71,14 @@ fn parse_args() -> Config {
         args.get(*i).unwrap_or_else(|| die("missing value")).clone()
     };
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--addr" => cfg.addr = value(&mut i),
             "--net" => cfg.net = Some(value(&mut i)),
-            "--connections" => cfg.connections = value(&mut i).parse().unwrap_or(4),
-            "--batch" => cfg.batch = value(&mut i).parse().unwrap_or(16),
-            "--seconds" => cfg.seconds = value(&mut i).parse().unwrap_or(5),
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
+            "--connections" => cfg.connections = num(flag, value(&mut i)),
+            "--batch" => cfg.batch = num(flag, value(&mut i)),
+            "--seconds" => cfg.seconds = num(flag, value(&mut i)),
+            "--seed" => cfg.seed = num(flag, value(&mut i)),
             "--mix" => {
                 let v = value(&mut i);
                 let parts: Vec<u32> = v.split(':').filter_map(|p| p.parse().ok()).collect();
@@ -98,6 +100,11 @@ fn parse_args() -> Config {
 fn die(msg: &str) -> ! {
     eprintln!("serve_load: {msg}");
     std::process::exit(2);
+}
+
+/// `flag`'s value parsed, or exit 2 naming the flag and the value.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
 }
 
 /// The node ids and a pool of short walks drawn from the network file —

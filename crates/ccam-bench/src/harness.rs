@@ -104,6 +104,15 @@ pub fn avg_route_io(am: &dyn AccessMethod, routes: &[Route]) -> f64 {
     total as f64 / routes.len() as f64
 }
 
+/// Parses the value given to command-line flag `flag`, or names the flag
+/// and the value it could not parse. A harness that gates CI must not
+/// quietly run with a default nobody asked for.
+pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
 /// Renders a plain-text table: header row + rows, column-aligned.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -160,6 +169,20 @@ mod tests {
         let id = net.node_ids()[0];
         let (_, io) = measure_io(am.as_mut(), |am| am.find(id).unwrap());
         assert_eq!(io, 1, "cold find reads exactly one data page");
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_flag() {
+        assert_eq!(parse_flag::<usize>("--workers", "2"), Ok(2));
+        assert_eq!(parse_flag::<f64>("--max-ratio", "2.5"), Ok(2.5));
+        assert_eq!(
+            parse_flag::<usize>("--workers", "two"),
+            Err("--workers: cannot parse \"two\"".to_string())
+        );
+        assert_eq!(
+            parse_flag::<u64>("--seed", ""),
+            Err("--seed: cannot parse \"\"".to_string())
+        );
     }
 
     #[test]

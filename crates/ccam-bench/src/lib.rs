@@ -17,7 +17,6 @@
 //! | `scaling`                 | extra — CRR and route I/O vs network size |
 //! | `validate_costmodel`      | extra — §3.2 cost-model predictions vs observed I/O per operation class |
 //! | `run_all`                 | every experiment above in one report (`experiments_report.txt`) |
-//! | `sanity`                  | quick CRR of every method at 1 KiB, with timings |
 //! | `perf_hotpaths`           | wall-clock clustering and buffer-pool gate (CI bench-smoke) |
 //! | `build_scale`             | flat vs multilevel clustering at scale (CI build-scale-smoke) |
 //! | `reorg_stall`             | reader p99 while a writer reorganizes (CI bench-smoke) |

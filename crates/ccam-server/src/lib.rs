@@ -12,48 +12,44 @@
 //! # Architecture
 //!
 //! ```text
-//!  acceptor ──► reader (1/conn) ── conn idle and a slot free? ──► run the batch here ─┐
-//!                  │ no                                                              │
-//!                  ▼                                                                 ▼
-//!        per-conn bounded queue ──► run queue ──► worker pool (N threads) ──► conn writer
-//!        (full? Overloaded now)                   (each waits for a slot)
-//!
-//!   N slots: at most N batches execute at once, on readers and workers
-//!   together; each batch runs on one pinned Snapshot.
+//!  acceptor ──► reader (1/conn) ──► slot (1 of N, FIFO tickets) ──► run, answer, free ─┐
+//!                  ▲    │ queue_depth batches already waiting?                          │
+//!                  │    └──► Overloaded now, frame not accepted                         │
+//!                  └────────────────────────── read the next frame ◄─────────────────────┘
 //! ```
 //!
-//! * One **reader thread per connection** decodes frames. When its
-//!   connection has no batch queued or running and one of the N
-//!   execution slots ([`ServerConfig::workers`]) is free — with no other
-//!   connection waiting for one — the reader **runs the batch itself**:
-//!   execute, encode, write the response, then read the next frame. An
-//!   uncontended batch costs no thread hand-off.
-//! * Otherwise the batch goes to that connection's bounded queue
-//!   ([`ServerConfig::queue_depth`] batches); the **worker pool** is the
-//!   overflow path. A full queue is answered *immediately* with
-//!   per-request `Overloaded` — the server never buffers without bound,
-//!   and a slow consumer only ever penalizes itself. A connection with
-//!   pending batches is scheduled at most once on the global run queue;
-//!   a worker waits until a connection is queued *and* a slot is free,
-//!   takes **one** batch, runs it, and re-schedules the connection if
-//!   more batches are pending. One batch at a time per connection keeps
-//!   accepted batches FIFO per connection — a reader never runs a frame
-//!   while an earlier one of its connection is queued — and the run
-//!   queue shares slots fairly across connections.
-//! * Either way a batch runs through one function: pin a [`Snapshot`]
-//!   via [`EpochCell::read`] and execute the whole batch against it — so
-//!   every response in a frame reflects one committed snapshot, and a
-//!   maintenance commit (or a full reorganization) mid-batch neither
-//!   stalls the batch nor changes what it observes. `serve.batches_inline`
-//!   and `serve.batches_queued` count the path taken (they sum to
-//!   `serve.batches`); the `serve.executing_peak` gauge is the most
-//!   batches ever seen executing at once, never above N.
+//! * One **reader thread per connection** is the only execution path. It
+//!   decodes a frame, takes a ticket for one of the N execution slots
+//!   ([`ServerConfig::workers`]), waits for its turn, runs the batch,
+//!   writes the answer, frees the slot and reads the next frame. There
+//!   is no worker pool and no server-side batch queue.
+//! * **Per-connection FIFO** is structural: a reader is one thread and
+//!   handles one frame at a time, so a connection's answers leave in the
+//!   order its frames arrived.
+//! * **Fairness across connections:** tickets are handed out in arrival
+//!   order, and a waiting reader takes a slot only when its ticket is
+//!   the next one served. Slots go to waiting batches first come, first
+//!   served, and a newcomer never overtakes a batch already waiting.
+//! * **Overload is `Overloaded`, never a hang:**
+//!   [`ServerConfig::queue_depth`] bounds the batches waiting for a slot
+//!   server-wide. A frame that arrives when that many already wait is
+//!   answered *immediately* with per-request `Overloaded` and is not
+//!   accepted. A connection's own pipelined frames are never shed: they
+//!   stay in the kernel socket buffer until its reader gets to them
+//!   (TCP backpressure), so a lone client never sees `Overloaded`.
+//! * Every batch pins one [`Snapshot`] via [`EpochCell::read`] and runs
+//!   whole against it — so every response in a frame reflects one
+//!   committed snapshot, and a maintenance commit (or a full
+//!   reorganization) mid-batch neither stalls the batch nor changes what
+//!   it observes. `serve.batches` counts batches run, `serve.slot_waits`
+//!   those that found every slot taken and waited, and the
+//!   `serve.executing_peak` gauge is the most batches ever seen executing
+//!   at once, never above N.
 //! * **Graceful shutdown** ([`ServerHandle::shutdown`]) stops accepting,
-//!   half-closes every connection's read side, joins the readers — each
-//!   finishes the batch it is running before it sees EOF, and no new
-//!   work can arrive — then lets the workers drain every queued batch
-//!   before joining them. In-flight requests complete; their responses
-//!   are delivered.
+//!   half-closes every connection's read side and joins the readers.
+//!   Each answers the batch it is running or waiting a slot for — a
+//!   waiting reader still gets its slot as the holders finish — and sees
+//!   EOF only on its next read. Every accepted batch is answered.
 //!
 //! # Fault tolerance
 //!
@@ -67,16 +63,16 @@
 //!   connection rather than holding an execution slot.
 //! * **Deadlines** — every accepted frame gets a deadline (the client's
 //!   requested budget, else [`ServerConfig::deadline_ms`]), counted
-//!   from frame acceptance so queueing spends budget too. Expired
-//!   requests answer `DeadlineExceeded` without executing; `Route` and
-//!   `RangeAggregate` poll the deadline *while* walking so a
+//!   from frame acceptance so waiting for a slot spends budget too.
+//!   Expired requests answer `DeadlineExceeded` without executing;
+//!   `Route` and `RangeAggregate` poll the deadline *while* walking so a
 //!   pathological request cannot hold a slot unboundedly.
 //! * **Panics** — each request executes under `catch_unwind`; a panic
 //!   answers `Internal`, increments `serve.worker_panics`, and the
 //!   batch continues. A panic elsewhere in running a batch (encoding,
 //!   say) is caught around the whole batch, which then answers
-//!   `Internal`; the slot is released by a drop guard, and the reader or
-//!   worker goes on serving.
+//!   `Internal`; the `Slot` drop guard frees the slot on unwind, and
+//!   the reader goes on serving.
 //! * **Storage faults** — checksum failures degrade instead of
 //!   erroring: reads route around quarantined pages
 //!   (`Status::Degraded`, partial bodies for `GetSuccessors`); every
@@ -100,7 +96,7 @@ pub mod client;
 pub mod protocol;
 pub mod repl;
 
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,13 +125,14 @@ use protocol::{
 pub struct ServerConfig {
     /// Address to bind, e.g. `127.0.0.1:0` (port 0 picks a free port).
     pub addr: String,
-    /// At most this many batches execute at once. A reader runs its own
-    /// connection's batch when a slot is free; this many worker threads
-    /// run the batches that had to queue, each taking a slot too.
-    /// Clamped to at least 1.
+    /// Execution slots: at most this many batches execute at once, each
+    /// on its own connection's reader thread. No worker threads are
+    /// spawned. Clamped to at least 1.
     pub workers: usize,
-    /// Max *batches* queued per connection before new frames are
-    /// rejected with `Overloaded`. Clamped to at least 1.
+    /// Max *batches* waiting for a slot, server-wide. A frame that
+    /// arrives when this many already wait is answered `Overloaded` and
+    /// not accepted; a connection's later frames wait in its socket
+    /// buffer, not here. Clamped to at least 1.
     pub queue_depth: usize,
     /// Read timeout on each connection's socket, in milliseconds. A
     /// connection that sends nothing — including one stalled *mid-frame*
@@ -150,8 +147,8 @@ pub struct ServerConfig {
     pub write_timeout_ms: u64,
     /// Default per-request deadline in milliseconds, applied when a
     /// request frame carries a 0 deadline field. The clock starts at
-    /// frame acceptance (queueing spends budget). 0 = no default; such
-    /// requests run unbounded.
+    /// frame acceptance (waiting for a slot spends budget). 0 = no
+    /// default; such requests run unbounded.
     pub deadline_ms: u64,
     /// Replication role — see [`ReplRole`]. Defaults to a standalone
     /// primary with no replication listener.
@@ -203,24 +200,28 @@ fn ms_opt(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// One client connection's server-side state.
+/// What `shutdown` needs of a live connection.
 struct Conn {
     /// Key into `Shared::readers`, so closing a connection can reap its
     /// reader handle.
     id: u64,
     /// Control clone: `shutdown(Read)` unblocks the reader on drain.
     sock: TcpStream,
-    /// Serialized response writes (batch answers and overload
-    /// rejections).
-    writer: Mutex<BufWriter<TcpStream>>,
+}
+
+/// A connection as its reader serves it. Only the reader writes to the
+/// socket, so the writer and the log-once flag live on its stack.
+struct Peer {
+    id: u64,
+    /// Response writes: batch answers and rejections.
+    writer: BufWriter<TcpStream>,
     /// First storage error on this connection has been logged; later
     /// ones only count in metrics (a corrupted hot page would otherwise
     /// log once per request).
-    storage_error_logged: AtomicBool,
-    state: Mutex<ConnState>,
+    storage_error_logged: Cell<bool>,
 }
 
-/// One accepted request frame awaiting (or undergoing) execution.
+/// One accepted request frame.
 struct Batch {
     tag: u32,
     /// Absolute deadline, stamped at frame acceptance. `None` runs
@@ -229,42 +230,17 @@ struct Batch {
     reqs: Vec<Request>,
 }
 
-struct ConnState {
-    /// Accepted batches awaiting a worker, FIFO. Bounded by
-    /// `queue_depth`.
-    queue: VecDeque<Batch>,
-    /// True while the connection sits on the run queue or a worker is
-    /// processing one of its batches — at most one of either, ever.
-    scheduled: bool,
-    /// The reader thread has exited (client EOF, bad frame, or drain):
-    /// whoever finds the queue empty last fully closes the socket.
-    reader_gone: bool,
-}
-
-/// The scheduler's state, under one lock: who waits for a slot, and how
-/// many slots are taken.
-struct RunQueue {
-    /// Connections with queued batches, each at most once, FIFO.
-    conns: VecDeque<Arc<Conn>>,
-    /// Batches executing now, on readers and workers together; never
-    /// above `Shared::slots`. Workers exit only when it is 0 after the
-    /// readers are gone: a batch a worker has popped is invisible to
-    /// `conns` until it finishes.
+/// The execution slots and the line for them, under one lock.
+struct Slots {
+    /// Batches executing now; never above `Shared::slots`.
     executing: usize,
     /// High-water mark of `executing` (`serve.executing_peak`).
     peak: usize,
-}
-
-impl RunQueue {
-    /// Takes one execution slot if fewer than `slots` are taken.
-    fn take_slot(&mut self, slots: usize) -> bool {
-        if self.executing >= slots {
-            return false;
-        }
-        self.executing += 1;
-        self.peak = self.peak.max(self.executing);
-        true
-    }
+    /// The ticket the next accepted batch takes.
+    next_ticket: u64,
+    /// The ticket of the next batch to get a slot. The tickets from here
+    /// up to `next_ticket` are the batches waiting for one.
+    now_serving: u64,
 }
 
 struct Shared<S: PageStore + 'static> {
@@ -272,38 +248,35 @@ struct Shared<S: PageStore + 'static> {
     metrics: Arc<MetricsRegistry>,
     /// How many batches may execute at once ([`ServerConfig::workers`]).
     slots: usize,
+    /// How many batches may wait for a slot ([`ServerConfig::queue_depth`]).
     queue_depth: usize,
     idle_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     /// Default request budget when a frame's deadline field is 0.
     default_deadline: Option<Duration>,
     shutting_down: AtomicBool,
-    /// Set after every reader has been joined: no batch can arrive
-    /// anymore, so workers may exit once the run queue is drained.
-    readers_done: AtomicBool,
-    run_queue: Mutex<RunQueue>,
-    /// Workers wait here for a queued connection and a free slot.
-    work_cv: Condvar,
-    /// Live connections only: whoever fully closes a connection (the
-    /// reader when idle, else the worker draining its last batch) also
-    /// removes it here and reaps its reader handle — a long-running
-    /// server must not accumulate dead sockets.
-    conns: Mutex<Vec<Arc<Conn>>>,
+    slot_state: Mutex<Slots>,
+    /// Waiting readers sleep here until a slot frees or the line moves.
+    slot_cv: Condvar,
+    /// Live connections only: a reader that exits removes its connection
+    /// here and reaps its own handle — a long-running server must not
+    /// accumulate dead sockets.
+    conns: Mutex<Vec<Conn>>,
     readers: Mutex<Vec<(u64, JoinHandle<()>)>>,
     /// `Some` iff this server is a replica: follower-side replication
     /// state (link health, applied LSN, the primary's client address).
     repl: Option<Arc<repl::ReplState>>,
 }
 
-/// Forgets a closed connection: drops its `Conn` (and the two socket
-/// clones inside) from `conns` and detaches its reader handle. The
-/// reader is at (or past) its exit when this runs, so dropping the
-/// handle leaks nothing; a *panicking* reader never reaches this path
-/// and stays in `readers` for `shutdown` to join and report.
-fn remove_conn<S: PageStore + 'static>(shared: &Shared<S>, conn: &Conn) {
-    shared.conns.lock().retain(|c| c.id != conn.id);
+/// Forgets a closed connection: drops its `Conn` from `conns` and
+/// detaches its reader handle. The reader is at its exit when this
+/// runs, so dropping the handle leaks nothing; a *panicking* reader
+/// never reaches this path and stays in `readers` for `shutdown` to
+/// join and report.
+fn remove_conn<S: PageStore + 'static>(shared: &Shared<S>, id: u64) {
+    shared.conns.lock().retain(|c| c.id != id);
     let mut readers = shared.readers.lock();
-    if let Some(i) = readers.iter().position(|(id, _)| *id == conn.id) {
+    if let Some(i) = readers.iter().position(|(rid, _)| *rid == id) {
         readers.swap_remove(i);
     }
 }
@@ -313,9 +286,10 @@ fn remove_conn<S: PageStore + 'static>(shared: &Shared<S>, conn: &Conn) {
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr` and spawns the acceptor and worker threads
-    /// over the shared database. The caller keeps its `Arc` clone of
-    /// the [`EpochCell`] — a maintenance writer mutates and commits
+    /// Binds `config.addr` and spawns the acceptor thread over the
+    /// shared database; it spawns one reader per connection. The caller
+    /// keeps its `Arc` clone of the [`EpochCell`] — a maintenance writer
+    /// mutates and commits
     /// through [`EpochCell::write`] while the server keeps answering
     /// from pinned pre-commit snapshots.
     pub fn start<S: PageStore + 'static>(
@@ -343,13 +317,13 @@ impl Server {
             write_timeout: ms_opt(config.write_timeout_ms),
             default_deadline: ms_opt(config.deadline_ms),
             shutting_down: AtomicBool::new(false),
-            readers_done: AtomicBool::new(false),
-            run_queue: Mutex::new(RunQueue {
-                conns: VecDeque::new(),
+            slot_state: Mutex::new(Slots {
                 executing: 0,
                 peak: 0,
+                next_ticket: 0,
+                now_serving: 0,
             }),
-            work_cv: Condvar::new(),
+            slot_cv: Condvar::new(),
             conns: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
             repl: repl_state,
@@ -388,14 +362,6 @@ impl Server {
                 );
             }
         }
-        let workers = (0..shared.slots)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ccam-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -405,7 +371,6 @@ impl Server {
         Ok(ServerHandle {
             shared,
             acceptor: Some(acceptor),
-            workers,
             local_addr,
             repl_listener,
             follower,
@@ -418,7 +383,6 @@ impl Server {
 pub struct ServerHandle<S: PageStore + 'static> {
     shared: Arc<Shared<S>>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     local_addr: SocketAddr,
     repl_listener: Option<repl::ReplListener>,
     follower: Option<JoinHandle<()>>,
@@ -479,14 +443,15 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         self.shared.metrics.to_json()
     }
 
-    /// Graceful shutdown: stop accepting, drain every accepted batch,
-    /// deliver every pending response, join all threads. Errors if any
-    /// worker or reader thread panicked.
+    /// Graceful shutdown: stop accepting, answer every accepted batch,
+    /// join all threads, and fold the live gauges into
+    /// [`ServerHandle::metrics`] one last time. Errors if any server
+    /// thread panicked.
     pub fn shutdown(mut self) -> std::io::Result<()> {
         let shared = &self.shared;
         shared.shutting_down.store(true, Ordering::SeqCst);
-        // Half-close every connection's read side: readers wake with
-        // EOF once their current frame (if any) is run or enqueued.
+        // Half-close every connection's read side: readers see EOF once
+        // they have answered the batch they are running or waiting for.
         for conn in shared.conns.lock().iter() {
             let _ = conn.sock.shutdown(Shutdown::Read);
         }
@@ -505,16 +470,10 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         for conn in shared.conns.lock().iter() {
             let _ = conn.sock.shutdown(Shutdown::Read);
         }
-        // Readers joined => every batch that will ever exist has run
-        // inline or is queued.
+        // Readers joined => every accepted batch has been answered.
         let readers = std::mem::take(&mut *shared.readers.lock());
         for (_, r) in readers {
             panicked |= r.join().is_err();
-        }
-        shared.readers_done.store(true, Ordering::SeqCst);
-        shared.work_cv.notify_all();
-        for w in self.workers.drain(..) {
-            panicked |= w.join().is_err();
         }
         // Replication threads observe `shutting_down` on their next poll
         // (streamers), read timeout (follower), or accept (poked awake).
@@ -531,6 +490,7 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         if let Some(f) = self.follower.take() {
             panicked |= f.join().is_err();
         }
+        fold_live_gauges(shared);
         if panicked {
             return Err(std::io::Error::other("server thread panicked"));
         }
@@ -546,33 +506,21 @@ fn acceptor_loop<S: PageStore + 'static>(shared: &Arc<Shared<S>>, listener: &Tcp
         }
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true);
-        // The reader clone gets the idle timeout (slowloris reaping);
-        // the writer clone gets the write timeout (slow-consumer
-        // backpressure fails the write instead of holding a slot).
+        // The idle timeout reaps slowloris peers; the write timeout
+        // fails a write to a slow consumer instead of holding a slot.
         let _ = stream.set_read_timeout(shared.idle_timeout);
+        let _ = stream.set_write_timeout(shared.write_timeout);
         let (Ok(sock), Ok(wsock)) = (stream.try_clone(), stream.try_clone()) else {
             continue;
         };
-        let _ = wsock.set_write_timeout(shared.write_timeout);
         next_id += 1;
         let id = next_id;
-        let conn = Arc::new(Conn {
-            id,
-            sock,
-            writer: Mutex::new(BufWriter::new(wsock)),
-            storage_error_logged: AtomicBool::new(false),
-            state: Mutex::new(ConnState {
-                queue: VecDeque::new(),
-                scheduled: false,
-                reader_gone: false,
-            }),
-        });
         shared.metrics.inc_by("serve.connections", 1);
-        shared.conns.lock().push(Arc::clone(&conn));
+        shared.conns.lock().push(Conn { id, sock });
         let reader_shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("ccam-reader".to_string())
-            .spawn(move || reader_loop(&reader_shared, &conn, stream));
+            .spawn(move || reader_loop(&reader_shared, id, stream, wsock));
         match handle {
             Ok(h) => {
                 shared.readers.lock().push((id, h));
@@ -580,36 +528,35 @@ fn acceptor_loop<S: PageStore + 'static>(shared: &Arc<Shared<S>>, listener: &Tcp
                 // before the handle was registered above; if the conn is
                 // already gone from `conns`, sweep the handle now.
                 if !shared.conns.lock().iter().any(|c| c.id == id) {
-                    let mut readers = shared.readers.lock();
-                    if let Some(i) = readers.iter().position(|(rid, _)| *rid == id) {
-                        readers.swap_remove(i);
-                    }
+                    remove_conn(shared, id);
                 }
             }
-            Err(_) => {
-                // Could not spawn a reader: nobody will ever service or
-                // clean up this connection — forget it (its sockets
-                // close with the last Arc here).
-                shared.conns.lock().retain(|c| c.id != id);
-            }
+            // Could not spawn a reader: nobody will ever serve or clean
+            // up this connection — forget it (its sockets close here).
+            Err(_) => remove_conn(shared, id),
         }
     }
 }
 
 fn reader_loop<S: PageStore + 'static>(
-    shared: &Arc<Shared<S>>,
-    conn: &Arc<Conn>,
+    shared: &Shared<S>,
+    id: u64,
     stream: TcpStream,
+    wsock: TcpStream,
 ) {
+    let mut peer = Peer {
+        id,
+        writer: BufWriter::new(wsock),
+        storage_error_logged: Cell::new(false),
+    };
     let mut reader = BufReader::new(stream);
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
             // Clean EOF or our own shutdown(Read).
-            Ok(None) => return reader_exit(shared, conn),
+            Ok(None) => break,
             // Read timeout: the peer stalled — possibly mid-frame
-            // (slowloris). Sever the socket so the peer observes the
-            // reap and the connection slot is reclaimed.
+            // (slowloris); closing the socket below reaps it.
             Err(e)
                 if matches!(
                     e.kind(),
@@ -617,27 +564,31 @@ fn reader_loop<S: PageStore + 'static>(
                 ) =>
             {
                 shared.metrics.inc_by("serve.idle_reaped", 1);
-                let _ = conn.sock.shutdown(Shutdown::Both);
-                return reader_exit(shared, conn);
+                break;
             }
             // Client reset or other transport failure.
-            Err(_) => return reader_exit(shared, conn),
+            Err(_) => break,
         };
         let accepted_at = Instant::now();
         let (tag, deadline_ms, reqs) = match decode_request_batch(&payload) {
             Ok(b) => b,
             Err(_) => {
                 shared.metrics.inc_by("serve.bad_frames", 1);
-                respond_flat(shared, conn, 0, Status::BadRequest, 1);
-                return reader_exit(shared, conn);
+                respond_flat(shared, &mut peer, 0, Status::BadRequest, 1);
+                break;
             }
         };
         if shared.shutting_down.load(Ordering::SeqCst) {
-            respond_flat(shared, conn, tag, Status::ShuttingDown, reqs.len());
-            return reader_exit(shared, conn);
+            respond_flat(shared, &mut peer, tag, Status::ShuttingDown, reqs.len());
+            break;
         }
+        let Some(_slot) = Slot::acquire(shared) else {
+            shared.metrics.inc_by("serve.overloaded", reqs.len() as u64);
+            respond_flat(shared, &mut peer, tag, Status::Overloaded, reqs.len());
+            continue;
+        };
         // Client budget wins; 0 falls back to the server default. The
-        // clock starts now, so time spent queued counts against it.
+        // clock started at acceptance, so waiting for the slot counted.
         let budget = match deadline_ms {
             0 => shared.default_deadline,
             ms => Some(Duration::from_millis(ms as u64)),
@@ -647,54 +598,12 @@ fn reader_loop<S: PageStore + 'static>(
             deadline: budget.map(|b| accepted_at + b),
             reqs,
         };
-        if let Some(_slot) = inline_slot(shared, conn) {
-            shared.metrics.inc_by("serve.frames_accepted", 1);
-            run_batch(shared, conn, &batch, "serve.batches_inline");
-            continue;
-        }
-        let batch_len = batch.reqs.len();
-        let enqueued = {
-            let mut st = conn.state.lock();
-            if st.queue.len() >= shared.queue_depth {
-                false
-            } else {
-                st.queue.push_back(batch);
-                shared.metrics.inc_by("serve.frames_accepted", 1);
-                if !st.scheduled {
-                    st.scheduled = true;
-                    // Lock order everywhere: conn.state before run_queue.
-                    shared.run_queue.lock().conns.push_back(Arc::clone(conn));
-                    shared.work_cv.notify_one();
-                }
-                true
-            }
-        };
-        if !enqueued {
-            // Reject immediately — by design this can overtake pending
-            // answers, which is why frames carry tags.
-            shared.metrics.inc_by("serve.overloaded", batch_len as u64);
-            respond_flat(shared, conn, tag, Status::Overloaded, batch_len);
-        }
+        run_batch(shared, &mut peer, &batch);
     }
-}
-
-/// Marks the reader as gone; if no batch is queued or in flight, fully
-/// closes the socket and forgets the connection here (otherwise the
-/// worker that drains the last batch does). Without this the client
-/// would never see EOF and the server would accumulate a `Conn` — two
-/// socket fds — plus a reader handle per connection until shutdown.
-fn reader_exit<S: PageStore + 'static>(shared: &Shared<S>, conn: &Conn) {
-    let idle = {
-        let mut st = conn.state.lock();
-        st.reader_gone = true;
-        // Clean up here only when idle; otherwise the worker parking
-        // the connection sees `reader_gone` (same lock) and does it.
-        st.queue.is_empty() && !st.scheduled
-    };
-    if idle {
-        let _ = conn.sock.shutdown(Shutdown::Both);
-        remove_conn(shared, conn);
-    }
+    // Close the socket so the peer sees EOF (or the reap), and forget
+    // the connection.
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
+    remove_conn(shared, id);
 }
 
 /// Writes a frame of `count` identical error responses (op echo is
@@ -702,90 +611,91 @@ fn reader_exit<S: PageStore + 'static>(shared: &Shared<S>, conn: &Conn) {
 /// undecodable and `count` is 1).
 fn respond_flat<S: PageStore + 'static>(
     shared: &Shared<S>,
-    conn: &Conn,
+    peer: &mut Peer,
     tag: u32,
     status: Status,
     count: usize,
 ) {
     let resps = vec![Response::Error(status, OpCode::Stats); count];
-    write_response(shared, conn, &encode_response_batch(tag, &resps));
+    write_response(shared, peer, &encode_response_batch(tag, &resps));
 }
 
-/// Writes one response frame under the connection's writer lock. A
-/// failed or timed-out write severs the connection: the peer is gone or
-/// too slow to keep, and retrying a partially written frame would
-/// desynchronize the stream anyway.
-fn write_response<S: PageStore + 'static>(shared: &Shared<S>, conn: &Conn, payload: &[u8]) {
-    let mut w = conn.writer.lock();
-    if write_frame(&mut *w, payload).is_err() {
+/// Writes one response frame. A failed or timed-out write severs the
+/// connection: the peer is gone or too slow to keep, and retrying a
+/// partially written frame would desynchronize the stream anyway.
+fn write_response<S: PageStore + 'static>(shared: &Shared<S>, peer: &mut Peer, payload: &[u8]) {
+    if write_frame(&mut peer.writer, payload).is_err() {
         shared.metrics.inc_by("serve.write_errors", 1);
-        let _ = conn.sock.shutdown(Shutdown::Both);
+        let _ = peer.writer.get_ref().shutdown(Shutdown::Both);
     }
 }
 
-/// An execution slot taken by a reader for its own connection's batch;
-/// dropping it — also on unwind — frees the slot and wakes a worker if a
-/// queued connection was waiting for one.
+/// An execution slot held by a reader for one batch; dropping it — also
+/// on unwind — frees the slot and wakes the waiting readers.
 struct Slot<'a, S: PageStore + 'static> {
     shared: &'a Shared<S>,
 }
 
-impl<S: PageStore + 'static> Drop for Slot<'_, S> {
-    fn drop(&mut self) {
-        let mut q = self.shared.run_queue.lock();
-        q.executing -= 1;
-        let waiting = !q.conns.is_empty();
-        drop(q);
-        if waiting {
-            self.shared.work_cv.notify_one();
-        }
-    }
-}
-
-/// A slot for `conn`'s reader to run its next batch itself, or `None`
-/// when the batch must queue: the connection has a batch queued or
-/// running (running this one now would overtake it), another connection
-/// is already waiting on the run queue (a backlog drains first), or all
-/// slots are taken. Only the reader adds to its connection's queue, so
-/// the connection cannot gain a batch between the two checks.
-fn inline_slot<'a, S: PageStore + 'static>(
-    shared: &'a Shared<S>,
-    conn: &Conn,
-) -> Option<Slot<'a, S>> {
-    {
-        let st = conn.state.lock();
-        if st.scheduled || !st.queue.is_empty() {
+impl<'a, S: PageStore + 'static> Slot<'a, S> {
+    /// Accepts a batch and waits for its slot in arrival order, or
+    /// returns `None` — not accepted — when `queue_depth` batches
+    /// already wait. The ticket makes the line FIFO: a batch takes a
+    /// slot only when every batch accepted before it has taken one.
+    fn acquire(shared: &'a Shared<S>) -> Option<Self> {
+        let mut s = shared.slot_state.lock();
+        if s.next_ticket - s.now_serving >= shared.queue_depth as u64 {
             return None;
         }
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        shared.metrics.inc_by("serve.frames_accepted", 1);
+        let turn = |s: &Slots| s.now_serving == ticket && s.executing < shared.slots;
+        if !turn(&s) {
+            shared.metrics.inc_by("serve.slot_waits", 1);
+            while !turn(&s) {
+                shared.slot_cv.wait(&mut s);
+            }
+        }
+        s.now_serving += 1;
+        s.executing += 1;
+        s.peak = s.peak.max(s.executing);
+        // Several slots may have freed at once: the next in line may
+        // fit too.
+        if s.now_serving != s.next_ticket && s.executing < shared.slots {
+            shared.slot_cv.notify_all();
+        }
+        Some(Slot { shared })
     }
-    let mut q = shared.run_queue.lock();
-    (q.conns.is_empty() && q.take_slot(shared.slots)).then(|| Slot { shared })
 }
 
-/// Runs one accepted batch to completion — execute, encode, write the
-/// response — on whichever thread holds its slot: the connection's
-/// reader (`path` = `serve.batches_inline`) or a worker
-/// (`serve.batches_queued`). Per-request panics are contained inside
+impl<S: PageStore + 'static> Drop for Slot<'_, S> {
+    fn drop(&mut self) {
+        let mut s = self.shared.slot_state.lock();
+        s.executing -= 1;
+        let waiting = s.now_serving != s.next_ticket;
+        drop(s);
+        if waiting {
+            self.shared.slot_cv.notify_all();
+        }
+    }
+}
+
+/// Runs one accepted batch to completion on its reader — execute,
+/// encode, write the response. Per-request panics are contained inside
 /// [`execute_batch`]; a panic anywhere else in here (encoding, say) is
-/// caught so the calling thread keeps serving, counted under
+/// caught so the reader keeps serving, counted under
 /// `serve.worker_panics`, and the batch answers `Internal`.
-fn run_batch<S: PageStore + 'static>(
-    shared: &Shared<S>,
-    conn: &Conn,
-    batch: &Batch,
-    path: &'static str,
-) {
-    shared.metrics.inc_by(path, 1);
+fn run_batch<S: PageStore + 'static>(shared: &Shared<S>, peer: &mut Peer, batch: &Batch) {
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        let resps = execute_batch(shared, conn, batch);
+        let resps = execute_batch(shared, peer, batch);
         #[cfg(test)]
         tests::panic_if_tagged(batch.tag);
-        write_response(shared, conn, &encode_response_batch(batch.tag, &resps));
+        write_response(shared, peer, &encode_response_batch(batch.tag, &resps));
     }));
     if ran.is_err() {
         shared.metrics.inc_by("serve.worker_panics", 1);
         let resps = all_internal(batch);
-        write_response(shared, conn, &encode_response_batch(batch.tag, &resps));
+        write_response(shared, peer, &encode_response_batch(batch.tag, &resps));
     }
 }
 
@@ -798,89 +708,6 @@ fn all_internal(batch: &Batch) -> Vec<Response> {
         .collect()
 }
 
-/// Drop guard for one popped connection: parks or reschedules it, reaps
-/// it when its reader is gone, and frees the worker's slot — *also* on
-/// unwind, so nothing can strand the connection in the `scheduled`
-/// state, leak a slot, or wedge the workers' exit check.
-struct FinishConn<'a, S: PageStore + 'static> {
-    shared: &'a Shared<S>,
-    conn: Option<Arc<Conn>>,
-}
-
-impl<S: PageStore + 'static> Drop for FinishConn<'_, S> {
-    fn drop(&mut self) {
-        let shared = self.shared;
-        let conn = self.conn.take().expect("FinishConn dropped twice");
-        // Reschedule or park. The park decision happens under the state
-        // lock so a reader enqueueing concurrently either sees
-        // `scheduled` still true (we will reschedule) or false (it
-        // schedules itself) — a batch can never be stranded.
-        let (more, reap) = {
-            let mut st = conn.state.lock();
-            if st.queue.is_empty() {
-                st.scheduled = false;
-                (false, st.reader_gone)
-            } else {
-                (true, false)
-            }
-        };
-        if reap {
-            // The reader is gone and we just drained its last batch:
-            // this connection is dead — close it and forget it.
-            let _ = conn.sock.shutdown(Shutdown::Both);
-            remove_conn(shared, &conn);
-        }
-        // Freeing the slot shares the run-queue lock with the workers'
-        // exit check, so a batch being rescheduled is never invisible to
-        // that check.
-        let mut q = shared.run_queue.lock();
-        if more {
-            q.conns.push_back(conn);
-        }
-        q.executing -= 1;
-        drop(q);
-        if more {
-            shared.work_cv.notify_one();
-        } else if shared.readers_done.load(Ordering::SeqCst) {
-            shared.work_cv.notify_all();
-        }
-    }
-}
-
-fn worker_loop<S: PageStore + 'static>(shared: &Shared<S>) {
-    loop {
-        let conn = {
-            let mut q = shared.run_queue.lock();
-            loop {
-                if !q.conns.is_empty() && q.take_slot(shared.slots) {
-                    break q.conns.pop_front().expect("checked non-empty");
-                }
-                // Readers are joined, so no slot is a reader's: 0 means
-                // no worker holds a batch that could still reschedule.
-                if shared.readers_done.load(Ordering::SeqCst)
-                    && q.executing == 0
-                    && q.conns.is_empty()
-                {
-                    // Cascade: wake the other idle workers to exit too.
-                    shared.work_cv.notify_all();
-                    return;
-                }
-                shared.work_cv.wait(&mut q);
-            }
-        };
-        let finish = FinishConn {
-            shared,
-            conn: Some(conn),
-        };
-        let conn = finish.conn.as_deref().expect("conn set above");
-        let batch = conn.state.lock().queue.pop_front();
-        if let Some(batch) = batch {
-            run_batch(shared, conn, &batch, "serve.batches_queued");
-        }
-        drop(finish); // park/reschedule/reap + free the slot
-    }
-}
-
 /// Executes one batch on a single pinned snapshot: every response in
 /// the frame reflects the same committed generation, and a writer
 /// committing (or reorganizing) concurrently neither stalls the batch
@@ -890,11 +717,11 @@ fn worker_loop<S: PageStore + 'static>(shared: &Shared<S>) {
 /// panicked mid-transaction); the whole batch then answers `Internal`,
 /// counted per request under `serve.internal_errors.poisoned`.
 ///
-/// Each request is deadline-checked before it runs (a frame that sat
-/// queued past its budget answers `DeadlineExceeded` without touching
+/// Each request is deadline-checked before it runs (a frame that waited
+/// for a slot past its budget answers `DeadlineExceeded` without touching
 /// storage) and executes under `catch_unwind` — a panic answers
 /// `Internal` for that request and the rest of the batch proceeds.
-fn execute_batch<S: PageStore>(shared: &Shared<S>, conn: &Conn, batch: &Batch) -> Vec<Response> {
+fn execute_batch<S: PageStore>(shared: &Shared<S>, peer: &Peer, batch: &Batch) -> Vec<Response> {
     let m = &shared.metrics;
     m.inc_by("serve.batches", 1);
     m.inc_by("serve.requests", batch.reqs.len() as u64);
@@ -904,10 +731,10 @@ fn execute_batch<S: PageStore>(shared: &Shared<S>, conn: &Conn, batch: &Batch) -
         Ok(snap) => snap,
         Err(e) => {
             m.inc_by(internal_metric(e.kind()), batch.reqs.len() as u64);
-            if !conn.storage_error_logged.swap(true, Ordering::Relaxed) {
+            if !peer.storage_error_logged.replace(true) {
                 eprintln!(
                     "ccam-serve: cannot pin snapshot on connection {} ({}): {e}",
-                    conn.id,
+                    peer.id,
                     e.kind()
                 );
             }
@@ -942,7 +769,7 @@ fn execute_batch<S: PageStore>(shared: &Shared<S>, conn: &Conn, batch: &Batch) -
             }
             let start = Instant::now();
             let resp = catch_unwind(AssertUnwindSafe(|| {
-                execute_one(shared, conn, &am, req, batch.deadline)
+                execute_one(shared, peer, &am, req, batch.deadline)
             }))
             .unwrap_or_else(|_| {
                 m.inc_by("serve.worker_panics", 1);
@@ -977,15 +804,15 @@ fn is_checksum(e: &StorageError) -> bool {
 /// would repeat the same page's story once per request).
 fn storage_internal<S: PageStore>(
     shared: &Shared<S>,
-    conn: &Conn,
+    peer: &Peer,
     e: &StorageError,
     op: OpCode,
 ) -> Response {
     shared.metrics.inc_by(internal_metric(e.kind()), 1);
-    if !conn.storage_error_logged.swap(true, Ordering::Relaxed) {
+    if !peer.storage_error_logged.replace(true) {
         eprintln!(
             "ccam-serve: storage error on connection {} ({}): {e}",
-            conn.id,
+            peer.id,
             e.kind()
         );
     }
@@ -1043,7 +870,7 @@ fn degraded_find<S: PageStore>(
 
 fn execute_one<S: PageStore>(
     shared: &Shared<S>,
-    conn: &Conn,
+    peer: &Peer,
     am: &Ccam<SnapshotStore>,
     req: &Request,
     deadline: Option<Instant>,
@@ -1055,7 +882,7 @@ fn execute_one<S: PageStore>(
             Ok(Some(node)) => Response::Record(node),
             Ok(None) => Response::Error(Status::NotFound, OpCode::Find),
             Err(e) if is_checksum(&e) => degraded_find(shared, am, *id),
-            Err(e) => storage_internal(shared, conn, &e, OpCode::Find),
+            Err(e) => storage_internal(shared, peer, &e, OpCode::Find),
         },
         Request::GetSuccessors(id) => match am.get_successors(*id) {
             Ok(nodes) => Response::Records(nodes),
@@ -1067,9 +894,9 @@ fn execute_one<S: PageStore>(
                         skipped_pages: sat_u32(m, d.skipped.len()),
                     }
                 }
-                Err(e) => storage_internal(shared, conn, &e, OpCode::GetSuccessors),
+                Err(e) => storage_internal(shared, peer, &e, OpCode::GetSuccessors),
             },
-            Err(e) => storage_internal(shared, conn, &e, OpCode::GetSuccessors),
+            Err(e) => storage_internal(shared, peer, &e, OpCode::GetSuccessors),
         },
         Request::Route(nodes) => match evaluate_path_bounded(am, nodes, &mut cancel) {
             Ok(Some(eval)) => Response::RouteEval {
@@ -1086,7 +913,7 @@ fn execute_one<S: PageStore>(
                 shared.metrics.inc_by("serve.degraded_reads", 1);
                 Response::Error(Status::Degraded, OpCode::Route)
             }
-            Err(e) => storage_internal(shared, conn, &e, OpCode::Route),
+            Err(e) => storage_internal(shared, peer, &e, OpCode::Route),
         },
         Request::RangeAggregate(arcs) => {
             match route_unit_aggregate_bounded(am, arcs, &mut cancel) {
@@ -1105,7 +932,7 @@ fn execute_one<S: PageStore>(
                     shared.metrics.inc_by("serve.degraded_reads", 1);
                     Response::Error(Status::Degraded, OpCode::RangeAggregate)
                 }
-                Err(e) => storage_internal(shared, conn, &e, OpCode::RangeAggregate),
+                Err(e) => storage_internal(shared, peer, &e, OpCode::RangeAggregate),
             }
         }
         Request::Upsert { id, payload } => {
@@ -1123,7 +950,7 @@ fn execute_one<S: PageStore>(
             match upsert_node(shared, *id, payload) {
                 Ok(Some(epoch)) => Response::Upserted { epoch },
                 Ok(None) => Response::Error(Status::NotFound, OpCode::Upsert),
-                Err(e) => storage_internal(shared, conn, &e, OpCode::Upsert),
+                Err(e) => storage_internal(shared, peer, &e, OpCode::Upsert),
             }
         }
         Request::Stats => {
@@ -1144,7 +971,7 @@ fn fold_live_gauges<S: PageStore>(shared: &Shared<S>) {
     if let Some(io) = shared.db.io_stats() {
         fold_io_gauges(&shared.metrics, &io.snapshot(), shared.db.epoch());
     }
-    let peak = shared.run_queue.lock().peak;
+    let peak = shared.slot_state.lock().peak;
     shared
         .metrics
         .set_gauge("serve.executing_peak", peak as f64);
@@ -1218,9 +1045,9 @@ mod tests {
         }
     }
 
-    /// A panic outside the per-request net — on a reader running its own
-    /// batch, then on a worker running a queued one — answers the batch
-    /// `Internal`, frees the slot, and leaves both paths serving.
+    /// A panic outside the per-request net — on a batch that found its
+    /// slot free, then on one that waited for it — answers the batch
+    /// `Internal`, frees the slot, and leaves the reader serving.
     #[test]
     fn a_panic_outside_the_request_net_frees_the_slot() {
         let net = road_map(&RoadMapConfig {
@@ -1265,29 +1092,29 @@ mod tests {
         };
 
         assert_eq!(panicking_call(&mut client), (PANIC_TAG, internal.clone()));
-        assert_eq!(m.counter("serve.batches_inline"), 1);
+        assert_eq!(m.counter("serve.worker_panics"), 1);
         // The answer is written before the slot is dropped.
-        wait_until(|| shared.run_queue.lock().executing == 0);
+        wait_until(|| shared.slot_state.lock().executing == 0);
         assert!(served(&mut client));
+        assert_eq!(m.counter("serve.slot_waits"), 0);
 
         // Hold the only slot here (once the reader has freed it after
-        // its answer), so the next frame must queue; free it once the
-        // frame is accepted and a worker runs it.
-        wait_until(|| shared.run_queue.lock().take_slot(shared.slots));
-        let held = Slot { shared };
-        let accepted = m.counter("serve.frames_accepted");
+        // its answer), so the next frame must wait; free it once the
+        // reader is waiting.
+        wait_until(|| shared.slot_state.lock().executing == 0);
+        let held = Slot::acquire(shared).expect("nobody waits");
         let caller = std::thread::scope(|s| {
             let caller = s.spawn(|| panicking_call(&mut client));
-            wait_until(|| m.counter("serve.frames_accepted") > accepted);
+            wait_until(|| m.counter("serve.slot_waits") == 1);
             drop(held);
             caller.join().unwrap()
         });
         assert_eq!(caller, (PANIC_TAG, internal));
-        assert_eq!(m.counter("serve.batches_queued"), 1);
         assert_eq!(m.counter("serve.worker_panics"), 2);
-        wait_until(|| shared.run_queue.lock().executing == 0);
+        wait_until(|| shared.slot_state.lock().executing == 0);
         assert!(served(&mut client));
-        assert_eq!(m.counter("serve.batches_inline"), 3);
+        assert_eq!(m.counter("serve.batches"), 4);
+        assert_eq!(m.counter("serve.slot_waits"), 1);
         handle.shutdown().unwrap();
     }
 

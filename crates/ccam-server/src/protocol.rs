@@ -13,14 +13,14 @@
 //! A payload begins with a version byte ([`PROTOCOL_VERSION`]) and a
 //! `u32 LE` client-chosen *tag*. Request payloads then carry a `u32 LE`
 //! *deadline* in milliseconds (0 = use the server's default budget; the
-//! clock starts when the server accepts the frame, so queueing counts
-//! against it). Both directions end the header with a `u16 LE` message
-//! count, followed by that many requests (client → server) or responses
-//! (server → client). The server echoes the tag, and clients match response
-//! frames to request frames by tag, not arrival order: accepted batches
-//! are answered in per-connection FIFO order, but `Overloaded`
-//! rejections are written immediately and may overtake earlier pending
-//! answers on a pipelining connection. Within a frame responses are
+//! clock starts when the server accepts the frame, so waiting for an
+//! execution slot counts against it). Both directions end the header
+//! with a `u16 LE` message count, followed by that many requests (client
+//! → server) or responses (server → client). The server echoes the tag,
+//! and clients match response frames to request frames by tag. The
+//! server answers a connection's frames — `Overloaded` rejections
+//! included — in the order they arrived, but a client must not rely on
+//! that: the tag is the contract. Within a frame responses are
 //! positional — the *i*-th response answers the *i*-th request, and a
 //! response frame always carries exactly as many responses as the
 //! request frame carried requests. Batching N requests per frame

@@ -1,7 +1,7 @@
 //! Fault-tolerance tests over a real loopback socket: slowloris
 //! reaping, mid-frame disconnects, request deadlines, panic isolation on
-//! a reader and on a pool worker, and degraded reads around corrupted
-//! pages.
+//! a batch that ran at once and on one that waited for its slot, and
+//! degraded reads around corrupted pages.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -88,7 +88,7 @@ fn stalled_half_frame_is_reaped_without_blocking_others() {
 
 /// A client that vanishes mid-conversation — pipelined request frames,
 /// responses discarded unread, socket dropped (close with unread data
-/// sends a TCP reset) — must not wedge a worker or the server: writes
+/// sends a TCP reset) — must not wedge a reader or the server: writes
 /// to the dead peer fail and sever the connection, other clients keep
 /// working, and shutdown stays clean.
 #[test]
@@ -159,9 +159,9 @@ fn pathological_route_respects_client_deadline() {
 /// snapshot's buffer pool invokes the prefetch hook on every fault, so
 /// an armed hook that panics on one page, plus dropped cached frames,
 /// makes the next request reading that page unwind. With the slot free
-/// the lone connection's reader runs the batch; with `contended`, a
-/// second connection first holds the only slot with a long batch over
-/// other pages, so the panicking batch queues and a pool worker runs it.
+/// the lone connection's batch runs at once; with `contended`, a second
+/// connection first holds the only slot with a long batch over other
+/// pages, so the panicking batch waits for the slot before it runs.
 fn request_panic_is_isolated(contended: bool) {
     let net = test_net();
     let am = CcamBuilder::new(1024).build_static(&net).unwrap();
@@ -223,7 +223,7 @@ fn request_panic_is_isolated(contended: bool) {
     assert!(m.counter("serve.worker_panics") >= 1);
     match holder {
         Some((mut holder, n)) => {
-            assert!(m.counter("serve.batches_queued") >= 1, "ran on a worker");
+            assert!(m.counter("serve.slot_waits") >= 1, "waited for its slot");
             let payload = holder.recv_raw().unwrap().expect("the holder's answer");
             let (_, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
             assert_eq!(resps.len(), n);
@@ -231,7 +231,7 @@ fn request_panic_is_isolated(contended: bool) {
                 .iter()
                 .all(|r| matches!(r, Response::RouteEval { complete: true, .. })));
         }
-        None => assert_eq!(m.counter("serve.batches_queued"), 0, "ran on its reader"),
+        None => assert_eq!(m.counter("serve.slot_waits"), 0, "ran at once"),
     }
 
     // Disarm: the same connection and the server keep serving.

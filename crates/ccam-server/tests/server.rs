@@ -1,5 +1,5 @@
 //! End-to-end tests over a real loopback socket: batching, error
-//! statuses, batches run on their reader or queued for the pool under
+//! statuses, batches waiting for a slot in arrival order under
 //! contention, overload rejection, snapshot-consistent reads during
 //! writer commits, and graceful shutdown draining.
 
@@ -194,11 +194,18 @@ fn is_overloaded(resps: &[Response]) -> bool {
         .all(|r| matches!(r, Response::Error(Status::Overloaded, _)))
 }
 
-/// Overload needs contention: with one slot and depth-1 queues,
-/// connection A holds the slot with a long batch while connection B
-/// pipelines frames. B's first frame queues behind A; frames that find
-/// B's queue full are rejected immediately with per-request `Overloaded`,
-/// and A's batch still completes.
+/// The value of counter `name` in a `Stats` document.
+fn counter_in(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = json.find(&key).expect("the counter is present") + key.len();
+    let digits = json[at..].split(|c: char| !c.is_ascii_digit()).next();
+    digits.unwrap().parse().unwrap()
+}
+
+/// Overload needs contention: with one slot and room for one waiting
+/// batch, connection A holds the slot with a long batch and B's frame
+/// waits for it. C's frames find the line full and are rejected at once
+/// with per-request `Overloaded`; then A completes and B is served.
 #[test]
 fn overload_is_rejected_with_overloaded_not_a_hang() {
     let (handle, net) = start_server(ServerConfig {
@@ -210,47 +217,45 @@ fn overload_is_rejected_with_overloaded_not_a_hang() {
     let m = Arc::clone(handle.metrics());
     let mut a = Client::connect(handle.local_addr()).unwrap();
     send(&mut a, 0, &slot_holder(&net, 16));
-    wait_until(|| m.counter("serve.batches_inline") == 1);
+    wait_until(|| m.counter("serve.batches") == 1);
 
     let heavy = heavy_batch(&net);
     let mut b = Client::connect(handle.local_addr()).unwrap();
-    let total_frames = 32;
-    for tag in 0..total_frames {
-        send(&mut b, tag, &heavy);
+    send(&mut b, 0, &heavy);
+    wait_until(|| m.counter("serve.slot_waits") == 1);
+
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let shed = 8;
+    for tag in 0..shed {
+        send(&mut c, tag, &heavy);
     }
-    let mut overloaded = 0usize;
-    let mut served = 0usize;
-    for _ in 0..total_frames {
-        let (_tag, resps) = recv(&mut b);
+    for want in 0..shed {
+        let (tag, resps) = recv(&mut c);
+        assert_eq!(tag, want, "answers out of tag order");
         assert_eq!(resps.len(), heavy.len());
-        if is_overloaded(&resps) {
-            overloaded += 1;
-        } else {
-            served += 1;
-        }
+        assert!(is_overloaded(&resps), "the line is full while A runs");
     }
-    assert!(served >= 1, "B's first frame queues and is served");
-    assert!(
-        overloaded >= 1,
-        "with depth 1 behind a busy slot some frames must be rejected"
-    );
-    assert_eq!(
-        m.counter("serve.overloaded"),
-        (overloaded * heavy.len()) as u64
-    );
-    assert!(m.counter("serve.batches_queued") >= 1);
+
     let (tag, resps) = recv(&mut a);
     assert_eq!(tag, 0);
     assert!(resps
         .iter()
         .all(|r| matches!(r, Response::RouteEval { complete: true, .. })));
+    let (tag, resps) = recv(&mut b);
+    assert_eq!(tag, 0);
+    assert!(!is_overloaded(&resps), "B waited and is served");
+    assert_eq!(
+        m.counter("serve.overloaded"),
+        u64::from(shed) * heavy.len() as u64
+    );
+    assert_eq!(m.counter("serve.batches"), 2);
     handle.shutdown().unwrap();
 }
 
 /// A lone connection never waits for a slot, so its reader runs every
-/// batch itself: closed-loop calls and 32 pipelined frames against one
-/// slot and depth-1 queues alike are answered in tag order, none
-/// `Overloaded`, none queued.
+/// batch at once: closed-loop calls and 32 pipelined frames against one
+/// slot and room for one waiting batch alike are answered in tag order,
+/// none `Overloaded`, none waiting.
 #[test]
 fn a_lone_connection_runs_every_batch_on_its_reader() {
     let (handle, net) = start_server(ServerConfig {
@@ -275,17 +280,15 @@ fn a_lone_connection_runs_every_batch_on_its_reader() {
         assert!(!is_overloaded(&resps));
     }
     assert_eq!(m.counter("serve.batches"), 52);
-    assert_eq!(m.counter("serve.batches_inline"), 52);
-    assert_eq!(m.counter("serve.batches_queued"), 0);
+    assert_eq!(m.counter("serve.slot_waits"), 0);
     assert_eq!(m.counter("serve.overloaded"), 0);
     handle.shutdown().unwrap();
 }
 
-/// Per-connection FIFO across the two paths: a connection whose frames
-/// queued while both slots were held keeps sending after they free up.
-/// A worker drains its queue one batch at a time, so a slot stays free —
-/// yet the later frames queue behind the earlier ones instead of running
-/// on the reader, and every answer arrives in tag order.
+/// A pipelining connection whose first frame finds both slots held is
+/// backpressured, not buffered: its reader has accepted that one frame
+/// and waits with it, and the rest stay in the socket. Once the slots
+/// free up, all 16 answers arrive in tag order.
 #[test]
 fn a_connection_with_queued_batches_keeps_its_order() {
     let (handle, net) = start_server(ServerConfig {
@@ -299,35 +302,41 @@ fn a_connection_with_queued_batches_keeps_its_order() {
         .map(|_| Client::connect(handle.local_addr()).unwrap())
         .collect();
     for holder in &mut holders {
-        send(holder, 0, &slot_holder(&net, 4));
+        send(holder, 0, &slot_holder(&net, 16));
     }
     wait_until(|| m.counter("serve.batches") == 2);
     let mut client = Client::connect(handle.local_addr()).unwrap();
-    for tag in 0..8 {
-        send(&mut client, tag, &long);
+    for tag in 0..16 {
+        send(&mut client, tag, if tag < 8 { &long } else { &heavy });
     }
-    // A holder's reader frees its slot before it sees EOF and forgets
-    // the connection: once only `client` is left, both slots are free.
+    wait_until(|| m.counter("serve.slot_waits") == 1);
+    // Every connection has at most one accepted frame not yet run — the
+    // holders none. Read `accepted` first: `batches` only grows.
+    let backlog = || m.counter("serve.frames_accepted") - m.counter("serve.batches");
+    assert_eq!(
+        m.counter("serve.frames_accepted"),
+        3,
+        "the client's first frame only"
+    );
+    for _ in 0..20 {
+        assert!(backlog() <= 1, "the server buffered a pipelined frame");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     for mut holder in holders {
         recv(&mut holder);
-    }
-    wait_until(|| handle.active_connections() == 1);
-    wait_until(|| m.counter("serve.batches_queued") >= 1);
-    for tag in 8..16 {
-        send(&mut client, tag, &heavy);
     }
     for want in 0..16 {
         assert_eq!(recv(&mut client).0, want, "answers out of tag order");
     }
-    assert!(m.counter("serve.batches_queued") >= 8);
+    assert_eq!(m.counter("serve.frames_accepted"), 18);
     handle.shutdown().unwrap();
 }
 
 /// Four connections pipelining heavy batches at once — each opening with
-/// a long one — contend for one or two slots: the connections that find
-/// every slot held queue, the high-water mark of batches executing never
-/// exceeds `workers`, the two path counters add up, and every connection
-/// still gets its answers in order.
+/// a long one — contend for one or two slots: batches that find every
+/// slot held wait, the high-water mark of batches executing never
+/// exceeds `workers`, and every connection still gets its answers in
+/// order, none `Overloaded`.
 #[test]
 fn contended_batches_queue_and_never_exceed_the_slots() {
     for workers in [1, 2] {
@@ -358,15 +367,50 @@ fn contended_batches_queue_and_never_exceed_the_slots() {
         let m = handle.metrics();
         let peak = m.gauge("serve.executing_peak").unwrap();
         assert!(peak >= 1.0 && peak <= workers as f64, "peak {peak}");
-        let (inline, queued) = (
-            m.counter("serve.batches_inline"),
-            m.counter("serve.batches_queued"),
+        assert_eq!(m.counter("serve.batches"), 32);
+        assert!(
+            m.counter("serve.slot_waits") > 0,
+            "{workers} slots, 4 busy connections"
         );
-        assert_eq!(inline + queued, m.counter("serve.batches"));
-        assert_eq!(inline + queued, 32);
-        assert!(queued > 0, "{workers} slots, 4 busy connections");
         handle.shutdown().unwrap();
     }
+}
+
+/// Waiting batches get the slot in arrival order: with the only slot
+/// held, connections B..G each send one `Stats` batch, the next only
+/// once the previous one waits. Each batch reads `serve.batches` inside
+/// itself, so the values it sees rise in the order the batches arrived.
+#[test]
+fn slots_are_handed_out_in_arrival_order() {
+    let (handle, net) = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let m = Arc::clone(handle.metrics());
+    let mut holder = Client::connect(handle.local_addr()).unwrap();
+    send(&mut holder, 0, &slot_holder(&net, 16));
+    wait_until(|| m.counter("serve.batches") == 1);
+    let mut waiters = Vec::new();
+    for arrived in 1..=6 {
+        let mut waiter = Client::connect(handle.local_addr()).unwrap();
+        send(&mut waiter, 0, &[Request::Stats]);
+        wait_until(|| m.counter("serve.slot_waits") == arrived);
+        waiters.push(waiter);
+    }
+    recv(&mut holder);
+    let seen: Vec<u64> = waiters
+        .iter_mut()
+        .map(|waiter| match &recv(waiter).1[0] {
+            Response::StatsJson(json) => counter_in(json, "serve.batches"),
+            other => panic!("expected stats, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        seen,
+        (2..=7).collect::<Vec<u64>>(),
+        "slots out of arrival order"
+    );
+    handle.shutdown().unwrap();
 }
 
 #[test]
@@ -437,16 +481,15 @@ fn batches_are_snapshot_consistent_across_commits() {
     handle.shutdown().unwrap();
 }
 
-/// Shutdown answers every accepted frame, whichever path holds it when
-/// shutdown starts. Inline: a lone connection's last frame is a long
-/// batch its reader is still running, and the reader finishes it before
-/// it sees EOF. Queued: a second connection holds the only slot with a
-/// long batch, so all of the client's frames wait in its queue when
-/// shutdown starts; the holder's reader finishes its batch, and the pool
-/// drains the queue after the readers are joined.
+/// Shutdown answers every accepted batch, running or waiting for a slot
+/// when shutdown starts. Lone: a connection's last of eight frames is a
+/// long batch its reader is still running, and the reader finishes it
+/// before it sees EOF. Waiting: a holder's long batch has the only slot
+/// while three more connections each wait for it with one accepted
+/// frame; each gets the slot in turn, answers, then sees EOF.
 #[test]
 fn graceful_shutdown_drains_pending_batches() {
-    for queued in [false, true] {
+    for waiting in [false, true] {
         let (handle, net) = start_server(ServerConfig {
             workers: 1,
             queue_depth: 16,
@@ -454,57 +497,50 @@ fn graceful_shutdown_drains_pending_batches() {
         });
         let m = Arc::clone(handle.metrics());
         let (heavy, long) = (heavy_batch(&net), slot_holder(&net, 16));
-        let mut holder = queued.then(|| {
-            let mut holder = Client::connect(handle.local_addr()).unwrap();
-            send(&mut holder, 0, &long);
-            wait_until(|| m.counter("serve.batches_inline") == 1);
-            holder
-        });
-
-        // Send several frames, then shut down before reading responses:
-        // every accepted frame must still be answered.
-        let mut client = Client::connect(handle.local_addr()).unwrap();
-        let frames = 8u32;
-        let frame = |tag: u32| {
-            if !queued && tag + 1 == frames {
-                &long
-            } else {
-                &heavy
-            }
+        // The frames each connection sends, in tag order.
+        let plans: Vec<Vec<&[Request]>> = if waiting {
+            vec![vec![&long], vec![&heavy], vec![&heavy], vec![&heavy]]
+        } else {
+            let mut lone = vec![&heavy[..]; 7];
+            lone.push(&long);
+            vec![lone]
         };
-        for tag in 0..frames {
-            send(&mut client, tag, frame(tag));
+        let mut accepted = 0;
+        let mut clients = Vec::new();
+        for plan in &plans {
+            let mut client = Client::connect(handle.local_addr()).unwrap();
+            for (tag, reqs) in plan.iter().enumerate() {
+                send(&mut client, tag as u32, reqs);
+            }
+            // Shutdown only guarantees answers for *accepted* frames,
+            // not frames still in the socket buffer.
+            accepted += plan.len() as u64;
+            wait_until(|| m.counter("serve.frames_accepted") == accepted);
+            clients.push(client);
         }
-        // Wait until the reader has *accepted* all frames — shutdown only
-        // guarantees answers for accepted batches, not frames still in
-        // the socket buffer.
-        let accepted = u64::from(frames + u32::from(queued));
-        wait_until(|| m.counter("serve.frames_accepted") == accepted);
-        assert_eq!(
-            m.counter("serve.batches_queued"),
-            0,
-            "the holder finished early"
-        );
         let shutdown = std::thread::spawn(move || handle.shutdown());
-        if let Some(holder) = &mut holder {
-            let (tag, resps) = recv(holder);
-            assert_eq!((tag, resps.len()), (0, long.len()));
-        }
-        let mut answered = 0;
-        while let Ok(Some(payload)) = client.recv_raw() {
-            let (tag, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
-            assert_eq!(tag, answered, "answers out of tag order");
-            assert_eq!(resps.len(), frame(tag).len());
-            answered += 1;
+        for (client, plan) in clients.iter_mut().zip(&plans) {
+            let mut answered = 0;
+            while let Ok(Some(payload)) = client.recv_raw() {
+                let (tag, resps) = ccam_server::protocol::decode_response_batch(&payload).unwrap();
+                assert_eq!(tag, answered, "answers out of tag order");
+                assert_eq!(resps.len(), plan[tag as usize].len());
+                answered += 1;
+            }
+            assert_eq!(
+                answered as usize,
+                plan.len(),
+                "shutdown dropped accepted batches"
+            );
         }
         shutdown.join().unwrap().unwrap();
-        assert_eq!(answered, frames, "shutdown dropped accepted batches");
-        let paths = (
-            m.counter("serve.batches_inline"),
-            m.counter("serve.batches_queued"),
+        assert_eq!(m.counter("serve.batches"), accepted);
+        let waits = if waiting { 3 } else { 0 };
+        assert_eq!(
+            m.counter("serve.slot_waits"),
+            waits,
+            "the holder finished early"
         );
-        let frames = u64::from(frames);
-        assert_eq!(paths, if queued { (1, frames) } else { (frames, 0) });
     }
 }
 

@@ -19,7 +19,8 @@
 //!   Grid-File AM), reorganization policies, cost model and aggregate
 //!   queries,
 //! * [`server`] — the TCP serving layer: batched binary protocol,
-//!   worker pool over one shared access method, blocking client.
+//!   each batch run on its connection's reader under one of N execution
+//!   slots, over one shared access method, blocking client.
 //!
 //! ## Quickstart
 //!
