@@ -29,23 +29,22 @@
 //! `--quick` caps the grid at ~200k nodes for CI smoke runs. The binary
 //! exits non-zero when a gate fails (speedup below `--min-speedup`,
 //! default 5.0, or paper-scale CRR parity below 0.95), which is the CI
-//! regression gate for BENCH_PR10.json.
+//! regression gate for BENCH_PR10.json. A malformed or missing flag
+//! value exits 2 and names the flag.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ccam_bench::{avg_route_io, benchmark_network, EXPERIMENT_SEED};
+use ccam_bench::{avg_route_io, benchmark_network, part_graph, Args, EXPERIMENT_SEED};
 use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::generators::grid_network;
 use ccam_graph::walks::{random_walk_routes, Route};
 use ccam_graph::Network;
 use ccam_partition::{
-    cluster_nodes_into_pages_with, residue_ratio, ClusterOptions, PartGraph, PartitionStrategy,
-    Partitioner,
+    cluster_nodes_into_pages_with, residue_ratio, ClusterOptions, PartitionStrategy, Partitioner,
 };
-use ccam_storage::PageId;
+use ccam_storage::{Json, PageId};
 
 /// Paper-scale CRR may drop at most 5% (relative) under multilevel.
 const CRR_PARITY_MIN: f64 = 0.95;
@@ -54,44 +53,22 @@ const CRR_PARITY_MIN: f64 = 0.95;
 const PREFETCH_FRAMES: usize = 64;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut nodes_target: usize = 1_000_000;
     let mut block: usize = 1024;
     let mut routes_n: usize = 100;
     let mut out = String::from("BENCH_PR10.json");
     let mut min_speedup: f64 = 5.0;
     let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => {
-                nodes_target = args[i + 1].parse().expect("--nodes N");
-                i += 2;
-            }
-            "--block" => {
-                block = args[i + 1].parse().expect("--block N");
-                i += 2;
-            }
-            "--routes" => {
-                routes_n = args[i + 1].parse().expect("--routes N");
-                i += 2;
-            }
-            "--out" => {
-                out = args[i + 1].clone();
-                i += 2;
-            }
-            "--min-speedup" => {
-                min_speedup = args[i + 1].parse().expect("--min-speedup X");
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    let mut args = Args::from_env("build_scale");
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--nodes" => nodes_target = args.num(&flag),
+            "--block" => block = args.num(&flag),
+            "--routes" => routes_n = args.num(&flag),
+            "--out" => out = args.value(&flag),
+            "--min-speedup" => min_speedup = args.num(&flag),
+            "--quick" => quick = true,
+            other => args.fail(&format!("unknown flag {other}")),
         }
     }
     if quick {
@@ -193,58 +170,77 @@ fn main() {
     // ---- Report + gates ---------------------------------------------
     let speedup_ok = speedup >= min_speedup;
     let parity_ok = crr_parity >= CRR_PARITY_MIN;
-    let mut j = String::new();
-    let _ = writeln!(
-        j,
-        "{{\n  \"config\": {{\"nodes\": {nodes}, \"grid\": {side}, \"edges\": {edges}, \
-         \"block\": {block}, \"routes\": {routes_n}, \"available_threads\": {cores}, \
-         \"quick\": {quick}}},"
-    );
-    let _ = writeln!(
-        j,
-        "  \"paper_scale\": {{\n    \"network_nodes\": {},\n{}{}    \
-         \"crr_parity\": {crr_parity:.4},\n    \"route_access_ratio\": {route_ratio:.4}\n  }},",
-        paper_net.len(),
-        paper[0].json(4, false),
-        paper[1].json(4, false),
-    );
-    let _ = writeln!(
-        j,
-        "  \"scale\": {{\n    \
-         \"cluster_flat\": {{\"secs\": {flat_secs:.3}, \"nodes_per_sec\": {:.0}, \
-         \"pages\": {flat_pages}, \"residue_ratio\": {flat_rr:.4}}},\n    \
-         \"cluster_multilevel\": {{\"secs\": {ml_secs:.3}, \"nodes_per_sec\": {:.0}, \
-         \"pages\": {ml_pages}, \"residue_ratio\": {ml_rr:.4}}},\n    \
-         \"speedup\": {speedup:.3},\n{}  }},",
-        nodes as f64 / flat_secs,
-        nodes as f64 / ml_secs,
-        scale_row.json(4, true),
-    );
-    let _ = writeln!(
-        j,
-        "  \"prefetch\": {{\"frames\": {PREFETCH_FRAMES}, \"routes\": {}, \
-         \"off\": {{\"demand_misses\": {}, \"secs\": {:.4}}}, \
-         \"on\": {{\"physical_reads\": {}, \"prefetch_issued\": {}, \"demand_misses\": {}, \
-         \"secs\": {:.4}}}, \
-         \"demand_miss_reduction\": {miss_reduction:.4}, \"wall_delta_secs\": {:.4}}},",
-        scale_routes.len(),
-        prefetch.off_reads,
-        prefetch.off_secs,
-        prefetch.on_reads,
-        prefetch.on_issued,
-        prefetch.on_demand,
-        prefetch.on_secs,
-        prefetch.on_secs - prefetch.off_secs,
-    );
-    let _ = writeln!(
-        j,
-        "  \"gates\": {{\"min_speedup\": {min_speedup:.1}, \"speedup_ok\": {speedup_ok}, \
-         \"crr_parity_min\": {CRR_PARITY_MIN}, \"crr_parity_ok\": {parity_ok}, \
-         \"pass\": {}}}\n}}",
-        speedup_ok && parity_ok
-    );
-    check_json(&j);
-    std::fs::write(&out, &j).expect("write report");
+    let cluster = |secs: f64, pages: usize, rr: f64| {
+        Json::object()
+            .field("secs", Json::Fixed(secs, 3))
+            .field("nodes_per_sec", Json::Fixed(nodes as f64 / secs, 0))
+            .field("pages", pages)
+            .field("residue_ratio", Json::Fixed(rr, 4))
+    };
+    let report = Json::object()
+        .field(
+            "config",
+            Json::object()
+                .field("nodes", nodes)
+                .field("grid", side)
+                .field("edges", edges)
+                .field("block", block)
+                .field("routes", routes_n)
+                .field("available_threads", cores)
+                .field("quick", quick),
+        )
+        .field(
+            "paper_scale",
+            Json::object()
+                .field("network_nodes", paper_net.len())
+                .field("build_flat", paper[0].to_json())
+                .field("build_multilevel", paper[1].to_json())
+                .field("crr_parity", Json::Fixed(crr_parity, 4))
+                .field("route_access_ratio", Json::Fixed(route_ratio, 4)),
+        )
+        .field(
+            "scale",
+            Json::object()
+                .field("cluster_flat", cluster(flat_secs, flat_pages, flat_rr))
+                .field("cluster_multilevel", cluster(ml_secs, ml_pages, ml_rr))
+                .field("speedup", Json::Fixed(speedup, 3))
+                .field("build_multilevel", scale_row.to_json()),
+        )
+        .field(
+            "prefetch",
+            Json::object()
+                .field("frames", PREFETCH_FRAMES)
+                .field("routes", scale_routes.len())
+                .field(
+                    "off",
+                    Json::object()
+                        .field("demand_misses", prefetch.off_reads)
+                        .field("secs", Json::Fixed(prefetch.off_secs, 4)),
+                )
+                .field(
+                    "on",
+                    Json::object()
+                        .field("physical_reads", prefetch.on_reads)
+                        .field("prefetch_issued", prefetch.on_issued)
+                        .field("demand_misses", prefetch.on_demand)
+                        .field("secs", Json::Fixed(prefetch.on_secs, 4)),
+                )
+                .field("demand_miss_reduction", Json::Fixed(miss_reduction, 4))
+                .field(
+                    "wall_delta_secs",
+                    Json::Fixed(prefetch.on_secs - prefetch.off_secs, 4),
+                ),
+        )
+        .field(
+            "gates",
+            Json::object()
+                .field("min_speedup", min_speedup)
+                .field("speedup_ok", speedup_ok)
+                .field("crr_parity_min", CRR_PARITY_MIN)
+                .field("crr_parity_ok", parity_ok)
+                .field("pass", speedup_ok && parity_ok),
+        );
+    std::fs::write(&out, report.render(2) + "\n").expect("write report");
     println!("wrote {out}");
 
     if !parity_ok {
@@ -263,28 +259,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("gates ok: speedup {speedup:.2}x (>= {min_speedup:.1}x), parity {crr_parity:.4} (>= {CRR_PARITY_MIN})");
-}
-
-/// The `PartGraph` that `Static-Create()` builds internally: clustering
-/// weights per node, uniform edge weights (the CRR setting).
-fn part_graph(net: &Network) -> PartGraph {
-    use std::collections::HashMap;
-    let all: Vec<&ccam_graph::NodeData> = net.nodes().collect();
-    let idx_of: HashMap<ccam_graph::NodeId, usize> =
-        all.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-    let sizes: Vec<usize> = all
-        .iter()
-        .map(|n| ccam_core::file::clustering_weight(n))
-        .collect();
-    let mut part_edges = Vec::new();
-    for (i, n) in all.iter().enumerate() {
-        for e in &n.successors {
-            if let Some(&j) = idx_of.get(&e.to) {
-                part_edges.push((i, j, 1u64));
-            }
-        }
-    }
-    PartGraph::new(sizes, &part_edges)
 }
 
 struct TimedBuild {
@@ -308,7 +282,6 @@ fn build_timed(net: &Network, block: usize, strategy: PartitionStrategy) -> Time
 }
 
 struct BuildRow {
-    name: &'static str,
     secs: f64,
     nodes_per_sec: f64,
     pages: usize,
@@ -317,28 +290,18 @@ struct BuildRow {
 }
 
 impl BuildRow {
-    /// One JSON line, indented `indent` spaces, keyed `build_<name>`.
-    /// `last` suppresses the separating comma when the row closes its
-    /// enclosing object — JSON allows no trailing comma.
-    fn json(&self, indent: usize, last: bool) -> String {
-        format!(
-            "{:indent$}\"build_{}\": {{\"secs\": {:.3}, \"nodes_per_sec\": {:.0}, \
-             \"pages\": {}, \"crr\": {:.4}, \"route_page_accesses\": {:.2}}}{}\n",
-            "",
-            self.name,
-            self.secs,
-            self.nodes_per_sec,
-            self.pages,
-            self.crr,
-            self.route_io,
-            if last { "" } else { "," },
-        )
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("secs", Json::Fixed(self.secs, 3))
+            .field("nodes_per_sec", Json::Fixed(self.nodes_per_sec, 0))
+            .field("pages", self.pages)
+            .field("crr", Json::Fixed(self.crr, 4))
+            .field("route_page_accesses", Json::Fixed(self.route_io, 2))
     }
 }
 
 fn report_build(name: &'static str, b: &TimedBuild, routes: &[Route]) -> BuildRow {
     let row = BuildRow {
-        name,
         secs: b.secs,
         nodes_per_sec: b.nodes as f64 / b.secs,
         pages: b.am.file().num_pages(),
@@ -350,96 +313,6 @@ fn report_build(name: &'static str, b: &TimedBuild, routes: &[Route]) -> BuildRo
         row.secs, row.nodes_per_sec, row.pages, row.crr, row.route_io
     );
     row
-}
-
-/// Minimal JSON well-formedness check (the workspace carries no serde):
-/// the report is parsed before it is written, so a formatting bug —
-/// e.g. a trailing comma — fails this run loudly instead of the
-/// `json.load` downstream in CI. Panics with a byte offset on error.
-fn check_json(s: &str) {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    json_value(b, &mut i);
-    json_ws(b, &mut i);
-    assert!(i == b.len(), "invalid JSON: trailing data at byte {i}");
-}
-
-fn json_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn json_string(b: &[u8], i: &mut usize) {
-    assert!(
-        b.get(*i) == Some(&b'"'),
-        "invalid JSON: expected string at byte {}",
-        *i
-    );
-    *i += 1;
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return;
-            }
-            b'\\' => *i += 2,
-            _ => *i += 1,
-        }
-    }
-    panic!("invalid JSON: unterminated string");
-}
-
-fn json_value(b: &[u8], i: &mut usize) {
-    json_ws(b, i);
-    match b.get(*i) {
-        Some(&open @ (b'{' | b'[')) => {
-            let close = if open == b'{' { b'}' } else { b']' };
-            *i += 1;
-            json_ws(b, i);
-            if b.get(*i) == Some(&close) {
-                *i += 1;
-                return;
-            }
-            loop {
-                if open == b'{' {
-                    json_ws(b, i);
-                    json_string(b, i);
-                    json_ws(b, i);
-                    assert!(
-                        b.get(*i) == Some(&b':'),
-                        "invalid JSON: expected ':' at byte {}",
-                        *i
-                    );
-                    *i += 1;
-                }
-                json_value(b, i);
-                json_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1, // next member; a trailing comma fails above
-                    Some(&c) if c == close => {
-                        *i += 1;
-                        return;
-                    }
-                    c => panic!(
-                        "invalid JSON: expected ',' or close at byte {}, got {c:?}",
-                        *i
-                    ),
-                }
-            }
-        }
-        Some(b'"') => json_string(b, i),
-        Some(b't') if b[*i..].starts_with(b"true") => *i += 4,
-        Some(b'f') if b[*i..].starts_with(b"false") => *i += 5,
-        Some(b'n') if b[*i..].starts_with(b"null") => *i += 4,
-        Some(&c) if c == b'-' || c.is_ascii_digit() => {
-            *i += 1;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                *i += 1;
-            }
-        }
-        c => panic!("invalid JSON: unexpected token at byte {}: {c:?}", *i),
-    }
 }
 
 struct PrefetchResult {
@@ -517,54 +390,5 @@ fn bench_prefetch(am: &Ccam, routes: &[Route]) -> PrefetchResult {
         on_issued,
         on_demand: on_reads - on_issued,
         on_secs,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn row() -> BuildRow {
-        BuildRow {
-            name: "multilevel",
-            secs: 1.5,
-            nodes_per_sec: 666.6,
-            pages: 12,
-            crr: 0.7419,
-            route_io: 5.53,
-        }
-    }
-
-    /// The REVIEW.md regression: a row closing its enclosing object must
-    /// not leave a trailing comma.
-    #[test]
-    fn build_row_closing_an_object_is_valid_json() {
-        let j = format!("{{\n{}}}\n", row().json(2, true));
-        check_json(&j);
-    }
-
-    #[test]
-    fn build_row_followed_by_more_keys_is_valid_json() {
-        let j = format!("{{\n{}  \"x\": 1\n}}\n", row().json(2, false));
-        check_json(&j);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid JSON")]
-    fn check_json_rejects_trailing_comma() {
-        check_json("{\"a\": 1,}");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid JSON")]
-    fn check_json_rejects_trailing_data() {
-        check_json("{\"a\": 1} }");
-    }
-
-    #[test]
-    fn check_json_accepts_report_shapes() {
-        check_json("{\"a\": [1, -2.5e3, true, false, null], \"b\": {\"c\": \"d\\\"e\"}}");
-        check_json("  [ ]  ");
-        check_json("{}");
     }
 }

@@ -1,5 +1,6 @@
-//! Seeded chaos harness for the serving layer — `serve_load`'s hostile
-//! twin, writing `BENCH_PR7.json`.
+//! Seeded chaos harness for the serving layer — closed-loop clients
+//! against a server whose storage, writer and network are all faulted,
+//! writing `BENCH_PR7.json`.
 //!
 //! ```text
 //! chaos_serve [--seconds S] [--seed N] [--connections N] [--batch N]
@@ -45,7 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ccam_bench::parse_flag;
+use ccam_bench::{percentile, Args};
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
@@ -53,7 +54,7 @@ use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, Client};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{Server, ServerConfig};
-use ccam_storage::{FaultStore, MemPageStore, PageStore, RetryPolicy, RetryStore};
+use ccam_storage::{FaultStore, Json, MemPageStore, PageStore, RetryPolicy, RetryStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -82,27 +83,20 @@ fn parse_args() -> Config {
         max_p99_us: 500_000,
         error_budget_per_1024: 10,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).unwrap_or_else(|| die("missing value")).clone()
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--seconds" => cfg.seconds = num(flag, value(&mut i)),
-            "--seed" => cfg.seed = num(flag, value(&mut i)),
-            "--connections" => cfg.connections = num(flag, value(&mut i)),
-            "--batch" => cfg.batch = num(flag, value(&mut i)),
-            "--workers" => cfg.workers = num(flag, value(&mut i)),
-            "--queue-depth" => cfg.queue_depth = num(flag, value(&mut i)),
-            "--out" => cfg.out = value(&mut i),
-            "--max-p99-us" => cfg.max_p99_us = num(flag, value(&mut i)),
-            "--error-budget-per-1024" => cfg.error_budget_per_1024 = num(flag, value(&mut i)),
-            other => die(&format!("unknown flag {other}")),
+    let mut args = Args::from_env("chaos_serve");
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seconds" => cfg.seconds = args.num(&flag),
+            "--seed" => cfg.seed = args.num(&flag),
+            "--connections" => cfg.connections = args.num(&flag),
+            "--batch" => cfg.batch = args.num(&flag),
+            "--workers" => cfg.workers = args.num(&flag),
+            "--queue-depth" => cfg.queue_depth = args.num(&flag),
+            "--out" => cfg.out = args.value(&flag),
+            "--max-p99-us" => cfg.max_p99_us = args.num(&flag),
+            "--error-budget-per-1024" => cfg.error_budget_per_1024 = args.num(&flag),
+            other => args.fail(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     cfg
 }
@@ -110,11 +104,6 @@ fn parse_args() -> Config {
 fn die(msg: &str) -> ! {
     eprintln!("chaos_serve: {msg}");
     std::process::exit(2);
-}
-
-/// `flag`'s value parsed, or exit 2 naming the flag and the value.
-fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
 }
 
 struct Workload {
@@ -313,14 +302,6 @@ fn republish<S: PageStore>(db: &EpochCell<Ccam<S>>) -> bool {
         std::thread::sleep(Duration::from_millis(20));
     }
     false
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn main() {
@@ -555,41 +536,45 @@ fn main() {
         violations.push(format!("p99 {p99}us over bound {}us", cfg.max_p99_us));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"chaos_serve\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"connections\": {},\n    \"workers\": {},\n    \"queue_depth\": {}\n  }},\n  \"results\": {{\n    \"qps\": {:.1},\n    \"ok\": {},\n    \"overloaded\": {},\n    \"deadline_exceeded\": {},\n    \"degraded\": {},\n    \"internal\": {},\n    \"unexpected\": {},\n    \"reconnects\": {},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \"injected_faults\": {},\n    \"injected_stalls\": {},\n    \"non_injected_errors\": {},\n    \"worker_panics\": {},\n    \"degraded_reads\": {},\n    \"idle_reaped\": {},\n    \"snapshot_pins\": {},\n    \"slot_waits\": {},\n    \"executing_peak\": {},\n    \"poisoned_internals\": {},\n    \"writer_recovered\": {},\n    \"half_close_answered\": {},\n    \"half_close_runs\": {},\n    \"staller_reaped\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
-        cfg.seed,
-        cfg.seconds,
-        cfg.connections,
-        cfg.workers,
-        cfg.queue_depth,
-        t.ok as f64 / elapsed,
-        t.ok,
-        t.overloaded,
-        t.deadline,
-        t.degraded,
-        t.internal,
-        t.unexpected,
-        t.reconnects,
-        percentile(&t.latencies_us, 0.50),
-        p99,
-        injected,
-        controller.injected_stalls(),
-        non_injected,
-        worker_panics,
-        degraded_reads,
-        idle_reaped,
-        snapshot_pins,
-        slot_waits,
-        executing_peak,
-        poisoned_internals,
-        recovered,
-        half_close_ok.load(Ordering::Relaxed),
-        half_close_runs.load(Ordering::Relaxed),
-        staller_reaped,
-        graceful_drain,
-        violations.len(),
-    );
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
+    let config = Json::object()
+        .field("seed", cfg.seed)
+        .field("seconds", cfg.seconds)
+        .field("connections", cfg.connections)
+        .field("workers", cfg.workers)
+        .field("queue_depth", cfg.queue_depth);
+    let results = Json::object()
+        .field("qps", Json::Fixed(t.ok as f64 / elapsed, 1))
+        .field("ok", t.ok)
+        .field("overloaded", t.overloaded)
+        .field("deadline_exceeded", t.deadline)
+        .field("degraded", t.degraded)
+        .field("internal", t.internal)
+        .field("unexpected", t.unexpected)
+        .field("reconnects", t.reconnects)
+        .field("p50_us", percentile(&t.latencies_us, 0.50))
+        .field("p99_us", p99)
+        .field("injected_faults", injected)
+        .field("injected_stalls", controller.injected_stalls())
+        .field("non_injected_errors", non_injected)
+        .field("worker_panics", worker_panics)
+        .field("degraded_reads", degraded_reads)
+        .field("idle_reaped", idle_reaped)
+        .field("snapshot_pins", snapshot_pins)
+        .field("slot_waits", slot_waits)
+        .field("executing_peak", executing_peak)
+        .field("poisoned_internals", poisoned_internals)
+        .field("writer_recovered", recovered)
+        .field("half_close_answered", half_close_ok.load(Ordering::Relaxed))
+        .field("half_close_runs", half_close_runs.load(Ordering::Relaxed))
+        .field("staller_reaped", staller_reaped)
+        .field("graceful_drain", graceful_drain)
+        .field("slo_violations", violations.len());
+    let report = Json::object()
+        .field("bench", "chaos_serve")
+        .field("config", config)
+        .field("results", results);
+    std::fs::write(&cfg.out, report.render(2) + "\n")
+        .unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
     println!(
         "ok {}  degraded {}  deadline {}  internal {} (injected {})  unexpected {}  p99 {}us  panics {}  drain {}",
         t.ok, t.degraded, t.deadline, t.internal, injected, t.unexpected, p99, worker_panics, graceful_drain

@@ -1,11 +1,8 @@
-//! Wall-clock benchmark for the hot paths: parallel bulk `Create()`
-//! and the buffer pool.
+//! Wall-clock gate for parallel clustering and for publishing a commit.
 //!
 //! Unlike the paper-figure binaries (which count page accesses, the
-//! machine-independent currency), this harness measures *time* — the
-//! thing the parallel clustering and the O(1) pool actually improve.
-//! It emits a machine-readable JSON report (`BENCH_PR5.json` by
-//! default):
+//! machine-independent currency), this harness measures *time*. It
+//! writes a JSON report (`--out`, default `perf_hotpaths.json`):
 //!
 //! * **clustering** — `cluster-nodes-into-pages()` on a synthetic grid
 //!   well past the paper's 1079 nodes (default 50 176 nodes), swept
@@ -13,20 +10,14 @@
 //!   (JSON blocks `clustering` and `clustering_multilevel`, each run
 //!   with its speedup over the strategy's own 1-thread row), with a
 //!   byte-identity check across all of them;
-//! * **create** — full `Static-Create()` (clustering + bulk load) at
-//!   1 thread vs all cores;
-//! * **pool** — `BufferPool` ops/sec at capacity {1, 64, 256, 4096} on
-//!   a hit-heavy (working set half the pool) and a miss-heavy (working
-//!   set 16x the pool) uniform workload, plus 4 threads hitting a
-//!   4096-frame pool. The regime table in EXPERIMENTS.md is this grid.
-//! * **hop** — ns per `Get-A-successor()` along fixed random walks on
-//!   the paper map at the same four capacities. A hop is one probe of the
-//!   most recently used frame, then `Find()`: the number must not grow
-//!   with the frames the pool holds.
 //! * **commit** — µs per `EpochWriteGuard::commit` (capture and publish
 //!   a snapshot view) after a one-record upsert, on grids of N and 16 N
 //!   nodes over a `WalStore` with page versioning on. A commit costs what
 //!   it changed: the two numbers must stay close.
+//!
+//! The full `Static-Create()`, the buffer pool and `Get-A-successor()`
+//! are timed in place by the benchmark ledger (`benchmark/`, per-layer
+//! `core.create_s`, `buffer.hit_ns` and `core.eval_us.succ`), not here.
 //!
 //! ```text
 //! perf_hotpaths [--grid N] [--block N] [--out FILE]
@@ -40,57 +31,35 @@
 //! de-parallelization or an O(n²) slip), or when a commit on the 16 N
 //! grid takes more than 3x what it takes on the N grid — a ratio of two
 //! numbers from this run, so it holds on any machine (a view rebuilt by
-//! scanning the database gave ≈ 20).
+//! scanning the database gave ≈ 20). A malformed or missing flag value
+//! exits 2 and names the flag.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use ccam_bench::harness::benchmark_network;
+use ccam_bench::{part_graph, Args};
 use ccam_core::am::{AccessMethod, CcamBuilder};
 use ccam_core::epoch::EpochCell;
 use ccam_graph::generators::grid_network;
-use ccam_graph::walks::random_walk_routes;
 use ccam_partition::{
-    cluster_nodes_into_pages_with, ClusterOptions, PartGraph, PartitionStrategy, Partitioner,
+    cluster_nodes_into_pages_with, ClusterOptions, PartitionStrategy, Partitioner,
 };
-use ccam_storage::{BufferPool, MemPageStore, PageId, PageStore, WalStore};
+use ccam_storage::{Json, MemPageStore, WalStore};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut grid: u32 = 224; // 224 × 224 = 50 176 nodes
     let mut block: usize = 1024;
-    let mut out = String::from("BENCH_PR5.json");
+    let mut out = String::from("perf_hotpaths.json");
     let mut quick = false;
     let mut baseline: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--grid" => {
-                grid = args[i + 1].parse().expect("--grid N");
-                i += 2;
-            }
-            "--block" => {
-                block = args[i + 1].parse().expect("--block N");
-                i += 2;
-            }
-            "--out" => {
-                out = args[i + 1].clone();
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--check-baseline" => {
-                baseline = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    let mut args = Args::from_env("perf_hotpaths");
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--grid" => grid = args.num(&flag),
+            "--block" => block = args.num(&flag),
+            "--out" => out = args.value(&flag),
+            "--quick" => quick = true,
+            "--check-baseline" => baseline = Some(args.value(&flag)),
+            other => args.fail(&format!("unknown flag {other}")),
         }
     }
     if quick {
@@ -123,34 +92,17 @@ fn main() {
     println!("network: {nodes} nodes, {edges} directed edges");
 
     // ---- Phase 1: clustering, swept over thread counts --------------
-    // The same PartGraph `Static-Create()` builds internally: node
-    // clustering weights against the real page budget, uniform edge
-    // weights (the CRR experiments' setting).
+    // The same PartGraph `Static-Create()` builds internally, against
+    // the real page budget.
     let budget = CcamBuilder::new(block)
         .build_empty()
         .expect("empty file")
         .file()
         .clustering_budget();
-    let all: Vec<&ccam_graph::NodeData> = net.nodes().collect();
-    let idx_of: HashMap<ccam_graph::NodeId, usize> =
-        all.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-    let sizes: Vec<usize> = all
-        .iter()
-        .map(|n| ccam_core::file::clustering_weight(n))
-        .collect();
-    let mut part_edges = Vec::new();
-    for (i, n) in all.iter().enumerate() {
-        for e in &n.successors {
-            if let Some(&j) = idx_of.get(&e.to) {
-                part_edges.push((i, j, 1u64));
-            }
-        }
-    }
-    let graph = PartGraph::new(sizes, &part_edges);
+    let graph = part_graph(&net);
 
     // Both strategies sweep the same thread counts; each row records its
-    // speedup over the same strategy's 1-thread run so the parallel
-    // fan-out is finally measured per thread count (ISSUE 10 satellite).
+    // speedup over the same strategy's 1-thread run.
     let strategies = [
         ("flat", PartitionStrategy::Flat),
         ("multilevel", PartitionStrategy::Multilevel),
@@ -182,10 +134,10 @@ fn main() {
         }
         sweeps.push((sname, rows, identical));
     }
-    let (_, ref cluster_rows, _) = sweeps[0];
     let secs_at = |rows: &[SweepRow], want: usize| {
         rows.iter().find(|(t, ..)| *t == want).map(|&(_, s, ..)| s)
     };
+    let best = |rows: &[SweepRow]| rows.iter().map(|&(_, _, n, _)| n).fold(0.0, f64::max);
     if sweep_skipped {
         println!(
             "clustering: thread sweep skipped (1 core available — no parallelism to measure)\n"
@@ -204,71 +156,7 @@ fn main() {
         println!();
     }
 
-    // ---- Phase 2: full Static-Create(), 1 thread vs all cores -------
-    let t0 = Instant::now();
-    let am1 = CcamBuilder::new(block)
-        .threads(1)
-        .build_static(&net)
-        .expect("create 1t");
-    let create_1t = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let am_n = CcamBuilder::new(block)
-        .threads(0)
-        .build_static(&net)
-        .expect("create nt");
-    let create_nt = t0.elapsed().as_secs_f64();
-    let same_layout = am1.file().num_pages() == am_n.file().num_pages()
-        && am1.crr().expect("crr") == am_n.crr().expect("crr");
-    println!(
-        "create      threads=1   {create_1t:8.3}s\ncreate      threads={cores:<3} {create_nt:8.3}s  ({:.2}x, layout identical = {same_layout})\n",
-        create_1t / create_nt
-    );
-    drop(am1);
-    drop(am_n);
-
-    // ---- Phase 3: buffer pool over the capacity grid ----------------
-    // From the paper's 1-page route-evaluation buffer to a pool of
-    // thousands of frames; every cell is the same code path.
-    let ops: u64 = if quick { 200_000 } else { 2_000_000 };
-    let mut pool_rows = Vec::new();
-    for cap in CAPACITIES {
-        let hit_heavy = bench_pool(block, cap, (cap / 2).max(1), ops);
-        let miss_heavy = bench_pool(block, cap, cap * 16, ops / 4);
-        println!(
-            "pool cap={cap:<5} hit-heavy {hit_heavy:>10.0} ops/s   miss-heavy {miss_heavy:>10.0} ops/s"
-        );
-        pool_rows.push((cap, hit_heavy, miss_heavy));
-    }
-    let conc_cap = 4096;
-    let conc = bench_pool_concurrent(block, conc_cap, ops / 2);
-    println!("pool cap={conc_cap:<5} 4-thread  {conc:>10.0} ops/s\n");
-
-    // ---- Phase 4: one Get-A-successor() hop over the same grid ------
-    let map = benchmark_network();
-    let walks = random_walk_routes(&map, HOP_WALKS, HOPS_PER_WALK + 1, 1995);
-    let am = CcamBuilder::new(block).build_static(&map).expect("create");
-    let laps = if quick { 10 } else { 100 };
-    let mut hop_rows = Vec::new();
-    for cap in CAPACITIES {
-        am.file().pool().set_capacity(cap).expect("capacity");
-        let ns = median_of_3(|| {
-            let t0 = Instant::now();
-            for _ in 0..laps {
-                for walk in &walks {
-                    for (from, to) in walk.edges() {
-                        std::hint::black_box(am.get_a_successor(from, to).expect("hop"));
-                    }
-                }
-            }
-            t0.elapsed().as_nanos() as f64 / (laps * HOP_WALKS * HOPS_PER_WALK) as f64
-        });
-        let resident = am.file().pool().resident_pages().len();
-        println!("hop  cap={cap:<5} {ns:>8.0} ns/hop   ({resident} frames resident)");
-        hop_rows.push((cap, ns, resident));
-    }
-    println!();
-
-    // ---- Phase 5: publishing a one-record upsert, N vs 16 N nodes ---
+    // ---- Phase 2: publishing a one-record upsert, N vs 16 N nodes ---
     let side: u32 = if quick { 32 } else { 64 };
     let upserts = if quick { 50 } else { 200 };
     let commit_rows = [side, 4 * side].map(|side| {
@@ -280,101 +168,58 @@ fn main() {
     println!("commit  16 N / N = {commit_ratio:.2}\n");
 
     // ---- Report -----------------------------------------------------
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\n  \"config\": {{\"grid\": {grid}, \"nodes\": {nodes}, \"edges\": {edges}, \
-         \"block\": {block}, \"available_threads\": {cores}, \"quick\": {quick}}},\n"
+    let mut report = Json::object().field(
+        "config",
+        Json::object()
+            .field("grid", grid)
+            .field("nodes", nodes)
+            .field("edges", edges)
+            .field("block", block)
+            .field("available_threads", cores)
+            .field("quick", quick),
     );
     // One block per strategy: "clustering" (flat — the key the baseline
-    // gate reads, unchanged for compatibility) and
-    // "clustering_multilevel". Every run row carries its speedup over
-    // the same strategy's 1-thread run.
+    // gate reads) and "clustering_multilevel". `null` speedups mean "not
+    // measured", never a fabricated 1.0.
     for (sname, rows, ident) in &sweeps {
         let key = if *sname == "flat" {
             "clustering".to_string()
         } else {
             format!("clustering_{sname}")
         };
-        let _ = write!(
-            j,
-            "  \"{key}\": {{\n    \"identical_across_threads\": {ident},\n    \
-             \"thread_sweep_skipped\": {sweep_skipped},\n    \"runs\": [\n"
-        );
         let s1 = secs_at(rows, 1);
-        for (k, (t, secs, nps, pages)) in rows.iter().enumerate() {
-            // `null` rather than a fabricated 1.0 — consumers must not
-            // mistake "could not measure" for "did not speed up".
-            let sp = s1.map_or("null".to_string(), |s| format!("{:.3}", s / secs));
-            let _ = writeln!(
-                j,
-                "      {{\"threads\": {t}, \"secs\": {secs:.4}, \"nodes_per_sec\": {nps:.0}, \
-                 \"pages\": {pages}, \"speedup_vs_1_thread\": {sp}}}{}",
-                if k + 1 < rows.len() { "," } else { "" }
-            );
-        }
-        let best: f64 = rows.iter().map(|&(_, _, n, _)| n).fold(0.0, f64::max);
-        let sp4 = match (secs_at(rows, 1), secs_at(rows, 4)) {
-            (Some(a), Some(b)) => format!("{:.3}", a / b),
-            _ => "null".to_string(),
-        };
-        let _ = write!(
-            j,
-            "    ],\n    \"speedup_at_4_threads\": {sp4},\n    \
-             \"best_nodes_per_sec\": {best:.0}\n  }},\n"
-        );
+        let runs = rows.iter().map(|&(t, secs, nps, pages)| {
+            Json::object()
+                .field("threads", t)
+                .field("secs", Json::Fixed(secs, 4))
+                .field("nodes_per_sec", Json::Fixed(nps, 0))
+                .field("pages", pages)
+                .field("speedup_vs_1_thread", s1.map(|s| Json::Fixed(s / secs, 3)))
+        });
+        let sp4 = s1.zip(secs_at(rows, 4)).map(|(a, b)| Json::Fixed(a / b, 3));
+        let sweep = Json::object()
+            .field("identical_across_threads", *ident)
+            .field("thread_sweep_skipped", sweep_skipped)
+            .field("runs", runs.collect::<Json>())
+            .field("speedup_at_4_threads", sp4)
+            .field("best_nodes_per_sec", Json::Fixed(best(rows), 0));
+        report = report.field(&key, sweep);
     }
-    let best_nps = cluster_rows
-        .iter()
-        .map(|&(_, _, n, _)| n)
-        .fold(0.0, f64::max);
-    let _ = writeln!(
-        j,
-        "  \"create\": {{\"secs_1_thread\": {create_1t:.4}, \"secs_all_cores\": {create_nt:.4}, \
-         \"speedup\": {:.3}, \"layout_identical\": {same_layout}}},",
-        create_1t / create_nt
-    );
-    let _ = write!(j, "  \"pool\": {{\n    \"regimes\": [\n");
-    for (k, &(cap, hit, miss)) in pool_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "      {{\"capacity\": {cap}, \"hit_heavy_ops_per_sec\": {hit:.0}, \
-             \"miss_heavy_ops_per_sec\": {miss:.0}}}{}",
-            if k + 1 < pool_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        j,
-        "    ],\n    \"concurrent_4_threads\": {{\"capacity\": {conc_cap}, \
-         \"ops_per_sec\": {conc:.0}}}\n  }},\n"
-    );
-    let _ = write!(
-        j,
-        "  \"hop\": {{\n    \"map_nodes\": {}, \"walks\": {HOP_WALKS}, \
-         \"hops_per_walk\": {HOPS_PER_WALK},\n    \"regimes\": [\n",
-        map.len()
-    );
-    for (k, &(cap, ns, resident)) in hop_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "      {{\"capacity\": {cap}, \"resident_frames\": {resident}, \
-             \"ns_per_hop\": {ns:.0}}}{}",
-            if k + 1 < hop_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(j, "    ]\n  }},\n");
-    let _ = write!(
-        j,
-        "  \"commit\": {{\n    \"upserts\": {upserts},\n    \"grids\": [\n      \
-         {{\"nodes\": {}, \"us_per_commit\": {:.1}}},\n      \
-         {{\"nodes\": {}, \"us_per_commit\": {:.1}}}\n    ],\n    \
-         \"ratio_16n_over_n\": {commit_ratio:.2}\n  }}\n}}\n",
-        commit_rows[0].0, commit_rows[0].1, commit_rows[1].0, commit_rows[1].1
-    );
-    std::fs::write(&out, &j).expect("write report");
+    let grids = commit_rows.iter().map(|&(nodes, us)| {
+        Json::object()
+            .field("nodes", nodes)
+            .field("us_per_commit", Json::Fixed(us, 1))
+    });
+    let commit = Json::object()
+        .field("upserts", upserts)
+        .field("grids", grids.collect::<Json>())
+        .field("ratio_16n_over_n", Json::Fixed(commit_ratio, 2));
+    let report = report.field("commit", commit);
+    std::fs::write(&out, report.render(2) + "\n").expect("write report");
     println!("wrote {out}");
 
     // ---- Optional CI regression gate --------------------------------
+    let best_nps = best(&sweeps[0].1);
     if let Some(path) = baseline {
         let base = std::fs::read_to_string(&path).expect("read baseline");
         let base_nps = extract_number(&base, "best_nodes_per_sec")
@@ -427,14 +272,6 @@ fn main() {
 /// the N grid.
 const COMMIT_RATIO_LIMIT: f64 = 3.0;
 
-/// Pool capacities of the pool and hop sections: the paper's one-page
-/// buffer up to thousands of frames.
-const CAPACITIES: [usize; 4] = [1, 64, 256, 4096];
-
-/// The hop section's fixed walks: 200 walks of 32 hops over the paper map.
-const HOP_WALKS: usize = 200;
-const HOPS_PER_WALK: usize = 32;
-
 /// Pulls `"key": <number>` out of a report written by this binary.
 fn extract_number(json: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
@@ -451,18 +288,6 @@ fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s >> 7;
     *s ^= *s << 17;
     *s
-}
-
-/// Allocates `n` zeroed pages directly in a store.
-fn alloc_pages(store: &mut MemPageStore, n: usize) -> Vec<PageId> {
-    (0..n).map(|_| store.allocate().expect("alloc")).collect()
-}
-
-/// Median of three timed passes.
-fn median_of_3(mut pass: impl FnMut() -> f64) -> f64 {
-    let mut rates = [pass(), pass(), pass()];
-    rates.sort_by(f64::total_cmp);
-    rates[1]
 }
 
 /// Node count and µs per `EpochWriteGuard::commit` after a one-record
@@ -486,7 +311,7 @@ fn bench_commit(block: usize, side: u32, upserts: u32) -> (usize, f64) {
     let cell = EpochCell::new(db).expect("first view");
     let ids = net.node_ids();
     let mut seed = 0xC0_u64 + u64::from(side);
-    let us = median_of_3(|| {
+    let mut pass = || {
         let mut spent = std::time::Duration::ZERO;
         for k in 0..upserts {
             let id = ids[(xorshift(&mut seed) % ids.len() as u64) as usize];
@@ -500,61 +325,11 @@ fn bench_commit(block: usize, side: u32, upserts: u32) -> (usize, f64) {
             spent += t0.elapsed();
         }
         spent.as_secs_f64() * 1e6 / f64::from(upserts)
-    });
+    };
+    // The median of three passes.
+    let mut passes = [pass(), pass(), pass()];
+    passes.sort_by(f64::total_cmp);
     drop(cell);
     std::fs::remove_file(&wal).ok();
-    (net.len(), us)
-}
-
-/// Single-threaded ops/sec over a uniform working set of `set` pages.
-fn bench_pool(block: usize, cap: usize, set: usize, ops: u64) -> f64 {
-    median_of_3(|| {
-        let mut store = MemPageStore::new(block).expect("store");
-        let ids = alloc_pages(&mut store, set);
-        let pool = BufferPool::new(store, cap);
-        let mut seed = 0x5EED_u64;
-        let t0 = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let id = ids[(xorshift(&mut seed) % set as u64) as usize];
-            acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
-        }
-        std::hint::black_box(acc);
-        ops as f64 / t0.elapsed().as_secs_f64()
-    })
-}
-
-/// 4 threads, each hammering its own quarter of a pool-resident working
-/// set (pure hit path): total ops/sec.
-fn bench_pool_concurrent(block: usize, cap: usize, ops_per_thread: u64) -> f64 {
-    const THREADS: usize = 4;
-    let per = cap / THREADS;
-    median_of_3(|| {
-        let mut store = MemPageStore::new(block).expect("store");
-        let ids = alloc_pages(&mut store, cap);
-        let pool = Arc::new(BufferPool::new(store, cap));
-        let barrier = Arc::new(Barrier::new(THREADS));
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let pool = Arc::clone(&pool);
-                let barrier = Arc::clone(&barrier);
-                let mine: Vec<PageId> = ids[t * per..(t + 1) * per].to_vec();
-                std::thread::spawn(move || {
-                    let mut seed = 0xBEEF_u64 + t as u64;
-                    barrier.wait();
-                    let mut acc = 0u64;
-                    for _ in 0..ops_per_thread {
-                        let id = mine[(xorshift(&mut seed) % per as u64) as usize];
-                        acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
-                    }
-                    std::hint::black_box(acc);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("join");
-        }
-        (THREADS as u64 * ops_per_thread) as f64 / t0.elapsed().as_secs_f64()
-    })
+    (net.len(), passes[1])
 }

@@ -40,69 +40,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ccam_bench::parse_flag;
+use ccam_bench::{percentile, Args};
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::NodeId;
-use ccam_storage::{MemPageStore, PageStore, WalStore};
-
-struct Config {
-    seconds: u64,
-    readers: usize,
-    seed: u64,
-    out: String,
-    max_ratio: f64,
-    floor_us: u64,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        seconds: 6,
-        readers: 2,
-        seed: 42,
-        out: "BENCH_PR8.json".to_string(),
-        max_ratio: 2.0,
-        floor_us: 300,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).unwrap_or_else(|| die("missing value")).clone()
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--seconds" => cfg.seconds = num(flag, value(&mut i)),
-            "--readers" => cfg.readers = num(flag, value(&mut i)),
-            "--seed" => cfg.seed = num(flag, value(&mut i)),
-            "--out" => cfg.out = value(&mut i),
-            "--max-ratio" => cfg.max_ratio = num(flag, value(&mut i)),
-            "--floor-us" => cfg.floor_us = num(flag, value(&mut i)),
-            other => die(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    cfg
-}
+use ccam_storage::{Json, MemPageStore, PageStore, WalStore};
 
 fn die(msg: &str) -> ! {
     eprintln!("reorg_stall: {msg}");
     std::process::exit(2);
-}
-
-/// `flag`'s value parsed, or exit 2 naming the flag and the value.
-fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// One measurement phase: `readers` closed-loop reader threads for
@@ -150,7 +97,24 @@ fn measure<S: PageStore>(
 }
 
 fn main() {
-    let cfg = parse_args();
+    let mut seconds: u64 = 6;
+    let mut readers: usize = 2;
+    let mut seed: u64 = 42;
+    let mut out = String::from("BENCH_PR8.json");
+    let mut max_ratio: f64 = 2.0;
+    let mut floor_us: u64 = 300;
+    let mut args = Args::from_env("reorg_stall");
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seconds" => seconds = args.num(&flag),
+            "--readers" => readers = args.num(&flag),
+            "--seed" => seed = args.num(&flag),
+            "--out" => out = args.value(&flag),
+            "--max-ratio" => max_ratio = args.num(&flag),
+            "--floor-us" => floor_us = args.num(&flag),
+            other => args.fail(&format!("unknown flag {other}")),
+        }
+    }
     let net = road_map(&RoadMapConfig {
         grid_w: 20,
         grid_h: 20,
@@ -159,7 +123,7 @@ fn main() {
         target_directed: 1150,
         cell: 64,
         jitter: 24,
-        seed: cfg.seed,
+        seed,
     });
     let ids = net.node_ids();
     let probes: Vec<NodeId> = (0..8).map(|k| ids[k * ids.len() / 8]).collect();
@@ -182,10 +146,10 @@ fn main() {
     }
     let db = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish: {e}"))));
 
-    let half = Duration::from_secs(cfg.seconds) / 2;
+    let half = Duration::from_secs(seconds) / 2;
 
     // Phase 1 — quiescent baseline.
-    let quiescent = measure(&db, &probes, cfg.readers, half);
+    let quiescent = measure(&db, &probes, readers, half);
 
     // Phase 2 — same workload while the writer reorganizes in a loop.
     let stop = AtomicBool::new(false);
@@ -211,7 +175,7 @@ fn main() {
                 reorgs_ref.fetch_add(1, Ordering::Relaxed);
             }
         });
-        let churn = measure(&db, &probes, cfg.readers, half);
+        let churn = measure(&db, &probes, readers, half);
         stop.store(true, Ordering::Relaxed);
         churn
     });
@@ -228,33 +192,42 @@ fn main() {
     let c_p50 = percentile(&churn, 0.50);
     let c_p99 = percentile(&churn, 0.99);
     let ratio = c_p99 as f64 / q_p99.max(1) as f64;
-    let floor_ns = cfg.floor_us * 1_000;
+    let floor_ns = floor_us * 1_000;
     let avg_reorg_ns = busy_ns.load(Ordering::Relaxed) / reorgs.max(1);
     // Two ways to pass: the tight multi-core gate, or the
     // machine-independent "no reader waited out a writer critical
     // section" bound (see module docs).
-    let pass = c_p99 as f64 <= (q_p99 as f64 * cfg.max_ratio).max(floor_ns as f64)
+    let pass = c_p99 as f64 <= (q_p99 as f64 * max_ratio).max(floor_ns as f64)
         || c_p99.saturating_mul(4) <= avg_reorg_ns;
 
-    let json = format!(
-        "{{\n  \"bench\": \"reorg_stall\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"readers\": {},\n    \"max_ratio\": {},\n    \"floor_us\": {}\n  }},\n  \"results\": {{\n    \"quiescent_reads\": {},\n    \"churn_reads\": {},\n    \"reorganizations\": {},\n    \"quiescent_p50_us\": {:.1},\n    \"quiescent_p99_us\": {:.1},\n    \"churn_p50_us\": {:.1},\n    \"churn_p99_us\": {:.1},\n    \"p99_ratio\": {:.2},\n    \"avg_reorg_ms\": {:.1},\n    \"pass\": {}\n  }}\n}}\n",
-        cfg.seed,
-        cfg.seconds,
-        cfg.readers,
-        cfg.max_ratio,
-        cfg.floor_us,
-        quiescent.len(),
-        churn.len(),
-        reorgs,
-        q_p50 as f64 / 1_000.0,
-        q_p99 as f64 / 1_000.0,
-        c_p50 as f64 / 1_000.0,
-        c_p99 as f64 / 1_000.0,
-        ratio,
-        avg_reorg_ns as f64 / 1_000_000.0,
-        pass,
-    );
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
+    let us = |ns: u64| Json::Fixed(ns as f64 / 1_000.0, 1);
+    let report = Json::object()
+        .field("bench", "reorg_stall")
+        .field(
+            "config",
+            Json::object()
+                .field("seed", seed)
+                .field("seconds", seconds)
+                .field("readers", readers)
+                .field("max_ratio", max_ratio)
+                .field("floor_us", floor_us),
+        )
+        .field(
+            "results",
+            Json::object()
+                .field("quiescent_reads", quiescent.len())
+                .field("churn_reads", churn.len())
+                .field("reorganizations", reorgs)
+                .field("quiescent_p50_us", us(q_p50))
+                .field("quiescent_p99_us", us(q_p99))
+                .field("churn_p50_us", us(c_p50))
+                .field("churn_p99_us", us(c_p99))
+                .field("p99_ratio", Json::Fixed(ratio, 2))
+                .field("avg_reorg_ms", Json::Fixed(avg_reorg_ns as f64 / 1e6, 1))
+                .field("pass", pass),
+        );
+    std::fs::write(&out, report.render(2) + "\n")
+        .unwrap_or_else(|e| die(&format!("--out {}: {e}", out)));
     let _ = std::fs::remove_file(&wal_path);
     println!(
         "quiescent p99 {:.1}us  churn p99 {:.1}us  ratio {:.2}  ({} reorganizations, avg {:.1}ms each)",
@@ -269,9 +242,9 @@ fn main() {
             "reorg_stall: churn p99 {:.1}us exceeds {}x quiescent p99 {:.1}us (floor {}us) \
              and a quarter of the avg reorganization ({:.1}ms) — readers are stalling on the writer",
             c_p99 as f64 / 1_000.0,
-            cfg.max_ratio,
+            max_ratio,
             q_p99 as f64 / 1_000.0,
-            cfg.floor_us,
+            floor_us,
             avg_reorg_ns as f64 / 1_000_000.0,
         );
         std::process::exit(1);

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ccam_bench::parse_flag;
+use ccam_bench::Args;
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
@@ -48,7 +48,7 @@ use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, MultiClient};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{ReplRole, Server, ServerConfig, ServerHandle};
-use ccam_storage::{FilePageStore, PageStore, WalControl, WalStore};
+use ccam_storage::{FilePageStore, Json, PageStore, WalControl, WalStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -72,26 +72,17 @@ fn parse_args() -> Config {
         read_error_budget_per_1024: 16,
         write_error_budget: 2,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).unwrap_or_else(|| die("missing value")).clone()
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--seed" => cfg.seed = num(flag, value(&mut i)),
-            "--phase-ms" => cfg.phase_ms = num(flag, value(&mut i)),
-            "--out" => cfg.out = value(&mut i),
-            "--max-catchup-ms" => cfg.max_catchup_ms = num(flag, value(&mut i)),
-            "--read-error-budget-per-1024" => {
-                cfg.read_error_budget_per_1024 = num(flag, value(&mut i))
-            }
-            "--write-error-budget" => cfg.write_error_budget = num(flag, value(&mut i)),
-            other => die(&format!("unknown flag {other}")),
+    let mut args = Args::from_env("repl_chaos");
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.num(&flag),
+            "--phase-ms" => cfg.phase_ms = args.num(&flag),
+            "--out" => cfg.out = args.value(&flag),
+            "--max-catchup-ms" => cfg.max_catchup_ms = args.num(&flag),
+            "--read-error-budget-per-1024" => cfg.read_error_budget_per_1024 = args.num(&flag),
+            "--write-error-budget" => cfg.write_error_budget = args.num(&flag),
+            other => args.fail(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     cfg
 }
@@ -99,11 +90,6 @@ fn parse_args() -> Config {
 fn die(msg: &str) -> ! {
     eprintln!("repl_chaos: {msg}");
     std::process::exit(2);
-}
-
-/// `flag`'s value parsed, or exit 2 naming the flag and the value.
-fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    parse_flag(flag, &value).unwrap_or_else(|e| die(&e))
 }
 
 // ---------------------------------------------------------------------------
@@ -812,31 +798,41 @@ fn main() {
     }
     let violations = harness.violations.into_inner().unwrap();
 
-    let json = format!(
-        "{{\n  \"bench\": \"repl_chaos\",\n  \"config\": {{\n    \"seed\": {},\n    \"phase_ms\": {},\n    \"max_catchup_ms\": {}\n  }},\n  \"results\": {{\n    \"elapsed_s\": {:.1},\n    \"writes_ok\": {},\n    \"writes_failed_in_downtime\": {},\n    \"writes_failed_outside\": {},\n    \"reads_ok\": {},\n    \"reads_failed\": {},\n    \"reads_during_downtime\": {},\n    \"parity_checks\": {},\n    \"parity_failures\": {},\n    \"primary_downtime_ms\": {},\n    \"crash_catchup_ms\": {},\n    \"stale_restart_catchup_ms\": {},\n    \"recovery_replayed_batches\": {},\n    \"image_handoffs\": {},\n    \"segments_applied\": {},\n    \"follower_disconnects\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
-        cfg.seed,
-        cfg.phase_ms,
-        cfg.max_catchup_ms,
-        elapsed,
-        writes.ok,
-        writes.failed_in_downtime,
-        writes.failed_outside,
-        reads.ok,
-        reads.failed,
-        reads.downtime_ok,
-        harness.parity_checks.load(Ordering::Relaxed),
-        harness.parity_failures.load(Ordering::Relaxed),
-        downtime_ms,
-        crash_catchup_ms,
-        stale_catchup_ms,
-        recovery_replayed,
-        image_handoffs,
-        segments_applied,
-        follower_disconnects,
-        graceful,
-        violations.len(),
-    );
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
+    let config = Json::object()
+        .field("seed", cfg.seed)
+        .field("phase_ms", cfg.phase_ms)
+        .field("max_catchup_ms", cfg.max_catchup_ms);
+    let results = Json::object()
+        .field("elapsed_s", Json::Fixed(elapsed, 1))
+        .field("writes_ok", writes.ok)
+        .field("writes_failed_in_downtime", writes.failed_in_downtime)
+        .field("writes_failed_outside", writes.failed_outside)
+        .field("reads_ok", reads.ok)
+        .field("reads_failed", reads.failed)
+        .field("reads_during_downtime", reads.downtime_ok)
+        .field(
+            "parity_checks",
+            harness.parity_checks.load(Ordering::Relaxed),
+        )
+        .field(
+            "parity_failures",
+            harness.parity_failures.load(Ordering::Relaxed),
+        )
+        .field("primary_downtime_ms", downtime_ms)
+        .field("crash_catchup_ms", crash_catchup_ms)
+        .field("stale_restart_catchup_ms", stale_catchup_ms)
+        .field("recovery_replayed_batches", recovery_replayed)
+        .field("image_handoffs", image_handoffs)
+        .field("segments_applied", segments_applied)
+        .field("follower_disconnects", follower_disconnects)
+        .field("graceful_drain", graceful)
+        .field("slo_violations", violations.len());
+    let report = Json::object()
+        .field("bench", "repl_chaos")
+        .field("config", config)
+        .field("results", results);
+    std::fs::write(&cfg.out, report.render(2) + "\n")
+        .unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
     println!(
         "writes {} reads {} (downtime {})  parity {}/{}  catch-up crash {}ms stale {}ms  handoffs {}  replayed {}",
         writes.ok,

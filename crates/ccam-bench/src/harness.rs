@@ -3,9 +3,11 @@
 use std::collections::HashMap;
 
 use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
+use ccam_core::file::clustering_weight;
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::walks::Route;
 use ccam_graph::{roadmap, Network, NodeId};
+use ccam_partition::PartGraph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -111,6 +113,77 @@ pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, St
     value
         .parse()
         .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
+/// A harness's command line, read front to back: iterate for the next
+/// flag, then take its [`value`](Args::value) or [`num`](Args::num). A
+/// missing or unparsable value exits 2 naming the flag.
+pub struct Args {
+    bin: &'static str,
+    args: std::vec::IntoIter<String>,
+}
+
+impl Args {
+    /// The process's arguments, for harness `bin` (the prefix of every
+    /// error message).
+    pub fn from_env(bin: &'static str) -> Args {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let args = args.into_iter();
+        Args { bin, args }
+    }
+
+    /// The argument after `flag`.
+    pub fn value(&mut self, flag: &str) -> String {
+        let value = self.args.next();
+        value.unwrap_or_else(|| self.fail(&format!("{flag}: missing value")))
+    }
+
+    /// The argument after `flag`, parsed (see [`parse_flag`]).
+    pub fn num<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let value = self.value(flag);
+        parse_flag(flag, &value).unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// Prints `<bin>: <msg>` and exits 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}", self.bin);
+        std::process::exit(2);
+    }
+}
+
+impl Iterator for Args {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.args.next()
+    }
+}
+
+/// The `p`-quantile (0..=1, nearest rank) of an ascending slice; 0 when
+/// empty.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// The `PartGraph` that `Static-Create()` builds internally: clustering
+/// weights per node, uniform edge weights (the CRR setting).
+pub fn part_graph(net: &Network) -> PartGraph {
+    let all: Vec<&ccam_graph::NodeData> = net.nodes().collect();
+    let idx_of: HashMap<NodeId, usize> = all.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+    let sizes = all.iter().map(|n| clustering_weight(n)).collect();
+    let mut edges = Vec::new();
+    for (i, n) in all.iter().enumerate() {
+        for e in &n.successors {
+            if let Some(&j) = idx_of.get(&e.to) {
+                edges.push((i, j, 1u64));
+            }
+        }
+    }
+    PartGraph::new(sizes, &edges)
 }
 
 /// Renders a plain-text table: header row + rows, column-aligned.

@@ -17,16 +17,16 @@
 //! | `scaling`                 | extra — CRR and route I/O vs network size |
 //! | `validate_costmodel`      | extra — §3.2 cost-model predictions vs observed I/O per operation class |
 //! | `run_all`                 | every experiment above in one report (`experiments_report.txt`) |
-//! | `perf_hotpaths`           | wall-clock clustering and buffer-pool gate (CI bench-smoke) |
+//! | `perf_hotpaths`           | clustering throughput, byte-identity across threads, commit ratio (CI bench-smoke) |
 //! | `build_scale`             | flat vs multilevel clustering at scale (CI build-scale-smoke) |
 //! | `reorg_stall`             | reader p99 while a writer reorganizes (CI bench-smoke) |
-//! | `serve_load`              | closed-loop load generator for `ccam serve` (CI server/repl smoke) |
 //! | `chaos_serve`             | seeded fault-injection harness for the server (CI chaos-smoke) |
 //! | `repl_chaos`              | seeded chaos harness for replication (CI repl-smoke) |
 //!
-//! The library part hosts the shared plumbing: building every access
-//! method over the benchmark road map, per-operation I/O measurement and
-//! plain-text table rendering.
+//! Serving throughput and per-layer timings are the benchmark ledger's
+//! (`benchmark/`). The library part hosts the shared plumbing: building
+//! every access method over the benchmark road map, per-operation I/O
+//! measurement, flag parsing and plain-text table rendering.
 
 pub mod harness;
 

@@ -24,7 +24,7 @@
 //!   re-inserted, so validation leaves the file logically unchanged.
 
 use ccam_graph::{NodeData, NodeId};
-use ccam_storage::{PageStore, StorageResult};
+use ccam_storage::{Json, PageStore, StorageResult};
 
 use crate::am::AccessMethod;
 use crate::costmodel::CostParams;
@@ -147,36 +147,27 @@ impl ValidationReport {
         out
     }
 
-    /// Dependency-free JSON rendering of the report.
+    /// The report as one line of JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"params\":{");
-        out.push_str(&format!(
-            "\"alpha\":{},\"avg_successors\":{},\"avg_neighbors\":{},\"blocking_factor\":{}}},",
-            self.params.alpha,
-            self.params.avg_successors,
-            self.params.avg_neighbors,
-            self.params.blocking_factor
-        ));
-        out.push_str("\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"class\":\"{}\",\"trials\":{},\"predicted\":{},\"observed\":{},\"rel_error\":{}}}",
-                c.class,
-                c.trials,
-                c.predicted,
-                c.observed,
-                c.rel_error()
-            ));
-        }
-        out.push_str(&format!(
-            "],\"mean_rel_error\":{},\"max_rel_error\":{}}}",
-            self.mean_rel_error(),
-            self.max_rel_error()
-        ));
-        out
+        let params = Json::object()
+            .field("alpha", self.params.alpha)
+            .field("avg_successors", self.params.avg_successors)
+            .field("avg_neighbors", self.params.avg_neighbors)
+            .field("blocking_factor", self.params.blocking_factor);
+        let classes = self.classes.iter().map(|c| {
+            Json::object()
+                .field("class", c.class.as_str())
+                .field("trials", c.trials)
+                .field("predicted", c.predicted)
+                .field("observed", c.observed)
+                .field("rel_error", c.rel_error())
+        });
+        Json::object()
+            .field("params", params)
+            .field("classes", classes.collect::<Json>())
+            .field("mean_rel_error", self.mean_rel_error())
+            .field("max_rel_error", self.max_rel_error())
+            .render(0)
     }
 }
 

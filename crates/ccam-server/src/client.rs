@@ -1,5 +1,5 @@
 //! A minimal blocking client for the [`crate::protocol`] — used by the
-//! `serve_load` generator, the chaos harness, the CLI and the tests.
+//! chaos harnesses, the benchmark ledger, the CLI and the tests.
 //!
 //! Resilience lives here rather than in every caller: a client can
 //! propagate a per-request deadline (`set_deadline_ms`), bound its own

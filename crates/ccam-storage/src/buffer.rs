@@ -461,7 +461,6 @@ impl<S: PageStore> BufferPool<S> {
         if let Err(e) = s.store.read(id, &mut data) {
             if matches!(e, StorageError::ChecksumMismatch { .. }) {
                 self.stats.record_checksum_failure();
-                crate::trace_event!("buffer", "checksum failure on page {}", id.0);
             }
             return Err(e);
         }
@@ -501,7 +500,6 @@ impl<S: PageStore> BufferPool<S> {
             };
             let frame = s.frame(slot);
             self.write_back(&mut s.store, &frame)?;
-            crate::trace_event!("buffer", "evict page {}", frame.id.0);
             s.remove(slot);
             self.stats.record_eviction();
         }
@@ -527,7 +525,6 @@ impl<S: PageStore> BufferPool<S> {
             self.stats.record_read();
             self.stats.record_prefetch();
             self.stats.record_page_event(pid, PageAccessKind::Prefetch);
-            crate::trace_event!("buffer", "prefetch page {}", pid.0);
             let lru_tail = s.lru.entries[SENTINEL].prev;
             s.install(pid, data, lru_tail);
         }

@@ -636,7 +636,6 @@ impl<S: PageStore> PageStore for WalStore<S> {
                 return Err(e);
             }
             self.logged = true;
-            crate::trace_event!("wal", "committed batch of {} records", records.len());
         }
         match self.apply_logged() {
             Ok(()) => {

@@ -17,8 +17,9 @@
 //!   reports "the number of data pages accessed", §4), plus opt-in
 //!   per-operation profiling spans,
 //! * [`metrics`] — a named-metric registry (counters / gauges /
-//!   histograms) with a dependency-free JSON dump, and the per-operation
-//!   [`OpProfile`] page-access traces the spans produce,
+//!   histograms) with a dependency-free JSON dump, the per-operation
+//!   [`OpProfile`] page-access traces the spans produce, and [`Json`],
+//!   the one JSON writer every report uses,
 //! * [`wal`], [`durable`], [`recovery`] — an opt-in write-ahead log:
 //!   [`WalStore`] wraps any [`PageStore`], turns `sync()` into an atomic
 //!   commit point, and replays the log on reopen so a crash at an
@@ -60,7 +61,7 @@ pub use durable::{
 };
 pub use error::{StorageError, StorageResult};
 pub use integrity::{committed_images, scrub, scrub_file, PageStatus, ScrubReport};
-pub use metrics::{Histogram, MetricsRegistry, OpProfile, PageAccessKind, PageEvent};
+pub use metrics::{Histogram, Json, MetricsRegistry, OpProfile, PageAccessKind, PageEvent};
 pub use page::{PageId, BLOCK_1K, BLOCK_2K, BLOCK_4K, BLOCK_512, MIN_PAGE_SIZE};
 pub use recovery::{apply_image, apply_segment, RecoveryReport, SegmentApply};
 pub use retry::{RetryPolicy, RetryStore};

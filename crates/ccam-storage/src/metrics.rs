@@ -16,10 +16,8 @@
 //!   prediction: `Get-successors()` on a file with CRR α should touch
 //!   about `(1−α)·|A|` distinct pages, and the profile shows exactly
 //!   which ones.
-//! * [`trace_event!`](crate::trace_event) — optional span/event logging
-//!   for WAL commits, retries, checksum failures and evictions, compiled
-//!   in by the `trace` cargo feature and switched on at runtime with
-//!   `CCAM_TRACE=1`.
+//! * [`Json`] — the workspace's one JSON writer: the registry dump, the
+//!   cost-model validation report and every bench harness report.
 //!
 //! Everything here is deliberately allocation-light and lock-cheap:
 //! profiling is off by default, and when off the buffer pool pays one
@@ -182,28 +180,17 @@ impl Histogram {
         }
     }
 
-    fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.6},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.max,
-            self.mean()
-        ));
-        for (i, c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let le = self
-                .bounds
-                .get(i)
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "\"+Inf\"".into());
-            s.push_str(&format!("{{\"le\":{le},\"count\":{c}}}"));
-        }
-        s.push_str("]}");
-        s
+    fn to_json(&self) -> Json {
+        let buckets = self.counts.iter().enumerate().map(|(i, &c)| {
+            let le = self.bounds.get(i).map_or(Json::from("+Inf"), |&b| b.into());
+            Json::object().field("le", le).field("count", c)
+        });
+        Json::object()
+            .field("count", self.count)
+            .field("sum", self.sum)
+            .field("max", self.max)
+            .field("mean", Json::Fixed(self.mean(), 6))
+            .field("buckets", buckets.collect::<Json>())
     }
 }
 
@@ -332,35 +319,161 @@ impl MetricsRegistry {
     /// `gauges` and `histograms` sections (keys sorted, stable across
     /// runs — bench trajectories diff cleanly).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
-        let counters = self.counters.lock();
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {v}", json_string(k)));
+        fn section<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
+            Json::Object(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
         }
-        drop(counters);
-        s.push_str("\n  },\n  \"gauges\": {");
-        let gauges = self.gauges.lock();
-        for (i, (k, v)) in gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {}", json_string(k), json_f64(*v)));
+        let counters = section(&self.counters.lock(), |&v| v.into());
+        let gauges = section(&self.gauges.lock(), |&v| v.into());
+        let histograms = section(&self.histograms.lock(), Histogram::to_json);
+        let doc = Json::object()
+            .field("counters", counters)
+            .field("gauges", gauges)
+            .field("histograms", histograms);
+        doc.render(2) + "\n"
+    }
+}
+
+// ---------------------------------------------------------------------------
+// JSON
+// ---------------------------------------------------------------------------
+
+/// A JSON document: the one writer every report in the workspace uses
+/// (the registry dump, cost-model validation, the bench harnesses).
+///
+/// Build it with [`Json::object`] + [`Json::field`], collect an iterator
+/// into an array, and convert numbers, bools and strings with `into()`.
+/// [`Json::render`] joins the members of a container with commas, so no
+/// document it writes has a trailing comma. Non-finite numbers render as
+/// `null`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer, written exactly.
+    Int(i128),
+    /// A float in its shortest round-trip form (`0.5`, `2`).
+    Num(f64),
+    /// A float with a fixed number of decimals (`Fixed(2.5, 6)` is
+    /// `2.500000`).
+    Fixed(f64, usize),
+    /// A string, escaped on output.
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, members in insertion order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An empty object.
+    pub fn object() -> Json {
+        Json::Object(Vec::new())
+    }
+
+    /// This object with member `key: value` appended.
+    ///
+    /// # Panics
+    /// When `self` is not an object.
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
+        match &mut self {
+            Json::Object(members) => members.push((key.to_string(), value.into())),
+            other => panic!("Json::field on a non-object: {other:?}"),
         }
-        drop(gauges);
-        s.push_str("\n  },\n  \"histograms\": {");
-        let hists = self.histograms.lock();
-        for (i, (k, h)) in hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        self
+    }
+
+    /// The document as text. A container nested fewer than `expand`
+    /// levels deep puts each member on its own line, indented two spaces
+    /// per level, with `": "` after keys; deeper containers are written
+    /// on one line with no spaces. `render(0)` is the compact form.
+    pub fn render(&self, expand: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0, expand);
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize, expand: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => out.push_str(&v.to_string()),
+            Json::Num(v) if v.is_finite() => out.push_str(&v.to_string()),
+            Json::Fixed(v, decimals) if v.is_finite() => out.push_str(&format!("{v:.decimals$}")),
+            Json::Num(_) | Json::Fixed(..) => out.push_str("null"),
+            Json::Str(s) => out.push_str(&json_string(s)),
+            Json::Array(items) => {
+                let items = items.iter().map(|v| (None, v));
+                write_container(out, ['[', ']'], items, depth, expand);
             }
-            s.push_str(&format!("\n    {}: {}", json_string(k), h.to_json()));
+            Json::Object(members) => {
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_container(out, ['{', '}'], members, depth, expand);
+            }
         }
-        drop(hists);
-        s.push_str("\n  }\n}\n");
-        s
+    }
+}
+
+/// Writes one array or object: members separated by commas, each on its
+/// own indented line when the container is expanded.
+fn write_container<'a>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    depth: usize,
+    expand: usize,
+) {
+    let expanded = depth < expand;
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if expanded {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth + 1));
+        }
+        if let Some(key) = key {
+            out.push_str(&json_string(key));
+            out.push_str(if expanded { ": " } else { ":" });
+        }
+        value.write(out, depth + 1, expand);
+    }
+    if expanded {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
+}
+
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+json_from!(
+    bool => |v| Json::Bool(v),
+    f64 => |v| Json::Num(v),
+    &str => |v| Json::Str(v.to_string()),
+    u32 => |v| Json::Int(v.into()),
+    u64 => |v| Json::Int(v.into()),
+    usize => |v| Json::Int(v as i128),
+);
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Json {
+        Json::Array(iter.into_iter().map(Into::into).collect())
     }
 }
 
@@ -381,53 +494,6 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Formats a float as JSON (no NaN/Inf literals — those serialise as
-/// null).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Trace events (feature = "trace")
-// ---------------------------------------------------------------------------
-
-/// True when trace output is enabled (compiled in via the `trace`
-/// feature *and* switched on with the `CCAM_TRACE=1` environment
-/// variable). Always false without the feature.
-pub fn trace_enabled() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::OnceLock;
-        static ON: OnceLock<bool> = OnceLock::new();
-        *ON.get_or_init(|| {
-            std::env::var("CCAM_TRACE").map(|v| v != "0" && !v.is_empty()) == Ok(true)
-        })
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
-    }
-}
-
-/// Emits one trace line to stderr when tracing is enabled: used for WAL
-/// commits, retry attempts, checksum failures and evictions. Compiles to
-/// nothing without the `trace` feature.
-#[macro_export]
-macro_rules! trace_event {
-    ($target:expr, $($arg:tt)*) => {
-        #[cfg(feature = "trace")]
-        {
-            if $crate::metrics::trace_enabled() {
-                eprintln!("[ccam::{}] {}", $target, format_args!($($arg)*));
-            }
-        }
-    };
 }
 
 #[cfg(test)]
@@ -538,11 +604,104 @@ mod tests {
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 
+    /// `benchmark/` and the CLI tests parse this document: its bytes are
+    /// pinned, empty sections included.
+    #[test]
+    fn registry_json_is_pinned_byte_for_byte() {
+        let r = MetricsRegistry::new();
+        assert_eq!(
+            r.to_json(),
+            "{\n  \"counters\": {\n  },\n  \"gauges\": {\n  },\n  \"histograms\": {\n  }\n}\n"
+        );
+        r.inc_by("io.physical_reads", 5);
+        r.inc("a\"b");
+        r.set_gauge("crr", 0.5);
+        r.set_gauge("peak", 2.0);
+        r.set_gauge("lag", f64::NAN);
+        r.observe("op.find.data_page_accesses", 2);
+        r.observe("op.find.data_page_accesses", 3);
+        let zeros: String = DEFAULT_BUCKETS[3..]
+            .iter()
+            .map(|b| format!("{{\"le\":{b},\"count\":0}},"))
+            .collect();
+        assert_eq!(
+            r.to_json(),
+            format!(
+                "{{\n  \"counters\": {{\n    \"a\\\"b\": 1,\n    \"io.physical_reads\": 5\n  }},\n  \
+                 \"gauges\": {{\n    \"crr\": 0.5,\n    \"lag\": null,\n    \"peak\": 2\n  }},\n  \
+                 \"histograms\": {{\n    \"op.find.data_page_accesses\": \
+                 {{\"count\":2,\"sum\":5,\"max\":3,\"mean\":2.500000,\"buckets\":[\
+                 {{\"le\":1,\"count\":0}},{{\"le\":2,\"count\":1}},{{\"le\":4,\"count\":1}},\
+                 {zeros}{{\"le\":\"+Inf\",\"count\":0}}]}}\n  }}\n}}\n"
+            )
+        );
+    }
+
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        let s = Json::from("a\"b\\c\nd\r\te\u{1}é");
+        assert_eq!(s.render(0), "\"a\\\"b\\\\c\\nd\\r\\te\\u0001é\"");
+        let keyed = Json::object().field("k\"ey", "v");
+        assert_eq!(keyed.render(0), "{\"k\\\"ey\":\"v\"}");
+    }
+
+    /// Every scalar in its JSON spelling; non-finite numbers are `null`.
+    #[test]
+    fn json_scalars_and_non_finite_numbers() {
+        let doc: Json = [
+            Json::Int(-2500),
+            Json::from(u64::MAX),
+            Json::from(1.5),
+            Json::from(2.0),
+            Json::Fixed(2.0, 3),
+            Json::from(f64::NAN),
+            Json::Fixed(f64::INFINITY, 3),
+            Json::from(f64::NEG_INFINITY),
+            Json::from(None::<u64>),
+            Json::from(false),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(
+            doc.render(0),
+            "[-2500,18446744073709551615,1.5,2,2.000,null,null,null,null,false]"
+        );
+    }
+
+    /// Members are joined, never terminated, by commas: the last member
+    /// of every object, at every depth, closes it directly.
+    #[test]
+    fn json_nested_object_closes_without_a_trailing_comma() {
+        let doc = Json::object()
+            .field("a", 1u64)
+            .field(
+                "b",
+                Json::object().field("c", true).field("d", Json::Int(-2)),
+            )
+            .field("e", [1u64, 2].into_iter().collect::<Json>());
+        assert_eq!(
+            doc.render(0),
+            "{\"a\":1,\"b\":{\"c\":true,\"d\":-2},\"e\":[1,2]}"
+        );
+        assert_eq!(
+            doc.render(1),
+            "{\n  \"a\": 1,\n  \"b\": {\"c\":true,\"d\":-2},\n  \"e\": [1,2]\n}"
+        );
+        assert_eq!(
+            doc.render(2),
+            "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": true,\n    \"d\": -2\n  },\n  \
+             \"e\": [\n    1,\n    2\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn json_empty_containers() {
+        let doc = Json::object()
+            .field("o", Json::object())
+            .field("a", Json::Array(vec![]));
+        assert_eq!(doc.render(0), "{\"o\":{},\"a\":[]}");
+        assert_eq!(doc.render(2), "{\n  \"o\": {\n  },\n  \"a\": [\n  ]\n}");
+        assert_eq!(Json::object().render(1), "{\n}");
     }
 
     #[test]

@@ -189,11 +189,6 @@ impl<S: PageStore> RetryStore<S> {
         if *attempt >= self.policy.max_attempts || !RetryPolicy::is_transient(&err) {
             return Err(err);
         }
-        crate::trace_event!(
-            "retry",
-            "transient fault ({err}), attempt {attempt}/{}",
-            self.policy.max_attempts
-        );
         (self.sleeper)(self.delay(*attempt));
         self.stats.record_retry();
         *attempt += 1;

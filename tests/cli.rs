@@ -1,11 +1,18 @@
 //! Integration: the `ccam` CLI binary end to end — generate a network,
-//! build databases with several methods, inspect and query them.
+//! build databases with several methods, inspect and query them, and
+//! serve them over loopback as a primary and as a follower.
 
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use ccam::graph::generators::zorder_id;
+use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{load_network, save_network, Network, NodeData, NodeId};
+use ccam::server::client::Client;
+use ccam::server::protocol::{Request, Response};
 
 fn ccam(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccam"))
@@ -273,6 +280,14 @@ fn profile_explain_and_metrics_json() {
         json.contains("\"classes\"") && json.contains("\"mean_rel_error\""),
         "{json}"
     );
+    // --metrics-json on profile exports the observed cost per class.
+    #[rustfmt::skip]
+    let out = ccam(&["profile", db_s, "--ops", "16", "--routes", "3", "--len", "8", "--metrics-json", metrics_s]);
+    assert!(out.status.success(), "{out:?}");
+    let dumped = std::fs::read_to_string(&metrics).expect("metrics file written");
+    for needle in ["\"counters\"", "costmodel.get_successors.observed"] {
+        assert!(dumped.contains(needle), "missing {needle:?} in:\n{dumped}");
+    }
 
     // a node id for the query commands.
     let w = ccam(&["window", db_s, "0", "0", "99999", "99999"]);
@@ -321,6 +336,212 @@ fn profile_explain_and_metrics_json() {
     std::fs::remove_file(&net).ok();
     std::fs::remove_file(&db).ok();
     std::fs::remove_file(&metrics).ok();
+}
+
+/// A scratch directory, removed when dropped.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        let dir = tmp(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn path(&self, file: &str) -> String {
+        self.0.join(file).to_str().unwrap().to_string()
+    }
+
+    /// Generates `net.net` and builds `db.db` from it, `build` flags
+    /// appended; returns the network.
+    fn built(&self, build: &str) -> Network {
+        let (net, db) = (self.path("net.net"), self.path("db.db"));
+        let gen = ccam(&["generate", &net, "--grid", "12", "--seed", "5"]);
+        assert!(gen.status.success(), "{gen:?}");
+        let mut args = vec!["build", &net, &db, "--block", "1024"];
+        args.extend(build.split_whitespace());
+        let out = ccam(&args);
+        assert!(out.status.success(), "{out:?}");
+        load_network(std::path::Path::new(&net)).unwrap()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// A `ccam serve` child on a kernel-assigned port. Dropping it kills the
+/// process, so a failing test leaves no server behind.
+struct Served {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+}
+
+impl Served {
+    fn start(db: &str, flags: &str) -> Served {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ccam"))
+            .args(["serve", db, "--addr", "127.0.0.1:0"])
+            .args(flags.split_whitespace())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn ccam serve");
+        let stdout = BufReader::new(child.stdout.take().expect("stdout"));
+        Served { child, stdout }
+    }
+
+    /// The address the server prints after `label` (`listening on`,
+    /// `replication on`).
+    fn addr(&mut self, label: &str) -> String {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            let n = self.stdout.read_line(&mut line).expect("server stdout");
+            assert!(n > 0, "server exited before printing {label:?}");
+            if let Some(addr) = line.trim().strip_prefix(label) {
+                return addr.trim().to_string();
+            }
+        }
+    }
+
+    /// Waits for the server to drain at its `--max-seconds`, and checks
+    /// that it exits 0 with no panic in its log (stderr).
+    fn wait_for_clean_exit(mut self) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("try_wait") {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "server did not exit by itself");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut log = String::new();
+        let mut stderr = self.child.stderr.take().expect("stderr");
+        stderr.read_to_string(&mut log).expect("server stderr");
+        assert!(status.success(), "{status}: {log}");
+        assert!(!log.to_lowercase().contains("panic"), "{log}");
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Reads with the answers the `.net` model gives: `Find` and
+/// `GetSuccessors` of every third node, and a `Route` and a
+/// `RangeAggregate` along each of 32 random walks.
+fn model_reads(net: &Network) -> Vec<(Request, Response)> {
+    let node = |id: NodeId| net.node(id).unwrap();
+    let mut reads = Vec::new();
+    for n in net.nodes().step_by(3) {
+        reads.push((Request::Find(n.id), Response::Record(n.clone())));
+        let succs = n.successors.iter().map(|e| node(e.to).clone()).collect();
+        reads.push((Request::GetSuccessors(n.id), Response::Records(succs)));
+    }
+    for walk in random_walk_routes(net, 32, 6, 7) {
+        let arcs: Vec<(NodeId, NodeId)> = walk.edges().collect();
+        let cost = |&(a, b): &(NodeId, NodeId)| {
+            let edge = node(a).successors.iter().find(|e| e.to == b).unwrap();
+            u64::from(edge.cost)
+        };
+        let total_cost = arcs.iter().map(cost).sum();
+        let distinct: HashSet<NodeId> = walk.nodes.iter().copied().collect();
+        let payload = distinct.iter().flat_map(|&id| &node(id).payload);
+        let route = Response::RouteEval {
+            total_cost,
+            nodes_visited: walk.len() as u32,
+            complete: true,
+        };
+        let aggregate = Response::Aggregate {
+            arcs_found: arcs.len() as u32,
+            arcs_missing: 0,
+            total_cost,
+            node_payload_sum: payload.map(|&b| u64::from(b)).sum(),
+            nodes_retrieved: distinct.len() as u32,
+        };
+        reads.push((Request::Route(walk.nodes), route));
+        reads.push((Request::RangeAggregate(arcs), aggregate));
+    }
+    reads
+}
+
+/// Sends every model read to `addr` in batches of 16 and checks each
+/// answer; returns the number of requests sent.
+fn check_reads(addr: &str, reads: &[(Request, Response)]) -> usize {
+    let mut client = Client::connect(addr).expect("connect");
+    for batch in reads.chunks(16) {
+        let reqs: Vec<Request> = batch.iter().map(|(req, _)| req.clone()).collect();
+        let resps = client.call(&reqs).expect("call");
+        assert_eq!(resps.len(), batch.len());
+        for ((req, want), got) in batch.iter().zip(resps) {
+            assert_eq!(&got, want, "{addr}: {req:?}");
+        }
+    }
+    reads.len()
+}
+
+#[test]
+fn serve_answers_like_the_model_and_drains_at_max_seconds() {
+    let dir = Scratch::new("serve");
+    let reads = model_reads(&dir.built(""));
+    let metrics = dir.path("metrics.json");
+    let flags = format!("--workers 2 --queue-depth 16 --max-seconds 3 --metrics-json {metrics}");
+    let mut server = Served::start(&dir.path("db.db"), &flags);
+    let sent = check_reads(&server.addr("listening on"), &reads);
+    server.wait_for_clean_exit();
+
+    let dumped = std::fs::read_to_string(&metrics).expect("metrics written at drain");
+    let served = dumped
+        .split_once("\"serve.requests\": ")
+        .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse::<usize>().ok());
+    assert_eq!(served, Some(sent), "{dumped}");
+}
+
+#[test]
+fn a_follower_answers_like_the_model_and_outlives_its_primary() {
+    let dir = Scratch::new("repl");
+    let reads = model_reads(&dir.built("--wal"));
+    for (from, to) in [("db.db", "replica.db"), ("db.db.wal", "replica.db.wal")] {
+        std::fs::copy(dir.path(from), dir.path(to)).unwrap();
+    }
+    let mut primary = Served::start(
+        &dir.path("db.db"),
+        "--repl-addr 127.0.0.1:0 --max-seconds 60",
+    );
+    let primary_addr = primary.addr("listening on");
+    let repl_addr = primary.addr("replication on");
+    let metrics = dir.path("metrics.json");
+    let flags = format!("--replica-of {repl_addr} --max-seconds 5 --metrics-json {metrics}");
+    let mut follower = Served::start(&dir.path("replica.db"), &flags);
+    let follower_addr = follower.addr("listening on");
+    check_reads(&primary_addr, &reads);
+    check_reads(&follower_addr, &reads);
+
+    // The follower has subscribed before its primary dies.
+    let mut client = Client::connect(follower_addr.as_str()).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(3);
+    loop {
+        match &client.call(&[Request::Stats]).expect("stats")[0] {
+            Response::StatsJson(json) if json.contains("serve.repl.connects") => break,
+            _ => assert!(Instant::now() < deadline, "follower never subscribed"),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    primary.child.kill().expect("kill primary");
+    primary.child.wait().expect("reap primary");
+    check_reads(&follower_addr, &reads);
+    follower.wait_for_clean_exit();
+
+    let dumped = std::fs::read_to_string(&metrics).expect("metrics written at drain");
+    for needle in ["\"serve.repl.connects\"", "\"serve.repl_lag_lsn\""] {
+        assert!(dumped.contains(needle), "missing {needle} in:\n{dumped}");
+    }
 }
 
 #[test]
