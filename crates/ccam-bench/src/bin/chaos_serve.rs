@@ -11,15 +11,17 @@
 //! The harness owns the whole stack, so every fault is injected, seeded
 //! and accounted for:
 //!
-//! * **Storage chaos** — the database is built on `RetryStore` (jittered
+//! * **Storage chaos** — the database is built as `ccam serve` opens
+//!   one: `WalStore` (the write-ahead log) over `RetryStore` (jittered
 //!   backoff) over `FaultStore` (seeded transient I/O glitches, latency
 //!   stalls, per-page corruption, ENOSPC pulses) over `MemPageStore`.
-//!   The faults are armed only after a clean build. Mid-run, one data
-//!   page is corrupted and the damage *republished* through the writer
-//!   path — served reads come from pinned snapshots, so store faults
-//!   only reach clients via a commit — forcing degraded reads until a
-//!   later heal+republish; a disk-full pulse proves reads don't depend
-//!   on writability.
+//!   One data page is corrupted after a clean build and before the
+//!   first snapshot, whose scan pins it as unreadable: reads of it
+//!   degrade from the start. Late in the run the corruption is cleared
+//!   and a record on the page is rewritten by an `Upsert`, whose commit
+//!   republishes the page, so reads are exact again. The other faults
+//!   are armed once serving starts; a disk-full pulse proves reads
+//!   don't depend on writability.
 //! * **Writer chaos** — a writer transaction panics mid-flight, which
 //!   poisons the `EpochCell`: the whole poisoned window must answer
 //!   typed `Internal` errors (charged as injected, never against the
@@ -48,13 +50,13 @@ use std::time::{Duration, Instant};
 
 use ccam_bench::{percentile, Args};
 use ccam_core::epoch::EpochCell;
-use ccam_core::{AccessMethod, Ccam, CcamBuilder};
+use ccam_core::{AccessMethod, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, Client};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{Server, ServerConfig};
-use ccam_storage::{FaultStore, Json, MemPageStore, PageStore, RetryPolicy, RetryStore};
+use ccam_storage::{FaultStore, Json, MemPageStore, RetryPolicy, RetryStore, WalStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -286,16 +288,20 @@ fn run_vanisher(addr: std::net::SocketAddr, w: &Workload) {
     // Drop: responses unread in the socket buffer → RST on close.
 }
 
-/// Push the store's current (possibly faulted or healed) state into a
-/// fresh published snapshot. Served reads are pinned to the last
-/// committed generation, so a storage fault never reaches clients until
-/// a writer commits past it — which is exactly what this does. Retries:
-/// the capture itself reads through the armed chaos store.
-fn republish<S: PageStore>(db: &EpochCell<Ccam<S>>) -> bool {
+/// Rewrites `id`'s record with a payload of the same length through
+/// the server, retrying while store faults fail the commit. Returns true
+/// once an `Upsert` lands.
+fn rewrite(addr: std::net::SocketAddr, id: NodeId, len: usize) -> bool {
+    let Ok(mut client) = Client::connect(addr) else {
+        return false;
+    };
+    let upsert = Request::Upsert {
+        id,
+        payload: vec![0x5a; len],
+    };
     for _ in 0..10 {
-        if let Ok(w) = db.write() {
-            w.file().pool().clear().ok();
-            if w.commit().is_ok() {
+        if let Ok(resps) = client.call(std::slice::from_ref(&upsert)) {
+            if matches!(resps[..], [Response::Upserted { .. }]) {
                 return true;
             }
         }
@@ -318,9 +324,10 @@ fn main() {
     });
     let w = workload_from(&net, cfg.seed);
 
-    // Production-shaped stack: retries (jittered, really sleeping)
-    // absorb short glitch bursts; only over-budget faults reach the
-    // access method — where the server degrades or answers Internal.
+    // Production-shaped stack, in `ccam serve`'s order: the log over
+    // retries (jittered, really sleeping) that absorb short glitch
+    // bursts; only over-budget faults reach the access method — where
+    // the server degrades or answers Internal.
     let (chaos, controller) = FaultStore::with_seed(
         MemPageStore::new(1024).unwrap_or_else(|e| die(&format!("store: {e}"))),
         cfg.seed,
@@ -336,16 +343,28 @@ fn main() {
         .with_jitter(cfg.seed),
         |ticks| std::thread::sleep(Duration::from_micros(ticks * 100)),
     );
-    let am = CcamBuilder::new(1024)
-        .build_static_on(retry, &net)
+    let log = std::env::temp_dir().join(format!("ccam-chaos-serve-{}.wal", std::process::id()));
+    let store = WalStore::create(retry, &log).unwrap_or_else(|e| die(&format!("log: {e}")));
+    let mut am = CcamBuilder::new(1024)
+        .build_static_on(store, &net)
         .unwrap_or_else(|e| die(&format!("build: {e}")));
+    am.file_mut().set_auto_commit(true);
     let target = net.node_ids()[17];
+    let target_len = net.node(target).map_or(0, |n| n.payload.len());
     let target_page = am
         .file()
         .page_of(target)
         .ok()
         .flatten()
         .unwrap_or_else(|| die("target node has no page"));
+    // Rot one data page of the committed build before the first
+    // snapshot: that capture's tolerant scan pins it as unreadable, so
+    // reads of it must degrade, not 500. (Commit first: a dirty frame
+    // written back later would heal the injected corruption.)
+    am.file()
+        .commit()
+        .unwrap_or_else(|e| die(&format!("commit the build: {e}")));
+    controller.mark_corrupt(target_page);
     let db = Arc::new(
         EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish initial snapshot: {e}"))),
     );
@@ -405,26 +424,14 @@ fn main() {
         });
 
         // Mid-run targeted faults, healed before the run ends. Served
-        // reads come from pinned snapshots now, so mutating the store
-        // is invisible to clients until the damage is committed into a
-        // new published generation — each phase republishes explicitly.
+        // reads come from pinned snapshots, so a store fault reaches
+        // clients only through a commit.
         let controller = &controller;
         let db = &db;
         let writer_recovered = &writer_recovered;
         s.spawn(move || {
             let phase = Duration::from_secs(cfg.seconds) / 5;
-            std::thread::sleep(phase);
-            // Phase 1 — corrupt one data page and republish: reads of
-            // it must degrade, not 500. The capture re-reads the page
-            // from the store (cache evicted first) and pins it as
-            // unreadable in the new generation; no eviction race with
-            // the workers is possible because they never touch the
-            // store, only the snapshot.
-            controller.mark_corrupt(target_page);
-            if !republish(db) {
-                eprintln!("chaos_serve: could not republish corrupted view");
-            }
-            std::thread::sleep(phase);
+            std::thread::sleep(phase * 2);
             // Phase 2 — ENOSPC pulse: the snapshot read path owes
             // nothing to writability.
             controller.fill_after(0, false);
@@ -450,14 +457,14 @@ fn main() {
                 drop(w);
             }
             assert_eq!(db.epoch(), epoch_before, "benign abort bumped the epoch");
-            // Heal: clear the corruption and republish a clean view.
+            // Heal: clear the corruption, let the writer re-read the
+            // page (phase 3's recovery quarantined it and dropped its
+            // records from the index), and rewrite a record on it: the
+            // commit republishes the page, and reads are exact again.
             controller.clear_corrupt(target_page);
-            if let Ok(w) = db.write() {
-                w.file().clear_quarantined();
-                w.file().pool().clear().ok();
-                if w.commit().is_err() {
-                    eprintln!("chaos_serve: could not republish healed view");
-                }
+            let healed = (0..10).any(|_| db.recover().is_ok()) && rewrite(addr, target, target_len);
+            if !healed {
+                eprintln!("chaos_serve: could not rewrite the healed page");
             }
         });
 
@@ -476,6 +483,7 @@ fn main() {
     let injected = controller.injected_faults();
     let metrics = Arc::clone(handle.metrics());
     let graceful_drain = handle.shutdown().is_ok();
+    std::fs::remove_file(&log).ok();
 
     let mut t = Tally::default();
     for mut x in tallies {

@@ -293,7 +293,8 @@ fn xorshift(s: &mut u64) -> u64 {
 /// Node count and µs per `EpochWriteGuard::commit` after a one-record
 /// upsert (the server's: delete and re-insert with a new payload) on a
 /// `side` x `side` grid, served as `ccam serve` serves it: a `WalStore`
-/// with page versioning on, every operation its own transaction. Only
+/// whose page versions the views pin, every operation its own
+/// transaction. Only
 /// the commit is timed — the capture and publication of the view.
 fn bench_commit(block: usize, side: u32, upserts: u32) -> (usize, f64) {
     let net = grid_network(side, side, 1.0);
@@ -307,7 +308,6 @@ fn bench_commit(block: usize, side: u32, upserts: u32) -> (usize, f64) {
         .build_static_on(store, &net)
         .expect("create");
     db.file_mut().set_auto_commit(true);
-    assert!(db.enable_snapshots().expect("enable snapshots"));
     let cell = EpochCell::new(db).expect("first view");
     let ids = net.node_ids();
     let mut seed = 0xC0_u64 + u64::from(side);

@@ -8,8 +8,8 @@
 //!
 //! The claim under test is the PR-8 tentpole: the read path must not
 //! stall (or tear) while the writer commits and reorganizes. The probe
-//! runs the same closed-loop read workload twice over one WAL-backed,
-//! snapshot-enabled `EpochCell`:
+//! runs the same closed-loop read workload twice over one `EpochCell`
+//! whose views pin the write-ahead log's page versions:
 //!
 //! 1. **Quiescent** — no writer at all.
 //! 2. **Churn** — a writer loops `reorganize_full()` + commit as fast
@@ -128,22 +128,16 @@ fn main() {
     let ids = net.node_ids();
     let probes: Vec<NodeId> = (0..8).map(|k| ids[k * ids.len() / 8]).collect();
 
-    // The serving deployment stack: WAL-backed, so commits publish
-    // copy-on-write page versions instead of deep-copying the file.
+    // The serving deployment stack: WAL-backed, so each commit
+    // publishes the page versions it changed.
     let wal_path =
         std::env::temp_dir().join(format!("ccam-reorg-stall-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal_path);
     let mem = MemPageStore::new(1024).unwrap_or_else(|e| die(&format!("store: {e}")));
     let wal = WalStore::create(mem, &wal_path).unwrap_or_else(|e| die(&format!("wal: {e}")));
-    let mut am = CcamBuilder::new(1024)
+    let am = CcamBuilder::new(1024)
         .build_static_on(wal, &net)
         .unwrap_or_else(|e| die(&format!("build: {e}")));
-    let native = am
-        .enable_snapshots()
-        .unwrap_or_else(|e| die(&format!("enable snapshots: {e}")));
-    if !native {
-        die("WAL stack must expose native page versioning");
-    }
     let db = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish: {e}"))));
 
     let half = Duration::from_secs(seconds) / 2;

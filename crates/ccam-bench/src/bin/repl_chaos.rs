@@ -278,8 +278,6 @@ fn start_primary(
     am.file()
         .pool()
         .with_store_mut(|s| s.set_max_wal_bytes(Some(256 << 10)));
-    am.enable_snapshots()
-        .unwrap_or_else(|e| die(&format!("snapshots: {e}")));
     let cell = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish: {e}"))));
     let handle = Server::start(
         cell,
@@ -323,8 +321,6 @@ fn start_follower(
             .unwrap_or_else(|e| die(&format!("f open: {e}")))
     };
     am.file_mut().set_auto_commit(true);
-    am.enable_snapshots()
-        .unwrap_or_else(|e| die(&format!("f snapshots: {e}")));
     let cell = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("f publish: {e}"))));
     Server::start(
         cell,

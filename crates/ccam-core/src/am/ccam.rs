@@ -651,71 +651,46 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
         Ok(written)
     }
 
-    /// Asks the backing store to keep multi-version committed page
-    /// images (`WalStore::enable_snapshots`), making every subsequent
-    /// snapshot capture a cheap generation pin instead of a deep copy.
-    /// Commits first so the store is at a batch boundary. Returns false
-    /// when the store has no native versioning (captures then deep-copy
-    /// the committed pages instead — still correct, just O(data)).
-    pub fn enable_snapshots(&mut self) -> StorageResult<bool> {
+    /// Commits, then has the store's log start keeping multi-version
+    /// committed page images (`WalStore::enable_snapshots`), which every
+    /// snapshot capture pins. Capture turns them on itself; calling this
+    /// first only moves the one-time seeding scan out of the first
+    /// commit. Fails with [`StorageError::NoLog`] over a store with no
+    /// write-ahead log.
+    pub fn enable_snapshots(&mut self) -> StorageResult<()> {
         self.file.commit()?;
-        let enabled = self.file.pool().with_wal(|log| log.enable_snapshots());
-        Ok(enabled.transpose()?.is_some())
+        self.page_versions().map(drop)
+    }
+
+    /// The log's committed page versions, turned on by the first call
+    /// (which must come at a commit boundary).
+    fn page_versions(&self) -> StorageResult<std::sync::Arc<ccam_storage::PageVersions>> {
+        self.file
+            .pool()
+            .with_wal(|log| log.enable_snapshots())
+            .unwrap_or(Err(StorageError::NoLog))
     }
 }
 
 /// Snapshot capture for the serving layer: the view is a read-only CCAM
-/// over one pinned committed generation ([`ccam_storage::SnapshotStore`]).
-/// All [`AccessMethod`] read operations run unmodified against it. The
-/// view is built from the writer's state, not by scanning the
-/// generation: its index is a copy-on-write fork of the writer's and its
-/// quarantine set is the generation's own list of unreadable pages
+/// over one pinned committed generation of the store's write-ahead log
+/// ([`ccam_storage::SnapshotStore`]). All [`AccessMethod`] read
+/// operations run unmodified against it. The view is built from the
+/// writer's state, not by scanning the generation: its index is a
+/// copy-on-write fork of the writer's and its quarantine set is the
+/// generation's own list of unreadable pages
 /// ([`NetworkFile::snapshot_view`]), so degraded reads keep working over
-/// snapshots and a capture costs what the commit changed.
+/// snapshots and a capture costs what the commit changed. A store with
+/// no log cannot be captured ([`StorageError::NoLog`]).
 impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
     type View = Ccam<ccam_storage::SnapshotStore>;
 
     fn capture(&self, prev: Option<&Self::View>) -> StorageResult<Self::View> {
-        // Flush + sync first: over a `WalStore` this is the commit point
-        // that publishes the batch as a new generation; over plain
-        // stores it writes dirty frames back so the copy below sees the
-        // committed bytes.
+        // Flush + sync first: the commit point that publishes the batch
+        // as a new generation, and the batch boundary the first capture
+        // turns versioning on at.
         self.file.commit()?;
-        let store = match self
-            .file
-            .pool()
-            .with_wal(|log| log.page_versions())
-            .flatten()
-        {
-            Some(versions) => ccam_storage::SnapshotStore::pin(&versions),
-            None => {
-                // No native versioning: freeze a one-shot deep copy of
-                // the committed pages — O(data), every capture —
-                // tolerating unreadable ones, which the view quarantines
-                // like the device path would.
-                let page_size = self.file.page_size();
-                let live = self
-                    .file
-                    .pool()
-                    .with_store(ccam_storage::PageStore::live_pages);
-                let mut images = Vec::with_capacity(live.len());
-                let mut buf = vec![0u8; page_size];
-                for p in live {
-                    match self.file.pool().read_uncounted(p, &mut buf) {
-                        Ok(()) => images.push((
-                            p.0,
-                            ccam_storage::PageImage::Bytes(buf.clone().into_boxed_slice()),
-                        )),
-                        Err(StorageError::ChecksumMismatch { .. }) => {
-                            images.push((p.0, ccam_storage::PageImage::Unreadable));
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                let versions = ccam_storage::PageVersions::from_images(page_size, images);
-                ccam_storage::SnapshotStore::pin(&versions)
-            }
-        };
+        let store = ccam_storage::SnapshotStore::pin(&self.page_versions()?);
         // The view that is being replaced was sized by whoever serves
         // it; its successor keeps that size.
         let frames = prev.map_or(crate::file::DEFAULT_BUFFER_FRAMES, |view| {
@@ -734,9 +709,8 @@ impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
     }
 
     fn restore_committed(&mut self) -> StorageResult<()> {
-        // Over a rollback-capable (WAL) store this discards the torn
-        // transaction entirely; over plain stores it at least re-coheres
-        // the index and quarantine set with what the store holds.
+        // The log discards the torn transaction; the index and the
+        // quarantine set are then rebuilt from what the store holds.
         self.file.abort()?;
         self.file.rebuild_index()?;
         self.update_counts.clear();

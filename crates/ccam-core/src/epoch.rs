@@ -31,15 +31,16 @@
 //!
 //! # Version lifecycle
 //!
-//! For a WAL-backed store with `WalStore::enable_snapshots` on, capture
-//! pins a *generation* of the store's multi-version page images
-//! (`ccam_storage::snapshot`): the view reads those frozen images and
-//! the pin is released when the last `Snapshot` holding the view drops,
-//! letting superseded page images be collected. For plain stores,
-//! capture freezes a one-shot deep copy. Either way the view's index is
-//! a copy-on-write fork of the writer's, so nothing is scanned to build
-//! it, and a published view is immutable: snapshots taken before a
-//! commit keep reading their own generation for as long as they live.
+//! Capture pins a *generation* of the write-ahead log's multi-version
+//! page images (`ccam_storage::snapshot`; the first capture turns them
+//! on): the view reads those frozen images and the pin is released when
+//! the last `Snapshot` holding the view drops, letting superseded page
+//! images be collected. A store with no log has no generations, so
+//! [`EpochCell::new`] over it fails with `StorageError::NoLog`. The
+//! view's index is a copy-on-write fork of the writer's, so nothing is
+//! scanned to build it, and a published view is immutable: snapshots
+//! taken before a commit keep reading their own generation for as long
+//! as they live.
 //!
 //! # Commit / abort / panic state machine
 //!

@@ -382,7 +382,7 @@ mod view_is_a_full_rebuild {
     use ccam_graph::generators::grid_network;
     use ccam_graph::{Network, NodeData, NodeId};
     use ccam_storage::{
-        MemPageStore, PageVersions, ReplFeed, SnapshotStore, StampedRecord, WalControl, WalStore,
+        MemPageStore, PageVersions, ReplFeed, SnapshotStore, StampedRecord, StorageError, WalStore,
     };
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -412,12 +412,61 @@ mod view_is_a_full_rebuild {
     }
 
     /// Serves `db` as `ccam serve` does: every operation its own
-    /// transaction, page versioning on, first view published.
+    /// transaction, first view published (which turns page versioning
+    /// on).
     fn serve(mut db: Db) -> (EpochCell<Db>, Arc<PageVersions>) {
         db.file_mut().set_auto_commit(true);
-        assert!(db.enable_snapshots().unwrap(), "WAL stores version pages");
-        let versions = db.file().pool().with_store(|s| s.page_versions());
-        (EpochCell::new(db).unwrap(), versions.unwrap())
+        let cell = EpochCell::new(db).unwrap();
+        let versions = versions_of(&cell);
+        (cell, versions)
+    }
+
+    /// The log's page versions that `cell`'s views pin.
+    fn versions_of(cell: &EpochCell<Db>) -> Arc<PageVersions> {
+        cell.with_writer(|db| db.file().pool().with_wal(|log| log.enable_snapshots()))
+            .unwrap()
+            .expect("a WAL store has a log")
+            .unwrap()
+    }
+
+    /// Snapshots pin the log's page versions, so a store with no log
+    /// has nothing to publish: a typed error, no copy.
+    #[test]
+    fn a_store_without_a_log_cannot_be_published() {
+        let db = CcamBuilder::new(512)
+            .build_static(&grid_network(4, 4, 1.0))
+            .unwrap();
+        assert!(matches!(
+            EpochCell::new(db).err(),
+            Some(StorageError::NoLog)
+        ));
+    }
+
+    /// The first capture turns versioning on itself: publishing needs
+    /// no `enable_snapshots()` first, the first view already reads the
+    /// log's page versions, and later commits pin the same set.
+    #[test]
+    fn a_wal_store_publishes_without_enabling_snapshots_first() {
+        let net = grid_network(4, 4, 1.0);
+        let (store, wal) = wal_store(512);
+        let db = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
+        let cell = EpochCell::new(db).unwrap();
+        let id = net.node_ids()[5];
+        let first = cell.read().unwrap();
+        let payload = first.find(id).unwrap().unwrap().payload;
+        let versions = versions_of(&cell);
+        assert!(versions.reads() > 0, "the first view copied the file");
+        let mut w = cell.write().unwrap();
+        upsert(&mut w, id, vec![9; 3]);
+        w.commit().unwrap();
+        let reads = versions.reads();
+        let now = cell.read().unwrap().find(id).unwrap().unwrap().payload;
+        assert_eq!(now, vec![9; 3]);
+        assert!(versions.reads() > reads, "the second view copied the file");
+        assert_eq!(first.find(id).unwrap().unwrap().payload, payload);
+        drop(first);
+        drop(cell);
+        std::fs::remove_file(wal).ok();
     }
 
     #[derive(Debug, Clone)]

@@ -1030,10 +1030,9 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::protocol::{decode_response_batch, encode_request_batch};
-    use crate::test_common::wait_until;
+    use crate::test_common::{wait_until, wal_mem, WalMem};
     use ccam_core::CcamBuilder;
     use ccam_graph::roadmap::{road_map, RoadMapConfig};
-    use ccam_storage::MemPageStore;
 
     /// A frame with this tag panics after it executes and before its
     /// response is encoded: outside the per-request `catch_unwind`.
@@ -1060,13 +1059,15 @@ mod tests {
             jitter: 24,
             seed: 5,
         });
-        let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+        let am = CcamBuilder::new(1024)
+            .build_static_on(wal_mem(1024), &net)
+            .unwrap();
         let db = Arc::new(EpochCell::new(am).unwrap());
         let config = ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         };
-        let handle: ServerHandle<MemPageStore> = Server::start(db, config).unwrap();
+        let handle: ServerHandle<WalMem> = Server::start(db, config).unwrap();
         let shared = &*handle.shared;
         let m = handle.metrics();
         let a = net.node_ids()[0];

@@ -1,9 +1,35 @@
 //! Helpers shared by the server's socket suites and its unit tests.
 #![allow(dead_code)]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ccam_graph::{Network, NodeId};
+use ccam_storage::{MemPageStore, PageStore, WalStore};
+
+/// What every served database sits on, in memory: a page store under
+/// its write-ahead log.
+pub type WalMem = WalStore<MemPageStore>;
+
+/// A [`WalMem`] over a fresh log (see [`logged`]).
+pub fn wal_mem(page_size: usize) -> WalMem {
+    logged(MemPageStore::new(page_size).unwrap())
+}
+
+/// `inner` under a fresh log in the temp directory. The log's path is
+/// unlinked at once (the open handle keeps the file), so nothing is
+/// left behind however the test ends.
+pub fn logged<S: PageStore>(inner: S) -> WalStore<S> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "ccam-server-test-{}-{}.wal",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let store = WalStore::create(inner, &path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    store
+}
 
 /// Polls `cond` until it holds; panics at the caller if it has not
 /// within 10 s.

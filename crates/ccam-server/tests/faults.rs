@@ -16,10 +16,10 @@ use ccam_graph::Network;
 use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status};
 use ccam_server::{Server, ServerConfig, ServerHandle};
-use ccam_storage::{FaultStore, MemPageStore, PageId, WalStore};
+use ccam_storage::{FaultStore, MemPageStore, PageId};
 
 mod common;
-use common::{ping_pong, wait_until};
+use common::{logged, ping_pong, wait_until, wal_mem, WalMem};
 
 fn test_net() -> Network {
     road_map(&RoadMapConfig {
@@ -34,9 +34,11 @@ fn test_net() -> Network {
     })
 }
 
-fn start_server(config: ServerConfig) -> (ServerHandle<MemPageStore>, Network) {
+fn start_server(config: ServerConfig) -> (ServerHandle<WalMem>, Network) {
     let net = test_net();
-    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let am = CcamBuilder::new(1024)
+        .build_static_on(wal_mem(1024), &net)
+        .unwrap();
     let db = Arc::new(EpochCell::new(am).unwrap());
     (Server::start(db, config).unwrap(), net)
 }
@@ -164,7 +166,9 @@ fn pathological_route_respects_client_deadline() {
 /// pages, so the panicking batch waits for the slot before it runs.
 fn request_panic_is_isolated(contended: bool) {
     let net = test_net();
-    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let am = CcamBuilder::new(1024)
+        .build_static_on(wal_mem(1024), &net)
+        .unwrap();
     let db = Arc::new(EpochCell::new(am).unwrap());
     let workers = if contended { 1 } else { 2 };
     let handle = Server::start(
@@ -292,11 +296,20 @@ fn poisoned_cell_fails_batches_until_recovered() {
 /// of erroring: `Find` answers `Degraded` when the record may live on
 /// the quarantined page, `GetSuccessors` returns the partial result it
 /// could assemble, and healing the page restores exact answers.
+///
+/// Served views read the log's page versions, which see rot only when
+/// they are first seeded: the page is corrupted before the first
+/// snapshot, whose tolerant scan pins it as unreadable. The heal is
+/// what production does: clear the fault, then rewrite a record on the
+/// page, which republishes it.
 #[test]
 fn corrupted_pages_degrade_reads_and_heal() {
     let net = test_net();
     let (store, corruption) = FaultStore::with_seed(MemPageStore::new(1024).unwrap(), 77);
-    let am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
+    let mut am = CcamBuilder::new(1024)
+        .build_static_on(logged(store), &net)
+        .unwrap();
+    am.file_mut().set_auto_commit(true);
     let target = net.node_ids()[10];
     let page = am
         .file()
@@ -313,20 +326,14 @@ fn corrupted_pages_degrade_reads_and_heal() {
         })
         .map(|n| n.id);
 
+    // Corrupt the committed page under the log (after a commit: a
+    // dirty write-back would heal the injected corruption); the first
+    // snapshot carries it as unreadable.
+    am.file().commit().unwrap();
+    corruption.mark_corrupt(page);
     let db = Arc::new(EpochCell::new(am).unwrap());
     let handle = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
-
-    // Corrupt the page on the backing store, then republish through the
-    // writer: the commit's capture re-reads the store (cached frames
-    // dropped first — a dirty write-back would heal the injected
-    // corruption) and the fresh view carries the page as unreadable.
-    {
-        let w = db.write().unwrap();
-        w.file().pool().clear().unwrap();
-        corruption.mark_corrupt(page);
-        w.commit().unwrap();
-    }
 
     let resps = client.call(&[Request::Find(target)]).unwrap();
     assert_eq!(resps[0], Response::Error(Status::Degraded, OpCode::Find));
@@ -349,15 +356,20 @@ fn corrupted_pages_degrade_reads_and_heal() {
         }
     }
 
-    // Heal: clear the injected corruption and republish — the next
-    // capture reads the page cleanly, so the new view drops the
-    // quarantine and reads are exact again on the same running server.
+    // Heal: clear the injected corruption and rewrite the target's
+    // record — the commit republishes its page, so the new view drops
+    // the quarantine and reads are exact again on the same running
+    // server.
     corruption.clear_corrupt(page);
-    {
-        let w = db.write().unwrap();
-        w.file().pool().clear().unwrap();
-        w.commit().unwrap();
-    }
+    let len = net.node(target).unwrap().payload.len();
+    let upsert = Request::Upsert {
+        id: target,
+        payload: vec![0x5a; len],
+    };
+    assert!(matches!(
+        client.call(&[upsert]).unwrap()[0],
+        Response::Upserted { .. }
+    ));
     let resps = client.call(&[Request::Find(target)]).unwrap();
     match &resps[0] {
         Response::Record(n) => assert_eq!(n.id, target),
@@ -374,14 +386,11 @@ fn corrupted_pages_degrade_reads_and_heal() {
 #[test]
 fn a_store_fault_mid_upsert_restores_the_committed_state() {
     let net = test_net();
-    let log = std::env::temp_dir().join(format!("ccam-faults-{}-upsert.wal", std::process::id()));
     // The fault store over the log: `ENOSPC` bites before the batch is
     // logged, so the failed transaction rolls back.
-    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &log).unwrap();
-    let (store, ctl) = FaultStore::new(wal);
+    let (store, ctl) = FaultStore::new(wal_mem(1024));
     let mut am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
     am.file_mut().set_auto_commit(true);
-    assert!(am.enable_snapshots().unwrap());
     let db = Arc::new(EpochCell::new(am).unwrap());
     let handle = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
@@ -411,5 +420,4 @@ fn a_store_fault_mid_upsert_restores_the_committed_state() {
         other => panic!("expected the new record, got {other:?}"),
     }
     handle.shutdown().unwrap();
-    std::fs::remove_file(&log).ok();
 }

@@ -14,9 +14,10 @@ use ccam_graph::Network;
 use ccam_server::client::{Backoff, Client, MultiClient};
 use ccam_server::protocol::{OpCode, Request, Response, Status};
 use ccam_server::{ReplRole, Server, ServerConfig, ServerHandle};
-use ccam_storage::{MemPageStore, PageStore, WalControl, WalStore};
+use ccam_storage::{PageStore, WalControl};
 
-type WalMem = WalStore<MemPageStore>;
+mod common;
+use common::{wal_mem, WalMem};
 
 fn test_network() -> Network {
     road_map(&RoadMapConfig {
@@ -29,10 +30,6 @@ fn test_network() -> Network {
         jitter: 24,
         seed: 5,
     })
-}
-
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("ccam-repl-{}-{}", std::process::id(), name))
 }
 
 /// Layout-independent digest of every record reachable in a view — two
@@ -63,18 +60,14 @@ fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
 
 /// A WAL-backed primary loaded with the test network, with replication
 /// enabled on an ephemeral port.
-fn start_primary(tag: &str, net: &Network) -> ServerHandle<WalMem> {
-    let wal = WalStore::create(
-        MemPageStore::new(1024).unwrap(),
-        &temp_path(&format!("{tag}-p.wal")),
-    )
-    .unwrap();
-    let mut am = CcamBuilder::new(1024).build_static_on(wal, net).unwrap();
+fn start_primary(net: &Network) -> ServerHandle<WalMem> {
+    let mut am = CcamBuilder::new(1024)
+        .build_static_on(wal_mem(1024), net)
+        .unwrap();
     am.file_mut().set_auto_commit(true);
     am.file()
         .pool()
         .with_store_mut(|s| s.set_max_wal_bytes(Some(64 << 20)));
-    am.enable_snapshots().unwrap();
     let db = Arc::new(EpochCell::new(am).unwrap());
     Server::start(
         db,
@@ -90,17 +83,11 @@ fn start_primary(tag: &str, net: &Network) -> ServerHandle<WalMem> {
 
 /// An *empty* WAL-backed follower subscribed to `primary_repl` — it
 /// must catch up entirely over the wire.
-fn start_follower(tag: &str, primary_repl: &str) -> ServerHandle<WalMem> {
-    let wal = WalStore::create(
-        MemPageStore::new(1024).unwrap(),
-        &temp_path(&format!("{tag}-f.wal")),
-    )
-    .unwrap();
+fn start_follower(primary_repl: &str) -> ServerHandle<WalMem> {
     let mut am = CcamBuilder::new(1024)
-        .build_static_on(wal, &Network::new())
+        .build_static_on(wal_mem(1024), &Network::new())
         .unwrap();
     am.file_mut().set_auto_commit(true);
-    am.enable_snapshots().unwrap();
     let db = Arc::new(EpochCell::new(am).unwrap());
     Server::start(
         db,
@@ -152,9 +139,9 @@ fn digests_match(primary: &ServerHandle<WalMem>, follower: &ServerHandle<WalMem>
 #[test]
 fn follower_catches_up_serves_reads_and_redirects_writes() {
     let net = test_network();
-    let primary = start_primary("catchup", &net);
+    let primary = start_primary(&net);
     let repl_addr = primary.repl_addr().unwrap().to_string();
-    let follower = start_follower("catchup", &repl_addr);
+    let follower = start_follower(&repl_addr);
 
     // Cold catch-up: the follower starts empty and must replay the
     // whole build (or take an image handoff) before digests agree.
@@ -224,9 +211,9 @@ fn follower_catches_up_serves_reads_and_redirects_writes() {
 #[test]
 fn follower_keeps_serving_stale_after_primary_death() {
     let net = test_network();
-    let primary = start_primary("staleness", &net);
+    let primary = start_primary(&net);
     let repl_addr = primary.repl_addr().unwrap().to_string();
-    let follower = start_follower("staleness", &repl_addr);
+    let follower = start_follower(&repl_addr);
     await_catch_up(&primary, &follower, "initial catch-up");
 
     let expected = {
@@ -269,7 +256,9 @@ fn client_retries_reconnect_through_server_restart() {
     let build = |addr: String| {
         // Deterministic: the same seed rebuilds the same network.
         let net = test_network();
-        let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+        let am = CcamBuilder::new(1024)
+            .build_static_on(wal_mem(1024), &net)
+            .unwrap();
         let db = Arc::new(EpochCell::new(am).unwrap());
         Server::start(
             db,
@@ -313,9 +302,9 @@ fn client_retries_reconnect_through_server_restart() {
 #[test]
 fn multi_client_fails_over_reads_and_follows_redirects() {
     let net = test_network();
-    let primary = start_primary("failover", &net);
+    let primary = start_primary(&net);
     let repl_addr = primary.repl_addr().unwrap().to_string();
-    let follower = start_follower("failover", &repl_addr);
+    let follower = start_follower(&repl_addr);
     await_catch_up(&primary, &follower, "failover catch-up");
     let ids = net.node_ids();
 

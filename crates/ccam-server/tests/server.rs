@@ -13,14 +13,14 @@ use ccam_graph::{Network, NodeData, NodeId};
 use ccam_server::client::Client;
 use ccam_server::protocol::{OpCode, Request, Response, Status, PROTOCOL_VERSION};
 use ccam_server::{Server, ServerConfig, ServerHandle};
-use ccam_storage::{MemPageStore, SweepRng, WalInfo, WalStore, DEFAULT_MAX_WAL_BYTES};
+use ccam_storage::{SweepRng, WalInfo, DEFAULT_MAX_WAL_BYTES};
 
 mod common;
-use common::{ping_pong, wait_until};
+use common::{ping_pong, wait_until, wal_mem, WalMem};
 
 const PAGE: usize = 1024;
 
-fn build_db() -> (Ccam, Network) {
+fn build_db() -> (Ccam<WalMem>, Network) {
     let net = road_map(&RoadMapConfig {
         grid_w: 10,
         grid_h: 10,
@@ -31,11 +31,13 @@ fn build_db() -> (Ccam, Network) {
         jitter: 24,
         seed: 5,
     });
-    let am = CcamBuilder::new(PAGE).build_static(&net).unwrap();
+    let am = CcamBuilder::new(PAGE)
+        .build_static_on(wal_mem(PAGE), &net)
+        .unwrap();
     (am, net)
 }
 
-fn start_server(config: ServerConfig) -> (ServerHandle<ccam_storage::MemPageStore>, Network) {
+fn start_server(config: ServerConfig) -> (ServerHandle<WalMem>, Network) {
     let (am, net) = build_db();
     let db = Arc::new(EpochCell::new(am).unwrap());
     (Server::start(db, config).unwrap(), net)
@@ -558,33 +560,13 @@ fn requests_after_shutdown_get_shutting_down_or_closed_connection() {
     assert!(err.is_err());
 }
 
-type WalMem = WalStore<MemPageStore>;
-
-/// A primary as `ccam serve` runs one: a log under the store, every
-/// operation its own transaction, page versioning on. The log file is
-/// removed when the returned guard drops.
-fn start_wal_server(tag: &str) -> (ServerHandle<WalMem>, Network, TempLog) {
-    let log =
-        TempLog(std::env::temp_dir().join(format!("ccam-server-{}-{tag}.wal", std::process::id())));
-    let (_, net) = build_db();
-    let store = WalStore::create(MemPageStore::new(PAGE).unwrap(), &log.0).unwrap();
-    let mut am = CcamBuilder::new(PAGE).build_static_on(store, &net).unwrap();
+/// A primary as `ccam serve` runs one: every operation its own
+/// transaction.
+fn start_auto_commit_server() -> (ServerHandle<WalMem>, Network) {
+    let (mut am, net) = build_db();
     am.file_mut().set_auto_commit(true);
-    assert!(am.enable_snapshots().unwrap());
     let db = Arc::new(EpochCell::new(am).unwrap());
-    (
-        Server::start(db, ServerConfig::default()).unwrap(),
-        net,
-        log,
-    )
-}
-
-struct TempLog(std::path::PathBuf);
-
-impl Drop for TempLog {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-    }
+    (Server::start(db, ServerConfig::default()).unwrap(), net)
 }
 
 fn wal_info(handle: &ServerHandle<WalMem>) -> WalInfo {
@@ -625,7 +607,7 @@ fn logical(mut rec: NodeData) -> NodeData {
 /// an unknown id is `NotFound` and leaves no trace.
 #[test]
 fn upsert_rewrites_one_record_and_matches_delete_then_insert() {
-    let (handle, net, _log) = start_wal_server("equiv");
+    let (handle, net) = start_auto_commit_server();
     let (mut twin, _) = build_db();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let ids = net.node_ids();
@@ -696,7 +678,7 @@ fn upsert_rewrites_one_record_and_matches_delete_then_insert() {
 /// commits in the log nor loses its own view of the data.
 #[test]
 fn the_log_under_a_serving_cell_stays_within_its_cap() {
-    let (handle, net, _log) = start_wal_server("bounded");
+    let (handle, net) = start_auto_commit_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let ids = net.node_ids();
     let pinned = handle.db().read().unwrap();

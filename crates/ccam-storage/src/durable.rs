@@ -265,9 +265,10 @@ impl<S: PageStore> WalStore<S> {
     /// their checksum become [`PageImage::Unreadable`] — snapshot reads
     /// of them degrade exactly like device reads would), after which
     /// every committed batch is published as a new generation readers
-    /// can pin via [`WalControl::page_versions`].
+    /// can pin ([`crate::SnapshotStore::pin`]). Idempotent: later calls
+    /// return the same set.
     ///
-    /// Must be called at a commit boundary: fails with
+    /// The first call must come at a commit boundary: it fails with
     /// [`StorageError::Poisoned`] while a batch is pending, logged or
     /// the wrapper is poisoned.
     pub fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>> {
@@ -721,10 +722,6 @@ impl<S: PageStore> WalControl for WalStore<S> {
             next_lsn: self.wal.next_lsn(),
             tail_start_lsn: self.wal.tail_start_lsn(),
         }
-    }
-
-    fn page_versions(&self) -> Option<Arc<PageVersions>> {
-        self.versions.clone()
     }
 
     fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>> {

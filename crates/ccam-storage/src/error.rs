@@ -58,6 +58,10 @@ pub enum StorageError {
     /// (see `snapshot::SnapshotStore`); snapshots serve one pinned
     /// committed generation and never accept writes.
     ReadOnlySnapshot,
+    /// A snapshot was asked of a store stack with no write-ahead log.
+    /// Snapshots pin the log's committed page versions
+    /// (`WalStore::enable_snapshots`); without a log there are none.
+    NoLog,
 }
 
 impl StorageError {
@@ -77,6 +81,7 @@ impl StorageError {
             StorageError::Poisoned => "poisoned",
             StorageError::NoSpace => "no_space",
             StorageError::ReadOnlySnapshot => "read_only_snapshot",
+            StorageError::NoLog => "no_log",
         }
     }
 }
@@ -112,6 +117,9 @@ impl fmt::Display for StorageError {
             StorageError::NoSpace => write!(f, "no space left on device"),
             StorageError::ReadOnlySnapshot => {
                 write!(f, "mutation attempted through a read-only snapshot")
+            }
+            StorageError::NoLog => {
+                write!(f, "the store has no write-ahead log to snapshot")
             }
         }
     }
@@ -169,6 +177,7 @@ mod tests {
     fn kind_names_are_stable_tokens() {
         assert_eq!(StorageError::NoSpace.kind(), "no_space");
         assert_eq!(StorageError::Poisoned.kind(), "poisoned");
+        assert_eq!(StorageError::NoLog.kind(), "no_log");
         assert_eq!(StorageError::Io(std::io::Error::other("x")).kind(), "io");
         assert_eq!(
             StorageError::ChecksumMismatch {

@@ -22,10 +22,9 @@
 //! pages whose batches have not yet been checkpointed; scrub is the
 //! complement of, not a replacement for, backups.
 //!
-//! v1 (checksum-free) files scrub trivially: every readable page is
-//! clean, because nothing can fail verification. I/O errors (as opposed
-//! to checksum mismatches) abort the scrub — a disk that cannot be read
-//! at all is not something a page-level pass can reason about.
+//! I/O errors (as opposed to checksum mismatches) abort the scrub — a
+//! disk that cannot be read at all is not something a page-level pass
+//! can reason about.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -341,23 +340,6 @@ mod tests {
         assert!(scrub_file(&db).unwrap().is_clean());
         std::fs::remove_file(&db).ok();
         std::fs::remove_file(&wal_path).ok();
-    }
-
-    #[test]
-    fn v1_files_scrub_without_checksum_noise() {
-        let path = temp_path("v1scrub");
-        let mut s = FilePageStore::create_v1(&path, 64).unwrap();
-        let a = s.allocate().unwrap();
-        s.write(a, &[1u8; 64]).unwrap();
-        s.sync().unwrap();
-        // Even with a flipped bit, a v1 file has no checksums to fail:
-        // the scrub completes and reports the page clean (detection
-        // requires the v2 format).
-        flip_bit(&path, s.data_offset(a));
-        let report = scrub(&mut s, &BTreeMap::new()).unwrap();
-        assert!(report.is_clean());
-        drop(s);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

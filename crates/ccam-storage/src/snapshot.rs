@@ -15,19 +15,19 @@
 //! `publish`, from the batch alone. A pin takes both by reference count,
 //! so pinning costs the same whatever the database holds, and a publish
 //! builds a new list only when its batch allocated or freed a page (or
-//! changed which pages are unreadable).
+//! rewrote an unreadable one).
 //!
 //! [`SnapshotStore`] wraps a pinned generation as a read-only
 //! [`PageStore`], so the whole read stack (buffer pool, network file,
 //! access methods) runs unmodified over a frozen committed state.
 //!
-//! The mirror serves committed bytes from RAM: bit-rot that hits the
-//! backing device *after* an image was captured stays invisible to
-//! snapshot readers until a writer republishes (at which point a
-//! tolerant re-capture carries the unreadable page into the next
-//! generation as [`PageImage::Unreadable`] and degraded reads take
-//! over). That trade — reads never touch the device — is what makes the
-//! read path stall-free.
+//! The mirror serves committed bytes from RAM. A page is
+//! [`PageImage::Unreadable`] only if it already failed its checksum when
+//! the mirror was seeded; snapshot reads of it degrade, and the first
+//! committed rewrite of the page heals it. Bit-rot that hits the backing
+//! device *after* seeding stays invisible to snapshot readers, and no
+//! later publish marks a page unreadable. That trade — reads never
+//! touch the device — is what makes the read path stall-free.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,9 +45,10 @@ pub enum PageImage {
     /// The page's bytes as of some committed generation.
     Bytes(Box<[u8]>),
     /// The page was live but unreadable (checksum failure) when the
-    /// generation was captured; snapshot reads of it surface
-    /// [`StorageError::ChecksumMismatch`] so the degraded-read path
-    /// engages exactly as it would against the device.
+    /// mirror was seeded, and has not been rewritten since; snapshot
+    /// reads of it surface [`StorageError::ChecksumMismatch`] so the
+    /// degraded-read path engages exactly as it would against the
+    /// device.
     Unreadable,
 }
 
@@ -120,18 +121,14 @@ impl std::fmt::Debug for PageVersions {
 pub enum PageChange {
     /// The page now holds these bytes.
     Written(Box<[u8]>),
-    /// The page is live but its committed bytes could not be read
-    /// (tolerated checksum failure during capture).
-    Unreadable,
     /// The page was freed.
     Freed,
 }
 
 impl PageVersions {
     /// Builds a version set whose generation-0 mirror is `images`
-    /// (page index -> committed image). Used both to seed a `WalStore`'s
-    /// mirror from a tolerant scan and to freeze a one-shot deep copy of
-    /// a store that has no versioning of its own.
+    /// (page index -> committed image). Seeds a `WalStore`'s mirror from
+    /// its tolerant scan of the committed page set.
     pub fn from_images(
         page_size: usize,
         images: impl IntoIterator<Item = (u32, PageImage)>,
@@ -197,9 +194,6 @@ impl PageVersions {
                 PageChange::Written(bytes) => {
                     s.mirror.insert(page, Arc::new(PageImage::Bytes(bytes)));
                 }
-                PageChange::Unreadable => {
-                    s.mirror.insert(page, Arc::new(PageImage::Unreadable));
-                }
                 PageChange::Freed => {
                     s.mirror.remove(&page);
                 }
@@ -209,11 +203,9 @@ impl PageVersions {
         touched.dedup();
         let mirror = &s.mirror;
         let live = reconciled(&s.live, &touched, |p| mirror.contains_key(&p));
-        let unreadable = reconciled(&s.unreadable, &touched, |p| {
-            mirror
-                .get(&p)
-                .is_some_and(|i| matches!(**i, PageImage::Unreadable))
-        });
+        // A publish never makes a page unreadable: every touched page
+        // leaves the list, healed by its rewrite or freed.
+        let unreadable = reconciled(&s.unreadable, &touched, |_| false);
         if let Some(live) = live {
             s.live = live;
         }
@@ -525,9 +517,8 @@ mod tests {
                 // Batches repeat pages and free dead ones on purpose.
                 let batch: Vec<(u32, PageChange)> = (0..rng.random_range(0..4))
                     .map(|_| {
-                        let change = match rng.random_range(0..6) {
+                        let change = match rng.random_range(0..5) {
                             0 | 1 => PageChange::Freed,
-                            2 => PageChange::Unreadable,
                             _ => PageChange::Written(bytes(step, 4)),
                         };
                         (rng.random_range(0..10u32), change)

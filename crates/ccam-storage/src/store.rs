@@ -131,14 +131,9 @@ pub trait WalControl {
     /// The log's counters.
     fn info(&self) -> WalInfo;
 
-    /// The multi-version committed page images, once
-    /// [`WalControl::enable_snapshots`] has turned them on. Readers pin
-    /// a generation of this to get stall-free snapshot reads; without it
-    /// (or without a log) snapshots fall back to a one-shot deep copy.
-    fn page_versions(&self) -> Option<Arc<PageVersions>>;
-
-    /// Starts keeping multi-version committed images (idempotent). Must
-    /// be called at a commit boundary.
+    /// The multi-version committed page images readers pin for
+    /// stall-free snapshot reads. The first call starts keeping them and
+    /// must come at a commit boundary; later calls return the same set.
     fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>>;
 
     /// The registry of log-tail subscribers gating checkpoint
@@ -155,8 +150,8 @@ pub trait WalControl {
 }
 
 /// Boxed stores delegate, so `Box<dyn PageStore>` is itself a
-/// [`PageStore`] (the CLI opens databases with and without a WAL behind
-/// one type).
+/// [`PageStore`] (the CLI opens its whole stack, retry wrapper and log,
+/// behind one type).
 impl<P: PageStore + ?Sized> PageStore for Box<P> {
     fn page_size(&self) -> usize {
         (**self).page_size()
@@ -378,61 +373,40 @@ impl PageStore for MemPageStore {
 // File-backed store
 // ---------------------------------------------------------------------------
 
+/// Magic of the retired checksum-free format, recognised only to name it
+/// when refusing such a file.
 const FILE_MAGIC_V1: &[u8; 8] = b"CCAMPGF1";
 const FILE_MAGIC_V2: &[u8; 8] = b"CCAMPGF2";
 
-/// Bytes appended to each data page in a v2 (checksummed) file: the IEEE
-/// CRC32 of `page contents || page id (LE)` and its bitwise complement.
+/// Bytes appended to each data page: the IEEE CRC32 of
+/// `page contents || page id (LE)` and its bitwise complement.
 const TRAILER_LEN: u64 = 8;
 
 /// File-backed [`PageStore`].
 ///
-/// Two on-disk versions exist. Both start with a `page_size`-byte header
-/// region holding the metadata block (`magic | page_size: u32 |
+/// The file (format v2, magic `CCAMPGF2`) starts with a `page_size`-byte
+/// header region holding the metadata block (`magic | page_size: u32 |
 /// num_pages: u32 | free_head: u32`); freed pages are chained through
-/// their first four bytes.
-///
-/// * **v1** (`CCAMPGF1`): data pages at offset `(1 + id) * page_size`,
-///   no integrity information. Still opened read/write for backward
-///   compatibility; reads are never checksum-verified.
-/// * **v2** (`CCAMPGF2`, the default for new files): each data slot is
-///   `page_size + 8` bytes at offset `page_size + id * (page_size + 8)`.
-///   The 8-byte trailer stores `crc32(data || id_le)` (little-endian)
-///   followed by its bitwise complement. Every [`PageStore::read`]
-///   fetches the whole slot in one positioned read, recomputes the
-///   checksum and surfaces
-///   [`StorageError::ChecksumMismatch`] on disagreement; including the
-///   page id in the checksummed bytes also catches misdirected writes.
+/// their first four bytes. Each data slot is `page_size + 8` bytes at
+/// offset `page_size + id * (page_size + 8)`. The 8-byte trailer stores
+/// `crc32(data || id_le)` (little-endian) followed by its bitwise
+/// complement. Every [`PageStore::read`] fetches the whole slot in one
+/// positioned read, recomputes the checksum and surfaces
+/// [`StorageError::ChecksumMismatch`] on disagreement; including the
+/// page id in the checksummed bytes also catches misdirected writes.
+/// Files of the retired checksum-free v1 format (`CCAMPGF1`) are refused
+/// on open.
 pub struct FilePageStore {
     file: File,
     page_size: usize,
     num_pages: u32,
     free_head: u32, // u32::MAX = empty
     live: Vec<bool>,
-    /// v2 files stamp and verify per-page CRC32 trailers.
-    checksums: bool,
 }
 
 impl FilePageStore {
-    /// Creates a new checksummed (v2) page file at `path` (truncating any
-    /// existing file).
+    /// Creates a new page file at `path` (truncating any existing file).
     pub fn create(path: &Path, page_size: usize) -> StorageResult<Self> {
-        Self::create_with_checksums(path, page_size, true)
-    }
-
-    /// Creates a new page file in the legacy v1 (checksum-free) format.
-    ///
-    /// Exists so tests and tooling can exercise the v1 compatibility
-    /// path; new databases should use [`FilePageStore::create`].
-    pub fn create_v1(path: &Path, page_size: usize) -> StorageResult<Self> {
-        Self::create_with_checksums(path, page_size, false)
-    }
-
-    fn create_with_checksums(
-        path: &Path,
-        page_size: usize,
-        checksums: bool,
-    ) -> StorageResult<Self> {
         validate_page_size(page_size)?;
         let file = OpenOptions::new()
             .read(true)
@@ -446,25 +420,27 @@ impl FilePageStore {
             num_pages: 0,
             free_head: u32::MAX,
             live: Vec::new(),
-            checksums,
         };
         store.write_meta()?;
         Ok(store)
     }
 
-    /// Opens an existing page file (either version), verifying magic and
-    /// geometry.
+    /// Opens an existing page file, verifying magic and geometry.
     ///
     /// The live-page bitmap is reconstructed by walking the freelist.
     pub fn open(path: &Path) -> StorageResult<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut meta = [0u8; 20];
         file.read_exact_at(&mut meta, 0)?;
-        let checksums = match &meta[0..8] {
-            m if m == FILE_MAGIC_V2 => true,
-            m if m == FILE_MAGIC_V1 => false,
+        match &meta[0..8] {
+            m if m == FILE_MAGIC_V2 => {}
+            m if m == FILE_MAGIC_V1 => {
+                return Err(StorageError::Corrupt(
+                    "retired v1 (CCAMPGF1, checksum-free) page-file format".into(),
+                ))
+            }
             _ => return Err(StorageError::Corrupt("bad magic".into())),
-        };
+        }
         let page_size = u32::from_le_bytes(meta[8..12].try_into().unwrap()) as usize;
         validate_page_size(page_size)?;
         let num_pages = u32::from_le_bytes(meta[12..16].try_into().unwrap());
@@ -475,7 +451,6 @@ impl FilePageStore {
             num_pages,
             free_head,
             live: vec![true; num_pages as usize],
-            checksums,
         };
         // Mark freed pages dead by walking the chain.
         let mut cur = free_head;
@@ -493,17 +468,8 @@ impl FilePageStore {
         Ok(store)
     }
 
-    /// True when this file stamps and verifies per-page checksums (v2).
-    pub fn has_checksums(&self) -> bool {
-        self.checksums
-    }
-
     fn offset(&self, id: u32) -> u64 {
-        if self.checksums {
-            self.page_size as u64 + id as u64 * (self.page_size as u64 + TRAILER_LEN)
-        } else {
-            (1 + id as u64) * self.page_size as u64
-        }
+        self.page_size as u64 + id as u64 * (self.page_size as u64 + TRAILER_LEN)
     }
 
     /// Byte offset of page `id`'s data within the file. Exposed for
@@ -513,36 +479,28 @@ impl FilePageStore {
         self.offset(id.0)
     }
 
-    /// Checksum stamped into a v2 trailer: CRC32 over the page bytes
+    /// Checksum stamped into a page's trailer: CRC32 over the page bytes
     /// followed by the page id, so a page written to the wrong slot fails
     /// verification too.
     fn page_checksum(&self, id: u32, data: &[u8]) -> u32 {
         crate::wal::crc32_extend(crate::wal::crc32(data), &id.to_le_bytes())
     }
 
-    /// Writes `data` to page `id`'s slot, appending the checksum trailer
-    /// in v2 files (one positioned write either way).
+    /// Writes `data` and its checksum trailer to page `id`'s slot in one
+    /// positioned write.
     fn write_page_raw(&mut self, id: u32, data: &[u8]) -> StorageResult<()> {
-        if self.checksums {
-            let crc = self.page_checksum(id, data);
-            let mut framed = Vec::with_capacity(data.len() + TRAILER_LEN as usize);
-            framed.extend_from_slice(data);
-            framed.extend_from_slice(&crc.to_le_bytes());
-            framed.extend_from_slice(&(!crc).to_le_bytes());
-            self.file.write_all_at(&framed, self.offset(id))?;
-        } else {
-            self.file.write_all_at(data, self.offset(id))?;
-        }
+        let crc = self.page_checksum(id, data);
+        let mut framed = Vec::with_capacity(data.len() + TRAILER_LEN as usize);
+        framed.extend_from_slice(data);
+        framed.extend_from_slice(&crc.to_le_bytes());
+        framed.extend_from_slice(&(!crc).to_le_bytes());
+        self.file.write_all_at(&framed, self.offset(id))?;
         Ok(())
     }
 
     fn write_meta(&mut self) -> StorageResult<()> {
         let mut meta = [0u8; 20];
-        meta[0..8].copy_from_slice(if self.checksums {
-            FILE_MAGIC_V2
-        } else {
-            FILE_MAGIC_V1
-        });
+        meta[0..8].copy_from_slice(FILE_MAGIC_V2);
         meta[8..12].copy_from_slice(&(self.page_size as u32).to_le_bytes());
         meta[12..16].copy_from_slice(&self.num_pages.to_le_bytes());
         meta[16..20].copy_from_slice(&self.free_head.to_le_bytes());
@@ -591,10 +549,6 @@ impl PageStore for FilePageStore {
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         self.check_live(id)?;
-        if !self.checksums {
-            self.file.read_exact_at(buf, self.offset(id.0))?;
-            return Ok(());
-        }
         // One positioned read of the whole slot: page, then trailer.
         let mut slot = vec![0u8; self.page_size + TRAILER_LEN as usize];
         self.file.read_exact_at(&mut slot, self.offset(id.0))?;
@@ -914,7 +868,6 @@ mod tests {
         for page_size in [64usize, 1024] {
             let path = temp_path(&format!("bitflip-{page_size}"));
             let mut s = FilePageStore::create(&path, page_size).unwrap();
-            assert!(s.has_checksums());
             s.allocate().unwrap();
             let a = s.allocate().unwrap();
             let page: Vec<u8> = (0..page_size).map(|i| (i * 37 + 11) as u8).collect();
@@ -1007,22 +960,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_open_checksum_free_and_round_trip() {
-        let path = temp_path("v1compat");
+    fn v1_files_are_refused_naming_the_retired_format() {
+        let path = temp_path("v1refused");
         {
-            let mut s = FilePageStore::create_v1(&path, 128).unwrap();
-            assert!(!s.has_checksums());
+            let mut s = FilePageStore::create(&path, 128).unwrap();
             exercise(&mut s);
             s.sync().unwrap();
         }
-        {
-            let s = FilePageStore::open(&path).unwrap();
-            assert!(!s.has_checksums());
-            assert_eq!(s.page_size(), 128);
-        }
-        // On-disk magic really is the v1 one.
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[0..8], b"CCAMPGF1");
+        // Same header, the retired magic.
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.write_all_at(b"CCAMPGF1", 0).unwrap();
+        drop(f);
+        let err = FilePageStore::open(&path).err().expect("a v1 file opened");
+        assert!(
+            matches!(&err, StorageError::Corrupt(msg) if msg.contains("v1")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1132,10 +1085,6 @@ mod tests {
         // Snapshot readers pin the inner store's own page versions.
         assert!(Arc::ptr_eq(
             &log(&mut s).enable_snapshots().unwrap(),
-            &versions
-        ));
-        assert!(Arc::ptr_eq(
-            &log(&mut s).page_versions().unwrap(),
             &versions
         ));
         std::fs::remove_file(&path).ok();

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ccam generate <out.net> [--seed N] [--grid W] [--minneapolis]
-//! ccam build    <in.net> <out.db> [--block N] [--method ccam-s|ccam-d|dfs|bfs|wdfs|grid] [--wal] [--threads N] [--strategy flat|multilevel]
+//! ccam build    <in.net> <out.db> [--block N] [--method ccam-s|ccam-d|dfs|bfs|wdfs|grid] [--threads N] [--strategy flat|multilevel]
 //! ccam stats    <db>
 //! ccam find     <db> <node-id>
 //! ccam succ     <db> <node-id>
@@ -23,10 +23,12 @@
 //! `window` scans that index as a spatial one, and `build` refuses a
 //! network with any other id.
 //!
-//! `--wal` builds the database with a write-ahead log sidecar
-//! (`<db>.wal`). A WAL-backed database recovers automatically on every
-//! open — committed updates are replayed, torn tails truncated — and
-//! mutating commands (`replay`) commit after each logical operation.
+//! Every database carries a write-ahead log sidecar (`<db>.wal`):
+//! `build` writes it, and every command opens the database through it —
+//! a database whose sidecar is missing gets an empty one. Opening
+//! recovers automatically — committed updates are replayed, torn tails
+//! truncated — and mutating commands (`replay`, `profile --updates`)
+//! commit after each logical operation.
 //! Every page rewrite, allocation, free and index update belonging to
 //! one logical operation (including the reorganizations it triggers)
 //! commits as a single WAL transaction: recovery replays or discards
@@ -42,8 +44,8 @@
 //!
 //! Fault tolerance: page files carry per-page CRC32 checksums (v2
 //! format), so silent corruption is detected on read. Every
-//! database-opening command accepts `--retry [N]` (wrap the store in a
-//! [`ccam::storage::RetryStore`] absorbing up to N−1 transient faults
+//! database-opening command accepts `--retry` (wrap the store in a
+//! [`ccam::storage::RetryStore`] absorbing up to two transient faults
 //! per operation) and `--verify-checksums` (refuse to open a database
 //! with checksum-failed pages instead of quarantining them and serving
 //! degraded answers). `ccam scrub <db>` audits every page, repairs
@@ -77,8 +79,7 @@ use ccam::graph::{load_network, save_network, Network, NodeId};
 use ccam::partition::PartitionStrategy;
 use ccam::storage::stats::IoStats;
 use ccam::storage::{
-    wal_sidecar, FilePageStore, MetricsRegistry, PageStore, RetryPolicy, RetryStore, Wal,
-    WalControl, WalStore,
+    wal_sidecar, FilePageStore, MetricsRegistry, PageStore, RetryPolicy, RetryStore, Wal, WalStore,
 };
 
 fn main() -> ExitCode {
@@ -126,8 +127,9 @@ fn run(args: &[String]) -> Result<(), String> {
 /// the optional metrics sink shared by every command.
 #[derive(Default)]
 struct OpenOptions {
-    /// Retry budget from `--retry [N]` (total attempts per operation).
-    retry: Option<u32>,
+    /// `--retry`: absorb transient store faults with the default
+    /// [`RetryPolicy`].
+    retry: bool,
     /// `--verify-checksums`: corrupt pages abort the open instead of
     /// being quarantined for degraded service.
     verify_checksums: bool,
@@ -163,8 +165,8 @@ fn dump_metrics(opts: &OpenOptions, stats: Option<&Arc<IoStats>>) -> Result<(), 
 
 /// [`dump_metrics`] for commands holding an open access method: first
 /// folds in the transaction counters (`reorg_txn_commits` /
-/// `reorg_txn_aborts`) and — on WAL-backed databases — the checkpoint
-/// counter and live-log-bytes gauge.
+/// `reorg_txn_aborts`) and the log's checkpoint counter and
+/// live-log-bytes gauge.
 fn dump_db_metrics(
     opts: &OpenOptions,
     am: &ccam::core::am::Ccam<Box<dyn PageStore>>,
@@ -198,18 +200,8 @@ fn extract_open_flags(args: &[String]) -> Result<(Vec<String>, OpenOptions), Str
     while i < args.len() {
         match args[i].as_str() {
             "--retry" => {
-                // Optional numeric attempt budget; defaults to the
-                // standard policy's three attempts.
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse::<u32>().ok()) {
-                    if n == 0 {
-                        return Err("--retry: attempts must be at least 1".into());
-                    }
-                    opts.retry = Some(n);
-                    i += 2;
-                } else {
-                    opts.retry = Some(RetryPolicy::default().max_attempts);
-                    i += 1;
-                }
+                opts.retry = true;
+                i += 1;
             }
             "--verify-checksums" => {
                 opts.verify_checksums = true;
@@ -243,7 +235,7 @@ fn extract_open_flags(args: &[String]) -> Result<(Vec<String>, OpenOptions), Str
 
 fn usage() -> String {
     "usage:\n  ccam generate <out.net> [--seed N] [--grid W] [--minneapolis]\n  \
-     ccam build <in.net> <out.db> [--block N] [--method ccam-s|ccam-d|dfs|bfs|wdfs|grid] [--wal]\n  \
+     ccam build <in.net> <out.db> [--block N] [--method ccam-s|ccam-d|dfs|bfs|wdfs|grid]\n  \
      \x20           [--threads N] (ccam-s clustering threads; 0 or omitted = all cores)\n  \
      \x20           [--strategy flat|multilevel] (ccam-s clustering; multilevel scales to millions of nodes)\n  \
      ccam stats <db>\n  \
@@ -264,8 +256,8 @@ fn usage() -> String {
      [--deadline-ms MS] [--idle-timeout-ms MS] [--write-timeout-ms MS]\n  \
      [--repl-addr HOST:PORT] (primary: accept follower subscriptions)\n  \
      [--replica-of HOST:PORT] [--repl-seed N] (read-only follower of a primary's repl port)\n\
-     database commands also accept: [--retry [N]] [--verify-checksums] [--metrics-json <path>]\n  \
-     [--max-wal-bytes N] (WAL databases: checkpoint past N live log bytes; default 1 MiB, 0 = every commit)\n\
+     database commands also accept: [--retry] [--verify-checksums] [--metrics-json <path>]\n  \
+     [--max-wal-bytes N] (checkpoint past N live log bytes; default 1 MiB, 0 = every commit)\n\
      find/succ also accept: [--explain] (print the page-access trace)"
         .to_string()
 }
@@ -350,7 +342,6 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
         "multilevel" => PartitionStrategy::Multilevel,
         other => return Err(format!("unknown --strategy {other} (flat|multilevel)")),
     };
-    let wal = flags.contains_key("wal");
     let net = load_network(Path::new(input)).map_err(|e| e.to_string())?;
     // `window` reads coordinates back out of node ids (§2.2: ids are the
     // Z-order of the location), so any other id would make it wrong.
@@ -366,27 +357,17 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     }
 
     let out_path = PathBuf::from(out);
-    if !wal {
-        // A stale sidecar from an earlier --wal build must not shadow
-        // the fresh database.
-        let _ = std::fs::remove_file(wal_sidecar(&out_path));
-    }
     let w = HashMap::new();
-    // CCAM builds straight onto the page file (write-ahead logged when
-    // --wal is given); the comparators build in memory and save (their
+    // CCAM builds straight onto the write-ahead-logged page file; the
+    // comparators build in memory, save, and get an empty log (their
     // create paths are memory-resident anyway).
-    let make_store = |path: &Path| -> Result<Box<dyn PageStore>, String> {
+    let make_store = |path: &Path| -> Result<WalStore<FilePageStore>, String> {
         let store = FilePageStore::create(path, block).map_err(|e| e.to_string())?;
-        if wal {
-            let mut ws = WalStore::create(store, &wal_sidecar(path)).map_err(|e| e.to_string())?;
-            if opts.max_wal_bytes.is_some() {
-                ws.set_max_wal_bytes(opts.max_wal_bytes);
-            }
-            Ok(Box::new(ws))
-        } else {
-            Ok(Box::new(store))
-        }
+        let mut ws = WalStore::create(store, &wal_sidecar(path)).map_err(|e| e.to_string())?;
+        ws.set_max_wal_bytes(opts.max_wal_bytes);
+        Ok(ws)
     };
+    let empty_log = || Wal::create(&wal_sidecar(&out_path), block).map_err(|e| e.to_string());
     let (name, crr, pages) = match method {
         "ccam-s" => {
             let am = CcamBuilder::new(block)
@@ -420,11 +401,7 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
             };
             let am = TopoAm::create(&net, block, order, None, &w).map_err(|e| e.to_string())?;
             am.file().save_to(&out_path).map_err(|e| e.to_string())?;
-            if wal {
-                // The file itself was written directly; attach an empty
-                // log so future opens run in WAL mode.
-                Wal::create(&wal_sidecar(&out_path), block).map_err(|e| e.to_string())?;
-            }
+            empty_log()?;
             (
                 order.name(),
                 am.crr().map_err(|e| e.to_string())?,
@@ -434,9 +411,7 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
         "grid" => {
             let am = GridAm::create(&net, block).map_err(|e| e.to_string())?;
             am.file().save_to(&out_path).map_err(|e| e.to_string())?;
-            if wal {
-                Wal::create(&wal_sidecar(&out_path), block).map_err(|e| e.to_string())?;
-            }
+            empty_log()?;
             (
                 "Grid File",
                 am.crr().map_err(|e| e.to_string())?,
@@ -446,9 +421,8 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
         other => return Err(format!("unknown --method {other}")),
     };
     println!(
-        "built {out} with {name}: {} nodes on {pages} pages ({block} B), CRR = {crr:.4}{}",
-        net.len(),
-        if wal { ", WAL enabled" } else { "" }
+        "built {out} with {name}: {} nodes on {pages} pages ({block} B), CRR = {crr:.4}",
+        net.len()
     );
     Ok(())
 }
@@ -466,14 +440,13 @@ impl FlagMap for HashMap<String, String> {
 /// Opens a database as a CCAM access method (placement already baked into
 /// the pages; any method's file reopens this way).
 ///
-/// A `<db>.wal` sidecar switches the store into WAL mode: crash recovery
-/// replays the log before the index is rebuilt, and every mutating
-/// operation auto-commits.
+/// The store always sits under the `<db>.wal` log: crash recovery
+/// replays it before the index is rebuilt, and every mutating operation
+/// auto-commits. A database with no sidecar gets an empty one — nothing
+/// is pending, so there is nothing to replay.
 ///
 /// `--retry` wraps the page file in a [`RetryStore`] (innermost, below
-/// the WAL overlay, so retries shield both recovery and normal I/O).
-/// Whatever the stack, the commands reach its log through the one
-/// accessor every store forwards, [`PageStore::wal`].
+/// the log, so retries shield both recovery and normal I/O).
 /// Checksum-failed pages are quarantined with a warning — queries then
 /// skip them and answer degraded — unless `--verify-checksums` made
 /// corruption fatal.
@@ -485,50 +458,32 @@ fn open_db(
     let store = FilePageStore::open(db).map_err(|e| e.to_string())?;
     let block = store.page_size();
     let mut base: Box<dyn PageStore> = Box::new(store);
-    if let Some(attempts) = opts.retry {
-        let policy = RetryPolicy {
-            max_attempts: attempts,
-            ..RetryPolicy::default()
-        };
-        base = Box::new(RetryStore::new(base, policy));
+    if opts.retry {
+        base = Box::new(RetryStore::new(base, RetryPolicy::default()));
     }
-    let wal_path = wal_sidecar(db);
-    let wal_mode = wal_path.exists();
-    if opts.max_wal_bytes.is_some() && !wal_mode {
-        eprintln!("warning: --max-wal-bytes ignored: {path} has no WAL sidecar");
+    let (mut ws, report) = WalStore::open(base, &wal_sidecar(db)).map_err(|e| e.to_string())?;
+    ws.set_max_wal_bytes(opts.max_wal_bytes);
+    if !report.was_clean() {
+        eprintln!(
+            "recovered {path}: {} batch(es) redone ({} page images), \
+             {} uncommitted record(s) discarded, {} torn byte(s) truncated",
+            report.replayed_batches,
+            report.replayed_pages,
+            report.discarded_records,
+            report.torn_bytes
+        );
     }
-    let boxed: Box<dyn PageStore> = if wal_mode {
-        let (mut ws, report) = WalStore::open(base, &wal_path).map_err(|e| e.to_string())?;
-        if opts.max_wal_bytes.is_some() {
-            ws.set_max_wal_bytes(opts.max_wal_bytes);
-        }
-        if !report.was_clean() {
-            eprintln!(
-                "recovered {path}: {} batch(es) redone ({} page images), \
-                 {} uncommitted record(s) discarded, {} torn byte(s) truncated",
-                report.replayed_batches,
-                report.replayed_pages,
-                report.discarded_records,
-                report.torn_bytes
-            );
-        }
-        if let Some(sink) = &opts.metrics {
-            let r = &sink.registry;
-            r.inc_by("recovery.replayed_batches", report.replayed_batches);
-            r.inc_by("recovery.replayed_pages", report.replayed_pages);
-            r.inc_by("recovery.discarded_records", report.discarded_records);
-            r.inc_by("recovery.torn_bytes", report.torn_bytes);
-        }
-        Box::new(ws)
-    } else {
-        base
-    };
+    if let Some(sink) = &opts.metrics {
+        let r = &sink.registry;
+        r.inc_by("recovery.replayed_batches", report.replayed_batches);
+        r.inc_by("recovery.replayed_pages", report.replayed_pages);
+        r.inc_by("recovery.discarded_records", report.discarded_records);
+        r.inc_by("recovery.torn_bytes", report.torn_bytes);
+    }
     let mut am = CcamBuilder::new(block)
-        .open_on(boxed)
+        .open_on(Box::new(ws) as Box<dyn PageStore>)
         .map_err(|e| e.to_string())?;
-    if wal_mode {
-        am.file_mut().set_auto_commit(true);
-    }
+    am.file_mut().set_auto_commit(true);
     if opts.metrics.is_some() {
         // Collect per-operation profiles for the final JSON dump.
         am.stats().set_profiling(true);
@@ -607,31 +562,20 @@ fn checkpoint_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     let [db] = args else {
         return Err("checkpoint needs <db>".into());
     };
-    let path = Path::new(db);
-    let wal_path = wal_sidecar(path);
-    if !wal_path.exists() {
-        return Err(format!(
-            "{db}: no WAL sidecar ({}); only --wal databases can be checkpointed",
-            wal_path.display()
-        ));
-    }
-    let store = FilePageStore::open(path).map_err(|e| e.to_string())?;
-    let (mut ws, report) = WalStore::open(store, &wal_path).map_err(|e| e.to_string())?;
-    if !report.was_clean() {
-        eprintln!(
-            "recovered {db}: {} batch(es) redone ({} page images), \
-             {} uncommitted record(s) discarded, {} torn byte(s) truncated",
-            report.replayed_batches,
-            report.replayed_pages,
-            report.discarded_records,
-            report.torn_bytes
-        );
-    }
-    let before = ws.log().len();
-    ws.checkpoint().map_err(|e| e.to_string())?;
-    let after = ws.log().len();
-    println!("checkpointed {db}: log {before} -> {after} bytes");
-    let info = ws.info();
+    let am = open_db(db, opts)?;
+    let (before, info) = am
+        .file()
+        .pool()
+        .with_wal(|log| {
+            let before = log.info().live_bytes;
+            log.checkpoint().map(|()| (before, log.info()))
+        })
+        .expect("open_db opens every database through its log")
+        .map_err(|e| e.to_string())?;
+    println!(
+        "checkpointed {db}: log {before} -> {} bytes",
+        info.live_bytes
+    );
     // A retained floor below next_lsn means a subscribed follower
     // still needs those log bytes — the checkpoint kept them instead of
     // truncating.
@@ -641,17 +585,7 @@ fn checkpoint_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
             info.retained_lsn, info.next_lsn
         );
     }
-    if let Some(sink) = &opts.metrics {
-        let r = &sink.registry;
-        r.inc_by("recovery.replayed_batches", report.replayed_batches);
-        r.inc_by("wal_checkpoints", 1);
-        r.set_gauge("wal_live_bytes", after as f64);
-        r.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
-        r.set_gauge("wal.next_lsn", info.next_lsn as f64);
-        r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
-        dump_metrics(opts, None)?;
-    }
-    Ok(())
+    dump_db_metrics(opts, &am)
 }
 
 fn stats(args: &[String], opts: &OpenOptions) -> Result<(), String> {
@@ -942,8 +876,8 @@ fn replay_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 /// `ccam profile <db>`: replay a deterministic workload per operation
 /// class and diff the paper's cost-model predictions (§3.2, Tables 3–4)
 /// against the observed page accesses. `--updates` adds the
-/// delete/insert classes (every deleted node is re-inserted; combine
-/// with a WAL-backed database or a throwaway copy).
+/// delete/insert classes (every deleted node is re-inserted, and each
+/// operation commits on its own, so the file ends as it began).
 fn profile(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &["ops", "routes", "len", "seed"]);
     let [db] = pos.as_slice() else {
@@ -1078,18 +1012,10 @@ fn serve(args: &[String], opts: &OpenOptions) -> Result<(), String> {
         .map(|s| parse_u64(s, "--max-seconds"))
         .transpose()?;
 
-    let mut am = open_db(db_path, opts)?;
-    // WAL-backed stacks get native copy-on-write page versioning;
-    // anything else falls back to deep-copied snapshots per commit.
-    let native = am
-        .enable_snapshots()
-        .map_err(|e| format!("enable snapshots: {e}"))?;
+    let am = open_db(db_path, opts)?;
     let db = Arc::new(
         ccam::core::epoch::EpochCell::new(am).map_err(|e| format!("publish snapshot: {e}"))?,
     );
-    if !native {
-        eprintln!("note: store has no page versioning; snapshots are deep copies");
-    }
     let handle =
         ccam::server::Server::start(Arc::clone(&db), config.clone()).map_err(|e| e.to_string())?;
     println!("listening on {}", handle.local_addr());

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -13,6 +13,7 @@ use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{load_network, save_network, Network, NodeData, NodeId};
 use ccam::server::client::Client;
 use ccam::server::protocol::{Request, Response};
+use ccam::storage::wal_sidecar;
 
 fn ccam(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccam"))
@@ -29,6 +30,12 @@ fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("ccam-cli-{}-{}", std::process::id(), name));
     p
+}
+
+/// Removes a database and its log sidecar.
+fn remove_db(db: &Path) {
+    std::fs::remove_file(db).ok();
+    std::fs::remove_file(wal_sidecar(db)).ok();
 }
 
 #[test]
@@ -83,7 +90,7 @@ fn generate_build_stats_query_pipeline() {
     assert!(stdout(&out).contains("page accesses/route"));
 
     std::fs::remove_file(&net).ok();
-    std::fs::remove_file(&db).ok();
+    remove_db(&db);
 }
 
 #[test]
@@ -128,7 +135,7 @@ fn window_prints_exactly_the_nodes_inside() {
     assert!(text.contains(&format!("({} nodes in window)", want.len())));
 
     std::fs::remove_file(&net_path).ok();
-    std::fs::remove_file(&db).ok();
+    remove_db(&db);
 }
 
 #[test]
@@ -177,7 +184,7 @@ fn build_every_method_and_astar() {
         let out = ccam(&["astar", db_s, ids[0], ids[ids.len() - 1]]);
         assert!(out.status.success(), "{method}: {out:?}");
         assert!(stdout(&out).contains("cost"), "{method}");
-        std::fs::remove_file(&db).ok();
+        remove_db(&db);
     }
     std::fs::remove_file(&net).ok();
 }
@@ -236,7 +243,7 @@ fn check_and_replay() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
 
     std::fs::remove_file(&net).ok();
-    std::fs::remove_file(&db).ok();
+    remove_db(&db);
     std::fs::remove_file(&trace).ok();
 }
 
@@ -334,7 +341,7 @@ fn profile_explain_and_metrics_json() {
     assert_eq!(dumped.matches('{').count(), dumped.matches('}').count());
 
     std::fs::remove_file(&net).ok();
-    std::fs::remove_file(&db).ok();
+    remove_db(&db);
     std::fs::remove_file(&metrics).ok();
 }
 
@@ -352,15 +359,13 @@ impl Scratch {
         self.0.join(file).to_str().unwrap().to_string()
     }
 
-    /// Generates `net.net` and builds `db.db` from it, `build` flags
-    /// appended; returns the network.
-    fn built(&self, build: &str) -> Network {
+    /// Generates `net.net` and builds `db.db` from it; returns the
+    /// network.
+    fn built(&self) -> Network {
         let (net, db) = (self.path("net.net"), self.path("db.db"));
         let gen = ccam(&["generate", &net, "--grid", "12", "--seed", "5"]);
         assert!(gen.status.success(), "{gen:?}");
-        let mut args = vec!["build", &net, &db, "--block", "1024"];
-        args.extend(build.split_whitespace());
-        let out = ccam(&args);
+        let out = ccam(&["build", &net, &db, "--block", "1024"]);
         assert!(out.status.success(), "{out:?}");
         load_network(std::path::Path::new(&net)).unwrap()
     }
@@ -488,7 +493,7 @@ fn check_reads(addr: &str, reads: &[(Request, Response)]) -> usize {
 #[test]
 fn serve_answers_like_the_model_and_drains_at_max_seconds() {
     let dir = Scratch::new("serve");
-    let reads = model_reads(&dir.built(""));
+    let reads = model_reads(&dir.built());
     let metrics = dir.path("metrics.json");
     let flags = format!("--workers 2 --queue-depth 16 --max-seconds 3 --metrics-json {metrics}");
     let mut server = Served::start(&dir.path("db.db"), &flags);
@@ -506,7 +511,7 @@ fn serve_answers_like_the_model_and_drains_at_max_seconds() {
 #[test]
 fn a_follower_answers_like_the_model_and_outlives_its_primary() {
     let dir = Scratch::new("repl");
-    let reads = model_reads(&dir.built("--wal"));
+    let reads = model_reads(&dir.built());
     for (from, to) in [("db.db", "replica.db"), ("db.db.wal", "replica.db.wal")] {
         std::fs::copy(dir.path(from), dir.path(to)).unwrap();
     }
@@ -544,6 +549,80 @@ fn a_follower_answers_like_the_model_and_outlives_its_primary() {
     }
 }
 
+/// `ccam find`'s answer for `node`, as the `.net` model gives it.
+fn find_text(node: &NodeData) -> String {
+    let mut text = format!(
+        "node {} at ({}, {})\npayload: {} bytes\n",
+        node.id.0,
+        node.x,
+        node.y,
+        node.payload.len()
+    );
+    for e in &node.successors {
+        text += &format!("  -> {} (cost {})\n", e.to.0, e.cost);
+    }
+    for p in &node.predecessors {
+        text += &format!("  <- {}\n", p.0);
+    }
+    text
+}
+
+/// Every database is opened through its log: one whose sidecar is gone
+/// gets an empty one back, for a one-shot query and for serving alike,
+/// and answers like the model.
+#[test]
+fn a_database_whose_log_is_gone_gets_one_and_answers_like_the_model() {
+    let dir = Scratch::new("nolog");
+    let net = dir.built();
+    let (db, log) = (dir.path("db.db"), dir.path("db.db.wal"));
+    std::fs::remove_file(&log).expect("build writes the log");
+    for node in net.nodes().step_by(7) {
+        let out = ccam(&["find", &db, &node.id.0.to_string()]);
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(stdout(&out), find_text(node));
+    }
+    assert!(
+        Path::new(&log).exists(),
+        "find left the database without a log"
+    );
+
+    std::fs::remove_file(&log).unwrap();
+    let mut server = Served::start(&db, "--max-seconds 2");
+    check_reads(&server.addr("listening on"), &model_reads(&net));
+    server.wait_for_clean_exit();
+    assert!(
+        Path::new(&log).exists(),
+        "serve left the database without a log"
+    );
+}
+
+/// `--retry` is a bare switch: it never takes the next argument, even
+/// one that reads as a number, so a query answers the same with it.
+#[test]
+fn retry_takes_no_argument() {
+    let dir = Scratch::new("retry");
+    let net = dir.built();
+    let db = dir.path("db.db");
+    let walk = random_walk_routes(&net, 1, 4, 3).remove(0);
+    let ids: Vec<String> = walk.nodes.iter().map(|id| id.0.to_string()).collect();
+    assert!(ids.iter().all(|id| id.parse::<u32>().is_ok()));
+    let answer = |args: &[&str]| {
+        let out = ccam(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        stdout(&out)
+    };
+    let id = ids[0].as_str();
+    assert_eq!(
+        answer(&["succ", &db, "--retry", id]),
+        answer(&["succ", &db, id])
+    );
+    let route: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let with_retry = [&["route", db.as_str(), "--retry"][..], &route].concat();
+    let without = [&["route", db.as_str()][..], &route].concat();
+    assert_eq!(answer(&with_retry), answer(&without));
+    assert!(answer(&without).starts_with(&format!("route of {} nodes", ids.len())));
+}
+
 #[test]
 fn errors_are_clean() {
     // Unknown command.
@@ -572,5 +651,5 @@ fn errors_are_clean() {
     let out = ccam(&["find", db.to_str().unwrap(), "not-a-number"]);
     assert!(!out.status.success());
     std::fs::remove_file(&net).ok();
-    std::fs::remove_file(&db).ok();
+    remove_db(&db);
 }

@@ -98,7 +98,9 @@ fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
 #[test]
 fn reads_during_commit_see_only_committed_states() {
     let net = test_network(5);
-    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let wal_path = temp_path("stamps.wal");
+    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &wal_path).unwrap();
+    let am = CcamBuilder::new(1024).build_static_on(wal, &net).unwrap();
     let ids = net.node_ids();
     let sentinels = [
         ids[0],
@@ -228,6 +230,8 @@ fn reads_during_commit_see_only_committed_states() {
     // Every committed write() above was one epoch bump: the initial
     // stamping transaction plus WRITE_TRANSACTIONS generations.
     assert_eq!(db.epoch(), epoch_at_start + WRITE_TRANSACTIONS);
+    drop(db);
+    let _ = std::fs::remove_file(&wal_path);
 }
 
 /// The snapshot-isolation property proper: every snapshot a reader
@@ -254,7 +258,6 @@ fn pinned_snapshots_match_the_committed_generation_ledger() {
     let (store, disk) = FaultStore::new(wal);
     let mut am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
     am.file_mut().set_auto_commit(true);
-    am.enable_snapshots().unwrap();
 
     let db = Arc::new(EpochCell::new(am).unwrap());
 
@@ -388,7 +391,6 @@ fn panicking_writer_poisons_cell_and_recover_rolls_back() {
     // Explicit transaction boundaries: the mutation below stays
     // uncommitted in the WAL overlay so recover() can roll it back.
     am.file_mut().set_auto_commit(false);
-    am.enable_snapshots().unwrap();
 
     let db = Arc::new(EpochCell::new(am).unwrap());
     let before = db.read().unwrap();
