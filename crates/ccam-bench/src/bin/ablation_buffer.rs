@@ -9,6 +9,7 @@
 use ccam_bench::{benchmark_network, build_all_methods, render_table, EXPERIMENT_SEED};
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::walks::random_walk_routes;
+use ccam_graph::RecordCodec;
 
 fn main() {
     let net = benchmark_network();
@@ -19,7 +20,7 @@ fn main() {
         "Ablation: buffer frames vs route-evaluation I/O  (block = {block} B, L = 30, 100 routes)\n"
     );
 
-    let methods = build_all_methods(&net, block, None, false);
+    let methods = build_all_methods(&net, block, None, false, RecordCodec::Paper);
     let header: Vec<String> = std::iter::once("method".to_string())
         .chain(buffers.iter().map(|b| format!("{b} frames")))
         .collect();

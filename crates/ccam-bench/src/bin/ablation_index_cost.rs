@@ -17,6 +17,7 @@ use ccam_bench::{benchmark_network, render_table, EXPERIMENT_SEED};
 use ccam_core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::walks::random_walk_routes;
+use ccam_graph::RecordCodec;
 use std::collections::HashMap;
 
 fn main() {
@@ -27,8 +28,23 @@ fn main() {
 
     let w = HashMap::new();
     let methods: Vec<Box<dyn AccessMethod>> = vec![
-        Box::new(CcamBuilder::new(block).build_static(&net).expect("ccam")),
-        Box::new(TopoAm::create(&net, block, TraversalOrder::BreadthFirst, None, &w).expect("bfs")),
+        Box::new(
+            CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
+                .build_static(&net)
+                .expect("ccam"),
+        ),
+        Box::new(
+            TopoAm::create(
+                &net,
+                block,
+                TraversalOrder::BreadthFirst,
+                None,
+                &w,
+                RecordCodec::Paper,
+            )
+            .expect("bfs"),
+        ),
     ];
     let index_buffers = [1usize, 2, 4, 16, 64];
 

@@ -10,6 +10,7 @@ use std::time::Instant;
 
 use ccam_bench::{benchmark_network, render_table};
 use ccam_core::am::{AccessMethod, CcamBuilder};
+use ccam_graph::RecordCodec;
 use ccam_partition::Partitioner;
 
 fn main() {
@@ -23,15 +24,21 @@ fn main() {
     let configs: Vec<(&str, CcamBuilder)> = vec![
         (
             "ratio-cut (paper)",
-            CcamBuilder::new(block).partitioner(Partitioner::RatioCut),
+            CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
+                .partitioner(Partitioner::RatioCut),
         ),
         (
             "fiduccia-mattheyses",
-            CcamBuilder::new(block).partitioner(Partitioner::FiducciaMattheyses),
+            CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
+                .partitioner(Partitioner::FiducciaMattheyses),
         ),
         (
             "kernighan-lin",
-            CcamBuilder::new(block).partitioner(Partitioner::KernighanLin),
+            CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
+                .partitioner(Partitioner::KernighanLin),
         ),
     ];
 

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use ccam_bench::{benchmark_network, measure_io, render_table, sample_nodes, EXPERIMENT_SEED};
 use ccam_core::am::{AccessMethod, CcamBuilder};
 use ccam_core::reorg::ReorgPolicy;
-use ccam_graph::{NodeData, NodeId};
+use ccam_graph::{NodeData, NodeId, RecordCodec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -49,6 +49,7 @@ fn edge_update_costs(net: &ccam_graph::Network, block: usize) {
         ReorgPolicy::Lazy { every: 8 },
     ] {
         let mut am = CcamBuilder::new(block)
+            .codec(RecordCodec::Paper)
             .policy(policy)
             .build_static(net)
             .expect("create");
@@ -103,6 +104,7 @@ fn lazy_thresholds(net: &ccam_graph::Network, block: usize) {
     let mut rows = Vec::new();
     for policy in policies {
         let mut am = CcamBuilder::new(block)
+            .codec(RecordCodec::Paper)
             .policy(policy)
             .build_static(&base)
             .expect("create");

@@ -11,6 +11,7 @@
 use ccam_bench::{benchmark_network, build_all_methods, render_table, EXPERIMENT_SEED};
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::walks::{commuter_routes, random_walk_routes, Route};
+use ccam_graph::RecordCodec;
 
 fn main() {
     let net = benchmark_network();
@@ -27,7 +28,7 @@ fn main() {
         avg_len(&commutes)
     );
 
-    let methods = build_all_methods(&net, block, None, false);
+    let methods = build_all_methods(&net, block, None, false, RecordCodec::Paper);
     let header: Vec<String> = ["method", "walk I/O per hop", "commute I/O per hop"]
         .iter()
         .map(|s| s.to_string())

@@ -106,12 +106,9 @@ fn main() {
 
     // Both partitioners on the same PartGraph — the speedup gate. The
     // graph is exactly what Static-Create() builds internally.
-    let graph = part_graph(&net);
-    let budget = CcamBuilder::new(block)
-        .build_empty()
-        .expect("empty file")
-        .file()
-        .clustering_budget();
+    let empty = CcamBuilder::new(block).build_empty().expect("empty file");
+    let graph = part_graph(&net, empty.file());
+    let budget = empty.file().clustering_budget();
     let cluster = |strategy: PartitionStrategy| {
         let t0 = Instant::now();
         let groups = cluster_nodes_into_pages_with(

@@ -7,23 +7,33 @@
 //! Expected shape (paper): CRR grows with block size for every method;
 //! CCAM-S highest everywhere, CCAM-D close behind, then DFS-AM, with the
 //! Grid File overtaking DFS-AM at 4k; BFS-AM far below everything.
+//!
+//! `--codec compact` reruns it on the compact record (EXPERIMENTS.md).
 
-use ccam_bench::{benchmark_network, build_all_methods, render_table};
+use ccam_bench::{benchmark_network, build_all_methods, codec_arg, render_table};
+use ccam_graph::RecordCodec;
 
 fn main() {
+    let codec = codec_arg("fig5_crr_vs_blocksize");
     let net = benchmark_network();
     println!(
         "Figure 5: CRR vs disk block size  (road map: {} nodes, {} edges)\n",
         net.len(),
         net.num_edges()
     );
+    if codec != RecordCodec::Paper {
+        println!(
+            "record codec: {} (extension; the paper's record is the default)\n",
+            codec.name()
+        );
+    }
     let block_sizes = [512usize, 1024, 2048, 4096];
 
     // Build per block size, collect CRR per method.
     let mut names: Vec<String> = Vec::new();
     let mut crr: Vec<Vec<f64>> = Vec::new();
     for (bi, &bs) in block_sizes.iter().enumerate() {
-        let methods = build_all_methods(&net, bs, None, false);
+        let methods = build_all_methods(&net, bs, None, false, codec);
         for (mi, m) in methods.iter().enumerate() {
             if bi == 0 {
                 names.push(m.name().to_string());

@@ -9,19 +9,29 @@
 //!
 //! Expected shape (paper): page accesses grow linearly with route
 //! length; CCAM-S and CCAM-D below every other method at every length.
+//!
+//! `--codec compact` reruns it on the compact record (EXPERIMENTS.md).
 
 use ccam_bench::{
-    avg_route_io, benchmark_network, build_all_methods, render_table, EXPERIMENT_SEED,
+    avg_route_io, benchmark_network, build_all_methods, codec_arg, render_table, EXPERIMENT_SEED,
 };
 use ccam_graph::walks::{edge_weights_from_routes, random_walk_routes};
+use ccam_graph::RecordCodec;
 
 fn main() {
+    let codec = codec_arg("fig6_route_eval");
     let net = benchmark_network();
     let block = 2048;
     let lengths = [10usize, 20, 30, 40];
     println!(
         "Figure 6: route evaluation I/O vs route length  (block = {block} B, 100 routes/set, 1-page buffer)\n"
     );
+    if codec != RecordCodec::Paper {
+        println!(
+            "record codec: {} (extension; the paper's record is the default)\n",
+            codec.name()
+        );
+    }
 
     // Route sets and the derived edge weights (all sets contribute).
     let route_sets: Vec<_> = lengths
@@ -32,7 +42,7 @@ fn main() {
     let all_routes: Vec<_> = route_sets.iter().flatten().cloned().collect();
     let weights = edge_weights_from_routes(&all_routes);
 
-    let methods = build_all_methods(&net, block, Some(&weights), true);
+    let methods = build_all_methods(&net, block, Some(&weights), true, codec);
 
     let header: Vec<String> = std::iter::once("method".to_string())
         .chain(lengths.iter().map(|l| format!("L={l}")))

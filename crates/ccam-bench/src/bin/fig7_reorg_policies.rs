@@ -15,7 +15,7 @@ use std::collections::HashSet;
 use ccam_bench::{benchmark_network, measure_io, render_table, sample_nodes, EXPERIMENT_SEED};
 use ccam_core::am::{AccessMethod, CcamBuilder};
 use ccam_core::reorg::ReorgPolicy;
-use ccam_graph::{Network, NodeData, NodeId};
+use ccam_graph::{Network, NodeData, NodeId, RecordCodec};
 
 /// Report a sample every this many insertions.
 const REPORT_EVERY: usize = 27;
@@ -53,6 +53,7 @@ fn main() {
 
     for policy in policies {
         let mut am = CcamBuilder::new(block)
+            .codec(RecordCodec::Paper)
             .policy(policy)
             .build_static(&base)
             .expect("base CCAM");

@@ -94,12 +94,9 @@ fn main() {
     // ---- Phase 1: clustering, swept over thread counts --------------
     // The same PartGraph `Static-Create()` builds internally, against
     // the real page budget.
-    let budget = CcamBuilder::new(block)
-        .build_empty()
-        .expect("empty file")
-        .file()
-        .clustering_budget();
-    let graph = part_graph(&net);
+    let empty = CcamBuilder::new(block).build_empty().expect("empty file");
+    let budget = empty.file().clustering_budget();
+    let graph = part_graph(&net, empty.file());
 
     // Both strategies sweep the same thread counts; each row records its
     // speedup over the same strategy's 1-thread run.

@@ -15,6 +15,7 @@ use ccam_bench::{avg_route_io, render_table};
 use ccam_core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::walks::random_walk_routes;
+use ccam_graph::RecordCodec;
 
 fn config(grid: u32, seed: u64) -> RoadMapConfig {
     RoadMapConfig::scaled(grid, seed)
@@ -41,10 +42,29 @@ fn main() {
         let net = road_map(&config(grid, 1995));
         let w = HashMap::new();
         let t0 = Instant::now();
-        let ccam = CcamBuilder::new(1024).build_static(&net).expect("ccam");
+        let ccam = CcamBuilder::new(1024)
+            .codec(RecordCodec::Paper)
+            .build_static(&net)
+            .expect("ccam");
         let dt = t0.elapsed();
-        let dfs = TopoAm::create(&net, 1024, TraversalOrder::DepthFirst, None, &w).expect("dfs");
-        let bfs = TopoAm::create(&net, 1024, TraversalOrder::BreadthFirst, None, &w).expect("bfs");
+        let dfs = TopoAm::create(
+            &net,
+            1024,
+            TraversalOrder::DepthFirst,
+            None,
+            &w,
+            RecordCodec::Paper,
+        )
+        .expect("dfs");
+        let bfs = TopoAm::create(
+            &net,
+            1024,
+            TraversalOrder::BreadthFirst,
+            None,
+            &w,
+            RecordCodec::Paper,
+        )
+        .expect("bfs");
         let routes = random_walk_routes(&net, 60, 20, 7);
         let ccam_io = avg_route_io(&ccam, &routes);
         let dfs_io = avg_route_io(&dfs, &routes);

@@ -11,30 +11,48 @@
 //! * page under/overflows are side-stepped (first-order policy, each
 //!   deleted node is immediately re-inserted) "to filter out the effect
 //!   of reorganization policies".
+//!
+//! `--codec compact` reruns it on the compact record (EXPERIMENTS.md).
 
-use ccam_bench::{benchmark_network, measure_io, render_table, sample_nodes, EXPERIMENT_SEED};
+use ccam_bench::{
+    benchmark_network, codec_arg, measure_io, render_table, sample_nodes, EXPERIMENT_SEED,
+};
 use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::costmodel::CostParams;
 use ccam_core::reorg::ReorgPolicy;
+use ccam_graph::RecordCodec;
 use std::collections::HashMap;
 
 fn main() {
+    let codec = codec_arg("table5_operation_costs");
     let net = benchmark_network();
     let block = 1024;
     println!("Table 5: I/O cost for network operations  (block = {block} B, 50% node sample)\n");
+    if codec != RecordCodec::Paper {
+        println!(
+            "record codec: {} (extension; the paper's record is the default)\n",
+            codec.name()
+        );
+    }
 
     let w = HashMap::new();
     // First-order policy: reorganization filtered out, as in the paper.
     let methods: Vec<Box<dyn AccessMethod>> = vec![
         Box::new(
             CcamBuilder::new(block)
+                .codec(codec)
                 .policy(ReorgPolicy::FirstOrder)
                 .build_static(&net)
                 .expect("CCAM"),
         ),
-        Box::new(TopoAm::create(&net, block, TraversalOrder::DepthFirst, None, &w).expect("DFS")),
-        Box::new(GridAm::create(&net, block).expect("Grid")),
-        Box::new(TopoAm::create(&net, block, TraversalOrder::BreadthFirst, None, &w).expect("BFS")),
+        Box::new(
+            TopoAm::create(&net, block, TraversalOrder::DepthFirst, None, &w, codec).expect("DFS"),
+        ),
+        Box::new(GridAm::create(&net, block, codec).expect("Grid")),
+        Box::new(
+            TopoAm::create(&net, block, TraversalOrder::BreadthFirst, None, &w, codec)
+                .expect("BFS"),
+        ),
     ];
 
     let sample = sample_nodes(&net, 0.5, EXPERIMENT_SEED + 1);

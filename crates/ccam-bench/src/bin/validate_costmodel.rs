@@ -16,6 +16,7 @@ use ccam_bench::{benchmark_network, render_table};
 use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::reorg::ReorgPolicy;
 use ccam_core::validate::{validate, ValidationConfig};
+use ccam_graph::RecordCodec;
 
 fn main() {
     let net = benchmark_network();
@@ -26,13 +27,34 @@ fn main() {
     let methods: Vec<Box<dyn AccessMethod>> = vec![
         Box::new(
             CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
                 .policy(ReorgPolicy::FirstOrder)
                 .build_static(&net)
                 .expect("CCAM"),
         ),
-        Box::new(TopoAm::create(&net, block, TraversalOrder::DepthFirst, None, &w).expect("DFS")),
-        Box::new(GridAm::create(&net, block).expect("Grid")),
-        Box::new(TopoAm::create(&net, block, TraversalOrder::BreadthFirst, None, &w).expect("BFS")),
+        Box::new(
+            TopoAm::create(
+                &net,
+                block,
+                TraversalOrder::DepthFirst,
+                None,
+                &w,
+                RecordCodec::Paper,
+            )
+            .expect("DFS"),
+        ),
+        Box::new(GridAm::create(&net, block, RecordCodec::Paper).expect("Grid")),
+        Box::new(
+            TopoAm::create(
+                &net,
+                block,
+                TraversalOrder::BreadthFirst,
+                None,
+                &w,
+                RecordCodec::Paper,
+            )
+            .expect("BFS"),
+        ),
     ];
 
     let cfg = ValidationConfig {

@@ -3,11 +3,12 @@
 use std::collections::HashMap;
 
 use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
-use ccam_core::file::clustering_weight;
+use ccam_core::file::NetworkFile;
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::walks::Route;
-use ccam_graph::{roadmap, Network, NodeId};
+use ccam_graph::{roadmap, Network, NodeId, RecordCodec};
 use ccam_partition::PartGraph;
+use ccam_storage::PageStore;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,7 +23,8 @@ pub fn benchmark_network() -> Network {
 }
 
 /// The five access methods of the paper's comparison, built over `net`
-/// with the given block size and (optional) route-derived edge weights.
+/// with the given block size, (optional) route-derived edge weights and
+/// record codec ([`RecordCodec::Paper`] reproduces the paper).
 ///
 /// Order matches the paper's figures: CCAM-S, CCAM-D, DFS-AM,
 /// (WDFS-AM when weighted,) Grid File, BFS-AM.
@@ -31,10 +33,11 @@ pub fn build_all_methods(
     block_size: usize,
     weights: Option<&HashMap<(NodeId, NodeId), u64>>,
     include_wdfs: bool,
+    codec: RecordCodec,
 ) -> Vec<Box<dyn AccessMethod>> {
     let empty = HashMap::new();
     let w = weights.unwrap_or(&empty);
-    let mut builder = CcamBuilder::new(block_size);
+    let mut builder = CcamBuilder::new(block_size).codec(codec);
     if let Some(weights) = weights {
         builder = builder.weights(weights.clone());
     }
@@ -42,21 +45,35 @@ pub fn build_all_methods(
     methods.push(Box::new(builder.build_static(net).expect("CCAM-S create")));
     methods.push(Box::new(builder.build_dynamic(net).expect("CCAM-D create")));
     methods.push(Box::new(
-        TopoAm::create(net, block_size, TraversalOrder::DepthFirst, None, w)
+        TopoAm::create(net, block_size, TraversalOrder::DepthFirst, None, w, codec)
             .expect("DFS-AM create"),
     ));
     if include_wdfs {
         methods.push(Box::new(
-            TopoAm::create(net, block_size, TraversalOrder::WeightedDepthFirst, None, w)
-                .expect("WDFS-AM create"),
+            TopoAm::create(
+                net,
+                block_size,
+                TraversalOrder::WeightedDepthFirst,
+                None,
+                w,
+                codec,
+            )
+            .expect("WDFS-AM create"),
         ));
     }
     methods.push(Box::new(
-        GridAm::create(net, block_size).expect("Grid create"),
+        GridAm::create(net, block_size, codec).expect("Grid create"),
     ));
     methods.push(Box::new(
-        TopoAm::create(net, block_size, TraversalOrder::BreadthFirst, None, w)
-            .expect("BFS-AM create"),
+        TopoAm::create(
+            net,
+            block_size,
+            TraversalOrder::BreadthFirst,
+            None,
+            w,
+            codec,
+        )
+        .expect("BFS-AM create"),
     ));
     methods
 }
@@ -104,6 +121,23 @@ pub fn avg_route_io(am: &dyn AccessMethod, routes: &[Route]) -> f64 {
         .set_capacity(ccam_core::file::DEFAULT_BUFFER_FRAMES)
         .expect("capacity");
     total as f64 / routes.len() as f64
+}
+
+/// The record codec a paper-figure binary builds with: the paper's,
+/// unless `--codec compact` selects the compact-record extension
+/// (EXPERIMENTS.md). Any other argument exits 2.
+pub fn codec_arg(bin: &'static str) -> RecordCodec {
+    let mut args = Args::from_env(bin);
+    let mut codec = RecordCodec::Paper;
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--codec" => codec = args.num("--codec"),
+            other => args.fail(&format!(
+                "unknown flag {other} (usage: {bin} [--codec paper|compact])"
+            )),
+        }
+    }
+    codec
 }
 
 /// Parses the value given to command-line flag `flag`, or names the flag
@@ -169,12 +203,13 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// The `PartGraph` that `Static-Create()` builds internally: clustering
-/// weights per node, uniform edge weights (the CRR setting).
-pub fn part_graph(net: &Network) -> PartGraph {
+/// The `PartGraph` that `Static-Create()` builds internally into `file`:
+/// the file's clustering weights per node, uniform edge weights (the CRR
+/// setting).
+pub fn part_graph<S: PageStore>(net: &Network, file: &NetworkFile<S>) -> PartGraph {
     let all: Vec<&ccam_graph::NodeData> = net.nodes().collect();
     let idx_of: HashMap<NodeId, usize> = all.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-    let sizes = all.iter().map(|n| clustering_weight(n)).collect();
+    let sizes = all.iter().map(|n| file.clustering_weight(n)).collect();
     let mut edges = Vec::new();
     for (i, n) in all.iter().enumerate() {
         for e in &n.successors {
@@ -273,7 +308,7 @@ mod tests {
     #[test]
     fn build_all_methods_names() {
         let net = ccam_graph::generators::grid_network(6, 6, 1.0);
-        let methods = build_all_methods(&net, 512, None, true);
+        let methods = build_all_methods(&net, 512, None, true, RecordCodec::Paper);
         let names: Vec<&str> = methods.iter().map(|m| m.name()).collect();
         assert_eq!(
             names,

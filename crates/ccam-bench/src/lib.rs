@@ -23,6 +23,11 @@
 //! | `chaos_serve`             | seeded fault-injection harness for the server (CI chaos-smoke) |
 //! | `repl_chaos`              | seeded chaos harness for replication (CI repl-smoke) |
 //!
+//! Every paper binary builds on the paper's record
+//! ([`ccam_graph::RecordCodec::Paper`]); `fig5_crr_vs_blocksize`,
+//! `table5_operation_costs` and `fig6_route_eval` rerun on the compact
+//! record with `--codec compact` ([`codec_arg`]).
+//!
 //! Serving throughput and per-layer timings are the benchmark ledger's
 //! (`benchmark/`). The library part hosts the shared plumbing: building
 //! every access method over the benchmark road map, per-operation I/O

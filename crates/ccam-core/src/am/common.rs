@@ -40,7 +40,8 @@ pub struct DeletedNode {
 /// neighbor page fits.
 ///
 /// Ranking needs the neighbor pages' contents, so each candidate page is
-/// fetched (counted) — this is the `λ` retrieval cost of Table 4.
+/// fetched (counted) — this is the `λ` retrieval cost of Table 4. The
+/// neighbours on a page are counted by id, in place; nothing is decoded.
 pub fn select_page_by_neighbors<S: PageStore>(
     file: &NetworkFile<S>,
     neighbors: &[NodeId],
@@ -52,8 +53,7 @@ pub fn select_page_by_neighbors<S: PageStore>(
         if file.is_quarantined(page) {
             continue; // never place records on an unreadable page
         }
-        let records = file.read_page_records(page)?;
-        let count = records.iter().filter(|r| neighbors.contains(&r.id)).count();
+        let count = file.count_ids_on(page, neighbors)?;
         let free = file.page_free_space(page)?;
         if free < needed + ccam_storage::slotted::SLOT_LEN {
             continue;
@@ -163,11 +163,11 @@ pub fn write_back<S: PageStore>(
     }
     // Grew past the page: move the record (index entry follows).
     file.remove_from(page, rec.id)?;
-    let target =
-        match select_page_by_neighbors(file, &rec.neighbors(), crate::file::record_len(rec))? {
-            Some(p) => Some(p),
-            None => any_page_with_space(file, crate::file::record_len(rec))?,
-        };
+    let needed = file.record_len(rec);
+    let target = match select_page_by_neighbors(file, &rec.neighbors(), needed)? {
+        Some(p) => Some(p),
+        None => any_page_with_space(file, needed)?,
+    };
     if let Some(t) = target {
         if file.insert_into(t, rec)? {
             return Ok(());
@@ -196,11 +196,8 @@ pub fn insert_with_overflow_split<S: PageStore>(
     }
     // Overflow: recluster page ∪ {node} into fresh groups.
     let mut records = file.read_page_records(page)?;
-    for rec in &records {
-        file.remove_from(page, rec.id)?;
-    }
     records.push(node.clone());
-    let sizes: Vec<usize> = records.iter().map(crate::file::clustering_weight).collect();
+    let sizes: Vec<usize> = records.iter().map(|r| file.clustering_weight(r)).collect();
     let idx_of: std::collections::HashMap<NodeId, usize> =
         records.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
     let mut edges = Vec::new();
@@ -213,18 +210,13 @@ pub fn insert_with_overflow_split<S: PageStore>(
     }
     let graph = PartGraph::new(sizes, &edges);
     let groups = cluster_nodes_into_pages(&graph, file.clustering_budget(), partitioner);
-    let mut targets = vec![page];
-    for group in groups {
-        let target = if let Some(p) = targets.pop() {
-            p
-        } else {
-            file.allocate_page()?
-        };
-        for &i in &group {
-            let ok = file.insert_into(target, &records[i])?;
-            debug_assert!(ok, "clustered group must fit");
-        }
-    }
+    // The first group refills `page`, the rest go to fresh pages.
+    file.repack(
+        &[page],
+        groups
+            .into_iter()
+            .map(|g| g.into_iter().map(|i| &records[i]).collect()),
+    )?;
     Ok(())
 }
 
@@ -249,24 +241,15 @@ pub fn merge_on_underflow<S: PageStore>(
             continue;
         }
         let q_records = file.read_page_records(q)?;
-        let q_weight: usize = q_records.iter().map(crate::file::clustering_weight).sum();
+        let q_weight: usize = q_records.iter().map(|r| file.clustering_weight(r)).sum();
         let p_records = file.read_page_records(page)?;
-        let p_weight: usize = p_records.iter().map(crate::file::clustering_weight).sum();
+        let p_weight: usize = p_records.iter().map(|r| file.clustering_weight(r)).sum();
         if p_weight + q_weight <= file.clustering_budget() {
             // Rewrite `page` from scratch with both pages' records (a
             // fresh slotted layout has no dead-slot overhead, so the
-            // byte accounting above is exact), then free q.
-            for rec in &p_records {
-                file.remove_from(page, rec.id)?;
-            }
-            for rec in &q_records {
-                file.remove_from(q, rec.id)?;
-            }
-            for rec in p_records.iter().chain(&q_records) {
-                let ok = file.insert_into(page, rec)?;
-                debug_assert!(ok, "merge fits by construction");
-            }
-            file.free_page(q)?;
+            // byte accounting above is exact). `page`, last of the
+            // sources, takes the one group; q, left over, is freed.
+            file.repack(&[q, page], [p_records.iter().chain(&q_records).collect()])?;
             return Ok(());
         }
     }
@@ -334,9 +317,7 @@ mod tests {
         f.bulk_load(vec![vec![&a, &b]]).unwrap();
         // Insert x with edge x->1 and incoming 2->x (cost 9).
         let x = node(10, &[(1, 5)], &[2]);
-        let p = any_page_with_space(&f, crate::file::record_len(&x))
-            .unwrap()
-            .unwrap();
+        let p = any_page_with_space(&f, f.record_len(&x)).unwrap().unwrap();
         f.insert_into(p, &x).unwrap();
         patch_neighbors_on_insert(&mut f, &x, &[(NodeId(2), 9)]).unwrap();
         let (_, rec1) = f.find(NodeId(1)).unwrap().unwrap();

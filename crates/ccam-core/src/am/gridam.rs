@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ccam_graph::{Network, NodeData, NodeId};
+use ccam_graph::{Network, NodeData, NodeId, RecordCodec};
 use ccam_index::gridfile::{BucketId, GridFile};
 use ccam_storage::{MemPageStore, PageId, PageStore, StorageResult};
 
@@ -29,17 +29,12 @@ pub struct GridAm<S: PageStore = MemPageStore> {
 impl GridAm<MemPageStore> {
     /// `Create()`: bulk-inserts every node into a grid file whose bucket
     /// capacity equals the page byte budget, then materialises each
-    /// bucket as one data page.
-    pub fn create(net: &Network, page_size: usize) -> StorageResult<GridAm> {
-        let mut file = NetworkFile::new(page_size)?;
+    /// bucket as one data page. Records are stored in `codec`.
+    pub fn create(net: &Network, page_size: usize, codec: RecordCodec) -> StorageResult<GridAm> {
+        let mut file = NetworkFile::create(MemPageStore::new(page_size)?, codec)?;
         let mut grid: GridFile<u64> = GridFile::new(file.clustering_budget());
         for node in net.nodes() {
-            grid.insert(
-                node.x,
-                node.y,
-                crate::file::clustering_weight(node),
-                node.id.0,
-            );
+            grid.insert(node.x, node.y, file.clustering_weight(node), node.id.0);
         }
         // Materialise buckets as pages.
         let mut page_of_bucket = HashMap::new();
@@ -117,12 +112,9 @@ impl<S: PageStore> AccessMethod<S> for GridAm<S> {
         node: &NodeData,
         incoming: &[(NodeId, u32)],
     ) -> StorageResult<()> {
-        let (bucket, events) = self.grid.insert(
-            node.x,
-            node.y,
-            crate::file::clustering_weight(node),
-            node.id.0,
-        );
+        let (bucket, events) =
+            self.grid
+                .insert(node.x, node.y, self.file.clustering_weight(node), node.id.0);
         self.apply_splits(events)?;
         let page = self.page_for(bucket)?;
         if !self.file.insert_into(page, node)? {
@@ -192,7 +184,7 @@ mod tests {
     #[test]
     fn create_stores_every_node() {
         let net = grid_network(8, 8, 1.0);
-        let am = GridAm::create(&net, 512).unwrap();
+        let am = GridAm::create(&net, 512, RecordCodec::Paper).unwrap();
         assert_eq!(am.file().len(), 64);
         for id in net.node_ids() {
             assert_eq!(am.find(id).unwrap().unwrap(), *net.node(id).unwrap());
@@ -202,7 +194,7 @@ mod tests {
     #[test]
     fn proximity_clustering_gives_positive_crr_on_road_grids() {
         let net = grid_network(10, 10, 1.0);
-        let am = GridAm::create(&net, 1024).unwrap();
+        let am = GridAm::create(&net, 1024, RecordCodec::Paper).unwrap();
         let crr = am.crr().unwrap();
         assert!(
             crr > 0.3,
@@ -213,7 +205,7 @@ mod tests {
     #[test]
     fn buckets_map_to_distinct_pages() {
         let net = grid_network(9, 9, 1.0);
-        let am = GridAm::create(&net, 512).unwrap();
+        let am = GridAm::create(&net, 512, RecordCodec::Paper).unwrap();
         let mut pages: Vec<PageId> = am.page_of_bucket.values().copied().collect();
         pages.sort_unstable();
         let before = pages.len();
@@ -225,7 +217,7 @@ mod tests {
     #[test]
     fn insert_splits_propagate_to_pages() {
         let net = grid_network(4, 4, 1.0);
-        let mut am = GridAm::create(&net, 512).unwrap();
+        let mut am = GridAm::create(&net, 512, RecordCodec::Paper).unwrap();
         // Insert a burst of new nodes in one spatial corner to force
         // bucket splits.
         for i in 0..12u64 {
@@ -256,7 +248,7 @@ mod tests {
         for i in 0..30u64 {
             net.add_node(NodeId(i), 5, 5, vec![0u8; 40]);
         }
-        let mut am = GridAm::create(&ccam_graph::Network::new(), 512).unwrap();
+        let mut am = GridAm::create(&ccam_graph::Network::new(), 512, RecordCodec::Paper).unwrap();
         for node in net.nodes() {
             am.insert_node(node, &[]).unwrap();
         }
@@ -269,7 +261,7 @@ mod tests {
     #[test]
     fn delete_and_reinsert() {
         let net = grid_network(5, 5, 1.0);
-        let mut am = GridAm::create(&net, 512).unwrap();
+        let mut am = GridAm::create(&net, 512, RecordCodec::Paper).unwrap();
         let victim = net.node_ids()[10];
         let del = am.delete_node(victim).unwrap().unwrap();
         assert!(am.find(victim).unwrap().is_none());

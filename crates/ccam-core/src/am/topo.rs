@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use ccam_graph::{Network, NodeData, NodeId};
+use ccam_graph::{Network, NodeData, NodeId, RecordCodec};
 use ccam_partition::Partitioner;
 use ccam_storage::{MemPageStore, PageStore, StorageResult};
 
@@ -60,15 +60,17 @@ impl TopoAm<MemPageStore> {
     /// start; a fixed one keeps experiments reproducible and seeds can
     /// vary it) and packs records into pages in that order. `weights`
     /// drive WDFS-AM's edge ordering (ignored by DFS/BFS); WDFS falls
-    /// back to edge costs where no weight is known.
+    /// back to edge costs where no weight is known. Records are stored
+    /// in `codec`.
     pub fn create(
         net: &Network,
         page_size: usize,
         order: TraversalOrder,
         start: Option<NodeId>,
         weights: &HashMap<(NodeId, NodeId), u64>,
+        codec: RecordCodec,
     ) -> StorageResult<TopoAm> {
-        let mut file = NetworkFile::new(page_size)?;
+        let mut file = NetworkFile::create(MemPageStore::new(page_size)?, codec)?;
         let sequence = traversal_order(net, order, start, weights);
         debug_assert_eq!(sequence.len(), net.len());
 
@@ -79,7 +81,7 @@ impl TopoAm<MemPageStore> {
         let budget = file.clustering_budget();
         for id in sequence {
             let node = net.node(id).expect("traversal stays in network");
-            let w = crate::file::clustering_weight(node);
+            let w = file.clustering_weight(node);
             if used + w > budget && !current.is_empty() {
                 groups.push(std::mem::take(&mut current));
                 used = 0;
@@ -211,7 +213,7 @@ impl<S: PageStore> AccessMethod<S> for TopoAm<S> {
     ) -> StorageResult<()> {
         // Insertion next to the most neighbors approximates "insert at
         // the record's traversal position" without a file rewrite.
-        let needed = crate::file::record_len(node);
+        let needed = self.file.record_len(node);
         let page = match select_page_by_neighbors(&self.file, &node.neighbors(), needed)? {
             Some(p) => p,
             None => match common::any_page_with_space(&self.file, needed)? {
@@ -286,7 +288,8 @@ mod tests {
             TraversalOrder::BreadthFirst,
             TraversalOrder::WeightedDepthFirst,
         ] {
-            let am = TopoAm::create(&net, 512, order, None, &no_weights()).unwrap();
+            let am =
+                TopoAm::create(&net, 512, order, None, &no_weights(), RecordCodec::Paper).unwrap();
             assert_eq!(am.file().len(), 49, "{order:?}");
             for id in net.node_ids() {
                 assert!(am.find(id).unwrap().is_some(), "{order:?} {id:?}");
@@ -305,6 +308,7 @@ mod tests {
             TraversalOrder::DepthFirst,
             Some(net.node_ids()[0]),
             &no_weights(),
+            RecordCodec::Paper,
         )
         .unwrap();
         let crr = am.crr().unwrap();
@@ -315,14 +319,22 @@ mod tests {
     fn dfs_beats_bfs_on_grids() {
         // The paper's Figure 5 ordering: DFS-AM above BFS-AM.
         let net = grid_network(12, 12, 1.0);
-        let dfs =
-            TopoAm::create(&net, 1024, TraversalOrder::DepthFirst, None, &no_weights()).unwrap();
+        let dfs = TopoAm::create(
+            &net,
+            1024,
+            TraversalOrder::DepthFirst,
+            None,
+            &no_weights(),
+            RecordCodec::Paper,
+        )
+        .unwrap();
         let bfs = TopoAm::create(
             &net,
             1024,
             TraversalOrder::BreadthFirst,
             None,
             &no_weights(),
+            RecordCodec::Paper,
         )
         .unwrap();
         let (c_dfs, c_bfs) = (dfs.crr().unwrap(), bfs.crr().unwrap());
@@ -350,6 +362,7 @@ mod tests {
             TraversalOrder::WeightedDepthFirst,
             Some(ordered[0]),
             &weights,
+            RecordCodec::Paper,
         )
         .unwrap();
         let wcrr = am.wcrr(&weights).unwrap();
@@ -360,8 +373,15 @@ mod tests {
     fn traversal_covers_disconnected_networks() {
         let mut net = grid_network(3, 3, 1.0);
         net.add_node(NodeId(1 << 40), 9999, 9999, vec![]);
-        let am =
-            TopoAm::create(&net, 512, TraversalOrder::BreadthFirst, None, &no_weights()).unwrap();
+        let am = TopoAm::create(
+            &net,
+            512,
+            TraversalOrder::BreadthFirst,
+            None,
+            &no_weights(),
+            RecordCodec::Paper,
+        )
+        .unwrap();
         assert_eq!(am.file().len(), 10);
         assert!(am.find(NodeId(1 << 40)).unwrap().is_some());
     }
@@ -369,8 +389,15 @@ mod tests {
     #[test]
     fn maintenance_roundtrip() {
         let net = grid_network(5, 5, 1.0);
-        let mut am =
-            TopoAm::create(&net, 512, TraversalOrder::DepthFirst, None, &no_weights()).unwrap();
+        let mut am = TopoAm::create(
+            &net,
+            512,
+            TraversalOrder::DepthFirst,
+            None,
+            &no_weights(),
+            RecordCodec::Paper,
+        )
+        .unwrap();
         let victim = net.node_ids()[7];
         let del = am.delete_node(victim).unwrap().unwrap();
         assert!(am.find(victim).unwrap().is_none());

@@ -12,13 +12,14 @@
 //! * every stored record is indexed (no orphans),
 //! * node ids are unique across pages,
 //! * successor/predecessor lists are mutually consistent,
+//! * every data page records the file's record codec,
 //! * page occupancy respects the half-full goal (reported, not fatal —
 //!   the paper's invariant is "whenever possible").
 
 use std::collections::HashMap;
 use std::fmt;
 
-use ccam_graph::NodeId;
+use ccam_graph::{NodeId, RecordCodec};
 use ccam_storage::{PageId, PageStore, StorageResult};
 
 use crate::file::NetworkFile;
@@ -63,6 +64,15 @@ pub enum Issue {
         /// The claimed predecessor.
         pred: NodeId,
     },
+    /// A data page's header records a codec other than the file's.
+    CodecMismatch {
+        /// The page.
+        page: PageId,
+        /// The codec its header records.
+        found: RecordCodec,
+        /// The file's codec.
+        file: RecordCodec,
+    },
 }
 
 impl fmt::Display for Issue {
@@ -89,6 +99,14 @@ impl fmt::Display for Issue {
             }
             Issue::DanglingPredecessor { node, pred } => {
                 write!(f, "{node} lists predecessor {pred} but no such edge exists")
+            }
+            Issue::CodecMismatch { page, found, file } => {
+                write!(
+                    f,
+                    "{page} holds {} records in a {} file",
+                    found.name(),
+                    file.name()
+                )
             }
         }
     }
@@ -126,6 +144,13 @@ pub fn verify<S: PageStore>(file: &NetworkFile<S>) -> StorageResult<Report> {
     let index_map = file.page_map()?;
     let scan = file.scan_uncounted()?;
     report.pages = scan.len();
+    for (page, found) in file.codec_mismatches_uncounted()? {
+        report.issues.push(Issue::CodecMismatch {
+            page,
+            found,
+            file: file.codec(),
+        });
+    }
 
     // Where each record actually lives, detecting duplicates.
     let mut actual: HashMap<NodeId, PageId> = HashMap::new();
@@ -135,7 +160,7 @@ pub fn verify<S: PageStore>(file: &NetworkFile<S>) -> StorageResult<Report> {
         let mut used = 0usize;
         for rec in records {
             report.records += 1;
-            used += crate::file::clustering_weight(rec);
+            used += file.clustering_weight(rec);
             if let Some(&first) = actual.get(&rec.id) {
                 report.issues.push(Issue::DuplicateRecord {
                     node: rec.id,
@@ -264,6 +289,38 @@ mod tests {
             .iter()
             .any(|i| matches!(i, Issue::MissingBackLink { from, to }
                  if *from == dropped && *to == id)));
+    }
+
+    #[test]
+    fn detects_a_page_in_another_codec() {
+        let net = ccam_graph::generators::path_network(3);
+        let am = CcamBuilder::new(512).build_static(&net).unwrap();
+        assert_eq!(am.file().codec(), RecordCodec::Compact);
+        let page = am.file().page_of(net.node_ids()[0]).unwrap().unwrap();
+        let records = am.file().read_page_records(page).unwrap();
+        // Rewrite the page in the paper's format behind the file's back.
+        am.file()
+            .pool()
+            .with_page_mut(page, |buf| {
+                let mut sp = ccam_storage::SlottedPage::init(buf);
+                for rec in &records {
+                    sp.insert(&RecordCodec::Paper.encode(rec)).unwrap();
+                }
+            })
+            .unwrap();
+        let report = verify(am.file()).unwrap();
+        assert_eq!(
+            report.issues,
+            vec![Issue::CodecMismatch {
+                page,
+                found: RecordCodec::Paper,
+                file: RecordCodec::Compact,
+            }]
+        );
+        assert_eq!(
+            report.records, 3,
+            "the page still decodes, in its own codec"
+        );
     }
 
     #[test]

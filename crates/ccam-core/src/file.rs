@@ -21,12 +21,24 @@
 //! there; nothing else is counted unless it then falls back to `find`.
 //! Records are searched and decoded in the frame's bytes; no read path
 //! copies a page.
+//!
+//! Record format: a file stores every record in one [`RecordCodec`],
+//! chosen at `Create()` ([`NetworkFile::create`]) and recorded in the
+//! format bit of every data page's header
+//! ([`SlottedView::format_bit`]), so it travels with each page image —
+//! through `save_to`, the log, replication and snapshot views.
+//! [`NetworkFile::open`] reads it back from the pages; a file written
+//! before the bit existed has it clear everywhere and opens as
+//! [`RecordCodec::Paper`]. This module is the only one that reads or
+//! writes record bytes: record sizes for placement and clustering come
+//! from [`NetworkFile::record_len`] and
+//! [`NetworkFile::clustering_weight`].
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ccam_graph::record::{decode_record, encode_record, encoded_len, peek_id};
+use ccam_graph::record::{peek_id, RecordCodec};
 use ccam_graph::{NodeData, NodeId};
 use ccam_index::BPlusTree;
 use ccam_storage::{
@@ -82,6 +94,8 @@ pub struct NetworkFile<S: PageStore = MemPageStore> {
     pool: BufferPool<S>,
     index: BPlusTree<MemPageStore>,
     page_size: usize,
+    /// The record format of every data page.
+    codec: RecordCodec,
     auto_commit: bool,
     /// Pages known to be unreadable (failed checksum on open or during a
     /// query). Degraded operations skip them; healthy operations never
@@ -96,15 +110,16 @@ pub struct NetworkFile<S: PageStore = MemPageStore> {
 
 impl NetworkFile<MemPageStore> {
     /// Creates an empty memory-backed file over `page_size`-byte data
-    /// pages.
+    /// pages, in the paper's record format.
     pub fn new(page_size: usize) -> StorageResult<Self> {
-        Self::create(MemPageStore::new(page_size)?)
+        Self::create(MemPageStore::new(page_size)?, RecordCodec::Paper)
     }
 }
 
 impl<S: PageStore> NetworkFile<S> {
-    /// Creates an empty file over a fresh (empty) page store.
-    pub fn create(store: S) -> StorageResult<Self> {
+    /// Creates an empty file over a fresh (empty) page store, storing
+    /// its records in `codec`.
+    pub fn create(store: S, codec: RecordCodec) -> StorageResult<Self> {
         let page_size = store.page_size();
         Ok(NetworkFile {
             pool: BufferPool::new(store, DEFAULT_BUFFER_FRAMES),
@@ -112,6 +127,7 @@ impl<S: PageStore> NetworkFile<S> {
             // its I/O is not part of the reported metric.
             index: BPlusTree::new_mem(1024)?,
             page_size,
+            codec,
             auto_commit: false,
             quarantined: Mutex::new(BTreeSet::new()),
             txn_commits: AtomicU64::new(0),
@@ -120,7 +136,9 @@ impl<S: PageStore> NetworkFile<S> {
     }
 
     /// Opens a store that already holds data pages, rebuilding the
-    /// secondary index with one uncounted scan.
+    /// secondary index with one uncounted scan. The record codec is the
+    /// one the pages record; a store with no data pages opens as
+    /// [`RecordCodec::Paper`] (nothing in it is encoded yet).
     ///
     /// Pages that fail their checksum are **quarantined** instead of
     /// failing the open: their records stay unindexed and degraded
@@ -128,7 +146,7 @@ impl<S: PageStore> NetworkFile<S> {
     /// [`ccam_storage::scrub`] to repair them from the WAL). Any other
     /// read error still aborts the open.
     pub fn open(store: S) -> StorageResult<Self> {
-        let mut file = Self::create(store)?;
+        let mut file = Self::create(store, RecordCodec::Paper)?;
         file.rebuild_index()?;
         Ok(file)
     }
@@ -137,11 +155,13 @@ impl<S: PageStore> NetworkFile<S> {
     /// rebuilds both from one tolerant, uncounted scan of the live data
     /// pages — the same scan [`NetworkFile::open`] performs. Also used by
     /// [`NetworkFile::abort`] after dirty frames have been discarded, so
-    /// the index reflects exactly what the store holds.
+    /// the index reflects exactly what the store holds. The record codec
+    /// is read back from the first readable page, if there is one.
     pub fn rebuild_index(&mut self) -> StorageResult<()> {
         self.index = BPlusTree::new_mem(1024)?;
         self.clear_quarantined();
         let index = &mut self.index;
+        let mut codec = None;
         let unreadable = self.pool.with_store(|store| {
             let mut unreadable = Vec::new();
             let mut buf = vec![0u8; store.page_size()];
@@ -149,7 +169,9 @@ impl<S: PageStore> NetworkFile<S> {
                 match store.read(page, &mut buf) {
                     // Only the ids are needed: nothing is decoded.
                     Ok(()) => {
-                        for (_, rec) in SlottedView::attach(&buf).iter() {
+                        let view = SlottedView::attach(&buf);
+                        codec.get_or_insert(page_codec(view));
+                        for (_, rec) in view.iter() {
                             index.insert(peek_id(rec).0, page.index() as u64)?;
                         }
                     }
@@ -159,6 +181,9 @@ impl<S: PageStore> NetworkFile<S> {
             }
             Ok(unreadable)
         })?;
+        if let Some(codec) = codec {
+            self.codec = codec;
+        }
         for page in unreadable {
             self.quarantine(page);
         }
@@ -185,6 +210,7 @@ impl<S: PageStore> NetworkFile<S> {
             pool: BufferPool::new(store, frames),
             index: self.index.fork()?,
             page_size: self.page_size,
+            codec: self.codec,
             auto_commit: false,
             quarantined: Mutex::new(quarantined),
             txn_commits: AtomicU64::new(0),
@@ -200,7 +226,9 @@ impl<S: PageStore> NetworkFile<S> {
     /// page's old image are read before `change`, the ids on its new
     /// image after; only entries that differ are rewritten, so the index
     /// pages of untouched ids stay shared with earlier forks. Cost is
-    /// proportional to `pages`, not to the file.
+    /// proportional to `pages`, not to the file. The record codec follows
+    /// the new images (a follower seeded with an empty file learns it
+    /// from the first page shipped to it).
     ///
     /// Falls back to [`Self::rebuild_index`] when an old image cannot be
     /// read (its ids cannot be named) or when `change` fails part-way.
@@ -245,7 +273,9 @@ impl<S: PageStore> NetworkFile<S> {
                 .remove(&page);
             match self.read_live_image(page, &mut buf) {
                 Ok(true) => {
-                    for (_, rec) in SlottedView::attach(&buf).iter() {
+                    let view = SlottedView::attach(&buf);
+                    self.codec = page_codec(view);
+                    for (_, rec) in view.iter() {
                         let id = peek_id(rec);
                         if before.remove(&id.0) != Some(page) {
                             self.index_insert(id, page)?;
@@ -317,6 +347,23 @@ impl<S: PageStore> NetworkFile<S> {
     /// Largest record this file can store.
     pub fn max_record_len(&self) -> usize {
         SlottedPage::max_record_len(self.page_size)
+    }
+
+    /// The record format of this file's data pages.
+    pub fn codec(&self) -> RecordCodec {
+        self.codec
+    }
+
+    /// Byte size `node`'s record occupies in this file.
+    pub fn record_len(&self, node: &NodeData) -> usize {
+        self.codec.encoded_len(node)
+    }
+
+    /// Clustering weight of a node in this file: record bytes plus
+    /// slot-directory overhead (the clustering layer budgets against
+    /// [`Self::clustering_budget`]).
+    pub fn clustering_weight(&self, node: &NodeData) -> usize {
+        self.record_len(node) + ccam_storage::slotted::SLOT_LEN
     }
 
     /// Counted I/O statistics of the data pages.
@@ -570,7 +617,8 @@ impl<S: PageStore> NetworkFile<S> {
     /// Reads `id`'s record from `page` (counted fetch; in-page scan is
     /// free). `None` when the record is not on that page.
     pub fn read_from_page(&self, page: PageId, id: NodeId) -> StorageResult<Option<NodeData>> {
-        self.pool.with_page(page, |buf| record_on(buf, id))
+        self.pool
+            .with_page(page, |buf| record_on(self.codec, buf, id))
     }
 
     /// The lookup of `Get-A-successor()`: "the buffered data-page should
@@ -585,7 +633,7 @@ impl<S: PageStore> NetworkFile<S> {
     pub fn find_buffered_first(&self, id: NodeId) -> StorageResult<Option<(PageId, NodeData)>> {
         let buffered = self
             .pool
-            .with_mru_page(|page, buf| record_on(buf, id).map(|rec| (page, rec)));
+            .with_mru_page(|page, buf| record_on(self.codec, buf, id).map(|rec| (page, rec)));
         match buffered.flatten() {
             Some(hit) => Ok(Some(hit)),
             None => self.find(id),
@@ -594,7 +642,18 @@ impl<S: PageStore> NetworkFile<S> {
 
     /// All records on `page` (counted fetch).
     pub fn read_page_records(&self, page: PageId) -> StorageResult<Vec<NodeData>> {
-        self.pool.with_page(page, records_on)
+        self.pool.with_page(page, |buf| records_on(self.codec, buf))
+    }
+
+    /// How many of `ids` have their record on `page` (counted fetch; the
+    /// ids are read in place, nothing is decoded).
+    pub(crate) fn count_ids_on(&self, page: PageId, ids: &[NodeId]) -> StorageResult<usize> {
+        self.pool.with_page(page, |buf| {
+            SlottedView::attach(buf)
+                .iter()
+                .filter(|(_, rec)| ids.contains(&peek_id(rec)))
+                .count()
+        })
     }
 
     /// Free bytes on `page` after compaction (counted fetch).
@@ -615,9 +674,14 @@ impl<S: PageStore> NetworkFile<S> {
     pub fn allocate_page(&mut self) -> StorageResult<PageId> {
         let page = self.pool.allocate()?;
         self.pool.with_page_mut(page, |buf| {
-            SlottedPage::init(buf);
+            self.format(buf);
         })?;
         Ok(page)
+    }
+
+    /// Formats `buf` as an empty data page of this file's codec.
+    fn format<'b>(&self, buf: &'b mut [u8]) -> SlottedPage<'b> {
+        SlottedPage::init_with_format(buf, self.codec == RecordCodec::Compact)
     }
 
     /// Frees an (empty) data page.
@@ -628,7 +692,7 @@ impl<S: PageStore> NetworkFile<S> {
     /// Tries to store `node` on `page`; updates the index on success.
     /// Returns false when the page lacks space.
     pub fn insert_into(&mut self, page: PageId, node: &NodeData) -> StorageResult<bool> {
-        let rec = encode_record(node);
+        let rec = self.codec.encode(node);
         if rec.len() > self.max_record_len() {
             return Err(StorageError::RecordTooLarge {
                 record: rec.len(),
@@ -657,7 +721,7 @@ impl<S: PageStore> NetworkFile<S> {
             let found = sp
                 .iter()
                 .find(|(_, rec)| peek_id(rec) == id)
-                .map(|(slot, rec)| (slot, decode_record(rec)));
+                .map(|(slot, rec)| (slot, self.codec.decode(rec)));
             if let Some((slot, _)) = found {
                 sp.delete(slot)?;
             }
@@ -673,7 +737,7 @@ impl<S: PageStore> NetworkFile<S> {
     /// the grown record no longer fits (the caller must relocate it —
     /// the record is left *unchanged* in that case).
     pub fn update_in(&mut self, page: PageId, node: &NodeData) -> StorageResult<bool> {
-        let rec = encode_record(node);
+        let rec = self.codec.encode(node);
         self.pool.with_page_mut(page, |buf| {
             let mut sp = SlottedPage::attach(buf);
             let Some((slot, _)) = sp.iter().find(|(_, r)| peek_id(r) == node.id) else {
@@ -700,26 +764,77 @@ impl<S: PageStore> NetworkFile<S> {
     }
 
     /// Bulk-loads `groups` of records, one group per fresh page, in group
-    /// order (used by every `Create()` implementation). Panics if a group
-    /// exceeds the page capacity — the clustering layer guarantees fit.
+    /// order (used by every `Create()` implementation): a repack with no
+    /// source pages. A group that exceeds the page capacity is an error —
+    /// the clustering layer guarantees fit.
     pub fn bulk_load<'a>(
         &mut self,
         groups: impl IntoIterator<Item = Vec<&'a NodeData>>,
     ) -> StorageResult<Vec<PageId>> {
-        let mut pages = Vec::new();
-        for group in groups {
-            let page = self.allocate_page()?;
-            for node in group {
-                assert!(
-                    self.insert_into(page, node)?,
-                    "clustered group exceeds page capacity (node {:?}, page {:?})",
-                    node.id,
-                    page
-                );
-            }
-            pages.push(page);
+        self.repack(&[], groups)
+    }
+
+    /// Rewrites a set of data pages wholesale — the write half of every
+    /// reorganization (reclustering, overflow split, underflow merge).
+    ///
+    /// Each page of `sources` is formatted empty, once, in order. Then
+    /// each group is written onto the page popped from the *back* of
+    /// `sources`, or onto a freshly allocated page once they run out,
+    /// and the sources left over are freed in order. Returns the pages
+    /// written, one per group.
+    ///
+    /// The index is rewritten only for ids whose page changed: a record
+    /// that lands on the source page it was read from keeps its entry
+    /// (and the index pages holding it stay shared with earlier forks).
+    /// An id that was on a source page and is in no group loses its
+    /// entry. Like every mutation here this goes through the pool, so it
+    /// stays buffered in the caller's transaction; nothing flushes.
+    pub(crate) fn repack<'a>(
+        &mut self,
+        sources: &[PageId],
+        groups: impl IntoIterator<Item = Vec<&'a NodeData>>,
+    ) -> StorageResult<Vec<PageId>> {
+        let mut was_on: HashMap<NodeId, PageId> = HashMap::new();
+        for &page in sources {
+            self.pool.with_page_mut(page, |buf| {
+                let ids = SlottedView::attach(buf).iter().map(|(_, rec)| peek_id(rec));
+                was_on.extend(ids.map(|id| (id, page)));
+                self.format(buf);
+            })?;
         }
-        Ok(pages)
+        let mut spare = sources.to_vec();
+        let mut written = Vec::new();
+        let mut rec = Vec::new();
+        for group in groups {
+            let page = match spare.pop() {
+                Some(page) => page,
+                None => self.allocate_page()?,
+            };
+            self.pool.with_page_mut(page, |buf| {
+                let mut sp = SlottedPage::attach(buf);
+                for node in &group {
+                    rec.clear();
+                    self.codec.encode_into(node, &mut rec);
+                    sp.insert(&rec)?;
+                }
+                Ok::<_, StorageError>(())
+            })??;
+            for node in &group {
+                if was_on.remove(&node.id) != Some(page) {
+                    self.index_insert(node.id, page)?;
+                }
+            }
+            written.push(page);
+        }
+        for page in spare {
+            self.free_page(page)?;
+        }
+        let mut dropped: Vec<NodeId> = was_on.into_keys().collect();
+        dropped.sort_unstable();
+        for id in dropped {
+            self.index_remove(id)?;
+        }
+        Ok(written)
     }
 
     // -- uncounted diagnostics ------------------------------------------------
@@ -763,12 +878,31 @@ impl<S: PageStore> NetworkFile<S> {
     /// resident frames are served from memory without flushing, see
     /// [`Self::free_space_map_uncounted`]). Strict: any read error,
     /// including a checksum mismatch on a quarantined page, propagates.
+    /// Each page is decoded in the codec its own header records, so a
+    /// page that disagrees with the file (which `check` reports) still
+    /// decodes.
     pub fn scan_uncounted(&self) -> StorageResult<Vec<(PageId, Vec<NodeData>)>> {
         let mut out = Vec::new();
         let mut buf = vec![0u8; self.page_size];
         for page in self.pool.with_store(|s| s.live_pages()) {
             self.pool.read_uncounted(page, &mut buf)?;
-            out.push((page, records_on(&buf)));
+            let codec = page_codec(SlottedView::attach(&buf));
+            out.push((page, records_on(codec, &buf)));
+        }
+        Ok(out)
+    }
+
+    /// The live data pages whose header records a codec other than the
+    /// file's, with that codec (uncounted, like [`Self::scan_uncounted`]).
+    pub(crate) fn codec_mismatches_uncounted(&self) -> StorageResult<Vec<(PageId, RecordCodec)>> {
+        let mut out = Vec::new();
+        let mut buf = vec![0u8; self.page_size];
+        for page in self.pool.with_store(|s| s.live_pages()) {
+            self.pool.read_uncounted(page, &mut buf)?;
+            let codec = page_codec(SlottedView::attach(&buf));
+            if codec != self.codec {
+                out.push((page, codec));
+            }
         }
         Ok(out)
     }
@@ -786,39 +920,50 @@ impl<S: PageStore> NetworkFile<S> {
     /// Page byte budget the clustering layer must respect so that any
     /// group it produces is guaranteed to fit one slotted page (header
     /// subtracted; per-record slot overhead is included in
-    /// [`clustering_weight`]).
+    /// [`Self::clustering_weight`]).
     pub fn clustering_budget(&self) -> usize {
         self.page_size - ccam_storage::slotted::HEADER_LEN
     }
 }
 
+/// The record codec a data page's header records.
+fn page_codec(view: SlottedView<'_>) -> RecordCodec {
+    if view.format_bit() {
+        RecordCodec::Compact
+    } else {
+        RecordCodec::Paper
+    }
+}
+
 /// `id`'s record on the slotted page `buf`, decoded where it lies (the
 /// in-page scan is free in the paper's metric).
-fn record_on(buf: &[u8], id: NodeId) -> Option<NodeData> {
+fn record_on(codec: RecordCodec, buf: &[u8], id: NodeId) -> Option<NodeData> {
     SlottedView::attach(buf)
         .iter()
         .find(|(_, rec)| peek_id(rec) == id)
-        .map(|(_, rec)| decode_record(rec))
+        .map(|(_, rec)| codec.decode(rec))
 }
 
 /// Every live record on the slotted page `buf`, in slot order.
-fn records_on(buf: &[u8]) -> Vec<NodeData> {
+fn records_on(codec: RecordCodec, buf: &[u8]) -> Vec<NodeData> {
     SlottedView::attach(buf)
         .iter()
-        .map(|(_, rec)| decode_record(rec))
+        .map(|(_, rec)| codec.decode(rec))
         .collect()
 }
 
-/// Byte size `node`'s record will occupy.
+/// Byte size of `node`'s record in the paper's codec.
+///
+/// Kept for the benchmark harness, which sizes records from outside a
+/// file; code that has a file asks it ([`NetworkFile::record_len`]).
 pub fn record_len(node: &NodeData) -> usize {
-    encoded_len(node)
+    RecordCodec::Paper.encoded_len(node)
 }
 
-/// Clustering weight of a node: record bytes plus slot-directory
-/// overhead (the clustering layer budgets against
-/// [`NetworkFile::clustering_budget`]).
+/// Clustering weight of `node` in a paper-codec file; see
+/// [`record_len`] and [`NetworkFile::clustering_weight`].
 pub fn clustering_weight(node: &NodeData) -> usize {
-    encoded_len(node) + ccam_storage::slotted::SLOT_LEN
+    record_len(node) + ccam_storage::slotted::SLOT_LEN
 }
 
 #[cfg(test)]
@@ -1031,7 +1176,7 @@ mod tests {
         let store =
             ccam_storage::WalStore::create(ccam_storage::MemPageStore::new(512).unwrap(), &wal)
                 .unwrap();
-        let mut f = NetworkFile::create(store).unwrap();
+        let mut f = NetworkFile::create(store, RecordCodec::Paper).unwrap();
         let p = f.allocate_page().unwrap();
         f.insert_into(p, &node(1, 0)).unwrap();
         f.commit().unwrap();
@@ -1073,7 +1218,7 @@ mod tests {
         let store =
             ccam_storage::WalStore::create(ccam_storage::MemPageStore::new(512).unwrap(), &wal)
                 .unwrap();
-        let mut f = NetworkFile::create(store).unwrap();
+        let mut f = NetworkFile::create(store, RecordCodec::Paper).unwrap();
         let p = f.allocate_page().unwrap();
         f.insert_into(p, &node(1, 0)).unwrap();
         f.maybe_commit().unwrap();
@@ -1095,7 +1240,7 @@ mod tests {
         let store =
             ccam_storage::WalStore::create(ccam_storage::MemPageStore::new(512).unwrap(), &wal)
                 .unwrap();
-        let mut f = NetworkFile::create(store).unwrap();
+        let mut f = NetworkFile::create(store, RecordCodec::Paper).unwrap();
         let p = f.allocate_page().unwrap();
         f.insert_into(p, &node(1, 0)).unwrap();
 

@@ -119,6 +119,7 @@ mod tests {
     use super::*;
     use crate::am::CcamBuilder;
     use ccam_graph::generators::{grid_network, path_network, zorder_id};
+    use ccam_graph::RecordCodec;
 
     #[test]
     fn ball_on_a_line() {
@@ -201,9 +202,19 @@ mod tests {
         use crate::am::{TopoAm, TraversalOrder};
         use std::collections::HashMap as Map;
         let net = grid_network(12, 12, 1.0);
-        let ccam = CcamBuilder::new(512).build_static(&net).unwrap();
-        let bfs =
-            TopoAm::create(&net, 512, TraversalOrder::BreadthFirst, None, &Map::new()).unwrap();
+        let ccam = CcamBuilder::new(512)
+            .codec(RecordCodec::Paper)
+            .build_static(&net)
+            .unwrap();
+        let bfs = TopoAm::create(
+            &net,
+            512,
+            TraversalOrder::BreadthFirst,
+            None,
+            &Map::new(),
+            RecordCodec::Paper,
+        )
+        .unwrap();
         let mut ios = Vec::new();
         for am in [&ccam as &dyn AccessMethod, &bfs] {
             am.file().pool().set_capacity(4).unwrap();

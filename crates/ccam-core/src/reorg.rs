@@ -128,7 +128,8 @@ pub fn pages_for_edge_update<S: PageStore>(
 ///
 /// `weight` supplies the WCRR edge weights (return 1 for uniform CRR).
 /// Page ids are recycled: surplus pages are freed, extra pages are
-/// allocated, and every affected index entry is refreshed.
+/// allocated, and the index entries of the records that changed page
+/// are refreshed; a record that stays on its page costs no index write.
 ///
 /// Atomicity contract: every page rewrite, allocation, free and index
 /// update goes through [`NetworkFile`] — never the store directly — so
@@ -156,7 +157,7 @@ pub fn reorganize_pages<S: PageStore>(
     // 2. Build the sub-network graph: edges with both endpoints inside.
     let idx_of: HashMap<NodeId, usize> =
         records.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
-    let sizes: Vec<usize> = records.iter().map(crate::file::clustering_weight).collect();
+    let sizes: Vec<usize> = records.iter().map(|r| file.clustering_weight(r)).collect();
     let mut edges: Vec<(usize, usize, u64)> = Vec::new();
     for (i, rec) in records.iter().enumerate() {
         for e in &rec.successors {
@@ -170,26 +171,15 @@ pub fn reorganize_pages<S: PageStore>(
     // 3. Recluster within the page byte budget.
     let groups = cluster_nodes_into_pages(&graph, file.clustering_budget(), partitioner);
 
-    // 4. Rewrite: empty the original pages, then refill group by group.
-    for &p in pages {
-        for rec in file.read_page_records(p)? {
-            file.remove_from(p, rec.id)?;
-        }
-    }
-    let mut free_pages: Vec<PageId> = pages.iter().copied().collect();
-    for group in groups {
-        let page = match free_pages.pop() {
-            Some(p) => p,
-            None => file.allocate_page()?,
-        };
-        for &i in &group {
-            let ok = file.insert_into(page, &records[i])?;
-            debug_assert!(ok, "clustered group must fit its page");
-        }
-    }
-    for p in free_pages {
-        file.free_page(p)?;
-    }
+    // 4. Rewrite: empty the original pages, then refill group by group,
+    //    highest page id first.
+    let sources: Vec<PageId> = pages.iter().copied().collect();
+    file.repack(
+        &sources,
+        groups
+            .into_iter()
+            .map(|g| g.into_iter().map(|i| &records[i]).collect()),
+    )?;
     Ok(())
 }
 

@@ -290,6 +290,7 @@ mod tests {
     use super::*;
     use crate::am::CcamBuilder;
     use ccam_graph::generators::{grid_network, zorder_id};
+    use ccam_graph::RecordCodec;
 
     #[test]
     fn parse_format_roundtrip() {
@@ -326,11 +327,14 @@ reinsert-node 4
 
     #[test]
     fn replay_executes_and_counts() {
-        let net = grid_network(6, 6, 1.0);
+        // 28 × 28 nodes take 80 compact pages, more than the 64-frame
+        // pool holds, so the trace has to read some of them.
+        let net = grid_network(28, 28, 1.0);
         let mut am = CcamBuilder::new(512).build_static(&net).unwrap();
+        assert!(am.file().num_pages() > am.file().pool().capacity());
         let a = zorder_id(0, 0);
         let b = zorder_id(1, 0);
-        let c = zorder_id(5, 5);
+        let c = zorder_id(27, 27);
         let trace = format!(
             "find {}\nsucc {}\nasucc {} {}\nastar {} {}\ndelete-node {}\nreinsert-node {}\n",
             a.0, a.0, a.0, b.0, a.0, c.0, b.0, b.0
@@ -341,7 +345,7 @@ reinsert-node 4
         assert_eq!(stats.misses, 0);
         assert!(stats.page_reads > 0);
         // The file is intact after the delete/reinsert pair.
-        assert_eq!(am.file().len(), 36);
+        assert_eq!(am.file().len(), 28 * 28);
         assert!(am.find(b).unwrap().is_some());
     }
 
@@ -370,9 +374,19 @@ reinsert-node 4
             text.push('\n');
         }
         let ops = parse_trace(&text).unwrap();
-        let mut ccam = CcamBuilder::new(512).build_static(&net).unwrap();
-        let mut bfs =
-            TopoAm::create(&net, 512, TraversalOrder::BreadthFirst, None, &Map::new()).unwrap();
+        let mut ccam = CcamBuilder::new(512)
+            .codec(RecordCodec::Paper)
+            .build_static(&net)
+            .unwrap();
+        let mut bfs = TopoAm::create(
+            &net,
+            512,
+            TraversalOrder::BreadthFirst,
+            None,
+            &Map::new(),
+            RecordCodec::Paper,
+        )
+        .unwrap();
         ccam.file().pool().set_capacity(2).unwrap();
         bfs.file().pool().set_capacity(2).unwrap();
         let s1 = replay(&mut ccam, &ops).unwrap();

@@ -6,7 +6,7 @@
 use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::reorg::ReorgPolicy;
 use ccam_graph::generators::grid_network;
-use ccam_graph::{EdgeTo, Network, NodeData, NodeId};
+use ccam_graph::{EdgeTo, Network, NodeData, NodeId, RecordCodec};
 use ccam_storage::PageStore;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -150,6 +150,8 @@ fn run_ops(mut am: Box<dyn AccessMethod>, ops: &[Op]) {
     check_equiv(am.as_ref(), &model);
 }
 
+const CODECS: [RecordCodec; 2] = [RecordCodec::Paper, RecordCodec::Compact];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -157,6 +159,7 @@ proptest! {
     fn ccam_matches_model_under_every_policy(
         ops in prop::collection::vec(op(), 1..40),
         policy_sel in 0usize..4,
+        codec_sel in 0usize..2,
     ) {
         let net = grid_network(6, 6, 0.7);
         let policy = [
@@ -165,7 +168,11 @@ proptest! {
             ReorgPolicy::HigherOrder,
             ReorgPolicy::Lazy { every: 3 },
         ][policy_sel];
-        let am = CcamBuilder::new(512).policy(policy).build_static(&net).unwrap();
+        let am = CcamBuilder::new(512)
+            .policy(policy)
+            .codec(CODECS[codec_sel])
+            .build_static(&net)
+            .unwrap();
         run_ops(Box::new(am), &ops);
     }
 
@@ -173,17 +180,22 @@ proptest! {
     fn topo_ams_match_model(
         ops in prop::collection::vec(op(), 1..40),
         order_sel in 0usize..2,
+        codec_sel in 0usize..2,
     ) {
         let net = grid_network(6, 6, 0.7);
         let order = [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst][order_sel];
-        let am = TopoAm::create(&net, 512, order, None, &HashMap::new()).unwrap();
+        let am =
+            TopoAm::create(&net, 512, order, None, &HashMap::new(), CODECS[codec_sel]).unwrap();
         run_ops(Box::new(am), &ops);
     }
 
     #[test]
-    fn grid_am_matches_model(ops in prop::collection::vec(op(), 1..40)) {
+    fn grid_am_matches_model(
+        ops in prop::collection::vec(op(), 1..40),
+        codec_sel in 0usize..2,
+    ) {
         let net = grid_network(6, 6, 0.7);
-        let am = GridAm::create(&net, 512).unwrap();
+        let am = GridAm::create(&net, 512, CODECS[codec_sel]).unwrap();
         run_ops(Box::new(am), &ops);
     }
 }
@@ -302,7 +314,8 @@ mod successor_lookup {
     fn a_hop_over_a_large_warm_pool_costs_at_most_two_hits() {
         const FRAMES: usize = 200;
         const HOPS: usize = 32;
-        let net = grid_network(36, 36, 1.0);
+        // 52 × 52 nodes take ~250 compact 512-byte pages.
+        let net = grid_network(52, 52, 1.0);
         let am = build(&net);
         let file = am.file();
         assert!(file.num_pages() > FRAMES, "database larger than its pool");
@@ -377,14 +390,17 @@ mod view_is_a_full_rebuild {
     use super::{apply, check_equiv, op, Op};
     use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
     use ccam_core::epoch::{EpochCell, Snapshot, Snapshotable};
-    use ccam_core::file::{clustering_weight, NetworkFile, DEFAULT_BUFFER_FRAMES};
-    use ccam_core::reorg::ReorgPolicy;
+    use ccam_core::file::{NetworkFile, DEFAULT_BUFFER_FRAMES};
+    use ccam_core::reorg::{reorganize_pages, ReorgPolicy};
     use ccam_graph::generators::grid_network;
     use ccam_graph::{Network, NodeData, NodeId};
+    use ccam_partition::Partitioner;
     use ccam_storage::{
-        MemPageStore, PageVersions, ReplFeed, SnapshotStore, StampedRecord, StorageError, WalStore,
+        MemPageStore, PageId, PageVersions, ReplFeed, SnapshotStore, StampedRecord, StorageError,
+        WalStore,
     };
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -688,7 +704,7 @@ mod view_is_a_full_rebuild {
         let mut groups: Vec<Vec<&NodeData>> = vec![Vec::new()];
         let mut used = 0;
         for node in net.nodes() {
-            let weight = clustering_weight(node);
+            let weight = db.file().clustering_weight(node);
             if used + weight > budget {
                 groups.push(Vec::new());
                 used = 0;
@@ -759,6 +775,39 @@ mod view_is_a_full_rebuild {
         assert_eq!(shared, idle.file().index_pages());
         assert_eq!(versions.reads(), 2, "two finds, two page images");
         drop((before, after, idle, cell));
+        std::fs::remove_file(wal).ok();
+    }
+
+    /// Reorganizing pages whose clustering is already final moves no
+    /// record, so it rewrites no index entry: the next view shares every
+    /// index page with the one before, and the index still names the
+    /// pages a scan of the new generation finds.
+    #[test]
+    fn a_reorganization_that_moves_nothing_writes_no_index_page() {
+        let net = grid_network(16, 16, 1.0);
+        let (store, wal) = wal_store(512);
+        let db = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
+        let (cell, versions) = serve(db);
+        let before = cell.read().unwrap();
+        let mut w = cell.write().unwrap();
+        let placed = w.file().page_map().unwrap();
+        // One page on its own is final: it reclusters into itself.
+        let pages: BTreeSet<PageId> = placed.values().copied().collect();
+        assert!(pages.len() > 10);
+        for page in pages {
+            let set = BTreeSet::from([page]);
+            reorganize_pages(w.file_mut(), &set, &|_, _| 1, Partitioner::RatioCut).unwrap();
+        }
+        assert_eq!(w.file().page_map().unwrap(), placed, "nothing moved");
+        w.commit().unwrap();
+        let after = cell.read().unwrap();
+        assert_eq!(
+            after.file().index_pages_shared_with(before.file()),
+            after.file().index_pages()
+        );
+        let scanned = NetworkFile::open(SnapshotStore::pin(&versions)).unwrap();
+        assert_eq!(scanned.page_map().unwrap(), placed);
+        drop((before, after, cell));
         std::fs::remove_file(wal).ok();
     }
 

@@ -7,16 +7,16 @@
 //! magic "CCAMNET1" | node_count: u32 | (record_len: u32 | record bytes)*
 //! ```
 //!
-//! Records reuse the page codec ([`crate::record`]), so a network file is
-//! literally the records CCAM would store, with explicit lengths for
-//! framing.
+//! Records use the paper's page codec ([`RecordCodec::Paper`]), so a
+//! network file is literally the records a paper-codec CCAM file would
+//! store, with explicit lengths for framing.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::network::Network;
-use crate::record::{decode_record, encode_record};
+use crate::record::RecordCodec;
 
 const MAGIC: &[u8; 8] = b"CCAMNET1";
 
@@ -52,7 +52,7 @@ pub fn save_network(net: &Network, path: &Path) -> Result<(), NetworkIoError> {
     out.write_all(MAGIC)?;
     out.write_all(&(net.len() as u32).to_le_bytes())?;
     for node in net.nodes() {
-        let rec = encode_record(node);
+        let rec = RecordCodec::Paper.encode(node);
         out.write_all(&(rec.len() as u32).to_le_bytes())?;
         out.write_all(&rec)?;
     }
@@ -87,7 +87,7 @@ pub fn load_network(path: &Path) -> Result<Network, NetworkIoError> {
         }
         let mut rec = vec![0u8; len];
         input.read_exact(&mut rec)?;
-        records.push(decode_record(&rec));
+        records.push(RecordCodec::Paper.decode(&rec));
     }
     let mut net = Network::new();
     for r in &records {

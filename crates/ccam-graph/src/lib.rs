@@ -6,8 +6,8 @@
 //!   nodes with coordinates, application payload, a successor-list
 //!   (outgoing edges with costs) and a predecessor-list (incoming edge
 //!   sources, used to patch successor lists during `Insert()`/`Delete()`),
-//! * [`record`] — the variable-length binary codec that turns a node into
-//!   the record stored on a data page,
+//! * [`record`] — the variable-length binary codecs that turn a node into
+//!   the record stored on a data page (the paper's, and a compact one),
 //! * [`generators`] — synthetic networks (grids, random, paths, stars)
 //!   for tests and benches,
 //! * [`roadmap`] — the Minneapolis-like road network used by every
@@ -25,6 +25,6 @@ pub mod walks;
 
 pub use io::{load_network, save_network};
 pub use network::{EdgeTo, Network, NodeData, NodeId};
-pub use record::{decode_record, encode_record, encoded_len};
+pub use record::RecordCodec;
 pub use roadmap::minneapolis_like;
 pub use walks::{commuter_routes, edge_weights_from_routes, random_walk_routes, Route};

@@ -1,4 +1,4 @@
-//! Variable-length binary codec for node records.
+//! Variable-length binary codecs for node records.
 //!
 //! "For each node, a record stores the node data, successor-list and
 //! predecessor-list. ... the records do not have fixed formats, since the
@@ -6,7 +6,11 @@
 //! (paper §2.1). Coordinates are stored too, "since our benchmark
 //! networks are embedded in geographic space".
 //!
-//! Layout (little-endian):
+//! Two layouts, chosen per data file ([`RecordCodec`]). Both begin with
+//! the id, so [`peek_id`] reads either. Little-endian throughout.
+//!
+//! [`RecordCodec::Paper`] — fixed-width fields, the record the paper's
+//! experiments measure; `.net` files and the wire protocol use it too:
 //!
 //! ```text
 //! id: u64 | x: u32 | y: u32
@@ -14,91 +18,327 @@
 //! succ_count: u16  | (to: u64, cost: u32)*
 //! pred_count: u16  | (from: u64)*
 //! ```
+//!
+//! [`RecordCodec::Compact`] — the same fields without the redundancy of
+//! a road network. Ids are Z-order codes of the coordinates, so x and y
+//! are stored only when `id` is not `z_encode(x, y)` (flag bit 0).
+//! Neighbours are spatially close, so their ids are stored as zigzag
+//! varints of the wrapping difference from the node's own id:
+//!
+//! ```text
+//! id: u64 | flags: u8 | [x: u32 | y: u32]
+//! varint payload_len | payload bytes
+//! varint succ_count  | (zigzag-varint(to − id), varint cost)*
+//! varint pred_count  | zigzag-varint(from − id)*
+//! ```
+
+use ccam_index::zorder::{z_decode, z_encode};
 
 use crate::network::{EdgeTo, NodeData, NodeId};
 
-const FIXED: usize = 8 + 4 + 4 + 2 + 2 + 2;
-const SUCC_ENTRY: usize = 12;
-const PRED_ENTRY: usize = 8;
+const PAPER_FIXED: usize = 8 + 4 + 4 + 2 + 2 + 2;
+const PAPER_SUCC_ENTRY: usize = 12;
+const PAPER_PRED_ENTRY: usize = 8;
 
-/// Exact encoded size of `node`, in bytes. The clustering algorithms use
-/// this as the node's weight against the page byte budget.
-pub fn encoded_len(node: &NodeData) -> usize {
-    FIXED
-        + node.payload.len()
-        + SUCC_ENTRY * node.successors.len()
-        + PRED_ENTRY * node.predecessors.len()
+/// Compact flag bit: x and y follow the flags byte.
+const COORDS_STORED: u8 = 1;
+
+/// How node records are laid out in bytes: one choice per data file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RecordCodec {
+    /// The paper's fixed-width record.
+    Paper,
+    /// Implied coordinates and varint neighbour deltas (module docs).
+    Compact,
 }
 
-/// Serialises `node` into a fresh byte vector.
-pub fn encode_record(node: &NodeData) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_len(node));
-    out.extend_from_slice(&node.id.0.to_le_bytes());
-    out.extend_from_slice(&node.x.to_le_bytes());
-    out.extend_from_slice(&node.y.to_le_bytes());
-    out.extend_from_slice(&(node.payload.len() as u16).to_le_bytes());
-    out.extend_from_slice(&node.payload);
-    out.extend_from_slice(&(node.successors.len() as u16).to_le_bytes());
-    for e in &node.successors {
-        out.extend_from_slice(&e.to.0.to_le_bytes());
-        out.extend_from_slice(&e.cost.to_le_bytes());
+impl RecordCodec {
+    /// Display name, as `ccam stats` prints it and `--codec` parses it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecordCodec::Paper => "paper",
+            RecordCodec::Compact => "compact",
+        }
     }
-    out.extend_from_slice(&(node.predecessors.len() as u16).to_le_bytes());
-    for p in &node.predecessors {
-        out.extend_from_slice(&p.0.to_le_bytes());
+
+    /// Exact encoded size of `node`, in bytes. The clustering algorithms
+    /// use this as the node's weight against the page byte budget.
+    pub fn encoded_len(self, node: &NodeData) -> usize {
+        match self {
+            RecordCodec::Paper => {
+                PAPER_FIXED
+                    + node.payload.len()
+                    + PAPER_SUCC_ENTRY * node.successors.len()
+                    + PAPER_PRED_ENTRY * node.predecessors.len()
+            }
+            RecordCodec::Compact => {
+                let id = node.id.0;
+                let coords = if stores_coords(node) { 8 } else { 0 };
+                let succs: usize = node
+                    .successors
+                    .iter()
+                    .map(|e| varint_len(delta(id, e.to)) + varint_len(e.cost.into()))
+                    .sum();
+                let preds: usize = node
+                    .predecessors
+                    .iter()
+                    .map(|&p| varint_len(delta(id, p)))
+                    .sum();
+                8 + 1
+                    + coords
+                    + varint_len(node.payload.len() as u64)
+                    + node.payload.len()
+                    + varint_len(node.successors.len() as u64)
+                    + succs
+                    + varint_len(node.predecessors.len() as u64)
+                    + preds
+            }
+        }
     }
-    debug_assert_eq!(out.len(), encoded_len(node));
-    out
+
+    /// Serialises `node` into a fresh byte vector.
+    pub fn encode(self, node: &NodeData) -> Vec<u8> {
+        // The paper's length is cheap to compute and covers a compact
+        // record whose neighbours are near; the vector grows otherwise.
+        let mut out = Vec::with_capacity(RecordCodec::Paper.encoded_len(node));
+        self.encode_into(node, &mut out);
+        out
+    }
+
+    /// Appends `node`'s record to `out`.
+    pub fn encode_into(self, node: &NodeData, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&node.id.0.to_le_bytes());
+        match self {
+            RecordCodec::Paper => {
+                out.extend_from_slice(&node.x.to_le_bytes());
+                out.extend_from_slice(&node.y.to_le_bytes());
+                out.extend_from_slice(&(node.payload.len() as u16).to_le_bytes());
+                out.extend_from_slice(&node.payload);
+                out.extend_from_slice(&(node.successors.len() as u16).to_le_bytes());
+                for e in &node.successors {
+                    out.extend_from_slice(&e.to.0.to_le_bytes());
+                    out.extend_from_slice(&e.cost.to_le_bytes());
+                }
+                out.extend_from_slice(&(node.predecessors.len() as u16).to_le_bytes());
+                for p in &node.predecessors {
+                    out.extend_from_slice(&p.0.to_le_bytes());
+                }
+            }
+            RecordCodec::Compact => {
+                let id = node.id.0;
+                if stores_coords(node) {
+                    out.push(COORDS_STORED);
+                    out.extend_from_slice(&node.x.to_le_bytes());
+                    out.extend_from_slice(&node.y.to_le_bytes());
+                } else {
+                    out.push(0);
+                }
+                put_varint(out, node.payload.len() as u64);
+                out.extend_from_slice(&node.payload);
+                put_varint(out, node.successors.len() as u64);
+                for e in &node.successors {
+                    put_varint(out, delta(id, e.to));
+                    put_varint(out, e.cost.into());
+                }
+                put_varint(out, node.predecessors.len() as u64);
+                for &p in &node.predecessors {
+                    put_varint(out, delta(id, p));
+                }
+            }
+        }
+        debug_assert_eq!(out.len() - start, self.encoded_len(node));
+    }
+
+    /// Deserialises a record produced by [`Self::encode`] with the same
+    /// codec.
+    ///
+    /// Panics on truncated input — records only ever come from pages this
+    /// library wrote.
+    pub fn decode(self, buf: &[u8]) -> NodeData {
+        let mut r = Reader { buf, at: 0 };
+        let id = r.u64();
+        match self {
+            RecordCodec::Paper => {
+                let x = r.u32();
+                let y = r.u32();
+                let plen = r.u16() as usize;
+                let payload = r.take(plen).to_vec();
+                let scount = r.u16() as usize;
+                let mut successors = Vec::with_capacity(scount);
+                for _ in 0..scount {
+                    let to = NodeId(r.u64());
+                    let cost = r.u32();
+                    successors.push(EdgeTo { to, cost });
+                }
+                let pcount = r.u16() as usize;
+                let mut predecessors = Vec::with_capacity(pcount);
+                for _ in 0..pcount {
+                    predecessors.push(NodeId(r.u64()));
+                }
+                NodeData {
+                    id: NodeId(id),
+                    x,
+                    y,
+                    payload,
+                    successors,
+                    predecessors,
+                }
+            }
+            RecordCodec::Compact => {
+                let (x, y) = if r.take(1)[0] & COORDS_STORED != 0 {
+                    (r.u32(), r.u32())
+                } else {
+                    z_decode(id)
+                };
+                let plen = r.varint() as usize;
+                let payload = r.take(plen).to_vec();
+                let scount = r.count();
+                let mut successors = Vec::with_capacity(scount);
+                for _ in 0..scount {
+                    let to = NodeId(undelta(id, r.varint()));
+                    let cost = r.varint() as u32;
+                    successors.push(EdgeTo { to, cost });
+                }
+                let pcount = r.count();
+                let mut predecessors = Vec::with_capacity(pcount);
+                for _ in 0..pcount {
+                    predecessors.push(NodeId(undelta(id, r.varint())));
+                }
+                NodeData {
+                    id: NodeId(id),
+                    x,
+                    y,
+                    payload,
+                    successors,
+                    predecessors,
+                }
+            }
+        }
+    }
 }
 
-/// Deserialises a record produced by [`encode_record`].
-///
-/// Panics on truncated input — records only ever come from pages this
-/// library wrote.
-pub fn decode_record(buf: &[u8]) -> NodeData {
-    let mut at = 0usize;
-    let mut take = |n: usize| {
-        let s = &buf[at..at + n];
-        at += n;
-        s
-    };
-    let id = NodeId(u64::from_le_bytes(take(8).try_into().unwrap()));
-    let x = u32::from_le_bytes(take(4).try_into().unwrap());
-    let y = u32::from_le_bytes(take(4).try_into().unwrap());
-    let plen = u16::from_le_bytes(take(2).try_into().unwrap()) as usize;
-    let payload = take(plen).to_vec();
-    let scount = u16::from_le_bytes(take(2).try_into().unwrap()) as usize;
-    let mut successors = Vec::with_capacity(scount);
-    for _ in 0..scount {
-        let to = NodeId(u64::from_le_bytes(take(8).try_into().unwrap()));
-        let cost = u32::from_le_bytes(take(4).try_into().unwrap());
-        successors.push(EdgeTo { to, cost });
-    }
-    let pcount = u16::from_le_bytes(take(2).try_into().unwrap()) as usize;
-    let mut predecessors = Vec::with_capacity(pcount);
-    for _ in 0..pcount {
-        predecessors.push(NodeId(u64::from_le_bytes(take(8).try_into().unwrap())));
-    }
-    NodeData {
-        id,
-        x,
-        y,
-        payload,
-        successors,
-        predecessors,
+impl std::str::FromStr for RecordCodec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "paper" => Ok(RecordCodec::Paper),
+            "compact" => Ok(RecordCodec::Compact),
+            other => Err(format!("unknown record codec {other:?} (paper|compact)")),
+        }
     }
 }
 
-/// Reads only the node id from an encoded record (page scans looking for
-/// a specific node avoid full decodes).
+/// Reads only the node id from an encoded record of either codec (page
+/// scans looking for a specific node avoid full decodes).
 #[inline]
 pub fn peek_id(buf: &[u8]) -> NodeId {
     NodeId(u64::from_le_bytes(buf[..8].try_into().unwrap()))
 }
 
+/// True when the compact record must store `node`'s coordinates: its id
+/// is not their Z-order code.
+#[inline]
+fn stores_coords(node: &NodeData) -> bool {
+    z_encode(node.x, node.y) != node.id.0
+}
+
+/// Zigzag code of the wrapping difference `to − id`: small for either
+/// sign, and any pair of `u64`s round-trips through [`undelta`].
+#[inline]
+fn delta(id: u64, to: NodeId) -> u64 {
+    let d = to.0.wrapping_sub(id) as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+#[inline]
+fn undelta(id: u64, z: u64) -> u64 {
+    id.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
+
+/// Bytes of `v` as an LEB128 varint (1..=10).
+#[inline]
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A cursor over one encoded record.
+struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    #[inline]
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let s = &self.buf[self.at..self.at + n];
+        self.at += n;
+        s
+    }
+
+    #[inline]
+    fn u16(&mut self) -> u16 {
+        u16::from_le_bytes(self.take(2).try_into().unwrap())
+    }
+
+    #[inline]
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    }
+
+    #[inline]
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    }
+
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        let b = self.buf[self.at];
+        self.at += 1;
+        if b < 0x80 {
+            return b.into();
+        }
+        let mut v = u64::from(b & 0x7f);
+        let mut shift = 7;
+        loop {
+            let b = self.buf[self.at];
+            self.at += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// A list length: every entry takes at least one byte, so a count
+    /// larger than what is left is malformed and must not reserve memory.
+    #[inline]
+    fn count(&mut self) -> usize {
+        let n = self.varint() as usize;
+        assert!(
+            n <= self.buf.len() - self.at,
+            "record list overruns its record"
+        );
+        n
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const CODECS: [RecordCodec; 2] = [RecordCodec::Paper, RecordCodec::Compact];
 
     fn sample() -> NodeData {
         NodeData {
@@ -123,43 +363,83 @@ mod tests {
     #[test]
     fn roundtrip() {
         let n = sample();
-        let buf = encode_record(&n);
-        assert_eq!(buf.len(), encoded_len(&n));
-        assert_eq!(decode_record(&buf), n);
+        for codec in CODECS {
+            let buf = codec.encode(&n);
+            assert_eq!(buf.len(), codec.encoded_len(&n), "{codec:?}");
+            assert_eq!(codec.decode(&buf), n, "{codec:?}");
+        }
     }
 
     #[test]
     fn roundtrip_empty_lists() {
         let n = NodeData {
             id: NodeId(1),
-            x: 0,
+            x: 1,
             y: 0,
             payload: vec![],
             successors: vec![],
             predecessors: vec![],
         };
-        let buf = encode_record(&n);
-        assert_eq!(buf.len(), FIXED);
-        assert_eq!(decode_record(&buf), n);
+        let paper = RecordCodec::Paper.encode(&n);
+        assert_eq!(paper.len(), PAPER_FIXED);
+        assert_eq!(RecordCodec::Paper.decode(&paper), n);
+        // id | flags | three zero-length varints; (1, 0) has Z-order id 1.
+        let compact = RecordCodec::Compact.encode(&n);
+        assert_eq!(compact.len(), 8 + 1 + 3);
+        assert_eq!(RecordCodec::Compact.decode(&compact), n);
     }
 
     #[test]
     fn peek_id_reads_without_decode() {
-        let buf = encode_record(&sample());
-        assert_eq!(peek_id(&buf), NodeId(0xDEADBEEF));
+        for codec in CODECS {
+            let buf = codec.encode(&sample());
+            assert_eq!(peek_id(&buf), NodeId(0xDEADBEEF));
+        }
     }
 
     #[test]
     fn size_grows_with_degree() {
+        let codec = RecordCodec::Paper;
         let mut n = sample();
-        let before = encoded_len(&n);
+        let before = codec.encoded_len(&n);
         n.successors.push(EdgeTo {
             to: NodeId(99),
             cost: 1,
         });
-        assert_eq!(encoded_len(&n), before + SUCC_ENTRY);
+        assert_eq!(codec.encoded_len(&n), before + PAPER_SUCC_ENTRY);
         n.predecessors.push(NodeId(99));
-        assert_eq!(encoded_len(&n), before + SUCC_ENTRY + PRED_ENTRY);
+        assert_eq!(
+            codec.encoded_len(&n),
+            before + PAPER_SUCC_ENTRY + PAPER_PRED_ENTRY
+        );
+    }
+
+    /// A grid node with four near neighbours: coordinates implied, each
+    /// neighbour two or three bytes.
+    #[test]
+    fn compact_road_node_is_small() {
+        let (x, y) = (1000u32, 2000u32);
+        let id = z_encode(x, y);
+        let at = |dx: i32, dy: i32| {
+            NodeId(z_encode(
+                x.wrapping_add_signed(dx),
+                y.wrapping_add_signed(dy),
+            ))
+        };
+        let nbrs = [at(1, 0), at(-1, 0), at(0, 1), at(0, -1)];
+        let n = NodeData {
+            id: NodeId(id),
+            x,
+            y,
+            payload: vec![0; 8],
+            successors: nbrs.iter().map(|&to| EdgeTo { to, cost: 10 }).collect(),
+            predecessors: nbrs.to_vec(),
+        };
+        let compact = RecordCodec::Compact.encode(&n);
+        assert_eq!(compact[8] & COORDS_STORED, 0, "coordinates are implied");
+        assert!(compact.len() <= 50, "{} bytes", compact.len());
+        assert_eq!(RecordCodec::Paper.encoded_len(&n), 110);
+        assert_eq!(RecordCodec::Compact.decode(&compact), n);
     }
 
     #[test]
@@ -169,12 +449,43 @@ mod tests {
             x: u32::MAX,
             y: u32::MAX,
             payload: vec![0xFF; 1000],
-            successors: vec![EdgeTo {
-                to: NodeId(u64::MAX),
-                cost: u32::MAX,
-            }],
-            predecessors: vec![NodeId(0)],
+            successors: vec![
+                EdgeTo {
+                    to: NodeId(u64::MAX),
+                    cost: u32::MAX,
+                },
+                EdgeTo {
+                    to: NodeId(0),
+                    cost: 0,
+                },
+            ],
+            predecessors: vec![NodeId(0), NodeId(1 << 63)],
         };
-        assert_eq!(decode_record(&encode_record(&n)), n);
+        for codec in CODECS {
+            let buf = codec.encode(&n);
+            assert_eq!(buf.len(), codec.encoded_len(&n), "{codec:?}");
+            assert_eq!(codec.decode(&buf), n, "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn varint_lengths_match_encodings() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out.len(), varint_len(v), "{v}");
+            assert_eq!(Reader { buf: &out, at: 0 }.varint(), v);
+        }
+        for (id, to) in [(0, u64::MAX), (u64::MAX, 0), (5, 3), (3, 5), (0, 1 << 63)] {
+            assert_eq!(undelta(id, delta(id, NodeId(to))), to, "{id} -> {to}");
+        }
+    }
+
+    #[test]
+    fn codec_names_parse_back() {
+        for codec in CODECS {
+            assert_eq!(codec.name().parse::<RecordCodec>(), Ok(codec));
+        }
+        assert!("dense".parse::<RecordCodec>().is_err());
     }
 }

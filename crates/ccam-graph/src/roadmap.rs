@@ -323,7 +323,7 @@ mod tests {
     fn digest(net: &Network) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for n in net.nodes() {
-            for b in crate::record::encode_record(n) {
+            for b in crate::record::RecordCodec::Paper.encode(n) {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }

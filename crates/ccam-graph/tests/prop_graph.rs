@@ -1,42 +1,141 @@
 //! Property tests for the network model, record codec, and generators.
 
-use ccam_graph::record::{decode_record, encode_record, encoded_len, peek_id};
-use ccam_graph::{EdgeTo, Network, NodeData, NodeId};
+use ccam_graph::record::peek_id;
+use ccam_graph::{EdgeTo, Network, NodeData, NodeId, RecordCodec};
+use ccam_index::zorder::z_decode;
 use proptest::prelude::*;
 
+const CODECS: [RecordCodec; 2] = [RecordCodec::Paper, RecordCodec::Compact];
+
+/// The largest record a 4 KiB slotted page holds (page minus its 6-byte
+/// header and one 4-byte slot).
+const MAX_RECORD_LEN_4K: usize = 4096 - 6 - 4;
+
+/// Ids at both ends of the range as often as anywhere in it, so the
+/// neighbour deltas below wrap.
+fn arb_id() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()]
+}
+
+/// A neighbour of `id`: near it (a small delta of either sign, wrapping
+/// at the ends of the range) or anywhere.
+fn neighbour(id: u64, near: bool, delta: i16, far: u64) -> NodeId {
+    NodeId(if near {
+        id.wrapping_add(delta as i64 as u64)
+    } else {
+        far
+    })
+}
+
+/// Records of every shape either codec must carry: Morton ids (implied
+/// coordinates) and non-Morton ids (stored coordinates), empty and full
+/// lists, near and far neighbours.
 fn arb_node() -> impl Strategy<Value = NodeData> {
     (
-        any::<u64>(),
-        any::<u32>(),
-        any::<u32>(),
+        (arb_id(), any::<bool>(), any::<u32>(), any::<u32>()),
         prop::collection::vec(any::<u8>(), 0..64),
-        prop::collection::vec((any::<u64>(), any::<u32>()), 0..12),
-        prop::collection::vec(any::<u64>(), 0..12),
+        prop::collection::vec(
+            (any::<bool>(), any::<i16>(), any::<u64>(), any::<u32>()),
+            0..12,
+        ),
+        prop::collection::vec((any::<bool>(), any::<i16>(), any::<u64>()), 0..12),
     )
-        .prop_map(|(id, x, y, payload, succs, preds)| NodeData {
-            id: NodeId(id),
-            x,
-            y,
-            payload,
-            successors: succs
-                .into_iter()
-                .map(|(to, cost)| EdgeTo {
-                    to: NodeId(to),
-                    cost,
-                })
-                .collect(),
-            predecessors: preds.into_iter().map(NodeId).collect(),
+        .prop_map(|((id, morton, x, y), payload, succs, preds)| {
+            let (x, y) = if morton { z_decode(id) } else { (x, y) };
+            NodeData {
+                id: NodeId(id),
+                x,
+                y,
+                payload,
+                successors: succs
+                    .into_iter()
+                    .map(|(near, d, far, cost)| EdgeTo {
+                        to: neighbour(id, near, d, far),
+                        cost,
+                    })
+                    .collect(),
+                predecessors: preds
+                    .into_iter()
+                    .map(|(near, d, far)| neighbour(id, near, d, far))
+                    .collect(),
+            }
         })
 }
 
+/// encode∘decode is the identity, `encoded_len` is exact and `peek_id`
+/// reads the id, for `codec` and `node`.
+fn assert_codec_roundtrip(codec: RecordCodec, node: &NodeData) -> Result<(), TestCaseError> {
+    let buf = codec.encode(node);
+    prop_assert_eq!(buf.len(), codec.encoded_len(node), "{:?}", codec);
+    prop_assert_eq!(peek_id(&buf), node.id);
+    prop_assert_eq!(&codec.decode(&buf), node);
+    Ok(())
+}
+
+/// The fixed edge cases: extreme ids, wrapping deltas, empty lists and
+/// a payload as large as a 4 KiB page's largest record.
+#[test]
+fn record_codecs_carry_the_edge_cases() {
+    let (x, y) = z_decode(u64::MAX);
+    let cases = [
+        NodeData {
+            id: NodeId(0),
+            x: 0,
+            y: 0,
+            payload: vec![],
+            successors: vec![],
+            predecessors: vec![],
+        },
+        NodeData {
+            id: NodeId(u64::MAX),
+            x,
+            y,
+            payload: vec![0xab; MAX_RECORD_LEN_4K],
+            successors: vec![
+                EdgeTo {
+                    to: NodeId(0),
+                    cost: u32::MAX,
+                },
+                EdgeTo {
+                    to: NodeId(u64::MAX - 1),
+                    cost: 0,
+                },
+            ],
+            predecessors: vec![NodeId(0), NodeId(1), NodeId(1 << 63)],
+        },
+        NodeData {
+            id: NodeId(0),
+            x: 7,
+            y: 9,
+            payload: vec![1],
+            successors: vec![EdgeTo {
+                to: NodeId(u64::MAX),
+                cost: 3,
+            }],
+            predecessors: vec![NodeId(u64::MAX), NodeId(u64::MAX - 5)],
+        },
+    ];
+    for node in &cases {
+        for codec in CODECS {
+            assert_codec_roundtrip(codec, node).unwrap();
+        }
+    }
+    // A Morton id implies its coordinates, so the compact record stores
+    // none: id, flags, three empty varints.
+    assert_eq!(RecordCodec::Compact.encoded_len(&cases[0]), 8 + 1 + 3);
+    assert_eq!(
+        RecordCodec::Compact.encoded_len(&cases[2]),
+        8 + 1 + 8 + 2 + 1 + 2 + 1 + 2
+    );
+}
+
 proptest! {
-    /// The record codec is a bijection and its length function is exact.
+    /// Each record codec is a bijection and its length function is exact.
     #[test]
     fn record_codec_roundtrip(node in arb_node()) {
-        let buf = encode_record(&node);
-        prop_assert_eq!(buf.len(), encoded_len(&node));
-        prop_assert_eq!(peek_id(&buf), node.id);
-        prop_assert_eq!(decode_record(&buf), node);
+        for codec in CODECS {
+            assert_codec_roundtrip(codec, &node)?;
+        }
     }
 
     /// Network edge insert/remove sequences keep successor/predecessor

@@ -88,7 +88,7 @@
 
 use std::io::{self, Read, Write};
 
-use ccam_graph::record::{decode_record, encode_record};
+use ccam_graph::record::RecordCodec;
 use ccam_graph::{NodeData, NodeId};
 
 /// Version byte carried by every frame payload.
@@ -370,7 +370,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// few dozen bytes plus the payload (itself page-bounded), so the `u32`
 /// length prefix always fits.
 fn put_record(out: &mut Vec<u8>, node: &NodeData) {
-    let rec = encode_record(node);
+    let rec = RecordCodec::Paper.encode(node);
     let len = u32::try_from(rec.len()).expect("record length exceeds u32");
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&rec);
@@ -621,10 +621,10 @@ impl<'a> Cursor<'a> {
     fn record(&mut self) -> Result<NodeData, ProtoError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        // decode_record panics on malformed input; records only travel
+        // Decoding panics on malformed input; records only travel
         // server -> client and the server re-encodes from storage, so a
         // well-formed length prefix implies a well-formed record.
-        Ok(decode_record(bytes))
+        Ok(RecordCodec::Paper.decode(bytes))
     }
 }
 

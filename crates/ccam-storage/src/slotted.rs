@@ -10,8 +10,12 @@
 //! +--------+----------------------+---------······---------+-----------+
 //! ```
 //!
-//! * the fixed header stores the slot count and the offset where record
-//!   bytes begin (records grow from the page end towards the front),
+//! * the fixed header stores the slot count, the offset where record
+//!   bytes begin (records grow from the page end towards the front) and
+//!   the live-record count, whose top bit is the page's *format bit*: a
+//!   flag the slotted layout stores but never interprets (the data file
+//!   records its record codec there, so the format travels with every
+//!   page image; pages written before it existed have it clear),
 //! * each 4-byte slot holds `(offset, len)` of one record; a dead slot has
 //!   `offset == DEAD`,
 //! * deleting a record tombstones its slot; the space is reclaimed lazily
@@ -28,7 +32,8 @@ use crate::error::{StorageError, StorageResult};
 /// Identifier of a record within one page.
 pub type SlotId = u16;
 
-/// Fixed page-header bytes (slot_count | cell_start | live_count).
+/// Fixed page-header bytes (slot_count | cell_start | format bit +
+/// live_count).
 pub const HEADER_LEN: usize = 6;
 /// Slot-directory bytes each record costs (offset | len).
 pub const SLOT_LEN: usize = 4;
@@ -37,6 +42,9 @@ const DEAD: u16 = u16::MAX;
 const SLOT_COUNT_OFF: usize = 0;
 const CELL_START_OFF: usize = 2;
 const LIVE_COUNT_OFF: usize = 4;
+/// The format bit, in the live-count word: a page holds at most
+/// `u16::MAX / SLOT_LEN` slots, so the count never reaches it.
+const FORMAT_BIT: u16 = 0x8000;
 
 #[inline]
 fn get_u16(buf: &[u8], off: usize) -> u16 {
@@ -58,8 +66,15 @@ pub struct SlottedPage<'a> {
 }
 
 impl<'a> SlottedPage<'a> {
-    /// Formats `buf` as an empty slotted page and returns the view.
+    /// Formats `buf` as an empty slotted page with a clear format bit
+    /// and returns the view.
     pub fn init(buf: &'a mut [u8]) -> Self {
+        Self::init_with_format(buf, false)
+    }
+
+    /// Formats `buf` as an empty slotted page whose format bit is
+    /// `format_bit`.
+    pub fn init_with_format(buf: &'a mut [u8], format_bit: bool) -> Self {
         assert!(
             buf.len() >= HEADER_LEN + SLOT_LEN,
             "page too small for slotted layout"
@@ -71,7 +86,7 @@ impl<'a> SlottedPage<'a> {
         let len = buf.len() as u16;
         put_u16(buf, SLOT_COUNT_OFF, 0);
         put_u16(buf, CELL_START_OFF, len);
-        put_u16(buf, LIVE_COUNT_OFF, 0);
+        put_u16(buf, LIVE_COUNT_OFF, if format_bit { FORMAT_BIT } else { 0 });
         SlottedPage { buf }
     }
 
@@ -98,6 +113,12 @@ impl<'a> SlottedPage<'a> {
 
     fn cell_start(&self) -> usize {
         self.view().cell_start()
+    }
+
+    /// Stores `live` as the live-record count, keeping the format bit.
+    fn set_live_count(&mut self, live: u16) {
+        let format = get_u16(self.buf, LIVE_COUNT_OFF) & FORMAT_BIT;
+        put_u16(self.buf, LIVE_COUNT_OFF, format | live);
     }
 
     fn slot(&self, id: SlotId) -> Option<(u16, u16)> {
@@ -193,8 +214,7 @@ impl<'a> SlottedPage<'a> {
             }
         };
         self.set_slot(slot, new_start as u16, record.len() as u16);
-        let live = self.live_count();
-        put_u16(self.buf, LIVE_COUNT_OFF, live + 1);
+        self.set_live_count(self.live_count() + 1);
         Ok(slot)
     }
 
@@ -204,8 +224,7 @@ impl<'a> SlottedPage<'a> {
             return Err(StorageError::InvalidSlot(slot));
         }
         self.set_slot(slot, DEAD, 0);
-        let live = self.live_count();
-        put_u16(self.buf, LIVE_COUNT_OFF, live - 1);
+        self.set_live_count(self.live_count() - 1);
         // Shrink the directory if the tail is now dead, so the slot space
         // is reclaimable too.
         let mut n = self.slot_count();
@@ -299,7 +318,12 @@ impl<'a> SlottedView<'a> {
 
     /// Number of live records.
     pub fn live_count(&self) -> u16 {
-        get_u16(self.buf, LIVE_COUNT_OFF)
+        get_u16(self.buf, LIVE_COUNT_OFF) & !FORMAT_BIT
+    }
+
+    /// The page's format bit (see the module docs).
+    pub fn format_bit(&self) -> bool {
+        get_u16(self.buf, LIVE_COUNT_OFF) & FORMAT_BIT != 0
     }
 
     fn cell_start(&self) -> usize {
@@ -365,9 +389,25 @@ impl<'a> SlottedView<'a> {
             .sum()
     }
 
-    /// Iterates `(slot, record bytes)` over live records.
+    /// Iterates `(slot, record bytes)` over live records, walking the
+    /// slot directory once.
     pub fn iter(self) -> impl Iterator<Item = (SlotId, &'a [u8])> {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
+        let buf = self.buf;
+        let dir_end = HEADER_LEN + self.slot_count() as usize * SLOT_LEN;
+        buf[HEADER_LEN..dir_end]
+            .chunks_exact(SLOT_LEN)
+            .enumerate()
+            .filter_map(move |(s, slot)| {
+                let off = u16::from_le_bytes([slot[0], slot[1]]);
+                if off == DEAD {
+                    return None;
+                }
+                let (off, len) = (
+                    off as usize,
+                    u16::from_le_bytes([slot[2], slot[3]]) as usize,
+                );
+                Some((s as SlotId, &buf[off..off + len]))
+            })
     }
 }
 
@@ -520,6 +560,25 @@ mod tests {
         // Full capacity is available again.
         let max = SlottedPage::max_record_len(128);
         p.insert(&vec![4u8; max]).unwrap();
+    }
+
+    /// The format bit survives inserts, deletes and compaction, hides
+    /// from the live count, and leaves a clear-bit page byte-identical to
+    /// one formatted before the bit existed.
+    #[test]
+    fn format_bit_is_kept_and_never_counted() {
+        let (mut flagged, mut plain) = (page(128), page(128));
+        let mut p = SlottedPage::init_with_format(&mut flagged, true);
+        let a = p.insert(&[1u8; 30]).unwrap();
+        p.insert(&[2u8; 30]).unwrap();
+        p.delete(a).unwrap();
+        p.insert(&[3u8; 40]).unwrap();
+        assert_eq!(p.live_count(), 2);
+        assert!(p.view().format_bit());
+        let mut q = SlottedPage::init(&mut plain);
+        q.insert(b"x").unwrap();
+        assert!(!q.view().format_bit());
+        assert_eq!(&plain[..HEADER_LEN], &[1, 0, 127, 0, 1, 0]);
     }
 
     #[test]

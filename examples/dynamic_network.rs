@@ -15,7 +15,6 @@ use ccam::core::reorg::ReorgPolicy;
 use ccam::graph::generators::zorder_id;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{EdgeTo, NodeData};
-use ccam::storage::{PageStore, SlottedPage};
 
 fn main() {
     // A mid-size pipeline network.
@@ -92,25 +91,18 @@ fn main() {
         println!("built bypass {p} -> {q} (cost 9)");
     }
 
-    // The same formats persist to a real file-backed page store.
-    let scan = am.file().scan_uncounted().unwrap();
+    // The file persists to a real page file and reopens from it,
+    // records and record format intact.
     let path = std::env::temp_dir().join("ccam-dynamic-network.db");
-    let mut store = ccam::storage::FilePageStore::create(&path, 1024).unwrap();
-    let mut written = 0usize;
-    for (_, records) in &scan {
-        let page = store.allocate().unwrap();
-        let mut buf = vec![0u8; 1024];
-        let mut sp = SlottedPage::init(&mut buf);
-        for rec in records {
-            sp.insert(&ccam::graph::record::encode_record(rec)).unwrap();
-            written += 1;
-        }
-        store.write(page, &buf).unwrap();
-    }
-    store.sync().unwrap();
+    am.file().save_to(&path).unwrap();
+    let reopened = CcamBuilder::new(1024)
+        .open_on(ccam::storage::FilePageStore::open(&path).unwrap())
+        .unwrap();
     println!(
-        "\npersisted {written} records across {} pages to {}",
-        scan.len(),
+        "\npersisted {} {} records across {} pages to {}",
+        reopened.file().len(),
+        reopened.file().codec().name(),
+        reopened.file().num_pages(),
         path.display()
     );
     std::fs::remove_file(&path).ok();

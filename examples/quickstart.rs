@@ -7,6 +7,7 @@
 
 use ccam::core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
 use ccam::graph::generators::{grid_network, zorder_id};
+use ccam::graph::RecordCodec;
 use std::collections::HashMap;
 
 fn main() {
@@ -67,6 +68,7 @@ fn main() {
         TraversalOrder::BreadthFirst,
         None,
         &HashMap::new(),
+        RecordCodec::Compact,
     )
     .unwrap();
     println!(

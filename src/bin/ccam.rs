@@ -75,7 +75,7 @@ use ccam::core::validate::{validate, ValidationConfig};
 use ccam::graph::generators::zorder_id;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
-use ccam::graph::{load_network, save_network, Network, NodeId};
+use ccam::graph::{load_network, save_network, Network, NodeId, RecordCodec};
 use ccam::partition::PartitionStrategy;
 use ccam::storage::stats::IoStats;
 use ccam::storage::{
@@ -399,7 +399,8 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
                 "bfs" => TraversalOrder::BreadthFirst,
                 _ => TraversalOrder::WeightedDepthFirst,
             };
-            let am = TopoAm::create(&net, block, order, None, &w).map_err(|e| e.to_string())?;
+            let am = TopoAm::create(&net, block, order, None, &w, RecordCodec::Compact)
+                .map_err(|e| e.to_string())?;
             am.file().save_to(&out_path).map_err(|e| e.to_string())?;
             empty_log()?;
             (
@@ -409,7 +410,8 @@ fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
             )
         }
         "grid" => {
-            let am = GridAm::create(&net, block).map_err(|e| e.to_string())?;
+            let am =
+                GridAm::create(&net, block, RecordCodec::Compact).map_err(|e| e.to_string())?;
             am.file().save_to(&out_path).map_err(|e| e.to_string())?;
             empty_log()?;
             (
@@ -598,7 +600,11 @@ fn stats(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     println!("page size         {} B", am.file().page_size());
     println!("records           {}", am.file().len());
     println!("data pages        {}", am.file().num_pages());
-    println!("blocking factor   {:.2}", p.blocking_factor);
+    println!(
+        "blocking factor   {:.2} ({} records)",
+        p.blocking_factor,
+        am.file().codec().name()
+    );
     println!("CRR (alpha)       {:.4}", p.alpha);
     println!("avg successors    {:.3}", p.avg_successors);
     println!("avg neighbors     {:.3}", p.avg_neighbors);

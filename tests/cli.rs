@@ -158,6 +158,33 @@ fn build_refuses_ids_that_are_not_z_order_codes() {
     std::fs::remove_file(&net_path).ok();
 }
 
+/// `ccam build` stores compact records by default, with every method,
+/// and `ccam stats` says so beside the blocking factor.
+#[test]
+fn a_default_build_stores_compact_records() {
+    let net = tmp("codec.net");
+    let net_s = net.to_str().unwrap();
+    assert!(ccam(&["generate", net_s, "--grid", "6", "--seed", "5"])
+        .status
+        .success());
+    for method in ["ccam-s", "dfs"] {
+        let db = tmp(&format!("codec-{method}.db"));
+        let db_s = db.to_str().unwrap();
+        let out = ccam(&["build", net_s, db_s, "--method", method]);
+        assert!(out.status.success(), "{method}: {out:?}");
+        let out = ccam(&["stats", db_s]);
+        assert!(out.status.success(), "{method}: {out:?}");
+        let text = stdout(&out);
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("blocking factor"))
+            .unwrap_or_else(|| panic!("{method}: no blocking factor in {text}"));
+        assert!(line.ends_with("(compact records)"), "{method}: {line}");
+        remove_db(&db);
+    }
+    std::fs::remove_file(&net).ok();
+}
+
 #[test]
 fn build_every_method_and_astar() {
     let net = tmp("methods.net");

@@ -11,7 +11,7 @@ use ccam::core::reorg::ReorgPolicy;
 use ccam::core::validate::{validate, ValidationConfig};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
-use ccam::graph::Network;
+use ccam::graph::{Network, RecordCodec};
 
 fn small_map() -> Network {
     road_map(&RoadMapConfig {
@@ -29,11 +29,41 @@ fn small_map() -> Network {
 fn crr_of(net: &Network, block: usize) -> Vec<(String, f64)> {
     let w = HashMap::new();
     let ams: Vec<Box<dyn AccessMethod>> = vec![
-        Box::new(CcamBuilder::new(block).build_static(net).unwrap()),
-        Box::new(CcamBuilder::new(block).build_dynamic(net).unwrap()),
-        Box::new(TopoAm::create(net, block, TraversalOrder::DepthFirst, None, &w).unwrap()),
-        Box::new(GridAm::create(net, block).unwrap()),
-        Box::new(TopoAm::create(net, block, TraversalOrder::BreadthFirst, None, &w).unwrap()),
+        Box::new(
+            CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
+                .build_static(net)
+                .unwrap(),
+        ),
+        Box::new(
+            CcamBuilder::new(block)
+                .codec(RecordCodec::Paper)
+                .build_dynamic(net)
+                .unwrap(),
+        ),
+        Box::new(
+            TopoAm::create(
+                net,
+                block,
+                TraversalOrder::DepthFirst,
+                None,
+                &w,
+                RecordCodec::Paper,
+            )
+            .unwrap(),
+        ),
+        Box::new(GridAm::create(net, block, RecordCodec::Paper).unwrap()),
+        Box::new(
+            TopoAm::create(
+                net,
+                block,
+                TraversalOrder::BreadthFirst,
+                None,
+                &w,
+                RecordCodec::Paper,
+            )
+            .unwrap(),
+        ),
     ];
     ams.iter()
         .map(|am| (am.name().to_string(), am.crr().unwrap()))
@@ -79,8 +109,19 @@ fn crr_grows_with_block_size() {
 fn route_evaluation_cost_ordering() {
     let net = small_map();
     let w = HashMap::new();
-    let ccam = CcamBuilder::new(1024).build_static(&net).unwrap();
-    let bfs = TopoAm::create(&net, 1024, TraversalOrder::BreadthFirst, None, &w).unwrap();
+    let ccam = CcamBuilder::new(1024)
+        .codec(RecordCodec::Paper)
+        .build_static(&net)
+        .unwrap();
+    let bfs = TopoAm::create(
+        &net,
+        1024,
+        TraversalOrder::BreadthFirst,
+        None,
+        &w,
+        RecordCodec::Paper,
+    )
+    .unwrap();
 
     let mut costs = Vec::new();
     for (am, name) in [(&ccam as &dyn AccessMethod, "ccam"), (&bfs, "bfs")] {
@@ -115,7 +156,10 @@ fn route_evaluation_cost_ordering() {
 #[test]
 fn search_costs_track_the_cost_model() {
     let net = small_map();
-    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let am = CcamBuilder::new(1024)
+        .codec(RecordCodec::Paper)
+        .build_static(&net)
+        .unwrap();
     let params = CostParams::measure(am.file()).unwrap();
 
     let ids = net.node_ids();
@@ -160,7 +204,10 @@ fn search_costs_track_the_cost_model() {
 #[test]
 fn validation_harness_tracks_the_cost_model() {
     let net = small_map();
-    let mut am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let mut am = CcamBuilder::new(1024)
+        .codec(RecordCodec::Paper)
+        .build_static(&net)
+        .unwrap();
     let cfg = ValidationConfig {
         sample: 48,
         routes: 6,
@@ -216,7 +263,10 @@ fn validation_harness_tracks_the_cost_model() {
 #[test]
 fn operation_spans_capture_page_access_traces() {
     let net = small_map();
-    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let am = CcamBuilder::new(1024)
+        .codec(RecordCodec::Paper)
+        .build_static(&net)
+        .unwrap();
     let id = net.node_ids()[0];
     am.stats().set_profiling(true);
     am.file().pool().clear().unwrap();
@@ -256,6 +306,7 @@ fn reorg_policy_tradeoff() {
         ReorgPolicy::HigherOrder,
     ] {
         let mut am = CcamBuilder::new(1024)
+            .codec(RecordCodec::Paper)
             .policy(policy)
             .build_static(&base)
             .unwrap();

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use ccam::core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam::core::reorg::ReorgPolicy;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
-use ccam::graph::Network;
+use ccam::graph::{Network, RecordCodec};
 
 fn test_network(seed: u64) -> Network {
     road_map(&RoadMapConfig {
@@ -27,10 +27,40 @@ fn all_methods(net: &Network, block: usize) -> Vec<Box<dyn AccessMethod>> {
     vec![
         Box::new(CcamBuilder::new(block).build_static(net).unwrap()),
         Box::new(CcamBuilder::new(block).build_dynamic(net).unwrap()),
-        Box::new(TopoAm::create(net, block, TraversalOrder::DepthFirst, None, &w).unwrap()),
-        Box::new(TopoAm::create(net, block, TraversalOrder::BreadthFirst, None, &w).unwrap()),
-        Box::new(TopoAm::create(net, block, TraversalOrder::WeightedDepthFirst, None, &w).unwrap()),
-        Box::new(GridAm::create(net, block).unwrap()),
+        Box::new(
+            TopoAm::create(
+                net,
+                block,
+                TraversalOrder::DepthFirst,
+                None,
+                &w,
+                RecordCodec::Compact,
+            )
+            .unwrap(),
+        ),
+        Box::new(
+            TopoAm::create(
+                net,
+                block,
+                TraversalOrder::BreadthFirst,
+                None,
+                &w,
+                RecordCodec::Compact,
+            )
+            .unwrap(),
+        ),
+        Box::new(
+            TopoAm::create(
+                net,
+                block,
+                TraversalOrder::WeightedDepthFirst,
+                None,
+                &w,
+                RecordCodec::Compact,
+            )
+            .unwrap(),
+        ),
+        Box::new(GridAm::create(net, block, RecordCodec::Compact).unwrap()),
     ]
 }
 

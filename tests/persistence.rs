@@ -2,13 +2,16 @@
 //! file — build CCAM on disk, reopen it cold, and keep querying and
 //! updating it.
 
-use ccam::core::am::{AccessMethod, CcamBuilder};
+use std::collections::HashMap;
+
+use ccam::core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
+use ccam::core::check;
 use ccam::core::query::route::evaluate_route;
 use ccam::core::query::search::a_star;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
-use ccam::graph::Network;
-use ccam::storage::FilePageStore;
+use ccam::graph::{Network, RecordCodec};
+use ccam::storage::{FilePageStore, WalStore};
 
 fn net() -> Network {
     road_map(&RoadMapConfig {
@@ -27,6 +30,103 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("ccam-it-{}-{}", std::process::id(), name));
     p
+}
+
+/// Every record of `net` reads back from `am` as the network holds it.
+fn assert_holds(am: &dyn AccessMethod<impl ccam::storage::PageStore>, net: &Network) {
+    assert_eq!(am.file().len(), net.len());
+    for id in net.node_ids() {
+        assert_eq!(
+            &am.find(id).unwrap().unwrap(),
+            net.node(id).unwrap(),
+            "{id:?}"
+        );
+    }
+}
+
+/// A database in either codec, built on a logged page file and updated,
+/// reopens in that codec over a fresh `WalStore<FilePageStore>` — whatever
+/// codec the opening builder was given — and checks clean.
+#[test]
+fn each_codec_reopens_over_its_log_and_checks_clean() {
+    let net = net();
+    let victim = net.node_ids()[17];
+    let mut model = net.clone();
+    model.remove_node(victim).unwrap();
+    for (codec, opener) in [
+        (RecordCodec::Paper, RecordCodec::Compact),
+        (RecordCodec::Compact, RecordCodec::Paper),
+    ] {
+        let path = temp_path(&format!("codec-{}", codec.name()));
+        let wal = path.with_extension("wal");
+        {
+            let store = FilePageStore::create(&path, 1024).unwrap();
+            let store = WalStore::create(store, &wal).unwrap();
+            let mut am = CcamBuilder::new(1024)
+                .codec(codec)
+                .build_static_on(store, &net)
+                .unwrap();
+            am.file_mut().set_auto_commit(true);
+            am.delete_node(victim).unwrap().unwrap();
+        }
+        let store = FilePageStore::open(&path).unwrap();
+        let (store, _) = WalStore::open(store, &wal).unwrap();
+        let am = CcamBuilder::new(1024).codec(opener).open_on(store).unwrap();
+        assert_eq!(am.file().codec(), codec);
+        let report = check::verify(am.file()).unwrap();
+        assert!(report.is_clean(), "{codec:?}: {:?}", report.issues);
+        assert_holds(&am, &model);
+        drop(am);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&wal).ok();
+    }
+}
+
+/// A paper-codec file carries a clear format bit on every page, as every
+/// file written before the compact codec existed does: it opens as
+/// paper, including under the (compact) default builder.
+#[test]
+fn a_paper_file_opens_as_paper() {
+    let net = net();
+    let path = temp_path("paper");
+    let built = CcamBuilder::new(512)
+        .codec(RecordCodec::Paper)
+        .build_static(&net)
+        .unwrap();
+    built.file().save_to(&path).unwrap();
+    let am = CcamBuilder::new(512)
+        .open_on(FilePageStore::open(&path).unwrap())
+        .unwrap();
+    assert_eq!(am.file().codec(), RecordCodec::Paper);
+    assert_eq!(am.file().num_pages(), built.file().num_pages());
+    assert_holds(&am, &net);
+    std::fs::remove_file(&path).ok();
+}
+
+/// `save_to` copies page images, format bit included: a compact
+/// comparator file reopens as compact.
+#[test]
+fn a_saved_compact_comparator_reopens_as_compact() {
+    let net = net();
+    let path = temp_path("compact-dfs");
+    let dfs = TopoAm::create(
+        &net,
+        512,
+        TraversalOrder::DepthFirst,
+        None,
+        &HashMap::new(),
+        RecordCodec::Compact,
+    )
+    .unwrap();
+    dfs.file().save_to(&path).unwrap();
+    let am = CcamBuilder::new(512)
+        .codec(RecordCodec::Paper)
+        .open_on(FilePageStore::open(&path).unwrap())
+        .unwrap();
+    assert_eq!(am.file().codec(), RecordCodec::Compact);
+    assert!(check::verify(am.file()).unwrap().is_clean());
+    assert_holds(&am, &net);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

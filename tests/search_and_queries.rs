@@ -10,7 +10,7 @@ use ccam::core::query::route::evaluate_route;
 use ccam::core::query::search::{a_star, dijkstra};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
-use ccam::graph::{Network, NodeId};
+use ccam::graph::{Network, NodeId, RecordCodec};
 
 fn net() -> Network {
     road_map(&RoadMapConfig {
@@ -29,8 +29,18 @@ fn methods(net: &Network) -> Vec<Box<dyn AccessMethod>> {
     let w = HashMap::new();
     vec![
         Box::new(CcamBuilder::new(512).build_static(net).unwrap()),
-        Box::new(TopoAm::create(net, 512, TraversalOrder::DepthFirst, None, &w).unwrap()),
-        Box::new(GridAm::create(net, 512).unwrap()),
+        Box::new(
+            TopoAm::create(
+                net,
+                512,
+                TraversalOrder::DepthFirst,
+                None,
+                &w,
+                RecordCodec::Compact,
+            )
+            .unwrap(),
+        ),
+        Box::new(GridAm::create(net, 512, RecordCodec::Compact).unwrap()),
     ]
 }
 
@@ -110,8 +120,19 @@ fn search_io_reflects_clustering_quality() {
     // BFS-AM: the point of the whole paper.
     let net = net();
     let w = HashMap::new();
-    let ccam = CcamBuilder::new(512).build_static(&net).unwrap();
-    let bfs = TopoAm::create(&net, 512, TraversalOrder::BreadthFirst, None, &w).unwrap();
+    let ccam = CcamBuilder::new(512)
+        .codec(RecordCodec::Paper)
+        .build_static(&net)
+        .unwrap();
+    let bfs = TopoAm::create(
+        &net,
+        512,
+        TraversalOrder::BreadthFirst,
+        None,
+        &w,
+        RecordCodec::Paper,
+    )
+    .unwrap();
     let ids = net.node_ids();
     let mut ccam_io = 0u64;
     let mut bfs_io = 0u64;
