@@ -35,7 +35,7 @@ fn main() {
             panic!("spawn {bin}: {e} (run `cargo build --release -p ccam-bench` first)")
         });
         let text = String::from_utf8_lossy(&output.stdout);
-        combined.push_str(&format!("{:=^78}\n", format!(" {bin} ")));
+        combined.push_str(&ccam_bench::paper::section_header(bin));
         combined.push_str(&text);
         combined.push('\n');
         if !output.status.success() {

@@ -5,10 +5,10 @@
 //!
 //! | binary | artifact |
 //! |--------|----------|
-//! | `fig5_crr_vs_blocksize`   | Figure 5 — CRR vs disk block size |
-//! | `table5_operation_costs`  | Table 5 — I/O cost per network operation, actual vs predicted |
-//! | `fig6_route_eval`         | Figure 6 — route-evaluation I/O vs route length |
-//! | `fig7_reorg_policies`     | Figure 7 — reorganization policies: I/O cost and CRR under insertion |
+//! | `fig5_crr_vs_blocksize`   | Figure 5 — CRR vs disk block size ([`paper::fig5`]) |
+//! | `table5_operation_costs`  | Table 5 — I/O cost per network operation, actual vs predicted ([`paper::table5`]) |
+//! | `fig6_route_eval`         | Figure 6 — route-evaluation I/O vs route length ([`paper::fig6`]) |
+//! | `fig7_reorg_policies`     | Figure 7 — reorganization policies: I/O cost and CRR under insertion ([`paper::fig7`]) |
 //! | `ablation_partitioners`   | extra — CRR per partitioning heuristic (ratio cut, FM, KL) |
 //! | `ablation_buffer`         | extra — route-evaluation I/O vs buffer size |
 //! | `ablation_policies_extended` | extra — edge-argument policies and lazy thresholds |
@@ -23,10 +23,11 @@
 //! | `chaos_serve`             | seeded fault-injection harness for the server (CI chaos-smoke) |
 //! | `repl_chaos`              | seeded chaos harness for replication (CI repl-smoke) |
 //!
-//! Every paper binary builds on the paper's record
-//! ([`ccam_graph::RecordCodec::Paper`]); `fig5_crr_vs_blocksize`,
-//! `table5_operation_costs` and `fig6_route_eval` rerun on the compact
-//! record with `--codec compact` ([`codec_arg`]).
+//! The four paper binaries print a function of [`paper`], which
+//! `run_all` records and `cargo test` diffs against `experiments_report.txt`
+//! (`tests/experiment_shapes.rs`). Each builds on the paper's record
+//! ([`ccam_graph::RecordCodec::Paper`]) and reruns on the compact record
+//! with `--codec compact` ([`codec_arg`]).
 //!
 //! Serving throughput and per-layer timings are the benchmark ledger's
 //! (`benchmark/`). The library part hosts the shared plumbing: building
@@ -34,5 +35,6 @@
 //! measurement, flag parsing and plain-text table rendering.
 
 pub mod harness;
+pub mod paper;
 
 pub use harness::*;

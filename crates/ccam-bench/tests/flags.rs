@@ -60,15 +60,15 @@ fn a_malformed_flag_value_exits_2_naming_flag_and_value() {
     }
 }
 
-/// The paper figures that rerun on the compact record take `--codec`;
-/// an unknown codec, a missing value or a stray argument exits 2 before
-/// any figure is computed.
+/// Every paper figure takes `--codec`; an unknown codec, a missing
+/// value or a stray argument exits 2 before any figure is computed.
 #[test]
 fn a_paper_figure_refuses_an_unknown_codec() {
     for bin in [
         env!("CARGO_BIN_EXE_fig5_crr_vs_blocksize"),
         env!("CARGO_BIN_EXE_fig6_route_eval"),
         env!("CARGO_BIN_EXE_table5_operation_costs"),
+        env!("CARGO_BIN_EXE_fig7_reorg_policies"),
     ] {
         let (code, err) = run(bin, &["--codec", "dense"]);
         assert_eq!(code, Some(2), "{bin}: {err}");

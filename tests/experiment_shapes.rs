@@ -1,17 +1,17 @@
-//! Integration: the paper's headline experimental claims hold on a
-//! reduced-scale road map (fast versions of the fig5/fig6/fig7 and
-//! Table 5 shape checks — the full-scale runs live in `ccam-bench`).
+//! Integration: the paper's evaluation (`ccam_bench::paper`) is the
+//! regression oracle. Each figure on the benchmark map reproduces its
+//! section of the committed `experiments_report.txt` byte for byte,
+//! keeps every shape check on the compact record, and keeps them on a
+//! reduced-scale road map; Table 5's cost model and the operation
+//! profiles are checked directly.
 
-use std::collections::HashMap;
-
-use ccam::core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
+use ccam::core::am::{AccessMethod, CcamBuilder};
 use ccam::core::costmodel::CostParams;
-use ccam::core::query::route::evaluate_route;
-use ccam::core::reorg::ReorgPolicy;
 use ccam::core::validate::{validate, ValidationConfig};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
-use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{Network, RecordCodec};
+use ccam_bench::paper::{fig5, fig6, fig7, section_header, table5};
+use ccam_bench::{benchmark_network, build_all_methods};
 
 fn small_map() -> Network {
     road_map(&RoadMapConfig {
@@ -26,76 +26,105 @@ fn small_map() -> Network {
     })
 }
 
-fn crr_of(net: &Network, block: usize) -> Vec<(String, f64)> {
-    let w = HashMap::new();
-    let ams: Vec<Box<dyn AccessMethod>> = vec![
-        Box::new(
-            CcamBuilder::new(block)
-                .codec(RecordCodec::Paper)
-                .build_static(net)
-                .unwrap(),
-        ),
-        Box::new(
-            CcamBuilder::new(block)
-                .codec(RecordCodec::Paper)
-                .build_dynamic(net)
-                .unwrap(),
-        ),
-        Box::new(
-            TopoAm::create(
-                net,
-                block,
-                TraversalOrder::DepthFirst,
-                None,
-                &w,
-                RecordCodec::Paper,
-            )
-            .unwrap(),
-        ),
-        Box::new(GridAm::create(net, block, RecordCodec::Paper).unwrap()),
-        Box::new(
-            TopoAm::create(
-                net,
-                block,
-                TraversalOrder::BreadthFirst,
-                None,
-                &w,
-                RecordCodec::Paper,
-            )
-            .unwrap(),
-        ),
-    ];
-    ams.iter()
-        .map(|am| (am.name().to_string(), am.crr().unwrap()))
-        .collect()
+/// Asserts that `figure` on the benchmark map, under `run_all`'s header
+/// for binary `name`, appears verbatim in `experiments_report.txt`, or
+/// names the figure and its first line that differs.
+fn assert_matches_report(name: &str, figure: fn(&Network, RecordCodec) -> String) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/experiments_report.txt");
+    let report = std::fs::read_to_string(path).expect("read experiments_report.txt");
+    let header = section_header(name);
+    let Some(at) = report.find(&header) else {
+        panic!("{name}: no section header {header:?} in experiments_report.txt");
+    };
+    let expected = &report[at + header.len()..];
+    let actual = figure(&benchmark_network(), RecordCodec::Paper) + "\n";
+    if expected.starts_with(&actual) {
+        return;
+    }
+    let mut expected_lines = expected.lines();
+    for (i, line) in actual.lines().enumerate() {
+        let want = expected_lines.next().unwrap_or("<end of report>");
+        assert!(
+            want == line,
+            "{name}: line {} of its section differs from experiments_report.txt\n\
+             expected: {want}\n  actual: {line}",
+            i + 1
+        );
+    }
+    panic!("{name}: its section differs from experiments_report.txt in line endings");
 }
 
-/// Figure 5's core claims at two block sizes.
+/// Asserts that a figure's text reports shape checks and misses none.
+fn assert_every_check_holds(figure: &str, text: &str) {
+    assert!(
+        text.contains("shape checks:"),
+        "{figure}: no shape checks\n{text}"
+    );
+    let misses: Vec<&str> = text.lines().filter(|l| l.contains("[MISS]")).collect();
+    assert!(
+        misses.is_empty(),
+        "{figure}: {} shape check(s) missed:\n{}\n\n{text}",
+        misses.len(),
+        misses.join("\n")
+    );
+}
+
+#[test]
+fn fig5_matches_the_committed_report() {
+    assert_matches_report("fig5_crr_vs_blocksize", fig5);
+}
+
+#[test]
+fn table5_matches_the_committed_report() {
+    assert_matches_report("table5_operation_costs", table5);
+}
+
+#[test]
+fn fig6_matches_the_committed_report() {
+    assert_matches_report("fig6_route_eval", fig6);
+}
+
+#[test]
+fn fig7_matches_the_committed_report() {
+    assert_matches_report("fig7_reorg_policies", fig7);
+}
+
+#[test]
+fn fig5_keeps_its_shape_on_the_compact_record() {
+    let text = fig5(&benchmark_network(), RecordCodec::Compact);
+    assert_every_check_holds("fig5 (compact)", &text);
+}
+
+#[test]
+fn fig6_keeps_its_shape_on_the_compact_record() {
+    let text = fig6(&benchmark_network(), RecordCodec::Compact);
+    assert_every_check_holds("fig6 (compact)", &text);
+}
+
+#[test]
+fn fig7_keeps_its_shape_on_the_compact_record() {
+    let text = fig7(&benchmark_network(), RecordCodec::Compact);
+    assert_every_check_holds("fig7 (compact)", &text);
+}
+
+/// Figure 5 on the small map: CCAM-S has the highest CRR, CCAM-D beats
+/// DFS-AM and DFS-AM beats BFS-AM, at every block size.
 #[test]
 fn ccam_has_the_highest_crr() {
-    let net = small_map();
-    for block in [512usize, 2048] {
-        let crr = crr_of(&net, block);
-        let get = |n: &str| crr.iter().find(|(m, _)| m == n).unwrap().1;
-        let ccam_s = get("CCAM-S");
-        for (name, c) in &crr {
-            assert!(
-                ccam_s >= *c,
-                "block {block}: CCAM-S {ccam_s:.3} must top {name} {c:.3}"
-            );
-        }
-        assert!(get("CCAM-D") > get("BFS-AM"));
-        assert!(get("DFS-AM") > get("BFS-AM"));
-    }
+    assert_every_check_holds("fig5 (small map)", &fig5(&small_map(), RecordCodec::Paper));
 }
 
-/// Figure 5: CRR grows with block size for every method.
+/// Figure 5: CRR grows from 512 B to 4 KiB blocks for every method.
 #[test]
 fn crr_grows_with_block_size() {
     let net = small_map();
-    let small = crr_of(&net, 512);
-    let large = crr_of(&net, 4096);
-    for ((name, c_small), (_, c_large)) in small.iter().zip(&large) {
+    let crr = |block| -> Vec<(String, f64)> {
+        build_all_methods(&net, block, None, false, RecordCodec::Paper)
+            .iter()
+            .map(|am| (am.name().to_string(), am.crr().unwrap()))
+            .collect()
+    };
+    for ((name, c_small), (_, c_large)) in crr(512).iter().zip(&crr(4096)) {
         assert!(
             c_large > c_small,
             "{name}: CRR must grow with block size ({c_small:.3} -> {c_large:.3})"
@@ -103,52 +132,12 @@ fn crr_grows_with_block_size() {
     }
 }
 
-/// Figure 6: CCAM's route evaluation is cheapest, and cost grows with
+/// Figure 6 on the small map: CCAM-S and CCAM-D evaluate routes more
+/// cheaply than every other method, and every method's cost grows with
 /// route length.
 #[test]
 fn route_evaluation_cost_ordering() {
-    let net = small_map();
-    let w = HashMap::new();
-    let ccam = CcamBuilder::new(1024)
-        .codec(RecordCodec::Paper)
-        .build_static(&net)
-        .unwrap();
-    let bfs = TopoAm::create(
-        &net,
-        1024,
-        TraversalOrder::BreadthFirst,
-        None,
-        &w,
-        RecordCodec::Paper,
-    )
-    .unwrap();
-
-    let mut costs = Vec::new();
-    for (am, name) in [(&ccam as &dyn AccessMethod, "ccam"), (&bfs, "bfs")] {
-        am.file().pool().set_capacity(1).unwrap();
-        let mut per_length = Vec::new();
-        for (i, len) in [10usize, 30].iter().enumerate() {
-            let routes = random_walk_routes(&net, 40, *len, 9 + i as u64);
-            let mut total = 0u64;
-            for r in &routes {
-                am.file().pool().clear().unwrap();
-                let before = am.stats().snapshot();
-                let eval = evaluate_route(am, r).unwrap();
-                assert!(eval.complete);
-                total += am.stats().snapshot().since(&before).physical_reads;
-            }
-            per_length.push(total as f64 / routes.len() as f64);
-        }
-        assert!(
-            per_length[1] > per_length[0],
-            "{name}: longer routes must cost more"
-        );
-        costs.push(per_length);
-    }
-    assert!(
-        costs[0][0] < costs[1][0] && costs[0][1] < costs[1][1],
-        "CCAM routes must be cheaper than BFS: {costs:?}"
-    );
+    assert_every_check_holds("fig6 (small map)", &fig6(&small_map(), RecordCodec::Paper));
 }
 
 /// Table 3/5: measured Get-successors and Get-A-successor costs track
@@ -288,84 +277,10 @@ fn operation_spans_capture_page_access_traces() {
     assert!(am.stats().take_profiles().is_empty());
 }
 
-/// Figure 7: higher-order reorganization costs much more I/O than
-/// second-order for little extra CRR; first-order degrades CRR most.
+/// Figure 7 on the small map: higher-order reorganization costs far
+/// more I/O than first or second order, and first order ends with the
+/// lowest CRR.
 #[test]
 fn reorg_policy_tradeoff() {
-    let net = small_map();
-    let held: Vec<_> = net.node_ids().into_iter().step_by(5).collect();
-    let mut base = net.clone();
-    for &id in &held {
-        base.remove_node(id);
-    }
-
-    let mut results = Vec::new();
-    for policy in [
-        ReorgPolicy::FirstOrder,
-        ReorgPolicy::SecondOrder,
-        ReorgPolicy::HigherOrder,
-    ] {
-        let mut am = CcamBuilder::new(1024)
-            .codec(RecordCodec::Paper)
-            .policy(policy)
-            .build_static(&base)
-            .unwrap();
-        let mut present: std::collections::HashSet<_> = base.node_ids().into_iter().collect();
-        let mut io = 0u64;
-        for &id in &held {
-            let full = net.node(id).unwrap();
-            let data = ccam::graph::NodeData {
-                successors: full
-                    .successors
-                    .iter()
-                    .filter(|e| present.contains(&e.to))
-                    .copied()
-                    .collect(),
-                predecessors: full
-                    .predecessors
-                    .iter()
-                    .filter(|p| present.contains(p))
-                    .copied()
-                    .collect(),
-                ..full.clone()
-            };
-            let incoming: Vec<_> = data
-                .predecessors
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        net.node(p)
-                            .unwrap()
-                            .successors
-                            .iter()
-                            .find(|e| e.to == id)
-                            .unwrap()
-                            .cost,
-                    )
-                })
-                .collect();
-            am.file().pool().clear().unwrap();
-            let before = am.stats().snapshot();
-            am.insert_node(&data, &incoming).unwrap();
-            am.file().pool().flush_all().unwrap();
-            let d = am.stats().snapshot().since(&before);
-            io += d.physical_reads + d.physical_writes;
-            present.insert(id);
-        }
-        results.push((policy, io as f64 / held.len() as f64, am.crr().unwrap()));
-    }
-    let (first, second, higher) = (&results[0], &results[1], &results[2]);
-    assert!(
-        higher.1 > second.1,
-        "higher-order I/O {:.2} must exceed second-order {:.2}",
-        higher.1,
-        second.1
-    );
-    assert!(
-        first.2 <= second.2 + 0.02,
-        "first-order CRR {:.3} must not beat second-order {:.3}",
-        first.2,
-        second.2
-    );
+    assert_every_check_holds("fig7 (small map)", &fig7(&small_map(), RecordCodec::Paper));
 }
