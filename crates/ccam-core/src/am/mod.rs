@@ -81,18 +81,13 @@ pub trait AccessMethod<S: PageStore = MemPageStore> {
     /// one co-located with the record read just before it (`id`'s own, or
     /// the previous successor's) is found on the most recently used frame
     /// without an index access; any other is a `Find()`, which costs no
-    /// I/O when its page is buffered (§2.3).
+    /// I/O when its page is buffered (§2.3). The owned form of
+    /// [`NetworkFile::with_successors`], the walk A* expands by.
     fn get_successors(&self, id: NodeId) -> StorageResult<Vec<NodeData>> {
         let _span = self.stats().span("get_successors");
-        let Some((_, rec)) = self.file().find(id)? else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::with_capacity(rec.successors.len());
-        for e in &rec.successors {
-            if let Some((_, s)) = self.file().find_buffered_first(e.to)? {
-                out.push(s);
-            }
-        }
+        let mut out = Vec::new();
+        self.file()
+            .with_successors(id, &mut Vec::new(), |_, rec| out.push(rec.to_owned()))?;
         Ok(out)
     }
 

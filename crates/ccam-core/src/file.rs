@@ -13,14 +13,21 @@
 //! memory", §3.2). Diagnostic whole-file scans (CRR measurement, page
 //! maps) read the store directly and are *not* counted.
 //!
-//! Per lookup that means: [`NetworkFile::find`] counts one access to the
-//! page the index names — a buffer hit or a physical read.
-//! [`NetworkFile::find_buffered_first`] first searches the pool's most
-//! recently used frame, which counts one buffer hit (and, with profiling
-//! on, one `PageAccessKind::Hit` event) whether or not the record is
-//! there; nothing else is counted unless it then falls back to `find`.
-//! Records are searched and decoded in the frame's bytes; no read path
-//! copies a page.
+//! Each lookup rule has one entry point, which lends the record to a
+//! closure as a [`RecordRef`] read in the pinned frame's bytes: no read
+//! path copies a page, and a caller that needs one field decodes only
+//! that. [`NetworkFile::find`], [`NetworkFile::find_buffered_first`] and
+//! [`NetworkFile::read_from_page`] are the same lookups made owned.
+//! Per lookup that means:
+//! - [`NetworkFile::with_record`] (`Find()`) counts one access to the
+//!   page the index names — a buffer hit or a physical read;
+//! - [`NetworkFile::with_record_buffered_first`] (`Get-A-successor()`)
+//!   first searches the pool's most recently used frame, which counts
+//!   one buffer hit (and, with profiling on, one `PageAccessKind::Hit`
+//!   event) whether or not the record is there; nothing else is counted
+//!   unless it then falls back to `with_record`;
+//! - [`NetworkFile::with_record_on`] is that rule for a page the caller
+//!   already knows: the same probe, then that page, and no index access.
 //!
 //! Record format: a file stores every record in one [`RecordCodec`],
 //! chosen at `Create()` ([`NetworkFile::create`]) and recorded in the
@@ -38,8 +45,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ccam_graph::record::{peek_id, RecordCodec};
-use ccam_graph::{NodeData, NodeId};
+use ccam_graph::record::{peek_id, RecordCodec, RecordRef};
+use ccam_graph::{EdgeTo, NodeData, NodeId};
 use ccam_index::BPlusTree;
 use ccam_storage::{
     BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, SlottedView, SnapshotStore,
@@ -605,39 +612,139 @@ impl<S: PageStore> NetworkFile<S> {
 
     // -- counted record access ---------------------------------------------
 
-    /// `Find()`: secondary-index lookup, then a (counted) data-page fetch.
+    /// `Find()`: secondary-index lookup, then a (counted) data-page fetch;
+    /// [`Self::with_record`] made owned.
     pub fn find(&self, id: NodeId) -> StorageResult<Option<(PageId, NodeData)>> {
-        let Some(page) = self.page_of(id)? else {
-            return Ok(None);
-        };
-        let rec = self.read_from_page(page, id)?;
-        Ok(rec.map(|r| (page, r)))
+        self.with_record(id, |rec| rec.to_owned())
     }
 
     /// Reads `id`'s record from `page` (counted fetch; in-page scan is
     /// free). `None` when the record is not on that page.
     pub fn read_from_page(&self, page: PageId, id: NodeId) -> StorageResult<Option<NodeData>> {
-        self.pool
-            .with_page(page, |buf| record_on(self.codec, buf, id))
+        self.record_in(page, id, |rec| rec.to_owned())
     }
 
-    /// The lookup of `Get-A-successor()`: "the buffered data-page should
-    /// be searched first. If the desired successor node is not in the
-    /// buffer, then a Find() operation is needed" (§2.3). The buffered
-    /// data page is the pool's most recently used frame — the page the
-    /// previous hop read, and under the paper's one-page buffer the only
-    /// one. It is searched in place: one counted buffer hit, no index
-    /// access, never a physical read, and the recency order of the pool
-    /// is left as it was. When `id` is not on it this *is* [`Self::find`]:
-    /// the index names the page and only that page is touched.
+    /// The lookup of `Get-A-successor()`, made owned; see
+    /// [`Self::with_record_buffered_first`].
     pub fn find_buffered_first(&self, id: NodeId) -> StorageResult<Option<(PageId, NodeData)>> {
-        let buffered = self
-            .pool
-            .with_mru_page(|page, buf| record_on(self.codec, buf, id).map(|rec| (page, rec)));
-        match buffered.flatten() {
-            Some(hit) => Ok(Some(hit)),
-            None => self.find(id),
+        self.with_record_buffered_first(id, |rec| rec.to_owned())
+    }
+
+    /// `Find()`, read in place: the index names `id`'s page, and `f`
+    /// reads the record where it lies in that page's frame — one counted
+    /// access, nothing decoded that `f` does not ask for. Returns the
+    /// page with `f`'s result; `None` when `id` is not indexed (or not
+    /// on the page the index names).
+    ///
+    /// `f` runs under the frame's read lock, like every closure the
+    /// `with_record*` entry points lend a record to: it must not call
+    /// back into this file or its pool.
+    pub fn with_record<R>(
+        &self,
+        id: NodeId,
+        f: impl FnOnce(RecordRef<'_>) -> R,
+    ) -> StorageResult<Option<(PageId, R)>> {
+        let Some(page) = self.page_of(id)? else {
+            return Ok(None);
+        };
+        Ok(self.record_in(page, id, f)?.map(|r| (page, r)))
+    }
+
+    /// The lookup of `Get-A-successor()`, read in place: "the buffered
+    /// data-page should be searched first. If the desired successor node
+    /// is not in the buffer, then a Find() operation is needed" (§2.3).
+    /// The buffered data page is the pool's most recently used frame —
+    /// the page the previous hop read, and under the paper's one-page
+    /// buffer the only one. It is searched in place: one counted buffer
+    /// hit, no index access, never a physical read, and the recency
+    /// order of the pool is left as it was. When `id` is not on it this
+    /// *is* [`Self::with_record`]: the index names the page and only
+    /// that page is touched.
+    pub fn with_record_buffered_first<R>(
+        &self,
+        id: NodeId,
+        f: impl FnOnce(RecordRef<'_>) -> R,
+    ) -> StorageResult<Option<(PageId, R)>> {
+        match self.on_mru_frame(None, id, f) {
+            Ok(hit) => Ok(Some(hit)),
+            Err(f) => self.with_record(id, f),
         }
+    }
+
+    /// Reads `id`'s record in place from `page`, which the caller already
+    /// knows (a range scan of the index named it): the most recently
+    /// used frame is tried first, as [`Self::with_record_buffered_first`]
+    /// does — one counted hit — and `page` is fetched only when it is not
+    /// that frame. No index access. `None` when the record is not on
+    /// `page`.
+    pub fn with_record_on<R>(
+        &self,
+        page: PageId,
+        id: NodeId,
+        f: impl FnOnce(RecordRef<'_>) -> R,
+    ) -> StorageResult<Option<R>> {
+        match self.on_mru_frame(Some(page), id, f) {
+            Ok((_, hit)) => Ok(Some(hit)),
+            Err(f) => self.record_in(page, id, f),
+        }
+    }
+
+    /// `Get-successors()`, read in place: one `Find()` of `id`, whose
+    /// out-edges are copied into `edges` (the frame is released before
+    /// any successor is looked up); then each successor in edge order by
+    /// the `Get-A-successor()` rule ([`Self::with_record_buffered_first`]),
+    /// lent to `f` with the edge that reaches it. A successor with no
+    /// record is skipped. `false` when `id` is not found.
+    pub fn with_successors(
+        &self,
+        id: NodeId,
+        edges: &mut Vec<EdgeTo>,
+        mut f: impl FnMut(EdgeTo, RecordRef<'_>),
+    ) -> StorageResult<bool> {
+        edges.clear();
+        if self
+            .with_record(id, |rec| edges.extend(rec.successors()))?
+            .is_none()
+        {
+            return Ok(false);
+        }
+        for &edge in edges.iter() {
+            self.with_record_buffered_first(edge.to, |rec| f(edge, rec))?;
+        }
+        Ok(true)
+    }
+
+    /// Lends `id`'s record to `f` when it is on the pool's most recently
+    /// used frame — and that frame is `page`, when one is given — or
+    /// hands `f` back. The probe counts one buffer hit either way.
+    fn on_mru_frame<R, F: FnOnce(RecordRef<'_>) -> R>(
+        &self,
+        page: Option<PageId>,
+        id: NodeId,
+        f: F,
+    ) -> Result<(PageId, R), F> {
+        let mut f = Some(f);
+        let hit = self.pool.with_mru_page(|mru, buf| {
+            if page.is_some_and(|page| page != mru) {
+                return None;
+            }
+            let rec = record_bytes(buf, id)?;
+            Some((mru, f.take()?(self.codec.view(rec))))
+        });
+        hit.flatten().ok_or_else(|| f.expect("lent only on a hit"))
+    }
+
+    /// Lends `id`'s record on `page` to `f` (counted fetch; the in-page
+    /// scan is free).
+    fn record_in<R>(
+        &self,
+        page: PageId,
+        id: NodeId,
+        f: impl FnOnce(RecordRef<'_>) -> R,
+    ) -> StorageResult<Option<R>> {
+        self.pool.with_page(page, |buf| {
+            record_bytes(buf, id).map(|rec| f(self.codec.view(rec)))
+        })
     }
 
     /// All records on `page` (counted fetch).
@@ -935,13 +1042,13 @@ fn page_codec(view: SlottedView<'_>) -> RecordCodec {
     }
 }
 
-/// `id`'s record on the slotted page `buf`, decoded where it lies (the
-/// in-page scan is free in the paper's metric).
-fn record_on(codec: RecordCodec, buf: &[u8], id: NodeId) -> Option<NodeData> {
+/// The bytes of `id`'s record on the slotted page `buf` (the in-page
+/// scan is free in the paper's metric).
+fn record_bytes(buf: &[u8], id: NodeId) -> Option<&[u8]> {
     SlottedView::attach(buf)
         .iter()
         .find(|(_, rec)| peek_id(rec) == id)
-        .map(|(_, rec)| codec.decode(rec))
+        .map(|(_, rec)| rec)
 }
 
 /// Every live record on the slotted page `buf`, in slot order.

@@ -15,11 +15,11 @@
 use std::collections::HashSet;
 
 use ccam_graph::walks::Route;
-use ccam_graph::NodeId;
+use ccam_graph::{NodeId, RecordRef};
 use ccam_storage::{PageStore, StorageResult};
 
 use crate::am::AccessMethod;
-use crate::query::route::{evaluate_route, RouteEvaluation};
+use crate::query::route::{edge_cost, evaluate_route, RouteEvaluation};
 use crate::query::search::dijkstra;
 
 /// Aggregate over one route-unit (a set of directed arcs).
@@ -62,41 +62,52 @@ pub fn route_unit_aggregate_bounded<S: PageStore>(
     let mut agg = RouteUnitAggregate::default();
     // A hash set: a wire request may carry 65 535 arcs.
     let mut seen: HashSet<NodeId> = HashSet::new();
+    let file = am.file();
     for &(from, to) in arcs {
         if cancel() {
             return Ok(None);
         }
-        let Some(rec) = (if seen.contains(&from) {
-            // Already aggregated; still need the edge cost.
-            am.get_a_successor(from, from)?
-        } else {
-            am.find(from)?
-        }) else {
-            agg.arcs_missing += 1;
-            continue;
+        // The arc's cost, and the payload sum of a node not yet
+        // aggregated, are read in place.
+        let fresh = !seen.contains(&from);
+        let read = |rec: RecordRef<'_>| {
+            let sum = fresh.then(|| payload_sum(rec));
+            (edge_cost(rec, Some(to)), sum)
         };
-        let Some(edge) = rec.successors.iter().find(|e| e.to == to) else {
+        let found = if fresh {
+            let _span = am.stats().span("find");
+            file.with_record(from, read)?
+        } else {
+            // Already aggregated; still need the edge cost.
+            let _span = am.stats().span("get_a_successor");
+            file.with_record_buffered_first(from, read)?
+        };
+        let Some((_, (Some(cost), from_sum))) = found else {
             agg.arcs_missing += 1;
             continue;
         };
         agg.arcs_found += 1;
-        agg.total_cost += edge.cost as u64;
-        for id in [from, to] {
-            if !seen.contains(&id) {
-                let node = if id == from {
-                    Some(rec.clone())
-                } else {
-                    am.get_a_successor(from, id)?
-                };
-                if let Some(node) = node {
-                    agg.node_payload_sum += node.payload.iter().map(|&b| b as u64).sum::<u64>();
-                    agg.nodes_retrieved += 1;
-                    seen.insert(id);
-                }
+        agg.total_cost += cost as u64;
+        if let Some(sum) = from_sum {
+            agg.node_payload_sum += sum;
+            agg.nodes_retrieved += 1;
+            seen.insert(from);
+        }
+        if !seen.contains(&to) {
+            let _span = am.stats().span("get_a_successor");
+            if let Some((_, sum)) = file.with_record_buffered_first(to, payload_sum)? {
+                agg.node_payload_sum += sum;
+                agg.nodes_retrieved += 1;
+                seen.insert(to);
             }
         }
     }
     Ok(Some(agg))
+}
+
+/// The sum of a record's payload bytes.
+fn payload_sum(rec: RecordRef<'_>) -> u64 {
+    rec.payload().iter().map(|&b| u64::from(b)).sum()
 }
 
 /// Evaluates a tour: a route whose last node must equal its first.

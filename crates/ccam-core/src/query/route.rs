@@ -11,7 +11,7 @@
 //! before evaluating.
 
 use ccam_graph::walks::Route;
-use ccam_graph::NodeId;
+use ccam_graph::{NodeId, RecordRef};
 use ccam_storage::{PageStore, StorageResult};
 
 use crate::am::AccessMethod;
@@ -63,29 +63,48 @@ pub fn evaluate_route_bounded<S: PageStore>(
     if cancel() {
         return Ok(None);
     }
-    let Some(mut current) = am.find(first)? else {
+    // Each record is read in place for one field: the cost of its edge
+    // to the route's next node.
+    let file = am.file();
+    let found = {
+        let _span = am.stats().span("find");
+        file.with_record(first, |rec| edge_cost(rec, route.nodes.get(1).copied()))?
+    };
+    let Some((_, mut edge)) = found else {
         eval.complete = false;
         return Ok(Some(eval));
     };
     eval.nodes_visited = 1;
-    for &next_id in &route.nodes[1..] {
+    for (i, &next_id) in route.nodes.iter().enumerate().skip(1) {
         if cancel() {
             return Ok(None);
         }
-        // The edge cost lives on the current node's successor list.
-        let Some(edge) = current.successors.iter().find(|e| e.to == next_id) else {
+        let Some(cost) = edge else {
             eval.complete = false;
             break;
         };
-        let Some(next) = am.get_a_successor(current.id, next_id)? else {
+        let next = {
+            let _span = am.stats().span("get_a_successor");
+            file.with_record_buffered_first(next_id, |rec| {
+                edge_cost(rec, route.nodes.get(i + 1).copied())
+            })?
+        };
+        let Some((_, next_edge)) = next else {
             eval.complete = false;
             break;
         };
-        eval.total_cost += edge.cost as u64;
+        eval.total_cost += cost as u64;
         eval.nodes_visited += 1;
-        current = next;
+        edge = next_edge;
     }
     Ok(Some(eval))
+}
+
+/// The cost of `rec`'s edge to `to`, read in place; `None` when there is
+/// no such edge (or no `to`).
+pub(crate) fn edge_cost(rec: RecordRef<'_>, to: Option<NodeId>) -> Option<u32> {
+    let to = to?;
+    rec.successors().find(|e| e.to == to).map(|e| e.cost)
 }
 
 /// Convenience: evaluates a node-id sequence.

@@ -2,9 +2,14 @@
 //! consumers: "Get-successors() is used in graph search algorithms like
 //! A*" (paper §1.2, citing the IVHS route-planning work \[24\]).
 //!
-//! Both algorithms expand nodes exclusively through
-//! [`AccessMethod::get_successors`], so their I/O profile directly
-//! reflects the access method's clustering quality.
+//! Both algorithms expand nodes by the Get-successors rule, one Find
+//! per expansion ([`NetworkFile::with_successors`], the walk
+//! [`AccessMethod::get_successors`] is built on), so their I/O profile
+//! directly reflects the access method's clustering quality. Records
+//! are read in place: an expansion copies out its edges, and each
+//! successor lends only its coordinates to the heuristic.
+//!
+//! [`NetworkFile::with_successors`]: crate::file::NetworkFile::with_successors
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -31,7 +36,7 @@ pub fn dijkstra<S: PageStore>(
     source: NodeId,
     goal: NodeId,
 ) -> StorageResult<Option<SearchResult>> {
-    a_star_with(am, source, goal, |_| 0)
+    a_star_with(am, source, goal, |_, _| 0)
 }
 
 /// A* with the Euclidean travel-time lower bound used by the road-map
@@ -42,33 +47,36 @@ pub fn a_star<S: PageStore>(
     source: NodeId,
     goal: NodeId,
 ) -> StorageResult<Option<SearchResult>> {
-    let Some(goal_rec) = am.find(goal)? else {
+    let Some((gx, gy)) = find_xy(am, goal)? else {
         return Ok(None);
     };
-    let (gx, gy) = (goal_rec.x as f64, goal_rec.y as f64);
-    a_star_with(am, source, goal, move |rec: &ccam_graph::NodeData| {
-        let dx = rec.x as f64 - gx;
-        let dy = rec.y as f64 - gy;
+    let (gx, gy) = (gx as f64, gy as f64);
+    a_star_with(am, source, goal, move |x, y| {
+        let dx = x as f64 - gx;
+        let dy = y as f64 - gy;
         ((dx * dx + dy * dy).sqrt() / 4.0) as u64
     })
 }
 
-/// A* with a caller-supplied admissible heuristic over node records.
+/// A* with a caller-supplied admissible heuristic over node
+/// coordinates `(x, y)`.
 pub fn a_star_with<S: PageStore>(
     am: &dyn AccessMethod<S>,
     source: NodeId,
     goal: NodeId,
-    heuristic: impl Fn(&ccam_graph::NodeData) -> u64,
+    heuristic: impl Fn(u32, u32) -> u64,
 ) -> StorageResult<Option<SearchResult>> {
-    let Some(start) = am.find(source)? else {
+    let Some((sx, sy)) = find_xy(am, source)? else {
         return Ok(None);
     };
     let mut dist: HashMap<NodeId, u64> = HashMap::new();
     let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
     let mut heap: BinaryHeap<Reverse<(u64, u64, NodeId)>> = BinaryHeap::new();
     dist.insert(source, 0);
-    heap.push(Reverse((heuristic(&start), 0, source)));
+    heap.push(Reverse((heuristic(sx, sy), 0, source)));
     let mut expanded = 0usize;
+    // The expanded node's edges, reused across expansions.
+    let mut edges = Vec::new();
 
     while let Some(Reverse((_f, g, node))) = heap.pop() {
         if dist.get(&node).copied().unwrap_or(u64::MAX) < g {
@@ -89,26 +97,31 @@ pub fn a_star_with<S: PageStore>(
                 expanded,
             }));
         }
-        // One Find() + Get-successors() per expansion: the dominant I/O
-        // cost of the query (paper §1.2). The Find() is usually a buffer
-        // hit because the expansion order has spatial locality.
-        let node_rec = match am.find(node)? {
-            Some(r) => r,
-            None => continue,
-        };
-        let succs = am.get_successors(node)?;
-        for s in succs {
-            let edge = node_rec.successors.iter().find(|e| e.to == s.id);
-            let Some(edge) = edge else { continue };
+        // One Get-successors() per expansion — one Find() of the node,
+        // then its successors by the Get-A-successor rule: the dominant
+        // I/O cost of the query (paper §1.2). The Find() is usually a
+        // buffer hit because the expansion order has spatial locality.
+        let _span = am.stats().span("get_successors");
+        am.file().with_successors(node, &mut edges, |edge, succ| {
             let ng = g + edge.cost as u64;
-            if ng < dist.get(&s.id).copied().unwrap_or(u64::MAX) {
-                dist.insert(s.id, ng);
-                prev.insert(s.id, node);
-                heap.push(Reverse((ng + heuristic(&s), ng, s.id)));
+            if ng < dist.get(&edge.to).copied().unwrap_or(u64::MAX) {
+                dist.insert(edge.to, ng);
+                prev.insert(edge.to, node);
+                let (x, y) = succ.xy();
+                heap.push(Reverse((ng + heuristic(x, y), ng, edge.to)));
             }
-        }
+        })?;
     }
     Ok(None)
+}
+
+/// `Find()` of `id`, reading only its coordinates.
+fn find_xy<S: PageStore>(
+    am: &dyn AccessMethod<S>,
+    id: NodeId,
+) -> StorageResult<Option<(u32, u32)>> {
+    let _span = am.stats().span("find");
+    Ok(am.file().with_record(id, |rec| rec.xy())?.map(|(_, xy)| xy))
 }
 
 #[cfg(test)]
@@ -207,6 +220,39 @@ mod tests {
             let got = dijkstra(&am, s, g).unwrap().map(|r| r.cost);
             assert_eq!(got, reference(&net, s, g), "{s:?} -> {g:?}");
         }
+    }
+
+    /// Each expansion reads its own record once — one `Find()` — and
+    /// each of its successors once, by the Get-A-successor rule. On a
+    /// one-page line every access is to that page, so the data-page
+    /// accesses of one A* call are counted exactly: the goal's and the
+    /// source's `Find()`, then for every expanded node but the goal, one
+    /// for its record and one per successor.
+    #[test]
+    fn a_star_reads_an_expanded_record_once() {
+        let net = grid_network(8, 1, 1.0); // a two-way line of 8 nodes
+        let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+        assert_eq!(am.file().num_pages(), 1);
+        am.file().pool().clear().unwrap();
+        let before = am.stats().snapshot();
+        let r = a_star(&am, zorder_id(0, 0), zorder_id(7, 0))
+            .unwrap()
+            .unwrap();
+        let d = am.stats().snapshot().since(&before);
+        // On a line A* expands exactly the path.
+        assert_eq!(r.path.len(), 8);
+        assert_eq!(r.expanded, r.path.len());
+        let successors: usize = r.path[..r.path.len() - 1]
+            .iter()
+            .map(|&id| net.node(id).unwrap().successors.len())
+            .sum();
+        let own_records = r.expanded - 1;
+        assert_eq!(d.physical_reads, 1);
+        assert_eq!(
+            d.buffer_hits + d.physical_reads,
+            (2 + own_records + successors) as u64,
+            "one access per expansion for the expanded node's own record"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use ccam_graph::{NodeData, NodeId};
 use ccam_index::zorder::{z_decode, z_encode};
-use ccam_storage::{PageStore, StorageResult};
+use ccam_storage::{PageId, PageStore, StorageResult};
 
 use crate::file::NetworkFile;
 
@@ -40,24 +40,15 @@ impl SpatialIndex {
         x1: u32,
         y1: u32,
     ) -> StorageResult<Vec<NodeId>> {
-        // Scan the covering Z-range on the id index and filter by
-        // decoded coordinates. The covering range [z(x0,y0), z(x1,y1)]
-        // is correct for Morton codes (both coordinates monotone) but
-        // loose; the filter restores exactness.
-        let lo = z_encode(x0, y0);
-        let hi = z_encode(x1, y1);
-        let mut out = Vec::new();
-        for (id, _) in file.index_range(lo, hi)? {
-            let (x, y) = z_decode(id);
-            if x >= x0 && x <= x1 && y >= y0 && y <= y1 {
-                out.push(NodeId(id));
-            }
-        }
-        Ok(out)
+        Ok(window_entries(file, x0, y0, x1, y1)?
+            .map(|(id, _)| id)
+            .collect())
     }
 
     /// Full records inside the window; fetching their pages is counted
-    /// data-page I/O.
+    /// data-page I/O. The index is descended once, by the range scan of
+    /// [`Self::window_ids`]: each member is read from the page that scan
+    /// named.
     pub fn window_records<S: PageStore>(
         &self,
         file: &NetworkFile<S>,
@@ -66,17 +57,35 @@ impl SpatialIndex {
         x1: u32,
         y1: u32,
     ) -> StorageResult<Vec<NodeData>> {
-        let ids = self.window_ids(file, x0, y0, x1, y1)?;
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
+        let mut out = Vec::new();
+        for (id, page) in window_entries(file, x0, y0, x1, y1)? {
             // The page of the previous member first — window members
             // cluster spatially, and on CCAM also by connectivity.
-            if let Some((_, r)) = file.find_buffered_first(id)? {
+            if let Some(r) = file.with_record_on(page, id, |rec| rec.to_owned())? {
                 out.push(r);
             }
         }
         Ok(out)
     }
+}
+
+/// The members of the window `[x0, x1] × [y0, y1]` with the pages the
+/// index names for them, in Z-order: one scan of the covering Z-range,
+/// filtered by decoded coordinates. The covering range `[z(x0,y0),
+/// z(x1,y1)]` is correct for Morton codes (both coordinates monotone)
+/// but loose; the filter restores exactness.
+fn window_entries<S: PageStore>(
+    file: &NetworkFile<S>,
+    x0: u32,
+    y0: u32,
+    x1: u32,
+    y1: u32,
+) -> StorageResult<impl Iterator<Item = (NodeId, PageId)>> {
+    let entries = file.index_range(z_encode(x0, y0), z_encode(x1, y1))?;
+    Ok(entries.into_iter().filter_map(move |(id, page)| {
+        let (x, y) = z_decode(id);
+        (x >= x0 && x <= x1 && y >= y0 && y <= y1).then_some((NodeId(id), PageId(page as u32)))
+    }))
 }
 
 #[cfg(test)]
@@ -146,6 +155,43 @@ mod tests {
         for r in &recs {
             assert_eq!(net.node(r.id).unwrap(), r);
         }
+    }
+
+    /// The range scan that names a window's members also names their
+    /// pages, so fetching the records costs the index nothing more.
+    #[test]
+    fn window_records_descend_the_index_once() {
+        let net = grid_network(10, 10, 1.0);
+        let am = CcamBuilder::new(512).build_static(&net).unwrap();
+        let file = am.file();
+        let idx = SpatialIndex::zorder();
+        let window = (1, 1, 8, 8);
+        let ids = idx
+            .window_ids(file, window.0, window.1, window.2, window.3)
+            .unwrap();
+        let pages: std::collections::BTreeSet<_> = ids
+            .iter()
+            .map(|&id| file.page_of(id).unwrap().unwrap())
+            .collect();
+        assert!(pages.len() >= 2, "members on {} page(s)", pages.len());
+        let index_accesses = |run: &dyn Fn()| {
+            let before = file.index_stats().snapshot();
+            run();
+            let d = file.index_stats().snapshot().since(&before);
+            d.buffer_hits + d.physical_reads
+        };
+        let for_ids = index_accesses(&|| {
+            idx.window_ids(file, window.0, window.1, window.2, window.3)
+                .unwrap();
+        });
+        let for_records = index_accesses(&|| {
+            let recs = idx
+                .window_records(file, window.0, window.1, window.2, window.3)
+                .unwrap();
+            assert_eq!(recs.len(), ids.len());
+        });
+        assert!(for_ids > 0);
+        assert_eq!(for_records, for_ids);
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod walks;
 
 pub use io::{load_network, save_network};
 pub use network::{EdgeTo, Network, NodeData, NodeId};
-pub use record::RecordCodec;
+pub use record::{RecordCodec, RecordRef};
 pub use roadmap::minneapolis_like;
 pub use walks::{commuter_routes, edge_weights_from_routes, random_walk_routes, Route};

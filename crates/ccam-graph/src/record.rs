@@ -7,7 +7,10 @@
 //! networks are embedded in geographic space".
 //!
 //! Two layouts, chosen per data file ([`RecordCodec`]). Both begin with
-//! the id, so [`peek_id`] reads either. Little-endian throughout.
+//! the id, so [`peek_id`] reads either. Little-endian throughout. Each
+//! codec is parsed in one place, [`RecordCodec::view`], which reads a
+//! record where it lies as a [`RecordRef`]; [`RecordCodec::decode`] is
+//! that view made owned.
 //!
 //! [`RecordCodec::Paper`] — fixed-width fields, the record the paper's
 //! experiments measure; `.net` files and the wire protocol use it too:
@@ -151,72 +154,247 @@ impl RecordCodec {
     }
 
     /// Deserialises a record produced by [`Self::encode`] with the same
-    /// codec.
+    /// codec: [`Self::view`], then [`RecordRef::to_owned`].
     ///
     /// Panics on truncated input — records only ever come from pages this
     /// library wrote.
     pub fn decode(self, buf: &[u8]) -> NodeData {
+        self.view(buf).to_owned()
+    }
+
+    /// Reads a record produced by [`Self::encode`] where it lies: the
+    /// fields before the successor list are parsed now, the lists as
+    /// they are iterated. This is the only parser of each codec.
+    ///
+    /// Panics on truncated input, here or while iterating, like
+    /// [`Self::decode`].
+    pub fn view(self, buf: &[u8]) -> RecordRef<'_> {
         let mut r = Reader { buf, at: 0 };
         let id = r.u64();
-        match self {
+        let (xy, payload, succ_count) = match self {
             RecordCodec::Paper => {
-                let x = r.u32();
-                let y = r.u32();
+                let xy = (r.u32(), r.u32());
                 let plen = r.u16() as usize;
-                let payload = r.take(plen).to_vec();
-                let scount = r.u16() as usize;
-                let mut successors = Vec::with_capacity(scount);
-                for _ in 0..scount {
-                    let to = NodeId(r.u64());
-                    let cost = r.u32();
-                    successors.push(EdgeTo { to, cost });
-                }
-                let pcount = r.u16() as usize;
-                let mut predecessors = Vec::with_capacity(pcount);
-                for _ in 0..pcount {
-                    predecessors.push(NodeId(r.u64()));
-                }
-                NodeData {
-                    id: NodeId(id),
-                    x,
-                    y,
-                    payload,
-                    successors,
-                    predecessors,
-                }
+                let payload = r.take(plen);
+                (Some(xy), payload, r.u16() as usize)
             }
             RecordCodec::Compact => {
-                let (x, y) = if r.take(1)[0] & COORDS_STORED != 0 {
-                    (r.u32(), r.u32())
-                } else {
-                    z_decode(id)
-                };
+                let xy = (r.take(1)[0] & COORDS_STORED != 0).then(|| (r.u32(), r.u32()));
                 let plen = r.varint() as usize;
-                let payload = r.take(plen).to_vec();
-                let scount = r.count();
-                let mut successors = Vec::with_capacity(scount);
-                for _ in 0..scount {
-                    let to = NodeId(undelta(id, r.varint()));
-                    let cost = r.varint() as u32;
-                    successors.push(EdgeTo { to, cost });
-                }
-                let pcount = r.count();
-                let mut predecessors = Vec::with_capacity(pcount);
-                for _ in 0..pcount {
-                    predecessors.push(NodeId(undelta(id, r.varint())));
-                }
-                NodeData {
-                    id: NodeId(id),
-                    x,
-                    y,
-                    payload,
-                    successors,
-                    predecessors,
-                }
+                let payload = r.take(plen);
+                (xy, payload, r.count())
             }
+        };
+        RecordRef {
+            codec: self,
+            id,
+            xy,
+            payload,
+            succ_count,
+            lists: &buf[r.at..],
         }
     }
 }
+
+/// One encoded record, read in place ([`RecordCodec::view`]): the page
+/// bytes are borrowed, nothing is allocated, and a caller that needs one
+/// field decodes only what precedes it.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    codec: RecordCodec,
+    id: u64,
+    /// Stored coordinates; `None` when a compact record implies them.
+    xy: Option<(u32, u32)>,
+    payload: &'a [u8],
+    succ_count: usize,
+    /// The successor entries and everything after them.
+    lists: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// The node id.
+    #[inline]
+    pub fn id(self) -> NodeId {
+        NodeId(self.id)
+    }
+
+    /// The node's coordinates.
+    #[inline]
+    pub fn xy(self) -> (u32, u32) {
+        self.xy.unwrap_or_else(|| z_decode(self.id))
+    }
+
+    /// The application payload bytes.
+    #[inline]
+    pub fn payload(self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The out-edges, in stored order, decoded one at a time.
+    #[inline]
+    pub fn successors(self) -> Successors<'a> {
+        Successors {
+            codec: self.codec,
+            id: self.id,
+            r: Reader {
+                buf: self.lists,
+                at: 0,
+            },
+            left: self.succ_count,
+        }
+    }
+
+    /// The predecessor ids, in stored order, decoded one at a time. On
+    /// the compact record this first steps over the successor list.
+    pub fn predecessors(self) -> Predecessors<'a> {
+        self.successors().into_predecessors()
+    }
+
+    /// The record as an owned [`NodeData`].
+    pub fn to_owned(self) -> NodeData {
+        // The same code in both arms, with the codec a constant, so the
+        // per-entry match of the list iterators folds away.
+        match self.codec {
+            RecordCodec::Paper => self.to_owned_as(RecordCodec::Paper),
+            RecordCodec::Compact => self.to_owned_as(RecordCodec::Compact),
+        }
+    }
+
+    #[inline(always)]
+    fn to_owned_as(mut self, codec: RecordCodec) -> NodeData {
+        self.codec = codec;
+        let payload = self.payload.to_vec();
+        let (x, y) = self.xy();
+        let mut succs = self.successors();
+        let mut successors = Vec::with_capacity(succs.left);
+        for _ in 0..succs.left {
+            successors.push(succs.entry());
+        }
+        succs.left = 0;
+        let mut preds = succs.into_predecessors();
+        let mut predecessors = Vec::with_capacity(preds.left);
+        for _ in 0..preds.left {
+            predecessors.push(preds.entry());
+        }
+        NodeData {
+            id: self.id(),
+            x,
+            y,
+            payload,
+            successors,
+            predecessors,
+        }
+    }
+}
+
+/// The successor list of a [`RecordRef`] ([`RecordRef::successors`]).
+#[derive(Debug, Clone)]
+pub struct Successors<'a> {
+    codec: RecordCodec,
+    id: u64,
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> Successors<'a> {
+    /// Reads the next entry; the caller checks that one is left.
+    #[inline(always)]
+    fn entry(&mut self) -> EdgeTo {
+        match self.codec {
+            RecordCodec::Paper => EdgeTo {
+                to: NodeId(self.r.u64()),
+                cost: self.r.u32(),
+            },
+            RecordCodec::Compact => EdgeTo {
+                to: NodeId(undelta(self.id, self.r.varint())),
+                cost: self.r.varint() as u32,
+            },
+        }
+    }
+
+    /// Steps over the successors not yet read, then reads the
+    /// predecessor count that follows them.
+    fn into_predecessors(mut self) -> Predecessors<'a> {
+        let left = match self.codec {
+            RecordCodec::Paper => {
+                self.r.take(PAPER_SUCC_ENTRY * self.left);
+                self.r.u16() as usize
+            }
+            RecordCodec::Compact => {
+                for _ in 0..2 * self.left {
+                    self.r.varint();
+                }
+                self.r.count()
+            }
+        };
+        Predecessors {
+            codec: self.codec,
+            id: self.id,
+            r: self.r,
+            left,
+        }
+    }
+}
+
+impl Iterator for Successors<'_> {
+    type Item = EdgeTo;
+
+    #[inline]
+    fn next(&mut self) -> Option<EdgeTo> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.entry())
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Successors<'_> {}
+
+/// The predecessor list of a [`RecordRef`] ([`RecordRef::predecessors`]).
+#[derive(Debug, Clone)]
+pub struct Predecessors<'a> {
+    codec: RecordCodec,
+    id: u64,
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl Predecessors<'_> {
+    /// Reads the next entry; the caller checks that one is left.
+    #[inline(always)]
+    fn entry(&mut self) -> NodeId {
+        NodeId(match self.codec {
+            RecordCodec::Paper => self.r.u64(),
+            RecordCodec::Compact => undelta(self.id, self.r.varint()),
+        })
+    }
+}
+
+impl Iterator for Predecessors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.entry())
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Predecessors<'_> {}
 
 impl std::str::FromStr for RecordCodec {
     type Err = String;
@@ -273,6 +451,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// A cursor over one encoded record.
+#[derive(Debug, Clone)]
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,

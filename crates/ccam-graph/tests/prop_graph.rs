@@ -72,6 +72,33 @@ fn assert_codec_roundtrip(codec: RecordCodec, node: &NodeData) -> Result<(), Tes
     Ok(())
 }
 
+/// Every accessor of the in-place view equals the decoder's field, the
+/// lists iterate lazily in either order and report their exact length,
+/// and `to_owned` is `decode`, for `codec` and `node`.
+fn assert_view_is_the_decoder(codec: RecordCodec, node: &NodeData) -> Result<(), TestCaseError> {
+    let buf = codec.encode(node);
+    let decoded = codec.decode(&buf);
+    let rec = codec.view(&buf);
+    prop_assert_eq!(rec.id(), decoded.id, "{:?}", codec);
+    prop_assert_eq!(rec.xy(), (decoded.x, decoded.y), "{:?}", codec);
+    prop_assert_eq!(rec.payload(), &decoded.payload[..], "{:?}", codec);
+    // The predecessors first: they must not depend on a successor walk
+    // having run.
+    let preds = rec.predecessors();
+    prop_assert_eq!(preds.len(), decoded.predecessors.len());
+    prop_assert_eq!(preds.collect::<Vec<_>>(), decoded.predecessors.clone());
+    let succs = rec.successors();
+    prop_assert_eq!(succs.len(), decoded.successors.len());
+    prop_assert_eq!(succs.collect::<Vec<_>>(), decoded.successors.clone());
+    // A walk stopped part-way leaves the view whole.
+    let mut partial = rec.successors();
+    partial.next();
+    prop_assert_eq!(partial.len(), decoded.successors.len().saturating_sub(1));
+    prop_assert_eq!(&rec.to_owned(), &decoded, "{:?}", codec);
+    prop_assert_eq!(&decoded, node, "{:?}", codec);
+    Ok(())
+}
+
 /// The fixed edge cases: extreme ids, wrapping deltas, empty lists and
 /// a payload as large as a 4 KiB page's largest record.
 #[test]
@@ -118,8 +145,14 @@ fn record_codecs_carry_the_edge_cases() {
     for node in &cases {
         for codec in CODECS {
             assert_codec_roundtrip(codec, node).unwrap();
+            assert_view_is_the_decoder(codec, node).unwrap();
         }
     }
+    // The third case's coordinates are not its id's Morton code, so the
+    // compact record stores them; the others imply theirs.
+    let flags = |node: &NodeData| RecordCodec::Compact.encode(node)[8];
+    assert_eq!(flags(&cases[2]) & 1, 1);
+    assert_eq!(flags(&cases[0]) | flags(&cases[1]), 0);
     // A Morton id implies its coordinates, so the compact record stores
     // none: id, flags, three empty varints.
     assert_eq!(RecordCodec::Compact.encoded_len(&cases[0]), 8 + 1 + 3);
@@ -135,6 +168,14 @@ proptest! {
     fn record_codec_roundtrip(node in arb_node()) {
         for codec in CODECS {
             assert_codec_roundtrip(codec, &node)?;
+        }
+    }
+
+    /// The in-place view reads what the decoder reads, on both codecs.
+    #[test]
+    fn record_view_equals_the_decoder(node in arb_node()) {
+        for codec in CODECS {
+            assert_view_is_the_decoder(codec, &node)?;
         }
     }
 
