@@ -343,29 +343,11 @@ fn start_follower(
 
 /// Layout-independent digest of every record reachable in a pinned
 /// view — two stores digest equal iff they hold the same logical nodes.
+/// A view that cannot be scanned digests as one holding no records.
 fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut nodes = std::collections::BTreeMap::new();
-    for (_page, records) in am.file().scan_uncounted().unwrap_or_default() {
-        for node in records {
-            nodes.insert(node.id.0, node);
-        }
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (id, node) in &nodes {
-        id.hash(&mut h);
-        node.x.hash(&mut h);
-        node.y.hash(&mut h);
-        node.payload.hash(&mut h);
-        for e in &node.successors {
-            e.to.0.hash(&mut h);
-            e.cost.hash(&mut h);
-        }
-        for p in &node.predecessors {
-            p.0.hash(&mut h);
-        }
-    }
-    h.finish()
+    use std::hash::Hasher;
+    ccam_core::testing::digest(am.file())
+        .unwrap_or_else(|_| std::collections::hash_map::DefaultHasher::new().finish())
 }
 
 fn primary_next_lsn(primary: &ServerHandle<Db>) -> u64 {

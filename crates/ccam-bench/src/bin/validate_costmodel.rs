@@ -2,7 +2,7 @@
 //! operation class, for every access method on the benchmark road map.
 //!
 //! Where `table5_operation_costs` reproduces the paper's Table 5 layout,
-//! this binary drives the reusable [`ccam_core::validate`] harness: each
+//! this binary drives the reusable [`ccam_core::validate()`] harness: each
 //! method runs the same deterministic workload (find / get-a-successor /
 //! get-successors / route / delete + re-insert) under the buffering
 //! assumptions of §3.2, and the per-class relative error of the

@@ -689,7 +689,7 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
 /// writer's state, not by scanning the generation: its index is a
 /// copy-on-write fork of the writer's and its quarantine set is the
 /// generation's own list of unreadable pages
-/// ([`NetworkFile::snapshot_view`]), so degraded reads keep working over
+/// (`NetworkFile::snapshot_view`), so degraded reads keep working over
 /// snapshots and a capture costs what the commit changed. A store with
 /// no log cannot be captured ([`StorageError::NoLog`]).
 impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {

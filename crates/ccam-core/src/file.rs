@@ -96,7 +96,7 @@ impl<T> Degraded<T> {
 /// buffered in main memory", §3.2); `open` rebuilds it by scanning the
 /// data pages, and every update maintains it in place from then on
 /// (§2.3). A published read-only view does not scan: it forks the
-/// writer's index ([`NetworkFile::snapshot_view`]).
+/// writer's index (`NetworkFile::snapshot_view`).
 pub struct NetworkFile<S: PageStore = MemPageStore> {
     pool: BufferPool<S>,
     index: BPlusTree<MemPageStore>,
@@ -594,7 +594,7 @@ impl<S: PageStore> NetworkFile<S> {
 
     /// Number of index pages this file shares, image for image, with
     /// `other`'s index — all but the pages rewritten since one was
-    /// forked from the other ([`Self::snapshot_view`]). Diagnostics and
+    /// forked from the other (`Self::snapshot_view`). Diagnostics and
     /// tests.
     pub fn index_pages_shared_with<T: PageStore>(&self, other: &NetworkFile<T>) -> usize {
         self.index.pages_shared_with(&other.index)

@@ -20,14 +20,16 @@
 //! * [`workload`] — operation-trace record/replay for portable
 //!   benchmarking,
 //! * [`costmodel`] — the algebraic cost model of Tables 3 and 4,
-//! * [`validate`] — a harness that replays a live workload and reports
+//! * [`mod@validate`] — a harness that replays a live workload and reports
 //!   predicted vs. observed page accesses per operation class,
 //! * [`query`] — aggregate queries: route evaluation, graph search (A*,
 //!   Dijkstra), graph traversal / reachability / transitive closure,
 //!   tour evaluation, route-unit aggregates, location-allocation and
 //!   spatial window queries,
 //! * [`epoch`] — the single-writer / multi-reader [`EpochCell`] the
-//!   serving layer uses for snapshot-consistent reads during commits.
+//!   serving layer uses for snapshot-consistent reads during commits,
+//! * [`testing`] — test support: the history driver that checks every
+//!   access method against the in-memory `Network` model.
 
 pub mod am;
 pub mod check;
@@ -38,6 +40,7 @@ pub mod file;
 pub mod pag;
 pub mod query;
 pub mod reorg;
+pub mod testing;
 pub mod validate;
 pub mod workload;
 

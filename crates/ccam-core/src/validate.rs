@@ -5,7 +5,7 @@
 //! page accesses with measured ones (Table 5). This module reproduces
 //! that methodology as a reusable harness: for each operation class it
 //! replays a deterministic sample of operations under the buffering
-//! assumption the model makes, measures the [`IoSnapshot`] delta around
+//! assumption the model makes, measures the [`ccam_storage::IoSnapshot`] delta around
 //! each call, and reports predicted vs. observed accesses per class
 //! together with the relative error.
 //!

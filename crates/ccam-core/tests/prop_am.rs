@@ -1,203 +1,203 @@
-//! Property test: every access method, driven by an arbitrary sequence
-//! of node/edge inserts and deletes, stays in lockstep with an
-//! in-memory [`Network`] model — same records, same successor sets,
-//! consistent cross-references — under every reorganization policy.
+//! Property tests: every access method, driven through seeded histories
+//! by `ccam_core::testing`, stays in lockstep with the in-memory
+//! `Network` model — same records, same edge lists, a clean audit after
+//! every step — under every reorganization policy and both codecs.
 
-use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
+use ccam_core::am::{CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::reorg::ReorgPolicy;
+use ccam_core::testing::{assert_history, create_durable, Driver, History, Outcome, Step, TempDir};
 use ccam_graph::generators::grid_network;
-use ccam_graph::{EdgeTo, Network, NodeData, NodeId, RecordCodec};
-use ccam_storage::PageStore;
+use ccam_graph::RecordCodec;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Delete the i-th (mod live) node.
-    DeleteNode(usize),
-    /// Re-insert a previously deleted node.
-    ReinsertNode(usize),
-    /// Insert edge between the i-th and j-th live nodes.
-    InsertEdge(usize, usize, u32),
-    /// Delete the i-th (mod existing) edge.
-    DeleteEdge(usize),
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        2 => any::<usize>().prop_map(Op::DeleteNode),
-        2 => any::<usize>().prop_map(Op::ReinsertNode),
-        2 => (any::<usize>(), any::<usize>(), 1u32..50).prop_map(|(a, b, c)| Op::InsertEdge(a, b, c)),
-        2 => any::<usize>().prop_map(Op::DeleteEdge),
-    ]
-}
-
-/// Applies one op to both the AM and the model network; returns false if
-/// the op was a no-op (e.g. nothing to delete).
-fn apply<S: PageStore>(
-    am: &mut dyn AccessMethod<S>,
-    model: &mut Network,
-    graveyard: &mut Vec<(NodeData, Vec<(NodeId, u32)>)>,
-    op: &Op,
-) -> bool {
-    match op {
-        Op::DeleteNode(i) => {
-            let ids = model.node_ids();
-            if ids.is_empty() {
-                return false;
-            }
-            let id = ids[i % ids.len()];
-            let deleted = am.delete_node(id).unwrap().expect("model says present");
-            let model_data = model.remove_node(id).expect("model agrees");
-            assert_eq!(deleted.data, model_data, "deleted record mismatch");
-            graveyard.push((deleted.data, deleted.incoming));
-            true
-        }
-        Op::ReinsertNode(i) => {
-            if graveyard.is_empty() {
-                return false;
-            }
-            let (mut data, incoming) = graveyard.remove(i % graveyard.len());
-            // Drop references to nodes that died after this one.
-            data.successors.retain(|e| model.node(e.to).is_some());
-            data.predecessors.retain(|p| model.node(*p).is_some());
-            let incoming: Vec<(NodeId, u32)> = incoming
-                .into_iter()
-                .filter(|(p, _)| model.node(*p).is_some())
-                .collect();
-            am.insert_node(&data, &incoming).unwrap();
-            // Mirror in the model.
-            model.add_node(data.id, data.x, data.y, data.payload.clone());
-            for e in &data.successors {
-                model.add_edge(data.id, e.to, e.cost);
-            }
-            for &(p, c) in &incoming {
-                model.add_edge(p, data.id, c);
-            }
-            true
-        }
-        Op::InsertEdge(a, b, cost) => {
-            let ids = model.node_ids();
-            if ids.len() < 2 {
-                return false;
-            }
-            let from = ids[a % ids.len()];
-            let to = ids[b % ids.len()];
-            if from == to {
-                return false; // road networks have no self-loops
-            }
-            if model
-                .node(from)
-                .unwrap()
-                .successors
-                .iter()
-                .any(|e| e.to == to)
-            {
-                // Duplicate edges must be rejected by the AM too.
-                assert!(!am.insert_edge(from, to, *cost).unwrap());
-                return false;
-            }
-            assert!(am.insert_edge(from, to, *cost).unwrap());
-            model.add_edge(from, to, *cost);
-            true
-        }
-        Op::DeleteEdge(i) => {
-            let edges: Vec<(NodeId, NodeId, u32)> = model.edges().collect();
-            if edges.is_empty() {
-                return false;
-            }
-            let (from, to, cost) = edges[i % edges.len()];
-            assert_eq!(am.delete_edge(from, to).unwrap(), Some(cost));
-            assert_eq!(model.remove_edge(from, to), Some(cost));
-            true
-        }
-    }
-}
-
-/// Full equivalence check between AM contents and the model.
-fn check_equiv<S: PageStore>(am: &dyn AccessMethod<S>, model: &Network) {
-    assert_eq!(am.file().len(), model.len(), "record count");
-    for id in model.node_ids() {
-        let rec = am
-            .find(id)
-            .unwrap()
-            .unwrap_or_else(|| panic!("{id:?} lost"));
-        let want = model.node(id).unwrap();
-        assert_eq!(rec.id, want.id);
-        assert_eq!((rec.x, rec.y), (want.x, want.y));
-        assert_eq!(rec.payload, want.payload);
-        let mut got_s: Vec<EdgeTo> = rec.successors.clone();
-        let mut want_s: Vec<EdgeTo> = want.successors.clone();
-        got_s.sort_by_key(|e| e.to);
-        want_s.sort_by_key(|e| e.to);
-        assert_eq!(got_s, want_s, "successors of {id:?}");
-        let mut got_p = rec.predecessors.clone();
-        let mut want_p = want.predecessors.clone();
-        got_p.sort_unstable();
-        want_p.sort_unstable();
-        assert_eq!(got_p, want_p, "predecessors of {id:?}");
-    }
-    let crr = am.crr().unwrap();
-    assert!((0.0..=1.0).contains(&crr));
-}
-
-fn run_ops(mut am: Box<dyn AccessMethod>, ops: &[Op]) {
-    let mut model = grid_network(6, 6, 0.7);
-    let mut graveyard = Vec::new();
-    for op in ops {
-        apply(am.as_mut(), &mut model, &mut graveyard, op);
-    }
-    check_equiv(am.as_ref(), &model);
-}
-
 const CODECS: [RecordCodec; 2] = [RecordCodec::Paper, RecordCodec::Compact];
+
+const POLICIES: [ReorgPolicy; 4] = [
+    ReorgPolicy::FirstOrder,
+    ReorgPolicy::SecondOrder,
+    ReorgPolicy::HigherOrder,
+    ReorgPolicy::Lazy { every: 3 },
+];
+
+/// Node and edge updates, payload rewrites and growth, commits and
+/// reclusterings (a no-op for the comparator methods).
+const MODEL: &[(u64, Step)] = &[
+    (2, Step::DeleteNode(0)),
+    (2, Step::ReinsertNode(0)),
+    (2, Step::InsertEdge(0, 0, 0)),
+    (2, Step::DeleteEdge(0)),
+    (1, Step::Upsert(0, 0)),
+    (1, Step::Grow(0, 0)),
+    (1, Step::Commit),
+    (1, Step::ReorganizeFull),
+];
+
+/// A CCAM in memory under `policy` and `codec`, driven through `history`.
+fn ccam(history: &History, policy: ReorgPolicy, codec: RecordCodec) -> Outcome {
+    let call = format!("ccam(&history, ReorgPolicy::{policy:?}, RecordCodec::{codec:?})");
+    assert_history(&call, history, |_| {
+        let net = grid_network(6, 6, 0.7);
+        let am = CcamBuilder::new(512)
+            .policy(policy)
+            .codec(codec)
+            .build_static(&net)
+            .unwrap();
+        Driver::new(am, net)
+    })
+}
+
+/// A topological-order file, driven through `history`.
+fn topo(history: &History, order: TraversalOrder, codec: RecordCodec) -> Outcome {
+    let call = format!("topo(&history, TraversalOrder::{order:?}, RecordCodec::{codec:?})");
+    assert_history(&call, history, |_| {
+        let net = grid_network(6, 6, 0.7);
+        Driver::new(
+            TopoAm::create(&net, 512, order, None, &HashMap::new(), codec).unwrap(),
+            net,
+        )
+    })
+}
+
+/// A Grid-File clustered file, driven through `history`.
+fn grid(history: &History, codec: RecordCodec) -> Outcome {
+    let call = format!("grid(&history, RecordCodec::{codec:?})");
+    assert_history(&call, history, |_| {
+        let net = grid_network(6, 6, 0.7);
+        Driver::new(GridAm::create(&net, 512, codec).unwrap(), net)
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn ccam_matches_model_under_every_policy(
-        ops in prop::collection::vec(op(), 1..40),
+        seed in any::<u64>(),
+        len in 1usize..40,
         policy_sel in 0usize..4,
         codec_sel in 0usize..2,
     ) {
-        let net = grid_network(6, 6, 0.7);
-        let policy = [
-            ReorgPolicy::FirstOrder,
-            ReorgPolicy::SecondOrder,
-            ReorgPolicy::HigherOrder,
-            ReorgPolicy::Lazy { every: 3 },
-        ][policy_sel];
-        let am = CcamBuilder::new(512)
-            .policy(policy)
-            .codec(CODECS[codec_sel])
-            .build_static(&net)
-            .unwrap();
-        run_ops(Box::new(am), &ops);
+        ccam(&History::generate(seed, len, MODEL), POLICIES[policy_sel], CODECS[codec_sel]);
     }
 
     #[test]
     fn topo_ams_match_model(
-        ops in prop::collection::vec(op(), 1..40),
+        seed in any::<u64>(),
+        len in 1usize..40,
         order_sel in 0usize..2,
         codec_sel in 0usize..2,
     ) {
-        let net = grid_network(6, 6, 0.7);
         let order = [TraversalOrder::DepthFirst, TraversalOrder::BreadthFirst][order_sel];
-        let am =
-            TopoAm::create(&net, 512, order, None, &HashMap::new(), CODECS[codec_sel]).unwrap();
-        run_ops(Box::new(am), &ops);
+        topo(&History::generate(seed, len, MODEL), order, CODECS[codec_sel]);
     }
 
     #[test]
     fn grid_am_matches_model(
-        ops in prop::collection::vec(op(), 1..40),
+        seed in any::<u64>(),
+        len in 1usize..40,
         codec_sel in 0usize..2,
     ) {
-        let net = grid_network(6, 6, 0.7);
-        let am = GridAm::create(&net, 512, CODECS[codec_sel]).unwrap();
-        run_ops(Box::new(am), &ops);
+        grid(&History::generate(seed, len, MODEL), CODECS[codec_sel]);
     }
+}
+
+/// The one case proptest once recorded for the model test: an edge
+/// between two far-apart indices under the lazy policy.
+#[test]
+fn an_edge_between_far_indices_under_the_lazy_policy() {
+    let (from, to) = (10536208033782425279, 16368416483038631123);
+    let history = History::new(0, vec![Step::InsertEdge(from, to, 15)]);
+    for codec in CODECS {
+        ccam(&history, ReorgPolicy::Lazy { every: 3 }, codec);
+    }
+}
+
+/// Every step kind, crashes and full disks included.
+const ELEVATED: &[(u64, Step)] = &[
+    (2, Step::DeleteNode(0)),
+    (2, Step::ReinsertNode(0)),
+    (2, Step::InsertEdge(0, 0, 0)),
+    (2, Step::DeleteEdge(0)),
+    (1, Step::Upsert(0, 0)),
+    (1, Step::Grow(0, 0)),
+    (1, Step::Commit),
+    (1, Step::Abort(0)),
+    (1, Step::ReorganizeFull),
+    (1, Step::Crash(0, ccam_storage::TornWrite::None)),
+    (1, Step::NoSpace(0, false)),
+];
+
+/// A CCAM on a logged page file over a fault store that loses a seeded
+/// half of its unsynced writes at a power cut, committing every step.
+fn durable(history: &History, policy: ReorgPolicy, codec: RecordCodec) -> Outcome {
+    let call = format!("durable(&history, ReorgPolicy::{policy:?}, RecordCodec::{codec:?})");
+    assert_history(&call, history, |seed| {
+        let net = grid_network(6, 6, 0.7);
+        let dir = TempDir::new("ccam-prop-durable");
+        let builder = CcamBuilder::new(512).policy(policy).codec(codec);
+        create_durable(&dir, &builder, 512, &net);
+        Driver::durable(dir, builder, net, Some(seed), || {})
+    })
+}
+
+proptest! {
+    /// The elevated sweep: long histories of every step kind on a
+    /// durable file, `PROPTEST_CASES` of them (64 by default).
+    #[test]
+    #[ignore = "elevated; run by the CI faults job"]
+    fn durable_histories_survive_crashes_and_full_disks(
+        seed in any::<u64>(),
+        len in 1usize..80,
+        policy_sel in 0usize..4,
+        codec_sel in 0usize..2,
+    ) {
+        let history = History::generate(seed, len, ELEVATED);
+        durable(&history, POLICIES[policy_sel], CODECS[codec_sel]);
+    }
+}
+
+/// The minimiser: a history whose one fault is an `Abort` on a store
+/// without a log — which cannot roll back, so the node stays deleted —
+/// shrinks to that step alone.
+#[test]
+fn the_minimiser_reduces_a_planted_violation_to_its_step() {
+    let mut history = History::generate(7, 30, MODEL);
+    history.steps.insert(17, Step::Abort(3));
+    let call = || ccam(&history, ReorgPolicy::FirstOrder, RecordCodec::Compact);
+    let panic = std::panic::catch_unwind(call).expect_err("a rollback without a log fails");
+    let message = panic.downcast_ref::<String>().unwrap();
+    let test = "History::new(7, vec![\n        Step::Abort(3),\n    ]);\n    \
+                ccam(&history, ReorgPolicy::FirstOrder, RecordCodec::Compact);";
+    assert!(
+        message.contains("minimised from 31 steps to 1:"),
+        "{message}"
+    );
+    assert!(message.contains(test), "{message}");
+}
+
+/// A failing history leaves no file behind: its directory goes when the
+/// driver drops, also while a panic unwinds through the run, on every
+/// run the minimiser makes.
+#[test]
+fn a_failing_history_removes_its_files() {
+    let ours = format!("ccam-prop-unwind-{}-", std::process::id());
+    let history = History::new(1, vec![Step::DeleteNode(0)]);
+    let result = std::panic::catch_unwind(|| {
+        assert_history("a_failing_history_removes_its_files()", &history, |_| {
+            let (net, dir) = (grid_network(4, 4, 1.0), TempDir::new("ccam-prop-unwind"));
+            create_durable(&dir, &CcamBuilder::new(512), 512, &net);
+            // A reopen that panics while the driver holds its files.
+            Driver::durable(dir, CcamBuilder::new(512), net, None, || panic!("planted"))
+        })
+    });
+    assert!(result.is_err(), "the planted panic fails the history");
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&ours))
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
 }
 
 /// Workload traces: parse ∘ format is the identity for arbitrary op
@@ -387,44 +387,33 @@ mod successor_lookup {
 /// and on a replication follower; and building it must cost what the
 /// commit changed, not what the file holds.
 mod view_is_a_full_rebuild {
-    use super::{apply, check_equiv, op, Op};
+    use super::POLICIES;
     use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
-    use ccam_core::epoch::{EpochCell, Snapshot, Snapshotable};
+    use ccam_core::epoch::{EpochCell, Snapshot};
     use ccam_core::file::{NetworkFile, DEFAULT_BUFFER_FRAMES};
     use ccam_core::reorg::{reorganize_pages, ReorgPolicy};
+    use ccam_core::testing::{assert_history, check, Driver, History, Outcome, Step, TempDir};
     use ccam_graph::generators::grid_network;
     use ccam_graph::{Network, NodeData, NodeId};
     use ccam_partition::Partitioner;
     use ccam_storage::{
-        MemPageStore, PageId, PageVersions, ReplFeed, SnapshotStore, StampedRecord, StorageError,
+        MemPageStore, PageId, PageVersions, ReplFeed, SnapshotStore, StorageError, SweepRng,
         WalStore,
     };
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     type Store = WalStore<MemPageStore>;
     type Db = Ccam<Store>;
     type View = Ccam<SnapshotStore>;
 
-    const POLICIES: [ReorgPolicy; 4] = [
-        ReorgPolicy::FirstOrder,
-        ReorgPolicy::SecondOrder,
-        ReorgPolicy::HigherOrder,
-        ReorgPolicy::Lazy { every: 3 },
-    ];
-
-    /// A fresh WAL-backed store; every call gets a log file of its own.
-    fn wal_store(page_size: usize) -> (Store, std::path::PathBuf) {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "ccam-prop-view-{}-{}.wal",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = WalStore::create(MemPageStore::new(page_size).unwrap(), &path).unwrap();
-        (store, path)
+    /// A fresh WAL-backed store, its log in a directory of its own that
+    /// goes when the guard drops.
+    fn wal_store(page_size: usize) -> (Store, TempDir) {
+        let dir = TempDir::new("ccam-prop-view");
+        let store = WalStore::create(MemPageStore::new(page_size).unwrap(), &dir.path("wal"));
+        (store.unwrap(), dir)
     }
 
     /// Serves `db` as `ccam serve` does: every operation its own
@@ -433,14 +422,14 @@ mod view_is_a_full_rebuild {
     fn serve(mut db: Db) -> (EpochCell<Db>, Arc<PageVersions>) {
         db.file_mut().set_auto_commit(true);
         let cell = EpochCell::new(db).unwrap();
-        let versions = versions_of(&cell);
+        let versions = cell.with_writer(|db| versions_of(db.file())).unwrap();
         (cell, versions)
     }
 
-    /// The log's page versions that `cell`'s views pin.
-    fn versions_of(cell: &EpochCell<Db>) -> Arc<PageVersions> {
-        cell.with_writer(|db| db.file().pool().with_wal(|log| log.enable_snapshots()))
-            .unwrap()
+    /// The log's page versions that the views of `file` pin.
+    fn versions_of(file: &NetworkFile<Store>) -> Arc<PageVersions> {
+        file.pool()
+            .with_wal(|log| log.enable_snapshots())
             .expect("a WAL store has a log")
             .unwrap()
     }
@@ -464,13 +453,13 @@ mod view_is_a_full_rebuild {
     #[test]
     fn a_wal_store_publishes_without_enabling_snapshots_first() {
         let net = grid_network(4, 4, 1.0);
-        let (store, wal) = wal_store(512);
+        let (store, _dir) = wal_store(512);
         let db = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
         let cell = EpochCell::new(db).unwrap();
         let id = net.node_ids()[5];
         let first = cell.read().unwrap();
         let payload = first.find(id).unwrap().unwrap().payload;
-        let versions = versions_of(&cell);
+        let versions = cell.with_writer(|db| versions_of(db.file())).unwrap();
         assert!(versions.reads() > 0, "the first view copied the file");
         let mut w = cell.write().unwrap();
         upsert(&mut w, id, vec![9; 3]);
@@ -480,65 +469,6 @@ mod view_is_a_full_rebuild {
         assert_eq!(now, vec![9; 3]);
         assert!(versions.reads() > reads, "the second view copied the file");
         assert_eq!(first.find(id).unwrap().unwrap().payload, payload);
-        drop(first);
-        drop(cell);
-        std::fs::remove_file(wal).ok();
-    }
-
-    #[derive(Debug, Clone)]
-    enum Step {
-        /// A node or edge update of the model test above.
-        Update(Op),
-        /// The i-th node deleted and put back with its payload grown by
-        /// n bytes — records outgrow their pages and split them.
-        Grow(usize, usize),
-        /// Recluster the whole file.
-        ReorganizeFull,
-        /// Half an update of the i-th node, rolled back.
-        Abort(usize),
-    }
-
-    fn step() -> impl Strategy<Value = Step> {
-        prop_oneof![
-            4 => op().prop_map(Step::Update),
-            4 => (any::<usize>(), 16usize..64).prop_map(|(i, n)| Step::Grow(i, n)),
-            1 => Just(Step::ReorganizeFull),
-            1 => any::<usize>().prop_map(Step::Abort),
-        ]
-    }
-
-    /// Applies one step to the writer and the model.
-    fn run_step(
-        db: &mut Db,
-        model: &mut Network,
-        graveyard: &mut Vec<(NodeData, Vec<(NodeId, u32)>)>,
-        step: &Step,
-    ) {
-        let ids = model.node_ids();
-        match step {
-            Step::Update(op) => {
-                apply(db, model, graveyard, op);
-            }
-            Step::Grow(i, n) if !ids.is_empty() => {
-                apply(db, model, graveyard, &Op::DeleteNode(*i));
-                let payload = &mut graveyard.last_mut().unwrap().0.payload;
-                if payload.len() + n > 200 {
-                    payload.truncate(4);
-                }
-                payload.extend(std::iter::repeat_n(*n as u8, *n));
-                apply(db, model, graveyard, &Op::ReinsertNode(graveyard.len() - 1));
-            }
-            Step::ReorganizeFull => {
-                db.reorganize_full().unwrap();
-            }
-            Step::Abort(i) if !ids.is_empty() => {
-                db.file_mut().set_auto_commit(false);
-                db.delete_node(ids[i % ids.len()]).unwrap();
-                db.restore_committed().unwrap();
-                db.file_mut().set_auto_commit(true);
-            }
-            Step::Grow(..) | Step::Abort(_) => {}
-        }
     }
 
     /// The oracle: `view` against `NetworkFile::open` of a second pin of
@@ -565,30 +495,35 @@ mod view_is_a_full_rebuild {
         }
     }
 
-    /// Snapshots held across later commits, each with the model as it
-    /// stood when the snapshot was published.
-    #[derive(Default)]
-    struct Held(Vec<(Snapshot<View>, Network)>);
+    /// Updates, growth past a page, aborts and reclusterings; about one
+    /// step in four pins the published view.
+    const VIEW: &[(u64, Step)] = &[
+        (1, Step::DeleteNode(0)),
+        (1, Step::ReinsertNode(0)),
+        (1, Step::InsertEdge(0, 0, 0)),
+        (1, Step::DeleteEdge(0)),
+        (4, Step::Grow(0, 0)),
+        (1, Step::Abort(0)),
+        (1, Step::ReorganizeFull),
+        (3, Step::Pin),
+    ];
 
-    impl Held {
-        fn hold(&mut self, view: Snapshot<View>, model: &Network) {
-            self.0.push((view, model.clone()));
-        }
-
-        /// Checks and releases the oldest while more than `keep` are held.
-        fn release_down_to(&mut self, keep: usize) {
-            while self.0.len() > keep {
-                let (view, model) = self.0.remove(0);
-                check_equiv(&*view, &model);
-            }
-        }
-    }
-
-    /// Every id the history has ever seen: present ones must be found,
-    /// deleted ones must be missed, by both views alike.
-    fn probe_ids(model: &Network, graveyard: &[(NodeData, Vec<(NodeId, u32)>)]) -> Vec<NodeId> {
-        let dead = graveyard.iter().map(|(node, _)| node.id);
-        model.node_ids().into_iter().chain(dead).collect()
+    /// A served CCAM under `policy`, every published view also checked
+    /// against a full rebuild of its generation.
+    fn served(history: &History, policy: ReorgPolicy) -> Outcome {
+        let call = format!("served(&history, ReorgPolicy::{policy:?})");
+        assert_history(&call, history, |_| {
+            let net = grid_network(6, 6, 0.7);
+            let (store, dir) = wal_store(512);
+            let mut db = CcamBuilder::new(512)
+                .policy(policy)
+                .build_static_on(store, &net)
+                .unwrap();
+            db.file_mut().set_auto_commit(true);
+            let driver = Driver::served(db, net).unwrap().with_files(dir);
+            let versions = driver.with_file(versions_of);
+            driver.on_view(move |view, ids| assert_full_rebuild(view, &versions, ids))
+        })
     }
 
     proptest! {
@@ -596,34 +531,11 @@ mod view_is_a_full_rebuild {
 
         #[test]
         fn after_every_commit_of_a_history(
-            steps in prop::collection::vec(step(), 1..24),
+            seed in any::<u64>(),
+            len in 1usize..30,
             policy_sel in 0usize..4,
         ) {
-            let mut model = grid_network(6, 6, 0.7);
-            let (store, wal) = wal_store(512);
-            let db = CcamBuilder::new(512)
-                .policy(POLICIES[policy_sel])
-                .build_static_on(store, &model)
-                .unwrap();
-            let (cell, versions) = serve(db);
-            assert_full_rebuild(&cell.read().unwrap(), &versions, &model.node_ids());
-            let mut graveyard = Vec::new();
-            let mut held = Held::default();
-            for (n, step) in steps.iter().enumerate() {
-                let mut w = cell.write().unwrap();
-                run_step(&mut w, &mut model, &mut graveyard, step);
-                w.commit().unwrap();
-                let view = cell.read().unwrap();
-                assert_full_rebuild(&view, &versions, &probe_ids(&model, &graveyard));
-                check_equiv(&*view, &model);
-                if n % 3 == 0 {
-                    held.hold(view, &model);
-                }
-                held.release_down_to(2);
-            }
-            held.release_down_to(0);
-            drop(cell);
-            std::fs::remove_file(wal).ok();
+            served(&History::generate(seed, len, VIEW), POLICIES[policy_sel]);
         }
 
         /// The same on a follower that is shipped the primary's log one
@@ -631,42 +543,41 @@ mod view_is_a_full_rebuild {
         /// is held back and arrives with the next shipment.
         #[test]
         fn after_every_segment_a_follower_applies(
-            steps in prop::collection::vec((step(), any::<bool>()), 1..20),
+            seed in any::<u64>(),
+            len in 1usize..20,
             policy_sel in 0usize..4,
         ) {
-            let mut model = grid_network(6, 6, 0.7);
-            let (store, primary_wal) = wal_store(512);
+            let history = History::generate(seed, len, VIEW);
+            let net = grid_network(6, 6, 0.7);
+            let (store, primary_dir) = wal_store(512);
             // Subscribed before the build, so no checkpoint drops the tail.
             let slot = store.wal_retention().subscribe(0);
             let mut primary = CcamBuilder::new(512)
                 .policy(POLICIES[policy_sel])
-                .build_static_on(store, &model)
+                .build_static_on(store, &net)
                 .unwrap();
             primary.file_mut().set_auto_commit(true);
             primary.file().commit().unwrap();
-            let (store, follower_wal) = wal_store(512);
+            let mut primary = Driver::new(primary, net).with_files(primary_dir);
+            let (store, _follower_dir) = wal_store(512);
             let follower = CcamBuilder::new(512).build_empty_on(store).unwrap();
             let (cell, versions) = serve(follower);
 
-            let ship = |primary: &Db, after: u64| -> Vec<StampedRecord> {
-                let feed = primary.file().pool().with_store_mut(|s| s.repl_records_after(after));
-                match feed.unwrap() {
-                    ReplFeed::Records { records, .. } => records,
-                    other => panic!("tail not retained: {other:?}"),
-                }
-            };
+            let mut tear = SweepRng::new(history.seed);
             let mut applied = 0u64;
-            let mut graveyard = Vec::new();
-            let mut held = Held::default();
-            for (n, (step, torn)) in steps.iter().enumerate() {
+            let mut held: Vec<(Snapshot<View>, Network)> = Vec::new();
+            for (n, step) in history.steps.iter().enumerate() {
                 // The first shipment carries the build itself.
                 if n > 0 {
-                    run_step(&mut primary, &mut model, &mut graveyard, step);
+                    primary.step(step).unwrap();
                 }
                 // A torn shipment stops short of its last batch's commit
                 // record; the next one starts over from what was applied.
-                for torn in [*torn, false] {
-                    let mut records = ship(&primary, applied);
+                for torn in [tear.gen_bool(1, 2), false] {
+                    let feed = primary.with_file(|f| f.pool().with_store_mut(|s| s.repl_records_after(applied)));
+                    let ReplFeed::Records { mut records, .. } = feed.unwrap() else {
+                        panic!("tail not retained");
+                    };
                     if torn {
                         records.truncate(records.len() / 2);
                     }
@@ -674,31 +585,30 @@ mod view_is_a_full_rebuild {
                     let apply = w.apply_replicated(&records, applied).unwrap();
                     applied = apply.applied_lsn;
                     w.commit().unwrap();
-                    assert_full_rebuild(
-                        &cell.read().unwrap(),
-                        &versions,
-                        &probe_ids(&model, &graveyard),
-                    );
+                    assert_full_rebuild(&cell.read().unwrap(), &versions, &primary.ids());
                 }
                 slot.advance(applied);
                 let view = cell.read().unwrap();
-                check_equiv(&*view, &model);
+                check(view.file(), primary.committed()).unwrap();
                 if n % 3 == 0 {
-                    held.hold(view, &model);
+                    held.push((view, primary.committed().clone()));
                 }
-                held.release_down_to(2);
+                // Held across later commits, each checked on release.
+                while held.len() > 2 {
+                    let (view, model) = held.remove(0);
+                    check(view.file(), &model).unwrap();
+                }
             }
-            held.release_down_to(0);
-            drop(cell);
-            std::fs::remove_file(primary_wal).ok();
-            std::fs::remove_file(follower_wal).ok();
+            for (view, model) in held {
+                check(view.file(), &model).unwrap();
+            }
         }
     }
 
     /// `net` packed into pages in id order, no clustering: the tests
     /// below need a large file, not a well-clustered one.
-    fn packed(net: &Network, page_size: usize) -> (Db, std::path::PathBuf) {
-        let (store, wal) = wal_store(page_size);
+    fn packed(net: &Network, page_size: usize) -> (Db, TempDir) {
+        let (store, dir) = wal_store(page_size);
         let mut db = CcamBuilder::new(page_size).build_empty_on(store).unwrap();
         let budget = db.file().clustering_budget();
         let mut groups: Vec<Vec<&NodeData>> = vec![Vec::new()];
@@ -713,7 +623,7 @@ mod view_is_a_full_rebuild {
             groups.last_mut().unwrap().push(node);
         }
         db.file_mut().bulk_load(groups).unwrap();
-        (db, wal)
+        (db, dir)
     }
 
     /// A payload replaced the structural way, `Delete()` then
@@ -734,7 +644,7 @@ mod view_is_a_full_rebuild {
     #[test]
     fn a_commit_reads_no_data_page_and_copies_a_root_to_leaf_path() {
         let net = grid_network(144, 144, 1.0);
-        let (db, wal) = packed(&net, 1024);
+        let (db, _dir) = packed(&net, 1024);
         let (cell, versions) = serve(db);
         assert_eq!(
             versions.reads(),
@@ -775,7 +685,6 @@ mod view_is_a_full_rebuild {
         assert_eq!(shared, idle.file().index_pages());
         assert_eq!(versions.reads(), 2, "two finds, two page images");
         drop((before, after, idle, cell));
-        std::fs::remove_file(wal).ok();
     }
 
     /// Reorganizing pages whose clustering is already final moves no
@@ -785,7 +694,7 @@ mod view_is_a_full_rebuild {
     #[test]
     fn a_reorganization_that_moves_nothing_writes_no_index_page() {
         let net = grid_network(16, 16, 1.0);
-        let (store, wal) = wal_store(512);
+        let (store, _dir) = wal_store(512);
         let db = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
         let (cell, versions) = serve(db);
         let before = cell.read().unwrap();
@@ -808,7 +717,6 @@ mod view_is_a_full_rebuild {
         let scanned = NetworkFile::open(SnapshotStore::pin(&versions)).unwrap();
         assert_eq!(scanned.page_map().unwrap(), placed);
         drop((before, after, cell));
-        std::fs::remove_file(wal).ok();
     }
 
     /// A view's data pool is as large as that of the view it replaces;
@@ -816,7 +724,7 @@ mod view_is_a_full_rebuild {
     #[test]
     fn a_view_inherits_the_capacity_of_its_predecessor() {
         let net = grid_network(8, 8, 1.0);
-        let (db, wal) = packed(&net, 512);
+        let (db, _dir) = packed(&net, 512);
         let (cell, _versions) = serve(db);
         let capacity = |cell: &EpochCell<Db>| cell.read().unwrap().file().pool().capacity();
         assert_eq!(capacity(&cell), DEFAULT_BUFFER_FRAMES);
@@ -827,8 +735,6 @@ mod view_is_a_full_rebuild {
         assert_eq!(capacity(&cell), 7);
         cell.recover().unwrap();
         assert_eq!(capacity(&cell), 7);
-        drop(cell);
-        std::fs::remove_file(wal).ok();
     }
 }
 
@@ -838,13 +744,13 @@ mod view_is_a_full_rebuild {
 /// leave — the structural way, which re-places the record and patches
 /// every neighbour twice — while touching one page.
 mod upsert_in_place {
-    use super::{apply, check_equiv, op, Op};
+    use super::POLICIES;
     use ccam_core::am::common::write_back;
     use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
-    use ccam_core::check;
     use ccam_core::reorg::ReorgPolicy;
+    use ccam_core::testing::{assert_history, Driver, History, Outcome, Step};
     use ccam_graph::generators::grid_network;
-    use ccam_graph::{NodeData, NodeId};
+    use ccam_graph::NodeId;
     use proptest::prelude::*;
 
     /// The server's `Upsert`; false when `id` is absent.
@@ -857,164 +763,93 @@ mod upsert_in_place {
         true
     }
 
-    /// The same by `Delete()` then `Insert()`.
-    fn structurally(db: &mut Ccam, id: NodeId, payload: &[u8]) -> bool {
-        let Some(del) = db.delete_node(id).unwrap() else {
-            return false;
-        };
-        let data = NodeData {
-            payload: payload.to_vec(),
-            ..del.data
-        };
-        db.insert_node(&data, &del.incoming).unwrap();
-        true
-    }
+    /// Node and edge updates, and new payloads of up to a fifth of a
+    /// page, so records outgrow their pages now and then.
+    const UPSERTS: &[(u64, Step)] = &[
+        (1, Step::DeleteNode(0)),
+        (1, Step::ReinsertNode(0)),
+        (1, Step::InsertEdge(0, 0, 0)),
+        (1, Step::DeleteEdge(0)),
+        (8, Step::Upsert(0, 0)),
+    ];
 
-    /// Page writes that reach the store when `f`'s changes are flushed.
-    fn page_writes(db: &mut Ccam, f: impl FnOnce(&mut Ccam)) -> u64 {
-        db.file().commit().unwrap();
-        let before = db.stats().snapshot();
-        f(db);
-        db.file().commit().unwrap();
-        db.stats().snapshot().since(&before).physical_writes
-    }
-
-    /// A record with its edge lists in id order: `Delete()` and
-    /// `Insert()` re-append a neighbour's entry, `write_back` does not.
-    fn logical(mut rec: NodeData) -> NodeData {
-        rec.successors.sort_by_key(|e| e.to);
-        rec.predecessors.sort_unstable();
-        rec
-    }
-
-    #[derive(Debug, Clone)]
-    enum Step {
-        /// A node or edge update of the model test above.
-        Update(Op),
-        /// A new payload of `n` bytes for the i-th node: up to a fifth
-        /// of a page, so records outgrow their pages now and then.
-        Upsert(usize, usize),
-    }
-
-    fn step() -> impl Strategy<Value = Step> {
-        prop_oneof![
-            1 => op().prop_map(Step::Update),
-            2 => (any::<usize>(), 0usize..100).prop_map(|(i, n)| Step::Upsert(i, n)),
-        ]
+    /// A CCAM under `policy` driven through `history`, its upserts made
+    /// in place or by `Delete()` then `Insert()`.
+    fn upserts(history: &History, policy: ReorgPolicy, by_reinsert: bool) -> Outcome {
+        let call = format!("upserts(&history, ReorgPolicy::{policy:?}, {by_reinsert})");
+        assert_history(&call, history, |_| {
+            let net = grid_network(6, 6, 0.7);
+            let am = CcamBuilder::new(512)
+                .policy(policy)
+                .build_static(&net)
+                .unwrap();
+            let driver = Driver::new(am, net);
+            if by_reinsert {
+                driver.upsert_by_reinsert()
+            } else {
+                driver
+            }
+        })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Two files in lockstep through a seeded history, payloads
-        /// replaced in place on one and structurally on the other: after
-        /// every step each holds its model's records and edge lists and
-        /// passes the audit (index agreement included), and the two hold
-        /// the same records.
+        /// One seeded history, its payloads replaced in place on one file
+        /// and structurally on another: after every step each holds the
+        /// same model's records and edge lists and passes the audit
+        /// (index agreement included), so the two hold the same records.
         #[test]
         fn leaves_what_delete_then_insert_leaves(
-            steps in prop::collection::vec(step(), 1..40),
+            seed in any::<u64>(),
+            len in 1usize..40,
             policy_sel in 0usize..4,
         ) {
-            let policy = [
-                ReorgPolicy::FirstOrder,
-                ReorgPolicy::SecondOrder,
-                ReorgPolicy::HigherOrder,
-                ReorgPolicy::Lazy { every: 3 },
-            ][policy_sel];
-            let net = grid_network(6, 6, 0.7);
-            let build = || CcamBuilder::new(512).policy(policy).build_static(&net).unwrap();
-            let (mut here, mut here_model, mut here_dead) = (build(), net.clone(), Vec::new());
-            let (mut there, mut there_model, mut there_dead) = (build(), net.clone(), Vec::new());
-            for (n, step) in steps.iter().enumerate() {
-                match step {
-                    // The i-th edge is the i-th of a model's list order,
-                    // which the structural side permutes: name the edge.
-                    Step::Update(Op::DeleteEdge(i)) if here_model.num_edges() > 0 => {
-                        let edges: Vec<_> = here_model.edges().collect();
-                        let (from, to, _) = edges[i % edges.len()];
-                        let same = there_model
-                            .edges()
-                            .position(|(f, t, _)| (f, t) == (from, to))
-                            .unwrap();
-                        apply(&mut here, &mut here_model, &mut here_dead, &Op::DeleteEdge(*i));
-                        apply(&mut there, &mut there_model, &mut there_dead, &Op::DeleteEdge(same));
-                    }
-                    Step::Update(op) => {
-                        apply(&mut here, &mut here_model, &mut here_dead, op);
-                        apply(&mut there, &mut there_model, &mut there_dead, op);
-                    }
-                    Step::Upsert(i, len) if !here_model.is_empty() => {
-                        let ids = here_model.node_ids();
-                        let id = ids[i % ids.len()];
-                        let payload = vec![n as u8; *len];
-                        prop_assert!(in_place(&mut here, id, &payload));
-                        here_model.node_mut(id).unwrap().payload.clone_from(&payload);
-                        // `apply` mirrors the delete and the re-insert
-                        // in the model, list order and all.
-                        apply(&mut there, &mut there_model, &mut there_dead, &Op::DeleteNode(*i));
-                        there_dead.last_mut().unwrap().0.payload = payload;
-                        let last = there_dead.len() - 1;
-                        apply(&mut there, &mut there_model, &mut there_dead, &Op::ReinsertNode(last));
-                    }
-                    Step::Upsert(..) => {}
-                }
-                for (db, model) in [(&here, &here_model), (&there, &there_model)] {
-                    check_equiv(db, model);
-                    let audit = check::verify(db.file()).unwrap();
-                    prop_assert!(audit.is_clean(), "{:?}", audit.issues);
-                }
-                prop_assert_eq!(here_model.node_ids(), there_model.node_ids());
-                for id in here_model.node_ids() {
-                    prop_assert_eq!(
-                        logical(here.find(id).unwrap().unwrap()),
-                        logical(there.find(id).unwrap().unwrap())
-                    );
-                }
-            }
+            let history = History::generate(seed, len, UPSERTS);
+            upserts(&history, POLICIES[policy_sel], false);
+            upserts(&history, POLICIES[policy_sel], true);
         }
+    }
+
+    /// `Upsert` of the middle node of a 12×12 grid, in place or
+    /// structurally, checked against the model: the page writes it costs
+    /// and whether the record stayed on its page. The payload keeps its
+    /// size, or grows past what the page can hold.
+    fn upsert_middle(grow: bool, by_reinsert: bool) -> (u64, bool) {
+        let net = grid_network(12, 12, 1.0);
+        let i = net.len() / 2;
+        let id = net.node_ids()[i];
+        let len = net.node(id).unwrap().payload.len();
+        let mut driver = Driver::new(CcamBuilder::new(512).build_static(&net).unwrap(), net);
+        if by_reinsert {
+            driver = driver.upsert_by_reinsert();
+        }
+        let at = |d: &Driver<_>| d.with_file(|f| f.page_of(id).unwrap().unwrap());
+        let page = at(&driver);
+        let room = driver.with_file(|f| f.page_free_space(page).unwrap());
+        let before = driver.with_file(|f| f.commit().map(|()| f.stats().snapshot()));
+        let n = if grow { len + room + 1 } else { len };
+        driver.step(&Step::Upsert(i, n)).unwrap();
+        driver.step(&Step::Commit).unwrap();
+        let stats = driver.with_file(|f| f.stats().snapshot().since(&before.unwrap()));
+        (stats.physical_writes, at(&driver) == page)
     }
 
     /// A payload of the same size stays on its page and costs that one
     /// page write; the structural way rewrites the neighbours' pages too.
     #[test]
     fn same_size_payload_is_one_page_write_on_the_same_page() {
-        let net = grid_network(12, 12, 1.0);
-        let mut db = CcamBuilder::new(512).build_static(&net).unwrap();
-        let mut twin = CcamBuilder::new(512).build_static(&net).unwrap();
-        let id = net.node_ids()[net.len() / 2];
-        let page = db.file().page_of(id).unwrap();
-        let payload = vec![0xAB; net.node(id).unwrap().payload.len()];
-
-        let writes = page_writes(&mut db, |db| assert!(in_place(db, id, &payload)));
-        assert_eq!(writes, 1);
-        assert_eq!(db.file().page_of(id).unwrap(), page);
-        assert_eq!(db.find(id).unwrap().unwrap().payload, payload);
-
-        let twin_writes = page_writes(&mut twin, |db| assert!(structurally(db, id, &payload)));
-        assert!(twin_writes > 1, "{twin_writes} page writes");
-        assert_eq!(db.find(id).unwrap(), twin.find(id).unwrap());
+        assert_eq!(upsert_middle(false, false), (1, true));
+        let (writes, _) = upsert_middle(false, true);
+        assert!(writes > 1, "{writes} page writes");
     }
 
     /// A payload grown past what its page can hold moves the record,
     /// and the index follows it.
     #[test]
     fn a_payload_grown_past_its_page_relocates_and_find_follows() {
-        let net = grid_network(12, 12, 1.0);
-        let mut db = CcamBuilder::new(512).build_static(&net).unwrap();
-        let id = net.node_ids()[net.len() / 2];
-        let page = db.file().page_of(id).unwrap().unwrap();
-        let room = db.file().page_free_space(page).unwrap();
-        let payload = vec![7u8; net.node(id).unwrap().payload.len() + room + 1];
-
-        assert!(in_place(&mut db, id, &payload));
-        let moved_to = db.file().page_of(id).unwrap().unwrap();
-        assert_ne!(moved_to, page, "the record cannot have stayed");
-        assert_eq!(db.find(id).unwrap().unwrap().payload, payload);
-        let mut want = net.node(id).unwrap().clone();
-        want.payload = payload;
-        assert_eq!(db.find(id).unwrap().unwrap(), want);
-        assert!(check::verify(db.file()).unwrap().is_clean());
+        let (_, stayed) = upsert_middle(true, false);
+        assert!(!stayed, "the record cannot have stayed");
     }
 
     /// An id the file does not hold changes nothing.
@@ -1022,9 +857,10 @@ mod upsert_in_place {
     fn an_unknown_id_dirties_nothing() {
         let net = grid_network(6, 6, 1.0);
         let mut db = CcamBuilder::new(512).build_static(&net).unwrap();
-        let writes = page_writes(&mut db, |db| {
-            assert!(!in_place(db, NodeId(u64::MAX), &[1, 2, 3]));
-        });
-        assert_eq!(writes, 0);
+        db.file().commit().unwrap();
+        let before = db.stats().snapshot();
+        assert!(!in_place(&mut db, NodeId(u64::MAX), &[1, 2, 3]));
+        db.file().commit().unwrap();
+        assert_eq!(db.stats().snapshot().since(&before).physical_writes, 0);
     }
 }

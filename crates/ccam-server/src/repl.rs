@@ -48,7 +48,7 @@
 //!
 //! The follower treats *every* read failure — EOF, reset, or a read
 //! timeout (no frame and no heartbeat for
-//! [`FOLLOWER_READ_TIMEOUT`]) — as primary death: it keeps serving
+//! `FOLLOWER_READ_TIMEOUT`) — as primary death: it keeps serving
 //! reads from its last applied state (stale, surfaced via
 //! `serve.repl_connected` = 0 and `serve.stale_reads`), and reconnects
 //! with the seeded [`Backoff`]. Reconnecting re-sends the last applied

@@ -3,11 +3,11 @@
 //! reads from replayed state and redirects writes, and the client
 //! layer rides through restarts and fails reads over to the replica.
 
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ccam_core::epoch::EpochCell;
+use ccam_core::testing;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::Network;
@@ -32,30 +32,9 @@ fn test_network() -> Network {
     })
 }
 
-/// Layout-independent digest of every record reachable in a view — two
-/// stores digest equal iff they hold the same logical node set.
+/// Layout-independent digest of every record reachable in a view.
 fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
-    let mut nodes = std::collections::BTreeMap::new();
-    for (_page, records) in am.file().scan_uncounted().expect("scan view") {
-        for node in records {
-            nodes.insert(node.id.0, node);
-        }
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (id, node) in &nodes {
-        id.hash(&mut h);
-        node.x.hash(&mut h);
-        node.y.hash(&mut h);
-        node.payload.hash(&mut h);
-        for e in &node.successors {
-            e.to.0.hash(&mut h);
-            e.cost.hash(&mut h);
-        }
-        for p in &node.predecessors {
-            p.0.hash(&mut h);
-        }
-    }
-    h.finish()
+    testing::digest(am.file()).expect("scan view")
 }
 
 /// A WAL-backed primary loaded with the test network, with replication

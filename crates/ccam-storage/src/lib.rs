@@ -26,7 +26,7 @@
 //!   arbitrary instant never tears a multi-page update,
 //! * [`retry`] — [`RetryStore`] absorbs transient faults with bounded
 //!   attempts and deterministic exponential backoff,
-//! * [`integrity`] — [`scrub`](integrity::scrub) verifies every page's
+//! * [`integrity`] — [`scrub`] verifies every page's
 //!   CRC32 (v2 page files), repairs damage from committed WAL images and
 //!   reports what must be quarantined,
 //! * [`testing`] — [`FaultStore`], the one fault injector every harness

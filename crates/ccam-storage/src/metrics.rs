@@ -11,7 +11,7 @@
 //!   trajectories (`--metrics-json`).
 //! * [`OpProfile`] / [`PageEvent`] — the ordered `(page, hit|miss|write)`
 //!   sequence of one access-method operation, recorded by the buffer
-//!   pool while an operation *span* ([`OpSpan`]) is open. A profile is
+//!   pool while an operation *span* ([`OpSpan`](crate::OpSpan)) is open. A profile is
 //!   the observable counterpart of the cost model's per-operation
 //!   prediction: `Get-successors()` on a file with CRR α should touch
 //!   about `(1−α)·|A|` distinct pages, and the profile shows exactly

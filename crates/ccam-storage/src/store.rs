@@ -211,7 +211,7 @@ type Slot = Option<Arc<[u8]>>;
 /// RAM-backed [`PageStore`].
 ///
 /// [`Clone`] is a copy-on-write fork. The page table is kept in chunks
-/// of [`CHUNK`] slots and both the chunks and the page images sit behind
+/// of `CHUNK` slots and both the chunks and the page images sit behind
 /// `Arc`, so a clone copies one reference per *chunk* — no image, and a
 /// sixty-fourth of the table — and shares everything with the original.
 /// Whichever side then writes a page first copies that page's chunk of

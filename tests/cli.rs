@@ -4,16 +4,16 @@
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use ccam::core::testing::TempDir;
 use ccam::graph::generators::zorder_id;
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{load_network, save_network, Network, NodeData, NodeId};
 use ccam::server::client::Client;
 use ccam::server::protocol::{Request, Response};
-use ccam::storage::wal_sidecar;
 
 fn ccam(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccam"))
@@ -26,22 +26,11 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).to_string()
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("ccam-cli-{}-{}", std::process::id(), name));
-    p
-}
-
-/// Removes a database and its log sidecar.
-fn remove_db(db: &Path) {
-    std::fs::remove_file(db).ok();
-    std::fs::remove_file(wal_sidecar(db)).ok();
-}
-
 #[test]
 fn generate_build_stats_query_pipeline() {
-    let net = tmp("pipe.net");
-    let db = tmp("pipe.db");
+    let dir = TempDir::new("ccam-cli");
+    let net = dir.path("pipe.net");
+    let db = dir.path("pipe.db");
     let net_s = net.to_str().unwrap();
     let db_s = db.to_str().unwrap();
 
@@ -88,15 +77,13 @@ fn generate_build_stats_query_pipeline() {
     let out = ccam(&["bench", db_s, "--routes", "5", "--len", "6"]);
     assert!(out.status.success(), "{out:?}");
     assert!(stdout(&out).contains("page accesses/route"));
-
-    std::fs::remove_file(&net).ok();
-    remove_db(&db);
 }
 
 #[test]
 fn window_prints_exactly_the_nodes_inside() {
-    let net_path = tmp("win.net");
-    let db = tmp("win.db");
+    let dir = TempDir::new("ccam-cli");
+    let net_path = dir.path("win.net");
+    let db = dir.path("win.db");
     let net_s = net_path.to_str().unwrap();
     let db_s = db.to_str().unwrap();
     assert!(ccam(&["generate", net_s, "--grid", "8", "--seed", "7"])
@@ -133,15 +120,13 @@ fn window_prints_exactly_the_nodes_inside() {
     want.sort();
     assert_eq!(got, want);
     assert!(text.contains(&format!("({} nodes in window)", want.len())));
-
-    std::fs::remove_file(&net_path).ok();
-    remove_db(&db);
 }
 
 #[test]
 fn build_refuses_ids_that_are_not_z_order_codes() {
-    let net_path = tmp("nonz.net");
-    let db = tmp("nonz.db");
+    let dir = TempDir::new("ccam-cli");
+    let net_path = dir.path("nonz.net");
+    let db = dir.path("nonz.db");
     let mut net = Network::new();
     net.add_node(zorder_id(1, 1), 1, 1, vec![0u8; 4]);
     net.add_node(NodeId(7), 2, 1, vec![0u8; 4]);
@@ -154,21 +139,20 @@ fn build_refuses_ids_that_are_not_z_order_codes() {
     assert!(err.contains("node 7 at (2, 1)"), "{err}");
     assert!(err.contains("Z-order"), "{err}");
     assert!(!db.exists(), "no database is written");
-
-    std::fs::remove_file(&net_path).ok();
 }
 
 /// `ccam build` stores compact records by default, with every method,
 /// and `ccam stats` says so beside the blocking factor.
 #[test]
 fn a_default_build_stores_compact_records() {
-    let net = tmp("codec.net");
+    let dir = TempDir::new("ccam-cli");
+    let net = dir.path("codec.net");
     let net_s = net.to_str().unwrap();
     assert!(ccam(&["generate", net_s, "--grid", "6", "--seed", "5"])
         .status
         .success());
     for method in ["ccam-s", "dfs"] {
-        let db = tmp(&format!("codec-{method}.db"));
+        let db = dir.path(&format!("codec-{method}.db"));
         let db_s = db.to_str().unwrap();
         let out = ccam(&["build", net_s, db_s, "--method", method]);
         assert!(out.status.success(), "{method}: {out:?}");
@@ -180,21 +164,20 @@ fn a_default_build_stores_compact_records() {
             .find(|l| l.starts_with("blocking factor"))
             .unwrap_or_else(|| panic!("{method}: no blocking factor in {text}"));
         assert!(line.ends_with("(compact records)"), "{method}: {line}");
-        remove_db(&db);
     }
-    std::fs::remove_file(&net).ok();
 }
 
 #[test]
 fn build_every_method_and_astar() {
-    let net = tmp("methods.net");
+    let dir = TempDir::new("ccam-cli");
+    let net = dir.path("methods.net");
     let net_s = net.to_str().unwrap();
     assert!(ccam(&["generate", net_s, "--grid", "7", "--seed", "3"])
         .status
         .success());
 
     for method in ["ccam-s", "ccam-d", "dfs", "bfs", "wdfs", "grid"] {
-        let db = tmp(&format!("m-{method}.db"));
+        let db = dir.path(&format!("m-{method}.db"));
         let db_s = db.to_str().unwrap();
         let out = ccam(&["build", net_s, db_s, "--method", method, "--block", "512"]);
         assert!(out.status.success(), "{method}: {out:?}");
@@ -211,16 +194,15 @@ fn build_every_method_and_astar() {
         let out = ccam(&["astar", db_s, ids[0], ids[ids.len() - 1]]);
         assert!(out.status.success(), "{method}: {out:?}");
         assert!(stdout(&out).contains("cost"), "{method}");
-        remove_db(&db);
     }
-    std::fs::remove_file(&net).ok();
 }
 
 #[test]
 fn check_and_replay() {
-    let net = tmp("cr.net");
-    let db = tmp("cr.db");
-    let trace = tmp("cr.trace");
+    let dir = TempDir::new("ccam-cli");
+    let net = dir.path("cr.net");
+    let db = dir.path("cr.db");
+    let trace = dir.path("cr.trace");
     assert!(ccam(&["generate", net.to_str().unwrap(), "--grid", "6"])
         .status
         .success());
@@ -268,17 +250,14 @@ fn check_and_replay() {
     let out = ccam(&["replay", db.to_str().unwrap(), trace.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
-
-    std::fs::remove_file(&net).ok();
-    remove_db(&db);
-    std::fs::remove_file(&trace).ok();
 }
 
 #[test]
 fn profile_explain_and_metrics_json() {
-    let net = tmp("obs.net");
-    let db = tmp("obs.db");
-    let metrics = tmp("obs.metrics.json");
+    let dir = TempDir::new("ccam-cli");
+    let net = dir.path("obs.net");
+    let db = dir.path("obs.db");
+    let metrics = dir.path("obs.metrics.json");
     let net_s = net.to_str().unwrap();
     let db_s = db.to_str().unwrap();
     let metrics_s = metrics.to_str().unwrap();
@@ -366,42 +345,18 @@ fn profile_explain_and_metrics_json() {
         assert!(dumped.contains(needle), "missing {needle:?} in:\n{dumped}");
     }
     assert_eq!(dumped.matches('{').count(), dumped.matches('}').count());
-
-    std::fs::remove_file(&net).ok();
-    remove_db(&db);
-    std::fs::remove_file(&metrics).ok();
 }
 
-/// A scratch directory, removed when dropped.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = tmp(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> String {
-        self.0.join(file).to_str().unwrap().to_string()
-    }
-
-    /// Generates `net.net` and builds `db.db` from it; returns the
-    /// network.
-    fn built(&self) -> Network {
-        let (net, db) = (self.path("net.net"), self.path("db.db"));
-        let gen = ccam(&["generate", &net, "--grid", "12", "--seed", "5"]);
-        assert!(gen.status.success(), "{gen:?}");
-        let out = ccam(&["build", &net, &db, "--block", "1024"]);
-        assert!(out.status.success(), "{out:?}");
-        load_network(std::path::Path::new(&net)).unwrap()
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
+/// Generates `net.net` in `dir` and builds `db.db` from it; returns the
+/// network.
+fn built(dir: &TempDir) -> Network {
+    let (net, db) = (dir.path("net.net"), dir.path("db.db"));
+    let (net, db) = (net.to_str().unwrap(), db.to_str().unwrap());
+    let gen = ccam(&["generate", net, "--grid", "12", "--seed", "5"]);
+    assert!(gen.status.success(), "{gen:?}");
+    let out = ccam(&["build", net, db, "--block", "1024"]);
+    assert!(out.status.success(), "{out:?}");
+    load_network(Path::new(net)).unwrap()
 }
 
 /// A `ccam serve` child on a kernel-assigned port. Dropping it kills the
@@ -519,11 +474,14 @@ fn check_reads(addr: &str, reads: &[(Request, Response)]) -> usize {
 
 #[test]
 fn serve_answers_like_the_model_and_drains_at_max_seconds() {
-    let dir = Scratch::new("serve");
-    let reads = model_reads(&dir.built());
+    let dir = TempDir::new("ccam-cli-serve");
+    let reads = model_reads(&built(&dir));
     let metrics = dir.path("metrics.json");
-    let flags = format!("--workers 2 --queue-depth 16 --max-seconds 3 --metrics-json {metrics}");
-    let mut server = Served::start(&dir.path("db.db"), &flags);
+    let flags = format!(
+        "--workers 2 --queue-depth 16 --max-seconds 3 --metrics-json {}",
+        metrics.display()
+    );
+    let mut server = Served::start(dir.path("db.db").to_str().unwrap(), &flags);
     let sent = check_reads(&server.addr("listening on"), &reads);
     server.wait_for_clean_exit();
 
@@ -537,20 +495,23 @@ fn serve_answers_like_the_model_and_drains_at_max_seconds() {
 
 #[test]
 fn a_follower_answers_like_the_model_and_outlives_its_primary() {
-    let dir = Scratch::new("repl");
-    let reads = model_reads(&dir.built());
+    let dir = TempDir::new("ccam-cli-repl");
+    let reads = model_reads(&built(&dir));
     for (from, to) in [("db.db", "replica.db"), ("db.db.wal", "replica.db.wal")] {
         std::fs::copy(dir.path(from), dir.path(to)).unwrap();
     }
     let mut primary = Served::start(
-        &dir.path("db.db"),
+        dir.path("db.db").to_str().unwrap(),
         "--repl-addr 127.0.0.1:0 --max-seconds 60",
     );
     let primary_addr = primary.addr("listening on");
     let repl_addr = primary.addr("replication on");
     let metrics = dir.path("metrics.json");
-    let flags = format!("--replica-of {repl_addr} --max-seconds 5 --metrics-json {metrics}");
-    let mut follower = Served::start(&dir.path("replica.db"), &flags);
+    let flags = format!(
+        "--replica-of {repl_addr} --max-seconds 5 --metrics-json {}",
+        metrics.display()
+    );
+    let mut follower = Served::start(dir.path("replica.db").to_str().unwrap(), &flags);
     let follower_addr = follower.addr("listening on");
     check_reads(&primary_addr, &reads);
     check_reads(&follower_addr, &reads);
@@ -599,37 +560,33 @@ fn find_text(node: &NodeData) -> String {
 /// and answers like the model.
 #[test]
 fn a_database_whose_log_is_gone_gets_one_and_answers_like_the_model() {
-    let dir = Scratch::new("nolog");
-    let net = dir.built();
+    let dir = TempDir::new("ccam-cli-nolog");
+    let net = built(&dir);
     let (db, log) = (dir.path("db.db"), dir.path("db.db.wal"));
+    let db = db.to_str().unwrap();
     std::fs::remove_file(&log).expect("build writes the log");
     for node in net.nodes().step_by(7) {
-        let out = ccam(&["find", &db, &node.id.0.to_string()]);
+        let out = ccam(&["find", db, &node.id.0.to_string()]);
         assert!(out.status.success(), "{out:?}");
         assert_eq!(stdout(&out), find_text(node));
     }
-    assert!(
-        Path::new(&log).exists(),
-        "find left the database without a log"
-    );
+    assert!(log.exists(), "find left the database without a log");
 
     std::fs::remove_file(&log).unwrap();
-    let mut server = Served::start(&db, "--max-seconds 2");
+    let mut server = Served::start(db, "--max-seconds 2");
     check_reads(&server.addr("listening on"), &model_reads(&net));
     server.wait_for_clean_exit();
-    assert!(
-        Path::new(&log).exists(),
-        "serve left the database without a log"
-    );
+    assert!(log.exists(), "serve left the database without a log");
 }
 
 /// `--retry` is a bare switch: it never takes the next argument, even
 /// one that reads as a number, so a query answers the same with it.
 #[test]
 fn retry_takes_no_argument() {
-    let dir = Scratch::new("retry");
-    let net = dir.built();
+    let dir = TempDir::new("ccam-cli-retry");
+    let net = built(&dir);
     let db = dir.path("db.db");
+    let db = db.to_str().unwrap();
     let walk = random_walk_routes(&net, 1, 4, 3).remove(0);
     let ids: Vec<String> = walk.nodes.iter().map(|id| id.0.to_string()).collect();
     assert!(ids.iter().all(|id| id.parse::<u32>().is_ok()));
@@ -640,12 +597,12 @@ fn retry_takes_no_argument() {
     };
     let id = ids[0].as_str();
     assert_eq!(
-        answer(&["succ", &db, "--retry", id]),
-        answer(&["succ", &db, id])
+        answer(&["succ", db, "--retry", id]),
+        answer(&["succ", db, id])
     );
     let route: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let with_retry = [&["route", db.as_str(), "--retry"][..], &route].concat();
-    let without = [&["route", db.as_str()][..], &route].concat();
+    let with_retry = [&["route", db, "--retry"][..], &route].concat();
+    let without = [&["route", db][..], &route].concat();
     assert_eq!(answer(&with_retry), answer(&without));
     assert!(answer(&without).starts_with(&format!("route of {} nodes", ids.len())));
 }
@@ -663,8 +620,9 @@ fn errors_are_clean() {
     assert!(!String::from_utf8_lossy(&out.stderr).is_empty());
 
     // Bad node id.
-    let net = tmp("err.net");
-    let db = tmp("err.db");
+    let dir = TempDir::new("ccam-cli");
+    let net = dir.path("err.net");
+    let db = dir.path("err.db");
     assert!(ccam(&["generate", net.to_str().unwrap(), "--grid", "5"])
         .status
         .success());
@@ -677,6 +635,4 @@ fn errors_are_clean() {
     assert!(!out.status.success(), "missing node must exit nonzero");
     let out = ccam(&["find", db.to_str().unwrap(), "not-a-number"]);
     assert!(!out.status.success());
-    std::fs::remove_file(&net).ok();
-    remove_db(&db);
 }

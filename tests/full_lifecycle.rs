@@ -6,6 +6,7 @@ use std::collections::HashMap;
 
 use ccam::core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam::core::reorg::ReorgPolicy;
+use ccam::core::testing::{assert_history, check, Driver, History, Step};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, RecordCodec};
 
@@ -68,15 +69,8 @@ fn all_methods(net: &Network, block: usize) -> Vec<Box<dyn AccessMethod>> {
 fn every_method_round_trips_every_record() {
     let net = test_network(1);
     for am in all_methods(&net, 1024) {
-        for id in net.node_ids() {
-            let rec = am
-                .find(id)
-                .unwrap()
-                .unwrap_or_else(|| panic!("{}: {id:?} missing", am.name()));
-            assert_eq!(&rec, net.node(id).unwrap(), "{}: {id:?}", am.name());
-        }
-        let crr = am.crr().unwrap();
-        assert!((0.0..=1.0).contains(&crr), "{}: CRR {crr}", am.name());
+        let held = check(am.file(), &net);
+        assert_eq!(held, Ok(()), "{}", am.name());
     }
 }
 
@@ -134,79 +128,50 @@ fn delete_everything_then_file_is_empty() {
     }
 }
 
+/// Delete and re-insert a third of the nodes, twice, as a driver
+/// history: after every step all records, all cross-references and the
+/// audit agree with the model.
+fn churn(history: &History, policy: ReorgPolicy) {
+    let call = format!("churn(&history, ReorgPolicy::{policy:?})");
+    assert_history(&call, history, |_| {
+        let net = test_network(5);
+        let am = CcamBuilder::new(512).policy(policy).build_static(&net);
+        Driver::new(am.unwrap(), net)
+    });
+}
+
 #[test]
 fn churn_preserves_consistency_under_every_policy() {
-    let net = test_network(5);
-    for policy in [
-        ReorgPolicy::FirstOrder,
-        ReorgPolicy::SecondOrder,
-        ReorgPolicy::HigherOrder,
-    ] {
-        let mut am = CcamBuilder::new(512)
-            .policy(policy)
-            .build_static(&net)
-            .unwrap();
-        // Delete and re-insert a third of the nodes, twice.
-        for round in 0..2 {
-            for id in net.node_ids().into_iter().skip(round).step_by(3) {
-                let del = am.delete_node(id).unwrap().unwrap();
-                am.insert_node(&del.data, &del.incoming).unwrap();
-            }
-        }
-        // All records intact, all cross-references consistent.
-        for id in net.node_ids() {
-            let rec = am.find(id).unwrap().unwrap();
-            for e in &rec.successors {
-                let t = am.find(e.to).unwrap().unwrap();
-                assert!(
-                    t.predecessors.contains(&id),
-                    "{policy:?}: {id:?}->{:?} lost its back-link",
-                    e.to
-                );
-            }
-            for p in &rec.predecessors {
-                let s = am.find(*p).unwrap().unwrap();
-                assert!(
-                    s.successors.iter().any(|e| e.to == id),
-                    "{policy:?}: pred link {p:?} of {id:?} dangling"
-                );
-            }
-        }
+    let n = test_network(5).len();
+    // `Grow` by nothing: `Delete()`, then `Insert()` of the same record.
+    let steps = (0..2).flat_map(|round| (round..n).step_by(3).map(|i| Step::Grow(i, 0)));
+    let history = History::new(0, steps.collect());
+    use ReorgPolicy::{FirstOrder, HigherOrder, SecondOrder};
+    for policy in [FirstOrder, SecondOrder, HigherOrder] {
+        churn(&history, policy);
     }
 }
 
 #[test]
 fn edge_churn_keeps_lists_consistent() {
     let net = test_network(6);
-    let mut am = CcamBuilder::new(1024).build_static(&net).unwrap();
-    let ids = net.node_ids();
+    let am = CcamBuilder::new(1024).build_static(&net).unwrap();
+    let mut driver = Driver::new(am, net.clone());
     // Add a batch of long-range edges, then delete them.
-    let mut added = Vec::new();
-    for i in 0..30 {
-        let a = ids[(i * 17) % ids.len()];
-        let b = ids[(i * 37 + 11) % ids.len()];
-        if a != b && am.insert_edge(a, b, 50 + i as u32).unwrap() {
-            added.push((a, b, 50 + i as u32));
-        }
-    }
+    let inserts = (0..30).map(|i| Step::InsertEdge(i * 17, i * 37 + 11, 50 + i as u32));
+    driver.run(&History::new(0, inserts.collect())).unwrap();
+    let mut model = driver.model().clone();
+    let was = |a, b| net.edges().any(|(f, t, _)| (f, t) == (a, b));
+    let added: Vec<_> = model.edges().filter(|&(a, b, _)| !was(a, b)).collect();
     assert!(!added.is_empty());
-    for &(a, b, c) in &added {
-        let rec = am.find(a).unwrap().unwrap();
-        assert!(rec.successors.iter().any(|e| e.to == b && e.cost == c));
-    }
-    for &(a, b, c) in &added {
-        assert_eq!(am.delete_edge(a, b).unwrap(), Some(c));
-    }
+    let deletes = added.iter().map(|&(a, b, _)| {
+        let i = model.edges().position(|(f, t, _)| (f, t) == (a, b));
+        model.remove_edge(a, b);
+        Step::DeleteEdge(i.unwrap())
+    });
+    driver.run(&History::new(0, deletes.collect())).unwrap();
     // Network content equals the original again.
-    for id in net.node_ids() {
-        let rec = am.find(id).unwrap().unwrap();
-        let want = net.node(id).unwrap();
-        let mut got_s: Vec<_> = rec.successors.clone();
-        let mut want_s = want.successors.clone();
-        got_s.sort_by_key(|e| e.to);
-        want_s.sort_by_key(|e| e.to);
-        assert_eq!(got_s, want_s, "{id:?}");
-    }
+    driver.with_file(|file| check(file, &net)).unwrap();
 }
 
 #[test]

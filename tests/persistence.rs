@@ -5,9 +5,9 @@
 use std::collections::HashMap;
 
 use ccam::core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
-use ccam::core::check;
 use ccam::core::query::route::evaluate_route;
 use ccam::core::query::search::a_star;
+use ccam::core::testing::{self, Driver, Step, TempDir};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{Network, RecordCodec};
@@ -26,22 +26,10 @@ fn net() -> Network {
     })
 }
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("ccam-it-{}-{}", std::process::id(), name));
-    p
-}
-
-/// Every record of `net` reads back from `am` as the network holds it.
-fn assert_holds(am: &dyn AccessMethod<impl ccam::storage::PageStore>, net: &Network) {
-    assert_eq!(am.file().len(), net.len());
-    for id in net.node_ids() {
-        assert_eq!(
-            &am.find(id).unwrap().unwrap(),
-            net.node(id).unwrap(),
-            "{id:?}"
-        );
-    }
+fn temp_path(name: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new("ccam-it");
+    let path = dir.path(name);
+    (dir, path)
 }
 
 /// A database in either codec, built on a logged page file and updated,
@@ -57,7 +45,7 @@ fn each_codec_reopens_over_its_log_and_checks_clean() {
         (RecordCodec::Paper, RecordCodec::Compact),
         (RecordCodec::Compact, RecordCodec::Paper),
     ] {
-        let path = temp_path(&format!("codec-{}", codec.name()));
+        let (_dir, path) = temp_path(&format!("codec-{}", codec.name()));
         let wal = path.with_extension("wal");
         {
             let store = FilePageStore::create(&path, 1024).unwrap();
@@ -73,12 +61,10 @@ fn each_codec_reopens_over_its_log_and_checks_clean() {
         let (store, _) = WalStore::open(store, &wal).unwrap();
         let am = CcamBuilder::new(1024).codec(opener).open_on(store).unwrap();
         assert_eq!(am.file().codec(), codec);
-        let report = check::verify(am.file()).unwrap();
-        assert!(report.is_clean(), "{codec:?}: {:?}", report.issues);
-        assert_holds(&am, &model);
+        // Records, index agreement and a clean audit.
+        let held = testing::check(am.file(), &model);
+        assert_eq!(held, Ok(()), "{codec:?}");
         drop(am);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&wal).ok();
     }
 }
 
@@ -88,7 +74,7 @@ fn each_codec_reopens_over_its_log_and_checks_clean() {
 #[test]
 fn a_paper_file_opens_as_paper() {
     let net = net();
-    let path = temp_path("paper");
+    let (_dir, path) = temp_path("paper");
     let built = CcamBuilder::new(512)
         .codec(RecordCodec::Paper)
         .build_static(&net)
@@ -99,8 +85,7 @@ fn a_paper_file_opens_as_paper() {
         .unwrap();
     assert_eq!(am.file().codec(), RecordCodec::Paper);
     assert_eq!(am.file().num_pages(), built.file().num_pages());
-    assert_holds(&am, &net);
-    std::fs::remove_file(&path).ok();
+    testing::check(am.file(), &net).unwrap();
 }
 
 /// `save_to` copies page images, format bit included: a compact
@@ -108,7 +93,7 @@ fn a_paper_file_opens_as_paper() {
 #[test]
 fn a_saved_compact_comparator_reopens_as_compact() {
     let net = net();
-    let path = temp_path("compact-dfs");
+    let (_dir, path) = temp_path("compact-dfs");
     let dfs = TopoAm::create(
         &net,
         512,
@@ -124,46 +109,33 @@ fn a_saved_compact_comparator_reopens_as_compact() {
         .open_on(FilePageStore::open(&path).unwrap())
         .unwrap();
     assert_eq!(am.file().codec(), RecordCodec::Compact);
-    assert!(check::verify(am.file()).unwrap().is_clean());
-    assert_holds(&am, &net);
-    std::fs::remove_file(&path).ok();
+    testing::check(am.file(), &net).unwrap();
 }
 
 #[test]
 fn build_directly_on_a_page_file() {
     let net = net();
-    let path = temp_path("direct");
+    let (_dir, path) = temp_path("direct");
     {
         let store = FilePageStore::create(&path, 1024).unwrap();
         let am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
-        assert_eq!(am.file().len(), net.len());
-        for id in net.node_ids().into_iter().step_by(7) {
-            assert_eq!(&am.find(id).unwrap().unwrap(), net.node(id).unwrap());
-        }
+        testing::check(am.file(), &net).unwrap();
         am.file().pool().flush_all().unwrap();
     }
     // Reopen cold: the index rebuilds from the data pages alone.
     {
         let store = FilePageStore::open(&path).unwrap();
         let am = CcamBuilder::new(1024).open_on(store).unwrap();
-        assert_eq!(am.file().len(), net.len());
-        for id in net.node_ids() {
-            assert_eq!(
-                &am.find(id).unwrap().unwrap(),
-                net.node(id).unwrap(),
-                "{id:?} after reopen"
-            );
-        }
+        testing::check(am.file(), &net).unwrap();
         // CRR survives the round trip (placement is byte-identical).
         assert!(am.crr().unwrap() > 0.4);
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn save_mem_file_then_reopen_and_query() {
     let net = net();
-    let path = temp_path("saved");
+    let (_dir, path) = temp_path("saved");
     let mem_am = CcamBuilder::new(512).build_static(&net).unwrap();
     let crr_before = mem_am.crr().unwrap();
     mem_am.file().save_to(&path).unwrap();
@@ -182,42 +154,30 @@ fn save_mem_file_then_reopen_and_query() {
     let ids = net.node_ids();
     let sp = a_star(&am, ids[0], ids[ids.len() - 1]).unwrap();
     assert!(sp.is_some());
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn updates_on_disk_survive_reopen() {
     let net = net();
-    let path = temp_path("updates");
-    let victim = net.node_ids()[17];
-    {
+    let (_dir, path) = temp_path("updates");
+    let model = {
         let store = FilePageStore::create(&path, 1024).unwrap();
-        let mut am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
-        let del = am.delete_node(victim).unwrap().unwrap();
-        am.insert_node(&del.data, &del.incoming).unwrap();
-        // And one permanent deletion.
-        let gone = net.node_ids()[3];
-        am.delete_node(gone).unwrap().unwrap();
-        am.file().pool().flush_all().unwrap();
-    }
+        let am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
+        let mut driver = Driver::new(am, net.clone());
+        // Delete node 17 and put it back, then one permanent deletion.
+        driver.step(&Step::Grow(17, 0)).unwrap();
+        driver.step(&Step::DeleteNode(3)).unwrap();
+        driver.with_file(|f| f.pool().flush_all()).unwrap();
+        driver.model().clone()
+    };
     {
         let store = FilePageStore::open(&path).unwrap();
         let am = CcamBuilder::new(1024).open_on(store).unwrap();
-        assert_eq!(am.file().len(), net.len() - 1);
-        assert!(am.find(victim).unwrap().is_some());
-        assert!(am.find(net.node_ids()[3]).unwrap().is_none());
-        // Cross-references still consistent on the reopened file.
-        for id in net.node_ids().into_iter().step_by(5) {
-            if let Some(rec) = am.find(id).unwrap() {
-                for e in &rec.successors {
-                    if let Some(t) = am.find(e.to).unwrap() {
-                        assert!(t.predecessors.contains(&id));
-                    }
-                }
-            }
-        }
+        // The victim back, the gone node gone, every cross-reference
+        // consistent on the reopened file.
+        assert!(model.node(net.node_ids()[3]).is_none());
+        testing::check(am.file(), &model).unwrap();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -226,7 +186,7 @@ fn save_preserves_page_ids_across_gaps() {
     // rebuilt from the surviving pages must agree with the original
     // placement (page ids preserved, gaps skipped).
     let net = net();
-    let path = temp_path("gaps");
+    let (_dir, path) = temp_path("gaps");
     let mut am = CcamBuilder::new(512).build_static(&net).unwrap();
     let ids = net.node_ids();
     // First-order deletes (with merging) free pages.
@@ -251,7 +211,6 @@ fn save_preserves_page_ids_across_gaps() {
         );
         assert!(reopened.find(id).unwrap().is_some());
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -262,40 +221,33 @@ fn dirty_evictions_write_back_under_tiny_pool() {
     // the one resident frame) could not save the rest and the reopened
     // file would have lost most of the updates.
     let net = net();
-    let path = temp_path("evict");
-    let ids = net.node_ids();
-    let gone = ids[1];
-    {
+    let (_dir, path) = temp_path("evict");
+    let model = {
         let store = FilePageStore::create(&path, 512).unwrap();
-        let mut am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
+        let am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
         am.file().pool().set_capacity(1).unwrap();
-        for &id in ids.iter().step_by(6) {
-            let del = am.delete_node(id).unwrap().unwrap();
-            am.insert_node(&del.data, &del.incoming).unwrap();
+        let mut driver = Driver::new(am, net.clone());
+        for i in (0..net.len()).step_by(6) {
+            driver.step(&Step::Grow(i, 0)).unwrap();
         }
-        am.delete_node(gone).unwrap().unwrap();
-        am.file().pool().flush_all().unwrap();
-    }
+        driver.step(&Step::DeleteNode(1)).unwrap();
+        driver.with_file(|f| f.pool().flush_all()).unwrap();
+        driver.model().clone()
+    };
     let store = FilePageStore::open(&path).unwrap();
     let am = CcamBuilder::new(512).open_on(store).unwrap();
-    assert_eq!(am.file().len(), net.len() - 1);
-    assert!(am.find(gone).unwrap().is_none());
-    for &id in ids.iter().filter(|&&id| id != gone) {
-        assert!(am.find(id).unwrap().is_some(), "{id} lost across eviction");
-    }
-    assert!(ccam::core::check::verify(am.file()).unwrap().is_clean());
-    std::fs::remove_file(&path).ok();
+    assert!(model.node(net.node_ids()[1]).is_none());
+    testing::check(am.file(), &model).unwrap();
 }
 
 #[test]
 fn dynamic_create_on_disk() {
     let net = net();
-    let path = temp_path("dynamic");
+    let (_dir, path) = temp_path("dynamic");
     let store = FilePageStore::create(&path, 1024).unwrap();
     let am = CcamBuilder::new(1024)
         .build_dynamic_on(store, &net)
         .unwrap();
     assert_eq!(am.file().len(), net.len());
     assert!(am.crr().unwrap() > 0.3);
-    std::fs::remove_file(&path).ok();
 }

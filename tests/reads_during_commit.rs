@@ -13,33 +13,33 @@
 //!
 //! 1. `reads_during_commit_see_only_committed_states` — sentinel
 //!    stamping: every transaction stamps one generation number into
-//!    several nodes; readers must see all sentinels agree (atomicity)
-//!    and generations move forward only (no uncommitted state).
+//!    several nodes and now and then reclusters the whole file, while
+//!    readers pin snapshots.
 //! 2. `pinned_snapshots_match_the_committed_generation_ledger` — the
-//!    snapshot-isolation property proper, over a WAL-backed store with
-//!    injected ENOSPC aborts: every pinned snapshot is byte-identical
-//!    to exactly the generation the writer committed at that epoch,
-//!    and stays immutable while held.
+//!    same over a WAL-backed store with injected ENOSPC aborts.
+//!
+//!    In both, every pinned snapshot holds exactly the network the
+//!    writer committed at its epoch (the `ccam::core::testing` check:
+//!    all sentinels of one generation, never a blend, never an aborted
+//!    transaction), stays so while held, epochs only move forward, and
+//!    the last read sees the last commit.
 //! 3. `panicking_writer_poisons_cell_and_recover_rolls_back` — a
 //!    writer that panics mid-transaction must not tear pinned readers,
 //!    must fail *new* reads fast, and `recover()` must roll the
 //!    uncommitted mutation back.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ccam::core::am::{AccessMethod, Ccam, CcamBuilder};
 use ccam::core::epoch::EpochCell;
 use ccam::core::query::route::evaluate_route;
+use ccam::core::testing::{self, check, TempDir};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
-use ccam::graph::Network;
-use ccam::storage::{FaultStore, MemPageStore, PageStore, WalStore};
-
-const WRITE_TRANSACTIONS: u64 = 60;
-const REORG_EVERY: u64 = 10;
+use ccam::graph::{Network, NodeId};
+use ccam::storage::{FaultController, FaultStore, MemPageStore, PageStore, WalStore};
 
 fn test_network(seed: u64) -> Network {
     road_map(&RoadMapConfig {
@@ -63,316 +63,174 @@ fn read_stamp(payload: &[u8]) -> u64 {
     u64::from_le_bytes(bytes)
 }
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("ccam-rdc-{}-{}", std::process::id(), name))
+/// How a race is run.
+struct Race {
+    sentinels: usize,
+    generations: u64,
+    reorg_every: u64,
+    /// Every this many generations the disk fills and the transaction
+    /// aborts (0: never).
+    abort_every: u64,
+    readers: usize,
 }
 
-/// Layout-independent digest of every record reachable in the file.
-/// Two views digest equal iff they hold the same logical node set
-/// (ids, coordinates, payloads, edges) — which is exactly what one
-/// committed generation pins.
-fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
-    let mut nodes = std::collections::BTreeMap::new();
-    for (_page, records) in am.file().scan_uncounted().expect("scan pinned view") {
-        for node in records {
-            nodes.insert(node.id.0, node);
-        }
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (id, node) in &nodes {
-        id.hash(&mut h);
-        node.x.hash(&mut h);
-        node.y.hash(&mut h);
-        node.payload.hash(&mut h);
-        for e in &node.successors {
-            e.to.0.hash(&mut h);
-            e.cost.hash(&mut h);
-        }
-        for p in &node.predecessors {
-            p.0.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-#[test]
-fn reads_during_commit_see_only_committed_states() {
-    let net = test_network(5);
-    let wal_path = temp_path("stamps.wal");
-    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &wal_path).unwrap();
-    let am = CcamBuilder::new(1024).build_static_on(wal, &net).unwrap();
+/// A writer commits generation after generation on `db`, which holds
+/// `net`, while readers pin snapshots and check each against the ledger
+/// of committed networks.
+fn race<S: PageStore + Send + 'static>(
+    db: Ccam<S>,
+    net: &Network,
+    disk: Option<Arc<FaultController>>,
+    race: Race,
+) {
     let ids = net.node_ids();
-    let sentinels = [
-        ids[0],
-        ids[ids.len() / 3],
-        ids[2 * ids.len() / 3],
-        ids[ids.len() - 1],
-    ];
-    let routes = random_walk_routes(&net, 8, 10, 9);
-
-    let db = Arc::new(EpochCell::new(am).unwrap());
-
-    // Generation 0: put every sentinel into a known committed state
-    // before any reader starts, and record the read-only baselines.
-    {
-        let mut am = db.write().unwrap();
-        for &id in &sentinels {
-            let deleted = am.delete_node(id).unwrap().unwrap();
-            let mut node = deleted.data;
-            node.payload = stamp(0);
-            am.insert_node(&node, &deleted.incoming).unwrap();
-        }
-        am.commit().unwrap();
-    }
-    let (succ_counts, route_costs): (Vec<usize>, Vec<u64>) = {
-        let am = db.read().unwrap();
-        (
-            sentinels
-                .iter()
-                .map(|&id| am.get_successors(id).unwrap().len())
-                .collect(),
-            routes
-                .iter()
-                .map(|r| {
-                    let eval = evaluate_route(&*am, r).unwrap();
-                    assert!(eval.complete, "baseline route must be complete");
-                    eval.total_cost
-                })
-                .collect(),
-        )
-    };
+    let n = race.sentinels;
+    let sentinels: Vec<NodeId> = (0..n).map(|k| ids[k * (ids.len() - 1) / (n - 1)]).collect();
+    let routes = random_walk_routes(net, 8, 10, 9);
+    let db = Arc::new(EpochCell::new(db).unwrap());
     let epoch_at_start = db.epoch();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|s| {
-        // Writer: one committed transaction per generation; every
-        // REORG_EVERY-th also rewrites the whole file layout while
-        // still inside the same exclusive critical section.
-        {
-            let db = Arc::clone(&db);
-            let stop = Arc::clone(&stop);
-            s.spawn(move || {
-                for generation in 1..=WRITE_TRANSACTIONS {
-                    let mut am = db.write().unwrap();
-                    for &id in &sentinels {
-                        let deleted = am.delete_node(id).unwrap().unwrap();
-                        let mut node = deleted.data;
-                        node.payload = stamp(generation);
-                        am.insert_node(&node, &deleted.incoming).unwrap();
-                    }
-                    if generation % REORG_EVERY == 0 {
-                        let crr = am.reorganize_full().unwrap();
-                        assert!(crr > 0.0);
-                    }
-                    am.commit().unwrap();
-                }
-                stop.store(true, Ordering::Release);
-            });
+    // ledger[epoch] = the network published at that epoch, entered
+    // before the commit that publishes it.
+    let ledger = Mutex::new(HashMap::from([(epoch_at_start, net.clone())]));
+    let committed = |epoch: u64| ledger.lock().unwrap()[&epoch].clone();
+    let restamp = |w: &mut Ccam<S>, model: &mut Network, generation: u64| {
+        for &id in &sentinels {
+            let deleted = w.delete_node(id)?.unwrap();
+            let mut node = deleted.data;
+            node.payload = stamp(generation);
+            w.insert_node(&node, &deleted.incoming)?;
+            testing::reinsert(model, &node);
         }
+        Ok::<_, ccam::storage::StorageError>(())
+    };
+    // Generation 0: every sentinel in a known committed state before
+    // any reader starts; route costs then stay what they are now.
+    let mut model = net.clone();
+    let mut w = db.write().unwrap();
+    restamp(&mut w, &mut model, 0).unwrap();
+    ledger
+        .lock()
+        .unwrap()
+        .insert(epoch_at_start + 1, model.clone());
+    w.commit().unwrap();
+    let costs: Vec<u64> = {
+        let view = db.read().unwrap();
+        let eval = |r| evaluate_route(&*view, r).unwrap().total_cost;
+        routes.iter().map(eval).collect()
+    };
 
-        // Readers: loop until the writer finishes, then one final pass
-        // that must observe the last generation.
-        for reader in 0..3usize {
-            let db = Arc::clone(&db);
-            let stop = Arc::clone(&stop);
-            let succ_counts = &succ_counts;
-            let route_costs = &route_costs;
-            let routes = &routes;
+    let stop = AtomicBool::new(false);
+    let mut aborts = 0;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for generation in 1..=race.generations {
+                if race.abort_every > 0 && generation % race.abort_every == 0 {
+                    // Injected ENOSPC: the transaction fails, the guard is
+                    // dropped without commit (a benign abort, not a
+                    // poison), and nothing of it may ever become visible.
+                    let (epoch_before, disk) = (db.epoch(), disk.as_ref().unwrap());
+                    let faults_before = disk.injected_faults();
+                    disk.fill_after(0, false);
+                    let mut w = db.write().unwrap();
+                    let r = restamp(&mut w, &mut model.clone(), generation);
+                    assert!(r.is_err(), "generation {generation}: a full disk must fail");
+                    drop(w);
+                    disk.drain();
+                    assert!(disk.injected_faults() > faults_before);
+                    assert_eq!(db.epoch(), epoch_before, "an abort bumped the epoch");
+                    let leaked = check(db.read().unwrap().file(), &committed(epoch_before));
+                    assert_eq!(leaked, Ok(()), "an abort leaked into the published view");
+                    aborts += 1;
+                    continue;
+                }
+                let mut w = db.write().unwrap();
+                restamp(&mut w, &mut model, generation).unwrap();
+                if generation % race.reorg_every == 0 {
+                    // The whole layout rewritten inside the transaction.
+                    assert!(w.reorganize_full().unwrap() > 0.0);
+                }
+                let epoch = db.epoch() + 1;
+                ledger.lock().unwrap().insert(epoch, model.clone());
+                assert_eq!(w.commit().unwrap(), epoch);
+            }
+            stop.store(true, Ordering::Release);
+        });
+        for reader in 0..race.readers {
+            let (db, routes, costs) = (&db, &routes, &costs);
+            let (stop, committed) = (&stop, &committed);
             s.spawn(move || {
-                let mut last_seen = 0u64;
+                let mut last_seen = 0;
                 loop {
                     let done = stop.load(Ordering::Acquire);
-                    let am = db.read().unwrap();
-                    // All sentinels agree: the transaction is atomic.
-                    let generations: Vec<u64> = sentinels
-                        .iter()
-                        .map(|&id| read_stamp(&am.find(id).unwrap().unwrap().payload))
-                        .collect();
+                    let snap = db.read().unwrap();
+                    let epoch = snap.epoch();
+                    // Epochs only move forward: nothing uncommitted (or
+                    // rolled back) ever becomes visible.
                     assert!(
-                        generations.iter().all(|&g| g == generations[0]),
-                        "reader {reader} saw a torn transaction: {generations:?}"
+                        epoch >= last_seen,
+                        "reader {reader}: {epoch} after {last_seen}"
                     );
-                    // Generations only move forward: nothing uncommitted
-                    // (or rolled back) ever becomes visible.
-                    assert!(
-                        generations[0] >= last_seen,
-                        "reader {reader} saw generation go backwards: \
-                         {} after {last_seen}",
-                        generations[0]
-                    );
-                    last_seen = generations[0];
-                    // Structure queries stay valid mid-churn: the edge
-                    // set is delete/re-insert invariant, so successor
-                    // counts and route costs never change.
-                    for (k, &id) in sentinels.iter().enumerate() {
-                        assert_eq!(am.get_successors(id).unwrap().len(), succ_counts[k]);
-                    }
-                    let r = &routes[last_seen as usize % routes.len()];
-                    let eval = evaluate_route(&*am, r).unwrap();
+                    last_seen = epoch;
+                    let model = committed(epoch);
+                    let pinned = check(snap.file(), &model);
+                    assert_eq!(pinned, Ok(()), "epoch {epoch}: pinned snapshot differs");
+                    // Structure queries stay valid mid-churn.
+                    let k = epoch as usize % routes.len();
+                    let eval = evaluate_route(&*snap, &routes[k]).unwrap();
                     assert!(eval.complete);
-                    assert_eq!(
-                        eval.total_cost,
-                        route_costs[last_seen as usize % route_costs.len()]
-                    );
-                    drop(am);
+                    assert_eq!(eval.total_cost, costs[k]);
+                    // The pin holds still while the writer commits on.
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                    let held = check(snap.file(), &model);
+                    assert_eq!(held, Ok(()), "pinned snapshot mutated while held");
                     if done {
-                        assert_eq!(
-                            last_seen, WRITE_TRANSACTIONS,
-                            "final read after writer exit must see its last commit"
-                        );
+                        assert_eq!(epoch, db.epoch(), "the last read must see the last commit");
                         break;
                     }
                 }
             });
         }
     });
-
-    // Every committed write() above was one epoch bump: the initial
-    // stamping transaction plus WRITE_TRANSACTIONS generations.
-    assert_eq!(db.epoch(), epoch_at_start + WRITE_TRANSACTIONS);
-    drop(db);
-    let _ = std::fs::remove_file(&wal_path);
+    // One epoch bump per committed transaction, generation 0 included.
+    assert_eq!(db.epoch(), epoch_at_start + 1 + race.generations - aborts);
 }
 
-/// The snapshot-isolation property proper: every snapshot a reader
-/// pins is byte-identical to exactly ONE committed generation — the
-/// one the writer recorded in a ledger at that epoch — and stays
-/// immutable for as long as the pin is held, even while the writer
-/// churns, reorganizes, and aborts on injected ENOSPC faults.
+#[test]
+fn reads_during_commit_see_only_committed_states() {
+    let net = test_network(5);
+    let dir = TempDir::new("ccam-rdc");
+    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &dir.path("wal")).unwrap();
+    let db = CcamBuilder::new(1024).build_static_on(wal, &net).unwrap();
+    let race_ = Race {
+        sentinels: 4,
+        generations: 60,
+        reorg_every: 10,
+        abort_every: 0,
+        readers: 3,
+    };
+    race(db, &net, None, race_);
+}
+
+/// The snapshot-isolation property proper, with ENOSPC aborts. The fault
+/// injector sits on top of the log, so ENOSPC bites before anything
+/// reaches the WAL overlay and an aborted transaction genuinely rolls
+/// back.
 #[test]
 fn pinned_snapshots_match_the_committed_generation_ledger() {
-    const GENERATIONS: u64 = 30;
-    const ABORT_EVERY: u64 = 7;
-
     let net = test_network(11);
-    let ids = net.node_ids();
-    let sentinels = [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]];
-
-    // Full durable stack with a fault injector on top: ENOSPC bites
-    // BEFORE anything reaches the WAL overlay, so an aborted
-    // transaction genuinely rolls back.
-    let wal_path = temp_path("ledger.wal");
-    let _ = std::fs::remove_file(&wal_path);
-    let mem = MemPageStore::new(1024).unwrap();
-    let wal = WalStore::create(mem, &wal_path).unwrap();
+    let dir = TempDir::new("ccam-rdc");
+    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &dir.path("wal")).unwrap();
     let (store, disk) = FaultStore::new(wal);
-    let mut am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
-    am.file_mut().set_auto_commit(true);
-
-    let db = Arc::new(EpochCell::new(am).unwrap());
-
-    // ledger[epoch] = digest of the generation published at that epoch.
-    let ledger: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-    {
-        let snap = db.read().unwrap();
-        ledger.lock().unwrap().insert(snap.epoch(), digest(&snap));
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    // (epoch, digest) pairs observed by readers, checked against the
-    // ledger once the writer is done.
-    let observed: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-
-    std::thread::scope(|s| {
-        {
-            let db = Arc::clone(&db);
-            let ledger = Arc::clone(&ledger);
-            let stop = Arc::clone(&stop);
-            let disk = Arc::clone(&disk);
-            s.spawn(move || {
-                for generation in 1..=GENERATIONS {
-                    if generation % ABORT_EVERY == 0 {
-                        // Injected ENOSPC: the transaction fails, the
-                        // guard is dropped without commit, and nothing
-                        // of it may ever become visible.
-                        let epoch_before = db.epoch();
-                        let faults_before = disk.injected_faults();
-                        disk.fill_after(0, false);
-                        {
-                            let mut w = db.write().unwrap();
-                            let r = w.delete_node(sentinels[0]);
-                            assert!(
-                                r.is_err(),
-                                "generation {generation}: write on a full disk must fail"
-                            );
-                            // Drop without commit: a benign abort, not
-                            // a poison.
-                        }
-                        disk.drain();
-                        assert!(disk.injected_faults() > faults_before);
-                        assert_eq!(
-                            db.epoch(),
-                            epoch_before,
-                            "aborted transaction must not bump the epoch"
-                        );
-                        let snap = db.read().unwrap();
-                        assert_eq!(
-                            digest(&snap),
-                            ledger.lock().unwrap()[&epoch_before],
-                            "aborted transaction leaked into the published view"
-                        );
-                        continue;
-                    }
-                    let mut w = db.write().unwrap();
-                    for &id in &sentinels {
-                        let deleted = w.delete_node(id).unwrap().unwrap();
-                        let mut node = deleted.data;
-                        node.payload = stamp(generation);
-                        w.insert_node(&node, &deleted.incoming).unwrap();
-                    }
-                    if generation % 5 == 0 {
-                        w.reorganize_full().unwrap();
-                    }
-                    let epoch = w.commit().unwrap();
-                    let snap = db.read().unwrap();
-                    assert_eq!(snap.epoch(), epoch);
-                    ledger.lock().unwrap().insert(epoch, digest(&snap));
-                }
-                stop.store(true, Ordering::Release);
-            });
-        }
-
-        for _reader in 0..2usize {
-            let db = Arc::clone(&db);
-            let stop = Arc::clone(&stop);
-            let observed = Arc::clone(&observed);
-            s.spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    let snap = db.read().unwrap();
-                    let epoch = snap.epoch();
-                    let d1 = digest(&snap);
-                    // The pin must hold the generation still while the
-                    // writer keeps committing underneath.
-                    std::thread::sleep(std::time::Duration::from_micros(500));
-                    let d2 = digest(&snap);
-                    assert_eq!(d1, d2, "pinned snapshot mutated while held");
-                    observed.lock().unwrap().push((epoch, d1));
-                }
-            });
-        }
-    });
-
-    // Every observation corresponds to exactly the generation the
-    // writer committed at that epoch — never a blend, never an
-    // aborted transaction.
-    let ledger = ledger.lock().unwrap();
-    let observed = observed.lock().unwrap();
-    assert!(!observed.is_empty());
-    for &(epoch, d) in observed.iter() {
-        let committed = ledger
-            .get(&epoch)
-            .unwrap_or_else(|| panic!("reader pinned unknown epoch {epoch}"));
-        assert_eq!(
-            *committed, d,
-            "epoch {epoch}: pinned snapshot differs from the committed generation"
-        );
-    }
-    // 30 generations, every 7th aborted: 26 epoch bumps on top of the
-    // initial publish (epoch 0).
-    let committed_gens = GENERATIONS - GENERATIONS / ABORT_EVERY;
-    assert_eq!(db.epoch(), committed_gens);
-
-    let _ = std::fs::remove_file(&wal_path);
+    let mut db = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
+    db.file_mut().set_auto_commit(true);
+    let race_ = Race {
+        sentinels: 3,
+        generations: 30,
+        reorg_every: 5,
+        abort_every: 7,
+        readers: 2,
+    };
+    race(db, &net, Some(disk), race_);
 }
 
 /// A writer that panics mid-transaction: already-pinned snapshots stay
@@ -383,55 +241,41 @@ fn panicking_writer_poisons_cell_and_recover_rolls_back() {
     let net = test_network(23);
     let target = net.node_ids()[3];
 
-    let wal_path = temp_path("panic.wal");
-    let _ = std::fs::remove_file(&wal_path);
+    let dir = TempDir::new("ccam-rdc");
     let mem = MemPageStore::new(1024).unwrap();
-    let wal = WalStore::create(mem, &wal_path).unwrap();
+    let wal = WalStore::create(mem, &dir.path("wal")).unwrap();
     let mut am = CcamBuilder::new(1024).build_static_on(wal, &net).unwrap();
     // Explicit transaction boundaries: the mutation below stays
     // uncommitted in the WAL overlay so recover() can roll it back.
     am.file_mut().set_auto_commit(false);
 
-    let db = Arc::new(EpochCell::new(am).unwrap());
+    let db = EpochCell::new(am).unwrap();
     let before = db.read().unwrap();
-    assert!(before.find(target).unwrap().is_some());
-    let before_digest = digest(&before);
+    assert_eq!(check(before.file(), &net), Ok(()));
 
     // Readers racing the panicking writer: whatever they pin must be
     // the committed generation — the in-flight delete never shows.
-    let crashed = Arc::new(AtomicBool::new(false));
+    let crashed = AtomicBool::new(false);
     std::thread::scope(|s| {
         for _ in 0..2 {
-            let db = Arc::clone(&db);
-            let crashed = Arc::clone(&crashed);
-            s.spawn(move || {
-                while !crashed.load(Ordering::Acquire) {
-                    match db.read() {
-                        Ok(snap) => {
-                            assert!(
-                                snap.find(target).unwrap().is_some(),
-                                "reader saw the uncommitted delete"
-                            );
-                        }
-                        // Poisoned window: fail-fast is the contract.
-                        Err(_) => break,
-                    }
+            s.spawn(|| {
+                // Until the crash, or the poisoned window: fail-fast is
+                // the contract.
+                while let (false, Ok(snap)) = (crashed.load(Ordering::Acquire), db.read()) {
+                    let found = snap.find(target).unwrap();
+                    assert!(found.is_some(), "reader saw the uncommitted delete");
                 }
             });
         }
-        {
-            let db = Arc::clone(&db);
-            let crashed = Arc::clone(&crashed);
-            s.spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut w = db.write().unwrap();
-                    w.delete_node(target).unwrap().unwrap();
-                    panic!("writer dies mid-transaction");
-                }));
-                assert!(result.is_err());
-                crashed.store(true, Ordering::Release);
-            });
-        }
+        s.spawn(|| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut w = db.write().unwrap();
+                w.delete_node(target).unwrap().unwrap();
+                panic!("writer dies mid-transaction");
+            }));
+            assert!(result.is_err());
+            crashed.store(true, Ordering::Release);
+        });
     });
 
     // The cell is poisoned: new reads and writes fail fast...
@@ -440,19 +284,18 @@ fn panicking_writer_poisons_cell_and_recover_rolls_back() {
     assert!(db.write().is_err());
     // ...but the snapshot pinned BEFORE the crash is still fully
     // readable and unchanged.
-    assert!(before.find(target).unwrap().is_some());
-    assert_eq!(digest(&before), before_digest);
+    assert_eq!(check(before.file(), &net), Ok(()));
 
     // Recovery rolls the uncommitted delete back and republishes the
     // committed generation.
     db.recover().unwrap();
     assert!(!db.is_poisoned());
-    let after = db.read().unwrap();
-    assert!(
-        after.find(target).unwrap().is_some(),
+    let after = check(db.read().unwrap().file(), &net);
+    assert_eq!(
+        after,
+        Ok(()),
         "recover must roll the uncommitted delete back"
     );
-    assert_eq!(digest(&after), before_digest);
 
     // The recovered cell accepts committed work again.
     {
@@ -465,6 +308,4 @@ fn panicking_writer_poisons_cell_and_recover_rolls_back() {
     }
     let snap = db.read().unwrap();
     assert_eq!(read_stamp(&snap.find(target).unwrap().unwrap().payload), 99);
-
-    let _ = std::fs::remove_file(&wal_path);
 }

@@ -13,9 +13,8 @@
 //! physical images, so a correct follower is byte-identical, not just
 //! logically equal).
 
-use std::hash::{Hash, Hasher};
-
 use ccam::core::am::{AccessMethod, Ccam, CcamBuilder};
+use ccam::core::testing::digest;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::Network;
 use ccam::storage::{MemPageStore, PageStore, ReplFeed, RetentionSlot, StampedRecord, WalStore};
@@ -35,8 +34,13 @@ fn test_network(seed: u64) -> Network {
     })
 }
 
-fn temp_wal(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("ccam-replay-{}-{}.wal", std::process::id(), name))
+/// A log-backed store whose log file is unlinked at once: it lives as
+/// long as the store and leaves nothing in the temp dir.
+fn wal_mem(name: &str) -> WalMem {
+    let path = std::env::temp_dir().join(format!("ccam-replay-{}-{name}.wal", std::process::id()));
+    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    wal
 }
 
 /// A WAL-backed primary with a retention slot subscribed from LSN 0
@@ -44,7 +48,7 @@ fn temp_wal(name: &str) -> std::path::PathBuf {
 /// checkpoints (including any auto-checkpoint during the build itself)
 /// retain the full shippable tail.
 fn primary_with(net: &Network, tag: &str) -> (Ccam<WalMem>, RetentionSlot) {
-    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &temp_wal(tag)).unwrap();
+    let wal = wal_mem(tag);
     let slot = wal.wal_retention().subscribe(0);
     let mut am = CcamBuilder::new(1024).build_static_on(wal, net).unwrap();
     am.file_mut().set_auto_commit(true);
@@ -52,7 +56,7 @@ fn primary_with(net: &Network, tag: &str) -> (Ccam<WalMem>, RetentionSlot) {
 }
 
 fn empty_follower(tag: &str) -> Ccam<WalMem> {
-    let wal = WalStore::create(MemPageStore::new(1024).unwrap(), &temp_wal(tag)).unwrap();
+    let wal = wal_mem(tag);
     let mut am = CcamBuilder::new(1024)
         .build_static_on(wal, &Network::new())
         .unwrap();
@@ -62,27 +66,7 @@ fn empty_follower(tag: &str) -> Ccam<WalMem> {
 
 /// Layout-independent digest of the logical record set.
 fn ledger_digest(am: &Ccam<WalMem>) -> u64 {
-    let mut nodes = std::collections::BTreeMap::new();
-    for (_page, records) in am.file().scan_uncounted().expect("scan") {
-        for node in records {
-            nodes.insert(node.id.0, node);
-        }
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (id, node) in &nodes {
-        id.hash(&mut h);
-        node.x.hash(&mut h);
-        node.y.hash(&mut h);
-        node.payload.hash(&mut h);
-        for e in &node.successors {
-            e.to.0.hash(&mut h);
-            e.cost.hash(&mut h);
-        }
-        for p in &node.predecessors {
-            p.0.hash(&mut h);
-        }
-    }
-    h.finish()
+    digest(am.file()).expect("scan")
 }
 
 /// Raw bytes of every live page, by id — the strict form of parity.
