@@ -346,7 +346,7 @@ fn start_follower(
 /// A view that cannot be scanned digests as one holding no records.
 fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
     use std::hash::Hasher;
-    ccam_core::testing::digest(am.file())
+    ccam_testing::digest(am.file())
         .unwrap_or_else(|_| std::collections::hash_map::DefaultHasher::new().finish())
 }
 

@@ -27,9 +27,7 @@
 //!   tour evaluation, route-unit aggregates, location-allocation and
 //!   spatial window queries,
 //! * [`epoch`] — the single-writer / multi-reader [`EpochCell`] the
-//!   serving layer uses for snapshot-consistent reads during commits,
-//! * [`testing`] — test support: the history driver that checks every
-//!   access method against the in-memory `Network` model.
+//!   serving layer uses for snapshot-consistent reads during commits.
 
 pub mod am;
 pub mod check;
@@ -40,7 +38,6 @@ pub mod file;
 pub mod pag;
 pub mod query;
 pub mod reorg;
-pub mod testing;
 pub mod validate;
 pub mod workload;
 

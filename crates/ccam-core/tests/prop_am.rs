@@ -1,13 +1,13 @@
 //! Property tests: every access method, driven through seeded histories
-//! by `ccam_core::testing`, stays in lockstep with the in-memory
+//! by `ccam_testing`, stays in lockstep with the in-memory
 //! `Network` model — same records, same edge lists, a clean audit after
 //! every step — under every reorganization policy and both codecs.
 
 use ccam_core::am::{CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::reorg::ReorgPolicy;
-use ccam_core::testing::{assert_history, create_durable, Driver, History, Outcome, Step, TempDir};
 use ccam_graph::generators::grid_network;
 use ccam_graph::RecordCodec;
+use ccam_testing::{assert_history, create_durable, Driver, History, Outcome, Step, TempDir};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -392,7 +392,6 @@ mod view_is_a_full_rebuild {
     use ccam_core::epoch::{EpochCell, Snapshot};
     use ccam_core::file::{NetworkFile, DEFAULT_BUFFER_FRAMES};
     use ccam_core::reorg::{reorganize_pages, ReorgPolicy};
-    use ccam_core::testing::{assert_history, check, Driver, History, Outcome, Step, TempDir};
     use ccam_graph::generators::grid_network;
     use ccam_graph::{Network, NodeData, NodeId};
     use ccam_partition::Partitioner;
@@ -400,6 +399,7 @@ mod view_is_a_full_rebuild {
         MemPageStore, PageId, PageVersions, ReplFeed, SnapshotStore, StorageError, SweepRng,
         WalStore,
     };
+    use ccam_testing::{assert_history, check, Driver, History, Outcome, Step, TempDir};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -748,9 +748,9 @@ mod upsert_in_place {
     use ccam_core::am::common::write_back;
     use ccam_core::am::{AccessMethod, Ccam, CcamBuilder};
     use ccam_core::reorg::ReorgPolicy;
-    use ccam_core::testing::{assert_history, Driver, History, Outcome, Step};
     use ccam_graph::generators::grid_network;
     use ccam_graph::NodeId;
+    use ccam_testing::{assert_history, Driver, History, Outcome, Step};
     use proptest::prelude::*;
 
     /// The server's `Upsert`; false when `id` is absent.

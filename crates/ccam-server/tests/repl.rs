@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ccam_core::epoch::EpochCell;
-use ccam_core::testing;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::Network;
@@ -34,7 +33,7 @@ fn test_network() -> Network {
 
 /// Layout-independent digest of every record reachable in a view.
 fn digest<S: PageStore>(am: &Ccam<S>) -> u64 {
-    testing::digest(am.file()).expect("scan view")
+    ccam_testing::digest(am.file()).expect("scan view")
 }
 
 /// A WAL-backed primary loaded with the test network, with replication

@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ccam_core::epoch::EpochCell;
-use ccam_core::testing;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::{Network, NodeData, NodeId};
@@ -595,7 +594,7 @@ fn find(client: &mut Client, id: NodeId) -> NodeData {
 
 /// `Upsert` over the wire against the model: after every step the
 /// published view holds the network with that one payload replaced (the
-/// `ccam_core::testing` check — what `Delete()` then `Insert()` would
+/// `ccam_testing` check — what `Delete()` then `Insert()` would
 /// leave, up to list order), each upsert is one epoch, one log
 /// `fdatasync` and — while the record still fits its page — one page
 /// image on that page; an unknown id is `NotFound` and leaves no trace.
@@ -640,7 +639,7 @@ fn upsert_rewrites_one_record_and_matches_delete_then_insert() {
 
         assert_eq!(find(&mut client, id).payload, payload, "step {step}");
         model.node_mut(id).unwrap().payload = payload;
-        let served = testing::check(handle.db().read().unwrap().file(), &model);
+        let served = ccam_testing::check(handle.db().read().unwrap().file(), &model);
         assert_eq!(served, Ok(()), "step {step}: upsert of {id:?}");
     }
 

@@ -23,11 +23,11 @@ use ccam_storage::{
     StorageError, StorageResult, SweepRng, TornWrite, WalStore,
 };
 
-use crate::am::common::write_back;
-use crate::am::{AccessMethod, Ccam, CcamBuilder, GridAm, TopoAm};
-use crate::check::Issue;
-use crate::epoch::{EpochCell, Snapshot, Snapshotable};
-use crate::file::NetworkFile;
+use ccam_core::am::common::write_back;
+use ccam_core::am::{AccessMethod, Ccam, CcamBuilder, GridAm, TopoAm};
+use ccam_core::check::Issue;
+use ccam_core::epoch::{EpochCell, Snapshot, Snapshotable};
+use ccam_core::file::NetworkFile;
 
 /// One step of a history. A step with nothing to act on does nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +146,7 @@ pub enum Violation {
     Records(Vec<(NodeId, Option<NodeData>, Option<NodeData>)>),
     /// `file().len()` (second) is not the model's node count (first).
     Len(usize, usize),
-    /// [`crate::check::verify`] found issues.
+    /// [`ccam_core::check::verify`] found issues.
     Audit(Vec<Issue>),
     /// CRR or WCRR outside `[0, 1]`.
     Ratio(&'static str, f64),
@@ -220,11 +220,11 @@ fn check_lists<S: PageStore>(
     if file.len() != model.len() {
         return Err(Violation::Len(model.len(), file.len()));
     }
-    let audit = crate::check::verify(file).map_err(op_error)?;
+    let audit = ccam_core::check::verify(file).map_err(op_error)?;
     if !audit.is_clean() {
         return Err(Violation::Audit(audit.issues));
     }
-    let wcrr = crate::crr::wcrr_with(file, |u, v| (u.0 ^ v.0) % 4).map_err(op_error)?;
+    let wcrr = ccam_core::crr::wcrr_with(file, |u, v| (u.0 ^ v.0) % 4).map_err(op_error)?;
     for (what, ratio) in [("CRR", audit.crr), ("WCRR", wcrr)] {
         if !(0.0..=1.0).contains(&ratio) {
             return Err(Violation::Ratio(what, ratio));

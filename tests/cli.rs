@@ -8,12 +8,12 @@ use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use ccam::core::testing::TempDir;
 use ccam::graph::generators::zorder_id;
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{load_network, save_network, Network, NodeData, NodeId};
 use ccam::server::client::Client;
 use ccam::server::protocol::{Request, Response};
+use ccam_testing::TempDir;
 
 fn ccam(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccam"))

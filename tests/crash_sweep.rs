@@ -1,6 +1,6 @@
 //! Deterministic crash-sweep harness (see also `tests/recovery.rs`).
 //!
-//! Every round is a `ccam::core::testing` history over a copy of one
+//! Every round is a `ccam_testing` history over a copy of one
 //! golden database: a crash (or `ENOSPC`) step at the store's k-th
 //! mutation, then a seeded delete/reinsert churn under **each of the
 //! four reorganization policies**. The strided tests sweep a subset of
@@ -25,10 +25,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 use ccam::core::am::{AccessMethod, CcamBuilder};
-use ccam::core::testing::{
-    self, assert_history, create_durable, open_durable, Driver, Durable, History, Outcome, Step,
-    TempDir, Violation,
-};
 use ccam::core::{check, ReorgPolicy};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, NodeId};
@@ -36,6 +32,10 @@ use ccam::storage::recovery::live_snapshot;
 use ccam::storage::{
     FaultStore, FilePageStore, MemPageStore, PageId, PageStore, StorageError, SweepRng, TornWrite,
     Wal, WalControl, WalStore,
+};
+use ccam_testing::{
+    self, assert_history, create_durable, open_durable, Driver, Durable, History, Outcome, Step,
+    TempDir, Violation,
 };
 
 const BLOCK: usize = 512;
@@ -307,7 +307,7 @@ fn truncating_before_the_data_sync_loses_a_commit_and_the_ledger_shows_it() {
     let (am2, _, report) = open_durable(&golden.dir.path(""), &CcamBuilder::new(BLOCK), None);
     assert_eq!(report.replayed_batches, 0, "the log was cut");
     assert!(check::verify(am2.file()).unwrap().is_clean());
-    let violation = testing::check(am2.file(), &committed).unwrap_err();
+    let violation = ccam_testing::check(am2.file(), &committed).unwrap_err();
     assert!(
         matches!(&violation, Violation::Records(diffs)
             if diffs.iter().any(|(id, model, file)| *id == unsynced && model.is_none() && file.is_some())),

@@ -6,9 +6,9 @@ use std::collections::HashMap;
 
 use ccam::core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam::core::reorg::ReorgPolicy;
-use ccam::core::testing::{assert_history, check, Driver, History, Step};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, RecordCodec};
+use ccam_testing::{assert_history, check, Driver, History, Step};
 
 fn test_network(seed: u64) -> Network {
     road_map(&RoadMapConfig {

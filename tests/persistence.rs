@@ -7,11 +7,11 @@ use std::collections::HashMap;
 use ccam::core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
 use ccam::core::query::route::evaluate_route;
 use ccam::core::query::search::a_star;
-use ccam::core::testing::{self, Driver, Step, TempDir};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{Network, RecordCodec};
 use ccam::storage::{FilePageStore, WalStore};
+use ccam_testing::{Driver, Step, TempDir};
 
 fn net() -> Network {
     road_map(&RoadMapConfig {
@@ -62,7 +62,7 @@ fn each_codec_reopens_over_its_log_and_checks_clean() {
         let am = CcamBuilder::new(1024).codec(opener).open_on(store).unwrap();
         assert_eq!(am.file().codec(), codec);
         // Records, index agreement and a clean audit.
-        let held = testing::check(am.file(), &model);
+        let held = ccam_testing::check(am.file(), &model);
         assert_eq!(held, Ok(()), "{codec:?}");
         drop(am);
     }
@@ -85,7 +85,7 @@ fn a_paper_file_opens_as_paper() {
         .unwrap();
     assert_eq!(am.file().codec(), RecordCodec::Paper);
     assert_eq!(am.file().num_pages(), built.file().num_pages());
-    testing::check(am.file(), &net).unwrap();
+    ccam_testing::check(am.file(), &net).unwrap();
 }
 
 /// `save_to` copies page images, format bit included: a compact
@@ -109,7 +109,7 @@ fn a_saved_compact_comparator_reopens_as_compact() {
         .open_on(FilePageStore::open(&path).unwrap())
         .unwrap();
     assert_eq!(am.file().codec(), RecordCodec::Compact);
-    testing::check(am.file(), &net).unwrap();
+    ccam_testing::check(am.file(), &net).unwrap();
 }
 
 #[test]
@@ -119,14 +119,14 @@ fn build_directly_on_a_page_file() {
     {
         let store = FilePageStore::create(&path, 1024).unwrap();
         let am = CcamBuilder::new(1024).build_static_on(store, &net).unwrap();
-        testing::check(am.file(), &net).unwrap();
+        ccam_testing::check(am.file(), &net).unwrap();
         am.file().pool().flush_all().unwrap();
     }
     // Reopen cold: the index rebuilds from the data pages alone.
     {
         let store = FilePageStore::open(&path).unwrap();
         let am = CcamBuilder::new(1024).open_on(store).unwrap();
-        testing::check(am.file(), &net).unwrap();
+        ccam_testing::check(am.file(), &net).unwrap();
         // CRR survives the round trip (placement is byte-identical).
         assert!(am.crr().unwrap() > 0.4);
     }
@@ -176,7 +176,7 @@ fn updates_on_disk_survive_reopen() {
         // The victim back, the gone node gone, every cross-reference
         // consistent on the reopened file.
         assert!(model.node(net.node_ids()[3]).is_none());
-        testing::check(am.file(), &model).unwrap();
+        ccam_testing::check(am.file(), &model).unwrap();
     }
 }
 
@@ -237,7 +237,7 @@ fn dirty_evictions_write_back_under_tiny_pool() {
     let store = FilePageStore::open(&path).unwrap();
     let am = CcamBuilder::new(512).open_on(store).unwrap();
     assert!(model.node(net.node_ids()[1]).is_none());
-    testing::check(am.file(), &model).unwrap();
+    ccam_testing::check(am.file(), &model).unwrap();
 }
 
 #[test]

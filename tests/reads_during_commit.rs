@@ -19,7 +19,7 @@
 //!    same over a WAL-backed store with injected ENOSPC aborts.
 //!
 //!    In both, every pinned snapshot holds exactly the network the
-//!    writer committed at its epoch (the `ccam::core::testing` check:
+//!    writer committed at its epoch (the `ccam_testing` check:
 //!    all sentinels of one generation, never a blend, never an aborted
 //!    transaction), stays so while held, epochs only move forward, and
 //!    the last read sees the last commit.
@@ -35,11 +35,11 @@ use std::sync::{Arc, Mutex};
 use ccam::core::am::{AccessMethod, Ccam, CcamBuilder};
 use ccam::core::epoch::EpochCell;
 use ccam::core::query::route::evaluate_route;
-use ccam::core::testing::{self, check, TempDir};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{Network, NodeId};
 use ccam::storage::{FaultController, FaultStore, MemPageStore, PageStore, WalStore};
+use ccam_testing::{check, TempDir};
 
 fn test_network(seed: u64) -> Network {
     road_map(&RoadMapConfig {
@@ -99,7 +99,7 @@ fn race<S: PageStore + Send + 'static>(
             let mut node = deleted.data;
             node.payload = stamp(generation);
             w.insert_node(&node, &deleted.incoming)?;
-            testing::reinsert(model, &node);
+            ccam_testing::reinsert(model, &node);
         }
         Ok::<_, ccam::storage::StorageError>(())
     };

@@ -10,7 +10,7 @@
 //! the apply phase (after the batch is durable), and the inner sync —
 //! plus the no-crash tail.
 //!
-//! Each round is a `ccam::core::testing` history, so after every
+//! Each round is a `ccam_testing` history, so after every
 //! simulated crash the reopened file passes the full `check::verify`
 //! audit and holds, record for record, the last committed state or that
 //! state with the in-flight operation applied: no operation that
@@ -18,10 +18,10 @@
 //! other record changes.
 
 use ccam::core::am::{AccessMethod, CcamBuilder};
-use ccam::core::testing::{self, Driver, History, Outcome, Step, TempDir};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::Network;
 use ccam::storage::{FilePageStore, TornWrite, WalStore};
+use ccam_testing::{Driver, History, Outcome, Step, TempDir};
 
 const BLOCK: usize = 512;
 
@@ -43,9 +43,9 @@ fn net() -> Network {
 /// batches so the history crosses checkpoints. The driver reopens
 /// (replays) it after the crash and at the end.
 fn crashes(history: &History) -> Outcome {
-    testing::assert_history("crashes(&history)", history, |seed| {
+    ccam_testing::assert_history("crashes(&history)", history, |seed| {
         let dir = TempDir::new("ccam-rec");
-        testing::create_durable(&dir, &CcamBuilder::new(BLOCK), BLOCK, &net());
+        ccam_testing::create_durable(&dir, &CcamBuilder::new(BLOCK), BLOCK, &net());
         Driver::durable(dir, CcamBuilder::new(BLOCK), net(), Some(seed), || {})
     })
 }
@@ -85,7 +85,7 @@ fn torn_log_tail_is_truncated_not_fatal() {
     let net = net();
     let dir = TempDir::new("ccam-rec");
     let (path, wal) = (dir.path("db"), dir.path("wal"));
-    testing::create_durable(&dir, &CcamBuilder::new(BLOCK), BLOCK, &net);
+    ccam_testing::create_durable(&dir, &CcamBuilder::new(BLOCK), BLOCK, &net);
 
     // Fake a torn append: a frame header promising more bytes than were
     // ever written, followed by garbage.
@@ -102,7 +102,7 @@ fn torn_log_tail_is_truncated_not_fatal() {
     assert_eq!(report.replayed_batches, 0);
 
     let am2 = CcamBuilder::new(BLOCK).open_on(ws).unwrap();
-    testing::check(am2.file(), &net).unwrap();
+    ccam_testing::check(am2.file(), &net).unwrap();
     drop(am2);
 
     // A second open finds a clean, already-truncated log.

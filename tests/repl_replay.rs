@@ -14,10 +14,10 @@
 //! logically equal).
 
 use ccam::core::am::{AccessMethod, Ccam, CcamBuilder};
-use ccam::core::testing::digest;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::Network;
 use ccam::storage::{MemPageStore, PageStore, ReplFeed, RetentionSlot, StampedRecord, WalStore};
+use ccam_testing::digest;
 
 type WalMem = WalStore<MemPageStore>;
 
