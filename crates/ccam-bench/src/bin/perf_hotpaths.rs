@@ -290,8 +290,8 @@ fn xorshift(s: &mut u64) -> u64 {
 /// Node count and µs per `EpochWriteGuard::commit` after a one-record
 /// upsert (the server's: delete and re-insert with a new payload) on a
 /// `side` x `side` grid, served as `ccam serve` serves it: a `WalStore`
-/// whose page versions the views pin, every operation its own
-/// transaction. Only
+/// whose mirror of its committed pages the views fork, every operation
+/// its own transaction. Only
 /// the commit is timed — the capture and publication of the view.
 fn bench_commit(block: usize, side: u32, upserts: u32) -> (usize, f64) {
     let net = grid_network(side, side, 1.0);

@@ -9,7 +9,7 @@
 //! The claim under test is the PR-8 tentpole: the read path must not
 //! stall (or tear) while the writer commits and reorganizes. The probe
 //! runs the same closed-loop read workload twice over one `EpochCell`
-//! whose views pin the write-ahead log's page versions:
+//! whose views fork the write-ahead log's mirror of its committed pages:
 //!
 //! 1. **Quiescent** — no writer at all.
 //! 2. **Churn** — a writer loops `reorganize_full()` + commit as fast
@@ -129,7 +129,7 @@ fn main() {
     let probes: Vec<NodeId> = (0..8).map(|k| ids[k * ids.len() / 8]).collect();
 
     // The serving deployment stack: WAL-backed, so each commit
-    // publishes the page versions it changed.
+    // applies the pages it changed to the log's mirror.
     let wal_path =
         std::env::temp_dir().join(format!("ccam-reorg-stall-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal_path);

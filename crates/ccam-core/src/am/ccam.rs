@@ -661,23 +661,22 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
         Ok(written)
     }
 
-    /// Commits, then has the store's log start keeping multi-version
-    /// committed page images (`WalStore::enable_snapshots`), which every
-    /// snapshot capture pins. Capture turns them on itself; calling this
-    /// first only moves the one-time seeding scan out of the first
-    /// commit. Fails with [`StorageError::NoLog`] over a store with no
-    /// write-ahead log.
+    /// Commits, then has the store's log seed the mirror of its
+    /// committed pages (`WalStore::snapshot`) that every snapshot capture
+    /// forks. Capture seeds it itself; calling this first only moves the
+    /// one-time seeding scan out of the first commit. Fails with
+    /// [`StorageError::NoLog`] over a store with no write-ahead log.
     pub fn enable_snapshots(&mut self) -> StorageResult<()> {
         self.file.commit()?;
-        self.page_versions().map(drop)
+        self.pin().map(drop)
     }
 
-    /// The log's committed page versions, turned on by the first call
-    /// (which must come at a commit boundary).
-    fn page_versions(&self) -> StorageResult<std::sync::Arc<ccam_storage::PageVersions>> {
+    /// Pins the log's committed generation; the first call (which must
+    /// come at a commit boundary) seeds the log's mirror.
+    fn pin(&self) -> StorageResult<ccam_storage::SnapshotStore> {
         self.file
             .pool()
-            .with_wal(|log| log.enable_snapshots())
+            .with_wal(|log| log.snapshot())
             .unwrap_or(Err(StorageError::NoLog))
     }
 }
@@ -686,21 +685,22 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
 /// over one pinned committed generation of the store's write-ahead log
 /// ([`ccam_storage::SnapshotStore`]). All [`AccessMethod`] read
 /// operations run unmodified against it. The view is built from the
-/// writer's state, not by scanning the generation: its index is a
-/// copy-on-write fork of the writer's and its quarantine set is the
-/// generation's own list of unreadable pages
-/// (`NetworkFile::snapshot_view`), so degraded reads keep working over
-/// snapshots and a capture costs what the commit changed. A store with
-/// no log cannot be captured ([`StorageError::NoLog`]).
+/// writer's state, not by scanning the generation: its data pages are a
+/// copy-on-write fork of the log's mirror, its index one of the
+/// writer's, and its quarantine set the generation's own list of
+/// unreadable pages (`NetworkFile::snapshot_view`), so degraded reads
+/// keep working over snapshots and a capture costs what the commit
+/// changed. A store with no log cannot be captured
+/// ([`StorageError::NoLog`]).
 impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
     type View = Ccam<ccam_storage::SnapshotStore>;
 
     fn capture(&self, prev: Option<&Self::View>) -> StorageResult<Self::View> {
-        // Flush + sync first: the commit point that publishes the batch
-        // as a new generation, and the batch boundary the first capture
-        // turns versioning on at.
+        // Flush + sync first: the commit point that applies the batch to
+        // the log's mirror, and the batch boundary the first capture
+        // seeds the mirror at.
         self.file.commit()?;
-        let store = ccam_storage::SnapshotStore::pin(&self.page_versions()?);
+        let store = self.pin()?;
         // The view that is being replaced was sized by whoever serves
         // it; its successor keeps that size.
         let frames = prev.map_or(crate::file::DEFAULT_BUFFER_FRAMES, |view| {

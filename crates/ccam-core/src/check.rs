@@ -135,28 +135,32 @@ impl Report {
     }
 }
 
-/// Audits the file (uncounted full scan).
+/// Audits the file: one uncounted scan of the data pages and one walk of
+/// the index.
 pub fn verify<S: PageStore>(file: &NetworkFile<S>) -> StorageResult<Report> {
+    let index_map = file.page_map()?;
+    let scan = file.scan_with_codecs_uncounted()?;
+    let pages = scan.iter().map(|(page, _, records)| (*page, &records[..]));
     let mut report = Report {
-        crr: crate::crr::crr(file)?,
+        crr: crate::crr::wcrr_of(&index_map, pages, |_, _| 1),
+        pages: scan.len(),
         ..Report::default()
     };
-    let index_map = file.page_map()?;
-    let scan = file.scan_uncounted()?;
-    report.pages = scan.len();
-    for (page, found) in file.codec_mismatches_uncounted()? {
-        report.issues.push(Issue::CodecMismatch {
-            page,
-            found,
-            file: file.codec(),
-        });
+    for &(page, found, _) in &scan {
+        if found != file.codec() {
+            report.issues.push(Issue::CodecMismatch {
+                page,
+                found,
+                file: file.codec(),
+            });
+        }
     }
 
     // Where each record actually lives, detecting duplicates.
     let mut actual: HashMap<NodeId, PageId> = HashMap::new();
     let mut edges: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     let mut preds: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for (page, records) in &scan {
+    for (page, _, records) in &scan {
         let mut used = 0usize;
         for rec in records {
             report.records += 1;
@@ -230,6 +234,26 @@ mod tests {
         assert_eq!(report.records, 64);
         assert!(report.pages > 0);
         assert!(report.crr > 0.0);
+    }
+
+    /// With no frame in the pool every page comes from the store: each
+    /// live page is read exactly once.
+    #[test]
+    fn reads_each_live_page_once() {
+        use ccam_storage::{FaultStore, MemPageStore};
+        use std::sync::atomic::Ordering;
+
+        let net = grid_network(12, 12, 1.0);
+        let (store, faults) = FaultStore::new(MemPageStore::new(512).unwrap());
+        let am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
+        am.file().pool().clear().unwrap();
+        let live = am.file().pool().with_store(|s| s.live_pages().len());
+        assert!(live > 10, "{live} pages");
+        let before = faults.reads.load(Ordering::Relaxed);
+        let report = verify(am.file()).unwrap();
+        assert!(report.is_clean(), "{:?}", report.issues);
+        assert_eq!(report.pages, live);
+        assert_eq!(faults.reads.load(Ordering::Relaxed) - before, live as u64);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use std::collections::HashMap;
 
-use ccam_graph::NodeId;
-use ccam_storage::{PageStore, StorageResult};
+use ccam_graph::{NodeData, NodeId};
+use ccam_storage::{PageId, PageStore, StorageResult};
 
 use crate::file::NetworkFile;
 
@@ -39,11 +39,24 @@ pub fn wcrr_with<S: PageStore>(
     file: &NetworkFile<S>,
     weight: impl Fn(NodeId, NodeId) -> u64,
 ) -> StorageResult<f64> {
-    let page_map = file.page_map()?;
+    let scan = file.scan_uncounted()?;
+    let pages = scan.iter().map(|(page, records)| (*page, &records[..]));
+    Ok(wcrr_of(&file.page_map()?, pages, weight))
+}
+
+/// WCRR under `weight` of a placement already read: `page_map` is the
+/// index (`NetworkFile::page_map`), `pages` every data page with its
+/// records (`NetworkFile::scan_uncounted`). Lets a caller that scanned
+/// the file anyway measure it without a second scan.
+pub fn wcrr_of<'a>(
+    page_map: &HashMap<NodeId, PageId>,
+    pages: impl IntoIterator<Item = (PageId, &'a [NodeData])>,
+    weight: impl Fn(NodeId, NodeId) -> u64,
+) -> f64 {
     let mut total = 0u64;
     let mut unsplit = 0u64;
-    for (page, records) in file.scan_uncounted()? {
-        for rec in &records {
+    for (page, records) in pages {
+        for rec in records {
             for e in &rec.successors {
                 let Some(&tp) = page_map.get(&e.to) else {
                     continue; // dangling edge (target not stored)
@@ -56,17 +69,17 @@ pub fn wcrr_with<S: PageStore>(
             }
         }
     }
-    Ok(if total == 0 {
+    if total == 0 {
         1.0
     } else {
         unsplit as f64 / total as f64
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccam_graph::{EdgeTo, NodeData};
+    use ccam_graph::EdgeTo;
 
     fn node(id: u64, succs: &[u64]) -> NodeData {
         NodeData {

@@ -198,15 +198,18 @@ impl<S: PageStore> NetworkFile<S> {
     }
 
     /// A read-only file over `store` — one committed generation of this
-    /// file's data pages, taken while no update is in flight — without
-    /// the scan [`NetworkFile::open`] pays: the view's secondary index is
-    /// a copy-on-write fork of this file's ([`BPlusTree::fork`]), its
+    /// file's data pages, taken while no update is in flight, itself a
+    /// copy-on-write fork of the log's mirror — without the scan
+    /// [`NetworkFile::open`] pays: the view's secondary index is a
+    /// copy-on-write fork of this file's ([`BPlusTree::fork`]), its
     /// quarantine set is the generation's own list of unreadable pages,
-    /// and its data pool starts empty with `frames` frames. Costs what
-    /// the index changed by since the previous fork, not what the file
-    /// holds. Index entries for ids on unreadable pages come along with
-    /// the rest, so a lookup routes to the quarantined page and takes the
-    /// degraded path instead of reporting a confident miss.
+    /// and its data pool starts empty with `frames` frames. Data pages
+    /// and index pages are shared and freed by the one rule, so a view
+    /// costs what the commit changed since the previous fork, not what
+    /// the file holds. Index entries for ids on unreadable pages come
+    /// along with the rest, so a lookup routes to the quarantined page
+    /// and takes the degraded path instead of reporting a confident
+    /// miss.
     pub(crate) fn snapshot_view(
         &self,
         store: SnapshotStore,
@@ -989,27 +992,24 @@ impl<S: PageStore> NetworkFile<S> {
     /// page that disagrees with the file (which `check` reports) still
     /// decodes.
     pub fn scan_uncounted(&self) -> StorageResult<Vec<(PageId, Vec<NodeData>)>> {
-        let mut out = Vec::new();
-        let mut buf = vec![0u8; self.page_size];
-        for page in self.pool.with_store(|s| s.live_pages()) {
-            self.pool.read_uncounted(page, &mut buf)?;
-            let codec = page_codec(SlottedView::attach(&buf));
-            out.push((page, records_on(codec, &buf)));
-        }
-        Ok(out)
+        let scan = self.scan_with_codecs_uncounted()?;
+        Ok(scan
+            .into_iter()
+            .map(|(page, _, records)| (page, records))
+            .collect())
     }
 
-    /// The live data pages whose header records a codec other than the
-    /// file's, with that codec (uncounted, like [`Self::scan_uncounted`]).
-    pub(crate) fn codec_mismatches_uncounted(&self) -> StorageResult<Vec<(PageId, RecordCodec)>> {
+    /// [`Self::scan_uncounted`], each page with the codec its header
+    /// records.
+    pub(crate) fn scan_with_codecs_uncounted(
+        &self,
+    ) -> StorageResult<Vec<(PageId, RecordCodec, Vec<NodeData>)>> {
         let mut out = Vec::new();
         let mut buf = vec![0u8; self.page_size];
         for page in self.pool.with_store(|s| s.live_pages()) {
             self.pool.read_uncounted(page, &mut buf)?;
             let codec = page_codec(SlottedView::attach(&buf));
-            if codec != self.codec {
-                out.push((page, codec));
-            }
+            out.push((page, codec, records_on(codec, &buf)));
         }
         Ok(out)
     }

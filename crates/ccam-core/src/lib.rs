@@ -23,9 +23,8 @@
 //! * [`mod@validate`] — a harness that replays a live workload and reports
 //!   predicted vs. observed page accesses per operation class,
 //! * [`query`] — aggregate queries: route evaluation, graph search (A*,
-//!   Dijkstra), graph traversal / reachability / transitive closure,
-//!   tour evaluation, route-unit aggregates, location-allocation and
-//!   spatial window queries,
+//!   Dijkstra), tour evaluation, route-unit aggregates,
+//!   location-allocation and spatial window queries,
 //! * [`epoch`] — the single-writer / multi-reader [`EpochCell`] the
 //!   serving layer uses for snapshot-consistent reads during commits.
 

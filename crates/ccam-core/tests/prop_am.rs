@@ -396,13 +396,11 @@ mod view_is_a_full_rebuild {
     use ccam_graph::{Network, NodeData, NodeId};
     use ccam_partition::Partitioner;
     use ccam_storage::{
-        MemPageStore, PageId, PageVersions, ReplFeed, SnapshotStore, StorageError, SweepRng,
-        WalStore,
+        MemPageStore, PageId, PageStore, ReplFeed, SnapshotStore, StorageError, SweepRng, WalStore,
     };
     use ccam_testing::{assert_history, check, Driver, History, Outcome, Step, TempDir};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-    use std::sync::Arc;
 
     type Store = WalStore<MemPageStore>;
     type Db = Ccam<Store>;
@@ -417,25 +415,33 @@ mod view_is_a_full_rebuild {
     }
 
     /// Serves `db` as `ccam serve` does: every operation its own
-    /// transaction, first view published (which turns page versioning
-    /// on).
-    fn serve(mut db: Db) -> (EpochCell<Db>, Arc<PageVersions>) {
+    /// transaction, first view published (which seeds the log's mirror).
+    fn serve(mut db: Db) -> EpochCell<Db> {
         db.file_mut().set_auto_commit(true);
-        let cell = EpochCell::new(db).unwrap();
-        let versions = cell.with_writer(|db| versions_of(db.file())).unwrap();
-        (cell, versions)
+        EpochCell::new(db).unwrap()
     }
 
-    /// The log's page versions that the views of `file` pin.
-    fn versions_of(file: &NetworkFile<Store>) -> Arc<PageVersions> {
+    /// A pin of the committed generation of `file`'s log: a fork of the
+    /// mirror the views of `file` fork.
+    fn pin_of(file: &NetworkFile<Store>) -> SnapshotStore {
         file.pool()
-            .with_wal(|log| log.enable_snapshots())
+            .with_wal(|log| log.snapshot())
             .expect("a WAL store has a log")
             .unwrap()
     }
 
-    /// Snapshots pin the log's page versions, so a store with no log
-    /// has nothing to publish: a typed error, no copy.
+    /// A pin of what `cell` last committed.
+    fn pin(cell: &EpochCell<Db>) -> SnapshotStore {
+        cell.with_writer(|db| pin_of(db.file())).unwrap()
+    }
+
+    /// The data pages of `view`: the pinned store it reads.
+    fn pages_of(view: &View) -> SnapshotStore {
+        view.file().pool().with_store(SnapshotStore::clone)
+    }
+
+    /// Snapshots fork the log's mirror, so a store with no log has
+    /// nothing to publish: a typed error, no copy.
     #[test]
     fn a_store_without_a_log_cannot_be_published() {
         let db = CcamBuilder::new(512)
@@ -447,9 +453,9 @@ mod view_is_a_full_rebuild {
         ));
     }
 
-    /// The first capture turns versioning on itself: publishing needs
-    /// no `enable_snapshots()` first, the first view already reads the
-    /// log's page versions, and later commits pin the same set.
+    /// The first capture seeds the log's mirror itself: publishing needs
+    /// no `enable_snapshots()` first, the first view already forks the
+    /// mirror, and later commits fork the same one.
     #[test]
     fn a_wal_store_publishes_without_enabling_snapshots_first() {
         let net = grid_network(4, 4, 1.0);
@@ -459,23 +465,27 @@ mod view_is_a_full_rebuild {
         let id = net.node_ids()[5];
         let first = cell.read().unwrap();
         let payload = first.find(id).unwrap().unwrap().payload;
-        let versions = cell.with_writer(|db| versions_of(db.file())).unwrap();
-        assert!(versions.reads() > 0, "the first view copied the file");
+        let shares_the_mirror = |view: &View| {
+            let pages = pages_of(view);
+            pages.pages_shared_with(&pin(&cell)) == pages.live_pages().len()
+        };
+        assert!(shares_the_mirror(&first), "the first view copied the file");
         let mut w = cell.write().unwrap();
         upsert(&mut w, id, vec![9; 3]);
         w.commit().unwrap();
-        let reads = versions.reads();
-        let now = cell.read().unwrap().find(id).unwrap().unwrap().payload;
-        assert_eq!(now, vec![9; 3]);
-        assert!(versions.reads() > reads, "the second view copied the file");
+        let second = cell.read().unwrap();
+        assert_eq!(second.find(id).unwrap().unwrap().payload, vec![9; 3]);
+        assert!(
+            shares_the_mirror(&second),
+            "the second view copied the file"
+        );
         assert_eq!(first.find(id).unwrap().unwrap().payload, payload);
     }
 
-    /// The oracle: `view` against `NetworkFile::open` of a second pin of
-    /// the generation it was captured from.
-    fn assert_full_rebuild(view: &View, versions: &Arc<PageVersions>, probe: &[NodeId]) {
-        let pin = SnapshotStore::pin(versions);
-        let generation = view.file().pool().with_store(SnapshotStore::generation);
+    /// The oracle: `view` against `NetworkFile::open` of `pin`, a second
+    /// pin of the generation it was captured from.
+    fn assert_full_rebuild(view: &View, pin: SnapshotStore, probe: &[NodeId]) {
+        let generation = pages_of(view).generation();
         assert_eq!(
             pin.generation(),
             generation,
@@ -521,8 +531,7 @@ mod view_is_a_full_rebuild {
                 .unwrap();
             db.file_mut().set_auto_commit(true);
             let driver = Driver::served(db, net).unwrap().with_files(dir);
-            let versions = driver.with_file(versions_of);
-            driver.on_view(move |view, ids| assert_full_rebuild(view, &versions, ids))
+            driver.on_view(|view, writer, ids| assert_full_rebuild(view, pin_of(writer), ids))
         })
     }
 
@@ -561,7 +570,7 @@ mod view_is_a_full_rebuild {
             let mut primary = Driver::new(primary, net).with_files(primary_dir);
             let (store, _follower_dir) = wal_store(512);
             let follower = CcamBuilder::new(512).build_empty_on(store).unwrap();
-            let (cell, versions) = serve(follower);
+            let cell = serve(follower);
 
             let mut tear = SweepRng::new(history.seed);
             let mut applied = 0u64;
@@ -585,7 +594,7 @@ mod view_is_a_full_rebuild {
                     let apply = w.apply_replicated(&records, applied).unwrap();
                     applied = apply.applied_lsn;
                     w.commit().unwrap();
-                    assert_full_rebuild(&cell.read().unwrap(), &versions, &primary.ids());
+                    assert_full_rebuild(&cell.read().unwrap(), pin(&cell), &primary.ids());
                 }
                 slot.advance(applied);
                 let view = cell.read().unwrap();
@@ -637,31 +646,52 @@ mod view_is_a_full_rebuild {
         db.insert_node(&data, &del.incoming).unwrap();
     }
 
+    /// Data pages of `after` it does not share with `before` (copied),
+    /// and those whose bytes differ from `before`'s or were not live
+    /// there (rewritten).
+    fn copied_and_rewritten(before: &View, after: &View) -> (usize, usize) {
+        let (was, is) = (pages_of(before), pages_of(after));
+        let live = is.live_pages();
+        let image = |store: &SnapshotStore, page| {
+            let mut buf = vec![0; store.page_size()];
+            store.read(page, &mut buf).ok().map(|()| buf)
+        };
+        let rewritten = live.iter().filter(|&&p| image(&was, p) != image(&is, p));
+        (live.len() - is.pages_shared_with(&was), rewritten.count())
+    }
+
     /// Publishing a one-record upsert on a 20 736-node file reads no
-    /// page of the generation it pins and copies a handful of index
-    /// pages, the rest being shared with the view it replaces — so does
+    /// page of the generation it pins: its view shares every data page
+    /// with the one it replaces but those the upsert rewrote, and copies
+    /// a handful of index pages, the rest being shared too — so does
     /// publishing the first view, which a scan used to build.
     #[test]
     fn a_commit_reads_no_data_page_and_copies_a_root_to_leaf_path() {
         let net = grid_network(144, 144, 1.0);
         let (db, _dir) = packed(&net, 1024);
-        let (cell, versions) = serve(db);
-        assert_eq!(
-            versions.reads(),
-            0,
-            "the first capture scanned the generation"
-        );
+        let cell = serve(db);
 
         let before = cell.read().unwrap();
-        let pages = before.file().index_pages();
-        assert!(pages > 300, "{pages} index pages");
+        let pages = pages_of(&before).live_pages().len();
+        assert_eq!(
+            pages_of(&before).pages_shared_with(&pin(&cell)),
+            pages,
+            "the first capture copied a data page"
+        );
+        let index_pages = before.file().index_pages();
+        assert!(index_pages > 300, "{index_pages} index pages");
         let id = net.node_ids()[net.len() / 2];
         let mut w = cell.write().unwrap();
         upsert(&mut w, id, vec![7; 40]);
         w.commit().unwrap();
-        assert_eq!(versions.reads(), 0, "the capture scanned the generation");
 
         let after = cell.read().unwrap();
+        let (copied, rewritten) = copied_and_rewritten(&before, &after);
+        assert!(
+            (1..=8).contains(&rewritten),
+            "{rewritten} of {pages} data pages rewritten"
+        );
+        assert_eq!(copied, rewritten, "data pages copied");
         // Reorganization around the upsert moves a few records; each
         // changed entry rewrites at most a root-to-leaf path of the
         // three-level tree, the upserted id's delete and insert two more.
@@ -673,17 +703,17 @@ mod view_is_a_full_rebuild {
             after.file().index_pages() - after.file().index_pages_shared_with(before.file());
         assert!(
             (1..=3 * (moved + 2)).contains(&copied),
-            "{copied} of {pages} index pages copied for {moved} moved records"
+            "{copied} of {index_pages} index pages copied for {moved} moved records"
         );
         assert_eq!(after.find(id).unwrap().unwrap().payload, vec![7; 40]);
         assert_ne!(before.find(id).unwrap().unwrap().payload, vec![7; 40]);
 
-        // A commit of nothing shares every index page.
+        // A commit of nothing shares every page.
         cell.write().unwrap().commit().unwrap();
         let idle = cell.read().unwrap();
         let shared = idle.file().index_pages_shared_with(after.file());
         assert_eq!(shared, idle.file().index_pages());
-        assert_eq!(versions.reads(), 2, "two finds, two page images");
+        assert_eq!(copied_and_rewritten(&after, &idle), (0, 0));
         drop((before, after, idle, cell));
     }
 
@@ -696,7 +726,7 @@ mod view_is_a_full_rebuild {
         let net = grid_network(16, 16, 1.0);
         let (store, _dir) = wal_store(512);
         let db = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
-        let (cell, versions) = serve(db);
+        let cell = serve(db);
         let before = cell.read().unwrap();
         let mut w = cell.write().unwrap();
         let placed = w.file().page_map().unwrap();
@@ -714,7 +744,7 @@ mod view_is_a_full_rebuild {
             after.file().index_pages_shared_with(before.file()),
             after.file().index_pages()
         );
-        let scanned = NetworkFile::open(SnapshotStore::pin(&versions)).unwrap();
+        let scanned = NetworkFile::open(pin(&cell)).unwrap();
         assert_eq!(scanned.page_map().unwrap(), placed);
         drop((before, after, cell));
     }
@@ -725,7 +755,7 @@ mod view_is_a_full_rebuild {
     fn a_view_inherits_the_capacity_of_its_predecessor() {
         let net = grid_network(8, 8, 1.0);
         let (db, _dir) = packed(&net, 512);
-        let (cell, _versions) = serve(db);
+        let cell = serve(db);
         let capacity = |cell: &EpochCell<Db>| cell.read().unwrap().file().pool().capacity();
         assert_eq!(capacity(&cell), DEFAULT_BUFFER_FRAMES);
         cell.read().unwrap().file().pool().set_capacity(7).unwrap();

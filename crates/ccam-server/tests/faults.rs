@@ -297,11 +297,11 @@ fn poisoned_cell_fails_batches_until_recovered() {
 /// the quarantined page, `GetSuccessors` returns the partial result it
 /// could assemble, and healing the page restores exact answers.
 ///
-/// Served views read the log's page versions, which see rot only when
-/// they are first seeded: the page is corrupted before the first
-/// snapshot, whose tolerant scan pins it as unreadable. The heal is
-/// what production does: clear the fault, then rewrite a record on the
-/// page, which republishes it.
+/// Served views read forks of the log's mirror of its committed pages,
+/// which sees rot only when it is first seeded: the page is corrupted
+/// before the first snapshot, whose tolerant scan pins it as
+/// unreadable. The heal is what production does: clear the fault, then
+/// rewrite a record on the page, which republishes it.
 #[test]
 fn corrupted_pages_degrade_reads_and_heal() {
     let net = test_net();

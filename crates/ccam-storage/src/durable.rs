@@ -61,7 +61,7 @@ use parking_lot::Mutex;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::recovery::{live_snapshot, replay, RecoveryReport};
-use crate::snapshot::{PageChange, PageImage, PageVersions};
+use crate::snapshot::SnapshotStore;
 use crate::store::{PageStore, WalControl, WalInfo};
 use crate::wal::{LogRecord, StampedRecord, Wal};
 
@@ -217,11 +217,11 @@ pub struct WalStore<S: PageStore> {
     /// batches are already applied to the data file, so replay on reopen
     /// merely redoes them (redo is idempotent).
     max_wal_bytes: Option<u64>,
-    /// Multi-version committed page images, kept once
-    /// [`WalStore::enable_snapshots`] seeds the mirror. Each successful
-    /// `sync()` publishes the committed batch as one new generation;
-    /// pinned readers keep resolving the generation they pinned.
-    versions: Option<Arc<PageVersions>>,
+    /// The committed pages, kept once [`WalStore::snapshot`] seeds them.
+    /// Each successful `sync()` applies its batch as the next generation;
+    /// a pin is a copy-on-write fork, which keeps the generation it was
+    /// taken at.
+    mirror: Option<SnapshotStore>,
     /// Log-tail subscribers gating checkpoint truncation.
     retention: Arc<WalRetention>,
 }
@@ -255,70 +255,29 @@ impl<S: PageStore> WalStore<S> {
             logged: false,
             poisoned: false,
             max_wal_bytes: None,
-            versions: None,
+            mirror: None,
             retention: WalRetention::new(),
         }
     }
 
-    /// Turns on multi-version snapshot reads: seeds an in-memory mirror
-    /// of the committed page set with one tolerant scan (pages failing
-    /// their checksum become [`PageImage::Unreadable`] — snapshot reads
-    /// of them degrade exactly like device reads would), after which
-    /// every committed batch is published as a new generation readers
-    /// can pin ([`crate::SnapshotStore::pin`]). Idempotent: later calls
-    /// return the same set.
+    /// Pins the committed generation for a snapshot reader: a read-only
+    /// copy-on-write fork of the mirror of the committed pages, which
+    /// costs one reference count per 64 pages. The first call seeds the
+    /// mirror with one tolerant scan (a page failing its checksum stays
+    /// live, and snapshot reads of it fail as device reads would); from
+    /// then on every commit applies its batch to the mirror.
     ///
     /// The first call must come at a commit boundary: it fails with
     /// [`StorageError::Poisoned`] while a batch is pending, logged or
     /// the wrapper is poisoned.
-    pub fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>> {
-        if let Some(v) = &self.versions {
-            return Ok(Arc::clone(v));
-        }
-        if self.pending_ops() != 0 || self.logged || self.poisoned {
-            return Err(StorageError::Poisoned);
-        }
-        let mut images = Vec::new();
-        let mut buf = vec![0u8; self.inner.page_size()];
-        for page in self.inner.live_pages() {
-            match self.inner.read(page, &mut buf) {
-                Ok(()) => images.push((page.0, PageImage::Bytes(buf.clone().into_boxed_slice()))),
-                Err(StorageError::ChecksumMismatch { .. }) => {
-                    images.push((page.0, PageImage::Unreadable));
-                }
-                Err(e) => return Err(e),
+    pub fn snapshot(&mut self) -> StorageResult<SnapshotStore> {
+        if self.mirror.is_none() {
+            if self.pending_ops() != 0 || self.logged || self.poisoned {
+                return Err(StorageError::Poisoned);
             }
+            self.mirror = Some(SnapshotStore::seed(&self.inner)?);
         }
-        let versions = PageVersions::from_images(self.inner.page_size(), images);
-        self.versions = Some(Arc::clone(&versions));
-        Ok(versions)
-    }
-
-    /// Publishes the just-applied batch as the next committed
-    /// generation. Called from `sync()` while the pending sets still
-    /// describe the batch.
-    fn publish_versions(&self) {
-        let Some(versions) = &self.versions else {
-            return;
-        };
-        let mut changes = Vec::with_capacity(self.pending_ops());
-        for &p in &self.pending_allocs {
-            // Allocated but never written this batch: the page is live
-            // and zero-filled in the inner store.
-            if !self.pending_writes.contains_key(&p.0) && !self.pending_frees.contains(&p.0) {
-                changes.push((
-                    p.0,
-                    PageChange::Written(vec![0u8; self.inner.page_size()].into_boxed_slice()),
-                ));
-            }
-        }
-        for (&id, data) in &self.pending_writes {
-            changes.push((id, PageChange::Written(data.clone())));
-        }
-        for &id in &self.pending_frees {
-            changes.push((id, PageChange::Freed));
-        }
-        versions.publish(changes);
+        Ok(self.mirror.clone().expect("seeded"))
     }
 
     /// Read-only view of the wrapped store.
@@ -377,8 +336,7 @@ impl<S: PageStore> WalStore<S> {
     /// The LSN floor below which the log must not be truncated: the
     /// smallest position a subscriber has acknowledged, `None` without
     /// subscribers. Nothing else reads the log on anyone's behalf — a
-    /// pinned snapshot generation has its page images in
-    /// [`PageVersions`].
+    /// pinned snapshot generation holds its own page images.
     fn truncation_floor(&self) -> Option<u64> {
         self.retention.min_lsn()
     }
@@ -640,9 +598,13 @@ impl<S: PageStore> PageStore for WalStore<S> {
         }
         match self.apply_logged() {
             Ok(()) => {
-                // The batch is committed and applied: publish it to
-                // snapshot readers before forgetting what it contained.
-                self.publish_versions();
+                // The batch is committed and applied: bring the mirror
+                // up to date before forgetting what it contained.
+                if let Some(mirror) = &mut self.mirror {
+                    let writes = self.pending_writes.iter().map(|(&p, d)| (p, &d[..]));
+                    let frees = self.pending_frees.iter().copied();
+                    mirror.publish(&self.pending_allocs, writes, frees);
+                }
                 self.pending_writes.clear();
                 self.pending_allocs.clear();
                 self.pending_frees.clear();
@@ -724,8 +686,8 @@ impl<S: PageStore> WalControl for WalStore<S> {
         }
     }
 
-    fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>> {
-        WalStore::enable_snapshots(self)
+    fn snapshot(&mut self) -> StorageResult<SnapshotStore> {
+        WalStore::snapshot(self)
     }
 
     fn wal_retention(&self) -> Arc<WalRetention> {
@@ -786,27 +748,24 @@ mod tests {
 
     #[test]
     fn snapshots_pin_committed_generations_across_commits() {
-        use crate::snapshot::SnapshotStore;
-
         let wal_path = temp_path("snapshots.wal");
         let mut s = WalStore::create(MemPageStore::new(64).unwrap(), &wal_path).unwrap();
         let p = s.allocate().unwrap();
         s.write(p, &[1u8; 64]).unwrap();
         s.sync().unwrap();
 
-        let versions = s.enable_snapshots().unwrap();
-        let gen0 = SnapshotStore::pin(&versions);
+        let gen0 = s.snapshot().unwrap();
 
         // A pending (uncommitted) overlay is invisible to snapshots and
         // to a pin taken right now.
         s.write(p, &[2u8; 64]).unwrap();
         let q = s.allocate().unwrap();
         s.write(q, &[3u8; 64]).unwrap();
-        let still_gen0 = SnapshotStore::pin(&versions);
+        let still_gen0 = s.snapshot().unwrap();
         assert_eq!(still_gen0.generation(), gen0.generation());
 
         s.sync().unwrap();
-        let gen1 = SnapshotStore::pin(&versions);
+        let gen1 = s.snapshot().unwrap();
         assert_eq!(gen1.generation(), gen0.generation() + 1);
 
         let mut buf = [0u8; 64];
@@ -825,18 +784,20 @@ mod tests {
         s.write(p, &[9u8; 64]).unwrap();
         s.rollback().unwrap();
         s.sync().unwrap();
-        assert_eq!(versions.committed_gen(), gen1.generation());
+        assert_eq!(s.snapshot().unwrap().generation(), gen1.generation());
 
         // Frees publish: a new pin no longer sees q, the old pin does.
         s.free(q).unwrap();
         s.sync().unwrap();
-        let gen2 = SnapshotStore::pin(&versions);
+        let gen2 = s.snapshot().unwrap();
         assert!(!gen2.is_live(q));
         gen1.read(q, &mut buf).unwrap();
         assert_eq!(buf, [3u8; 64]);
 
+        // The images the commits superseded go with the last pin.
+        let superseded = [gen0.image(p).unwrap(), gen1.image(q).unwrap()].map(Arc::downgrade);
         drop((gen0, still_gen0, gen1, gen2));
-        assert_eq!(versions.retained_versions(), 0);
+        assert!(superseded.iter().all(|image| image.upgrade().is_none()));
         std::fs::remove_file(&wal_path).ok();
     }
 
@@ -1133,20 +1094,18 @@ mod tests {
 
     #[test]
     fn a_pinned_generation_stays_byte_identical_across_a_truncation() {
-        use crate::snapshot::SnapshotStore;
-
         let wal_path = temp_path("pin-truncation.wal");
         let mut s = WalStore::create(MemPageStore::new(64).unwrap(), &wal_path).unwrap();
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         s.sync().unwrap();
-        let versions = s.enable_snapshots().unwrap();
+        s.snapshot().unwrap();
         s.write(a, &[2u8; 64]).unwrap();
         s.sync().unwrap();
-        let pin = SnapshotStore::pin(&versions);
+        let pin = s.snapshot().unwrap();
 
         // Commit past the pinned generation, then cut the log under it:
-        // the pin reads its images from `PageVersions`, not the log.
+        // the pin reads its own page images, not the log.
         s.write(a, &[3u8; 64]).unwrap();
         s.sync().unwrap();
         assert_eq!(s.info().retained_lsn, s.info().next_lsn - 1);

@@ -59,8 +59,8 @@ pub enum StorageError {
     /// committed generation and never accept writes.
     ReadOnlySnapshot,
     /// A snapshot was asked of a store stack with no write-ahead log.
-    /// Snapshots pin the log's committed page versions
-    /// (`WalStore::enable_snapshots`); without a log there are none.
+    /// Snapshots fork the log's mirror of its committed pages
+    /// (`WalStore::snapshot`); without a log there is none.
     NoLog,
 }
 

@@ -5,7 +5,8 @@
 //! * [`MemPageStore`] — pages live in a `Vec`; used by every experiment
 //!   (the paper measures page-access *counts*, so a RAM-resident store with
 //!   counted accesses reproduces its metric exactly while keeping the
-//!   benchmark sweeps fast),
+//!   benchmark sweeps fast; its copy-on-write clone also backs the
+//!   in-memory index and the log's snapshot mirror),
 //! * [`FilePageStore`] — pages live in a real file with positioned reads
 //!   and writes; demonstrates that the formats are genuinely persistent and
 //!   is exercised by tests and the quickstart example.
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use crate::durable::{ReplFeed, ReplImageState, WalRetention};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{validate_page_size, PageId};
-use crate::snapshot::PageVersions;
+use crate::snapshot::SnapshotStore;
 
 /// Write-ahead-log counters, reported by [`WalControl::info`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,10 +132,11 @@ pub trait WalControl {
     /// The log's counters.
     fn info(&self) -> WalInfo;
 
-    /// The multi-version committed page images readers pin for
-    /// stall-free snapshot reads. The first call starts keeping them and
-    /// must come at a commit boundary; later calls return the same set.
-    fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>>;
+    /// Pins the committed generation: a read-only fork of the log's
+    /// mirror of its committed pages, which reads that generation
+    /// whatever is committed afterwards. The first call seeds the mirror
+    /// with one scan and must come at a commit boundary.
+    fn snapshot(&mut self) -> StorageResult<SnapshotStore>;
 
     /// The registry of log-tail subscribers gating checkpoint
     /// truncation (see [`WalRetention`]).
@@ -234,6 +236,25 @@ impl MemPageStore {
             chunks: Vec::new(),
             free: Vec::new(),
         })
+    }
+
+    /// A store whose page table is `slots`, in page-id order: one pass,
+    /// the empty slots becoming the freelist.
+    pub(crate) fn from_slots(page_size: usize, slots: Vec<Slot>) -> StorageResult<Self> {
+        let mut store = MemPageStore::new(page_size)?;
+        for (id, slot) in slots.into_iter().enumerate() {
+            if slot.is_none() {
+                store.free.push(id as u32);
+            }
+            store.push(slot);
+        }
+        Ok(store)
+    }
+
+    /// The image of page `id`, `None` when it is not live.
+    #[cfg(test)]
+    pub(crate) fn image(&self, id: PageId) -> Option<&Arc<[u8]>> {
+        self.slot(id)?.as_ref()
     }
 
     fn zeroed(&self) -> Slot {
@@ -1021,7 +1042,7 @@ mod tests {
         }
         let path = temp_path(tag);
         let mut inner = WalStore::create(MemPageStore::new(64).unwrap(), &path).unwrap();
-        let versions = inner.enable_snapshots().unwrap();
+        let pinned = inner.snapshot().unwrap();
         let retention = inner.wal_retention();
         let mut s = wrap(inner);
 
@@ -1082,11 +1103,10 @@ mod tests {
         assert_eq!(cut.live_bytes, truncated.live_bytes, "{tag}: cap not set");
         assert_eq!(cut.checkpoints, truncated.checkpoints + 1);
 
-        // Snapshot readers pin the inner store's own page versions.
-        assert!(Arc::ptr_eq(
-            &log(&mut s).enable_snapshots().unwrap(),
-            &versions
-        ));
+        // Snapshot readers pin the inner store's own committed pages.
+        let now = log(&mut s).snapshot().unwrap();
+        assert_eq!(now.generation(), pinned.generation() + 3, "{tag}");
+        assert_eq!(now.pages_shared_with(&log(&mut s).snapshot().unwrap()), 1);
         std::fs::remove_file(&path).ok();
     }
 

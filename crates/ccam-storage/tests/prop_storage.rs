@@ -4,9 +4,11 @@
 //! the buffer pool is checked to be transparent (reads through the pool
 //! always observe the latest writes, for any capacity); WAL recovery is
 //! checked to preserve every committed page and to be idempotent under
-//! repeated replay (a crash *during* recovery is itself recoverable).
+//! repeated replay (a crash *during* recovery is itself recoverable);
+//! every snapshot pin of a logged store is checked to read its own
+//! generation, whatever is committed or rolled back after it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ccam_storage::{BufferPool, MemPageStore, PageId, SlottedPage, StorageError};
 use proptest::prelude::*;
@@ -94,6 +96,29 @@ fn wal_op() -> impl Strategy<Value = WalOp> {
         4 => (any::<usize>(), any::<u8>()).prop_map(|(i, v)| WalOp::Write(i, v)),
         2 => any::<usize>().prop_map(WalOp::Free),
         3 => Just(WalOp::Sync),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum SnapOp {
+    Alloc,
+    Write(usize, u8),
+    Free(usize),
+    Commit,
+    Rollback,
+    Pin,
+    Unpin(usize),
+}
+
+fn snap_op() -> impl Strategy<Value = SnapOp> {
+    prop_oneof![
+        2 => Just(SnapOp::Alloc),
+        4 => (any::<usize>(), any::<u8>()).prop_map(|(i, v)| SnapOp::Write(i, v)),
+        2 => any::<usize>().prop_map(SnapOp::Free),
+        3 => Just(SnapOp::Commit),
+        1 => Just(SnapOp::Rollback),
+        2 => Just(SnapOp::Pin),
+        1 => any::<usize>().prop_map(SnapOp::Unpin),
     ]
 }
 
@@ -468,5 +493,94 @@ proptest! {
             }
             prop_assert_eq!(store.live_pages().len(), live.len());
         }
+    }
+
+    /// Pins of a logged store read their own generation: after commits,
+    /// rollbacks, frees and re-allocations of the same ids, every held
+    /// pin has exactly the live pages and the bytes committed at the
+    /// generation it names (each page filled with one byte; a map per
+    /// generation is the model).
+    #[test]
+    fn snapshot_pins_read_their_own_generation(
+        seeded in prop::collection::vec(any::<u8>(), 0..6),
+        ops in prop::collection::vec(snap_op(), 1..80),
+    ) {
+        use ccam_storage::{PageStore, SnapshotStore, WalStore};
+        const PAGE: usize = 64;
+        let path = unique_wal_path();
+        let mut s = WalStore::create(MemPageStore::new(PAGE).unwrap(), &path).unwrap();
+        // What the store holds now, and at the last commit.
+        let mut working: BTreeMap<PageId, u8> = BTreeMap::new();
+        for &fill in &seeded {
+            let page = s.allocate().unwrap();
+            s.write(page, &[fill; PAGE]).unwrap();
+            working.insert(page, fill);
+        }
+        s.sync().unwrap();
+        let mut committed = working.clone();
+        let mut generations = BTreeMap::from([(0u64, committed.clone())]);
+        let mut pins: Vec<SnapshotStore> = vec![s.snapshot().unwrap()];
+        let mut batch = false;
+        let nth = |map: &BTreeMap<PageId, u8>, i: usize| map.keys().nth(i % map.len().max(1)).copied();
+        for op in ops {
+            match op {
+                SnapOp::Alloc => {
+                    working.insert(s.allocate().unwrap(), 0);
+                    batch = true;
+                }
+                SnapOp::Write(i, fill) => if let Some(page) = nth(&working, i) {
+                    s.write(page, &[fill; PAGE]).unwrap();
+                    working.insert(page, fill);
+                    batch = true;
+                },
+                SnapOp::Free(i) => if let Some(page) = nth(&working, i) {
+                    s.free(page).unwrap();
+                    working.remove(&page);
+                    batch = true;
+                },
+                SnapOp::Commit => {
+                    s.sync().unwrap();
+                    if std::mem::take(&mut batch) {
+                        let next = generations.len() as u64;
+                        generations.insert(next, working.clone());
+                    }
+                    committed = working.clone();
+                }
+                SnapOp::Rollback => {
+                    s.rollback().unwrap();
+                    working = committed.clone();
+                    batch = false;
+                }
+                SnapOp::Pin => {
+                    let pin = s.snapshot().unwrap();
+                    prop_assert_eq!(pin.generation() as usize, generations.len() - 1);
+                    pins.push(pin);
+                }
+                SnapOp::Unpin(i) => if !pins.is_empty() {
+                    pins.remove(i % pins.len());
+                },
+            }
+            let ids = s.num_pages() + 1;
+            for pin in &pins {
+                let model = &generations[&pin.generation()];
+                prop_assert_eq!(pin.live_pages(), model.keys().copied().collect::<Vec<_>>());
+                let mut buf = [0u8; PAGE];
+                for page in (0..ids).map(PageId) {
+                    match model.get(&page) {
+                        Some(&fill) => {
+                            pin.read(page, &mut buf).unwrap();
+                            prop_assert_eq!(buf, [fill; PAGE]);
+                        }
+                        None => prop_assert!(matches!(
+                            pin.read(page, &mut buf),
+                            Err(StorageError::InvalidPage(_))
+                        )),
+                    }
+                    prop_assert_eq!(pin.is_live(page), model.contains_key(&page));
+                }
+            }
+        }
+        drop(s);
+        std::fs::remove_file(&path).ok();
     }
 }

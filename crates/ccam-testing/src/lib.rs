@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use ccam_graph::{Network, NodeData, NodeId};
 use ccam_storage::{
-    FaultController, FaultStore, FilePageStore, PageStore, RecoveryReport, SnapshotStore,
+    FaultController, FaultStore, FilePageStore, PageId, PageStore, RecoveryReport, SnapshotStore,
     StorageError, StorageResult, SweepRng, TornWrite, WalStore,
 };
 
@@ -157,6 +157,11 @@ pub enum Violation {
     /// A published or pinned view differs from the state committed at
     /// its epoch.
     Snapshot(u64, Box<Violation>),
+    /// After a crash or a failed step whose batch never reached the log,
+    /// the file holds live pages (second) other than the last commit's
+    /// (first): a page the step allocated outlived its rollback, or a
+    /// committed one went.
+    LivePages(Vec<PageId>, Vec<PageId>),
     /// An operation answered unlike the model, or failed unprovoked.
     Op(String),
 }
@@ -224,7 +229,9 @@ fn check_lists<S: PageStore>(
     if !audit.is_clean() {
         return Err(Violation::Audit(audit.issues));
     }
-    let wcrr = ccam_core::crr::wcrr_with(file, |u, v| (u.0 ^ v.0) % 4).map_err(op_error)?;
+    let pages = scan.iter().map(|(page, records)| (*page, &records[..]));
+    let page_map = file.page_map().map_err(op_error)?;
+    let wcrr = ccam_core::crr::wcrr_of(&page_map, pages, |u, v| (u.0 ^ v.0) % 4);
     for (what, ratio) in [("CRR", audit.crr), ("WCRR", wcrr)] {
         if !(0.0..=1.0).contains(&ratio) {
             return Err(Violation::Ratio(what, ratio));
@@ -412,7 +419,7 @@ fn wrong<T>(what: String) -> Result<T, Failure> {
 
 type Reopen<S> = Box<dyn FnMut() -> (Ccam<S>, Arc<FaultController>)>;
 type View = Ccam<SnapshotStore>;
-type ViewHook = Box<dyn Fn(&View, &[NodeId])>;
+type ViewHook<S> = Box<dyn Fn(&View, &NetworkFile<S>, &[NodeId])>;
 
 /// Applies histories to one access method and its model, checking after
 /// every step.
@@ -420,12 +427,14 @@ pub struct Driver<S: PageStore> {
     db: Option<Db<S>>,
     model: State,
     committed: State,
+    /// The store's live pages at the last commit.
+    committed_pages: Vec<PageId>,
     /// Served: the network committed at every epoch published.
     epochs: BTreeMap<u64, Network>,
     pins: Vec<Snapshot<View>>,
     faults: Option<Arc<FaultController>>,
     reopen: Option<Reopen<S>>,
-    on_view: Option<ViewHook>,
+    on_view: Option<ViewHook<S>>,
     upsert_by_reinsert: bool,
     outcome: Outcome,
     /// A fault fired: the rest of the history does not run.
@@ -440,9 +449,10 @@ impl<S: PageStore + 'static> Driver<S> {
             net,
             ..State::default()
         };
-        Driver {
+        let mut driver = Driver {
             db: Some(db),
             committed: model.clone(),
+            committed_pages: Vec::new(),
             model,
             epochs,
             pins: Vec::new(),
@@ -453,7 +463,9 @@ impl<S: PageStore + 'static> Driver<S> {
             outcome: Outcome::default(),
             ended: false,
             files: None,
-        }
+        };
+        driver.committed_pages = driver.live_pages();
+        driver
     }
 
     /// Drives `am`, which holds `net`. Under auto-commit every step is a
@@ -476,8 +488,9 @@ impl<S: PageStore + 'static> Driver<S> {
         self
     }
 
-    /// Runs `hook` on every view published, with [`Driver::ids`].
-    pub fn on_view(mut self, hook: impl Fn(&View, &[NodeId]) + 'static) -> Self {
+    /// Runs `hook` on every view published, with the writer's data file
+    /// and [`Driver::ids`].
+    pub fn on_view(mut self, hook: impl Fn(&View, &NetworkFile<S>, &[NodeId]) + 'static) -> Self {
         self.on_view = Some(Box::new(hook));
         self
     }
@@ -555,6 +568,7 @@ impl<S: PageStore + 'static> Driver<S> {
         }
         let refused = || faults.as_ref().map_or(0, |f| f.injected_no_space());
         let before = refused();
+        let batches = self.batches_logged();
         let served = matches!(self.db, Some(Db::Served(_)));
         let auto = self.with_file(|file| file.auto_commit());
         // Whether the step ends in a commit when it succeeds.
@@ -580,6 +594,8 @@ impl<S: PageStore + 'static> Driver<S> {
         };
         let full = refused() > before;
         let dead = faults.as_ref().is_some_and(|f| f.is_dead());
+        // Whether the step's batch reached the log, so may have committed.
+        let logged = self.batches_logged() != batches;
         match result {
             Err(Failure::Wrong(v)) => Err(v),
             // The step returned before the power went: what it committed
@@ -589,16 +605,16 @@ impl<S: PageStore + 'static> Driver<S> {
                 if commits {
                     self.commit_point(epoch);
                 }
-                self.recover(None)
+                self.recover(None, false)
             }
             // The power went in flight: the step committed or it did not.
-            Err(Failure::Io(_)) if dead => self.recover(commits.then_some(next)),
+            Err(Failure::Io(_)) if dead => self.recover(commits.then_some(next), logged),
             Err(Failure::Io(_)) if full => {
                 self.outcome.no_space += 1;
                 self.ended = true;
                 // Space freed, the same handle goes on: it retries the
                 // step if it was rolled back, or else rewrites a record.
-                match self.settle(commits.then_some(next))? {
+                match self.settle(commits.then_some(next), logged)? {
                     true => self.step(step),
                     false => self.step(&Step::Grow(0, 1)),
                 }
@@ -615,9 +631,20 @@ impl<S: PageStore + 'static> Driver<S> {
         }
     }
 
+    /// Batches the writer's log has taken (`None` without a log).
+    fn batches_logged(&self) -> Option<u64> {
+        self.with_file(|file| file.pool().with_wal(|log| log.info().commits))
+    }
+
+    /// The writer's live data pages.
+    fn live_pages(&self) -> Vec<PageId> {
+        self.with_file(|file| file.pool().with_store(|s| s.live_pages()))
+    }
+
     /// The model is what the file now commits.
     fn commit_point(&mut self, epoch: Option<u64>) {
         self.committed = self.model.clone();
+        self.committed_pages = self.live_pages();
         if let Some(epoch) = epoch {
             self.epochs.insert(epoch, self.model.net.clone());
         }
@@ -643,7 +670,7 @@ impl<S: PageStore + 'static> Driver<S> {
             }
             self.check_view(&view)?;
             if let Some(hook) = &self.on_view {
-                hook(&view, &self.ids());
+                self.with_file(|file| hook(&view, file, &self.ids()));
             }
         }
         Ok(())
@@ -660,8 +687,10 @@ impl<S: PageStore + 'static> Driver<S> {
     /// After a failed step or a power cut: adopts the last committed
     /// state or, where the step may have committed, `next` (that state
     /// with the step applied), whichever the file holds; then drains the
-    /// device and commits. True when it rolled back.
-    fn settle(&mut self, next: Option<State>) -> Result<bool, Violation> {
+    /// device and commits. Unless the step's batch was `logged`, the file
+    /// must also hold the last commit's live pages: a page the step
+    /// allocated goes with its rollback. True when it rolled back.
+    fn settle(&mut self, next: Option<State>, logged: bool) -> Result<bool, Violation> {
         let rolled_back = self.with_file(|file| self.check(file, &self.committed.net));
         let rolled_back = match (rolled_back, next) {
             (Ok(()), _) => true,
@@ -678,16 +707,21 @@ impl<S: PageStore + 'static> Driver<S> {
         if rolled_back {
             self.model = self.committed.clone();
         }
+        let live = self.live_pages();
+        if !logged && live != self.committed_pages {
+            return Err(Violation::LivePages(self.committed_pages.clone(), live));
+        }
         if let Some(faults) = &self.faults {
             faults.drain();
         }
         self.with_file(|file| file.commit()).map_err(op_error)?;
+        self.committed_pages = self.live_pages();
         Ok(rolled_back)
     }
 
     /// After a power cut: reopens the files and settles on what they
     /// hold, which must be the last committed state or `next`.
-    fn recover(&mut self, next: Option<State>) -> Result<(), Violation> {
+    fn recover(&mut self, next: Option<State>, logged: bool) -> Result<(), Violation> {
         self.outcome.crashes += 1;
         self.ended = true;
         let Some(reopen) = self.reopen.as_mut() else {
@@ -699,7 +733,7 @@ impl<S: PageStore + 'static> Driver<S> {
         // Power is gone: nothing flushes, drops or rolls back.
         std::mem::forget(self.db.replace(Db::Plain(Box::new(am))));
         self.faults = Some(faults);
-        self.settle(next).map(drop)
+        self.settle(next, logged).map(drop)
     }
 
     /// Pins the published view and checks it; while more than two are

@@ -1,15 +1,13 @@
-//! City operations dashboard — spatial windows, service areas and
-//! traffic-adaptive reclustering on one CCAM database.
+//! City operations dashboard — spatial windows and traffic-adaptive
+//! reclustering on one CCAM database.
 //!
-//! Three operational questions a city traffic centre asks every day
+//! Two operational questions a city traffic centre asks every day
 //! (paper §1.1's application list), answered through the disk file with
 //! page I/O counted:
 //!
 //! 1. *What is inside this map window?* — spatial window query via the
 //!    Z-order secondary index (§2.1).
-//! 2. *What can an ambulance reach within 8 minutes?* — a travel-time
-//!    reachability ball (graph traversal, §1.2).
-//! 3. *Traffic changed — re-optimize storage.* — re-weight the edges
+//! 2. *Traffic changed — re-optimize storage.* — re-weight the edges
 //!    from the new route workload and recluster for WCRR.
 //!
 //! ```sh
@@ -19,7 +17,6 @@
 use ccam::core::am::{AccessMethod, CcamBuilder};
 use ccam::core::check::verify;
 use ccam::core::query::spatial::SpatialIndex;
-use ccam::core::query::traversal::{reachable_within, transitive_closure_from};
 use ccam::graph::roadmap::minneapolis_like;
 use ccam::graph::walks::{edge_weights_from_routes, random_walk_routes};
 
@@ -53,29 +50,7 @@ fn main() {
         / downtown.len().max(1) as f64;
     println!("  mean outgoing segments in window: {degree:.2}\n");
 
-    // 2. Service area of a central fire station.
-    let station = downtown[downtown.len() / 2].id;
-    am.file().pool().clear().unwrap();
-    let before = am.stats().snapshot();
-    let ball = reachable_within(&am, station, 120).unwrap();
-    let io = am.stats().snapshot().since(&before).physical_reads;
-    println!(
-        "service area of station {station}: {} intersections within 120 time units ({} page accesses)",
-        ball.len(),
-        io
-    );
-    let frontier = ball.iter().filter(|(_, d)| *d > 100).count();
-    println!("  {frontier} of them at the 100+ fringe\n");
-
-    // Reachability sanity: the whole city is reachable from the station.
-    let closure = transitive_closure_from(&am, station).unwrap();
-    println!(
-        "full forward closure from the station covers {} / {} intersections\n",
-        closure.len(),
-        net.len()
-    );
-
-    // 3. New traffic pattern arrives: re-weight and recluster.
+    // 2. New traffic pattern arrives: re-weight and recluster.
     let new_routes = random_walk_routes(&net, 150, 25, 9001);
     let weights = edge_weights_from_routes(&new_routes);
     let wcrr_before = am.wcrr(&weights).unwrap();

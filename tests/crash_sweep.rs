@@ -12,9 +12,15 @@
 //! (`truncating_before_the_data_sync_…` does it by hand and watches the
 //! model check fail).
 //!
+//! `enospc_between_steps_…` fills the disk at every step boundary of a
+//! history whose steps allocate more than one page each now and then,
+//! so a refused allocation follows one its batch already made.
+//!
 //! The driver checks after every step, the crash and the refused write
 //! that the file holds the last committed state or that state with the
-//! in-flight step applied, audits clean and keeps CRR/WCRR in [0, 1].
+//! in-flight step applied, audits clean and keeps CRR/WCRR in [0, 1];
+//! where the step's batch never reached the log, the live pages must be
+//! the last commit's too.
 //! The first reopen of a crash round also checks that **recovery is
 //! idempotent**: two recoveries of copies of the crashed files, and a
 //! second of the same copy, give identical page bytes and indexes.
@@ -27,7 +33,7 @@ use std::sync::atomic::Ordering;
 use ccam::core::am::{AccessMethod, CcamBuilder};
 use ccam::core::{check, ReorgPolicy};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
-use ccam::graph::{Network, NodeId};
+use ccam::graph::{Network, NodeId, RecordCodec};
 use ccam::storage::recovery::live_snapshot;
 use ccam::storage::{
     FaultStore, FilePageStore, MemPageStore, PageId, PageStore, StorageError, SweepRng, TornWrite,
@@ -109,17 +115,26 @@ struct Golden {
     net: Network,
     /// The Rust expression that builds `net`, for a pasted history.
     source: String,
+    codec: RecordCodec,
     dir: TempDir,
 }
 
 impl Golden {
-    fn build(net: Network, source: &str) -> Golden {
+    /// `net` stored in `codec`, whose records a leaked zero-filled page
+    /// would decode as none in the paper's format, and as a page in the
+    /// wrong codec in the compact one.
+    fn build(net: Network, source: &str, codec: RecordCodec) -> Golden {
         let dir = TempDir::new("ccam-sweep");
-        create_durable(&dir, &CcamBuilder::new(BLOCK), BLOCK, &net);
+        create_durable(&dir, &CcamBuilder::new(BLOCK).codec(codec), BLOCK, &net);
         let (_, _, report) = open_durable(&dir.path(""), &CcamBuilder::new(BLOCK), None);
         assert!(report.was_clean(), "golden copy must open clean");
         let source = source.to_string();
-        Golden { net, source, dir }
+        Golden {
+            net,
+            source,
+            codec,
+            dir,
+        }
     }
 
     /// A driver over a round-private copy of the golden files. A crash
@@ -144,8 +159,8 @@ impl Golden {
     /// history's), or a disk-full round.
     fn run(&self, history: &History, policy: ReorgPolicy, crash: bool) -> Outcome {
         let call = format!(
-            "Golden::build({0}, \"{0}\").run(&history, ReorgPolicy::{policy:?}, {crash})",
-            self.source
+            "Golden::build({0}, \"{0}\", RecordCodec::{1:?}).run(&history, ReorgPolicy::{policy:?}, {crash})",
+            self.source, self.codec
         );
         assert_history(&call, history, |seed| {
             self.driver(policy, crash.then_some(seed))
@@ -179,6 +194,26 @@ fn enospc_round(golden: &Golden, policy: ReorgPolicy, k: u64, short_write: bool)
     golden.run(&history, policy, false).no_space > 0
 }
 
+/// Disk-full rounds at every step boundary of a history that grows
+/// records spread over the file by 63 bytes each, then reclusters the
+/// whole file: the device fills after one more mutation. Before a batch
+/// reaches the log only its allocations reach the store, so a step that
+/// allocates twice (a grown record that fits on no page, then a
+/// neighbour's; a reclustering that needs more pages) has its second
+/// allocation refused, and its rollback must give back the first — the
+/// driver checks that the live pages are the last commit's.
+fn enospc_rounds_between_steps(golden: &Golden, policy: ReorgPolicy) -> u64 {
+    let grows = (0..CHURN_OPS).map(|i| Step::Grow(7 * i, 63));
+    let history = History::new(sweep_seed(), grows.chain([Step::ReorganizeFull]).collect());
+    (0..history.steps.len())
+        .map(|at| {
+            let mut round = history.clone();
+            round.steps.insert(at, Step::NoSpace(1, at % 2 == 1));
+            golden.run(&round, policy, false).no_space
+        })
+        .sum()
+}
+
 /// Sweeps `k = 0, 1, 2, …` until a round outlives the workload, calling
 /// `round` for each. Returns the number of rounds that failed/crashed.
 fn sweep_every_k(mut round: impl FnMut(u64) -> bool, max_k: u64) -> u64 {
@@ -207,7 +242,7 @@ fn strided_ks() -> Vec<u64> {
 
 #[test]
 fn crash_sweep_strided_all_policies() {
-    let golden = Golden::build(net(), "net()");
+    let golden = Golden::build(net(), "net()", RecordCodec::Compact);
     let modes = [TornWrite::None, TornWrite::Partial, TornWrite::Zeroed];
     for (policy, pname) in POLICIES {
         let mut crashes = 0;
@@ -223,7 +258,7 @@ fn crash_sweep_strided_all_policies() {
 
 #[test]
 fn enospc_sweep_strided_all_policies() {
-    let golden = Golden::build(net(), "net()");
+    let golden = Golden::build(net(), "net()", RecordCodec::Compact);
     for (policy, pname) in POLICIES {
         let mut hits = 0;
         for (i, &k) in strided_ks().iter().enumerate() {
@@ -236,13 +271,24 @@ fn enospc_sweep_strided_all_policies() {
     }
 }
 
+/// On the paper codec, where only the driver's live-page check can see
+/// a pass-through allocation that outlived its rollback.
+#[test]
+fn enospc_between_steps_all_policies() {
+    let golden = Golden::build(net(), "net()", RecordCodec::Paper);
+    for (policy, pname) in POLICIES {
+        let hits = enospc_rounds_between_steps(&golden, policy);
+        assert!(hits >= 8, "{pname}: only {hits} rounds hit ENOSPC");
+    }
+}
+
 /// The exhaustive variant behind the CI `crash-sweep` job: every crash
 /// index, every torn-write mode, every policy. Run with
 /// `cargo test --release --test crash_sweep -- --ignored`.
 #[test]
 #[ignore = "exhaustive; run by the CI crash-sweep job"]
 fn exhaustive_crash_sweep_every_k() {
-    let golden = Golden::build(net(), "net()");
+    let golden = Golden::build(net(), "net()", RecordCodec::Compact);
     for (policy, pname) in POLICIES {
         for mode in [TornWrite::None, TornWrite::Partial, TornWrite::Zeroed] {
             let fired = sweep_every_k(|k| crash_round(&golden, policy, k, mode), 5_000);
@@ -254,7 +300,7 @@ fn exhaustive_crash_sweep_every_k() {
 #[test]
 #[ignore = "exhaustive; run by the CI crash-sweep job"]
 fn exhaustive_enospc_sweep_every_k() {
-    let golden = Golden::build(net(), "net()");
+    let golden = Golden::build(net(), "net()", RecordCodec::Compact);
     for (policy, pname) in POLICIES {
         for short in [false, true] {
             let fired = sweep_every_k(|k| enospc_round(&golden, policy, k, short), 5_000);
@@ -272,7 +318,7 @@ fn exhaustive_enospc_sweep_every_k() {
 /// this ordering bug is invisible.)
 #[test]
 fn truncating_before_the_data_sync_loses_a_commit_and_the_ledger_shows_it() {
-    let golden = Golden::build(net(), "net()");
+    let golden = Golden::build(net(), "net()", RecordCodec::Compact);
     let wal = golden.dir.path("wal");
     let builder = CcamBuilder::new(BLOCK).policy(ReorgPolicy::FirstOrder);
     let (am, ctl, _) = open_durable(&golden.dir.path(""), &builder, Some(sweep_seed()));
@@ -381,7 +427,7 @@ mod prop_recovery {
         ) {
             let mode = [TornWrite::None, TornWrite::Partial, TornWrite::Zeroed][mode_ix];
             let source = format!("road_map(&RoadMapConfig::scaled(8, {seed}))");
-            let golden = Golden::build(road_map(&RoadMapConfig::scaled(8, seed)), &source);
+            let golden = Golden::build(road_map(&RoadMapConfig::scaled(8, seed)), &source, RecordCodec::Compact);
             golden.run(&churn(Step::Crash(k, mode), seed ^ k), POLICIES[policy_ix].0, true);
         }
     }
