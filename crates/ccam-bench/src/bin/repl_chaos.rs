@@ -48,6 +48,7 @@ use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, MultiClient};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{ReplRole, Server, ServerConfig, ServerHandle};
+use ccam_storage::sync::lock;
 use ccam_storage::{FilePageStore, Json, PageStore, WalControl, WalStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -127,14 +128,14 @@ impl Proxy {
                         break;
                     }
                     let Ok(inbound) = inbound else { continue };
-                    let target = upstream.lock().unwrap().clone();
+                    let target = lock(&upstream).clone();
                     let Ok(outbound) = TcpStream::connect(&target) else {
                         // Primary is down: drop the subscription attempt;
                         // the follower's backoff retries.
                         continue;
                     };
                     let kill = Arc::new(AtomicBool::new(false));
-                    conns.lock().unwrap().push(Arc::clone(&kill));
+                    lock(&conns).push(Arc::clone(&kill));
                     spawn_pump(
                         inbound.try_clone().unwrap(),
                         outbound.try_clone().unwrap(),
@@ -162,7 +163,7 @@ impl Proxy {
 
     /// Drop every live proxied connection mid-stream.
     fn cut(&self) {
-        for kill in self.conns.lock().unwrap().drain(..) {
+        for kill in lock(&self.conns).drain(..) {
             kill.store(true, Ordering::SeqCst);
         }
     }
@@ -230,8 +231,8 @@ struct Board {
 impl Board {
     fn endpoints(&self) -> Vec<String> {
         vec![
-            self.primary_client.lock().unwrap().clone(),
-            self.follower_client.lock().unwrap().clone(),
+            lock(&self.primary_client).clone(),
+            lock(&self.follower_client).clone(),
         ]
     }
 }
@@ -505,7 +506,7 @@ struct Harness<'a> {
 impl Harness<'_> {
     fn violation(&self, msg: String) {
         eprintln!("repl_chaos: SLO VIOLATION — {msg}");
-        self.violations.lock().unwrap().push(msg);
+        lock(&self.violations).push(msg);
     }
 
     /// Quiesce the writer, wait for full catch-up, then compare the
@@ -647,8 +648,8 @@ fn main() {
         let (p2, replayed) = start_primary(&p_db, &p_wal, None);
         recovery_replayed = replayed;
         primary = p2;
-        *upstream.lock().unwrap() = primary.repl_addr().unwrap().to_string();
-        *board.primary_client.lock().unwrap() = primary.local_addr().to_string();
+        *lock(&upstream) = primary.repl_addr().unwrap().to_string();
+        *lock(&board.primary_client) = primary.local_addr().to_string();
         board.generation.fetch_add(1, Ordering::Release);
         // Grace: let clients observe the new address before failures
         // start counting against the write budget.
@@ -702,7 +703,7 @@ fn main() {
             std::thread::sleep(Duration::from_millis(50));
         }
         follower = start_follower(&f_db, &f_wal, &f_lsn, &proxy.addr, cfg.seed + 1, true);
-        *board.follower_client.lock().unwrap() = follower.local_addr().to_string();
+        *lock(&board.follower_client) = follower.local_addr().to_string();
         board.generation.fetch_add(1, Ordering::Release);
         match await_catch_up(&primary, &follower, catchup_bound) {
             Some(ms) => stale_catchup_ms = ms,

@@ -13,8 +13,7 @@
 //! whole critical section — this module implements **(a): MVCC-lite
 //! pinned snapshots**. (Design (b), a reader/writer lock around the
 //! whole `Ccam`, shipped first and stalled every reader for the length
-//! of a reorganization; it also let a panicking writer bump the epoch
-//! and expose a torn state, since `parking_lot` locks do not poison.)
+//! of a reorganization.)
 //!
 //! * [`EpochCell::read`] returns a [`Snapshot`]: an `Arc` of the last
 //!   *published* read-only view. Taking it costs one `RwLock` read
@@ -31,16 +30,17 @@
 //!
 //! # Version lifecycle
 //!
-//! Capture pins a *generation* of the write-ahead log's multi-version
-//! page images (`ccam_storage::snapshot`; the first capture turns them
-//! on): the view reads those frozen images and the pin is released when
-//! the last `Snapshot` holding the view drops, letting superseded page
-//! images be collected. A store with no log has no generations, so
-//! [`EpochCell::new`] over it fails with `StorageError::NoLog`. The
-//! view's index is a copy-on-write fork of the writer's, so nothing is
-//! scanned to build it, and a published view is immutable: snapshots
-//! taken before a commit keep reading their own generation for as long
-//! as they live.
+//! Capture pins a *generation* of the committed pages: a clone of the
+//! write-ahead log's `MemPageStore` mirror of them
+//! (`ccam_storage::snapshot`; the first capture seeds it), which costs
+//! one reference per 64 pages and copies no page image. A later commit
+//! copies only the images it replaces while a pin still holds them, and
+//! a superseded image is freed when the last `Snapshot` holding it
+//! drops. A store with no log has no mirror, so [`EpochCell::new`] over
+//! it fails with `StorageError::NoLog`. The view's index is a
+//! copy-on-write fork of the writer's, so nothing is scanned to build
+//! it, and a published view is immutable: snapshots taken before a
+//! commit keep reading their own generation for as long as they live.
 //!
 //! # Commit / abort / panic state machine
 //!
@@ -55,23 +55,30 @@
 //! A dropped-without-commit guard is a benign abort: the access-method
 //! layer has already rolled the writer back to its committed state, the
 //! published view never changed, and the epoch does not move. A *panic*
-//! mid-transaction may leave the writer value torn, so it poisons the
-//! cell: `read()` and `write()` fail with `StorageError::Poisoned`
-//! (the server answers `Internal`) until [`EpochCell::recover`] restores
-//! the committed state via [`Snapshotable::restore_committed`] and
-//! republishes. Snapshots already taken stay valid through poisoning —
-//! they are immutable committed data.
+//! mid-transaction may leave the writer value torn. The cell's poison is
+//! its writer mutex's own: std poisons a `Mutex` whose guard drops while
+//! its thread unwinds, and every entry point reads that flag —
+//! `write()` and `with_writer()` after they acquire the lock, so a
+//! writer that was already queued when another panicked sees the poison
+//! instead of the torn value. `read()`, `write()` and `with_writer()`
+//! then fail with `StorageError::Poisoned` (the server answers
+//! `Internal`) until [`EpochCell::recover`] restores the committed state
+//! via [`Snapshotable::restore_committed`], republishes and clears the
+//! poison. Snapshots already taken stay valid through poisoning — they
+//! are immutable committed data. `write()` and `with_writer()` are the
+//! one place in the workspace that takes a lock without
+//! `ccam_storage::sync`, whose helpers recover a poisoned guard.
 //!
 //! The epoch counter is observability, not synchronization: a reader
 //! that records [`EpochCell::epoch`] before and after a batch can tell
 //! whether a commit intervened, and [`Snapshot::epoch`] names the
 //! committed generation a snapshot serves.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
+use ccam_storage::sync::{lock, read_lock, write_lock};
 use ccam_storage::{IoStats, StorageError, StorageResult};
-use parking_lot::{Mutex, MutexGuard, RwLock};
 
 /// A value that can publish immutable committed views of itself.
 ///
@@ -115,7 +122,6 @@ pub struct EpochCell<T: Snapshotable> {
     writer: Mutex<T>,
     published: RwLock<Published<T::View>>,
     epoch: AtomicU64,
-    poisoned: AtomicBool,
     io: Option<Arc<IoStats>>,
 }
 
@@ -129,7 +135,6 @@ impl<T: Snapshotable> EpochCell<T> {
             writer: Mutex::new(value),
             published: RwLock::new(Published { view, epoch: 0 }),
             epoch: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
             io,
         })
     }
@@ -142,10 +147,10 @@ impl<T: Snapshotable> EpochCell<T> {
     /// Fails with [`StorageError::Poisoned`] after a writer panicked
     /// mid-transaction (see [`EpochCell::recover`]).
     pub fn read(&self) -> StorageResult<Snapshot<T::View>> {
-        if self.poisoned.load(Ordering::Acquire) {
+        if self.is_poisoned() {
             return Err(StorageError::Poisoned);
         }
-        let p = self.published.read();
+        let p = read_lock(&self.published);
         Ok(Snapshot {
             view: Arc::clone(&p.view),
             epoch: p.epoch,
@@ -157,14 +162,14 @@ impl<T: Snapshotable> EpochCell<T> {
     /// [`EpochWriteGuard::commit`] to publish; dropping the guard
     /// without committing aborts (readers keep the previous view and
     /// the epoch does not move).
+    ///
+    /// Fails with [`StorageError::Poisoned`] after a writer panicked
+    /// mid-transaction, also when this call was already waiting for the
+    /// lock when that writer panicked.
     pub fn write(&self) -> StorageResult<EpochWriteGuard<'_, T>> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(StorageError::Poisoned);
-        }
         Ok(EpochWriteGuard {
-            guard: Some(self.writer.lock()),
+            guard: self.lock_writer()?,
             cell: self,
-            committed: false,
         })
     }
 
@@ -172,11 +177,11 @@ impl<T: Snapshotable> EpochCell<T> {
     /// ([`Snapshotable::restore_committed`]), captures and publishes a
     /// fresh view, and re-opens the cell. Returns the new epoch.
     pub fn recover(&self) -> StorageResult<u64> {
-        let mut writer = self.writer.lock();
+        let mut writer = lock(&self.writer);
         writer.restore_committed()?;
         let view = Arc::new(writer.capture(Some(&self.current()))?);
         let epoch = self.publish(view);
-        self.poisoned.store(false, Ordering::Release);
+        self.writer.clear_poison();
         Ok(epoch)
     }
 
@@ -186,18 +191,20 @@ impl<T: Snapshotable> EpochCell<T> {
     /// replication streamer uses this to collect committed log records
     /// between writer transactions; keep `f` short, since it excludes
     /// writers for its duration.
+    ///
+    /// Fails with [`StorageError::Poisoned`] like [`EpochCell::write`].
+    /// A panic inside `f` poisons the cell too: it unwinds through the
+    /// writer lock, and the cell cannot tell a panicking reader of the
+    /// value from a panicking writer.
     pub fn with_writer<R>(&self, f: impl FnOnce(&T) -> R) -> StorageResult<R> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(StorageError::Poisoned);
-        }
-        let w = self.writer.lock();
+        let w = self.lock_writer()?;
         Ok(f(&w))
     }
 
     /// True after a writer panicked mid-transaction and before
     /// [`EpochCell::recover`] succeeded.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.writer.is_poisoned()
     }
 
     /// The number of commits published so far. Two equal observations
@@ -214,18 +221,28 @@ impl<T: Snapshotable> EpochCell<T> {
 
     /// Consumes the cell, returning the inner (writer) value.
     pub fn into_inner(self) -> T {
-        self.writer.into_inner()
+        self.writer
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The writer lock, or [`StorageError::Poisoned`] if a holder
+    /// panicked — judged once the lock is held, so a caller that queued
+    /// behind the panicking writer never sees its torn value.
+    #[allow(clippy::disallowed_methods)] // the writer's poison is the cell's
+    fn lock_writer(&self) -> StorageResult<MutexGuard<'_, T>> {
+        self.writer.lock().map_err(|_| StorageError::Poisoned)
     }
 
     /// The published view. Only the holder of the writer lock replaces
     /// it, so to that holder it is also the view the next commit
     /// supersedes.
     fn current(&self) -> Arc<T::View> {
-        Arc::clone(&self.published.read().view)
+        Arc::clone(&read_lock(&self.published).view)
     }
 
     fn publish(&self, view: Arc<T::View>) -> u64 {
-        let mut p = self.published.write();
+        let mut p = write_lock(&self.published);
         let epoch = p.epoch + 1;
         *p = Published { view, epoch };
         // Inside the lock so `epoch()` can never run ahead of the view
@@ -268,11 +285,8 @@ impl<V> std::ops::Deref for Snapshot<V> {
 /// publishes only on explicit [`EpochWriteGuard::commit`]. Dropping it
 /// without committing aborts; unwinding through it poisons the cell.
 pub struct EpochWriteGuard<'a, T: Snapshotable> {
-    /// `Option` so `commit` can release the lock after publishing
-    /// without running the poison check in `Drop`.
-    guard: Option<MutexGuard<'a, T>>,
+    guard: MutexGuard<'a, T>,
     cell: &'a EpochCell<T>,
-    committed: bool,
 }
 
 impl<T: Snapshotable> EpochWriteGuard<'_, T> {
@@ -283,36 +297,23 @@ impl<T: Snapshotable> EpochWriteGuard<'_, T> {
     /// On capture failure the previous view stays published, the epoch
     /// does not move, and the cell is *not* poisoned (the writer state
     /// is still its committed self; the caller may retry).
-    pub fn commit(mut self) -> StorageResult<u64> {
+    pub fn commit(self) -> StorageResult<u64> {
         let prev = self.cell.current();
         let view = Arc::new(self.capture(Some(&prev))?);
-        let epoch = self.cell.publish(view);
-        self.committed = true;
-        Ok(epoch)
+        Ok(self.cell.publish(view))
     }
 }
 
 impl<T: Snapshotable> std::ops::Deref for EpochWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard live")
+        &self.guard
     }
 }
 
 impl<T: Snapshotable> std::ops::DerefMut for EpochWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard live")
-    }
-}
-
-impl<T: Snapshotable> Drop for EpochWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if !self.committed && std::thread::panicking() {
-            // The writer may be torn; fail readers fast rather than
-            // serving an ever-staler snapshot while maintenance is dead.
-            self.cell.poisoned.store(true, Ordering::Release);
-        }
-        self.guard = None;
+        &mut self.guard
     }
 }
 
@@ -436,6 +437,65 @@ mod tests {
         w.1 = 7;
         w.commit().unwrap();
         assert_eq!(cell.read().unwrap().0, 7);
+    }
+
+    /// Writer A takes the lock and tears the pair; `queued` starts once
+    /// A holds it and is left about 100 ms to block on the lock, then A
+    /// panics. Returns what `queued` returned. Whether `queued` reached
+    /// the lock in time decides only whether a check made before the
+    /// lock is caught out; a cell that judges poison after acquiring it
+    /// fails `queued` either way.
+    fn queued_behind_a_panic<R: Send>(
+        cell: &EpochCell<Pair>,
+        queued: impl FnOnce(&EpochCell<Pair>) -> R + Send,
+    ) -> R {
+        let (locked, is_locked) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let a = s.spawn(move || {
+                let mut g = cell.write().unwrap();
+                g.0 += 1; // torn: invariant broken…
+                locked.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                panic!("injected writer panic"); // …and never restored
+            });
+            is_locked.recv().unwrap();
+            let b = s.spawn(|| queued(cell));
+            assert!(a.join().is_err());
+            b.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn a_writer_queued_behind_a_panicking_writer_sees_the_poison() {
+        let cell = EpochCell::new(Pair(5, 5)).unwrap();
+        let queued = queued_behind_a_panic(&cell, |cell| cell.write().and_then(|w| w.commit()));
+        assert!(matches!(queued, Err(StorageError::Poisoned)));
+        assert_eq!(cell.epoch(), 0, "the torn pair was committed");
+        assert!(cell.is_poisoned());
+        cell.recover().unwrap();
+        let g = cell.read().unwrap();
+        assert_eq!(g.0, g.1, "recover must republish a consistent state");
+    }
+
+    #[test]
+    fn a_reader_of_the_writer_queued_behind_a_panic_sees_the_poison() {
+        let cell = EpochCell::new(Pair(5, 5)).unwrap();
+        let queued = queued_behind_a_panic(&cell, |cell| cell.with_writer(|p| (p.0, p.1)));
+        assert!(matches!(queued, Err(StorageError::Poisoned)));
+        assert_eq!(cell.epoch(), 0);
+        assert!(cell.is_poisoned());
+    }
+
+    #[test]
+    fn a_panic_inside_with_writer_poisons_the_cell() {
+        let cell = EpochCell::new(Pair(5, 5)).unwrap();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.with_writer(|_| panic!("injected panic under the writer lock"))
+        }));
+        assert!(r.is_err());
+        assert!(matches!(cell.read(), Err(StorageError::Poisoned)));
+        cell.recover().unwrap();
+        assert_eq!(cell.with_writer(|p| p.0).unwrap(), 5);
     }
 
     #[test]

@@ -48,6 +48,7 @@ use std::sync::{Arc, Mutex};
 use ccam_graph::record::{peek_id, RecordCodec, RecordRef};
 use ccam_graph::{EdgeTo, NodeData, NodeId};
 use ccam_index::BPlusTree;
+use ccam_storage::sync::lock;
 use ccam_storage::{
     BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, SlottedView, SnapshotStore,
     StorageError, StorageResult,
@@ -277,10 +278,7 @@ impl<S: PageStore> NetworkFile<S> {
             }
         };
         for &page in pages {
-            self.quarantined
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&page);
+            lock(&self.quarantined).remove(&page);
             match self.read_live_image(page, &mut buf) {
                 Ok(true) => {
                     let view = SlottedView::attach(&buf);
@@ -470,36 +468,22 @@ impl<S: PageStore> NetworkFile<S> {
     /// Marks `page` unreadable: degraded operations skip it and record
     /// placement avoids it until [`Self::clear_quarantined`].
     pub fn quarantine(&self, page: PageId) {
-        self.quarantined
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(page);
+        lock(&self.quarantined).insert(page);
     }
 
     /// True when `page` is quarantined.
     pub fn is_quarantined(&self, page: PageId) -> bool {
-        self.quarantined
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&page)
+        lock(&self.quarantined).contains(&page)
     }
 
     /// The quarantined pages, in order.
     pub fn quarantined_pages(&self) -> Vec<PageId> {
-        self.quarantined
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .copied()
-            .collect()
+        lock(&self.quarantined).iter().copied().collect()
     }
 
     /// Forgets every quarantine mark (after a successful scrub repair).
     pub fn clear_quarantined(&self) {
-        self.quarantined
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        lock(&self.quarantined).clear();
     }
 
     /// Reads `id` from `page` unless the page is quarantined; a checksum

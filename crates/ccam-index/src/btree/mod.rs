@@ -28,6 +28,7 @@ mod node;
 
 use std::sync::{Arc, Mutex};
 
+use ccam_storage::sync::lock;
 use ccam_storage::{BufferPool, IoStats, MemPageStore, PageId, PageStore, StorageResult};
 
 use node::{probe_node, read_node, write_node, Node, Probe};
@@ -85,7 +86,7 @@ impl BPlusTree<MemPageStore> {
     /// that holds it. The fork's pool starts empty with this pool's
     /// capacity.
     pub fn fork(&self) -> StorageResult<Self> {
-        let mut written = self.written.lock().unwrap_or_else(|e| e.into_inner());
+        let mut written = lock(&self.written);
         if written.len() < INDEX_POOL_FRAMES {
             self.pool.flush_pages(&written)?;
         } else {

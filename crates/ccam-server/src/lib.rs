@@ -102,7 +102,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -112,8 +112,8 @@ use ccam_core::query::route::evaluate_path_bounded;
 use ccam_core::query::route_unit_aggregate_bounded;
 use ccam_core::{AccessMethod, Ccam};
 use ccam_graph::NodeId;
+use ccam_storage::sync::{lock, wait};
 use ccam_storage::{MetricsRegistry, PageStore, SnapshotStore, StorageError};
-use parking_lot::{Condvar, Mutex};
 
 use protocol::{
     decode_request_batch, encode_response_batch, read_frame, write_frame, OpCode, Request,
@@ -274,8 +274,8 @@ struct Shared<S: PageStore + 'static> {
 /// never reaches this path and stays in `readers` for `shutdown` to
 /// join and report.
 fn remove_conn<S: PageStore + 'static>(shared: &Shared<S>, id: u64) {
-    shared.conns.lock().retain(|c| c.id != id);
-    let mut readers = shared.readers.lock();
+    lock(&shared.conns).retain(|c| c.id != id);
+    let mut readers = lock(&shared.readers);
     if let Some(i) = readers.iter().position(|(rid, _)| *rid == id) {
         readers.swap_remove(i);
     }
@@ -433,7 +433,7 @@ impl<S: PageStore + 'static> ServerHandle<S> {
     /// connections are forgotten as they drain, so on a quiesced server
     /// this is the number of clients still connected.
     pub fn active_connections(&self) -> usize {
-        self.shared.conns.lock().len()
+        lock(&self.shared.conns).len()
     }
 
     /// Metrics as JSON, with current I/O-counter gauges folded in —
@@ -452,7 +452,7 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         shared.shutting_down.store(true, Ordering::SeqCst);
         // Half-close every connection's read side: readers see EOF once
         // they have answered the batch they are running or waiting for.
-        for conn in shared.conns.lock().iter() {
+        for conn in lock(&shared.conns).iter() {
             let _ = conn.sock.shutdown(Shutdown::Read);
         }
         // The acceptor blocks in accept(); a throwaway connection to
@@ -467,11 +467,11 @@ impl<S: PageStore + 'static> ServerHandle<S> {
         // above. With the acceptor joined the conn set is final — close
         // any straggler so its reader sees EOF instead of blocking
         // forever (which would hang the joins below).
-        for conn in shared.conns.lock().iter() {
+        for conn in lock(&shared.conns).iter() {
             let _ = conn.sock.shutdown(Shutdown::Read);
         }
         // Readers joined => every accepted batch has been answered.
-        let readers = std::mem::take(&mut *shared.readers.lock());
+        let readers = std::mem::take(&mut *lock(&shared.readers));
         for (_, r) in readers {
             panicked |= r.join().is_err();
         }
@@ -482,7 +482,7 @@ impl<S: PageStore + 'static> ServerHandle<S> {
             if let Some(a) = l.acceptor.take() {
                 panicked |= a.join().is_err();
             }
-            let streamers = std::mem::take(&mut *l.streamers.lock());
+            let streamers = std::mem::take(&mut *lock(&l.streamers));
             for s in streamers {
                 panicked |= s.join().is_err();
             }
@@ -516,18 +516,18 @@ fn acceptor_loop<S: PageStore + 'static>(shared: &Arc<Shared<S>>, listener: &Tcp
         next_id += 1;
         let id = next_id;
         shared.metrics.inc_by("serve.connections", 1);
-        shared.conns.lock().push(Conn { id, sock });
+        lock(&shared.conns).push(Conn { id, sock });
         let reader_shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("ccam-reader".to_string())
             .spawn(move || reader_loop(&reader_shared, id, stream, wsock));
         match handle {
             Ok(h) => {
-                shared.readers.lock().push((id, h));
+                lock(&shared.readers).push((id, h));
                 // An instantly-exiting reader may have run its cleanup
                 // before the handle was registered above; if the conn is
                 // already gone from `conns`, sweep the handle now.
-                if !shared.conns.lock().iter().any(|c| c.id == id) {
+                if !lock(&shared.conns).iter().any(|c| c.id == id) {
                     remove_conn(shared, id);
                 }
             }
@@ -642,7 +642,7 @@ impl<'a, S: PageStore + 'static> Slot<'a, S> {
     /// already wait. The ticket makes the line FIFO: a batch takes a
     /// slot only when every batch accepted before it has taken one.
     fn acquire(shared: &'a Shared<S>) -> Option<Self> {
-        let mut s = shared.slot_state.lock();
+        let mut s = lock(&shared.slot_state);
         if s.next_ticket - s.now_serving >= shared.queue_depth as u64 {
             return None;
         }
@@ -653,7 +653,7 @@ impl<'a, S: PageStore + 'static> Slot<'a, S> {
         if !turn(&s) {
             shared.metrics.inc_by("serve.slot_waits", 1);
             while !turn(&s) {
-                shared.slot_cv.wait(&mut s);
+                s = wait(&shared.slot_cv, s);
             }
         }
         s.now_serving += 1;
@@ -670,7 +670,7 @@ impl<'a, S: PageStore + 'static> Slot<'a, S> {
 
 impl<S: PageStore + 'static> Drop for Slot<'_, S> {
     fn drop(&mut self) {
-        let mut s = self.shared.slot_state.lock();
+        let mut s = lock(&self.shared.slot_state);
         s.executing -= 1;
         let waiting = s.now_serving != s.next_ticket;
         drop(s);
@@ -943,7 +943,7 @@ fn execute_one<S: PageStore>(
                 // endpoints then).
                 m.inc_by("serve.not_primary", 1);
                 return Response::NotPrimary {
-                    primary: repl.primary.lock().clone(),
+                    primary: lock(&repl.primary).clone(),
                     op: OpCode::Upsert,
                 };
             }
@@ -971,7 +971,7 @@ fn fold_live_gauges<S: PageStore>(shared: &Shared<S>) {
     if let Some(io) = shared.db.io_stats() {
         fold_io_gauges(&shared.metrics, &io.snapshot(), shared.db.epoch());
     }
-    let peak = shared.slot_state.lock().peak;
+    let peak = lock(&shared.slot_state).peak;
     shared
         .metrics
         .set_gauge("serve.executing_peak", peak as f64);
@@ -1095,14 +1095,14 @@ mod tests {
         assert_eq!(panicking_call(&mut client), (PANIC_TAG, internal.clone()));
         assert_eq!(m.counter("serve.worker_panics"), 1);
         // The answer is written before the slot is dropped.
-        wait_until(|| shared.slot_state.lock().executing == 0);
+        wait_until(|| lock(&shared.slot_state).executing == 0);
         assert!(served(&mut client));
         assert_eq!(m.counter("serve.slot_waits"), 0);
 
         // Hold the only slot here (once the reader has freed it after
         // its answer), so the next frame must wait; free it once the
         // reader is waiting.
-        wait_until(|| shared.slot_state.lock().executing == 0);
+        wait_until(|| lock(&shared.slot_state).executing == 0);
         let held = Slot::acquire(shared).expect("nobody waits");
         let caller = std::thread::scope(|s| {
             let caller = s.spawn(|| panicking_call(&mut client));
@@ -1112,7 +1112,7 @@ mod tests {
         });
         assert_eq!(caller, (PANIC_TAG, internal));
         assert_eq!(m.counter("serve.worker_panics"), 2);
-        wait_until(|| shared.slot_state.lock().executing == 0);
+        wait_until(|| lock(&shared.slot_state).executing == 0);
         assert!(served(&mut client));
         assert_eq!(m.counter("serve.batches"), 4);
         assert_eq!(m.counter("serve.slot_waits"), 1);

@@ -59,16 +59,16 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ccam_core::epoch::Snapshotable;
+use ccam_storage::sync::lock;
 use ccam_storage::{
     LogRecord, MetricsRegistry, PageId, PageStore, ReplFeed, ReplImage, ReplImageState,
     StampedRecord, StorageError,
 };
-use parking_lot::Mutex;
 
 use ccam_core::AccessMethod;
 
@@ -327,9 +327,7 @@ pub(crate) fn fold_repl_gauges(m: &MetricsRegistry, repl: &ReplState) {
         "serve.repl_lag_lsn",
         next.saturating_sub(1).saturating_sub(applied) as f64,
     );
-    let lag_ms = repl
-        .last_contact
-        .lock()
+    let lag_ms = lock(&repl.last_contact)
         .map(|t| t.elapsed().as_secs_f64() * 1000.0)
         .unwrap_or(-1.0);
     m.set_gauge("serve.repl_lag_ms", lag_ms);
@@ -381,7 +379,7 @@ pub(crate) fn start_listener<S: PageStore + 'static>(
                         .name("ccam-repl-streamer".to_string())
                         .spawn(move || streamer_loop(&shared, stream, &client_addr));
                     if let Ok(h) = handle {
-                        streamers.lock().push(h);
+                        lock(&streamers).push(h);
                     }
                 }
             })?
@@ -717,7 +715,7 @@ fn follower_session<S: PageStore + 'static>(
         return Err(bad("incompatible primary"));
     }
     if !primary_client.is_empty() {
-        *repl.primary.lock() = primary_client;
+        *lock(&repl.primary) = primary_client;
     }
     repl.connected.store(true, Ordering::Release);
     m.set_gauge("serve.repl_connected", 1.0);
@@ -734,7 +732,7 @@ fn follower_session<S: PageStore + 'static>(
             // Timeouts count as death: heartbeats should have arrived.
             Err(e) => return Err(e),
         };
-        *repl.last_contact.lock() = Some(Instant::now());
+        *lock(&repl.last_contact) = Some(Instant::now());
         let mut c = Cur::new(&frame);
         match c.u8()? {
             FRAME_SEGMENT => {

@@ -65,15 +65,14 @@
 //! exactly when the hook is off (the default).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::error::{StorageError, StorageResult};
 use crate::metrics::PageAccessKind;
 use crate::page::PageId;
 use crate::stats::IoStats;
 use crate::store::{PageStore, WalControl};
+use crate::sync::{lock, read_lock, wait, write_lock};
 
 /// Slab slot of the LRU list's sentinel: `entries[0].next` is the MRU
 /// end, `entries[0].prev` the LRU end, and an empty list links it to
@@ -257,7 +256,7 @@ struct Pin<'a, S: PageStore> {
 
 impl<S: PageStore> Drop for Pin<'_, S> {
     fn drop(&mut self) {
-        let mut s = self.pool.state.lock();
+        let mut s = lock(&self.pool.state);
         // `free`/`discard_frames` may have dropped the frame (and the
         // slot may have been recycled) while the closure ran.
         let mine = |f: &Arc<Frame>| Arc::ptr_eq(f, &self.frame);
@@ -317,7 +316,7 @@ impl<S: PageStore> BufferPool<S> {
     /// Installs (or with `None` removes) the connectivity-aware prefetch
     /// hook. Off by default; see the module docs for the counting rules.
     pub fn set_prefetcher(&self, hook: Option<Prefetcher>) {
-        self.state.lock().prefetcher = hook;
+        lock(&self.state).prefetcher = hook;
     }
 
     /// Changes the frame budget, evicting (and writing back) surplus
@@ -326,28 +325,27 @@ impl<S: PageStore> BufferPool<S> {
     /// write-back mid-shrink leaves the old capacity in force.
     pub fn set_capacity(&self, capacity: usize) -> StorageResult<()> {
         assert!(capacity >= 1);
-        let mut s = self.state.lock();
-        self.evict_to(&mut s, capacity)?;
+        let (mut s, _) = self.evict_to(lock(&self.state), capacity)?;
         s.capacity = capacity;
         Ok(())
     }
 
     /// Current frame budget.
     pub fn capacity(&self) -> usize {
-        self.state.lock().capacity
+        lock(&self.state).capacity
     }
 
     /// Allocates a fresh page in the store (counted, but not faulted in:
     /// callers typically write it next, which is one access).
     pub fn allocate(&self) -> StorageResult<PageId> {
-        let id = self.state.lock().store.allocate()?;
+        let id = lock(&self.state).store.allocate()?;
         self.stats.record_alloc();
         Ok(id)
     }
 
     /// Frees `id`, dropping any buffered copy.
     pub fn free(&self, id: PageId) -> StorageResult<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         // Free in the store first: if it fails, the buffered copy (and
         // any dirty contents) must survive untouched.
         s.store.free(id)?;
@@ -361,21 +359,21 @@ impl<S: PageStore> BufferPool<S> {
     /// Runs `f` over the (read-only) contents of page `id`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
         let pin = self.acquire(id)?;
-        let buf = pin.frame.buf.read();
+        let buf = read_lock(&pin.frame.buf);
         Ok(f(&buf))
     }
 
     /// Runs `f` over the mutable contents of page `id`, marking it dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> StorageResult<R> {
         let pin = self.acquire(id)?;
-        let mut buf = pin.frame.buf.write();
+        let mut buf = write_lock(&pin.frame.buf);
         pin.frame.dirty.store(true, Ordering::Relaxed);
         Ok(f(&mut buf))
     }
 
     /// Pins page `id` at the MRU head, faulting it in on a miss.
     fn acquire(&self, id: PageId) -> StorageResult<Pin<'_, S>> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if let Some(pin) = self.pin_resident(&mut s, id) {
             return Ok(pin);
         }
@@ -386,7 +384,8 @@ impl<S: PageStore> BufferPool<S> {
         // is actually in hand).
         let mut data = self.read_page(&s, id)?;
         let room = s.capacity - 1;
-        if self.evict_to(&mut s, room)? {
+        let (mut s, waited) = self.evict_to(s, room)?;
+        if waited {
             // The wait released the state lock: a concurrent miss may
             // have installed this page (pin that frame — a second copy
             // would diverge and lose whichever writes back last), and
@@ -415,14 +414,14 @@ impl<S: PageStore> BufferPool<S> {
     /// of every other frame is untouched. Counts one buffer hit.
     pub fn with_mru_page<R>(&self, f: impl FnOnce(PageId, &[u8]) -> R) -> Option<R> {
         let pin = {
-            let mut s = self.state.lock();
+            let mut s = lock(&self.state);
             let slot = s.lru.entries[SENTINEL].next;
             if slot == SENTINEL {
                 return None;
             }
             self.pin_hit(&mut s, slot)
         };
-        let buf = pin.frame.buf.read();
+        let buf = read_lock(&pin.frame.buf);
         Some(f(pin.frame.id, &buf))
     }
 
@@ -471,7 +470,7 @@ impl<S: PageStore> BufferPool<S> {
     fn write_back(&self, store: &mut S, frame: &Frame) -> StorageResult<()> {
         // The read lock excludes `with_page_mut`, so the bytes written
         // and the cleared flag describe the same version of the page.
-        let buf = frame.buf.read();
+        let buf = read_lock(&frame.buf);
         if frame.dirty.load(Ordering::Relaxed) {
             store.write(frame.id, &buf)?;
             frame.dirty.store(false, Ordering::Relaxed);
@@ -485,15 +484,21 @@ impl<S: PageStore> BufferPool<S> {
     /// Evicts LRU-most unpinned frames (writing dirty ones back) until
     /// at most `target` remain. A failed write-back leaves the victim
     /// where it was and propagates — the pool never loses dirty bytes.
-    /// Waits on the condvar when every frame is pinned and returns
-    /// whether it did, i.e. whether the state lock was ever released and
-    /// the caller must revalidate what it observed before the call.
-    fn evict_to(&self, s: &mut MutexGuard<'_, State<S>>, target: usize) -> StorageResult<bool> {
+    /// Waits on the condvar when every frame is pinned, which consumes
+    /// and re-acquires the state guard, so the guard is handed back
+    /// together with whether it waited, i.e. whether the state lock was
+    /// ever released and the caller must revalidate what it observed
+    /// before the call.
+    fn evict_to<'a>(
+        &self,
+        mut s: MutexGuard<'a, State<S>>,
+        target: usize,
+    ) -> StorageResult<(MutexGuard<'a, State<S>>, bool)> {
         let mut waited = false;
         while s.lru.len > target {
             let Some(slot) = s.lru.pick_victim() else {
                 s.waiters += 1;
-                self.cv.wait(s);
+                s = wait(&self.cv, s);
                 s.waiters -= 1;
                 waited = true;
                 continue;
@@ -503,7 +508,7 @@ impl<S: PageStore> BufferPool<S> {
             s.remove(slot);
             self.stats.record_eviction();
         }
-        Ok(waited)
+        Ok((s, waited))
     }
 
     /// Best-effort prefetch after a miss on `id`: reads hook-suggested
@@ -534,7 +539,7 @@ impl<S: PageStore> BufferPool<S> {
     /// (uncounted; diagnostics and tests — the O(frames) walk is not on
     /// any operation's path).
     pub fn resident_pages(&self) -> Vec<PageId> {
-        self.state.lock().lru.frames().map(|f| f.id).collect()
+        lock(&self.state).lru.frames().map(|f| f.id).collect()
     }
 
     /// Writes back every dirty frame (frames stay resident and are
@@ -555,7 +560,7 @@ impl<S: PageStore> BufferPool<S> {
     /// Writes back every dirty frame (frames stay resident), then syncs
     /// the store — the commit point when the store is a `WalStore`.
     pub fn flush_all(&self) -> StorageResult<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         self.write_back_dirty(&mut s)?;
         s.store.sync()?;
         self.stats.record_sync();
@@ -567,7 +572,7 @@ impl<S: PageStore> BufferPool<S> {
     /// that knows which pages it wrote, at the cost of those pages and
     /// not of every resident frame.
     pub fn flush_pages(&self, pages: &[PageId]) -> StorageResult<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         for &id in pages {
             if let Some(slot) = s.slot_of(id) {
                 let frame = s.frame(slot);
@@ -581,9 +586,9 @@ impl<S: PageStore> BufferPool<S> {
     /// each measured operation so the operation starts cold, matching the
     /// paper's per-operation "average number of data page accesses".
     pub fn clear(&self) -> StorageResult<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         self.write_back_dirty(&mut s)?;
-        self.evict_to(&mut s, 0)?;
+        let (mut s, _) = self.evict_to(s, 0)?;
         s.store.sync()?;
         self.stats.record_sync();
         Ok(())
@@ -593,13 +598,13 @@ impl<S: PageStore> BufferPool<S> {
     /// enumeration for CRR scans). `f` runs under the pool's state lock
     /// and must not call back into the pool.
     pub fn with_store<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.state.lock().store)
+        f(&lock(&self.state).store)
     }
 
     /// Mutable access to the underlying store. Same rule as
     /// [`Self::with_store`].
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.state.lock().store)
+        f(&mut lock(&self.state).store)
     }
 
     /// Runs `f` on the write-ahead log of the store stack
@@ -607,14 +612,14 @@ impl<S: PageStore> BufferPool<S> {
     /// replication paths drive it — or returns `None` when the stack
     /// has no log. Same rule as [`Self::with_store`].
     pub fn with_wal<R>(&self, f: impl FnOnce(&mut dyn WalControl) -> R) -> Option<R> {
-        self.state.lock().store.wal().map(f)
+        lock(&self.state).store.wal().map(f)
     }
 
     /// Drops every frame *without* writing dirty contents back — the
     /// abort path: uncommitted mutations live only in dirty frames, so
     /// this plus a store rollback restores the last committed state.
     pub fn discard_frames(&self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.table.clear();
         s.lru = LruList::new();
     }
@@ -627,13 +632,13 @@ impl<S: PageStore> BufferPool<S> {
     /// `flush_all`, which on a `WalStore` is a *commit point* and would
     /// commit a half-finished multi-page operation.
     pub fn read_uncounted(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         let Some(slot) = s.slot_of(id) else {
             return s.store.read(id, buf);
         };
         let frame = s.frame(slot);
         drop(s);
-        buf.copy_from_slice(&frame.buf.read());
+        buf.copy_from_slice(&read_lock(&frame.buf));
         Ok(())
     }
 
@@ -647,7 +652,7 @@ impl<S: PageStore> BufferPool<S> {
     /// slab accounting; returns a description of the first violation.
     /// A debugging and property-testing aid.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         let lru = &s.lru;
         let ensure = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
         // Walk the ring from the sentinel back to it.
@@ -695,7 +700,7 @@ impl<S: PageStore> BufferPool<S> {
 /// [`BufferPool::flush_all`] to observe them).
 impl<S: PageStore> Drop for BufferPool<S> {
     fn drop(&mut self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         let _ = self.write_back_dirty(&mut s);
         // A clean close leaves an empty log behind: the next open has
         // nothing to replay.

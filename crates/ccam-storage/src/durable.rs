@@ -54,15 +54,14 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::recovery::{live_snapshot, replay, RecoveryReport};
 use crate::snapshot::SnapshotStore;
 use crate::store::{PageStore, WalControl, WalInfo};
+use crate::sync::lock;
 use crate::wal::{LogRecord, StampedRecord, Wal};
 
 /// Live-log bytes past which a commit checkpoints, unless
@@ -100,7 +99,7 @@ impl WalRetention {
     /// `applied_lsn`. The returned slot pins the log from there until
     /// advanced or dropped.
     pub fn subscribe(self: &Arc<Self>, applied_lsn: u64) -> RetentionSlot {
-        let mut s = self.slots.lock();
+        let mut s = lock(&self.slots);
         let id = s.next_id;
         s.next_id += 1;
         s.applied.insert(id, applied_lsn);
@@ -113,12 +112,12 @@ impl WalRetention {
     /// Smallest applied LSN across live subscribers (`None` when there
     /// are none).
     pub fn min_lsn(&self) -> Option<u64> {
-        self.slots.lock().applied.values().copied().min()
+        lock(&self.slots).applied.values().copied().min()
     }
 
     /// Number of live subscriber slots.
     pub fn subscribers(&self) -> usize {
-        self.slots.lock().applied.len()
+        lock(&self.slots).applied.len()
     }
 }
 
@@ -133,7 +132,7 @@ impl RetentionSlot {
     /// Records that the subscriber has durably applied everything up to
     /// `applied_lsn` (monotonic: lower values are ignored).
     pub fn advance(&self, applied_lsn: u64) {
-        let mut s = self.retention.slots.lock();
+        let mut s = lock(&self.retention.slots);
         if let Some(v) = s.applied.get_mut(&self.id) {
             if applied_lsn > *v {
                 *v = applied_lsn;
@@ -144,7 +143,7 @@ impl RetentionSlot {
 
 impl Drop for RetentionSlot {
     fn drop(&mut self) {
-        self.retention.slots.lock().applied.remove(&self.id);
+        lock(&self.retention.slots).applied.remove(&self.id);
     }
 }
 

@@ -29,6 +29,8 @@
 //! * [`integrity`] — [`scrub`] verifies every page's
 //!   CRC32 (v2 page files), repairs damage from committed WAL images and
 //!   reports what must be quarantined,
+//! * [`sync`] — the poison-recovering `lock` / `read_lock` / `write_lock`
+//!   / `wait` every `std::sync` lock in the workspace is taken through,
 //! * [`testing`] — [`FaultStore`], the one fault injector every harness
 //!   stacks (operation counts, stalls, an error switch, page rot, seeded
 //!   glitches, `ENOSPC`, power cuts with torn writes — one
@@ -51,6 +53,7 @@ pub mod slotted;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
+pub mod sync;
 pub mod testing;
 pub mod wal;
 

@@ -25,11 +25,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::page::PageId;
 use crate::stats::IoSnapshot;
+use crate::sync::lock;
 
 // ---------------------------------------------------------------------------
 // Page events & operation profiles
@@ -213,8 +213,8 @@ pub struct MetricsRegistry {
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("counters", &*self.counters.lock())
-            .field("gauges", &*self.gauges.lock())
+            .field("counters", &*lock(&self.counters))
+            .field("gauges", &*lock(&self.gauges))
             .finish_non_exhaustive()
     }
 }
@@ -231,7 +231,7 @@ impl MetricsRegistry {
     /// this looks the name up by `&str` and allocates its key only on the
     /// first call: a served batch makes a couple of dozen such calls.
     pub fn inc_by(&self, name: &str, by: u64) {
-        let mut c = self.counters.lock();
+        let mut c = lock(&self.counters);
         match c.get_mut(name) {
             Some(v) => *v += by,
             None => {
@@ -247,12 +247,12 @@ impl MetricsRegistry {
 
     /// Current value of counter `name` (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
+        lock(&self.counters).get(name).copied().unwrap_or(0)
     }
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut g = self.gauges.lock();
+        let mut g = lock(&self.gauges);
         match g.get_mut(name) {
             Some(v) => *v = value,
             None => {
@@ -263,13 +263,13 @@ impl MetricsRegistry {
 
     /// Current value of gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.lock().get(name).copied()
+        lock(&self.gauges).get(name).copied()
     }
 
     /// Records `value` into histogram `name` (created with
     /// [`DEFAULT_BUCKETS`]).
     pub fn observe(&self, name: &str, value: u64) {
-        let mut h = self.histograms.lock();
+        let mut h = lock(&self.histograms);
         match h.get_mut(name) {
             Some(hist) => hist.observe(value),
             None => h.entry(name.to_string()).or_default().observe(value),
@@ -278,7 +278,7 @@ impl MetricsRegistry {
 
     /// A copy of histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.histograms.lock().get(name).cloned()
+        lock(&self.histograms).get(name).cloned()
     }
 
     /// Imports an [`IoSnapshot`] as `"<prefix>.<field>"` counters — the
@@ -322,9 +322,9 @@ impl MetricsRegistry {
         fn section<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
             Json::Object(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
         }
-        let counters = section(&self.counters.lock(), |&v| v.into());
-        let gauges = section(&self.gauges.lock(), |&v| v.into());
-        let histograms = section(&self.histograms.lock(), Histogram::to_json);
+        let counters = section(&lock(&self.counters), |&v| v.into());
+        let gauges = section(&lock(&self.gauges), |&v| v.into());
+        let histograms = section(&lock(&self.histograms), Histogram::to_json);
         let doc = Json::object()
             .field("counters", counters)
             .field("gauges", gauges)
@@ -526,9 +526,9 @@ mod tests {
         assert_eq!(r.histogram("serve.batches").map(|h| h.sum()), Some(3));
         assert_eq!(r.gauge("serve.batches"), Some(2.0));
         let sizes = (
-            r.counters.lock().len(),
-            r.gauges.lock().len(),
-            r.histograms.lock().len(),
+            lock(&r.counters).len(),
+            lock(&r.gauges).len(),
+            lock(&r.histograms).len(),
         );
         assert_eq!(sizes, (1, 1, 1));
     }

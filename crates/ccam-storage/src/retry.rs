@@ -30,14 +30,13 @@
 //! for all of them at once); with the seed unset the schedule stays
 //! exactly the deterministic doubled sequence the tests assert.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::stats::IoStats;
 use crate::store::{PageStore, WalControl};
+use crate::sync::lock;
 
 /// Retry budget and backoff schedule for a [`RetryStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +153,7 @@ impl<S: PageStore> RetryStore<S> {
         let Some(state) = &self.jitter else {
             return full;
         };
-        let mut s = state.lock();
+        let mut s = lock(state);
         let mut x = *s;
         x ^= x >> 12;
         x ^= x << 25;
@@ -271,7 +270,6 @@ mod tests {
     use super::*;
     use crate::store::MemPageStore;
     use crate::testing::FaultStore;
-    use parking_lot::Mutex;
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -348,12 +346,12 @@ mod tests {
         let delays: std::sync::Arc<Mutex<Vec<u64>>> = std::sync::Arc::new(Mutex::new(Vec::new()));
         let d = std::sync::Arc::clone(&delays);
         let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap());
-        let mut s = RetryStore::with_sleeper(flaky, policy, move |t| d.lock().push(t));
+        let mut s = RetryStore::with_sleeper(flaky, policy, move |t| lock(&d).push(t));
         let p = s.allocate().unwrap();
         switch.arm_after(0);
         let mut buf = [0u8; 64];
         assert!(s.read(p, &mut buf).is_err());
-        let out = delays.lock().clone();
+        let out = lock(&delays).clone();
         out
     }
 
@@ -408,12 +406,12 @@ mod tests {
                 max_delay_ticks: 6,
                 jitter_seed: None,
             },
-            move |t| d.lock().push(t),
+            move |t| lock(&d).push(t),
         );
         let p = s.allocate().unwrap();
         switch.arm_after(0);
         let mut buf = [0u8; 64];
         assert!(s.read(p, &mut buf).is_err());
-        assert_eq!(*delays.lock(), vec![2, 4, 6, 6]);
+        assert_eq!(*lock(&delays), vec![2, 4, 6, 6]);
     }
 }

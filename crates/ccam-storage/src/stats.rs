@@ -15,13 +15,12 @@
 //! costs one relaxed atomic load per page access.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::metrics::{OpProfile, PageAccessKind, PageEvent};
 use crate::page::PageId;
+use crate::sync::lock;
 
 /// Monotonic I/O counters, cheap to share between the buffer pool and the
 /// measurement harness.
@@ -229,7 +228,7 @@ impl IoStats {
     pub fn set_profiling(&self, on: bool) {
         self.profiling.store(on, Ordering::Relaxed);
         if !on {
-            *self.profile.lock() = ProfileState::default();
+            *lock(&self.profile) = ProfileState::default();
         }
     }
 
@@ -247,7 +246,7 @@ impl IoStats {
         let active = self.profiling_enabled();
         if active {
             let before = self.snapshot();
-            let mut st = self.profile.lock();
+            let mut st = lock(&self.profile);
             st.depth += 1;
             if st.depth == 1 {
                 st.current = Some(OpenOp {
@@ -270,7 +269,7 @@ impl IoStats {
         if !self.profiling.load(Ordering::Relaxed) {
             return;
         }
-        let mut st = self.profile.lock();
+        let mut st = lock(&self.profile);
         if let Some(cur) = st.current.as_mut() {
             cur.events.push(PageEvent { page, kind });
         }
@@ -278,7 +277,7 @@ impl IoStats {
 
     fn end_span(&self) {
         let after = self.snapshot();
-        let mut st = self.profile.lock();
+        let mut st = lock(&self.profile);
         st.depth = st.depth.saturating_sub(1);
         if st.depth == 0 {
             if let Some(cur) = st.current.take() {
@@ -295,7 +294,7 @@ impl IoStats {
 
     /// Drains every finished operation profile collected so far.
     pub fn take_profiles(&self) -> Vec<OpProfile> {
-        std::mem::take(&mut self.profile.lock().done)
+        std::mem::take(&mut lock(&self.profile).done)
     }
 }
 

@@ -43,13 +43,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::store::{PageStore, WalControl};
+use crate::sync::lock;
 
 /// How the final page write behaves when a [`FaultStore`] dies on it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +188,7 @@ impl FaultController {
     /// `thread::sleep`; *which* operations stall is seeded). Zero
     /// disarms.
     pub fn set_latency(&self, per_1024: u64, micros: u64) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.latency_rate = per_1024;
         plan.latency_us = micros;
     }
@@ -197,30 +196,29 @@ impl FaultController {
     /// Arms the error switch: the next `ops` operations succeed,
     /// everything after fails with an I/O error.
     pub fn arm_after(&self, ops: u64) {
-        self.plan.lock().switch = Some(ops);
+        lock(&self.plan).switch = Some(ops);
     }
 
     /// Disarms the error switch (operations succeed again).
     pub fn disarm(&self) {
-        self.plan.lock().switch = None;
+        lock(&self.plan).switch = None;
     }
 
     /// Marks `id` as bit-rotted: reads fail with the
     /// [`StorageError::ChecksumMismatch`] a checksummed file store would
     /// produce, until a full-page write restamps the page.
     pub fn mark_corrupt(&self, id: PageId) {
-        self.plan.lock().corrupt.insert(id.0);
+        lock(&self.plan).corrupt.insert(id.0);
     }
 
     /// Heals `id` without a write.
     pub fn clear_corrupt(&self, id: PageId) {
-        self.plan.lock().corrupt.remove(&id.0);
+        lock(&self.plan).corrupt.remove(&id.0);
     }
 
     /// Pages currently marked corrupt, ascending.
     pub fn corrupt_pages(&self) -> Vec<PageId> {
-        self.plan
-            .lock()
+        lock(&self.plan)
             .corrupt
             .iter()
             .map(|&p| PageId(p))
@@ -233,7 +231,7 @@ impl FaultController {
     /// absorbs every glitch while a bare store surfaces it. Zero
     /// disarms.
     pub fn set_fault_rate(&self, per_1024: u64, burst: u64) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.burst = burst.max(1);
         plan.fault_rate = per_1024;
         if per_1024 == 0 {
@@ -246,7 +244,7 @@ impl FaultController {
     /// page write that hits the limit lands a half-page prefix before
     /// failing, the way `write(2)` reports a filling device.
     pub fn fill_after(&self, ops: u64, short_write: bool) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.short_write = short_write;
         plan.full = false;
         plan.fill = Some(ops);
@@ -254,21 +252,21 @@ impl FaultController {
 
     /// Frees up space: mutations succeed again.
     pub fn drain(&self) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.full = false;
         plan.fill = None;
     }
 
     /// True once the scheduled fill has fired.
     pub fn is_full(&self) -> bool {
-        self.plan.lock().full
+        lock(&self.plan).full
     }
 
     /// Schedules the crash: `ops` more mutations (allocate / write /
     /// free / sync / ensure) succeed, then the store dies. `torn` picks
     /// what happens if the dying operation is a page write.
     pub fn crash_after(&self, ops: u64, torn: TornWrite) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.torn = torn;
         plan.dead = false;
         plan.crash = Some(ops);
@@ -277,14 +275,14 @@ impl FaultController {
     /// Cancels any scheduled crash and clears the dead state ("plugs the
     /// machine back in") — used between crash rounds in sweeps.
     pub fn revive(&self) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.dead = false;
         plan.crash = None;
     }
 
     /// True once the scheduled crash has fired.
     pub fn is_dead(&self) -> bool {
-        self.plan.lock().dead
+        lock(&self.plan).dead
     }
 
     /// Arms volatile writes: from now on the store remembers what each
@@ -294,7 +292,7 @@ impl FaultController {
     /// the rest keep their new contents. Allocations and frees are not
     /// undone. Zero disarms and forgets.
     pub fn set_volatile_writes(&self, per_1024: u64) {
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         plan.volatile_rate = per_1024;
         if per_1024 == 0 {
             plan.unsynced.clear();
@@ -303,24 +301,24 @@ impl FaultController {
 
     /// Latency stalls injected so far.
     pub fn injected_stalls(&self) -> u64 {
-        self.plan.lock().stalls
+        lock(&self.plan).stalls
     }
 
     /// Transient glitch failures injected so far.
     pub fn injected_glitches(&self) -> u64 {
-        self.plan.lock().glitches
+        lock(&self.plan).glitches
     }
 
     /// `NoSpace` errors injected so far.
     pub fn injected_no_space(&self) -> u64 {
-        self.plan.lock().no_space
+        lock(&self.plan).no_space
     }
 
     /// Stalls + glitches + `NoSpace` errors — what a chaos harness
     /// subtracts from its error budget: an injected fault surfacing as a
     /// typed error is the system working, not an SLO violation.
     pub fn injected_faults(&self) -> u64 {
-        let plan = self.plan.lock();
+        let plan = lock(&self.plan);
         plan.stalls + plan.glitches + plan.no_space
     }
 
@@ -335,7 +333,7 @@ impl FaultController {
             })
         };
         let clean = |err| refuse(err, TornWrite::None);
-        let mut plan = self.plan.lock();
+        let mut plan = lock(&self.plan);
         if matches!(op, Op::Read(_) | Op::Write)
             && plan.latency_rate > 0
             && draw(&mut plan.latency_rng) % 1024 < plan.latency_rate
@@ -345,7 +343,7 @@ impl FaultController {
             // Sleep unlocked: a stall must not hold up the controller.
             drop(plan);
             std::thread::sleep(stall);
-            plan = self.plan.lock();
+            plan = lock(&self.plan);
         }
         if expired(&mut plan.switch) {
             return clean(io_error("injected I/O failure"));
@@ -410,14 +408,14 @@ impl FaultController {
     /// True when the power cut could lose a write to `id` made now and
     /// nothing is remembered of `id` yet.
     fn wants_pre_image(&self, id: PageId) -> bool {
-        let plan = self.plan.lock();
+        let plan = lock(&self.plan);
         plan.volatile_rate > 0 && !plan.unsynced.contains_key(&id.0)
     }
 
     /// A full-page write (or a free) restamps the page, healing the rot
     /// — the same semantics a checksummed file store has.
     fn heal(&self, id: PageId) {
-        self.plan.lock().corrupt.remove(&id.0);
+        lock(&self.plan).corrupt.remove(&id.0);
     }
 }
 
@@ -524,7 +522,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         if self.controller.wants_pre_image(id) {
             let mut held = vec![0u8; buf.len()];
             if self.inner.read(id, &mut held).is_ok() {
-                let mut plan = self.controller.plan.lock();
+                let mut plan = lock(&self.controller.plan);
                 plan.unsynced.insert(id.0, held.into_boxed_slice());
             }
         }
@@ -549,7 +547,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         self.controller.syncs.fetch_add(1, Ordering::Relaxed);
         self.pass_mutation(Op::Other)?;
         self.inner.sync()?;
-        self.controller.plan.lock().unsynced.clear();
+        lock(&self.controller.plan).unsynced.clear();
         Ok(())
     }
 

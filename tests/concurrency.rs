@@ -1,5 +1,5 @@
 //! Integration: concurrent read queries. The buffer pool serialises page
-//! access internally (`parking_lot::Mutex`), so any number of reader
+//! access internally (a `std::sync::Mutex`), so any number of reader
 //! threads can share one access method — a property a production release
 //! must actually demonstrate, not just claim.
 

@@ -38,6 +38,7 @@ use ccam::core::query::route::evaluate_route;
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::walks::random_walk_routes;
 use ccam::graph::{Network, NodeId};
+use ccam::storage::sync::lock;
 use ccam::storage::{FaultController, FaultStore, MemPageStore, PageStore, WalStore};
 use ccam_testing::{check, TempDir};
 
@@ -92,7 +93,7 @@ fn race<S: PageStore + Send + 'static>(
     // ledger[epoch] = the network published at that epoch, entered
     // before the commit that publishes it.
     let ledger = Mutex::new(HashMap::from([(epoch_at_start, net.clone())]));
-    let committed = |epoch: u64| ledger.lock().unwrap()[&epoch].clone();
+    let committed = |epoch: u64| lock(&ledger)[&epoch].clone();
     let restamp = |w: &mut Ccam<S>, model: &mut Network, generation: u64| {
         for &id in &sentinels {
             let deleted = w.delete_node(id)?.unwrap();
@@ -108,10 +109,7 @@ fn race<S: PageStore + Send + 'static>(
     let mut model = net.clone();
     let mut w = db.write().unwrap();
     restamp(&mut w, &mut model, 0).unwrap();
-    ledger
-        .lock()
-        .unwrap()
-        .insert(epoch_at_start + 1, model.clone());
+    lock(&ledger).insert(epoch_at_start + 1, model.clone());
     w.commit().unwrap();
     let costs: Vec<u64> = {
         let view = db.read().unwrap();
@@ -150,7 +148,7 @@ fn race<S: PageStore + Send + 'static>(
                     assert!(w.reorganize_full().unwrap() > 0.0);
                 }
                 let epoch = db.epoch() + 1;
-                ledger.lock().unwrap().insert(epoch, model.clone());
+                lock(&ledger).insert(epoch, model.clone());
                 assert_eq!(w.commit().unwrap(), epoch);
             }
             stop.store(true, Ordering::Release);
